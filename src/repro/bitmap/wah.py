@@ -15,7 +15,7 @@ This is a standard 32-bit WAH codec (Wu, Otoo, Shoshani, TODS 2006):
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -25,6 +25,26 @@ _FILL_FLAG = 1 << 31
 _FILL_BIT = 1 << 30
 _MAX_RUN = (1 << 30) - 1
 _ALL_ONES = (1 << _GROUP_BITS) - 1
+
+
+def _encode_runs(runs: Iterable[Sequence[int]]) -> List[int]:
+    """WAH words for ``(literal, repeat)`` runs of 31-bit groups.
+
+    An all-zeros or all-ones literal becomes fill words, split so no
+    fill counts more than ``_MAX_RUN`` groups; any other literal is
+    emitted ``repeat`` times.
+    """
+    words: List[int] = []
+    for literal, repeat in runs:
+        if literal == 0 or literal == _ALL_ONES:
+            fill = _FILL_FLAG | (_FILL_BIT if literal else 0)
+            while repeat:
+                take = min(repeat, _MAX_RUN)
+                words.append(fill | take)
+                repeat -= take
+        else:
+            words.extend([literal] * repeat)
+    return words
 
 
 class WAHBitmap:
@@ -43,46 +63,42 @@ class WAHBitmap:
     # ------------------------------------------------------------------
     @classmethod
     def from_positions(cls, positions: Iterable[int], length: int) -> "WAHBitmap":
-        """Compress the bitmap with 1-bits at ``positions`` (0-based)."""
+        """Compress the bitmap with 1-bits at ``positions`` (0-based).
+
+        O(set bits), whatever the logical length: the sorted positions are
+        folded into one literal per *occupied* 31-bit group, and the empty
+        groups between two occupied ones (and after the last) are emitted
+        as zero fills computed from the group numbers.  A literal can only
+        equal the all-ones pattern when its group is complete — the final
+        partial group has no bit at or past ``length`` — so an all-ones
+        fill never absorbs the zero-padded tail.
+        """
         sorted_positions = sorted(set(positions))
         if sorted_positions and (sorted_positions[0] < 0 or sorted_positions[-1] >= length):
             raise ValueError("bit position out of range")
         groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
-        words: List[int] = []
-        run_bit = None
-        run_length = 0
-        cursor = 0  # index into sorted_positions
-
-        def flush_run() -> None:
-            nonlocal run_bit, run_length
-            if run_length == 0:
-                return
-            fill = _FILL_FLAG | (_FILL_BIT if run_bit else 0) | run_length
-            words.append(fill)
-            run_bit, run_length = None, 0
-
-        for group in range(groups):
-            base = group * _GROUP_BITS
-            limit = min(base + _GROUP_BITS, length)
-            literal = 0
-            while cursor < len(sorted_positions) and sorted_positions[cursor] < limit:
-                literal |= 1 << (sorted_positions[cursor] - base)
-                cursor += 1
-            # The final partial group is padded with zeros; an all-ones fill
-            # may only absorb *complete* groups.
-            group_full = limit - base == _GROUP_BITS
-            if literal == 0 or (literal == _ALL_ONES and group_full):
-                bit = literal != 0
-                if run_bit == bit and run_length < _MAX_RUN:
-                    run_length += 1
-                else:
-                    flush_run()
-                    run_bit, run_length = bit, 1
+        # One literal per occupied group, in group order (dicts keep the
+        # insertion order, and the positions arrive sorted).
+        occupied: Dict[int, int] = {}
+        for position in sorted_positions:
+            group, bit = divmod(position, _GROUP_BITS)
+            occupied[group] = occupied.get(group, 0) | (1 << bit)
+        # (literal, repeat) runs covering every group: the gaps between
+        # occupied groups are zero runs sized from the group numbers, and
+        # adjacent all-ones groups (no gap between them) share one run.
+        runs: List[List[int]] = []
+        next_group = 0  # first group not yet covered
+        for group, literal in occupied.items():
+            if group > next_group:
+                runs.append([0, group - next_group])
+            if literal == _ALL_ONES and runs and runs[-1][0] == _ALL_ONES:
+                runs[-1][1] += 1
             else:
-                flush_run()
-                words.append(literal)
-        flush_run()
-        return cls(length, words)
+                runs.append([literal, 1])
+            next_group = group + 1
+        if groups > next_group:
+            runs.append([0, groups - next_group])
+        return cls(length, _encode_runs(runs))
 
     @classmethod
     def from_positions_array(cls, positions: "np.ndarray", length: int) -> "WAHBitmap":
@@ -107,21 +123,14 @@ class WAHBitmap:
             positions // _GROUP_BITS,
             np.int64(1) << (positions % _GROUP_BITS),
         )
-        words: List[int] = []
         starts = np.flatnonzero(np.diff(literals)) + 1
         bounds = [0, *starts.tolist(), groups]
-        for lo, hi in zip(bounds, bounds[1:]):
-            value = int(literals[lo])
-            count = hi - lo
-            if value == 0 or value == _ALL_ONES:
-                fill = _FILL_FLAG | (_FILL_BIT if value else 0)
-                while count:
-                    take = min(count, _MAX_RUN)
-                    words.append(fill | take)
-                    count -= take
-            else:
-                words.extend([value] * count)
-        return cls(length, words)
+        return cls(
+            length,
+            _encode_runs(
+                (int(literals[lo]), hi - lo) for lo, hi in zip(bounds, bounds[1:])
+            ),
+        )
 
     @classmethod
     def from_bits(cls, bits: Sequence[bool]) -> "WAHBitmap":

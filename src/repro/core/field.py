@@ -30,7 +30,7 @@ server-side work (Figure 13).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -183,7 +183,8 @@ class LazyBEQField(MatchingEventField):
       without rescanning any leaf (covered or not — dedup protects the
       later scan);
     * :meth:`note_exclusion` records that a seen event stopped mattering
-      (delivered or expired).  Exclusions are *not* un-dilated — the
+      (delivered or expired; :meth:`note_exclusions` takes a whole expiry
+      sweep at once).  Exclusions are *not* un-dilated — the
       unsafe set only over-approximates, which keeps every construction
       valid (a conservative, smaller region) — but they accumulate as
       staleness, and :meth:`too_stale` tells the owner when a fresh field
@@ -285,6 +286,16 @@ class LazyBEQField(MatchingEventField):
         """
         if event_id in self._seen_ids:
             self.stale_exclusions += 1
+
+    def note_exclusions(self, event_ids: AbstractSet[int]) -> None:
+        """:meth:`note_exclusion` for every id of a set, in one call.
+
+        An expiry sweep or a band extraction retires many events at once
+        and no construction runs in between, so only the total matters:
+        one C-level set intersection per field instead of one Python call
+        per (event, field) pair.
+        """
+        self.stale_exclusions += len(self._seen_ids & event_ids)
 
     def too_stale(self) -> bool:
         """True when enough seen events died that a rebuild pays off."""

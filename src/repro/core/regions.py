@@ -28,9 +28,11 @@ from ..bitmap import WAHBitmap
 from ..geometry import Cell, Grid, Point, interleave
 from ..geometry.zorder import interleave_array
 
-# Below this many cells the generator + scalar WAH encoder wins; above it
-# the vectorized Morton + scatter-OR kernel takes over (identical output).
-_BITMAP_ARRAY_CUTOVER = 256
+# Measured end to end on 128² and 256² bitmaps (DESIGN.md §14): the scalar
+# path costs ~1 us per cell (Morton code + O(set bits) WAH encode), the
+# array path ~55 us fixed + ~0.3 us per cell.  They cross at 80-96 cells;
+# identical words either side.
+_BITMAP_ARRAY_CUTOVER = 96
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ class GridRegion:
         side = 1 << max(self.grid.n - 1, 1).bit_length()
         length = side * side
         if len(self.cells) >= _BITMAP_ARRAY_CUTOVER:
-            pairs = np.array(sorted(self.cells), dtype=np.int64).reshape(-1, 2)
+            pairs = np.array(tuple(self.cells), dtype=np.int64).reshape(-1, 2)
             codes = interleave_array(pairs[:, 0], pairs[:, 1]).astype(np.int64)
             return WAHBitmap.from_positions_array(codes, length)
         positions = (interleave(i, j) for (i, j) in self.cells)

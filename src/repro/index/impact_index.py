@@ -53,19 +53,25 @@ class ImpactRegionIndex:
     # Updates
     # ------------------------------------------------------------------
     def replace(self, sub_id: int, impact_cells: Iterable[Cell]) -> None:
-        """Install (or overwrite) a subscriber's impact region as a cell set."""
-        self.remove(sub_id)
+        """Install (or overwrite) a subscriber's impact region as a cell set.
+
+        Only the symmetric difference against the stored region touches
+        the inverted index: consecutive regions of one moving subscriber
+        overlap heavily, and the shared cells keep their postings.
+        """
         self._covering_cache.clear()
+        self._complement.pop(sub_id, None)
         cells = frozenset(impact_cells)
+        old = self._by_subscriber.get(sub_id, frozenset())
         self._by_subscriber[sub_id] = cells
-        for cell in cells:
+        self._unpost(sub_id, old - cells)
+        for cell in cells - old:
             self._by_cell[cell].add(sub_id)
 
     def replace_region(self, sub_id: int, region: "ImpactRegion") -> None:
         """Install an :class:`ImpactRegion`, honouring complement storage."""
         if region.complement:
             self.remove(sub_id)
-            self._covering_cache.clear()
             self._complement[sub_id] = region
         else:
             self.replace(sub_id, region.cells)
@@ -74,9 +80,11 @@ class ImpactRegionIndex:
         """Drop a subscriber's impact region; no-op if absent."""
         self._covering_cache.clear()
         self._complement.pop(sub_id, None)
-        cells = self._by_subscriber.pop(sub_id, None)
-        if cells is None:
-            return
+        self._unpost(sub_id, self._by_subscriber.pop(sub_id, ()))
+
+    def _unpost(self, sub_id: int, cells: Iterable[Cell]) -> None:
+        """Drop ``sub_id`` from the given cells' postings, leaving no
+        empty bucket behind."""
         for cell in cells:
             bucket = self._by_cell[cell]
             bucket.discard(sub_id)

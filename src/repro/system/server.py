@@ -39,8 +39,9 @@ import heapq
 import itertools
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core import (
     ConstructionRequest,
@@ -229,7 +230,10 @@ class ElapsServer:
         #: dispatch/drain spans) and served as frame type 13.
         self.registry = MetricsRegistry(self.metrics)
         self.tracer = self.registry.tracer
-        self._arrival_times: List[int] = []  # ring of recent arrival timestamps
+        #: arrival timestamps inside the rate window, oldest first; pruned
+        #: from the left on every append and read, so it never outgrows
+        #: one window's arrivals (clocks are monotone)
+        self._arrival_times: Deque[int] = deque()
         self._expiry_heap: List[Tuple[int, int]] = []  # (expires_at, event_id)
         self._events_by_id: Dict[int, Event] = {}
         self._started_at: Optional[int] = None
@@ -340,9 +344,18 @@ class ElapsServer:
     # ------------------------------------------------------------------
     # Statistics (the cost-model inputs)
     # ------------------------------------------------------------------
-    def _estimated_rate(self, now: int) -> float:
+    def _note_arrivals(self, now: int, count: int = 1) -> None:
+        self._arrival_times.extend(itertools.repeat(now, count))
+        self._prune_arrivals(now)
+
+    def _prune_arrivals(self, now: int) -> None:
         window_start = now - self.rate_window
-        self._arrival_times = [t for t in self._arrival_times if t > window_start]
+        arrivals = self._arrival_times
+        while arrivals and arrivals[0] <= window_start:
+            arrivals.popleft()
+
+    def _estimated_rate(self, now: int) -> float:
+        self._prune_arrivals(now)
         if self.initial_rate is not None and (
             self._started_at is None or now - self._started_at < self.rate_window
         ):
@@ -493,7 +506,7 @@ class ElapsServer:
             self.metrics.duplicate_publishes += 1
             return []
         self._store_event(event)
-        self._arrival_times.append(now)
+        self._note_arrivals(now)
         notifications: List[Notification] = []
         event_cell = self.grid.cell_of(event.location)
         index = self.subscription_index
@@ -599,12 +612,11 @@ class ElapsServer:
             self._events_by_id[event.event_id] = event
             if event.expires_at is not None:
                 heapq.heappush(self._expiry_heap, (event.expires_at, event.event_id))
-            self._arrival_times.append(now)
+        self._note_arrivals(now, len(events))
+        event_cells = [self.grid.cell_of(event.location) for event in events]
         covering: Dict = {}
         if self.use_impact_region:
-            covering = self.impact_index.match_batch(
-                {self.grid.cell_of(event.location) for event in events}
-            )
+            covering = self.impact_index.match_batch(event_cells)
         notifications: List[Notification] = []
         pinged: Set[int] = set()
         #: insertion-ordered; one deferred construction per subscriber
@@ -632,8 +644,7 @@ class ElapsServer:
         self.metrics.partitions_pruned += (
             getattr(index, "partitions_pruned", 0) - match_pruned_before
         )
-        for event, matched in zip(events, matched_per_event):
-            event_cell = self.grid.cell_of(event.location)
+        for event, event_cell, matched in zip(events, event_cells, matched_per_event):
             for subscription in matched:
                 record = self.subscribers.get(subscription.sub_id)
                 if record is None or event.event_id in record.delivered:
@@ -704,19 +715,28 @@ class ElapsServer:
             # sweep reproduces it, and the no-op ticks between arrivals
             # stay off the log.
             self._journal_append(JournalRecord(EXPIRE, 0, now=now))
-        removed = 0
+        retired: List[Event] = []
         while self._expiry_heap and self._expiry_heap[0][0] <= now:
             _, event_id = heapq.heappop(self._expiry_heap)
             event = self._events_by_id.pop(event_id, None)
-            if event is None:
-                continue
-            self.event_index.delete(event)
-            for field in self._lazy_fields.values():
-                field.note_exclusion(event_id)
-            removed += 1
-        if removed:
+            if event is not None:  # else: already extracted by a band move
+                retired.append(event)
+        self._retire_events(retired)
+        if retired:
             self._maybe_snapshot()
-        return removed
+        return len(retired)
+
+    def _retire_events(self, events: List[Event]) -> None:
+        """Drop events (already out of ``_events_by_id``) from the corpus
+        index and tell every live matching field about the whole sweep at
+        once — O(events + fields) calls, not one per (event, field) pair.
+        """
+        for event in events:
+            self.event_index.delete(event)
+        if events and self._lazy_fields:
+            retired_ids = {event.event_id for event in events}
+            for field in self._lazy_fields.values():
+                field.note_exclusions(retired_ids)
 
     # ------------------------------------------------------------------
     # Band migration (DESIGN.md §15)
@@ -748,9 +768,7 @@ class ElapsServer:
                 extracted.append(event)
         for event in extracted:
             del self._events_by_id[event.event_id]
-            self.event_index.delete(event)
-            for field in self._lazy_fields.values():
-                field.note_exclusion(event.event_id)
+        self._retire_events(extracted)
         if extracted:
             self._maybe_snapshot()
         return extracted
@@ -972,7 +990,7 @@ class ElapsServer:
     def _restore_snapshot(self, image: ServerSnapshot) -> None:
         for event in image.events:
             self._store_event(event)
-        self._arrival_times = list(image.arrival_times)
+        self._arrival_times = deque(image.arrival_times)
         self._started_at = image.started_at
         for name, value in image.counters.items():
             # Tolerate counters from other builds: restore what exists.

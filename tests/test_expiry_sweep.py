@@ -1,0 +1,263 @@
+"""Event retirement (expiry sweeps, band extraction) tells each live
+matching field about the whole sweep once.
+
+The contract is that batching changes nothing observable: every field's
+``stale_exclusions`` — hence every ``too_stale()`` repair-vs-rebuild
+decision — and every notification match what one ``note_exclusion`` call
+per (event, field) pair produces.  The reference below *is* that loop,
+patched in for the second run of each differential.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core import IGM
+from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
+from repro.geometry import Grid, Point, Rect
+from repro.index import BEQTree
+from repro.system import (
+    CallbackTransport,
+    ElapsServer,
+    SerialExecutor,
+    ServerConfig,
+    ShardedElapsServer,
+)
+
+SPACE = Rect(0, 0, 10_000, 10_000)
+TOPICS = ("sale", "show")
+
+
+def per_event_retire(self, events):
+    """The sweep as one ``note_exclusion`` per (event, field) pair."""
+    for event in events:
+        self.event_index.delete(event)
+        for field in self._lazy_fields.values():
+            field.note_exclusion(event.event_id)
+
+
+def make_sub(sub_id, topic="sale", radius=1_200.0):
+    return Subscription(
+        sub_id,
+        BooleanExpression([Predicate("topic", Operator.EQ, topic)]),
+        radius=radius,
+    )
+
+
+def make_event(event_id, x, y, now, ttl, topic="sale"):
+    return Event(
+        event_id, {"topic": topic}, Point(x, y), arrived_at=now, expires_at=now + ttl
+    )
+
+
+def make_server(**config_fields):
+    return ElapsServer(
+        Grid(40, SPACE),
+        IGM(max_cells=400),
+        ServerConfig(initial_rate=1.0, repair=True, **config_fields),
+        event_index=BEQTree(SPACE, emax=32),
+    )
+
+
+def make_fleet():
+    return ShardedElapsServer(
+        Grid(40, SPACE),
+        IGM(max_cells=400),
+        ServerConfig(initial_rate=2.0, repair=True),
+        shards=2,
+        executor=SerialExecutor(),
+        event_index_factory=lambda: BEQTree(SPACE, emax=32),
+    )
+
+
+def staleness(server):
+    return {
+        sub_id: field.stale_exclusions
+        for sub_id, field in sorted(server._lazy_fields.items())
+    }
+
+
+def drive(server, shard_servers, *, ticks, extract_at=None, rebalance_at=None):
+    """A seeded publish / report / expire run; returns everything the
+    batched sweep must leave untouched."""
+    rng = random.Random(20150531)
+    positions = {}
+    server.transport = CallbackTransport(
+        locate=lambda sub_id: (positions[sub_id], Point(0, 0))
+    )
+    log, trail = [], []
+
+    def record(notifications):
+        log.extend((n.sub_id, n.event.event_id, n.seq) for n in notifications)
+
+    next_id = 0
+    for now in range(-5, 0):  # a corpus the first constructions scan
+        server.bootstrap(
+            [
+                make_event(
+                    next_id + k, rng.uniform(0, 10_000), rng.uniform(0, 10_000),
+                    now, rng.randint(8, 40), rng.choice(TOPICS),
+                )
+                for k in range(12)
+            ]
+        )
+        next_id += 12
+    for sub_id in range(1, 9):
+        positions[sub_id] = Point(rng.uniform(1_000, 9_000), rng.uniform(1_000, 9_000))
+        notes, _ = server.subscribe(
+            make_sub(sub_id, TOPICS[sub_id % 2]), positions[sub_id], Point(0, 0), 0
+        )
+        record(notes)
+    for now in range(1, ticks + 1):
+        burst = [
+            make_event(
+                next_id + k, rng.uniform(0, 10_000), rng.uniform(0, 10_000),
+                now, rng.randint(2, 25), rng.choice(TOPICS),
+            )
+            for k in range(rng.randint(2, 10))
+        ]
+        next_id += len(burst)
+        record(server.publish_batch(burst, now))
+        mover = rng.randint(1, 8)
+        step = Point(rng.uniform(-700, 700), rng.uniform(-700, 700))
+        target = positions[mover]
+        target = Point(
+            min(max(target.x + step.x, 0.0), 10_000.0),
+            min(max(target.y + step.y, 0.0), 10_000.0),
+        )
+        positions[mover] = target
+        notes, _ = server.report_location(mover, target, Point(0, 0), now)
+        record(notes)
+        if now == extract_at:
+            # events leave by extraction; their heap entries stay behind
+            # and must be skipped (not counted again) when they come due
+            gone = server.extract_events_in_columns([(0, 14)])
+            assert gone
+            trail.append(("extracted", sorted(e.event_id for e in gone)))
+        if now == rebalance_at:
+            assert server.rebalance_now(now, bounds=[0, 13, 40])
+        trail.append((now, server.expire_due_events(now)))
+        trail.append([staleness(shard) for shard in shard_servers])
+    metrics = server.merged_metrics()
+    return {
+        "log": log,
+        "trail": trail,
+        "repairs": metrics.repairs,
+        "repair_fallbacks": metrics.repair_fallbacks,
+        "constructions": metrics.constructions,
+    }
+
+
+class TestBatchedSweepIsUnobservable:
+    def test_single_server_matches_the_per_event_loop(self, monkeypatch):
+        def run():
+            server = make_server()
+            return drive(server, [server], ticks=90, extract_at=40)
+
+        batched = run()
+        monkeypatch.setattr(ElapsServer, "_retire_events", per_event_retire)
+        reference = run()
+        assert batched == reference
+        # and the run was worth comparing: exclusions accumulated, fields
+        # went stale and were rebuilt, repairs happened
+        assert any(
+            count for entry in batched["trail"] if isinstance(entry, list)
+            for count in entry[0].values()
+        )
+        assert batched["repairs"] > 0
+        assert batched["constructions"] > 8 + 90  # > one per subscribe + report
+
+    def test_fleet_matches_across_a_forced_rebalance(self, monkeypatch):
+        def run():
+            with make_fleet() as server:
+                return drive(
+                    server, server.shard_servers, ticks=60, rebalance_at=30
+                )
+
+        batched = run()
+        monkeypatch.setattr(ElapsServer, "_retire_events", per_event_retire)
+        reference = run()
+        assert batched == reference
+        assert batched["log"]
+        assert any(
+            count for entry in batched["trail"] if isinstance(entry, list)
+            for shard in entry for count in shard.values()
+        )
+
+
+class TestWhatAnExclusionCounts:
+    def seen_event_server(self):
+        """One subscriber whose field has scanned event 1 (out of radius)."""
+        server = make_server()
+        server.bootstrap([make_event(1, 7_600, 5_000, now=0, ttl=10)])
+        server.subscribe(make_sub(1, radius=1_500.0), Point(5_000, 5_000), Point(0, 0), 0)
+        field = server._lazy_fields[1]
+        assert 1 in field._seen_ids and field.stale_exclusions == 0
+        return server, field
+
+    def test_delivered_then_expired_counts_twice(self):
+        server, field = self.seen_event_server()
+        # the subscriber walks into range without leaving the covered
+        # rectangle's staleness budget: delivery is one exclusion ...
+        notes, _ = server.report_location(1, Point(7_000, 5_000), Point(0, 0), 1)
+        assert [n.event.event_id for n in notes] == [1]
+        if server._lazy_fields[1] is not field:
+            pytest.skip("the report rebuilt the field")
+        assert field.stale_exclusions == 1
+        # ... and the expiry of the same, still-seen event is another
+        assert server.expire_due_events(10) == 1
+        assert field.stale_exclusions == 2
+
+    def test_extracted_event_is_not_counted_again_when_its_ttl_ends(self):
+        server, field = self.seen_event_server()
+        gone = server.extract_events_in_columns([(30, 31)])
+        assert [e.event_id for e in gone] == [1]
+        assert field.stale_exclusions == 1
+        assert server._expiry_heap  # the heap entry outlives the event
+        assert server.expire_due_events(10) == 0
+        assert field.stale_exclusions == 1
+        assert not server._expiry_heap
+
+    def test_unseen_events_do_not_count(self):
+        server, field = self.seen_event_server()
+        server.publish(make_event(2, 7_700, 5_000, now=1, ttl=3, topic="show"), 1)
+        assert server.expire_due_events(4) == 1
+        assert field.stale_exclusions == 0
+
+
+class TestSweepCost:
+    def test_one_field_call_per_live_field(self):
+        """E retired events x S live fields: at most S field calls."""
+        rng = random.Random(5)
+        server = make_server()
+        events = [
+            make_event(k, rng.uniform(0, 10_000), rng.uniform(0, 10_000), now=0, ttl=5)
+            for k in range(64)
+        ]
+        server.bootstrap(events)
+        for sub_id in range(1, 7):
+            server.subscribe(
+                make_sub(sub_id),
+                Point(rng.uniform(2_000, 8_000), rng.uniform(2_000, 8_000)),
+                Point(0, 0),
+                0,
+            )
+        fields = list(server._lazy_fields.values())
+        assert len(fields) == 6
+        calls = []
+        expected = {}
+        for field in fields:
+            expected[id(field)] = field.stale_exclusions + len(field._seen_ids)
+            for name in ("note_exclusion", "note_exclusions"):
+                inner = getattr(field, name)
+                setattr(
+                    field, name,
+                    lambda arg, inner=inner, name=name: (calls.append(name), inner(arg))[1],
+                )
+        assert server.expire_due_events(5) == 64
+        assert len(calls) <= len(fields)
+        # the spy forwarded: every seen event of every field was counted
+        for field in fields:
+            assert field.stale_exclusions == expected[id(field)] > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import ImpactRegion
 from repro.geometry import Grid, Rect
@@ -82,3 +83,45 @@ class TestComplementStorage:
         index.replace_region(4, ImpactRegion(grid, frozenset({(2, 2)})))
         assert index.covers(4, (2, 2))
         assert not index.covers(4, (3, 3))
+
+
+class TestIncrementalInstall:
+    """``replace`` installs only the symmetric difference against the
+    stored region; the index must still be what a fresh build gives."""
+
+    CELLS = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["direct", "complement", "remove"]),
+            st.integers(1, 4),
+            st.frozensets(CELLS, max_size=12),
+        ),
+        max_size=30,
+    )
+
+    @given(ops=OPS)
+    def test_any_sequence_equals_a_fresh_build(self, ops):
+        grid = Grid(6, Rect(0, 0, 600, 600))
+        index = ImpactRegionIndex()
+        final = {}
+        for op, sub_id, cells in ops:
+            if op == "remove":
+                index.remove(sub_id)
+                final.pop(sub_id, None)
+            else:
+                region = ImpactRegion(grid, cells, complement=op == "complement")
+                index.replace_region(sub_id, region)
+                final[sub_id] = region
+            index.match_batch(grid.all_cells())  # warm the covering memo
+        fresh = ImpactRegionIndex()
+        for sub_id, region in final.items():
+            fresh.replace_region(sub_id, region)
+        assert dict(index._by_cell) == dict(fresh._by_cell)
+        assert all(index._by_cell.values())  # no empty bucket left behind
+        assert index._by_subscriber == fresh._by_subscriber
+        assert index._complement == fresh._complement
+        assert len(index) == len(final)
+        # and the memo never serves a pre-churn answer
+        assert index.match_batch(grid.all_cells()) == {
+            cell: fresh.subscribers_covering(cell) for cell in grid.all_cells()
+        }

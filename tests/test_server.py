@@ -172,6 +172,46 @@ class TestStatsEstimation:
         estimated = server._estimated_rate(150)
         assert estimated == pytest.approx(2.0, rel=0.1)
 
+    def test_arrival_window_stays_bounded_without_constructions(self):
+        """The rate window is pruned as arrivals are appended, not only
+        when a construction reads the rate: a fleet that never
+        reconstructs must not grow it without bound."""
+        server = make_server(rate_window=50)
+        server._started_at = 0  # past warm-up: the rate is the windowed count
+        built = server.metrics.constructions
+        per_tick, event_id = 10, 0
+        for t in range(1_000):
+            batch = [
+                sale_event(event_id + k, 100.0 + k, 100.0) for k in range(per_tick // 2)
+            ]
+            server.publish_batch(batch, now=t)
+            event_id += len(batch)
+            for _ in range(per_tick - len(batch)):
+                server.publish(sale_event(event_id, 200.0, 200.0), now=t)
+                event_id += 1
+            assert len(server._arrival_times) <= 50 * per_tick
+        assert event_id == 10_000
+        assert server.metrics.constructions == built
+        assert len(server._arrival_times) == 50 * per_tick
+        assert server._estimated_rate(999) == per_tick
+
+    def test_rate_equals_the_windowed_count_on_a_monotone_clock(self):
+        import random
+
+        rng = random.Random(11)
+        server = make_server(rate_window=20)
+        server._started_at = -1_000
+        arrivals, now, event_id = [], 0, 0
+        for _ in range(300):
+            now += rng.choice([0, 0, 1, 3, 25])
+            if rng.random() < 0.7:
+                server.publish(sale_event(event_id, 100.0, 100.0), now=now)
+                arrivals.append(now)
+                event_id += 1
+            else:
+                expected = sum(1 for t in arrivals if t > now - 20) / 20
+                assert server._estimated_rate(now) == expected
+
     def test_stats_override_wins(self):
         from repro.core import SystemStats
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.bitmap import WAHBitmap
+from repro.bitmap.wah import _ALL_ONES, _FILL_BIT, _FILL_FLAG, _GROUP_BITS, _MAX_RUN
 
 
 class TestRoundTrip:
@@ -142,3 +144,88 @@ class TestSetAlgebra:
         new = WAHBitmap.from_positions(old_pos - removed_pos, length)
         assert old.difference(removed) == new
         assert new.union(removed) == old
+
+
+def reference_words(positions, length):
+    """The codec spelled out naively: bit list -> 31-bit groups -> runs.
+
+    Walks every group of the bitmap (what ``from_positions`` must *not*
+    do), so it is the oracle for the sparse encoder on small lengths.
+    """
+    bits = [False] * length
+    for position in positions:
+        bits[position] = True
+    words = []
+    run_bit, run_length = None, 0
+    for base in range(0, length, _GROUP_BITS):
+        group = bits[base:base + _GROUP_BITS]
+        literal = sum(1 << k for k, bit in enumerate(group) if bit)
+        # only a *complete* all-ones group may join a fill: the final
+        # partial group is zero-padded
+        if literal == 0 or (literal == _ALL_ONES and len(group) == _GROUP_BITS):
+            if run_length and run_bit == (literal != 0) and run_length < _MAX_RUN:
+                run_length += 1
+                continue
+            if run_length:
+                words.append(_FILL_FLAG | (_FILL_BIT if run_bit else 0) | run_length)
+            run_bit, run_length = literal != 0, 1
+        else:
+            if run_length:
+                words.append(_FILL_FLAG | (_FILL_BIT if run_bit else 0) | run_length)
+            run_bit, run_length = None, 0
+            words.append(literal)
+    if run_length:
+        words.append(_FILL_FLAG | (_FILL_BIT if run_bit else 0) | run_length)
+    return tuple(words)
+
+
+class TestSparseEncoder:
+    """``from_positions`` costs O(set bits) and still emits the canonical
+    words of the group-by-group definition."""
+
+    @given(
+        length=st.one_of(
+            st.sampled_from([0, 1, 30, 31, 32, 62, 63]), st.integers(0, 400)
+        ),
+        data=st.data(),
+    )
+    def test_word_identical_to_the_naive_reference(self, length, data):
+        positions = []
+        if length:
+            positions = data.draw(
+                st.lists(st.integers(0, length - 1), max_size=80)
+            )  # unsorted, duplicated
+            complete = length // _GROUP_BITS
+            for group in data.draw(
+                st.lists(st.integers(0, complete - 1), max_size=4) if complete else st.just([])
+            ):  # complete all-ones groups, adjacent ones included
+                positions += range(group * _GROUP_BITS, (group + 1) * _GROUP_BITS)
+            if length % _GROUP_BITS and data.draw(st.booleans()):
+                positions += range(complete * _GROUP_BITS, length)  # full partial tail
+            positions = data.draw(st.permutations(positions))
+        expected = reference_words(positions, length)
+        bitmap = WAHBitmap.from_positions(positions, length)
+        assert bitmap.words == expected
+        assert bitmap.positions() == sorted(set(positions))
+        array = WAHBitmap.from_positions_array(
+            np.array(positions, dtype=np.int64), length
+        )
+        assert array.words == expected
+
+    def test_cost_follows_the_set_bits_not_the_length(self):
+        """Two bits in a 2**40-bit bitmap: a group-by-group encoder would
+        need 3.5e10 iterations, so merely returning is the guard."""
+        length = 2 ** 40
+        bitmap = WAHBitmap.from_positions([5, 2 ** 39], length)
+        assert bitmap.positions() == [5, 2 ** 39]
+        fills = [w for w in bitmap.words if w & _FILL_FLAG]
+        literals = [w for w in bitmap.words if not w & _FILL_FLAG]
+        assert literals == [1 << 5, 1 << (2 ** 39 % _GROUP_BITS)]
+        assert not any(w & _FILL_BIT for w in fills)
+        # the two zero gaps exceed _MAX_RUN groups, so each is split into
+        # maximal fills plus one remainder
+        counts = [w & _MAX_RUN for w in fills]
+        assert all(0 < count <= _MAX_RUN for count in counts)
+        assert counts.count(_MAX_RUN) == len(counts) - 2
+        groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
+        assert sum(counts) + len(literals) == groups
