@@ -110,7 +110,7 @@ async def _main() -> None:
         stages = snapshot.histograms()
 
         # the batched publish path must have left real spans behind
-        for stage in ("batch", "match"):
+        for stage in ("publish", "match"):
             assert stage in stages, f"stage {stage!r} missing: {sorted(stages)}"
             assert stages[stage].count > 0, f"stage {stage!r} recorded nothing"
         # the snapshot mirrors the live server's counters

@@ -17,8 +17,8 @@ reports events/second, two ways:
   tracer enabled vs disabled (best-of-N each), plus the per-stage
   latency histogram summaries of the traced run, and
 * the **shard scaling** series: the identical batch-64 burst against a
-  :class:`ShardedElapsServer` fleet (``ThreadedExecutor``) at 1 and 4
-  shards.  Python threads buy no CPU parallelism, so the speedup gate
+  :class:`ShardedElapsServer` fleet (``SerialExecutor``) at 1 and 4
+  shards.  One process buys no CPU parallelism, so the speedup gate
   measures the *algorithmic* win of spatial partitioning: each shard
   constructs safe regions against its own (4x smaller) slice of the
   event corpus and matches arrivals against its own slice of the
@@ -26,7 +26,7 @@ reports events/second, two ways:
 * the **process scaling** series: a Zipf-centered *skewed* burst —
   four Gaussian city cores planted inside one static band — through
   process fleets (``ProcessExecutor``) at 1 and 4 shards plus a static
-  ``ThreadedExecutor`` 4-shard fleet.  The static partition stalls
+  ``SerialExecutor`` 4-shard fleet.  The static partition stalls
   (nearly every event lands on one band); the load-adaptive fleet
   re-cuts its boundaries into the valleys between the cores during
   warm-up and recovers the per-shard slicing win, and
@@ -123,7 +123,6 @@ from repro.system import (
     SerialExecutor,
     ServerConfig,
     ShardedElapsServer,
-    ThreadedExecutor,
 )
 from repro.system.protocol import NotificationMessage
 from repro.testing import FaultConfig, chaos_proxy
@@ -162,7 +161,7 @@ REQUIRED_SHARD_SPEEDUP = 1.5
 #: the process-fleet scaling series (DESIGN.md §15): a Zipf-centered
 #: skewed burst — four Gaussian city cores inside one static band — where
 #: a *static* column partition stalls (nearly every event lands on one
-#: shard, so the threaded 4-shard fleet degenerates to the 1-shard
+#: shard, so the serial 4-shard fleet degenerates to the 1-shard
 #: cost), while the load-adaptive process fleet re-cuts the boundaries
 #: into the inter-core valleys and recovers the per-shard corpus/population
 #: slicing win.  The gate compares process fleets at 4 vs 1 shard, so it
@@ -502,11 +501,11 @@ def _tracing_overhead(generator, burst, slow_threshold=None):
         )
     untraced = rows[0]["events_per_second"]
     traced = rows[1]["events_per_second"]
-    overhead = max(0.0, 1.0 - traced / untraced)
+    # signed: a negative overhead means the instrumented run measured
+    # *faster*, i.e. the difference is inside the noise — report that
+    overhead = 1.0 - traced / untraced
     for row in rows:
-        row["overhead_vs_untraced"] = max(
-            0.0, 1.0 - row["events_per_second"] / untraced
-        )
+        row["overhead_vs_untraced"] = 1.0 - row["events_per_second"] / untraced
     return rows, overhead, summaries
 
 
@@ -524,7 +523,7 @@ def _loaded_sharded_server(generator, shards: int) -> ShardedElapsServer:
         lambda spec: IGM(max_cells=per_shard_cells),
         ServerConfig(initial_rate=20.0),
         shards=shards,
-        executor=ThreadedExecutor(max_workers=shards),
+        executor=SerialExecutor(),
         event_index_factory=lambda: BEQTree(SPACE, emax=512),
         subscription_index_factory=lambda: SubscriptionIndex(
             generator.frequency_hint()
@@ -587,7 +586,7 @@ def _shard_scaling(generator) -> List[Dict]:
         rows.append(
             {
                 "shards": shards,
-                "executor": "threaded",
+                "executor": "serial",
                 "batch_size": batch_size,
                 "events": len(burst),
                 "rounds": SHARD_ROUNDS,
@@ -678,14 +677,8 @@ def _loaded_skewed_fleet(generator, shards, executor, policy=None):
 PROC_CONFIGS = (
     ("process", 1, False),
     ("process", PROC_SHARDS, True),
-    ("threaded", PROC_SHARDS, False),
+    ("serial", PROC_SHARDS, False),
 )
-
-
-def _process_executor_for(kind: str, shards: int):
-    if kind == "process":
-        return ProcessExecutor()
-    return ThreadedExecutor(max_workers=shards)
 
 
 def _process_scaling(generator) -> List[Dict]:
@@ -710,7 +703,7 @@ def _process_scaling(generator) -> List[Dict]:
             server = _loaded_skewed_fleet(
                 generator,
                 shards,
-                _process_executor_for(kind, shards),
+                ProcessExecutor() if kind == "process" else SerialExecutor(),
                 policy=PROC_POLICY if adaptive else None,
             )
             pairs = set()
@@ -839,11 +832,9 @@ def _journal_overhead(generator, burst, workdir):
             }
         )
     plain = rows[0]["events_per_second"]
-    overhead = max(0.0, 1.0 - rows[1]["events_per_second"] / plain)
+    overhead = 1.0 - rows[1]["events_per_second"] / plain  # signed, as above
     for row in rows:
-        row["overhead_vs_plain"] = max(
-            0.0, 1.0 - row["events_per_second"] / plain
-        )
+        row["overhead_vs_plain"] = 1.0 - row["events_per_second"] / plain
     return rows, overhead
 
 
@@ -1284,9 +1275,9 @@ def _emit_json(
         r for r in process_rows
         if r["executor"] == "process" and r["shards"] == PROC_SHARDS
     )
-    static_threaded = next(
+    static_serial = next(
         r for r in process_rows
-        if r["executor"] == "threaded" and r["shards"] == PROC_SHARDS
+        if r["executor"] == "serial" and r["shards"] == PROC_SHARDS
     )
     vec_at_top = next(
         r
@@ -1314,7 +1305,7 @@ def _emit_json(
     )
     payload = {
         "benchmark": "throughput",
-        "schema_version": 9,
+        "schema_version": 10,
         "fast_mode": FAST,
         "config": {
             "space": [SPACE.x_min, SPACE.y_min, SPACE.x_max, SPACE.y_max],
@@ -1409,7 +1400,7 @@ def _emit_json(
             "required_speedup_vs_one_shard": _process_required_speedup(),
             "measured_speedup_vs_one_shard": adaptive["speedup_vs_one_shard"],
             "rebalances": adaptive["rebalances"],
-            "static_threaded_speedup": static_threaded["speedup_vs_one_shard"],
+            "static_serial_speedup": static_serial["speedup_vs_one_shard"],
             "passed": (
                 adaptive["speedup_vs_one_shard"]
                 >= _process_required_speedup()

@@ -95,7 +95,6 @@ from .system import (
     ShardedElapsServer,
     Simulation,
     SimulationResult,
-    ThreadedExecutor,
     Transport,
     build_simulation,
     run_experiment,
@@ -164,7 +163,6 @@ __all__ = [
     "SyntheticTrajectoryGenerator",
     "SystemStats",
     "TaxiTrajectoryGenerator",
-    "ThreadedExecutor",
     "Trajectory",
     "Transport",
     "TwitterLikeConfig",

@@ -68,12 +68,11 @@ def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
                         help="spatial shards; > 1 runs a ShardedElapsServer "
                              "fleet (column-band grid partitioning)")
     parser.add_argument("--shard-executor",
-                        choices=("serial", "threaded", "process"),
+                        choices=("serial", "process"),
                         default="serial",
-                        help="how shard work runs: 'serial' is deterministic, "
-                             "'threaded' fans out over a pool with one lock "
-                             "per shard, 'process' gives every shard its own "
-                             "worker process (true parallel matching)")
+                        help="how shard work runs: 'serial' is deterministic "
+                             "and in-process, 'process' gives every shard its "
+                             "own worker process (true parallel matching)")
     parser.add_argument("--rebalance", action="store_true",
                         help="load-adaptive repartitioning: move the column "
                              "boundaries when one band draws a dominant "
@@ -453,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--shards", type=int, default=None,
                         help="replay through a sharded fleet of this size")
     replay.add_argument("--shard-executor",
-                        choices=("serial", "threaded", "process"),
+                        choices=("serial", "process"),
                         default=None)
     replay.add_argument("--rebalance", dest="rebalance", action="store_true",
                         default=None,
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default 0: pick a free one)")
-    serve.add_argument("--strategy", choices=_STRATEGY_CHOICES, default="iGM")
+    serve.add_argument("--strategy", choices=_STRATEGY_CHOICES, default="iGM-vec")
     serve.add_argument("--grid", type=int, default=120, help="N: grid resolution")
     serve.add_argument("--events", type=int, default=0,
                        help="E: initial event corpus size (default 0: empty)")

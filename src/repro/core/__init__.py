@@ -11,7 +11,6 @@ from .vectorized import (
     VectorizedIDGM,
     VectorizedIGM,
     VectorizedIncrementalGridMethod,
-    vectorize_strategy,
 )
 from .vm import VoronoiMethod
 
@@ -38,5 +37,4 @@ __all__ = [
     "VectorizedIncrementalGridMethod",
     "VoronoiMethod",
     "impact_from_safe",
-    "vectorize_strategy",
 ]

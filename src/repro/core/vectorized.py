@@ -315,25 +315,3 @@ class VectorizedIDGM(VectorizedIncrementalGridMethod):
             incremental_impact=incremental_impact,
             record_visits=record_visits,
         )
-
-
-def vectorize_strategy(strategy):
-    """The vectorized twin of an incremental strategy (idempotent).
-
-    ``ServerConfig(vectorized_construction=True)`` routes every
-    construction through here; non-incremental strategies (VM, GM) have no
-    frontier to vectorize and are returned unchanged.
-    """
-    if isinstance(strategy, VectorizedIncrementalGridMethod):
-        return strategy
-    if isinstance(strategy, IncrementalGridMethod):
-        twin = VectorizedIncrementalGridMethod(
-            alpha=strategy.alpha,
-            beta=strategy.beta,
-            max_cells=strategy.max_cells,
-            incremental_impact=strategy.incremental_impact,
-            record_visits=strategy.record_visits,
-        )
-        twin.name = f"{strategy.name}-vec"
-        return twin
-    return strategy

@@ -53,7 +53,6 @@ from .sharding import (
     ShardExecutor,
     ShardSpec,
     ShardedElapsServer,
-    ThreadedExecutor,
     WorkerCrashed,
     partition_columns,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "SimulationResult",
     "SimulationTransport",
     "SubscriberRecord",
-    "ThreadedExecutor",
     "Transport",
     "TruncatedFrameError",
     "WorkerCrashed",

@@ -1,32 +1,20 @@
-"""Server configuration and the transport seam of the redesigned API.
+"""Server configuration and the transport seam.
 
-Two things used to make :class:`~repro.system.server.ElapsServer` hard to
-drive programmatically — and impossible to drive from a sharding
-coordinator that must build K identical workers:
-
-* a **twelve-keyword constructor**: every tuning knob (matching mode,
-  rate window, repair policy, byte measurement, ...) was its own keyword
-  argument, so call sites drifted apart and a coordinator had no single
-  value to copy into each worker;
-* **three post-construction hook attributes** (``region_sink``,
-  ``delta_sink``, ``locator``) patched onto the server after the fact by
-  whichever layer (simulation, TCP, tests) happened to own the clients.
-
-This module replaces both:
-
-* :class:`ServerConfig` — one frozen dataclass holding every tuning knob.
-  ``ElapsServer(grid, strategy, config=ServerConfig(...))`` is the
-  primary construction form; a :class:`ShardedElapsServer
+* :class:`ServerConfig` — one frozen dataclass holding every tuning knob
+  of a server.  ``ElapsServer(grid, strategy, config=ServerConfig(...))``
+  is the only construction form; a :class:`ShardedElapsServer
   <repro.system.sharding.ShardedElapsServer>` builds every worker from
-  one shared config.  The old keywords still work but emit
-  :class:`DeprecationWarning`.
+  one shared config.  What a constructor argument already decides — the
+  construction strategy, the shard executor, the rebalance policy — is
+  *not* repeated here.
+* :class:`NetworkConfig` / :class:`ClientConfig` — the same for the TCP
+  front-end and the two network clients.
 * :class:`Transport` — the single client-facing seam.  A transport knows
   how to ship a full safe region (``ship_region``), ship a repair delta
-  (``ship_delta``, defaulting to a full push for transports that predate
-  deltas), and answer the server's location ping (``locate``).  It is
-  passed at construction (or assigned to ``server.transport``); the three
-  legacy attributes survive as deprecated property shims that wrap plain
-  callables in a :class:`CallbackTransport`.
+  (``ship_delta``, defaulting to a full push for transports that cannot
+  frame deltas), and answer the server's location ping (``locate``).  It
+  is passed at construction (or assigned to ``server.transport``);
+  :class:`CallbackTransport` adapts plain callables.
 """
 
 from __future__ import annotations
@@ -63,9 +51,6 @@ SHED_POLICIES = ("stale", "none")
 
 #: the matching modes the server understands (DESIGN.md §6)
 MATCHING_MODES = ("ondemand", "full", "cached")
-
-#: the shard-executor kinds a fleet can run under (DESIGN.md §12, §15)
-SHARD_EXECUTORS = ("serial", "threaded", "process")
 
 
 @dataclass(frozen=True)
@@ -107,8 +92,7 @@ class RebalancePolicy:
 class ServerConfig:
     """Every tuning knob of one Elaps server, in one immutable value.
 
-    Replaces the keyword sprawl of the pre-sharding constructor; being
-    frozen (and hashable but for the two optional callables) it can be
+    Being frozen (and hashable but for the optional callable) it can be
     shared verbatim across the workers of a sharded deployment — the
     coordinator hands the *same* config to every shard, so a fleet can
     never be built half-repairing or half-measuring.
@@ -123,8 +107,6 @@ class ServerConfig:
     #: seed value for the rate estimator until the window fills; None
     #: starts the estimate from observed arrivals only
     initial_rate: Optional[float] = None
-    #: lower bound on the speed used for region construction
-    min_speed: float = 1.0
     #: replace the live cost-model inputs with a fixed schedule (tests
     #: and the Figure 10 oracle variants)
     stats_override: Optional[Callable[[int], "SystemStats"]] = None
@@ -143,35 +125,12 @@ class ServerConfig:
     #: None keeps the server purely in-memory.  Sharded fleets derive a
     #: per-band spec via :meth:`JournalSpec.for_shard`.
     journal: Optional["JournalSpec"] = None
-    #: route incremental constructions through the array-backed core
-    #: (DESIGN.md §14): an iGM/idGM strategy is upgraded to its
-    #: byte-identical vectorized twin at server build time; VM/GM are
-    #: unaffected.  The scalar strategies remain the oracle the
-    #: differential suite verifies against.
-    vectorized_construction: bool = False
-    #: how a :class:`~repro.system.sharding.ShardedElapsServer` runs its
-    #: shard fan-outs when no executor instance is passed explicitly:
-    #: ``serial`` (deterministic), ``threaded`` (thread pool, per-shard
-    #: locks), or ``process`` (one worker process per shard — DESIGN.md
-    #: §15).  ``None`` keeps the fleet's default (serial).  Single
-    #: servers ignore the knob.
-    shard_executor: Optional[str] = None
-    #: load-adaptive repartitioning for sharded fleets: a
-    #: :class:`RebalancePolicy` turns on boundary moves driven by the
-    #: observed per-column event load; ``None`` keeps the bands static.
-    #: Single servers ignore the knob.
-    rebalance: Optional[RebalancePolicy] = None
 
     def __post_init__(self) -> None:
         if self.matching_mode not in MATCHING_MODES:
             raise ValueError(
                 f"unknown matching mode: {self.matching_mode!r}; "
                 f"pick one of {MATCHING_MODES}"
-            )
-        if self.shard_executor is not None and self.shard_executor not in SHARD_EXECUTORS:
-            raise ValueError(
-                f"unknown shard executor: {self.shard_executor!r}; "
-                f"pick one of {SHARD_EXECUTORS}"
             )
 
     def with_(self, **changes) -> "ServerConfig":
@@ -184,9 +143,8 @@ class NetworkConfig:
     """Every knob of the TCP front-end, in one immutable value.
 
     Mirrors :class:`ServerConfig`: ``ElapsTCPServer(core,
-    config=NetworkConfig(...))`` is the primary construction form, the
-    old per-knob keywords still work but emit ``DeprecationWarning``,
-    and being frozen the same value can configure a whole fleet of
+    config=NetworkConfig(...))`` is the only construction form, and
+    being frozen the same value can configure a whole fleet of
     listeners without drift.
 
     The data path behind these knobs (DESIGN.md §17): connection
@@ -332,9 +290,7 @@ class ClientConfig:
     scripted client) and
     :class:`~repro.system.network.ResilientElapsClient` (the supervised
     subscriber) take the same value, so one config describes a client
-    fleet regardless of which wrapper it runs under; the resilient
-    client's old per-knob keywords layer onto it with
-    ``DeprecationWarning``.
+    fleet regardless of which wrapper it runs under.
     """
 
     #: seconds between keepalive frames (resilient client only)
@@ -400,8 +356,7 @@ class Transport:
 
         ``region`` is the post-repair safe region, so a transport that
         cannot frame deltas inherits this default and ships the full
-        region instead — the exact fallback the legacy ``delta_sink``/
-        ``region_sink`` pair implemented.
+        region instead.
         """
         self.ship_region(sub_id, region)
 
@@ -418,10 +373,9 @@ class Transport:
 class CallbackTransport(Transport):
     """A :class:`Transport` over plain callables.
 
-    The adapter that lets pre-redesign call sites (and quick tests)
-    migrate without defining a class: any subset of the three hooks may
-    be given, and an absent ``ship_delta`` falls back to a full
-    ``ship_region`` push, exactly like the legacy sink pair did.
+    The adapter that lets quick tests skip defining a class: any
+    subset of the three hooks may be given, and an absent ``ship_delta``
+    falls back to a full ``ship_region`` push.
     """
 
     def __init__(

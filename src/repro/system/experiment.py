@@ -31,15 +31,9 @@ from ..trajectories import (
     SyntheticTrajectoryGenerator,
     TaxiTrajectoryGenerator,
 )
-from .config import ServerConfig
+from .config import RebalancePolicy, ServerConfig
 from .server import ElapsServer
-from .config import RebalancePolicy
-from .sharding import (
-    ProcessExecutor,
-    SerialExecutor,
-    ShardedElapsServer,
-    ThreadedExecutor,
-)
+from .sharding import ProcessExecutor, SerialExecutor, ShardedElapsServer
 from .simulation import Simulation, SimulationResult
 
 #: strategy factory registry: name -> (max_cells -> strategy).  The
@@ -103,7 +97,7 @@ class ExperimentConfig:
     trace_spans: bool = True  # span tracer on the server's hot stages
     slow_span_seconds: Optional[float] = None  # log spans at/above this
     shards: int = 1  # spatial shards; > 1 builds a ShardedElapsServer
-    shard_executor: str = "serial"  # "serial", "threaded", or "process"
+    shard_executor: str = "serial"  # or "process"
     rebalance: bool = False  # load-adaptive boundary moves (DESIGN.md §15)
 
     def with_(self, **changes) -> "ExperimentConfig":
@@ -170,14 +164,12 @@ def build_server(config: ExperimentConfig, journal=None):
     if config.shards > 1:
         if config.shard_executor == "serial":
             executor = SerialExecutor()
-        elif config.shard_executor == "threaded":
-            executor = ThreadedExecutor(max_workers=config.shards)
         elif config.shard_executor == "process":
             executor = ProcessExecutor()
         else:
             raise ValueError(
                 f"unknown shard executor {config.shard_executor!r}; "
-                "pick 'serial', 'threaded', or 'process'"
+                "pick 'serial' or 'process'"
             )
         server = ShardedElapsServer(
             grid,

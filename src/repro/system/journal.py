@@ -86,6 +86,8 @@ SUBSCRIBE = 1
 UNSUBSCRIBE = 2
 LOCATION = 3
 RESYNC = 4
+#: one event.  Servers write PUBLISH_BATCH for every publish; this kind
+#: is read from older journals and written by trace recording
 PUBLISH = 5
 PUBLISH_BATCH = 6
 EXPIRE = 7
@@ -148,11 +150,6 @@ class JournalRecord:
     velocity: Optional[Point] = None
     received: Tuple[int, ...] = ()
     events: Tuple[Event, ...] = ()
-
-    @property
-    def event(self) -> Event:
-        """The single event of a PUBLISH record."""
-        return self.events[0]
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,6 @@ import socket
 import struct
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -422,19 +421,12 @@ class TCPTransport(Transport):
         return self._tcp._last_known_location(sub_id)
 
 
-#: the ElapsTCPServer keywords that now live on NetworkConfig
-_LEGACY_NETWORK_KWARGS = frozenset(
-    {"read_timeout", "write_timeout", "max_frame_length", "retain_subscribers"}
-)
-
-
 class ElapsTCPServer:
     """Serve an :class:`ElapsServer` (or a
     :class:`~repro.system.sharding.ShardedElapsServer`) on a TCP port.
 
-    ``ElapsTCPServer(core, config=NetworkConfig(...))`` is the primary
-    construction form; the pre-§17 per-knob keywords still work but emit
-    ``DeprecationWarning`` and layer onto the config.
+    Every front-end knob lives on the :class:`NetworkConfig` passed as
+    ``config``.
     """
 
     def __init__(
@@ -444,27 +436,11 @@ class ElapsTCPServer:
         port: int = 0,
         timestamp_seconds: float = 5.0,
         config: Optional[NetworkConfig] = None,
-        **legacy,
     ) -> None:
         if timestamp_seconds <= 0:
             raise ValueError(f"timestamp length must be positive: {timestamp_seconds}")
-        unknown = set(legacy) - _LEGACY_NETWORK_KWARGS
-        if unknown:
-            raise TypeError(
-                f"ElapsTCPServer got unexpected keyword arguments {sorted(unknown)}"
-            )
-        if legacy:
-            warnings.warn(
-                f"ElapsTCPServer keyword arguments {sorted(legacy)} are "
-                "deprecated; pass config=NetworkConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = (config or NetworkConfig()).with_(**legacy)
-        elif config is None:
-            config = NetworkConfig()
         #: the immutable knob set this front-end was built from
-        self.config = config
+        self.config = config or NetworkConfig()
         self.server = server
         self.host = host
         self.port = port
@@ -484,27 +460,6 @@ class ElapsTCPServer:
         self._core_lock: Optional[asyncio.Lock] = None
         # everything the wrapped server ships goes out over the sockets
         server.transport = TCPTransport(self)
-
-    # legacy attribute views (the knobs moved onto ``config``) ---------
-    @property
-    def read_timeout(self) -> Optional[float]:
-        """Compat view of :attr:`NetworkConfig.read_timeout`."""
-        return self.config.read_timeout
-
-    @property
-    def write_timeout(self) -> Optional[float]:
-        """Compat view of :attr:`NetworkConfig.write_timeout`."""
-        return self.config.write_timeout
-
-    @property
-    def max_frame_length(self) -> int:
-        """Compat view of :attr:`NetworkConfig.max_frame_length`."""
-        return self.config.max_frame_length
-
-    @property
-    def retain_subscribers(self) -> bool:
-        """Compat view of :attr:`NetworkConfig.retain_subscribers`."""
-        return self.config.retain_subscribers
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -972,19 +927,15 @@ class ElapsTCPServer:
                 )
             self._subscriber_conns.pop(message.sub_id, None)
             conn.sub_ids.discard(message.sub_id)
-        elif isinstance(message, EventPublishMessage):
+        elif isinstance(message, (EventPublishMessage, EventPublishBatchMessage)):
+            # one pipeline behind both wire forms: a lone publish frame
+            # is a batch of one
             now = self.now()
-            event = self._event_from(message, now)
-            notifications = await self._run_core(
-                lambda: (
-                    self.server.expire_due_events(now),
-                    self.server.publish(event, now),
-                )[1]
+            items = (
+                (message,) if isinstance(message, EventPublishMessage)
+                else message.events
             )
-            self._push_notifications(notifications)
-        elif isinstance(message, EventPublishBatchMessage):
-            now = self.now()
-            events = [self._event_from(item, now) for item in message.events]
+            events = [self._event_from(item, now) for item in items]
             notifications = await self._run_core(
                 lambda: (
                     self.server.expire_due_events(now),
@@ -1123,14 +1074,6 @@ class ElapsNetworkClient:
 # ----------------------------------------------------------------------
 # Resilient subscriber
 # ----------------------------------------------------------------------
-#: the ResilientElapsClient keywords that now live on ClientConfig
-_LEGACY_CLIENT_KWARGS = {
-    "policy": "reconnect",
-    "heartbeat_interval": "heartbeat_interval",
-    "read_timeout": "read_timeout",
-}
-
-
 class ResilientElapsClient:
     """A subscriber that survives resets, drops, and silent networks.
 
@@ -1155,9 +1098,7 @@ class ResilientElapsClient:
     Configured by the same :class:`~repro.system.config.ClientConfig`
     as :class:`ElapsNetworkClient`, and exposing the same convenience
     surface (``subscribe``/``publish``/``publish_batch``/
-    ``request_stats``); the pre-config keywords (``policy``,
-    ``heartbeat_interval``, ``read_timeout``) still work but emit
-    ``DeprecationWarning``.
+    ``request_stats``).
     """
 
     def __init__(
@@ -1171,29 +1112,8 @@ class ResilientElapsClient:
         grid: Optional[Grid] = None,
         config: Optional[ClientConfig] = None,
         rng: Optional[random.Random] = None,
-        **legacy,
     ) -> None:
-        unknown = set(legacy) - set(_LEGACY_CLIENT_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"ResilientElapsClient got unexpected keyword arguments "
-                f"{sorted(unknown)}"
-            )
-        if legacy:
-            warnings.warn(
-                f"ResilientElapsClient keyword arguments {sorted(legacy)} are "
-                "deprecated; pass config=ClientConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            changes = {
-                _LEGACY_CLIENT_KWARGS[name]: value
-                for name, value in legacy.items()
-                if value is not None
-            }
-            config = (config or ClientConfig()).with_(**changes)
-        elif config is None:
-            config = ClientConfig()
+        config = config or ClientConfig()
         self.host = host
         self.port = port
         self.config = config

@@ -34,14 +34,12 @@ notification circle are delivered, then new regions are built.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core import (
     ConstructionRequest,
@@ -53,13 +51,12 @@ from ..core import (
     SafeRegionStrategy,
     StaticMatchingField,
     SystemStats,
-    vectorize_strategy,
 )
 from ..core.field import dilate_point
 from ..expressions import Event, Subscription
 from ..geometry import Cell, Grid, Point
 from ..index import BEQTree, ImpactRegionIndex, SubscriptionIndex
-from .config import CallbackTransport, ServerConfig, Transport
+from .config import ServerConfig, Transport
 from .journal import (
     BOOTSTRAP,
     EXPIRE,
@@ -91,16 +88,9 @@ from .protocol import (
     region_push_for,
 )
 
-#: locator callback: subscriber id -> (location, velocity)
-Locator = Callable[[int], Tuple[Point, Point]]
-
-#: delta sink: subscriber id, removed cells, the repaired safe region
-DeltaSink = Callable[[int, FrozenSet[Cell], SafeRegion], None]
-
-#: the pre-redesign keyword arguments, now carried by ServerConfig
-_LEGACY_CONFIG_KWARGS = frozenset(
-    f.name for f in dataclasses.fields(ServerConfig)
-)
+#: lower bound on the speed used for region construction: a parked
+#: subscriber still gets a region shaped for (slow) movement
+MIN_SPEED = 1.0
 
 
 @dataclass
@@ -163,29 +153,12 @@ class ElapsServer:
         event_index: Optional[BEQTree] = None,
         subscription_index: Optional[SubscriptionIndex] = None,
         transport: Optional[Transport] = None,
-        **legacy,
     ) -> None:
-        unknown = set(legacy) - _LEGACY_CONFIG_KWARGS
-        if unknown:
-            raise TypeError(
-                f"ElapsServer got unexpected keyword arguments {sorted(unknown)}"
-            )
-        if legacy:
-            warnings.warn(
-                f"ElapsServer keyword arguments {sorted(legacy)} are "
-                "deprecated; pass config=ServerConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = (config or ServerConfig()).with_(**legacy)
-        elif config is None:
-            config = ServerConfig()
+        config = config or ServerConfig()
         #: the immutable knob set this server was built from; a sharded
         #: coordinator hands the same value to every worker
         self.config = config
         self.grid = grid
-        if config.vectorized_construction:
-            strategy = vectorize_strategy(strategy)
         self.strategy = strategy
         # "is None" rather than "or": an empty index is falsy (len 0),
         # and a caller-provided index must never be silently replaced
@@ -201,7 +174,6 @@ class ElapsServer:
         self.matching_mode = config.matching_mode
         self.rate_window = config.rate_window
         self.initial_rate = config.initial_rate
-        self.min_speed = config.min_speed
         self.stats_override = config.stats_override
         self.measure_bytes = config.measure_bytes
         #: ablation switch: with False, *every* be-matching arrival pings
@@ -216,10 +188,6 @@ class ElapsServer:
         #: the one client-facing seam: region/delta shipping and the
         #: location ping all go through here (None = headless server)
         self.transport: Optional[Transport] = transport
-        #: the deprecated locator/region_sink/delta_sink shims share one
-        #: CallbackTransport; the dict keeps the raw callables for the
-        #: property getters
-        self._legacy_hooks: Dict[str, Optional[Callable]] = {}
 
         self.subscribers: Dict[int, SubscriberRecord] = {}
         self.metrics = CommunicationStats()
@@ -264,62 +232,6 @@ class ElapsServer:
         self.applied_seq = 0
 
     # ------------------------------------------------------------------
-    # Deprecated hook attributes (the pre-Transport API)
-    # ------------------------------------------------------------------
-    def _legacy_hook(self, name: str):
-        warnings.warn(
-            f"ElapsServer.{name} is deprecated; pass a Transport "
-            "(see repro.system.config) at construction instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return self._legacy_hooks.get(name)
-
-    def _set_legacy_hook(self, name: str, value) -> None:
-        warnings.warn(
-            f"assigning ElapsServer.{name} is deprecated; pass a Transport "
-            "(see repro.system.config) at construction instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self._legacy_hooks[name] = value
-        self.transport = CallbackTransport(
-            locate=self._legacy_hooks.get("locator"),
-            ship_region=self._legacy_hooks.get("region_sink"),
-            ship_delta=self._legacy_hooks.get("delta_sink"),
-        )
-
-    @property
-    def locator(self) -> Optional[Locator]:
-        """Deprecated: :meth:`Transport.locate` replaces this hook."""
-        return self._legacy_hook("locator")
-
-    @locator.setter
-    def locator(self, value: Optional[Locator]) -> None:
-        """Deprecated setter; wraps the callable in a CallbackTransport."""
-        self._set_legacy_hook("locator", value)
-
-    @property
-    def region_sink(self):
-        """Deprecated: :meth:`Transport.ship_region` replaces this hook."""
-        return self._legacy_hook("region_sink")
-
-    @region_sink.setter
-    def region_sink(self, value) -> None:
-        """Deprecated setter; wraps the callable in a CallbackTransport."""
-        self._set_legacy_hook("region_sink", value)
-
-    @property
-    def delta_sink(self) -> Optional[DeltaSink]:
-        """Deprecated: :meth:`Transport.ship_delta` replaces this hook."""
-        return self._legacy_hook("delta_sink")
-
-    @delta_sink.setter
-    def delta_sink(self, value: Optional[DeltaSink]) -> None:
-        """Deprecated setter; wraps the callable in a CallbackTransport."""
-        self._set_legacy_hook("delta_sink", value)
-
-    # ------------------------------------------------------------------
     # Bootstrap
     # ------------------------------------------------------------------
     def bootstrap(self, events) -> None:
@@ -328,8 +240,8 @@ class ElapsServer:
         self._journal_append(JournalRecord(BOOTSTRAP, 0, events=tuple(events)))
         for event in events:
             if event.event_id in self._events_by_id:
-                # Idempotent, as in _publish: a re-run load (partial-fleet
-                # replay) skips events this corpus already holds.
+                # Idempotent, as in publish_batch: a re-run load (partial-
+                # fleet replay) skips events this corpus already holds.
                 self.metrics.duplicate_publishes += 1
                 continue
             self._store_event(event)
@@ -488,85 +400,14 @@ class ElapsServer:
     # Event arrival / expiration
     # ------------------------------------------------------------------
     def publish(self, event: Event, now: int) -> List[Notification]:
-        """Process one arriving event; returns the notifications sent."""
-        self._journal_append(JournalRecord(PUBLISH, 0, now=now, events=(event,)))
-        with self.tracer.span("publish"):
-            notifications = self._publish(event, now)
-        self._maybe_snapshot()
-        return notifications
-
-    def _publish(self, event: Event, now: int) -> List[Notification]:
-        if event.event_id in self._events_by_id:
-            # Idempotent re-publish: a producer retry — or a partially
-            # surviving fleet re-running an operation another band lost —
-            # re-sends an event this corpus already holds.  The original
-            # arrival already offered it to every eligible subscriber
-            # (later subscribers match it from the corpus), so nothing
-            # new can be due.
-            self.metrics.duplicate_publishes += 1
-            return []
-        self._store_event(event)
-        self._note_arrivals(now)
-        notifications: List[Notification] = []
-        event_cell = self.grid.cell_of(event.location)
-        index = self.subscription_index
-        pruned_before = getattr(index, "partitions_pruned", 0)
-        with self.tracer.span("match"):
-            matched = index.match_event(event)
-        self.metrics.partitions_pruned += (
-            getattr(index, "partitions_pruned", 0) - pruned_before
-        )
-        for subscription in matched:
-            record = self.subscribers.get(subscription.sub_id)
-            if record is None or event.event_id in record.delivered:
-                continue
-            if self.matching_mode == "cached":
-                self._matching_cache[subscription.sub_id][event.event_id] = event.location
-            field = self._lazy_fields.get(subscription.sub_id)
-            if self.use_impact_region and not self.impact_index.covers(
-                subscription.sub_id, event_cell
-            ):
-                # Outside the impact region: the safe region stays valid
-                # (Definition 2) and no communication happens.  A cached
-                # matching field must still learn the event — its scanned
-                # leaves are never revisited.
-                if field is not None:
-                    field.note_event(event.event_id, event.location)
-                continue
-            # One event-arrival round: ping the client, read the location.
-            self.metrics.event_arrival_rounds += 1
-            self._refresh_location(record)
-            if self.measure_bytes:
-                self.metrics.wire_bytes_down += message_bytes(
-                    LocationPing(subscription.sub_id)
-                )
-                self.metrics.wire_bytes_up += message_bytes(
-                    LocationReport(subscription.sub_id, record.location, record.velocity)
-                )
-            distance = record.location.distance_to(event.location)
-            if distance <= subscription.radius:
-                record.delivered.add(event.event_id)
-                record.next_seq += 1
-                notification = Notification(
-                    subscription.sub_id, event, now, record.next_seq
-                )
-                notifications.append(notification)
-                self.metrics.notifications += 1
-                if self.measure_bytes:
-                    self._account_notification_bytes([notification])
-            else:
-                if field is not None:
-                    field.note_event(event.event_id, event.location)
-                if not (self.repair and self._repair(record, [event.location])):
-                    if self.repair:
-                        self.metrics.repair_fallbacks += 1
-                    self._construct(record, now)
-        return notifications
+        """Process one arriving event: a batch of one."""
+        return self.publish_batch([event], now)
 
     def publish_batch(self, events: List[Event], now: int) -> List[Notification]:
-        """Process a burst of arriving events through the batched fast path.
+        """Process a burst of arriving events — the one event-arrival
+        pipeline; :meth:`publish` is this with a single event.
 
-        Delivers exactly the notifications that publishing the events one
+        Delivers exactly the notifications that processing the events one
         at a time (in order) would deliver, but amortises the work:
 
         * the events enter the BEQ-Tree via :meth:`BEQTree.insert_batch`
@@ -583,23 +424,28 @@ class ElapsServer:
         keeps covering the notification circle while the subscriber sits
         inside its safe region (Definition 2), so every suppressed event
         is guaranteed out of radius and the notification log is identical
-        to the single-event path's.  The index cache counters accumulated
-        during the batch are scraped into :class:`CommunicationStats`.
+        to event-at-a-time processing (pinned by the golden trace).  The
+        index cache counters accumulated during the batch are scraped
+        into :class:`CommunicationStats`.
         """
         events = list(events)
         if events:
             self._journal_append(
                 JournalRecord(PUBLISH_BATCH, 0, now=now, events=tuple(events))
             )
-        with self.tracer.span("batch"):
+        with self.tracer.span("publish"):
             notifications = self._publish_batch(events, now)
         self._maybe_snapshot()
         return notifications
 
     def _publish_batch(self, events: List[Event], now: int) -> List[Notification]:
-        # Idempotent re-publish, as in _publish: events the corpus holds
-        # are dropped (duplicates *within* the fresh remainder are still
-        # a caller bug, rejected atomically by insert_batch).
+        # Idempotent re-publish: a producer retry — or a partially
+        # surviving fleet re-running an operation another band lost —
+        # re-sends events this corpus already holds.  The original arrival
+        # already offered them to every eligible subscriber (later
+        # subscribers match them from the corpus), so they are dropped
+        # (duplicates *within* the fresh remainder are still a caller
+        # bug, rejected atomically by insert_batch).
         fresh = [e for e in events if e.event_id not in self._events_by_id]
         self.metrics.duplicate_publishes += len(events) - len(fresh)
         events = fresh
@@ -657,6 +503,10 @@ class ElapsServer:
                 if self.use_impact_region and (
                     subscription.sub_id not in covering[event_cell]
                 ):
+                    # Outside the impact region: the safe region stays
+                    # valid (Definition 2) and no communication happens.
+                    # A cached matching field must still learn the event
+                    # — its scanned leaves are never revisited.
                     if field is not None:
                         field.note_event(event.event_id, event.location)
                     continue
@@ -790,10 +640,8 @@ class ElapsServer:
         which only affects notification order, never delivery sets).
         """
         known = [sub_id for sub_id in order if sub_id in self.subscribers]
-        tail = [
-            sub_id for sub_id in self.subscribers
-            if sub_id not in set(known)
-        ]
+        placed = set(known)
+        tail = [sub_id for sub_id in self.subscribers if sub_id not in placed]
         sequence = known + tail
         for sub_id in sequence:
             self.subscription_index.delete(self.subscribers[sub_id].subscription)
@@ -1053,19 +901,16 @@ class ElapsServer:
                 record.sub_id, record.location, record.velocity,
                 record.received, now=record.now,
             )
-        elif kind == PUBLISH:
+        elif kind in (PUBLISH, PUBLISH_BATCH):
+            # PUBLISH: the single-event record older journals hold —
+            # replayed as the batch of one it is.
             try:
-                self.publish(record.event, record.now)
+                self.publish_batch(list(record.events), record.now)
             except ValueError:
                 # The operation was journaled (WAL-before-apply) but then
                 # failed validation without mutating anything; it fails
                 # identically on replay, so skipping it is exact.
                 pass
-        elif kind == PUBLISH_BATCH:
-            try:
-                self.publish_batch(list(record.events), record.now)
-            except ValueError:
-                pass  # journaled-but-failed, as above
         elif kind == EXPIRE:
             self.expire_due_events(record.now)
         elif kind == BOOTSTRAP:
@@ -1208,7 +1053,7 @@ class ElapsServer:
                     )
                 self._ship_region(record)
                 return
-        speed = max(record.velocity.norm(), self.min_speed)
+        speed = max(record.velocity.norm(), MIN_SPEED)
         direction = record.velocity.normalized().scaled(speed)
         if direction == Point(0.0, 0.0):
             direction = Point(speed, 0.0)

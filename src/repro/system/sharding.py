@@ -37,10 +37,8 @@ Routing rules (DESIGN.md §12):
 Execution is pluggable through :class:`ShardExecutor`:
 :class:`SerialExecutor` runs shard tasks in ascending shard order on the
 calling thread (deterministic — the golden-trace differential runs under
-it), :class:`ThreadedExecutor` fans them out over a thread pool with one
-lock per shard (workers share no state, so per-shard locking is the only
-synchronisation the fleet needs), and :class:`ProcessExecutor` hosts each
-worker in its own OS process (DESIGN.md §15) — the coordinator ships
+it), and :class:`ProcessExecutor` hosts each worker in its own OS
+process (DESIGN.md §15) — the coordinator ships
 :class:`ShardCall` command messages over pipes, the workers reply with
 results plus any buffered region shipments, and location pings travel
 back up the same pipe synchronously.
@@ -69,7 +67,6 @@ import multiprocessing.connection
 import os
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import (
     Callable,
@@ -101,7 +98,6 @@ __all__ = [
     "ShardExecutor",
     "ShardSpec",
     "ShardedElapsServer",
-    "ThreadedExecutor",
     "WorkerCrashed",
     "partition_columns",
 ]
@@ -259,86 +255,6 @@ class SerialExecutor(ShardExecutor):
     def run(self, tasks: Mapping[int, Callable[[], object]]) -> Dict[int, object]:
         """Run the thunks one after another, ascending shard order."""
         return {shard_id: tasks[shard_id]() for shard_id in sorted(tasks)}
-
-
-class ThreadedExecutor(ShardExecutor):
-    """Run shard tasks on a thread pool, one lock per shard.
-
-    Shards share no mutable state (each worker owns its indexes
-    outright), so the per-shard lock is the only synchronisation needed:
-    it serialises tasks that target the *same* shard while tasks for
-    different shards run concurrently.  The pool is created lazily on
-    first use, sized to ``max_workers`` when given; without a cap it is
-    sized to the widest fan-out seen so far and *grows by replacement*
-    when a wider one arrives — a pool sized to the first call's width
-    would silently queue the extra shards of a later, wider fan-out
-    (e.g. after a band split raises K).
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_width = 0
-        self._retired: List[ThreadPoolExecutor] = []
-        self._locks: Dict[int, threading.Lock] = {}
-        self._admin = threading.Lock()
-
-    def _lock_for(self, shard_id: int) -> threading.Lock:
-        with self._admin:
-            lock = self._locks.get(shard_id)
-            if lock is None:
-                lock = self._locks[shard_id] = threading.Lock()
-            return lock
-
-    def _ensure_pool(self, width: int) -> ThreadPoolExecutor:
-        with self._admin:
-            target = self.max_workers or max(width, 1)
-            if self._pool is not None and target > self._pool_width:
-                # Grow by replacement: the old pool drains its in-flight
-                # work on its own threads while new submissions get the
-                # full width.  (ThreadPoolExecutor cannot be resized.)
-                retired = self._pool
-                self._retired.append(retired)
-                retired.shutdown(wait=False)
-                self._pool = None
-            if self._pool is None:
-                self._pool_width = max(target, self._pool_width)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._pool_width,
-                    thread_name_prefix="elaps-shard",
-                )
-            return self._pool
-
-    def run(self, tasks: Mapping[int, Callable[[], object]]) -> Dict[int, object]:
-        """Fan the thunks out over the pool, serialised per shard."""
-        if len(tasks) == 1:
-            # Single-shard work (the common publish) skips the pool
-            # round-trip but still honours the shard lock.
-            ((shard_id, thunk),) = tasks.items()
-            with self._lock_for(shard_id):
-                return {shard_id: thunk()}
-
-        def _locked(shard_id: int, thunk: Callable[[], object]) -> object:
-            with self._lock_for(shard_id):
-                return thunk()
-
-        pool = self._ensure_pool(len(tasks))
-        futures = {
-            shard_id: pool.submit(_locked, shard_id, tasks[shard_id])
-            for shard_id in sorted(tasks)
-        }
-        return {shard_id: future.result() for shard_id, future in futures.items()}
-
-    def close(self) -> None:
-        """Shut the pools down and wait for in-flight shard work."""
-        with self._admin:
-            pool, self._pool = self._pool, None
-            retired, self._retired = self._retired, []
-            self._pool_width = 0
-        for stale in retired:
-            stale.shutdown(wait=True)
-        if pool is not None:
-            pool.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -712,10 +628,6 @@ class _RemoteShard:
         """Drop the subscriber from the worker."""
         self._invoke("unsubscribe", sub_id)
 
-    def publish(self, event, now):
-        """Publish one event on the worker; returns its notifications."""
-        return self._invoke("publish", event, now)
-
     def publish_batch(self, events, now):
         """Publish an event batch on the worker; returns its notifications."""
         return self._invoke("publish_batch", list(events), now)
@@ -887,17 +799,12 @@ class ShardedElapsServer:
         self.grid = grid
         self.config = config or ServerConfig()
         self.specs = partition_columns(grid, shards)
-        if executor is None:
-            executor = self._executor_from_config(
-                self.config.shard_executor, len(self.specs)
-            )
-        self.executor = executor
+        # "is None", not "or": an executor wrapper may define __len__
+        self.executor = executor if executor is not None else SerialExecutor()
         #: the client-facing seam, exactly as on a single server
         self.transport: Optional[Transport] = transport
         #: boundary-move policy; ``None`` keeps the bands static
-        self.rebalance_policy = (
-            rebalance if rebalance is not None else self.config.rebalance
-        )
+        self.rebalance_policy = rebalance
 
         if isinstance(strategy, SafeRegionStrategy):
             factory: Callable[[ShardSpec], SafeRegionStrategy] = (
@@ -997,17 +904,6 @@ class ShardedElapsServer:
         #: boundary moves performed so far
         self.rebalances = 0
 
-    @staticmethod
-    def _executor_from_config(kind: Optional[str], shards: int) -> ShardExecutor:
-        """The executor the config's ``shard_executor`` knob names."""
-        if kind is None or kind == "serial":
-            return SerialExecutor()
-        if kind == "threaded":
-            return ThreadedExecutor(max_workers=shards)
-        if kind == "process":
-            return ProcessExecutor()
-        raise ValueError(f"unknown shard executor kind {kind!r}")
-
     def _call(self, shard_id: int, method: str, *args) -> ShardCall:
         """One unit of shard work, in command-message form."""
         worker = self.shard_servers[shard_id]
@@ -1071,7 +967,7 @@ class ShardedElapsServer:
         return homes
 
     # ------------------------------------------------------------------
-    # Shard-to-coordinator callbacks (may arrive from worker threads)
+    # Shard-to-coordinator callbacks
     # ------------------------------------------------------------------
     def _on_shard_region(self, shard_id: int, sub_id: int, region: SafeRegion) -> None:
         with self._mutex:
@@ -1326,16 +1222,8 @@ class ShardedElapsServer:
             )
 
     def publish(self, event: Event, now: int) -> List[Notification]:
-        """Route one event to its owning shard; settle region changes."""
-        shard_id = self.shard_of_point(event.location)
-        results = self.executor.run(
-            {shard_id: self._call(shard_id, "publish", event, now)}
-        )
-        notifications = self._absorb(results[shard_id])
-        self._note_load([event])
-        self._settle(now, notifications)
-        self._maybe_rebalance(now, notifications)
-        return notifications
+        """Route one event to its owning shard: a batch of one."""
+        return self.publish_batch([event], now)
 
     def publish_batch(self, events: List[Event], now: int) -> List[Notification]:
         """Split a burst by owning shard; merge notifications in order.
@@ -1347,7 +1235,7 @@ class ShardedElapsServer:
         subscription-index order.
 
         Every worker runs the batched subscription matcher on its slice
-        (``SubscriptionIndex.match_batch`` via ``_publish_batch``), so
+        (``SubscriptionIndex.match_batch``), so
         the per-event matching residual that does not split with K is
         amortised *within* each shard too; the ``match_batch_probes`` /
         ``partitions_pruned`` counters it accumulates merge through

@@ -227,8 +227,8 @@ def _regroup(
     ``None`` replays the trace exactly as recorded; ``1`` splits batches
     into single publishes; ``N > 1`` coalesces consecutive same-timestamp
     publishes (and re-chunks recorded batches) into bursts of at most N.
-    The single and batched paths deliver identical notifications (the
-    golden differential pins this), so regrouping is semantics-preserving.
+    Chunking never changes a notification (the golden differential pins
+    this), so regrouping is semantics-preserving.
     """
     if batch_size is None:
         return list(records)
@@ -241,16 +241,9 @@ def _regroup(
         while pending:
             chunk, rest = pending[:batch_size], pending[batch_size:]
             pending[:] = rest
-            if len(chunk) == 1 and batch_size == 1:
-                reshaped.append(
-                    JournalRecord(PUBLISH, 0, now=pending_now, events=tuple(chunk))
-                )
-            else:
-                reshaped.append(
-                    JournalRecord(
-                        PUBLISH_BATCH, 0, now=pending_now, events=tuple(chunk)
-                    )
-                )
+            reshaped.append(
+                JournalRecord(PUBLISH_BATCH, 0, now=pending_now, events=tuple(chunk))
+            )
 
     for record in records:
         if record.kind in (PUBLISH, PUBLISH_BATCH):
@@ -301,9 +294,7 @@ def replay_trace(
                 record.received, now=record.now,
             )
             result.notifications.extend(notifications)
-        elif kind == PUBLISH:
-            result.notifications.extend(server.publish(record.event, record.now))
-        elif kind == PUBLISH_BATCH:
+        elif kind in (PUBLISH, PUBLISH_BATCH):
             result.notifications.extend(
                 server.publish_batch(list(record.events), record.now)
             )

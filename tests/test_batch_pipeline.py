@@ -57,7 +57,9 @@ def note_tuples(notifications):
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_batch_equals_event_at_a_time(self, seed):
-        """Same subscribers, same events, same notifications, same order."""
+        """Same subscribers, same events, same notifications, same order —
+        however the arrivals are chunked (1 = ``publish`` per event, 5
+        leaves a ragged tail, 16 = one batch per timestamp)."""
         generator = TwitterLikeGenerator(SPACE, seed=seed)
         subscriptions = generator.subscriptions(12, size=2, radius=3_000)
         rng = random.Random(seed)
@@ -65,8 +67,9 @@ class TestEquivalence:
             Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
             for _ in subscriptions
         ]
-        single_log, batch_log = [], []
-        for log, batched in ((single_log, False), (batch_log, True)):
+        logs = {}
+        for chunk in (1, 5, 16):
+            log = logs[chunk] = []
             server = fresh_server()
             for subscription, location in zip(subscriptions, placements):
                 notes, _ = server.subscribe(
@@ -77,12 +80,16 @@ class TestEquivalence:
                 events = generator.events(
                     16, start_id=group * 16, arrived_at=group + 1, seed_offset=group
                 )
-                if batched:
-                    log.extend(note_tuples(server.publish_batch(events, group + 1)))
-                else:
-                    for event in events:
-                        log.extend(note_tuples(server.publish(event, group + 1)))
-        assert batch_log == single_log
+                for i in range(0, len(events), chunk):
+                    burst = events[i : i + chunk]
+                    notes = (
+                        server.publish(burst[0], group + 1) if chunk == 1
+                        else server.publish_batch(burst, group + 1)
+                    )
+                    log.extend(note_tuples(notes))
+        assert logs[1]  # the workload delivers something
+        assert logs[5] == logs[1]
+        assert logs[16] == logs[1]
 
     def test_empty_batch_is_a_noop(self):
         server = fresh_server()
@@ -143,12 +150,12 @@ class TestAmortisation:
         assert stats["batch_events"] == 4 * 32
         assert stats["leaf_probes_saved"] > 0
         assert stats["cache_hits"] >= 0
-        # The single-event path never touches them.
+        # A single publish is a pass through the same pipeline.
         single = fresh_server()
         single.subscribe(make_sub(), Point(5_000, 5_000), Point(0, 0), now=0)
         single.publish(matching_event(1, Point(5_100, 5_000)), now=1)
-        assert single.metrics.batches == 0
-        assert single.metrics.batch_events == 0
+        assert single.metrics.batches == 1
+        assert single.metrics.batch_events == 1
 
     def test_delivery_within_radius_still_immediate(self):
         server = fresh_server()

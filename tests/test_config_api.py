@@ -1,16 +1,10 @@
-"""The redesigned server API: ServerConfig and the Transport seam.
+"""The server API: ServerConfig and the Transport seam.
 
-Covers the migration contract of the config/transport redesign:
-
-* :class:`ServerConfig` — frozen, validated, copy-with-changes;
-* the deprecated ``ElapsServer`` keyword arguments still work but warn,
-  and build the exact same config;
-* the deprecated ``locator``/``region_sink``/``delta_sink`` attributes
-  still work (getter and setter both warn) and are implemented on top of
-  a :class:`CallbackTransport`;
+* :class:`ServerConfig` — frozen, validated, copy-with-changes, and the
+  only way to set a knob: the constructor takes no per-knob keywords;
 * :class:`CallbackTransport` is behaviourally equivalent to a hand-rolled
   :class:`Transport` subclass, including the ship_delta -> ship_region
-  fallback the legacy sink pair implemented.
+  fallback.
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ class TestServerConfig:
             matching_mode="full",
             rate_window=25,
             initial_rate=3.0,
-            min_speed=2.0,
             measure_bytes=True,
             use_impact_region=False,
             repair=True,
@@ -69,7 +62,6 @@ class TestServerConfig:
         assert server.matching_mode == "full"
         assert server.rate_window == 25
         assert server.initial_rate == 3.0
-        assert server.min_speed == 2.0
         assert server.measure_bytes is True
         assert server.metrics.bytes_measured is True
         assert server.use_impact_region is False
@@ -93,70 +85,15 @@ class TestServerConfig:
 
 
 # ----------------------------------------------------------------------
-# Deprecated keyword arguments
+# Per-knob keyword arguments are gone
 # ----------------------------------------------------------------------
 class TestLegacyKwargs:
-    def test_legacy_kwargs_warn_and_build_the_same_config(self):
-        with pytest.warns(DeprecationWarning, match="initial_rate"):
-            server = ElapsServer(
-                Grid(40, SPACE),
-                IGM(max_cells=400),
-                event_index=BEQTree(SPACE, emax=32),
-                initial_rate=2.0,
-                repair=True,
-            )
-        assert server.config == ServerConfig(initial_rate=2.0, repair=True)
-
-    def test_legacy_kwargs_layer_on_an_explicit_config(self):
-        with pytest.warns(DeprecationWarning):
-            server = ElapsServer(
-                Grid(40, SPACE),
-                IGM(max_cells=400),
-                ServerConfig(measure_bytes=True),
-                event_index=BEQTree(SPACE, emax=32),
-                initial_rate=2.0,
-            )
-        assert server.config == ServerConfig(measure_bytes=True, initial_rate=2.0)
-
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="warp_speed"):
             ElapsServer(Grid(40, SPACE), IGM(max_cells=400), warp_speed=9)
-
-
-# ----------------------------------------------------------------------
-# Deprecated hook attributes
-# ----------------------------------------------------------------------
-class TestLegacyHooks:
-    @pytest.mark.parametrize("name", ["locator", "region_sink", "delta_sink"])
-    def test_getter_and_setter_both_warn(self, name):
-        server = make_server()
-        with pytest.warns(DeprecationWarning, match=name):
-            setattr(server, name, lambda *args: None)
-        with pytest.warns(DeprecationWarning, match=name):
-            getattr(server, name)
-
-    def test_assigned_hooks_drive_the_transport(self):
-        server = make_server()
-        shipped = {}
-        pings = []
-
-        def locate(sub_id):
-            pings.append(sub_id)
-            return Point(5_000, 5_000), Point(20, 0)
-
-        with pytest.warns(DeprecationWarning):
-            server.locator = locate
-        with pytest.warns(DeprecationWarning):
-            server.region_sink = lambda sub_id, region: shipped.update(
-                {sub_id: region}
-            )
-        assert isinstance(server.transport, CallbackTransport)
-
-        sub = make_sub()
-        server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
-        server.publish(sale(10, 5_400, 5_000), now=1)
-        assert pings  # the event-arrival ping went through the shim
-        assert sub.sub_id in shipped  # the rebuilt region was shipped
+        # a ServerConfig field is not a constructor keyword either
+        with pytest.raises(TypeError, match="initial_rate"):
+            ElapsServer(Grid(40, SPACE), IGM(max_cells=400), initial_rate=2.0)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ import random
 from pathlib import Path
 from typing import List
 
-from repro.core import IGM
+from repro.core import IGM, VectorizedIGM
 from repro.datasets import TwitterLikeGenerator
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
@@ -45,13 +45,15 @@ GROUP_SIZE = 10
 GOLDEN = Path(__file__).parent / "golden" / "trace_20sub_200ev_seed7.log"
 
 
+def strategy(vectorized: bool = False):
+    return (VectorizedIGM if vectorized else IGM)(max_cells=400)
+
+
 def fresh_server(repair: bool = False, vectorized: bool = False) -> ElapsServer:
     return ElapsServer(
         Grid(40, SPACE),
-        IGM(max_cells=400),
-        ServerConfig(
-            initial_rate=2.0, repair=repair, vectorized_construction=vectorized
-        ),
+        strategy(vectorized),
+        ServerConfig(initial_rate=2.0, repair=repair),
         event_index=BEQTree(SPACE, emax=32))
 
 
@@ -110,9 +112,9 @@ def test_repair_mode_reproduces_the_golden_trace():
     assert run_simulation(batched=True, repair=True).encode() == frozen
 
 
-def test_vectorized_construction_reproduces_the_golden_trace():
+def test_vectorized_igm_reproduces_the_golden_trace():
     """The array-backed construction core (DESIGN.md §14) is byte-identical
-    to the scalar oracle, so flipping ``vectorized_construction`` on must
+    to the scalar oracle, so swapping ``IGM`` for ``VectorizedIGM`` must
     leave the frozen trace untouched — single, batched, and repair paths."""
     frozen = GOLDEN.read_bytes()
     assert run_simulation(batched=False, vectorized=True).encode() == frozen
@@ -156,10 +158,8 @@ def fresh_fleet(shards: int = 2, repair: bool = False, vectorized: bool = False)
 
     return ShardedElapsServer(
         Grid(40, SPACE),
-        lambda: IGM(max_cells=400),
-        ServerConfig(
-            initial_rate=2.0, repair=repair, vectorized_construction=vectorized
-        ),
+        lambda: strategy(vectorized),
+        ServerConfig(initial_rate=2.0, repair=repair),
         shards=shards,
         executor=SerialExecutor(),
         event_index_factory=lambda: BEQTree(SPACE, emax=32),

@@ -370,6 +370,48 @@ class TestServerRecovery:
         assert self._state(revived) == want
         revived.close()
 
+    @pytest.mark.parametrize("kind", [PUBLISH, PUBLISH_BATCH],
+                             ids=["legacy_publish", "publish_batch"])
+    def test_hand_appended_publish_records_recover(self, tmp_path, kind):
+        """A journal written before ``publish`` became a batch of one
+        holds single-event PUBLISH records; nothing writes them any more,
+        but ``recover()`` must replay them exactly like the one-event
+        PUBLISH_BATCH records a server writes today."""
+        events = [
+            sale_event(10, 5050, 5000),   # in radius of 7
+            sale_event(11, 5200, 5000),   # in radius of 7
+            sale_event(12, 700, 700),     # nobody's
+            sale_event(13, 8950, 9000),   # in radius of 8
+        ]
+        # the reference: a live server publishing one event at a time
+        live = make_server(tmp_path / "live")
+        live.subscribe(make_sub(7), Point(5000, 5000), Point(0, 0), now=0)
+        live.subscribe(make_sub(8), Point(8900, 9000), Point(0, 0), now=0)
+        for now, event in enumerate(events, start=1):
+            live.publish(event, now)
+        assert [r.kind for r in live.journal.records()][2:] == (
+            [PUBLISH_BATCH] * len(events)
+        )
+        want = {sub_id: live.delivered_ids(sub_id) for sub_id in (7, 8)}
+        assert want == {7: {10, 11}, 8: {13}}
+        live.close()
+
+        seeded = make_server(tmp_path / "old")
+        seeded.subscribe(make_sub(7), Point(5000, 5000), Point(0, 0), now=0)
+        seeded.subscribe(make_sub(8), Point(8900, 9000), Point(0, 0), now=0)
+        seeded.close()
+        journal = Journal(str(tmp_path / "old"))
+        for now, event in enumerate(events, start=1):
+            journal.append(JournalRecord(kind, 0, now=now, events=(event,)))
+        journal.close()
+
+        revived = make_server(tmp_path / "old")
+        assert revived.recover() == 2 + len(events)
+        assert {s: revived.delivered_ids(s) for s in (7, 8)} == want
+        assert sorted(e.event_id for e in revived.corpus_matches(
+            make_sub(7).expression)) == [10, 11, 12, 13]
+        revived.close()
+
     def test_recovered_delivery_is_deduplicated(self, tmp_path):
         """The client-visible exactly-once core: after recovery the server
         still knows what each subscriber has received."""

@@ -59,7 +59,7 @@ class TestModes:
         assert metrics.raw_region_bytes == 0
         # the workload itself still happened
         assert metrics.notifications > 0
-        assert metrics.batches == 1
+        assert metrics.batches == 3  # two single publishes + one burst
 
     def test_measured_mode_accounts_every_direction(self):
         metrics = run_workload(measure_bytes=True).metrics
@@ -104,8 +104,9 @@ class TestReportCompleteness:
         report = run_workload(measure_bytes=False).metrics.as_dict()
         for key in ("batches", "batch_events", "leaf_probes_saved", "cache_hits"):
             assert key in report
-        assert report["batches"] == 1
-        assert report["batch_events"] == 2
+        # every pass through the pipeline counts, single publishes included
+        assert report["batches"] == 3
+        assert report["batch_events"] == 4
 
     def test_as_dict_includes_repair_counters(self):
         """A repair workload's counters survive into the report.
@@ -127,7 +128,7 @@ class TestReportCompleteness:
         metrics = run_workload(measure_bytes=False, repair=True).metrics
         per = metrics.per_subscriber(1)
         assert per["repairs"] == metrics.repairs >= 1
-        assert per["batches"] == metrics.batches == 1
+        assert per["batches"] == metrics.batches == 3
 
     def test_per_subscriber_divides_by_population(self):
         metrics = run_workload(measure_bytes=False).metrics
@@ -168,4 +169,4 @@ class TestReportCompleteness:
             assert getattr(merged, f.name) == getattr(a, f.name) + getattr(b, f.name), f.name
         # inputs untouched
         assert a.bytes_measured is False
-        assert a.batches == 1
+        assert a.batches == 3

@@ -465,7 +465,7 @@ class TestStatsOverTCP:
             snapshot = await publisher.request_stats()
             assert isinstance(snapshot, StatsSnapshot)
             histograms = snapshot.histograms()
-            for stage in ("batch", "match", "dispatch", "decode"):
+            for stage in ("publish", "match", "dispatch", "decode"):
                 assert stage in histograms, sorted(histograms)
                 assert histograms[stage].count > 0, stage
             counters = snapshot.counters_dict()

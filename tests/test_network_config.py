@@ -1,6 +1,6 @@
 """The unified network configuration surface: NetworkConfig/ClientConfig.
 
-Covers the migration contract of the connection front-end redesign
+Covers the configuration contract of the connection front-end
 (DESIGN.md §17):
 
 * :class:`NetworkConfig` — frozen, validated, copy-with-changes, one
@@ -8,9 +8,8 @@ Covers the migration contract of the connection front-end redesign
 * :class:`ClientConfig` + :class:`ReconnectPolicy` — the shared client
   surface for :class:`ElapsNetworkClient` and
   :class:`ResilientElapsClient`;
-* the deprecated per-knob keyword arguments on both the TCP server and
-  the resilient client still work but warn, build the exact same
-  config, and unknown keywords fail loudly.
+* neither the TCP server nor the resilient client takes per-knob
+  keyword arguments: anything but ``config=`` is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -139,45 +138,20 @@ class TestClientConfig:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# Config is the only knob path
 # ----------------------------------------------------------------------
 class TestServerShims:
-    def test_legacy_kwargs_warn_and_layer_onto_config(self):
-        with pytest.warns(DeprecationWarning, match="retain_subscribers"):
-            tcp = ElapsTCPServer(
-                make_core(), port=0, read_timeout=1.5, retain_subscribers=True
-            )
-        assert tcp.config.read_timeout == 1.5
-        assert tcp.config.retain_subscribers is True
-        # the untouched knobs keep their defaults
-        assert tcp.config.send_queue == NetworkConfig().send_queue
-
-    def test_legacy_kwargs_layer_onto_an_explicit_config(self):
-        base = NetworkConfig(send_queue=32)
-        with pytest.warns(DeprecationWarning):
-            tcp = ElapsTCPServer(make_core(), config=base, write_timeout=0.5)
-        assert tcp.config.send_queue == 32
-        assert tcp.config.write_timeout == 0.5
-
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="nonsense"):
             ElapsTCPServer(make_core(), nonsense=1)
-
-    def test_compat_properties_mirror_config(self):
-        config = NetworkConfig(
-            read_timeout=7.0, write_timeout=3.0,
-            max_frame_length=4096, retain_subscribers=True,
-        )
-        tcp = ElapsTCPServer(make_core(), config=config)
-        assert tcp.read_timeout == 7.0
-        assert tcp.write_timeout == 3.0
-        assert tcp.max_frame_length == 4096
-        assert tcp.retain_subscribers is True
+        # a NetworkConfig field is not a constructor keyword either
+        with pytest.raises(TypeError, match="read_timeout"):
+            ElapsTCPServer(make_core(), read_timeout=1.5)
 
     def test_config_form_does_not_warn(self, recwarn):
-        ElapsTCPServer(make_core(), config=NetworkConfig(read_timeout=1.0))
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
+        tcp = ElapsTCPServer(make_core(), config=NetworkConfig(read_timeout=1.0))
+        assert tcp.config.read_timeout == 1.0
+        assert not recwarn.list
 
 
 class TestClientShims:
@@ -186,27 +160,14 @@ class TestClientShims:
             "127.0.0.1", 1, make_sub(), Point(5_000, 5_000), **kwargs
         )
 
-    def test_legacy_kwargs_warn_and_layer_onto_config(self):
-        policy = ReconnectPolicy(base_delay=0.01, max_delay=0.1)
-        with pytest.warns(DeprecationWarning, match="heartbeat_interval"):
-            client = self._client(heartbeat_interval=0.2, policy=policy)
-        assert client.config.heartbeat_interval == 0.2
-        assert client.config.reconnect is policy
-        # derived views the supervisor uses
-        assert client.heartbeat_interval == 0.2
-        assert client.policy is policy
-
-    def test_legacy_read_timeout_overrides_heartbeat_default(self):
-        with pytest.warns(DeprecationWarning):
-            client = self._client(read_timeout=9.0)
-        assert client.read_timeout == 9.0
-
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="nonsense"):
             self._client(nonsense=1)
+        # a ClientConfig field is not a constructor keyword either
+        with pytest.raises(TypeError, match="heartbeat_interval"):
+            self._client(heartbeat_interval=0.2)
 
     def test_config_form_does_not_warn(self, recwarn):
         client = self._client(config=ClientConfig(heartbeat_interval=0.2))
         assert client.heartbeat_interval == 0.2
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
+        assert not recwarn.list

@@ -76,3 +76,51 @@ class TestDocumentationCoverage:
         allowed = {"flush_run", "dominated", "add_vertical", "add_horizontal"}
         real = [u for u in undocumented if u.split()[-1] not in allowed]
         assert real == [], real
+
+
+class TestConfigurationSurface:
+    """The exact knob and executor sets.  A re-added option or a second
+    way to configure something must show up here as a failing diff."""
+
+    @staticmethod
+    def field_names(cls):
+        import dataclasses
+
+        return {field.name for field in dataclasses.fields(cls)}
+
+    def test_server_config_fields(self):
+        from repro.system import ServerConfig
+
+        assert self.field_names(ServerConfig) == {
+            "matching_mode", "rate_window", "initial_rate", "stats_override",
+            "measure_bytes", "use_impact_region", "repair", "repair_budget",
+            "journal",
+        }
+
+    def test_network_config_fields(self):
+        from repro.system import NetworkConfig
+
+        assert self.field_names(NetworkConfig) == {
+            "read_timeout", "write_timeout", "max_frame_length",
+            "retain_subscribers", "ingress_queue", "send_queue",
+            "send_queue_hard", "shed_policy", "slow_consumer_grace",
+            "max_connections", "dispatch_offload", "stop_timeout",
+            "write_buffer_limit",
+        }
+
+    def test_client_config_fields(self):
+        from repro.system import ClientConfig
+
+        assert self.field_names(ClientConfig) == {
+            "heartbeat_interval", "read_timeout", "receive_timeout", "reconnect",
+        }
+
+    def test_shard_executor_exports(self):
+        import repro.system
+
+        executors = {
+            name for name in repro.system.__all__ if name.endswith("Executor")
+        }
+        assert executors == {"ShardExecutor", "SerialExecutor", "ProcessExecutor"}
+        subclasses = {cls.__name__ for cls in repro.system.ShardExecutor.__subclasses__()}
+        assert subclasses == {"SerialExecutor", "ProcessExecutor"}

@@ -96,7 +96,7 @@ class TestCachedRegionReuse:
 
 class TestMinSpeedFloor:
     def test_parked_subscriber_still_gets_a_region(self):
-        server = make_server(min_speed=1.0)
+        server = make_server()
         sub = make_sub()
         _, region = server.subscribe(sub, Point(5_000, 5_000), Point(0, 0))
         # without the floor, ts would be infinite and the region empty
@@ -141,3 +141,19 @@ class TestRecordBookkeeping:
         # once delivered, the event stops constraining the safe region
         record.delivered.add(1)
         assert server._matching_signature(record) == frozenset()
+
+
+class TestResequenceSubscriptions:
+    def notified_order(self, server, event_id):
+        notes = server.publish(sale(event_id, 5_050, 5_000), now=event_id)
+        return [n.sub_id for n in notes]
+
+    def test_given_order_first_then_the_tail_in_its_old_order(self):
+        server = make_server()
+        for sub_id in range(1, 7):
+            server.subscribe(make_sub(sub_id), Point(5_000, 5_000), Point(0, 0))
+        assert self.notified_order(server, 100) == [1, 2, 3, 4, 5, 6]
+        # 99 is unknown here (another shard's subscriber): ignored
+        server.resequence_subscriptions([5, 99, 2])
+        assert self.notified_order(server, 101) == [5, 2, 1, 3, 4, 6]
+        assert len(server.subscription_index) == 6

@@ -31,16 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap.wah import WAHBitmap
-from repro.core import (
-    GridMethod,
-    IDGM,
-    IGM,
-    VectorizedIDGM,
-    VectorizedIGM,
-    VectorizedIncrementalGridMethod,
-    VoronoiMethod,
-    vectorize_strategy,
-)
+from repro.core import IDGM, IGM, VectorizedIDGM, VectorizedIGM
 from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import SystemStats
 from repro.core.field import LazyBEQField, StaticMatchingField, dilate_point
@@ -534,25 +525,3 @@ def test_interleave_array_matches_scalar(coords):
     j = np.array([c[1] for c in coords], dtype=np.int64)
     expected = [interleave(a, b) for a, b in coords]
     assert interleave_array(i, j).tolist() == expected
-
-
-# ----------------------------------------------------------------------
-# Strategy upgrade plumbing
-# ----------------------------------------------------------------------
-def test_vectorize_strategy_copies_parameters_and_is_idempotent():
-    scalar = IDGM(alpha=0.3, beta=2.0, max_cells=99, incremental_impact=False)
-    twin = vectorize_strategy(scalar)
-    assert isinstance(twin, VectorizedIncrementalGridMethod)
-    assert (twin.alpha, twin.beta, twin.max_cells, twin.incremental_impact) == (
-        0.3,
-        2.0,
-        99,
-        False,
-    )
-    assert twin.name == "idGM-vec"
-    assert vectorize_strategy(twin) is twin
-
-
-def test_vectorize_strategy_leaves_non_incremental_methods_alone():
-    for strategy in (VoronoiMethod(), GridMethod()):
-        assert vectorize_strategy(strategy) is strategy
