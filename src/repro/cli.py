@@ -350,7 +350,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         shed_policy=args.shed_policy,
         slow_consumer_grace=args.slow_consumer_grace,
         max_connections=args.max_connections,
-        dispatch_offload=args.dispatch_offload,
         write_buffer_limit=args.write_buffer_limit,
     )
 
@@ -514,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "consumer is disconnected")
     serve.add_argument("--max-connections", type=int, default=None,
                        help="admission control: refuse accepts beyond this")
-    serve.add_argument("--dispatch-offload", action="store_true",
-                       help="run core work on a worker thread behind a lock "
-                            "so the event loop stays responsive")
     serve.add_argument("--write-buffer-limit", type=int, default=None,
                        help="cap kernel+transport write buffering (bytes) so "
                             "slow consumers surface in the send queue")

@@ -49,7 +49,6 @@ from .server import ElapsServer, Notification, SubscriberRecord
 from .sharding import (
     ProcessExecutor,
     SerialExecutor,
-    ShardCall,
     ShardExecutor,
     ShardSpec,
     ShardedElapsServer,
@@ -95,7 +94,6 @@ __all__ = [
     "SendVerdict",
     "SerialExecutor",
     "ServerConfig",
-    "ShardCall",
     "ShardExecutor",
     "ShardSpec",
     "ShardedElapsServer",

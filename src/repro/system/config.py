@@ -187,11 +187,6 @@ class NetworkConfig:
     #: admission control: connections beyond this are closed at accept
     #: time (counted in ``connections_refused``); None admits everyone
     max_connections: Optional[int] = None
-    #: run core dispatch (subscribe/publish/report) on a worker thread
-    #: behind a core lock so heartbeats and accepts stay responsive
-    #: while a long safe-region construction runs; the default keeps
-    #: dispatch inline on the event loop (deterministic)
-    dispatch_offload: bool = False
     #: seconds ``stop()`` waits for connection handlers before
     #: cancelling the survivors (and logging them)
     stop_timeout: float = 5.0

@@ -183,7 +183,6 @@ def build_server(config: ExperimentConfig, journal=None):
             ),
             rebalance=RebalancePolicy() if config.rebalance else None,
         )
-        tracers = [server.tracer] + [w.tracer for w in server.shard_servers]
     else:
         server = ElapsServer(
             grid,
@@ -192,10 +191,19 @@ def build_server(config: ExperimentConfig, journal=None):
             event_index=BEQTree(space, emax=config.emax),
             subscription_index=SubscriptionIndex(generator.frequency_hint()),
         )
-        tracers = [server.tracer]
-    for tracer in tracers:
-        tracer.enabled = config.trace_spans
-        tracer.slow_threshold = config.slow_span_seconds
+    settings = {
+        "enabled": config.trace_spans,
+        "slow_threshold": config.slow_span_seconds,
+    }
+    for name, value in settings.items():
+        setattr(server.tracer, name, value)
+        if config.shards > 1:  # the same toggle on every shard's tracer
+            server.executor.run(
+                {
+                    spec.shard_id: ("__tracer_set__", (name, value))
+                    for spec in server.specs
+                }
+            )
     return server
 
 

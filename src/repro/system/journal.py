@@ -152,6 +152,42 @@ class JournalRecord:
     events: Tuple[Event, ...] = ()
 
 
+def apply_record(server, record: JournalRecord) -> List:
+    """Drive one record through the public operation it logs, on any
+    server object (single or sharded); returns the notifications the
+    operation produced.  Recovery and trace replay share this switch."""
+    kind = record.kind
+    if kind == SUBSCRIBE:
+        return server.subscribe(
+            record.subscription, record.location, record.velocity, now=record.now
+        )[0]
+    if kind == LOCATION:
+        return server.report_location(
+            record.sub_id, record.location, record.velocity, now=record.now
+        )[0]
+    if kind == RESYNC:
+        return server.resync(
+            record.sub_id, record.location, record.velocity,
+            record.received, now=record.now,
+        )[0]
+    if kind in (PUBLISH, PUBLISH_BATCH):
+        # PUBLISH: the single-event record older journals hold —
+        # replayed as the batch of one it is.
+        return server.publish_batch(list(record.events), record.now)
+    if kind == UNSUBSCRIBE:
+        server.unsubscribe(record.sub_id)
+    elif kind == EXPIRE:
+        server.expire_due_events(record.now)
+    elif kind == BOOTSTRAP:
+        server.bootstrap(record.events)
+    elif kind == EXTRACT:
+        flat = record.received
+        server.extract_events_in_columns(list(zip(flat[0::2], flat[1::2])))
+    else:
+        raise JournalCorruptionError(f"unknown journal record kind {kind}")
+    return []
+
+
 # ----------------------------------------------------------------------
 # Scalar/structure codecs (shared by records and snapshots)
 # ----------------------------------------------------------------------

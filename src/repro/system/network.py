@@ -40,10 +40,7 @@ configured by one frozen :class:`~repro.system.config.NetworkConfig`:
   full the handlers stop reading, which is natural TCP backpressure:
   the kernel window closes and well-behaved publishers slow down
   instead of ballooning server memory.  Heartbeats are answered inline,
-  off the ingress path, so keepalives survive a busy core; with
-  ``dispatch_offload`` the core work itself moves to a worker thread
-  behind a core lock, keeping the event loop free for accepts, echoes
-  and flushes during a long safe-region construction.
+  off the ingress path, so keepalives survive a backed-up queue.
 * **egress** — every connection owns a bounded :class:`SendQueue`
   drained by a dedicated writer task; nothing writes to a socket
   directly.  An over-cap queue sheds *stale* frames (a newer
@@ -57,14 +54,12 @@ configured by one frozen :class:`~repro.system.config.NetworkConfig`:
   heals the remainder exactly like any other dead connection.
 
 The wrapped :class:`~repro.system.ElapsServer` is not thread-safe; all
-core access runs on the dispatcher (or, offloaded, on its single worker
-thread behind the core lock).
+core access runs on the dispatcher task, on the event-loop thread.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
 import enum
 import itertools
@@ -73,7 +68,6 @@ import math
 import random
 import socket
 import struct
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -454,10 +448,6 @@ class ElapsTCPServer:
         self._tcp_server: Optional[asyncio.base_events.Server] = None
         self._ingress: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[int] = None
-        self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._core_lock: Optional[asyncio.Lock] = None
         # everything the wrapped server ships goes out over the sockets
         server.transport = TCPTransport(self)
 
@@ -466,14 +456,7 @@ class ElapsTCPServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind, start the dispatcher, and start accepting connections."""
-        self._loop = asyncio.get_running_loop()
-        self._loop_thread = threading.get_ident()
         self._ingress = asyncio.Queue(maxsize=self.config.ingress_queue)
-        if self.config.dispatch_offload:
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="elaps-core"
-            )
-            self._core_lock = asyncio.Lock()
         self._dispatcher = asyncio.ensure_future(self._dispatcher_loop())
         self._tcp_server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -529,9 +512,6 @@ class ElapsTCPServer:
         if self._writer_tasks:
             await asyncio.gather(*self._writer_tasks, return_exceptions=True)
             self._writer_tasks.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
         self._subscriber_conns.clear()
         self._connections.clear()
 
@@ -587,18 +567,7 @@ class ElapsTCPServer:
             )
 
     def _ship(self, sub_id: int, kind: FrameKind, frame: bytes) -> None:
-        """Queue a frame for a subscriber's connection.
-
-        Offloaded dispatch ships from the worker thread; queue state is
-        only ever touched on the event loop, so those ships marshal over
-        (``call_soon_threadsafe`` preserves submission order).
-        """
-        if self._loop is not None and threading.get_ident() != self._loop_thread:
-            self._loop.call_soon_threadsafe(self._ship_on_loop, sub_id, kind, frame)
-        else:
-            self._ship_on_loop(sub_id, kind, frame)
-
-    def _ship_on_loop(self, sub_id: int, kind: FrameKind, frame: bytes) -> None:
+        """Queue a frame for a subscriber's connection."""
         conn = self._subscriber_conns.get(sub_id)
         if conn is None:
             # no live connection: the loss is healed by the client's
@@ -826,10 +795,10 @@ class ElapsTCPServer:
             conn, message = await self._ingress.get()
             try:
                 if message is None:
-                    await self._cleanup_connection(conn)
+                    self._cleanup_connection(conn)
                 else:
                     with tracer.span("dispatch"):
-                        await self._dispatch(conn, message)
+                        self._dispatch(conn, message)
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -840,20 +809,7 @@ class ElapsTCPServer:
             finally:
                 self._ingress.task_done()
 
-    async def _run_core(self, fn):
-        """Run one core operation, optionally on the offload thread.
-
-        The wrapped server is not thread-safe: offloaded operations
-        serialise behind the core lock, and everything they ship
-        marshals back to the event loop (see :meth:`_ship`).
-        """
-        if self._executor is None:
-            return fn()
-        assert self._core_lock is not None and self._loop is not None
-        async with self._core_lock:
-            return await self._loop.run_in_executor(self._executor, fn)
-
-    async def _cleanup_connection(self, conn: _Connection) -> None:
+    def _cleanup_connection(self, conn: _Connection) -> None:
         """Tear down the subscriber state a dead connection owned."""
         for sub_id in list(conn.sub_ids):
             # a reconnected client may already own a fresh connection;
@@ -865,11 +821,9 @@ class ElapsTCPServer:
                 not self.config.retain_subscribers
                 and sub_id in self.server.subscribers
             ):
-                await self._run_core(
-                    lambda sid=sub_id: self.server.unsubscribe(sid)
-                )
+                self.server.unsubscribe(sub_id)
 
-    async def _dispatch(self, conn: _Connection, message) -> None:
+    def _dispatch(self, conn: _Connection, message) -> None:
         """Apply one decoded frame to the wrapped server."""
         if isinstance(message, SubscribeMessage):
             self._subscriber_conns[message.sub_id] = conn
@@ -878,10 +832,8 @@ class ElapsTCPServer:
                 message.sub_id, message.expression, message.radius
             )
             now = self.now()
-            notifications, _ = await self._run_core(
-                lambda: self.server.subscribe(
-                    subscription, message.location, message.velocity, now
-                )
+            notifications, _ = self.server.subscribe(
+                subscription, message.location, message.velocity, now
             )
             # the initial region push went out via the region sink;
             # deliver the already-matching events
@@ -889,10 +841,8 @@ class ElapsTCPServer:
         elif isinstance(message, LocationReport):
             if message.sub_id in self.server.subscribers:
                 now = self.now()
-                notifications, _ = await self._run_core(
-                    lambda: self.server.report_location(
-                        message.sub_id, message.location, message.velocity, now
-                    )
+                notifications, _ = self.server.report_location(
+                    message.sub_id, message.location, message.velocity, now
                 )
                 self._push_notifications(notifications)
         elif isinstance(message, ResyncMessage):
@@ -900,31 +850,26 @@ class ElapsTCPServer:
                 self._subscriber_conns[message.sub_id] = conn
                 conn.sub_ids.add(message.sub_id)
                 now = self.now()
-                notifications, _ = await self._run_core(
-                    lambda: self.server.resync(
-                        message.sub_id,
-                        message.location,
-                        message.velocity,
-                        message.received,
-                        now,
-                    )
+                notifications, _ = self.server.resync(
+                    message.sub_id,
+                    message.location,
+                    message.velocity,
+                    message.received,
+                    now,
                 )
                 self._push_notifications(notifications)
         elif isinstance(message, StatsRequest):
             # observability pull: answer with a point-in-time copy of the
             # whole registry on the requesting connection
-            registry = await self._run_core(self.server.merged_registry)
             self._offer(
                 conn,
                 FrameKind.CONTROL,
                 None,
-                encode_message(stats_snapshot_for(registry)),
+                encode_message(stats_snapshot_for(self.server.merged_registry())),
             )
         elif isinstance(message, UnsubscribeMessage):
             if message.sub_id in self.server.subscribers:
-                await self._run_core(
-                    lambda: self.server.unsubscribe(message.sub_id)
-                )
+                self.server.unsubscribe(message.sub_id)
             self._subscriber_conns.pop(message.sub_id, None)
             conn.sub_ids.discard(message.sub_id)
         elif isinstance(message, (EventPublishMessage, EventPublishBatchMessage)):
@@ -936,12 +881,8 @@ class ElapsTCPServer:
                 else message.events
             )
             events = [self._event_from(item, now) for item in items]
-            notifications = await self._run_core(
-                lambda: (
-                    self.server.expire_due_events(now),
-                    self.server.publish_batch(events, now),
-                )[1]
-            )
+            self.server.expire_due_events(now)
+            notifications = self.server.publish_batch(events, now)
             self._push_notifications(notifications)
 
     def _message_sane(self, message) -> bool:

@@ -68,11 +68,11 @@ from .journal import (
     SUBSCRIBE,
     UNSUBSCRIBE,
     Journal,
-    JournalCorruptionError,
     JournalError,
     JournalRecord,
     ServerSnapshot,
     SubscriberSnapshot,
+    apply_record,
     decode_snapshot,
     encode_snapshot,
 )
@@ -827,7 +827,15 @@ class ElapsServer:
         self.journal.suspended = True
         try:
             for record in self.journal.records(after_seq=self.applied_seq):
-                self._apply_record(record)
+                try:
+                    apply_record(self, record)
+                except ValueError:
+                    # The publish was journaled (WAL-before-apply) but
+                    # then failed validation without mutating anything;
+                    # it fails identically on replay, so skipping it is
+                    # exact.
+                    if record.kind not in (PUBLISH, PUBLISH_BATCH):
+                        raise
                 self.applied_seq = record.seq
                 applied += 1
         finally:
@@ -882,46 +890,6 @@ class ElapsServer:
         # are never restored.  The first post-restart type-II event falls
         # back to a full construction instead of carving against a field
         # built by the pre-crash process.
-
-    def _apply_record(self, record: JournalRecord) -> None:
-        """Replay one journal record through the public operation it logs."""
-        kind = record.kind
-        if kind == SUBSCRIBE:
-            self.subscribe(
-                record.subscription, record.location, record.velocity, now=record.now
-            )
-        elif kind == UNSUBSCRIBE:
-            self.unsubscribe(record.sub_id)
-        elif kind == LOCATION:
-            self.report_location(
-                record.sub_id, record.location, record.velocity, now=record.now
-            )
-        elif kind == RESYNC:
-            self.resync(
-                record.sub_id, record.location, record.velocity,
-                record.received, now=record.now,
-            )
-        elif kind in (PUBLISH, PUBLISH_BATCH):
-            # PUBLISH: the single-event record older journals hold —
-            # replayed as the batch of one it is.
-            try:
-                self.publish_batch(list(record.events), record.now)
-            except ValueError:
-                # The operation was journaled (WAL-before-apply) but then
-                # failed validation without mutating anything; it fails
-                # identically on replay, so skipping it is exact.
-                pass
-        elif kind == EXPIRE:
-            self.expire_due_events(record.now)
-        elif kind == BOOTSTRAP:
-            self.bootstrap(record.events)
-        elif kind == EXTRACT:
-            flat = record.received
-            self.extract_events_in_columns(
-                list(zip(flat[0::2], flat[1::2]))
-            )
-        else:
-            raise JournalCorruptionError(f"unknown journal record kind {kind}")
 
     def close(self) -> None:
         """Release the journal's file handle (a no-op without one)."""

@@ -34,14 +34,17 @@ Routing rules (DESIGN.md §12):
   coordinator keeps a global delivered set as the final dedup guard for
   the re-homing corpus-match path.
 
-Execution is pluggable through :class:`ShardExecutor`:
-:class:`SerialExecutor` runs shard tasks in ascending shard order on the
-calling thread (deterministic — the golden-trace differential runs under
-it), and :class:`ProcessExecutor` hosts each worker in its own OS
-process (DESIGN.md §15) — the coordinator ships
-:class:`ShardCall` command messages over pipes, the workers reply with
-results plus any buffered region shipments, and location pings travel
-back up the same pipe synchronously.
+Execution is pluggable through :class:`ShardExecutor`, and a shard is
+reached exactly one way: ``executor.run({shard_id: (method, args)})``.
+The executor owns the servers it hosts — the fleet hands it one builder
+per band through ``launch`` — and runs every command through
+:func:`_dispatch_command`.  :class:`SerialExecutor` hosts the servers
+in-process and runs commands in ascending shard order on the calling
+thread (deterministic — the golden-trace differential runs under it);
+:class:`ProcessExecutor` hosts each worker in its own OS process
+(DESIGN.md §15) — the same ``(method, args)`` values travel over pipes,
+the workers reply with results plus any buffered region shipments, and
+location pings travel back up the same pipe synchronously.
 
 Bands need not stay static: with a
 :class:`~repro.system.config.RebalancePolicy` the coordinator tracks
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -85,7 +89,7 @@ from typing import (
 from ..core import SafeRegion, SafeRegionStrategy, SystemStats
 from ..expressions import Event, Subscription
 from ..geometry import Cell, Grid, Point, Rect
-from .config import RebalancePolicy, ServerConfig, Transport
+from .config import CallbackTransport, RebalancePolicy, ServerConfig, Transport
 from .metrics import CommunicationStats
 from .observability import LatencyHistogram, MetricsRegistry
 from .server import ElapsServer, Notification
@@ -94,7 +98,6 @@ __all__ = [
     "ProcessExecutor",
     "RebalancePolicy",
     "SerialExecutor",
-    "ShardCall",
     "ShardExecutor",
     "ShardSpec",
     "ShardedElapsServer",
@@ -167,41 +170,6 @@ def partition_columns(
 # ----------------------------------------------------------------------
 # Executors
 # ----------------------------------------------------------------------
-class ShardCall:
-    """A thunk-equivalent command message: ``method(*args)`` on one
-    shard's worker.
-
-    The coordinator issues every piece of shard work as a ``ShardCall``.
-    In-process executors simply *call* it (the bound thunk runs against
-    the local :class:`ElapsServer`); :class:`ProcessExecutor` instead
-    reads ``method``/``args`` and ships them over the worker's pipe —
-    same contract, different transport.
-    """
-
-    __slots__ = ("method", "args", "_local")
-
-    def __init__(
-        self,
-        method: str,
-        args: Sequence[object] = (),
-        local: Optional[Callable[[], object]] = None,
-    ) -> None:
-        self.method = method
-        self.args = tuple(args)
-        self._local = local
-
-    def __call__(self) -> object:
-        if self._local is None:
-            raise TypeError(
-                f"ShardCall({self.method!r}) has no local binding; "
-                "run it through a ProcessExecutor"
-            )
-        return self._local()
-
-    def __repr__(self) -> str:
-        return f"ShardCall({self.method!r}, {len(self.args)} args)"
-
-
 class WorkerCrashed(RuntimeError):
     """A shard worker process died mid-fleet (DESIGN.md §15).
 
@@ -219,23 +187,54 @@ class WorkerCrashed(RuntimeError):
         self.exitcode = exitcode
 
 
-class ShardExecutor:
-    """How the coordinator runs work on its shards.
+#: one unit of shard work: ``method(*args)`` on one shard's server
+Command = Tuple[str, Tuple]
 
-    ``run`` takes ``{shard_id: task}`` and returns ``{shard_id:
-    result}``; tasks are :class:`ShardCall` command messages (plain
-    zero-argument thunks are accepted by the in-process executors).
-    Implementations decide *where* the tasks run; the coordinator never
-    assumes more than "every task ran to completion before ``run``
-    returns".
+
+def _checked(command) -> Command:
+    """A malformed command is the caller's bug: reject it before it
+    reaches a server or a pipe."""
+    if not (
+        isinstance(command, tuple)
+        and len(command) == 2
+        and isinstance(command[0], str)
+        and isinstance(command[1], tuple)
+    ):
+        raise TypeError(
+            f"a shard command is a (method, args) tuple, got {command!r}"
+        )
+    return command
+
+
+class ShardExecutor:
+    """Where the fleet's shard servers live and how they are reached.
+
+    ``launch`` takes one server builder per shard plus the coordinator's
+    three hooks; the executor builds and *owns* the servers.  ``run``
+    takes ``{shard_id: (method, args)}`` and returns ``{shard_id:
+    result}`` — the only way the coordinator ever touches a shard.
+    Implementations decide *where* the commands run; the coordinator
+    never assumes more than "every command ran to completion before
+    ``run`` returns".
     """
 
-    def run(self, tasks: Mapping[int, Callable[[], object]]) -> Dict[int, object]:
-        """Run every task; return its result keyed by shard id."""
+    def launch(
+        self,
+        builders: Sequence[Callable[[Transport], ElapsServer]],
+        *,
+        locate: Callable[[int], Optional[Tuple[Point, Point]]],
+        on_region: Callable[[int, int, SafeRegion], None],
+        on_delta: Callable[[int, int, FrozenSet[Cell], SafeRegion], None],
+    ) -> None:
+        """Build one server per builder and wire the coordinator hooks."""
+        raise NotImplementedError
+
+    def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
+        """Run every command; return its result keyed by shard id."""
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release executor resources (a no-op for serial execution)."""
+        """Close the hosted servers and release executor resources."""
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -245,16 +244,47 @@ class ShardExecutor:
 
 
 class SerialExecutor(ShardExecutor):
-    """Run shard tasks inline, in ascending shard order.
+    """Host the shard servers in-process; run commands inline, in
+    ascending shard order.
 
     Fully deterministic — the sharded-vs-single golden differential is
     pinned under this executor — and the right choice whenever the
     workload is driven from tests or a single-threaded simulation.
     """
 
-    def run(self, tasks: Mapping[int, Callable[[], object]]) -> Dict[int, object]:
-        """Run the thunks one after another, ascending shard order."""
-        return {shard_id: tasks[shard_id]() for shard_id in sorted(tasks)}
+    def __init__(self) -> None:
+        #: the live servers, in shard order (tests and audits read them)
+        self.shard_servers: List[ElapsServer] = []
+
+    def launch(self, builders, *, locate, on_region, on_delta) -> None:
+        """Build every shard's server on the calling thread; whatever a
+        shard ships lands at the coordinator's hooks, never at a client."""
+        if self.shard_servers:
+            raise RuntimeError("this SerialExecutor already hosts a fleet")
+        self.shard_servers = [
+            builder(
+                CallbackTransport(
+                    ship_region=functools.partial(on_region, shard_id),
+                    ship_delta=functools.partial(on_delta, shard_id),
+                    locate=locate,
+                )
+            )
+            for shard_id, builder in enumerate(builders)
+        ]
+
+    def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
+        """Run the commands one after another, ascending shard order."""
+        return {
+            shard_id: _dispatch_command(
+                self.shard_servers[shard_id], *_checked(commands[shard_id])
+            )
+            for shard_id in sorted(commands)
+        }
+
+    def close(self) -> None:
+        """Release every hosted server's journal (idempotent)."""
+        for server in self.shard_servers:
+            server.close()
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +341,7 @@ class _ShardSubscriberView:
 
 
 def _dispatch_command(server: ElapsServer, method: str, args: Tuple) -> object:
-    """Run one command message against the worker-owned server.
+    """Run one ``(method, args)`` command against an executor-owned server.
 
     Plain names call the public surface directly; the dunder commands
     marshal state that is an *attribute* (not a method) on a local
@@ -343,8 +373,6 @@ def _dispatch_command(server: ElapsServer, method: str, args: Tuple) -> object:
     if method == "__tracer_set__":
         setattr(server.tracer, args[0], args[1])
         return None
-    if method == "__tracer_get__":
-        return getattr(server.tracer, args[0])
     return getattr(server, method)(*args)
 
 
@@ -395,6 +423,11 @@ def _shard_worker_main(builder, conn) -> None:
         conn.close()
 
 
+#: worker builders close over unpicklable factories by design, so the
+#: children must inherit them: fork is the only start method that can
+_START_METHOD = "fork"
+
+
 @dataclass
 class _WorkerHandle:
     """Parent-side handle on one worker process and its pipe end."""
@@ -409,12 +442,12 @@ class ProcessExecutor(ShardExecutor):
 
     The fleet constructor calls :meth:`launch` with one builder per
     shard; each worker process builds its :class:`ElapsServer` *inside
-    the child* (the default ``fork`` start method inherits the grid,
-    strategy factory, and config without pickling them) and then serves
-    :class:`ShardCall` command messages over its pipe.  Only the command
-    arguments, results, and buffered region shipments cross the pipes.
+    the child* (the ``fork`` start method inherits the grid, strategy
+    factory, and config without pickling them) and then serves
+    ``(method, args)`` commands over its pipe.  Only the commands,
+    results, and buffered region shipments cross the pipes.
 
-    ``run`` dispatches every task before collecting any reply, so the
+    ``run`` dispatches every command before collecting any reply, so the
     fan-out genuinely overlaps; while collecting, the parent services
     the workers' synchronous ``locate`` upcalls.  A dead worker surfaces
     as :class:`WorkerCrashed`.  ``close`` sends every worker a close
@@ -422,39 +455,19 @@ class ProcessExecutor(ShardExecutor):
     processes, and is idempotent.
     """
 
-    #: the fleet builds its workers inside this executor's processes
-    hosts_workers = True
-
-    def __init__(self, mp_context: str = "fork") -> None:
-        if mp_context not in multiprocessing.get_all_start_methods():
+    def __init__(self) -> None:
+        if _START_METHOD not in multiprocessing.get_all_start_methods():
             raise ValueError(
-                f"start method {mp_context!r} unavailable on this platform"
+                f"start method {_START_METHOD!r} unavailable on this platform"
             )
-        if mp_context != "fork":
-            raise ValueError(
-                "ProcessExecutor requires the 'fork' start method: worker "
-                "builders close over unpicklable factories by design"
-            )
-        self._context = multiprocessing.get_context(mp_context)
+        self._context = multiprocessing.get_context(_START_METHOD)
         self._workers: Dict[int, _WorkerHandle] = {}
         self._locate: Optional[Callable] = None
         self._on_region: Optional[Callable] = None
         self._on_delta: Optional[Callable] = None
         self._closed = False
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has torn the workers down."""
-        return self._closed
-
-    def launch(
-        self,
-        builders: Sequence[Callable[[Transport], ElapsServer]],
-        *,
-        locate: Callable[[int], Optional[Tuple[Point, Point]]],
-        on_region: Callable[[int, int, SafeRegion], None],
-        on_delta: Callable[[int, int, FrozenSet[Cell], SafeRegion], None],
-    ) -> None:
+    def launch(self, builders, *, locate, on_region, on_delta) -> None:
         """Fork one worker per builder and wire the coordinator hooks."""
         if self._workers:
             raise RuntimeError("this ProcessExecutor already hosts a fleet")
@@ -479,29 +492,20 @@ class ProcessExecutor(ShardExecutor):
         handle.process.join(timeout=5.0)
         return WorkerCrashed(handle.shard_id, handle.process.exitcode)
 
-    def call(self, shard_id: int, method: str, *args) -> object:
-        """One synchronous command against one worker."""
-        return self.run({shard_id: ShardCall(method, args)})[shard_id]
-
-    def run(self, tasks: Mapping[int, Callable[[], object]]) -> Dict[int, object]:
+    def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
         """Dispatch every command, then collect; service locate upcalls."""
         if self._closed:
             raise RuntimeError("ProcessExecutor is closed")
         if not self._workers:
             raise RuntimeError("ProcessExecutor.run before launch()")
         pending: Dict[object, _WorkerHandle] = {}
-        for shard_id in sorted(tasks):
-            task = tasks[shard_id]
-            if not isinstance(task, ShardCall):
-                raise TypeError(
-                    f"ProcessExecutor needs ShardCall tasks, got {task!r} "
-                    f"for shard {shard_id}"
-                )
+        for shard_id in sorted(commands):
+            command = _checked(commands[shard_id])
             handle = self._workers[shard_id]
             if not handle.process.is_alive():
                 raise self._crashed(handle)
             try:
-                handle.conn.send((task.method, task.args))
+                handle.conn.send(command)
             except (BrokenPipeError, OSError):
                 raise self._crashed(handle) from None
             pending[handle.conn] = handle
@@ -578,133 +582,6 @@ def _registry_from_parts(
     return registry
 
 
-class _RemoteTracer:
-    """Attribute proxy for a worker-process tracer: assignments and
-    reads travel over the worker's pipe (``tracer.enabled = True`` on a
-    fleet works identically for local and process workers)."""
-
-    __slots__ = ("_shard",)
-
-    def __init__(self, shard: "_RemoteShard") -> None:
-        object.__setattr__(self, "_shard", shard)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__getattribute__(self, "_shard")._invoke(
-            "__tracer_set__", name, value
-        )
-
-    def __getattr__(self, name: str) -> object:
-        return object.__getattribute__(self, "_shard")._invoke(
-            "__tracer_get__", name
-        )
-
-
-class _RemoteShard:
-    """Coordinator-side stand-in for a worker living in another process.
-
-    Implements the slice of the :class:`ElapsServer` surface the
-    coordinator touches *directly* (outside :meth:`ShardExecutor.run`
-    fan-outs): each method is one synchronous command round-trip.
-    ``metrics``/``registry``/``subscribers`` — attributes on a local
-    worker — marshal picklable snapshots back.
-    """
-
-    def __init__(self, executor: ProcessExecutor, shard_id: int) -> None:
-        self._executor = executor
-        self.shard_id = shard_id
-
-    def _invoke(self, method: str, *args) -> object:
-        return self._executor.call(self.shard_id, method, *args)
-
-    def bootstrap(self, events) -> None:
-        """Load events into the worker without notifying anyone."""
-        self._invoke("bootstrap", list(events))
-
-    def subscribe(self, subscription, location, velocity, now=0):
-        """Register the subscription on the worker; returns (matches, region)."""
-        return self._invoke("subscribe", subscription, location, velocity, now)
-
-    def unsubscribe(self, sub_id: int) -> None:
-        """Drop the subscriber from the worker."""
-        self._invoke("unsubscribe", sub_id)
-
-    def publish_batch(self, events, now):
-        """Publish an event batch on the worker; returns its notifications."""
-        return self._invoke("publish_batch", list(events), now)
-
-    def report_location(self, sub_id, location, velocity, now):
-        """Forward a location update; returns (deliveries, region)."""
-        return self._invoke("report_location", sub_id, location, velocity, now)
-
-    def resync(self, sub_id, location, velocity, received, now):
-        """Replay a client resync on the worker (exactly-once dedup)."""
-        return self._invoke("resync", sub_id, location, velocity, received, now)
-
-    def expire_due_events(self, now: int) -> int:
-        """Expire due events on the worker; returns how many left."""
-        return self._invoke("expire_due_events", now)
-
-    def rebuild_all(self, now: int) -> None:
-        """Rebuild every cached safe region on the worker."""
-        self._invoke("rebuild_all", now)
-
-    def system_stats(self, now: int) -> SystemStats:
-        """The worker's :class:`SystemStats` snapshot."""
-        return self._invoke("system_stats", now)
-
-    def extract_events_in_columns(self, ranges) -> List[Event]:
-        """Remove and return the worker's events in the column ranges
-        (the donor half of a band move)."""
-        return self._invoke("extract_events_in_columns", tuple(ranges))
-
-    def resequence_subscriptions(self, order) -> None:
-        """Re-insert the worker's subscriptions in coordinator order."""
-        self._invoke("resequence_subscriptions", list(order))
-
-    def snapshot(self) -> None:
-        """Force a journal snapshot on the worker."""
-        self._invoke("snapshot")
-
-    def recover(self) -> int:
-        """Replay the worker's journal; returns the records applied."""
-        return self._invoke("recover")
-
-    def corpus_matches(self, expression) -> Iterator[Event]:
-        """Iterate the worker's live events matching the expression."""
-        return iter(self._invoke("__corpus__", expression))
-
-    @property
-    def metrics(self) -> CommunicationStats:
-        """A picklable snapshot of the worker's communication stats."""
-        return self._invoke("__metrics__")
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The worker's metrics registry, rebuilt from marshalled parts."""
-        stats, spans = self._invoke("__registry__")
-        return _registry_from_parts(stats, spans)
-
-    @property
-    def subscribers(self) -> Dict[int, _ShardSubscriberView]:
-        """Lightweight views of the worker's subscriber records."""
-        return self._invoke("__describe__")
-
-    @property
-    def tracer(self) -> _RemoteTracer:
-        """A proxy forwarding tracer toggles over the pipe."""
-        return _RemoteTracer(self)
-
-    def close(self) -> None:
-        """A no-op once the executor shut the worker down (the close
-        sentinel already closed the remote server and its journal)."""
-        if not self._executor.closed and self._workers_alive():
-            self._invoke("close")
-
-    def _workers_alive(self) -> bool:
-        handle = self._executor._workers.get(self.shard_id)
-        return handle is not None and handle.process.is_alive()
-
-
 # ----------------------------------------------------------------------
 # Coordinator-side state
 # ----------------------------------------------------------------------
@@ -740,29 +617,6 @@ class _Dirty:
     full: bool = False
     #: cells repairs carved out (delta path; ignored once ``full`` is set)
     removed: Set[Cell] = dataclass_field(default_factory=set)
-
-
-class _ShardTransport(Transport):
-    """The transport each worker is built with: everything a shard ships
-    lands at the coordinator, never directly at a client."""
-
-    def __init__(self, coordinator: "ShardedElapsServer", shard_id: int) -> None:
-        self._coordinator = coordinator
-        self._shard_id = shard_id
-
-    def ship_region(self, sub_id: int, region: SafeRegion) -> None:
-        """Record this shard's freshly built region at the coordinator."""
-        self._coordinator._on_shard_region(self._shard_id, sub_id, region)
-
-    def ship_delta(
-        self, sub_id: int, removed: FrozenSet[Cell], region: SafeRegion
-    ) -> None:
-        """Record this shard's repair delta at the coordinator."""
-        self._coordinator._on_shard_delta(self._shard_id, sub_id, removed, region)
-
-    def locate(self, sub_id: int) -> Optional[Tuple[Point, Point]]:
-        """Ping through the coordinator's client-facing transport."""
-        return self._coordinator._locate_subscriber(sub_id)
 
 
 # ----------------------------------------------------------------------
@@ -827,62 +681,41 @@ class ShardedElapsServer:
                 return self.config
             return self.config.with_(journal=self.config.journal.for_shard(spec.shard_id))
 
-        if getattr(self.executor, "hosts_workers", False):
-            # Process fleet: each worker server is built *inside* its
-            # forked child (the builder closure carries the grid, the
-            # strategy factory and the config across the fork without
-            # pickling); the coordinator keeps pipe-backed proxies.
-            def make_builder(spec: ShardSpec) -> Callable[[Transport], ElapsServer]:
-                """A builder closure for this band, run inside the fork."""
-                band_config = worker_config(spec)
+        # Each band's server is built *by the executor* — in-process, or
+        # inside a forked child, where the builder closure carries the
+        # grid, the strategy factory and the config across the fork
+        # without pickling.
+        def make_builder(spec: ShardSpec) -> Callable[[Transport], ElapsServer]:
+            """A builder closure for this band, run where the band lives."""
+            band_config = worker_config(spec)
 
-                def build(worker_transport: Transport) -> ElapsServer:
-                    """Construct the band's server around the worker pipe."""
-                    return ElapsServer(
-                        grid,
-                        factory(spec),
-                        band_config,
-                        event_index=(
-                            event_index_factory() if event_index_factory else None
-                        ),
-                        subscription_index=(
-                            subscription_index_factory()
-                            if subscription_index_factory
-                            else None
-                        ),
-                        transport=worker_transport,
-                    )
-
-                return build
-
-            self.executor.launch(
-                [make_builder(spec) for spec in self.specs],
-                locate=self._locate_subscriber,
-                on_region=self._on_shard_region,
-                on_delta=self._on_shard_delta,
-            )
-            self.shard_servers: List[ElapsServer] = [
-                _RemoteShard(self.executor, spec.shard_id) for spec in self.specs
-            ]
-        else:
-            self.shard_servers = [
-                ElapsServer(
+            def build(worker_transport: Transport) -> ElapsServer:
+                """Construct the band's server around the executor's transport."""
+                return ElapsServer(
                     grid,
                     factory(spec),
-                    worker_config(spec),
-                    event_index=event_index_factory() if event_index_factory else None,
-                    subscription_index=(
-                        subscription_index_factory() if subscription_index_factory else None
+                    band_config,
+                    event_index=(
+                        event_index_factory() if event_index_factory else None
                     ),
-                    transport=_ShardTransport(self, spec.shard_id),
+                    subscription_index=(
+                        subscription_index_factory()
+                        if subscription_index_factory
+                        else None
+                    ),
+                    transport=worker_transport,
                 )
-                for spec in self.specs
-            ]
+
+            return build
+
+        self.executor.launch(
+            [make_builder(spec) for spec in self.specs],
+            locate=self._locate_subscriber,
+            on_region=self._on_shard_region,
+            on_delta=self._on_shard_delta,
+        )
         #: column index → owning shard id
-        self._shard_by_column: List[int] = [0] * grid.n
-        for spec in self.specs:
-            for column in range(spec.col_lo, spec.col_hi):
-                self._shard_by_column[column] = spec.shard_id
+        self._shard_by_column = self._column_map(self.specs)
         #: grid columns one notification radius can span (dilation reach)
         self._reach_cache: Dict[float, int] = {}
 
@@ -904,12 +737,35 @@ class ShardedElapsServer:
         #: boundary moves performed so far
         self.rebalances = 0
 
-    def _call(self, shard_id: int, method: str, *args) -> ShardCall:
-        """One unit of shard work, in command-message form."""
-        worker = self.shard_servers[shard_id]
-        return ShardCall(
-            method, args, local=lambda: getattr(worker, method)(*args)
+    @property
+    def shard_servers(self) -> List[ElapsServer]:
+        """The live shard servers of an in-process fleet, for tests and
+        audits — the executor's own list; a process fleet has none to
+        show (it exposes commands, not stand-ins)."""
+        return self.executor.shard_servers
+
+    def _run_all(self, method: str, *args) -> List[object]:
+        """One command to every shard; the results in shard order."""
+        results = self.executor.run(
+            {spec.shard_id: (method, args) for spec in self.specs}
         )
+        return [results[spec.shard_id] for spec in self.specs]
+
+    def _run_absorbing(
+        self,
+        shard_ids,
+        method: str,
+        args: Tuple,
+        notifications: List[Notification],
+    ) -> None:
+        """Fan one notifying command out to ``shard_ids``; absorb each
+        shard's notifications in ascending shard order."""
+        results = self.executor.run(
+            {shard_id: (method, args) for shard_id in shard_ids}
+        )
+        for shard_id in sorted(results):
+            shard_notifications, _ = results[shard_id]
+            notifications.extend(self._absorb(shard_notifications))
 
     # ------------------------------------------------------------------
     # Routing
@@ -917,7 +773,15 @@ class ShardedElapsServer:
     @property
     def shards(self) -> int:
         """The shard count K."""
-        return len(self.shard_servers)
+        return len(self.specs)
+
+    def _column_map(self, specs: Sequence[ShardSpec]) -> List[int]:
+        """The ``column → shard_id`` table of a band layout."""
+        table = [0] * self.grid.n
+        for spec in specs:
+            for column in range(spec.col_lo, spec.col_hi):
+                table[column] = spec.shard_id
+        return table
 
     def shard_of_point(self, p: Point) -> int:
         """The shard whose band contains ``p``."""
@@ -1052,19 +916,12 @@ class ShardedElapsServer:
             if not new:
                 return
             record.homes |= new
-            subscription = record.subscription
-            results = self.executor.run(
-                {
-                    shard_id: self._call(
-                        shard_id, "subscribe",
-                        subscription, record.location, record.velocity, now,
-                    )
-                    for shard_id in new
-                }
+            self._run_absorbing(
+                new,
+                "subscribe",
+                (record.subscription, record.location, record.velocity, now),
+                notifications,
             )
-            for shard_id in sorted(results):
-                shard_notifications, _ = results[shard_id]
-                notifications.extend(self._absorb(shard_notifications))
             self._recompute_held(record)
 
     def _prune_homes(
@@ -1096,9 +953,7 @@ class ShardedElapsServer:
             record.shard_regions.pop(shard_id, None)
         self.executor.run(
             {
-                shard_id: self._call(
-                    shard_id, "unsubscribe", record.subscription.sub_id
-                )
+                shard_id: ("unsubscribe", (record.subscription.sub_id,))
                 for shard_id in stale
             }
         )
@@ -1136,19 +991,16 @@ class ShardedElapsServer:
                         accumulator = shipped.setdefault(sub_id, set())
                         accumulator.update(actually_removed)
                 self._rehome(record, now, notifications)
+        if self.transport is None:
+            return
         for sub_id, what in shipped.items():
             record = self.subscribers.get(sub_id)
             if record is None or record.safe is None:
                 continue
             if what == "full":
-                self._ship_held(record)
+                self.transport.ship_region(sub_id, record.safe)
             elif what:
-                if self.transport is not None:
-                    self.transport.ship_delta(sub_id, frozenset(what), record.safe)
-
-    def _ship_held(self, record: ShardedSubscriberRecord) -> None:
-        if self.transport is not None and record.safe is not None:
-            self.transport.ship_region(record.subscription.sub_id, record.safe)
+                self.transport.ship_delta(sub_id, frozenset(what), record.safe)
 
     # ------------------------------------------------------------------
     # Public surface (mirrors ElapsServer)
@@ -1158,8 +1010,12 @@ class ShardedElapsServer:
         groups: Dict[int, List[Event]] = {}
         for event in events:
             groups.setdefault(self.shard_of_point(event.location), []).append(event)
-        for shard_id, shard_events in sorted(groups.items()):
-            self.shard_servers[shard_id].bootstrap(shard_events)
+        self.executor.run(
+            {
+                shard_id: ("bootstrap", (shard_events,))
+                for shard_id, shard_events in groups.items()
+            }
+        )
 
     def subscribe(
         self,
@@ -1190,17 +1046,12 @@ class ShardedElapsServer:
             # holds one (their delivered sets survive, matching the
             # single server's reconnect semantics).
             record.homes = set(existing.homes)
-            results = self.executor.run(
-                {
-                    shard_id: self._call(
-                        shard_id, "subscribe", subscription, location, velocity, now
-                    )
-                    for shard_id in record.homes
-                }
+            self._run_absorbing(
+                record.homes,
+                "subscribe",
+                (subscription, location, velocity, now),
+                notifications,
             )
-            for shard_id in sorted(results):
-                shard_notifications, _ = results[shard_id]
-                notifications.extend(self._absorb(shard_notifications))
             self._recompute_held(record)
         self._rehome(record, now, notifications)
         self._settle(now, notifications)
@@ -1215,10 +1066,7 @@ class ShardedElapsServer:
             self._dirty.pop(sub_id, None)
         if record.homes:
             self.executor.run(
-                {
-                    shard_id: self._call(shard_id, "unsubscribe", sub_id)
-                    for shard_id in record.homes
-                }
+                {shard_id: ("unsubscribe", (sub_id,)) for shard_id in record.homes}
             )
 
     def publish(self, event: Event, now: int) -> List[Notification]:
@@ -1249,7 +1097,7 @@ class ShardedElapsServer:
             groups.setdefault(self.shard_of_point(event.location), []).append(event)
         results = self.executor.run(
             {
-                shard_id: self._call(shard_id, "publish_batch", shard_events, now)
+                shard_id: ("publish_batch", (shard_events, now))
                 for shard_id, shard_events in groups.items()
             }
         )
@@ -1273,18 +1121,13 @@ class ShardedElapsServer:
         record = self.subscribers[sub_id]
         record.location = location
         record.velocity = velocity
-        results = self.executor.run(
-            {
-                shard_id: self._call(
-                    shard_id, "report_location", sub_id, location, velocity, now
-                )
-                for shard_id in record.homes
-            }
-        )
         notifications: List[Notification] = []
-        for shard_id in sorted(results):
-            shard_notifications, _ = results[shard_id]
-            notifications.extend(self._absorb(shard_notifications))
+        self._run_absorbing(
+            record.homes,
+            "report_location",
+            (sub_id, location, velocity, now),
+            notifications,
+        )
         self._settle(now, notifications)
         return notifications, record.safe
 
@@ -1301,39 +1144,23 @@ class ShardedElapsServer:
         record.location = location
         record.velocity = velocity
         record.delivered = set(received)
-        results = self.executor.run(
-            {
-                shard_id: self._call(
-                    shard_id, "resync", sub_id, location, velocity, received, now
-                )
-                for shard_id in record.homes
-            }
-        )
         notifications: List[Notification] = []
-        for shard_id in sorted(results):
-            shard_notifications, _ = results[shard_id]
-            notifications.extend(self._absorb(shard_notifications))
+        self._run_absorbing(
+            record.homes,
+            "resync",
+            (sub_id, location, velocity, received, now),
+            notifications,
+        )
         self._settle(now, notifications)
         return notifications, record.safe
 
     def expire_due_events(self, now: int) -> int:
         """Expire on every shard; Lemma 4 — still no client traffic."""
-        results = self.executor.run(
-            {
-                spec.shard_id: self._call(spec.shard_id, "expire_due_events", now)
-                for spec in self.specs
-            }
-        )
-        return sum(results.values())
+        return sum(self._run_all("expire_due_events", now))
 
     def rebuild_all(self, now: int) -> None:
         """Rebuild every record on every shard with fresh statistics."""
-        self.executor.run(
-            {
-                spec.shard_id: self._call(spec.shard_id, "rebuild_all", now)
-                for spec in self.specs
-            }
-        )
+        self._run_all("rebuild_all", now)
         self._settle(now, [])
 
     # ------------------------------------------------------------------
@@ -1352,16 +1179,13 @@ class ShardedElapsServer:
         self._events_seen += len(events)
         self._events_since_check += len(events)
 
-    def _band_loads(self) -> List[float]:
-        """Observed load per current band (sum of its column counters)."""
+    def shard_loads(self) -> List[float]:
+        """The rebalance signal: observed event load per current band
+        (the sum of its column counters)."""
         return [
             sum(self._column_load[spec.col_lo : spec.col_hi])
             for spec in self.specs
         ]
-
-    def shard_loads(self) -> List[float]:
-        """The rebalance signal: observed event load per band."""
-        return self._band_loads()
 
     def _balanced_bounds(self) -> List[int]:
         """Column boundaries giving every band an equal share of the
@@ -1397,7 +1221,7 @@ class ShardedElapsServer:
         if self._events_since_check < policy.check_every:
             return
         self._events_since_check = 0
-        loads = self._band_loads()
+        loads = self.shard_loads()
         total = sum(loads)
         if total <= 0.0:
             return
@@ -1445,20 +1269,19 @@ class ShardedElapsServer:
         n = self.grid.n
         old_map = self._shard_by_column
         new_specs = partition_columns(self.grid, bounds)
-        new_map = [0] * n
-        for spec in new_specs:
-            for column in range(spec.col_lo, spec.col_hi):
-                new_map[column] = spec.shard_id
+        new_map = self._column_map(new_specs)
         if new_map == old_map:
             return
-        pre_members: List[Set[int]] = [
-            {
-                sub_id
-                for sub_id, record in self.subscribers.items()
-                if shard_id in record.homes
-            }
-            for shard_id in range(len(self.specs))
-        ]
+
+        def members() -> List[Set[int]]:
+            """The subscriber ids homed on each shard right now."""
+            homed: List[Set[int]] = [set() for _ in self.specs]
+            for sub_id, record in self.subscribers.items():
+                for shard_id in record.homes:
+                    homed[shard_id].add(sub_id)
+            return homed
+
+        pre_members = members()
         # 1. Extract every moving column's events from its donor shard,
         #    as contiguous half-open ranges (journaled on the donor).
         donor_ranges: Dict[int, List[Tuple[int, int]]] = {}
@@ -1478,9 +1301,7 @@ class ShardedElapsServer:
             donor_ranges.setdefault(donor, []).append((start, column))
         extracted = self.executor.run(
             {
-                donor: self._call(
-                    donor, "extract_events_in_columns", tuple(ranges)
-                )
+                donor: ("extract_events_in_columns", (tuple(ranges),))
                 for donor, ranges in donor_ranges.items()
             }
         )
@@ -1501,7 +1322,7 @@ class ShardedElapsServer:
         if regroup:
             self.executor.run(
                 {
-                    shard_id: self._call(shard_id, "bootstrap", group)
+                    shard_id: ("bootstrap", (group,))
                     for shard_id, group in regroup.items()
                 }
             )
@@ -1519,20 +1340,13 @@ class ShardedElapsServer:
         order = tuple(self.subscribers)
         gaining = [
             shard_id
-            for shard_id in range(len(self.specs))
-            if {
-                sub_id
-                for sub_id, record in self.subscribers.items()
-                if shard_id in record.homes
-            }
-            - pre_members[shard_id]
+            for shard_id, (after, before) in enumerate(zip(members(), pre_members))
+            if after - before
         ]
         if gaining:
             self.executor.run(
                 {
-                    shard_id: self._call(
-                        shard_id, "resequence_subscriptions", order
-                    )
+                    shard_id: ("resequence_subscriptions", (order,))
                     for shard_id in gaining
                 }
             )
@@ -1580,7 +1394,7 @@ class ShardedElapsServer:
 
     def system_stats(self, now: int) -> SystemStats:
         """Fleet-wide cost-model inputs: summed rate, summed corpus."""
-        shard_stats = [worker.system_stats(now) for worker in self.shard_servers]
+        shard_stats = self._run_all("system_stats", now)
         return SystemStats(
             event_rate=sum(s.event_rate for s in shard_stats),
             total_events=sum(s.total_events for s in shard_stats),
@@ -1591,8 +1405,7 @@ class ShardedElapsServer:
     # ------------------------------------------------------------------
     def snapshot(self) -> None:
         """Snapshot every worker (each rotates its own band journal)."""
-        for worker in self.shard_servers:
-            worker.snapshot()
+        self._run_all("snapshot")
 
     def recover(self) -> int:
         """Recover every worker from its band journal, then rebuild the
@@ -1621,19 +1434,14 @@ class ShardedElapsServer:
             self.specs = partition_columns(
                 self.grid, [int(b) for b in fleet_meta["bounds"]]
             )
-            self._shard_by_column = [0] * self.grid.n
-            for spec in self.specs:
-                for column in range(spec.col_lo, spec.col_hi):
-                    self._shard_by_column[column] = spec.shard_id
+            self._shard_by_column = self._column_map(self.specs)
             self.rebalances = int(fleet_meta.get("rebalances", 0))
-        applied = 0
-        for worker in self.shard_servers:
-            applied += worker.recover()
+        applied = sum(self._run_all("recover"))
         self.subscribers = {}
         with self._mutex:
             self._dirty = {}
-        for shard_id, worker in enumerate(self.shard_servers):
-            for sub_id, shard_record in worker.subscribers.items():
+        for shard_id, views in enumerate(self._run_all("__describe__")):
+            for sub_id, shard_record in views.items():
                 record = self.subscribers.get(sub_id)
                 if record is None:
                     record = ShardedSubscriberRecord(
@@ -1658,21 +1466,21 @@ class ShardedElapsServer:
     def merged_metrics(self) -> CommunicationStats:
         """Coordinator counters plus every worker's, field-wise."""
         merged = self.metrics
-        for worker in self.shard_servers:
-            merged = merged.merged_with(worker.metrics)
+        for stats in self._run_all("__metrics__"):
+            merged = merged.merged_with(stats)
         return merged
 
     def merged_registry(self) -> MetricsRegistry:
         """Coordinator registry plus every worker's (histograms bucket-wise)."""
         merged = self.registry
-        for worker in self.shard_servers:
-            merged = merged.merged_with(worker.registry)
+        for stats, spans in self._run_all("__registry__"):
+            merged = merged.merged_with(_registry_from_parts(stats, spans))
         return merged
 
     def corpus_matches(self, expression) -> Iterator[Event]:
         """Every live be-matching event, across all shards' corpora."""
         return itertools.chain.from_iterable(
-            worker.corpus_matches(expression) for worker in self.shard_servers
+            self._run_all("__corpus__", expression)
         )
 
     def delivered_ids(self, sub_id: int) -> FrozenSet[int]:
@@ -1680,10 +1488,9 @@ class ShardedElapsServer:
         return frozenset(self.subscribers[sub_id].delivered)
 
     def close(self) -> None:
-        """Shut the executor down and release the workers' journals."""
+        """Shut the executor down; it closes the servers it hosts (and
+        with them the band journals)."""
         self.executor.close()
-        for worker in self.shard_servers:
-            worker.close()
 
     def __enter__(self) -> "ShardedElapsServer":
         return self

@@ -42,6 +42,7 @@ from ..system.journal import (
     Journal,
     JournalRecord,
     JournalSpec,
+    apply_record,
     read_records,
 )
 from ..system.server import Notification
@@ -273,32 +274,6 @@ def replay_trace(
     path = trace.path if isinstance(trace, JournalSpec) else trace
     result = ReplayResult()
     for record in _regroup(list(read_records(path)), batch_size):
-        kind = record.kind
-        if kind == BOOTSTRAP:
-            server.bootstrap(record.events)
-        elif kind == SUBSCRIBE:
-            notifications, _ = server.subscribe(
-                record.subscription, record.location, record.velocity, now=record.now
-            )
-            result.notifications.extend(notifications)
-        elif kind == UNSUBSCRIBE:
-            server.unsubscribe(record.sub_id)
-        elif kind == LOCATION:
-            notifications, _ = server.report_location(
-                record.sub_id, record.location, record.velocity, now=record.now
-            )
-            result.notifications.extend(notifications)
-        elif kind == RESYNC:
-            notifications, _ = server.resync(
-                record.sub_id, record.location, record.velocity,
-                record.received, now=record.now,
-            )
-            result.notifications.extend(notifications)
-        elif kind in (PUBLISH, PUBLISH_BATCH):
-            result.notifications.extend(
-                server.publish_batch(list(record.events), record.now)
-            )
-        elif kind == EXPIRE:
-            server.expire_due_events(record.now)
+        result.notifications.extend(apply_record(server, record))
         result.records_applied += 1
     return result

@@ -10,8 +10,8 @@ Four layers of coverage:
   push re-syncs the chain;
 * end-to-end behaviours over real sockets: golden-trace byte-identity on
   the no-shed path, slow-consumer disconnects, supersede under a stalled
-  reader, admission control, the ``stop()`` leak fix, ``push_errors``,
-  and the dispatch-offload mode;
+  reader, admission control, the ``stop()`` leak fix and
+  ``push_errors``;
 * a chaos run (``-m chaos``): a throttled reader behind the fault proxy
   is shed and disconnected, then heals through reconnect + resync into
   an exactly-once delivered set.
@@ -589,34 +589,6 @@ class TestPushErrors:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.02)
             assert metrics.push_errors == 1
-            await subscriber.close()
-            await publisher.close()
-            await tcp.stop()
-
-        run(scenario())
-
-
-class TestDispatchOffload:
-    def test_full_round_trip_with_core_offloaded(self):
-        async def scenario():
-            tcp = make_tcp_server(NetworkConfig(dispatch_offload=True))
-            await tcp.start()
-            subscriber = ElapsNetworkClient("127.0.0.1", tcp.port)
-            publisher = ElapsNetworkClient("127.0.0.1", tcp.port)
-            await subscriber.connect()
-            await publisher.connect()
-            received = await subscriber.subscribe(
-                make_sub(), Point(5_000, 5_000), Point(40, 0)
-            )
-            assert received  # region push arrived via the loop marshal
-            await publisher.publish(
-                400, {"topic": "sale"}, Point(5_100, 5_000), ttl=100
-            )
-            message = await subscriber.receive()
-            assert isinstance(message, NotificationMessage)
-            snapshot = await publisher.request_stats()
-            assert snapshot is not None
-            assert dict(snapshot.counters)["notifications"] >= 1
             await subscriber.close()
             await publisher.close()
             await tcp.stop()

@@ -3,8 +3,11 @@ owning a full per-shard ElapsServer behind pipe-shipped command messages.
 
 Two layers of coverage:
 
-* plumbing — command round-trips, locate upcalls, metrics/histogram
-  marshalling, tracer proxying, crash surfacing, close idempotency;
+* plumbing — ``(method, args)`` command round-trips, locate upcalls,
+  metrics/histogram marshalling, crash surfacing, close idempotency,
+  and one ``run`` of K commands per fleet-wide operation;
+* serial-vs-process equality of everything the coordinator pulls from
+  its shards (merged metrics, span histograms, corpus, recovered state);
 * the differential — the golden 20-subscriber/200-event trace must stay
   **byte-identical** to the frozen single-server log through a process
   fleet, including across a forced mid-run rebalance (marked ``fleet``:
@@ -23,16 +26,22 @@ from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import (
     CallbackTransport,
+    JournalSpec,
     ProcessExecutor,
     ServerConfig,
     SerialExecutor,
-    ShardCall,
     ShardedElapsServer,
     WorkerCrashed,
 )
 
 from test_golden_trace import GOLDEN, GROUPS, SPACE
-from test_sharding import make_sharded, make_sub, run_sharded_simulation, sale
+from test_sharding import (
+    launch_bare,
+    make_sharded,
+    make_sub,
+    run_sharded_simulation,
+    sale,
+)
 
 
 def make_process_fleet(shards=2, **kwargs):
@@ -107,12 +116,20 @@ class TestProcessPlumbing:
             assert registry.tracer.histogram("publish").count >= 1
 
     def test_tracer_attributes_proxy_across_the_pipe(self):
+        """``__tracer_set__`` flips the worker-side tracer: spans stop
+        and resume being recorded in the worker's own registry."""
+
+        def publish_spans(server):
+            _, spans = server.executor.run({0: ("__registry__", ())})[0]
+            return spans.get("publish", {"counts": []})["counts"]
+
         with make_process_fleet(2) as server:
-            worker = server.shard_servers[0]
-            worker.tracer.enabled = False
-            assert worker.tracer.enabled is False
-            worker.tracer.enabled = True
-            assert worker.tracer.enabled is True
+            server.executor.run({0: ("__tracer_set__", ("enabled", False))})
+            server.publish(sale(1, 1_000, 5_000), now=1)
+            assert sum(publish_spans(server)) == 0
+            server.executor.run({0: ("__tracer_set__", ("enabled", True))})
+            server.publish(sale(2, 1_000, 5_000), now=2)
+            assert sum(publish_spans(server)) == 1
 
     def test_remote_corpus_and_subscriber_views(self):
         with make_process_fleet(2) as server:
@@ -122,29 +139,170 @@ class TestProcessPlumbing:
             )
             matches = list(server.corpus_matches(make_sub().expression))
             assert [e.event_id for e in matches] == [1]
-            views = server.shard_servers[0].subscribers
+            views = server.executor.run({0: ("__describe__", ())})[0]
             assert 1 in views and views[1].delivered == frozenset({1})
 
     def test_worker_errors_carry_type_and_remote_traceback(self):
         with make_process_fleet(2) as server:
+            command = ("report_location", (999, Point(0, 0), Point(0, 0), 1))
             with pytest.raises(KeyError) as info:
-                server.shard_servers[0].report_location(
-                    999, Point(0, 0), Point(0, 0), 1
-                )
+                server.executor.run({0: command})
             assert "extract_events_in_columns" not in str(info.value)
-            assert hasattr(info.value, "_remote_traceback")
+            assert "report_location" in info.value._remote_traceback
             # the fleet survives a failed command
             server.publish(sale(5, 1_000, 5_000), now=1)
 
-    def test_run_rejects_plain_thunks(self):
-        with make_process_fleet(2) as server:
+    @pytest.mark.parametrize("make", [SerialExecutor, ProcessExecutor])
+    @pytest.mark.parametrize(
+        "command",
+        [lambda: 1, ("publish_batch",), ["expire_due_events", (1,)],
+         ("expire_due_events", 1), (b"expire_due_events", (1,))],
+        ids=["thunk", "no-args", "list", "bare-arg", "bytes-name"],
+    )
+    def test_a_malformed_command_is_a_typeerror_on_both_executors(
+        self, make, command
+    ):
+        with launch_bare(make()) as executor:
             with pytest.raises(TypeError):
-                server.executor.run({0: lambda: 1})
+                executor.run({0: command})
+            # rejected before it reached a server or a pipe
+            assert executor.run({0: ("expire_due_events", (1,))}) == {0: 0}
 
-    def test_shardcall_without_local_binding_rejects_local_call(self):
-        call = ShardCall("publish", (None, 1))
-        with pytest.raises(TypeError):
-            call()
+
+class CountingExecutor(ProcessExecutor):
+    """A process executor that remembers the size of every fan-out."""
+
+    def __init__(self):
+        super().__init__()
+        self.fanouts = []
+
+    def run(self, commands):
+        self.fanouts.append(sorted(commands))
+        return super().run(commands)
+
+
+class TestOneFanOutPerFleetOperation:
+    """Fleet-wide pulls are one ``run`` carrying K commands (the bands
+    work concurrently), never K sequential round-trips around it."""
+
+    def test_recover_snapshot_and_metric_pulls_are_single_fanouts(self, tmp_path):
+        config = ServerConfig(initial_rate=2.0, journal=JournalSpec(str(tmp_path)))
+        with make_sharded(2, executor=ProcessExecutor(), config=config) as server:
+            server.subscribe(
+                make_sub(radius=3_000.0), Point(5_000, 5_000), Point(0, 0), 0
+            )
+            server.publish(sale(10, 5_100, 5_000), now=1)
+        executor = CountingExecutor()
+        with make_sharded(2, executor=executor, config=config) as server:
+            for operation, fanouts in [
+                (server.recover, [[0, 1], [0, 1]]),  # replay, then describe
+                (server.snapshot, [[0, 1]]),
+                (server.merged_metrics, [[0, 1]]),
+                (server.merged_registry, [[0, 1]]),
+                (lambda: server.system_stats(now=2), [[0, 1]]),
+            ]:
+                executor.fanouts.clear()
+                operation()
+                assert executor.fanouts == fanouts, operation
+            assert server.delivered_ids(1) == frozenset({10})
+
+
+class TestSerialProcessEquality:
+    """Everything the coordinator pulls from its shards reads the same
+    whether the shards are in-process or behind pipes."""
+
+    @staticmethod
+    def drive(server):
+        rng = random.Random(11)
+        for sub_id in range(1, 9):
+            server.subscribe(
+                make_sub(sub_id=sub_id, radius=2_500.0),
+                Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)),
+                Point(0, 0),
+                0,
+            )
+        for tick in range(1, 9):
+            server.publish_batch(
+                [
+                    sale(
+                        tick * 100 + k,
+                        rng.uniform(0, 10_000),
+                        rng.uniform(0, 10_000),
+                        arrived_at=tick,
+                    )
+                    for k in range(12)
+                ],
+                now=tick,
+            )
+            sub_id = 1 + tick % 8
+            server.report_location(
+                sub_id,
+                Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)),
+                Point(0, 0),
+                tick,
+            )
+
+    @staticmethod
+    def coordinator_state(server):
+        return {
+            sub_id: (
+                sorted(record.homes),
+                record.owner,
+                sorted(record.delivered),
+                record.next_seq,
+                record.safe.complement,
+                sorted(record.safe.cells),
+            )
+            for sub_id, record in server.subscribers.items()
+        }
+
+    def pulled(self, server):
+        registry = server.merged_registry()
+        return {
+            "metrics": server.merged_metrics().as_dict(),
+            "stages": {
+                stage: histogram.count
+                for stage, histogram in registry.tracer.histograms.items()
+            },
+            "registry_counters": registry.stats.as_dict(),
+            "corpus": sorted(
+                e.event_id for e in server.corpus_matches(make_sub().expression)
+            ),
+            "stats": server.system_stats(now=9),
+            "state": self.coordinator_state(server),
+        }
+
+    def test_recovered_coordinator_state_matches(self, tmp_path):
+        config = ServerConfig(initial_rate=2.0, journal=JournalSpec(str(tmp_path)))
+        with make_sharded(2, executor=SerialExecutor(), config=config) as live:
+            self.drive(live)
+            before = self.pulled(live)
+        assert len(before["corpus"]) == 96
+        rebuilt = []
+        for make in (SerialExecutor, ProcessExecutor):
+            with make_sharded(2, executor=make(), config=config) as server:
+                assert server.recover() > 0
+                rebuilt.append(self.pulled(server))
+        serial, process = rebuilt
+        assert process["state"] == serial["state"]
+        assert process["corpus"] == serial["corpus"] == before["corpus"]
+        # against the live fleet: everything but the owner, which
+        # recovery re-derives from the last reported location
+        for sub_id, (homes, _, *rest) in before["state"].items():
+            recovered_homes, _, *recovered_rest = process["state"][sub_id]
+            assert (recovered_homes, recovered_rest) == (homes, rest)
+
+    def test_live_pulls_match_field_for_field(self):
+        results = []
+        for make in (SerialExecutor, ProcessExecutor):
+            with make_sharded(2, executor=make()) as server:
+                self.drive(server)
+                results.append(self.pulled(server))
+        serial, process = results
+        for pulled in results:  # the one wall-clock field
+            assert pulled["metrics"].pop("server_seconds") > 0
+            assert pulled["registry_counters"].pop("server_seconds") > 0
+        assert process == serial
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +327,7 @@ class TestProcessLifecycle:
         server = make_process_fleet(2)
         server.close()
         with pytest.raises(RuntimeError):
-            server.executor.call(0, "expire_due_events", 1)
+            server.executor.run({0: ("expire_due_events", (1,))})
 
     def test_worker_crash_surfaces_as_workercrashed(self):
         server = make_process_fleet(2)

@@ -104,8 +104,7 @@ class TestConfigurationSurface:
             "read_timeout", "write_timeout", "max_frame_length",
             "retain_subscribers", "ingress_queue", "send_queue",
             "send_queue_hard", "shed_policy", "slow_consumer_grace",
-            "max_connections", "dispatch_offload", "stop_timeout",
-            "write_buffer_limit",
+            "max_connections", "stop_timeout", "write_buffer_limit",
         }
 
     def test_client_config_fields(self):
@@ -124,3 +123,15 @@ class TestConfigurationSurface:
         assert executors == {"ShardExecutor", "SerialExecutor", "ProcessExecutor"}
         subclasses = {cls.__name__ for cls in repro.system.ShardExecutor.__subclasses__()}
         assert subclasses == {"SerialExecutor", "ProcessExecutor"}
+        # one task form — (method, args) tuples — so no command class,
+        # and nothing to choose when constructing either executor
+        import inspect
+        import repro.system.sharding as sharding
+
+        assert set(sharding.__all__) == executors | {
+            "RebalancePolicy", "ShardSpec", "ShardedElapsServer",
+            "WorkerCrashed", "partition_columns",
+        }
+        assert set(sharding.__all__) <= set(repro.system.__all__)
+        for name in ("SerialExecutor", "ProcessExecutor"):
+            assert not inspect.signature(getattr(sharding, name)).parameters

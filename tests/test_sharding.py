@@ -470,18 +470,47 @@ class TestAggregates:
 # ----------------------------------------------------------------------
 # Executor lifecycle
 # ----------------------------------------------------------------------
+def launch_bare(executor, shards=2):
+    """Launch ``shards`` bare band servers on ``executor`` with the
+    coordinator hooks stubbed — what a fleet constructor does, minus the
+    coordinator."""
+    executor.launch(
+        [
+            lambda transport: ElapsServer(
+                Grid(40, SPACE), IGM(max_cells=400), transport=transport
+            )
+        ]
+        * shards,
+        locate=lambda sub_id: None,
+        on_region=lambda *args: None,
+        on_delta=lambda *args: None,
+    )
+    return executor
+
+
 class TestExecutorLifecycle:
     @pytest.mark.parametrize("make", [SerialExecutor], ids=["serial"])
     def test_close_is_idempotent(self, make):
-        executor = make()
-        executor.run({0: lambda: 1})
+        executor = launch_bare(make())
+        assert executor.run({0: ("expire_due_events", (1,))}) == {0: 0}
         executor.close()
         executor.close()  # a second close must be a no-op
 
     def test_context_manager_closes_on_exit(self):
-        with SerialExecutor() as executor:
-            assert executor.run({0: lambda: 7, 1: lambda: 8}) == {0: 7, 1: 8}
+        with launch_bare(SerialExecutor()) as executor:
+            command = ("bootstrap", ([sale(1, 5_000, 5_000)],))
+            executor.run({1: command})
+            stats = executor.run(
+                {0: ("system_stats", (1,)), 1: ("system_stats", (1,))}
+            )
+            assert [stats[k].total_events for k in (0, 1)] == [0, 1]
         executor.close()  # already closed; still a no-op
+
+    def test_launch_twice_rejected(self):
+        executor = launch_bare(SerialExecutor())
+        with pytest.raises(RuntimeError):
+            launch_bare(executor)
+        executor.close()
 
     def test_a_falsy_executor_is_still_the_executor(self):
         """A tracing proxy around an executor may define ``__len__``;
