@@ -281,11 +281,14 @@ class ReconnectPolicy:
 class ClientConfig:
     """The shared configuration of both Elaps network clients.
 
-    :class:`~repro.system.network.ElapsNetworkClient` (the minimal
-    scripted client) and
-    :class:`~repro.system.network.ResilientElapsClient` (the supervised
-    subscriber) take the same value, so one config describes a client
-    fleet regardless of which wrapper it runs under.
+    They are different things, not two takes on one:
+    :class:`~repro.system.network.ElapsNetworkClient` is a *connection*
+    — no subscription of its own, any number of subscribers and the
+    publisher role multiplexed on one socket — and
+    :class:`~repro.system.network.ResilientElapsClient` is a
+    *subscriber* — one ``MobileClient``, supervised across reconnects.
+    Both take this value, so one config describes a client fleet
+    whichever of the two a role runs under.
     """
 
     #: seconds between keepalive frames (resilient client only)

@@ -4,11 +4,13 @@ The paper's server (PAPER.md §6) is purely in-memory: one restart loses
 the event corpus, every subscription, and every cached safe region.
 This module adds the durability substrate:
 
-* an **append-only journal** of the seven state-changing operations
-  (subscribe, unsubscribe, location report, resync, publish,
-  publish_batch, expiry sweep), one length-prefixed + CRC32-checksummed
-  record per operation, each carrying a monotonically increasing journal
-  sequence number;
+* an **append-only journal** of the state-changing operations
+  (:data:`OPERATIONS`: subscribe, unsubscribe, location report, resync,
+  publish, publish_batch, expiry sweep, bootstrap, band-move extract),
+  each recorded as the ``(method, args)`` command that performs it —
+  the value a fleet coordinator sends a shard — in one length-prefixed
+  + CRC32-checksummed record carrying a monotonically increasing
+  journal sequence number;
 * **snapshots** — a checksummed, atomically-renamed image of the full
   server state (corpus, subscription table, cached safe/impact regions,
   per-subscriber delivery state, :class:`CommunicationStats` counters)
@@ -41,20 +43,29 @@ by construction.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..expressions import Event, Subscription
 from ..geometry import Point
 from .protocol import (
-    _decode_scalar,
-    _decode_str,
-    _encode_scalar,
-    _encode_str,
+    _decode_pairs,
+    _encode_pairs,
     decode_expression,
     encode_expression,
 )
@@ -80,23 +91,6 @@ class JournalError(Exception):
 class JournalCorruptionError(JournalError):
     """A complete record (or snapshot) failed its checksum."""
 
-
-# Record kinds — one per state-changing public server operation.
-SUBSCRIBE = 1
-UNSUBSCRIBE = 2
-LOCATION = 3
-RESYNC = 4
-#: one event.  Servers write PUBLISH_BATCH for every publish; this kind
-#: is read from older journals and written by trace recording
-PUBLISH = 5
-PUBLISH_BATCH = 6
-EXPIRE = 7
-BOOTSTRAP = 8
-#: band migration (DESIGN.md §15): events in the recorded column ranges
-#: were extracted from this shard's corpus.  ``received`` carries the
-#: ranges flattened as ``(lo0, hi0, lo1, hi1, ...)``; extraction is
-#: deterministic given the corpus, so replay reproduces the removal.
-EXTRACT = 9
 
 _RECORD_HEADER = ">II"  # length, crc32
 _RECORD_HEADER_SIZE = struct.calcsize(_RECORD_HEADER)
@@ -136,56 +130,15 @@ class JournalSpec:
         )
 
 
-@dataclass
-class JournalRecord:
-    """One decoded journal record.  ``kind`` selects which of the
-    optional operation fields are meaningful."""
+class JournalRecord(NamedTuple):
+    """One journaled operation: ``(method, args)`` is the command a
+    fleet coordinator hands ``executor.run`` and what replay calls —
+    ``getattr(server, method)(*args)`` — stamped with the journal
+    sequence number it was (or, on append, is about to be) written at."""
 
-    kind: int
     seq: int
-    now: int = 0
-    sub_id: int = 0
-    subscription: Optional[Subscription] = None
-    location: Optional[Point] = None
-    velocity: Optional[Point] = None
-    received: Tuple[int, ...] = ()
-    events: Tuple[Event, ...] = ()
-
-
-def apply_record(server, record: JournalRecord) -> List:
-    """Drive one record through the public operation it logs, on any
-    server object (single or sharded); returns the notifications the
-    operation produced.  Recovery and trace replay share this switch."""
-    kind = record.kind
-    if kind == SUBSCRIBE:
-        return server.subscribe(
-            record.subscription, record.location, record.velocity, now=record.now
-        )[0]
-    if kind == LOCATION:
-        return server.report_location(
-            record.sub_id, record.location, record.velocity, now=record.now
-        )[0]
-    if kind == RESYNC:
-        return server.resync(
-            record.sub_id, record.location, record.velocity,
-            record.received, now=record.now,
-        )[0]
-    if kind in (PUBLISH, PUBLISH_BATCH):
-        # PUBLISH: the single-event record older journals hold —
-        # replayed as the batch of one it is.
-        return server.publish_batch(list(record.events), record.now)
-    if kind == UNSUBSCRIBE:
-        server.unsubscribe(record.sub_id)
-    elif kind == EXPIRE:
-        server.expire_due_events(record.now)
-    elif kind == BOOTSTRAP:
-        server.bootstrap(record.events)
-    elif kind == EXTRACT:
-        flat = record.received
-        server.extract_events_in_columns(list(zip(flat[0::2], flat[1::2])))
-    else:
-        raise JournalCorruptionError(f"unknown journal record kind {kind}")
-    return []
+    method: str
+    args: Tuple
 
 
 # ----------------------------------------------------------------------
@@ -200,44 +153,28 @@ def _decode_point(payload: bytes, offset: int) -> Tuple[Point, int]:
     return Point(x, y), offset + 16
 
 
+_EVENT = struct.Struct(">Qddqq")  # id, x, y, arrived, expires (-1 = never)
+
+
 def _encode_event(event: Event) -> bytes:
     """Events are stored with *absolute* arrival/expiry timestamps so a
     replayed corpus is bit-identical (EventPublishMessage's relative TTL
     would drift under replay)."""
     expires = -1 if event.expires_at is None else event.expires_at
-    parts = [
-        struct.pack(
-            ">Qddqq",
-            event.event_id,
-            event.location.x,
-            event.location.y,
-            event.arrived_at,
-            expires,
-        ),
-        struct.pack(">I", len(event.attributes)),
-    ]
     # Attribute order is preserved, not canonicalised: subscription
     # matching iterates the mapping, so replay is only byte-identical if
     # a decoded event probes the index partitions in the original order.
-    for name, value in event.attributes.items():
-        parts.append(_encode_str(name))
-        parts.append(_encode_scalar(value))
-    return b"".join(parts)
+    return _EVENT.pack(
+        event.event_id, event.location.x, event.location.y, event.arrived_at, expires
+    ) + _encode_pairs(event.attributes.items())
 
 
 def _decode_event(payload: bytes, offset: int) -> Tuple[Event, int]:
-    event_id, x, y, arrived, expires = struct.unpack_from(">Qddqq", payload, offset)
-    offset += struct.calcsize(">Qddqq")
-    (count,) = struct.unpack_from(">I", payload, offset)
-    offset += 4
-    attributes: Dict[str, object] = {}
-    for _ in range(count):
-        name, offset = _decode_str(payload, offset)
-        value, offset = _decode_scalar(payload, offset)
-        attributes[name] = value
+    event_id, x, y, arrived, expires = _EVENT.unpack_from(payload, offset)
+    attributes, offset = _decode_pairs(payload, offset + _EVENT.size)
     event = Event(
         event_id,
-        attributes,
+        dict(attributes),
         Point(x, y),
         arrived_at=arrived,
         expires_at=None if expires < 0 else expires,
@@ -261,107 +198,148 @@ def _decode_events(payload: bytes, offset: int) -> Tuple[Tuple[Event, ...], int]
     return tuple(events), offset
 
 
-def _encode_record_body(record: JournalRecord) -> bytes:
-    """The kind-specific body (everything after ``[seq][kind]``)."""
-    kind = record.kind
-    if kind == SUBSCRIBE:
-        assert record.subscription is not None
-        sub = record.subscription
-        return b"".join(
-            [
-                struct.pack(">Qdq", sub.sub_id, sub.radius, record.now),
-                _encode_point(record.location),
-                _encode_point(record.velocity),
-                encode_expression(sub.expression),
-            ]
-        )
-    if kind == UNSUBSCRIBE:
-        return struct.pack(">Qq", record.sub_id, record.now)
-    if kind == LOCATION:
-        return b"".join(
-            [
-                struct.pack(">Qq", record.sub_id, record.now),
-                _encode_point(record.location),
-                _encode_point(record.velocity),
-            ]
-        )
-    if kind == RESYNC:
-        return b"".join(
-            [
-                struct.pack(">Qq", record.sub_id, record.now),
-                _encode_point(record.location),
-                _encode_point(record.velocity),
-                struct.pack(f">I{len(record.received)}Q", len(record.received),
-                            *record.received),
-            ]
-        )
-    if kind == PUBLISH:
-        return struct.pack(">q", record.now) + _encode_event(record.events[0])
-    if kind in (PUBLISH_BATCH, BOOTSTRAP):
-        return struct.pack(">q", record.now) + _encode_events(record.events)
-    if kind == EXPIRE:
-        return struct.pack(">q", record.now)
-    if kind == EXTRACT:
-        return struct.pack(
-            f">I{len(record.received)}Q", len(record.received), *record.received
-        )
-    raise JournalError(f"unknown journal record kind: {kind}")
+def _encode_ids(ids: Sequence[int]) -> bytes:
+    return struct.pack(f">I{len(ids)}Q", len(ids), *ids)
+
+
+def _decode_ids(payload: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
+    (count,) = struct.unpack_from(">I", payload, offset)
+    return struct.unpack_from(f">{count}Q", payload, offset + 4), offset + 4 + 8 * count
+
+
+# ----------------------------------------------------------------------
+# Record bodies: one encoder/decoder pair per journaled operation.  An
+# encoder takes the operation's positional arguments; a decoder takes
+# the record payload and the offset of its body and returns them.
+# ----------------------------------------------------------------------
+_SUBSCRIBE = struct.Struct(">Qdqdddd")  # sub id, radius, now, location, velocity
+_MOVE = struct.Struct(">Qqdddd")  # sub id, now, location, velocity
+_ID_NOW = struct.Struct(">Qq")
+_NOW = struct.Struct(">q")
+
+
+def _encode_subscribe(subscription, location, velocity, now) -> bytes:
+    return _SUBSCRIBE.pack(
+        subscription.sub_id, subscription.radius, now,
+        location.x, location.y, velocity.x, velocity.y,
+    ) + encode_expression(subscription.expression)
+
+
+def _decode_subscribe(payload: bytes, offset: int) -> Tuple:
+    sub_id, radius, now, x, y, vx, vy = _SUBSCRIBE.unpack_from(payload, offset)
+    expression, _ = decode_expression(payload, offset + _SUBSCRIBE.size)
+    return Subscription(sub_id, expression, radius), Point(x, y), Point(vx, vy), now
+
+
+def _encode_unsubscribe(sub_id) -> bytes:
+    return _ID_NOW.pack(sub_id, 0)  # the format reserves a timestamp
+
+
+def _decode_unsubscribe(payload: bytes, offset: int) -> Tuple:
+    return _ID_NOW.unpack_from(payload, offset)[:1]
+
+
+def _encode_report_location(sub_id, location, velocity, now) -> bytes:
+    return _MOVE.pack(sub_id, now, location.x, location.y, velocity.x, velocity.y)
+
+
+def _decode_report_location(payload: bytes, offset: int) -> Tuple:
+    sub_id, now, x, y, vx, vy = _MOVE.unpack_from(payload, offset)
+    return sub_id, Point(x, y), Point(vx, vy), now
+
+
+def _encode_resync(sub_id, location, velocity, received, now) -> bytes:
+    return _encode_report_location(sub_id, location, velocity, now) + _encode_ids(
+        received
+    )
+
+
+def _decode_resync(payload: bytes, offset: int) -> Tuple:
+    sub_id, location, velocity, now = _decode_report_location(payload, offset)
+    received, _ = _decode_ids(payload, offset + _MOVE.size)
+    return sub_id, location, velocity, received, now
+
+
+def _encode_publish(event, now) -> bytes:
+    return _NOW.pack(now) + _encode_event(event)
+
+
+def _decode_publish(payload: bytes, offset: int) -> Tuple:
+    (now,) = _NOW.unpack_from(payload, offset)
+    return _decode_event(payload, offset + _NOW.size)[0], now
+
+
+def _encode_publish_batch(events, now) -> bytes:
+    return _NOW.pack(now) + _encode_events(events)
+
+
+def _decode_publish_batch(payload: bytes, offset: int) -> Tuple:
+    (now,) = _NOW.unpack_from(payload, offset)
+    return _decode_events(payload, offset + _NOW.size)[0], now
+
+
+def _encode_bootstrap(events) -> bytes:
+    return _encode_publish_batch(events, 0)  # the format reserves a timestamp
+
+
+def _decode_bootstrap(payload: bytes, offset: int) -> Tuple:
+    return _decode_publish_batch(payload, offset)[:1]
+
+
+def _decode_expire(payload: bytes, offset: int) -> Tuple:
+    return _NOW.unpack_from(payload, offset)
+
+
+def _encode_extract(ranges) -> bytes:
+    # band migration (DESIGN.md §15): the half-open column ranges whose
+    # events left this shard's corpus, flattened ``lo0, hi0, lo1, hi1…``;
+    # extraction is deterministic given the corpus, so replay redoes it
+    return _encode_ids(tuple(itertools.chain.from_iterable(ranges)))
+
+
+def _decode_extract(payload: bytes, offset: int) -> Tuple:
+    flat, _ = _decode_ids(payload, offset)
+    return (tuple(zip(flat[0::2], flat[1::2])),)
+
+
+#: every journaled operation: the public server method it is →
+#: ``(kind byte on disk, encode(*args) -> body, decode(payload, offset)
+#: -> args)``.  Servers write a single publish as a ``publish_batch`` of
+#: one; ``publish`` records come from older journals and from trace
+#: recording (which logs the call the client made).
+OPERATIONS: Dict[str, Tuple[int, Callable, Callable]] = {
+    "subscribe": (1, _encode_subscribe, _decode_subscribe),
+    "unsubscribe": (2, _encode_unsubscribe, _decode_unsubscribe),
+    "report_location": (3, _encode_report_location, _decode_report_location),
+    "resync": (4, _encode_resync, _decode_resync),
+    "publish": (5, _encode_publish, _decode_publish),
+    "publish_batch": (6, _encode_publish_batch, _decode_publish_batch),
+    "expire_due_events": (7, _NOW.pack, _decode_expire),
+    "bootstrap": (8, _encode_bootstrap, _decode_bootstrap),
+    "extract_events_in_columns": (9, _encode_extract, _decode_extract),
+}
+_BY_KIND = {kind: (method, decode) for method, (kind, _, decode) in OPERATIONS.items()}
+#: the operations that insert arriving events (replay reshapes these,
+#: recovery tolerates one that failed validation after it was logged)
+PUBLISHES = ("publish", "publish_batch")
+
+
+def _encode_record(seq: int, method: str, args: Tuple) -> bytes:
+    """The record payload: ``[seq][kind][body]``."""
+    try:
+        kind, encode, _ = OPERATIONS[method]
+    except KeyError:
+        raise JournalError(f"not a journaled operation: {method!r}") from None
+    return struct.pack(_SEQ_KIND, seq, kind) + encode(*args)
 
 
 def _decode_record(payload: bytes) -> JournalRecord:
     seq, kind = struct.unpack_from(_SEQ_KIND, payload, 0)
-    offset = _SEQ_KIND_SIZE
-    if kind == SUBSCRIBE:
-        sub_id, radius, now = struct.unpack_from(">Qdq", payload, offset)
-        offset += struct.calcsize(">Qdq")
-        location, offset = _decode_point(payload, offset)
-        velocity, offset = _decode_point(payload, offset)
-        expression, offset = decode_expression(payload, offset)
-        return JournalRecord(
-            kind, seq, now=now, sub_id=sub_id,
-            subscription=Subscription(sub_id, expression, radius),
-            location=location, velocity=velocity,
-        )
-    if kind == UNSUBSCRIBE:
-        sub_id, now = struct.unpack_from(">Qq", payload, offset)
-        return JournalRecord(kind, seq, now=now, sub_id=sub_id)
-    if kind == LOCATION:
-        sub_id, now = struct.unpack_from(">Qq", payload, offset)
-        offset += struct.calcsize(">Qq")
-        location, offset = _decode_point(payload, offset)
-        velocity, offset = _decode_point(payload, offset)
-        return JournalRecord(
-            kind, seq, now=now, sub_id=sub_id, location=location, velocity=velocity
-        )
-    if kind == RESYNC:
-        sub_id, now = struct.unpack_from(">Qq", payload, offset)
-        offset += struct.calcsize(">Qq")
-        location, offset = _decode_point(payload, offset)
-        velocity, offset = _decode_point(payload, offset)
-        (count,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        received = struct.unpack_from(f">{count}Q", payload, offset)
-        return JournalRecord(
-            kind, seq, now=now, sub_id=sub_id, location=location,
-            velocity=velocity, received=tuple(received),
-        )
-    if kind == PUBLISH:
-        (now,) = struct.unpack_from(">q", payload, offset)
-        event, _ = _decode_event(payload, offset + 8)
-        return JournalRecord(kind, seq, now=now, events=(event,))
-    if kind in (PUBLISH_BATCH, BOOTSTRAP):
-        (now,) = struct.unpack_from(">q", payload, offset)
-        events, _ = _decode_events(payload, offset + 8)
-        return JournalRecord(kind, seq, now=now, events=events)
-    if kind == EXPIRE:
-        (now,) = struct.unpack_from(">q", payload, offset)
-        return JournalRecord(kind, seq, now=now)
-    if kind == EXTRACT:
-        (count,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        flat = struct.unpack_from(f">{count}Q", payload, offset)
-        return JournalRecord(kind, seq, received=tuple(flat))
-    raise JournalCorruptionError(f"unknown journal record kind: {kind}")
+    try:
+        method, decode = _BY_KIND[kind]
+    except KeyError:
+        raise JournalCorruptionError(f"unknown journal record kind: {kind}") from None
+    return JournalRecord(seq, method, decode(payload, _SEQ_KIND_SIZE))
 
 
 # ----------------------------------------------------------------------
@@ -446,23 +424,11 @@ def encode_snapshot(snapshot: ServerSnapshot) -> bytes:
         parts.append(_encode_point(sub.location))
         parts.append(_encode_point(sub.velocity))
         parts.append(encode_expression(sub.subscription.expression))
-        parts.append(struct.pack(f">I{len(delivered)}Q", len(delivered), *delivered))
+        parts.append(_encode_ids(delivered))
         parts.append(_encode_region(sub.safe))
         parts.append(_encode_region(sub.impact))
-    counters = snapshot.counters
-    parts.append(struct.pack(">I", len(counters)))
-    for name in sorted(counters):
-        parts.append(_encode_str(name))
-        parts.append(_encode_scalar(_counter_scalar(counters[name])))
+    parts.append(_encode_pairs(sorted(snapshot.counters.items())))
     return b"".join(parts)
-
-
-def _counter_scalar(value: object) -> object:
-    # CommunicationStats.bytes_measured is a bool; the tagged-scalar
-    # codec only speaks int/float/str, so send it through as an int.
-    if isinstance(value, bool):
-        return int(value)
-    return value
 
 
 def decode_snapshot(payload: bytes) -> ServerSnapshot:
@@ -481,10 +447,7 @@ def decode_snapshot(payload: bytes) -> ServerSnapshot:
         location, offset = _decode_point(payload, offset)
         velocity, offset = _decode_point(payload, offset)
         expression, offset = decode_expression(payload, offset)
-        (delivered_count,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        delivered = struct.unpack_from(f">{delivered_count}Q", payload, offset)
-        offset += 8 * delivered_count
+        delivered, offset = _decode_ids(payload, offset)
         safe, offset = _decode_region(payload, offset)
         impact, offset = _decode_region(payload, offset)
         subscribers.append(
@@ -498,20 +461,14 @@ def decode_snapshot(payload: bytes) -> ServerSnapshot:
                 impact=impact,
             )
         )
-    (counter_count,) = struct.unpack_from(">I", payload, offset)
-    offset += 4
-    counters: Dict[str, object] = {}
-    for _ in range(counter_count):
-        name, offset = _decode_str(payload, offset)
-        value, offset = _decode_scalar(payload, offset)
-        counters[name] = value
+    counters, _ = _decode_pairs(payload, offset)
     return ServerSnapshot(
         last_seq=last_seq,
         started_at=None if started < 0 else started,
         arrival_times=arrival_times,
         events=list(events),
         subscribers=subscribers,
-        counters=counters,
+        counters=dict(counters),
     )
 
 
@@ -606,14 +563,13 @@ class Journal:
 
     # -- appending ------------------------------------------------------
     def append(self, record: JournalRecord) -> int:
-        """Assign the next sequence number to ``record``, append it, and
-        return the number of bytes written."""
+        """Append ``record``'s command under the next sequence number
+        (the ``seq`` it carries is ignored, so what :meth:`records`
+        yields can be appended as is); return the bytes written."""
         if self.suspended:
             return 0
+        payload = _encode_record(self.seq + 1, record.method, record.args)
         self.seq += 1
-        record.seq = self.seq
-        payload = struct.pack(_SEQ_KIND, record.seq, record.kind)
-        payload += _encode_record_body(record)
         frame = struct.pack(_RECORD_HEADER, len(payload), zlib.crc32(payload))
         self._log.write(frame + payload)
         self._log.flush()
@@ -634,10 +590,7 @@ class Journal:
     def records(self, after_seq: int = 0) -> Iterator[JournalRecord]:
         """Decode every record beyond ``after_seq`` from disk."""
         self._log.flush()
-        raw, _, _ = _scan_log(self._log_path)
-        for seq, payload in raw:
-            if seq > after_seq:
-                yield _decode_record(payload)
+        return read_records(self.path, after_seq)
 
     # -- snapshots ------------------------------------------------------
     def write_snapshot(self, body: bytes, seq: int) -> int:

@@ -928,7 +928,11 @@ class ElapsTCPServer:
 
 
 class ElapsNetworkClient:
-    """A minimal subscriber/publisher client for :class:`ElapsTCPServer`."""
+    """One *connection* to an :class:`ElapsTCPServer`: frames out,
+    frames in, no subscription at construction and no subscriber state,
+    so one socket carries any number of subscribers plus the publisher
+    role.  (:class:`ResilientElapsClient` is the other thing — one
+    supervised subscriber — not this with reconnection added.)"""
 
     def __init__(
         self, host: str, port: int, config: Optional[ClientConfig] = None
@@ -1016,9 +1020,11 @@ class ElapsNetworkClient:
 # Resilient subscriber
 # ----------------------------------------------------------------------
 class ResilientElapsClient:
-    """A subscriber that survives resets, drops, and silent networks.
+    """A *subscriber* that survives resets, drops, and silent networks
+    (for a bare connection carrying many roles, see
+    :class:`ElapsNetworkClient`).
 
-    Wraps a :class:`~repro.system.client.MobileClient` (the durable
+    Wraps one :class:`~repro.system.client.MobileClient` (the durable
     state: subscription, location, received events) in a supervised
     connection loop:
 

@@ -104,6 +104,28 @@ def _decode_str(buffer: bytes, offset: int) -> Tuple[str, int]:
     return buffer[offset : offset + length].decode("utf-8"), offset + length
 
 
+def _encode_pairs(pairs) -> bytes:
+    """``[u32 count][str name, tagged scalar]*`` in iteration order —
+    event attributes and counters, on the wire and in the journal.  A
+    bool (``bytes_measured``) travels as 0/1."""
+    parts = [struct.pack(">I", len(pairs))]
+    for name, value in pairs:
+        parts.append(_encode_str(name))
+        parts.append(_encode_scalar(int(value) if isinstance(value, bool) else value))
+    return b"".join(parts)
+
+
+def _decode_pairs(buffer: bytes, offset: int) -> Tuple[List[Tuple[str, object]], int]:
+    (count,) = struct.unpack_from(">I", buffer, offset)
+    offset += 4
+    pairs = []
+    for _ in range(count):
+        name, offset = _decode_str(buffer, offset)
+        value, offset = _decode_scalar(buffer, offset)
+        pairs.append((name, value))
+    return pairs, offset
+
+
 # ----------------------------------------------------------------------
 # Expression encoding
 # ----------------------------------------------------------------------
@@ -327,32 +349,20 @@ class NotificationMessage:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        parts = [
-            struct.pack(
-                ">QQQddI",
-                self.sub_id,
-                self.event_id,
-                self.seq,
-                self.location.x,
-                self.location.y,
-                len(self.attributes),
-            )
-        ]
-        for name, value in self.attributes:
-            parts.append(_encode_str(name))
-            parts.append(_encode_scalar(value))
-        return b"".join(parts)
+        return struct.pack(
+            ">QQQdd",
+            self.sub_id,
+            self.event_id,
+            self.seq,
+            self.location.x,
+            self.location.y,
+        ) + _encode_pairs(self.attributes)
 
     @classmethod
     def decode_payload(cls, payload: bytes) -> "NotificationMessage":
         """Inverse of :meth:`encode_payload`."""
-        sub_id, event_id, seq, x, y, count = struct.unpack_from(">QQQddI", payload, 0)
-        offset = struct.calcsize(">QQQddI")
-        attributes = []
-        for _ in range(count):
-            name, offset = _decode_str(payload, offset)
-            value, offset = _decode_scalar(payload, offset)
-            attributes.append((name, value))
+        sub_id, event_id, seq, x, y = struct.unpack_from(">QQQdd", payload, 0)
+        attributes, _ = _decode_pairs(payload, struct.calcsize(">QQQdd"))
         return cls(sub_id, event_id, Point(x, y), tuple(attributes), seq)
 
 
@@ -368,31 +378,15 @@ class EventPublishMessage:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        parts = [
-            struct.pack(
-                ">QddiI",
-                self.event_id,
-                self.location.x,
-                self.location.y,
-                self.ttl,
-                len(self.attributes),
-            )
-        ]
-        for name, value in self.attributes:
-            parts.append(_encode_str(name))
-            parts.append(_encode_scalar(value))
-        return b"".join(parts)
+        return struct.pack(
+            ">Qddi", self.event_id, self.location.x, self.location.y, self.ttl
+        ) + _encode_pairs(self.attributes)
 
     @classmethod
     def decode_payload(cls, payload: bytes) -> "EventPublishMessage":
         """Inverse of :meth:`encode_payload`."""
-        event_id, x, y, ttl, count = struct.unpack_from(">QddiI", payload, 0)
-        offset = struct.calcsize(">QddiI")
-        attributes = []
-        for _ in range(count):
-            name, offset = _decode_str(payload, offset)
-            value, offset = _decode_scalar(payload, offset)
-            attributes.append((name, value))
+        event_id, x, y, ttl = struct.unpack_from(">Qddi", payload, 0)
+        attributes, _ = _decode_pairs(payload, struct.calcsize(">Qddi"))
         return cls(event_id, Point(x, y), tuple(attributes), ttl)
 
 
@@ -524,11 +518,7 @@ class StatsSnapshot:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        parts = [struct.pack(">I", len(self.counters))]
-        for name, value in self.counters:
-            parts.append(_encode_str(name))
-            parts.append(_encode_scalar(int(value) if isinstance(value, bool) else value))
-        parts.append(struct.pack(">I", len(self.spans)))
+        parts = [_encode_pairs(self.counters), struct.pack(">I", len(self.spans))]
         for stage, counts, total_seconds in self.spans:
             parts.append(_encode_str(stage))
             parts.append(struct.pack(">I", len(counts)))
@@ -539,13 +529,7 @@ class StatsSnapshot:
     @classmethod
     def decode_payload(cls, payload: bytes) -> "StatsSnapshot":
         """Inverse of :meth:`encode_payload`."""
-        (counter_count,) = struct.unpack_from(">I", payload, 0)
-        offset = 4
-        counters = []
-        for _ in range(counter_count):
-            name, offset = _decode_str(payload, offset)
-            value, offset = _decode_scalar(payload, offset)
-            counters.append((name, value))
+        counters, offset = _decode_pairs(payload, 0)
         (span_count,) = struct.unpack_from(">I", payload, offset)
         offset += 4
         spans = []
@@ -578,10 +562,7 @@ class StatsSnapshot:
 def stats_snapshot_for(registry) -> StatsSnapshot:
     """The wire message carrying a :class:`MetricsRegistry` snapshot."""
     return StatsSnapshot(
-        tuple(
-            (name, int(value) if isinstance(value, bool) else value)
-            for name, value in sorted(registry.stats.as_dict().items())
-        ),
+        tuple(sorted(registry.stats.as_dict().items())),
         tuple(
             (stage, tuple(histogram.counts), histogram.total_seconds)
             for stage, histogram in sorted(registry.tracer.histograms.items())

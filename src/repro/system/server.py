@@ -58,21 +58,12 @@ from ..geometry import Cell, Grid, Point
 from ..index import BEQTree, ImpactRegionIndex, SubscriptionIndex
 from .config import ServerConfig, Transport
 from .journal import (
-    BOOTSTRAP,
-    EXPIRE,
-    EXTRACT,
-    LOCATION,
-    PUBLISH,
-    PUBLISH_BATCH,
-    RESYNC,
-    SUBSCRIBE,
-    UNSUBSCRIBE,
+    PUBLISHES,
     Journal,
     JournalError,
     JournalRecord,
     ServerSnapshot,
     SubscriberSnapshot,
-    apply_record,
     decode_snapshot,
     encode_snapshot,
 )
@@ -237,7 +228,7 @@ class ElapsServer:
     def bootstrap(self, events) -> None:
         """Load the initial event database without arrival processing."""
         events = list(events)
-        self._journal_append(JournalRecord(BOOTSTRAP, 0, events=tuple(events)))
+        self._journal_append("bootstrap", (events,))
         for event in events:
             if event.event_id in self._events_by_id:
                 # Idempotent, as in publish_batch: a re-run load (partial-
@@ -302,12 +293,7 @@ class ElapsServer:
         again (a following :meth:`resync` reconciles against what the
         client actually received).
         """
-        self._journal_append(
-            JournalRecord(
-                SUBSCRIBE, 0, now=now, sub_id=subscription.sub_id,
-                subscription=subscription, location=location, velocity=velocity,
-            )
-        )
+        self._journal_append("subscribe", (subscription, location, velocity, now))
         if self._started_at is None:
             self._started_at = now
         # The expression (hence the matching-event set) may change across
@@ -386,7 +372,7 @@ class ElapsServer:
             # Validate before journaling: a rejected operation must not
             # leave a record that would fail again on replay.
             raise KeyError(f"unknown subscriber {sub_id}")
-        self._journal_append(JournalRecord(UNSUBSCRIBE, 0, sub_id=sub_id))
+        self._journal_append("unsubscribe", (sub_id,))
         record = self.subscribers.pop(sub_id)
         self.subscription_index.delete(record.subscription)
         self.impact_index.remove(sub_id)
@@ -430,9 +416,7 @@ class ElapsServer:
         """
         events = list(events)
         if events:
-            self._journal_append(
-                JournalRecord(PUBLISH_BATCH, 0, now=now, events=tuple(events))
-            )
+            self._journal_append("publish_batch", (events, now))
         with self.tracer.span("publish"):
             notifications = self._publish_batch(events, now)
         self._maybe_snapshot()
@@ -564,7 +548,7 @@ class ElapsServer:
             # deterministic given the corpus, so one record per effective
             # sweep reproduces it, and the no-op ticks between arrivals
             # stay off the log.
-            self._journal_append(JournalRecord(EXPIRE, 0, now=now))
+            self._journal_append("expire_due_events", (now,))
         retired: List[Event] = []
         while self._expiry_heap and self._expiry_heap[0][0] <= now:
             _, event_id = heapq.heappop(self._expiry_heap)
@@ -609,8 +593,7 @@ class ElapsServer:
         for lo, hi in ranges:
             if lo < 0 or hi < lo:
                 raise ValueError(f"bad column range ({lo}, {hi})")
-        flat = tuple(itertools.chain.from_iterable(ranges))
-        self._journal_append(JournalRecord(EXTRACT, 0, received=flat))
+        self._journal_append("extract_events_in_columns", (ranges,))
         extracted: List[Event] = []
         for event in list(self._events_by_id.values()):
             column = self.grid.cell_of(event.location)[0]
@@ -656,12 +639,7 @@ class ElapsServer:
     ) -> Tuple[List[Notification], SafeRegion]:
         """Handle a client report after it left its safe region."""
         if sub_id in self.subscribers:
-            self._journal_append(
-                JournalRecord(
-                    LOCATION, 0, now=now, sub_id=sub_id,
-                    location=location, velocity=velocity,
-                )
-            )
+            self._journal_append("report_location", (sub_id, location, velocity, now))
         with self.tracer.span("location_update"):
             result = self._report_location(sub_id, location, velocity, now)
         self._maybe_snapshot()
@@ -707,12 +685,7 @@ class ElapsServer:
         """
         record = self.subscribers[sub_id]
         received = tuple(received)
-        self._journal_append(
-            JournalRecord(
-                RESYNC, 0, now=now, sub_id=sub_id, location=location,
-                velocity=velocity, received=received,
-            )
-        )
+        self._journal_append("resync", (sub_id, location, velocity, received, now))
         self.metrics.resyncs += 1
         record.location = location
         record.velocity = velocity
@@ -749,13 +722,14 @@ class ElapsServer:
     # ------------------------------------------------------------------
     # Durability: journaling, snapshots, recovery (DESIGN.md §13)
     # ------------------------------------------------------------------
-    def _journal_append(self, record: JournalRecord) -> None:
-        """Write-ahead: persist the operation before applying it, so a
-        crash mid-apply replays the whole operation on recovery."""
+    def _journal_append(self, method: str, args: Tuple) -> None:
+        """Write-ahead: persist the operation — as the ``(method, args)``
+        call that is running — before applying it, so a crash mid-apply
+        replays the whole operation on recovery."""
         journal = self.journal
         if journal is None or journal.suspended:
             return
-        written = journal.append(record)
+        written = journal.append(JournalRecord(0, method, args))
         self.applied_seq = journal.seq
         self.metrics.journal_records += 1
         self.metrics.journal_bytes += written
@@ -828,13 +802,13 @@ class ElapsServer:
         try:
             for record in self.journal.records(after_seq=self.applied_seq):
                 try:
-                    apply_record(self, record)
+                    getattr(self, record.method)(*record.args)
                 except ValueError:
                     # The publish was journaled (WAL-before-apply) but
                     # then failed validation without mutating anything;
                     # it fails identically on replay, so skipping it is
                     # exact.
-                    if record.kind not in (PUBLISH, PUBLISH_BATCH):
+                    if record.method not in PUBLISHES:
                         raise
                 self.applied_seq = record.seq
                 applied += 1

@@ -1364,8 +1364,8 @@ class ShardedElapsServer:
     def _persist_bounds(self) -> None:
         """Write the live boundaries next to the band journals.
 
-        The workers journal the migration itself (EXTRACT on the donor,
-        BOOTSTRAP on the receiver), but the *routing map* lives only in
+        The workers journal the migration itself (an extract on the
+        donor, a bootstrap on the receiver), but the *routing map* lives only in
         the coordinator — without it a recovered fleet would route new
         events by the original even split and break the homing
         invariant.  A tiny ``fleet.json`` under the journal root closes

@@ -27,22 +27,16 @@ through resync either way.
 from __future__ import annotations
 
 import hashlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Union
 
 from ..system.journal import (
-    BOOTSTRAP,
-    EXPIRE,
-    LOCATION,
-    PUBLISH,
-    PUBLISH_BATCH,
-    RESYNC,
-    SUBSCRIBE,
-    UNSUBSCRIBE,
+    OPERATIONS,
+    PUBLISHES,
     Journal,
     JournalRecord,
     JournalSpec,
-    apply_record,
     read_records,
 )
 from ..system.server import Notification
@@ -138,70 +132,23 @@ class TraceRecorder:
         self._server.transport = value
 
     def __getattr__(self, name: str):
-        """Fall through to the wrapped server for everything unlogged."""
-        return getattr(self._server, name)
+        """A journaled operation (any name in the journal's
+        ``OPERATIONS`` table) is logged as the ``(method, args)`` call
+        the client made, then delegated; everything else falls through
+        to the wrapped server."""
+        target = getattr(self._server, name)
+        if name not in OPERATIONS:
+            return target
+        signature = inspect.signature(target)
 
-    # -- journaled operations ------------------------------------------
-    def bootstrap(self, events) -> None:
-        """Journal and delegate the initial corpus load."""
-        events = list(events)
-        self._journal.append(JournalRecord(BOOTSTRAP, 0, events=tuple(events)))
-        self._server.bootstrap(events)
+        def journaled(*args, **kwargs):
+            """Log the call with its arguments in positional form."""
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            self._journal.append(JournalRecord(0, name, bound.args))
+            return target(*bound.args)
 
-    def subscribe(self, subscription, location, velocity, now: int = 0):
-        """Journal and delegate one subscription arrival."""
-        self._journal.append(
-            JournalRecord(
-                SUBSCRIBE, 0, now=now, sub_id=subscription.sub_id,
-                subscription=subscription, location=location, velocity=velocity,
-            )
-        )
-        return self._server.subscribe(subscription, location, velocity, now)
-
-    def unsubscribe(self, sub_id: int) -> None:
-        """Journal and delegate one subscription expiration."""
-        self._journal.append(JournalRecord(UNSUBSCRIBE, 0, sub_id=sub_id))
-        self._server.unsubscribe(sub_id)
-
-    def publish(self, event, now: int):
-        """Journal and delegate one event arrival."""
-        self._journal.append(JournalRecord(PUBLISH, 0, now=now, events=(event,)))
-        return self._server.publish(event, now)
-
-    def publish_batch(self, events, now: int):
-        """Journal and delegate one event burst."""
-        events = list(events)
-        if events:
-            self._journal.append(
-                JournalRecord(PUBLISH_BATCH, 0, now=now, events=tuple(events))
-            )
-        return self._server.publish_batch(events, now)
-
-    def report_location(self, sub_id: int, location, velocity, now: int):
-        """Journal and delegate one client location report."""
-        self._journal.append(
-            JournalRecord(
-                LOCATION, 0, now=now, sub_id=sub_id,
-                location=location, velocity=velocity,
-            )
-        )
-        return self._server.report_location(sub_id, location, velocity, now)
-
-    def resync(self, sub_id: int, location, velocity, received, now: int):
-        """Journal and delegate one client resync."""
-        received = tuple(received)
-        self._journal.append(
-            JournalRecord(
-                RESYNC, 0, now=now, sub_id=sub_id, location=location,
-                velocity=velocity, received=received,
-            )
-        )
-        return self._server.resync(sub_id, location, velocity, received, now)
-
-    def expire_due_events(self, now: int) -> int:
-        """Journal (when due) and delegate one expiry sweep."""
-        self._journal.append(JournalRecord(EXPIRE, 0, now=now))
-        return self._server.expire_due_events(now)
+        return journaled
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -242,16 +189,15 @@ def _regroup(
         while pending:
             chunk, rest = pending[:batch_size], pending[batch_size:]
             pending[:] = rest
-            reshaped.append(
-                JournalRecord(PUBLISH_BATCH, 0, now=pending_now, events=tuple(chunk))
-            )
+            reshaped.append(JournalRecord(0, "publish_batch", (chunk, pending_now)))
 
     for record in records:
-        if record.kind in (PUBLISH, PUBLISH_BATCH):
-            if pending and record.now != pending_now:
+        if record.method in PUBLISHES:
+            arrived, now = record.args  # one event, or a burst of them
+            if pending and now != pending_now:
                 flush()
-            pending_now = record.now
-            pending.extend(record.events)
+            pending_now = now
+            pending.extend([arrived] if record.method == "publish" else arrived)
             continue
         flush()
         reshaped.append(record)
@@ -274,6 +220,10 @@ def replay_trace(
     path = trace.path if isinstance(trace, JournalSpec) else trace
     result = ReplayResult()
     for record in _regroup(list(read_records(path)), batch_size):
-        result.notifications.extend(apply_record(server, record))
+        outcome = getattr(server, record.method)(*record.args)
+        if isinstance(outcome, tuple):  # (notifications, safe region)
+            result.notifications.extend(outcome[0])
+        elif record.method in PUBLISHES:  # the notifications themselves
+            result.notifications.extend(outcome)
         result.records_applied += 1
     return result

@@ -8,8 +8,11 @@ replaying any journal twice is a no-op.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -17,16 +20,9 @@ from repro.core import IGM
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
-from repro.system import ElapsServer, ServerConfig
+from repro.system import ElapsServer, SerialExecutor, ServerConfig
 from repro.system.journal import (
-    BOOTSTRAP,
-    EXPIRE,
-    LOCATION,
-    PUBLISH,
-    PUBLISH_BATCH,
-    RESYNC,
-    SUBSCRIBE,
-    UNSUBSCRIBE,
+    OPERATIONS,
     Journal,
     JournalCorruptionError,
     JournalRecord,
@@ -37,6 +33,7 @@ from repro.system.journal import (
     encode_snapshot,
     read_records,
 )
+from repro.testing import TraceRecorder, replay_trace
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 
@@ -49,10 +46,10 @@ def make_sub(sub_id=1, radius=1500.0):
     )
 
 
-def sale_event(event_id, x, y, ttl=None, **extra):
+def sale_event(event_id, x, y, ttl=None, arrived=0, **extra):
     return Event(
         event_id, {"topic": "sale", **extra}, Point(x, y),
-        arrived_at=0, expires_at=ttl,
+        arrived_at=arrived, expires_at=ttl,
     )
 
 
@@ -69,68 +66,53 @@ def make_server(path=None, snapshot_every=0, **config_fields):
     )
 
 
-def all_kind_records():
-    """One record of every kind, with every optional field exercised."""
+def all_commands():
+    """One ``(method, args)`` command per journaled operation, with
+    every argument exercised."""
     return [
-        JournalRecord(BOOTSTRAP, 0, events=(
+        ("bootstrap", ((
             sale_event(1, 100, 100), sale_event(2, 200, 200, ttl=50, rank=3),
-        )),
-        JournalRecord(
-            SUBSCRIBE, 0, now=1, sub_id=7, subscription=make_sub(7),
-            location=Point(5000.5, 5001.25), velocity=Point(-3.5, 4.0),
-        ),
-        JournalRecord(
-            LOCATION, 0, now=2, sub_id=7,
-            location=Point(5100.0, 5000.0), velocity=Point(0.0, 0.0),
-        ),
-        JournalRecord(
-            RESYNC, 0, now=3, sub_id=7, location=Point(5200.0, 5000.0),
-            velocity=Point(1.0, 1.0), received=(1, 2, 9),
-        ),
-        JournalRecord(PUBLISH, 0, now=4, events=(sale_event(3, 300, 300),)),
-        JournalRecord(PUBLISH_BATCH, 0, now=5, events=(
+        ),)),
+        ("subscribe", (make_sub(7), Point(5000.5, 5001.25), Point(-3.5, 4.0), 1)),
+        ("report_location", (7, Point(5100.0, 5000.0), Point(0.0, 0.0), 2)),
+        ("resync", (7, Point(5200.0, 5000.0), Point(1.0, 1.0), (1, 2, 9), 3)),
+        ("publish", (sale_event(3, 300, 300), 4)),
+        ("publish_batch", ((
             sale_event(4, 400, 400), sale_event(5, 500, 500, note="x"),
-        )),
-        JournalRecord(EXPIRE, 0, now=6),
-        JournalRecord(UNSUBSCRIBE, 0, sub_id=7),
+        ), 5)),
+        ("expire_due_events", (6,)),
+        ("extract_events_in_columns", (((0, 3), (17, 20)),)),
+        ("unsubscribe", (7,)),
     ]
+
+
+def expire(now):
+    """The smallest record there is: one expiry sweep at ``now``."""
+    return JournalRecord(0, "expire_due_events", (now,))
 
 
 class TestRecordRoundTrip:
     def test_every_kind_survives_a_disk_round_trip(self, tmp_path):
+        commands = all_commands()
+        assert {method for method, _ in commands} == set(OPERATIONS)
         journal = Journal(str(tmp_path))
-        originals = all_kind_records()
-        for record in originals:
-            assert journal.append(record) > 0
+        for method, args in commands:
+            assert journal.append(JournalRecord(0, method, args)) > 0
         journal.close()
 
         decoded = list(read_records(str(tmp_path)))
-        assert [r.kind for r in decoded] == [r.kind for r in originals]
-        assert [r.seq for r in decoded] == list(range(1, len(originals) + 1))
-        for got, want in zip(decoded, originals):
-            assert got.now == want.now
-            assert got.sub_id == (want.sub_id if want.kind != SUBSCRIBE
-                                  else want.subscription.sub_id)
-            assert got.received == want.received
-            assert got.location == want.location
-            assert got.velocity == want.velocity
-            assert len(got.events) == len(want.events)
-            for ge, we in zip(got.events, want.events):
-                assert ge.event_id == we.event_id
-                assert dict(ge.attributes) == dict(we.attributes)
-                assert ge.location == we.location
-                assert ge.arrived_at == we.arrived_at
-                assert ge.expires_at == we.expires_at
-        sub = decoded[1]
-        assert sub.subscription == make_sub(7)
+        assert [r.seq for r in decoded] == list(range(1, len(commands) + 1))
+        # the decoded record is the command that was appended: same
+        # method, equal arguments, nothing else on it
+        assert [(r.method, r.args) for r in decoded] == commands
 
     def test_sequence_numbering_continues_across_reopen(self, tmp_path):
         with Journal(str(tmp_path)) as journal:
-            journal.append(JournalRecord(EXPIRE, 0, now=1))
-            journal.append(JournalRecord(EXPIRE, 0, now=2))
+            journal.append(expire(1))
+            journal.append(expire(2))
         with Journal(str(tmp_path)) as journal:
             assert journal.seq == 2
-            journal.append(JournalRecord(EXPIRE, 0, now=3))
+            journal.append(expire(3))
             assert journal.seq == 3
         seqs = [r.seq for r in read_records(str(tmp_path))]
         assert seqs == [1, 2, 3]
@@ -138,16 +120,19 @@ class TestRecordRoundTrip:
     def test_read_records_skips_already_applied_prefix(self, tmp_path):
         with Journal(str(tmp_path)) as journal:
             for now in range(5):
-                journal.append(JournalRecord(EXPIRE, 0, now=now))
-        assert [r.now for r in read_records(str(tmp_path), after_seq=3)] == [3, 4]
+                journal.append(expire(now))
+        assert [r.args for r in read_records(str(tmp_path), after_seq=3)] == [
+            (3,), (4,),
+        ]
 
 
 class TestTornTail:
     def _journal_with_records(self, tmp_path, count=4):
         journal = Journal(str(tmp_path))
         for now in range(count):
-            journal.append(JournalRecord(PUBLISH, 0, now=now,
-                                         events=(sale_event(now + 1, 100, 100),)))
+            journal.append(
+                JournalRecord(0, "publish", (sale_event(now + 1, 100, 100), now))
+            )
         journal.close()
         return os.path.join(str(tmp_path), "journal.log")
 
@@ -162,11 +147,11 @@ class TestTornTail:
         assert journal.record_count == 3
         assert journal.seq == 3
         # the truncated log is healed: a fresh append continues cleanly
-        journal.append(JournalRecord(EXPIRE, 0, now=99))
+        journal.append(expire(99))
         journal.close()
         records = list(read_records(str(tmp_path)))
         assert [r.seq for r in records] == [1, 2, 3, 4]
-        assert records[-1].kind == EXPIRE
+        assert records[-1].method == "expire_due_events"
 
     def test_torn_header_is_also_a_torn_tail(self, tmp_path):
         log_path = self._journal_with_records(tmp_path, count=2)
@@ -241,7 +226,7 @@ class TestSnapshots:
     def test_write_snapshot_rotates_the_log(self, tmp_path):
         journal = Journal(str(tmp_path))
         for now in range(3):
-            journal.append(JournalRecord(EXPIRE, 0, now=now))
+            journal.append(expire(now))
         journal.write_snapshot(encode_snapshot(self._snapshot()), seq=journal.seq)
         assert journal.record_count == 0
         assert os.path.getsize(os.path.join(str(tmp_path), "journal.log")) == 0
@@ -249,7 +234,7 @@ class TestSnapshots:
         assert seq == 3
         assert decode_snapshot(body).last_seq == 41
         # appends after rotation continue the numbering past the snapshot
-        journal.append(JournalRecord(EXPIRE, 0, now=9))
+        journal.append(expire(9))
         assert journal.seq == 4
         journal.close()
         # a reopened journal resumes from max(snapshot seq, log tail)
@@ -370,13 +355,13 @@ class TestServerRecovery:
         assert self._state(revived) == want
         revived.close()
 
-    @pytest.mark.parametrize("kind", [PUBLISH, PUBLISH_BATCH],
+    @pytest.mark.parametrize("method", ["publish", "publish_batch"],
                              ids=["legacy_publish", "publish_batch"])
-    def test_hand_appended_publish_records_recover(self, tmp_path, kind):
-        """A journal written before ``publish`` became a batch of one
-        holds single-event PUBLISH records; nothing writes them any more,
-        but ``recover()`` must replay them exactly like the one-event
-        PUBLISH_BATCH records a server writes today."""
+    def test_hand_appended_publish_records_recover(self, tmp_path, method):
+        """A journal written before ``publish`` became a batch of one —
+        or a recorded trace — holds single-event ``publish`` records; no
+        server writes them, but ``recover()`` must replay them exactly
+        like the one-event ``publish_batch`` records a server writes."""
         events = [
             sale_event(10, 5050, 5000),   # in radius of 7
             sale_event(11, 5200, 5000),   # in radius of 7
@@ -389,8 +374,8 @@ class TestServerRecovery:
         live.subscribe(make_sub(8), Point(8900, 9000), Point(0, 0), now=0)
         for now, event in enumerate(events, start=1):
             live.publish(event, now)
-        assert [r.kind for r in live.journal.records()][2:] == (
-            [PUBLISH_BATCH] * len(events)
+        assert [r.method for r in live.journal.records()][2:] == (
+            ["publish_batch"] * len(events)
         )
         want = {sub_id: live.delivered_ids(sub_id) for sub_id in (7, 8)}
         assert want == {7: {10, 11}, 8: {13}}
@@ -402,7 +387,8 @@ class TestServerRecovery:
         seeded.close()
         journal = Journal(str(tmp_path / "old"))
         for now, event in enumerate(events, start=1):
-            journal.append(JournalRecord(kind, 0, now=now, events=(event,)))
+            arrived = event if method == "publish" else (event,)
+            journal.append(JournalRecord(0, method, (arrived, now)))
         journal.close()
 
         revived = make_server(tmp_path / "old")
@@ -434,3 +420,182 @@ class TestServerRecovery:
         )
         assert [n.event.event_id for n in notifications] == [10]
         revived.close()
+
+
+    def test_duplicate_publishes_are_counted_dropped_and_replayed(self, tmp_path):
+        """At-least-once producers and partial-fleet replays re-send
+        events the corpus already holds: each one bumps
+        ``duplicate_publishes``, none is stored or delivered twice, and
+        a journal holding the duplicate records replays to the same
+        delivered sets."""
+        corpus = [sale_event(1, 5100, 5000), sale_event(2, 9000, 9000)]
+        batch = [sale_event(10, 5050, 5000), sale_event(11, 5200, 5000)]
+        server = make_server(tmp_path)
+        server.bootstrap(corpus)
+        server.subscribe(make_sub(7), Point(5000, 5000), Point(0, 0), now=0)
+        first = server.publish_batch(batch, 1)
+        assert sorted(n.event.event_id for n in first) == [10, 11]
+        assert server.metrics.duplicate_publishes == 0
+        held = len(server.event_index)
+        want = (server.delivered_ids(7), server.subscribers[7].next_seq)
+        assert want == ({1, 10, 11}, 3)
+
+        assert server.publish_batch(batch, 2) == []
+        assert server.metrics.duplicate_publishes == 2
+        server.bootstrap(corpus)
+        assert server.metrics.duplicate_publishes == 4
+        # a batch that is part duplicate delivers only its fresh part
+        late = server.publish_batch([batch[0], sale_event(12, 5000, 5100)], 3)
+        assert [n.event.event_id for n in late] == [12]
+        assert server.metrics.duplicate_publishes == 5
+        assert len(server.event_index) == held + 1
+        want = (want[0] | {12}, want[1] + 1)
+        assert (server.delivered_ids(7), server.subscribers[7].next_seq) == want
+        assert [r.method for r in server.journal.records()] == [
+            "bootstrap", "subscribe", "publish_batch", "publish_batch",
+            "bootstrap", "publish_batch",
+        ]
+        server.close()
+
+        revived = make_server(tmp_path)
+        assert revived.recover() == 6
+        assert (revived.delivered_ids(7), revived.subscribers[7].next_seq) == want
+        assert len(revived.event_index) == held + 1
+        assert revived.metrics.duplicate_publishes == 5
+        revived.close()
+
+
+# ----------------------------------------------------------------------
+# The frozen on-disk format
+# ----------------------------------------------------------------------
+FIXTURE = Path(__file__).parent / "golden" / "journal_v1"
+# what the commit that wrote the fixture measured over it
+FIXTURE_RECOVER_DIGEST = (
+    "9dda09a166611b2c854be79978de1b8dbd758cdcc30c0cbf119446cdcde71280"
+)
+FIXTURE_REPLAY_DIGEST = (
+    "74da3375dbc0105c739275cc6befc8101fdfda9e8cf65c1227d9337998545a73"
+)
+
+
+def fixture_server(path=None, transport=None):
+    journal = JournalSpec(str(path)) if path is not None else None
+    return ElapsServer(
+        Grid(20, SPACE), IGM(max_cells=40),
+        ServerConfig(initial_rate=1.0, journal=journal),
+        event_index=BEQTree(SPACE, emax=32), transport=transport,
+    )
+
+
+#: the snapshot prefix (state the tail never refers to) …
+FIXTURE_PREFIX = [
+    ("bootstrap", ((sale_event(1, 1000, 1000),),)),
+    ("subscribe", (make_sub(5, 800.0), Point(1200.0, 1000.0), Point(0.0, 0.0), 0)),
+]
+#: … and the journal tail, seq 3–12: all nine kinds
+FIXTURE_TAIL = [
+    ("bootstrap", ((
+        sale_event(2, 5100, 5000),
+        Event(3, {"zeta": 1, "topic": "sale", "alpha": 2.5, "mid": "x"},
+              Point(9000.0, 9000.0), arrived_at=0, expires_at=4),
+    ),)),
+    ("subscribe", (make_sub(7), Point(5000.5, 5001.25), Point(-3.5, 4.0), 1)),
+    ("subscribe", (make_sub(8), Point(8900.0, 9000.0), Point(0.0, 0.0), 1)),
+    ("report_location", (7, Point(5100.0, 5000.0), Point(20.0, 0.0), 2)),
+    ("resync", (8, Point(8900.0, 9000.0), Point(1.0, 1.0), (3, 99), 3)),
+    ("publish_batch", ((
+        sale_event(11, 5200, 5000, arrived=4),
+        sale_event(12, 700, 700, ttl=9, arrived=4, rank=3),
+    ), 4)),
+    ("expire_due_events", (5,)),
+    ("extract_events_in_columns", (((0, 2), (17, 19)),)),
+    ("unsubscribe", (8,)),
+    # no server writes this kind; the fixture's author hand-appended it
+    ("publish", (sale_event(13, 5050, 5000, arrived=6), 6)),
+]
+
+
+def state_digest(server):
+    lines = [
+        f"sub={sub_id} delivered={sorted(record.delivered)} "
+        f"next_seq={record.next_seq} at={record.location.x},{record.location.y}"
+        for sub_id, record in sorted(server.subscribers.items())
+    ]
+    lines.append("corpus=" + ",".join(str(i) for i in sorted(server._events_by_id)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestFrozenFormat:
+    """``tests/golden/journal_v1`` was written by the commit before the
+    journal record became ``(method, args)``; it is never regenerated.
+    Whatever the codec looks like, these bytes must keep their meaning
+    and today's writers must still produce them."""
+
+    def test_fixture_decodes_to_the_expected_commands(self):
+        decoded = list(read_records(str(FIXTURE)))
+        assert [r.seq for r in decoded] == list(range(3, 13))
+        assert [(r.method, r.args) for r in decoded] == FIXTURE_TAIL
+        assert {r.method for r in decoded} == set(OPERATIONS)
+        # attribute order is part of the format (dict equality is blind to it)
+        unsorted_event = decoded[0].args[0][1]
+        assert list(unsorted_event.attributes) == ["zeta", "topic", "alpha", "mid"]
+
+    def test_reappending_the_commands_reproduces_the_bytes(self, tmp_path):
+        shutil.copy(FIXTURE / "snapshot.bin", tmp_path)  # numbering resumes at 3
+        with Journal(str(tmp_path)) as journal:
+            for method, args in FIXTURE_TAIL:
+                journal.append(JournalRecord(0, method, args))
+            _, body = journal.read_snapshot()
+        assert (tmp_path / "journal.log").read_bytes() == (
+            FIXTURE / "journal.log"
+        ).read_bytes()
+        assert encode_snapshot(decode_snapshot(body)) == body
+
+    def test_a_live_server_writes_the_same_bytes(self, tmp_path):
+        server = fixture_server(tmp_path)
+        for method, args in FIXTURE_PREFIX:
+            getattr(server, method)(*args)
+        server.snapshot()
+        for method, args in FIXTURE_TAIL[:-1]:
+            getattr(server, method)(*args)
+        server.close()
+        with Journal(str(tmp_path)) as journal:
+            journal.append(JournalRecord(0, *FIXTURE_TAIL[-1]))
+        assert (tmp_path / "journal.log").read_bytes() == (
+            FIXTURE / "journal.log"
+        ).read_bytes()
+
+    def test_recover_and_replay_reach_the_recorded_digests(self, tmp_path):
+        scratch = tmp_path / "journal_v1"
+        shutil.copytree(FIXTURE, scratch)  # recover() opens the log for append
+        revived = fixture_server(scratch)
+        assert revived.recover() == len(FIXTURE_TAIL)
+        assert revived.applied_seq == 12
+        assert state_digest(revived) == FIXTURE_RECOVER_DIGEST
+        revived.close()
+        replayed = replay_trace(str(FIXTURE), fixture_server())
+        assert replayed.records_applied == len(FIXTURE_TAIL)
+        assert replayed.digest() == FIXTURE_REPLAY_DIGEST
+
+    def test_a_recorded_trace_is_a_list_of_shard_commands(self, tmp_path):
+        """A trace record and a shard command are the same value: what
+        :class:`TraceRecorder` logged goes through ``executor.run``
+        untouched and rebuilds the recorded server's state."""
+        recorder = TraceRecorder(fixture_server(), str(tmp_path))
+        for method, args in FIXTURE_PREFIX + FIXTURE_TAIL[:-1]:
+            getattr(recorder, method)(*args)
+        recorder.publish(sale_event(13, 5050, 5000, arrived=6), now=6)
+        want = state_digest(recorder.server)
+        recorder.close()
+
+        executor = SerialExecutor()
+        executor.launch(
+            [lambda transport: fixture_server(transport=transport)],
+            locate=lambda sub_id: None,
+            on_region=lambda *shipped: None,
+            on_delta=lambda *shipped: None,
+        )
+        for record in read_records(str(tmp_path)):
+            executor.run({0: (record.method, record.args)})
+        assert state_digest(executor.shard_servers[0]) == want
+        executor.close()

@@ -4,7 +4,9 @@ Every message type must satisfy ``decode_message(encode_message(m)) ==
 m`` for arbitrary well-typed payloads — the framing, scalar tagging,
 expression codec and bitmap packing all get exercised from the outside.
 The hand-written cases in ``test_protocol.py`` pin the byte layout;
-these properties pin totality.
+these properties pin totality.  The journal's record codec rides the
+same strategies: every ``(method, args)`` command of its ``OPERATIONS``
+table must survive ``decode(encode(command))``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,16 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap import WAHBitmap
-from repro.expressions import BooleanExpression, DnfExpression, Operator, Predicate
+from repro.expressions import (
+    BooleanExpression,
+    DnfExpression,
+    Event,
+    Operator,
+    Predicate,
+    Subscription,
+)
 from repro.geometry import Point
+from repro.system.journal import OPERATIONS, _decode_record, _encode_record
 from repro.system.protocol import (
     EventPublishMessage,
     HeartbeatMessage,
@@ -152,3 +162,63 @@ def test_truncated_frames_never_decode_silently(message, cut):
     except Exception:
         return  # rejection is the expected outcome
     raise AssertionError("truncated frame decoded without error")
+
+
+# ----------------------------------------------------------------------
+# Journal records: the same ``(method, args)`` commands, on disk
+# ----------------------------------------------------------------------
+timestamps = st.integers(min_value=0, max_value=2**62)
+subscriptions = st.builds(Subscription, uint64, expressions, radii)
+events = st.builds(
+    lambda event_id, attributes, location, arrived, ttl: Event(
+        event_id, attributes, location, arrived_at=arrived,
+        expires_at=None if ttl is None else arrived + ttl,
+    ),
+    uint64,
+    st.dictionaries(names, scalars, min_size=1, max_size=5),
+    points,
+    timestamps,
+    st.none() | st.integers(min_value=0, max_value=1000),
+)
+bursts = st.lists(events, max_size=4).map(tuple)
+id_tuples = st.lists(uint64, max_size=8).map(tuple)
+#: one argument-tuple strategy per journaled operation
+COMMAND_ARGS = {
+    "subscribe": st.tuples(subscriptions, points, points, int64),
+    "unsubscribe": st.tuples(uint64),
+    "report_location": st.tuples(uint64, points, points, int64),
+    "resync": st.tuples(uint64, points, points, id_tuples, int64),
+    "publish": st.tuples(events, int64),
+    "publish_batch": st.tuples(bursts, int64),
+    "expire_due_events": st.tuples(int64),
+    "bootstrap": st.tuples(bursts),
+    "extract_events_in_columns": st.tuples(
+        st.lists(st.tuples(uint64, uint64), max_size=4).map(tuple)
+    ),
+}
+COMMANDS = st.one_of(
+    *(st.tuples(st.just(method), args) for method, args in COMMAND_ARGS.items())
+)
+
+
+def test_every_journaled_operation_has_a_strategy():
+    assert set(COMMAND_ARGS) == set(OPERATIONS)
+
+
+def _attribute_orders(value):
+    """Every event's attribute names in mapping order, depth first
+    (``Event.__eq__`` compares the mappings as dicts — blind to order)."""
+    if isinstance(value, Event):
+        return [list(value.attributes)]
+    if isinstance(value, tuple):
+        return [order for item in value for order in _attribute_orders(item)]
+    return []
+
+
+@settings(max_examples=300, deadline=None)
+@given(uint64, COMMANDS)
+def test_every_journal_command_roundtrips(seq, command):
+    method, args = command
+    record = _decode_record(_encode_record(seq, method, args))
+    assert record == (seq, method, args)
+    assert _attribute_orders(record.args) == _attribute_orders(args)

@@ -114,6 +114,12 @@ class TestConfigurationSurface:
             "heartbeat_interval", "read_timeout", "receive_timeout", "reconnect",
         }
 
+    def test_journal_record_is_a_command_and_nothing_else(self):
+        from repro.system import JournalRecord
+
+        assert JournalRecord._fields == ("seq", "method", "args")
+        assert not JournalRecord._field_defaults  # no optional field
+
     def test_shard_executor_exports(self):
         import repro.system
 

@@ -46,6 +46,7 @@ from repro.system.journal import JournalSpec
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 TOPICS = ("sale", "news")
+PARKED = Point(0.0, 0.0)  # every subscriber's velocity: they stand still
 
 
 def make_sub(sub_id, topic="sale", radius=2500.0):
@@ -88,8 +89,8 @@ def build_fleet(path=None, shards=2, snapshot_every=0):
 def make_workload(seed, subs=8, ticks=30):
     """A deterministic operation trace with stationary subscribers.
 
-    Returns ``(positions, ops)`` where each op is a tuple whose first
-    element names the public server operation to invoke.
+    Returns ``(positions, ops)`` where each op is the ``(method, args)``
+    command a journal record or a fleet coordinator would carry.
     """
     rng = random.Random(seed)
     positions = {
@@ -105,10 +106,10 @@ def make_workload(seed, subs=8, ticks=30):
             Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)),
             arrived_at=0, expires_at=rng.choice((None, 15)),
         ))
-    ops = [("bootstrap", corpus)]
+    ops = [("bootstrap", (corpus,))]
     for sub_id, position in positions.items():
         topic = TOPICS[sub_id % len(TOPICS)]
-        ops.append(("subscribe", make_sub(sub_id, topic), position, 0))
+        ops.append(("subscribe", (make_sub(sub_id, topic), position, PARKED, 0)))
 
     def fresh_event(now):
         nonlocal event_id
@@ -123,40 +124,28 @@ def make_workload(seed, subs=8, ticks=30):
     for now in range(1, ticks + 1):
         roll = rng.random()
         if roll < 0.5:
-            ops.append(("publish", fresh_event(now), now))
+            ops.append(("publish", (fresh_event(now), now)))
         elif roll < 0.75:
             ops.append(("publish_batch",
-                        [fresh_event(now) for _ in range(rng.randint(2, 4))], now))
+                        ([fresh_event(now) for _ in range(rng.randint(2, 4))], now)))
         elif roll < 0.9:
             sub_id = rng.randint(1, subs)
-            ops.append(("report_location", sub_id, positions[sub_id], now))
+            ops.append(("report_location", (sub_id, positions[sub_id], PARKED, now)))
         else:
-            ops.append(("expire", now))
+            ops.append(("expire_due_events", (now,)))
     return positions, ops
 
 
 def apply_op(server, op, received):
-    """Run one workload op; fold its notifications into ``received``."""
-    kind = op[0]
-    if kind == "bootstrap":
-        server.bootstrap(op[1])
+    """Run one ``(method, args)`` command the way recovery and replay
+    do; fold the notifications it returns into ``received``."""
+    method, args = op
+    outcome = getattr(server, method)(*args)
+    if isinstance(outcome, tuple):  # (notifications, safe region)
+        outcome = outcome[0]
+    if not isinstance(outcome, list):  # bootstrap, expiry: nothing delivered
         return
-    if kind == "subscribe":
-        notifications, _ = server.subscribe(op[1], op[2], Point(0.0, 0.0), now=op[3])
-    elif kind == "publish":
-        notifications = server.publish(op[1], op[2])
-    elif kind == "publish_batch":
-        notifications = server.publish_batch(list(op[1]), op[2])
-    elif kind == "report_location":
-        notifications, _ = server.report_location(
-            op[1], op[2], Point(0.0, 0.0), now=op[3]
-        )
-    elif kind == "expire":
-        server.expire_due_events(op[1])
-        return
-    else:  # pragma: no cover - workload bug
-        raise AssertionError(f"unknown op {kind}")
-    for notification in notifications:
+    for notification in outcome:
         received.setdefault(notification.sub_id, set()).add(
             notification.event.event_id
         )
@@ -219,7 +208,8 @@ def run_crash_differential(builder, path, seed):
     applied = applied_seqs(revived)
 
     # Every surviving client reconnects and reconciles what it holds.
-    crash_now = ops[crash_at][-1] if isinstance(ops[crash_at][-1], int) else 0
+    last_arg = ops[crash_at][1][-1]  # ``now``, except on a bootstrap
+    crash_now = last_arg if isinstance(last_arg, int) else 0
     for sub_id, position in positions.items():
         if sub_id not in revived.subscribers:
             continue  # its subscribe record was lost; the op re-runs below
