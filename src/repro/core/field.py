@@ -223,30 +223,61 @@ class LazyBEQField(MatchingEventField):
     # Coverage
     # ------------------------------------------------------------------
     def _cover(self, i_min: int, j_min: int, i_max: int, j_max: int) -> None:
-        """Grow the covered rectangle to include the requested cell range."""
+        """Grow the covered rectangle to include the requested cell range.
+
+        Only the strips by which the rectangle grew are walked: a leaf
+        that meets the old rectangle was scanned when that was covered.
+        """
         n = self.grid.n
         i_min, j_min = max(i_min, 0), max(j_min, 0)
         i_max, j_max = min(i_max, n - 1), min(j_max, n - 1)
-        if self._covered is not None:
+        if self._covered is None:
+            strips = [Rect(*self._edges(i_min, j_min, i_max, j_max))]
+        else:
             ci_min, cj_min, ci_max, cj_max = self._covered
             if ci_min <= i_min and cj_min <= j_min and i_max <= ci_max and j_max <= cj_max:
                 return
             i_min, j_min = min(i_min, ci_min), min(j_min, cj_min)
             i_max, j_max = max(i_max, ci_max), max(j_max, cj_max)
-        lo = self.grid.cell_rect((i_min, j_min))
-        hi = self.grid.cell_rect((i_max, j_max))
-        area = Rect(lo.x_min, lo.y_min, hi.x_max, hi.y_max)
-        for leaf in self._tree.leaves_intersecting_rect(area):
-            if leaf.cell_id in self._scanned_leaves:
-                continue
-            self._scanned_leaves.add(leaf.cell_id)
-            self.leaves_scanned += 1
-            self.events_scanned += len(leaf.events)
-            for event in leaf.be_match(self._expression):
-                if event.event_id in self._excluded or event.event_id in self._seen_ids:
+            # left and right strips run the full new height, bottom and
+            # top ones fill in between them; each keeps the edge it
+            # shares with the old rectangle, so their union with it is
+            # the new rectangle exactly
+            ox_min, oy_min, ox_max, oy_max = self._edges(ci_min, cj_min, ci_max, cj_max)
+            x_min, y_min, x_max, y_max = self._edges(i_min, j_min, i_max, j_max)
+            strips = []
+            if i_min < ci_min:
+                strips.append(Rect(x_min, y_min, ox_min, y_max))
+            if i_max > ci_max:
+                strips.append(Rect(ox_max, y_min, x_max, y_max))
+            if j_min < cj_min:
+                strips.append(Rect(ox_min, y_min, ox_max, oy_min))
+            if j_max > cj_max:
+                strips.append(Rect(ox_min, oy_max, ox_max, y_max))
+        for strip in strips:
+            for leaf in self._tree.leaves_intersecting_rect(strip):
+                if leaf.cell_id in self._scanned_leaves:
                     continue
-                self._admit(event.event_id, event.location)
+                self._scanned_leaves.add(leaf.cell_id)
+                self.leaves_scanned += 1
+                self.events_scanned += len(leaf.events)
+                for event in leaf.be_match(self._expression, self._excluded):
+                    if event.event_id not in self._seen_ids:
+                        self._admit(event.event_id, event.location)
         self._covered = (i_min, j_min, i_max, j_max)
+
+    def _edges(
+        self, i_min: int, j_min: int, i_max: int, j_max: int
+    ) -> Tuple[float, float, float, float]:
+        """The outer edges of a cell range, as :meth:`Grid.cell_rect`
+        computes them."""
+        grid = self.grid
+        return (
+            grid.space.x_min + i_min * grid.cell_width,
+            grid.space.y_min + j_min * grid.cell_height,
+            grid.space.x_min + (i_max + 1) * grid.cell_width,
+            grid.space.y_min + (j_max + 1) * grid.cell_height,
+        )
 
     def _admit(self, event_id: int, location: Point) -> None:
         """Record one newly discovered matching event as a constraint."""

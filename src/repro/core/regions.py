@@ -144,15 +144,31 @@ class GridRegion:
         (excluded) cells — the complement flag travels beside the bitmap in
         the wire protocol, so the client inverts the membership test rather
         than the server shipping a nearly-all-ones bitmap.
+
+        Encoded once per region: the region and the bitmap are both
+        immutable, and one ship asks twice (the byte counters, then the
+        frame).
         """
-        side = 1 << max(self.grid.n - 1, 1).bit_length()
-        length = side * side
-        if len(self.cells) >= _BITMAP_ARRAY_CUTOVER:
-            pairs = np.array(tuple(self.cells), dtype=np.int64).reshape(-1, 2)
-            codes = interleave_array(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-            return WAHBitmap.from_positions_array(codes, length)
-        positions = (interleave(i, j) for (i, j) in self.cells)
-        return WAHBitmap.from_positions(positions, length)
+        bitmap = self.__dict__.get("_bitmap")
+        if bitmap is None:
+            side = 1 << max(self.grid.n - 1, 1).bit_length()
+            length = side * side
+            if len(self.cells) >= _BITMAP_ARRAY_CUTOVER:
+                pairs = np.array(tuple(self.cells), dtype=np.int64).reshape(-1, 2)
+                codes = interleave_array(pairs[:, 0], pairs[:, 1]).astype(np.int64)
+                bitmap = WAHBitmap.from_positions_array(codes, length)
+            else:
+                positions = (interleave(i, j) for (i, j) in self.cells)
+                bitmap = WAHBitmap.from_positions(positions, length)
+            # not a field: stays out of ==, hash and repr
+            self.__dict__["_bitmap"] = bitmap
+        return bitmap
+
+    def __getstate__(self):
+        # ... and out of pickles: a fleet worker's reply carries regions
+        state = dict(self.__dict__)
+        state.pop("_bitmap", None)
+        return state
 
     def encoded_bytes(self) -> int:
         """Bytes on the wire when shipping this region to a client."""

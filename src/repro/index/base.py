@@ -18,7 +18,7 @@ the paper's per-method accounting.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List
+from typing import AbstractSet, Iterable, List, Optional
 
 from ..expressions import Event, Subscription
 from ..geometry import Point
@@ -40,8 +40,15 @@ class EventIndex(abc.ABC):
         """The number of stored events."""
 
     @abc.abstractmethod
-    def match(self, subscription: Subscription, at: Point) -> List[Event]:
-        """All stored events matching ``subscription`` at location ``at``."""
+    def match(
+        self,
+        subscription: Subscription,
+        at: Point,
+        exclude: Optional[AbstractSet[int]] = None,
+    ) -> List[Event]:
+        """All stored events matching ``subscription`` at location ``at``,
+        except those whose id is in ``exclude`` (the ids a subscriber was
+        already sent): the order-preserving filter of the full result."""
 
     def insert_all(self, events: Iterable[Event]) -> None:
         """Insert a batch of events."""

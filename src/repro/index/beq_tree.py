@@ -30,7 +30,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..expressions import BooleanExpression, Event, Subscription
 from ..expressions.dnf import clauses_of
@@ -163,8 +173,11 @@ class LeafCell:
         self._clause_cache[clause] = ids
         return ids
 
-    def be_match(self, expression) -> List[Event]:
-        """Events of this cell be-matching the expression (counting only).
+    def be_match(
+        self, expression, exclude: Optional[AbstractSet[int]] = None
+    ) -> List[Event]:
+        """Events of this cell be-matching the expression (counting only),
+        except those whose id is in ``exclude``.
 
         Accepts a plain conjunction or a DNF; a DNF unions the clauses'
         counting results.
@@ -172,6 +185,9 @@ class LeafCell:
         matched_ids: set = set()
         for clause in clauses_of(expression):
             matched_ids.update(self.clause_match_ids(clause))
+        if exclude:
+            # one set difference, before any event object is touched
+            matched_ids = matched_ids - exclude
         return [self.events[event_id] for event_id in matched_ids]
 
 
@@ -410,12 +426,18 @@ class BEQTree(EventIndex):
     # ------------------------------------------------------------------
     # Matching (Algorithm 2)
     # ------------------------------------------------------------------
-    def match(self, subscription: Subscription, at: Point) -> List[Event]:
-        """All stored events matching ``subscription`` at location ``at``."""
+    def match(
+        self,
+        subscription: Subscription,
+        at: Point,
+        exclude: Optional[AbstractSet[int]] = None,
+    ) -> List[Event]:
+        """All stored events matching ``subscription`` at location ``at``,
+        except those whose id is in ``exclude``."""
         circle = subscription.notification_region(at)
         matched: List[Event] = []
         for leaf in self.leaves_intersecting_circle(circle):
-            matched.extend(self._match_in_leaf(leaf, subscription, circle))
+            matched.extend(self._match_in_leaf(leaf, subscription, circle, exclude))
         return matched
 
     def match_batch(
@@ -462,7 +484,11 @@ class BEQTree(EventIndex):
         return candidates
 
     def _match_in_leaf(
-        self, leaf: LeafCell, subscription: Subscription, circle: Circle
+        self,
+        leaf: LeafCell,
+        subscription: Subscription,
+        circle: Circle,
+        exclude: Optional[AbstractSet[int]] = None,
     ) -> List[Event]:
         """Algorithm 2: BESpatialMatch within one cell partition ``G``."""
         # Lines 2-10, per conjunctive clause: a clause whose attribute is
@@ -473,6 +499,10 @@ class BEQTree(EventIndex):
             if any(p.attribute not in leaf.lists for p in clause.predicates):
                 continue
             matched_ids.update(leaf.clause_match_ids(clause))
+        if exclude:
+            # already-sent events leave before the spatial scan, in one
+            # set difference, not one distance test each
+            matched_ids = matched_ids - exclude
         if not matched_ids:
             return []
         # Lines 11-16: the iDistance interval of the spatial list.

@@ -16,7 +16,7 @@ the inefficiency the paper attributes to this extension.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import AbstractSet, Dict, List, Optional
 
 from ..expressions import Event, Subscription
 from ..expressions.dnf import clauses_of
@@ -80,10 +80,17 @@ class KIndex(EventIndex):
                         matched.append(self._events[event_id])
         return matched
 
-    def match(self, subscription: Subscription, at: Point) -> List[Event]:
+    def match(
+        self,
+        subscription: Subscription,
+        at: Point,
+        exclude: Optional[AbstractSet[int]] = None,
+    ) -> List[Event]:
         """Definition 5 match: be-match then spatial verification."""
+        exclude = exclude or ()
         return [
             event
             for event in self.be_match(subscription)
-            if subscription.spatial_matches(event, at)
+            if event.event_id not in exclude
+            and subscription.spatial_matches(event, at)
         ]

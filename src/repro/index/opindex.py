@@ -25,7 +25,7 @@ prune consults.  Attributes unknown to the order count as frequency 0
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..expressions import Event, Subscription
 from ..expressions.dnf import clauses_of
@@ -119,10 +119,17 @@ class OpIndex(EventIndex):
                         matched.append(self._events[event_id][0])
         return matched
 
-    def match(self, subscription: Subscription, at: Point) -> List[Event]:
+    def match(
+        self,
+        subscription: Subscription,
+        at: Point,
+        exclude: Optional[AbstractSet[int]] = None,
+    ) -> List[Event]:
         """Definition 5 match: be-match then spatial verification."""
+        exclude = exclude or ()
         return [
             event
             for event in self.be_match(subscription)
-            if subscription.spatial_matches(event, at)
+            if event.event_id not in exclude
+            and subscription.spatial_matches(event, at)
         ]

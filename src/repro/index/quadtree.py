@@ -9,7 +9,7 @@ because its leaves carry inverted lists).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..expressions import Event, Subscription
 from ..geometry import Circle, Point, Rect
@@ -148,10 +148,19 @@ class QuadTree(EventIndex):
         """Quadtree filters spatially first; candidates await BE verification."""
         return self.events_in_circle(subscription.notification_region(at))
 
-    def match(self, subscription: Subscription, at: Point) -> List[Event]:
+    def match(
+        self,
+        subscription: Subscription,
+        at: Point,
+        exclude: Optional[AbstractSet[int]] = None,
+    ) -> List[Event]:
         """Definition 5 match: range query then boolean verification."""
-        candidates = self.be_candidates(subscription, at)
-        return [event for event in candidates if subscription.be_matches(event)]
+        exclude = exclude or ()
+        return [
+            event
+            for event in self.be_candidates(subscription, at)
+            if event.event_id not in exclude and subscription.be_matches(event)
+        ]
 
     def match_batch(
         self, queries: Sequence[Tuple[Subscription, Point]]

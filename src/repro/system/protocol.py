@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..bitmap import WAHBitmap
 from ..expressions import (
@@ -87,9 +87,7 @@ def _decode_scalar(buffer: bytes, offset: int):
         (value,) = struct.unpack_from(">d", buffer, offset)
         return value, offset + 8
     if tag == _TAG_STR:
-        (length,) = struct.unpack_from(">I", buffer, offset)
-        offset += 4
-        return buffer[offset : offset + length].decode("utf-8"), offset + length
+        return _decode_str(buffer, offset)
     raise ValueError(f"unknown scalar tag {tag}")
 
 
@@ -101,7 +99,13 @@ def _encode_str(value: str) -> bytes:
 def _decode_str(buffer: bytes, offset: int) -> Tuple[str, int]:
     (length,) = struct.unpack_from(">I", buffer, offset)
     offset += 4
-    return buffer[offset : offset + length].decode("utf-8"), offset + length
+    end = offset + length
+    if end > len(buffer):
+        # a slice would silently shorten the string
+        raise ValueError(
+            f"string of {length} bytes runs {end - len(buffer)} past the buffer"
+        )
+    return buffer[offset:end].decode("utf-8"), end
 
 
 def _encode_pairs(pairs) -> bytes:
@@ -124,6 +128,14 @@ def _decode_pairs(buffer: bytes, offset: int) -> Tuple[List[Tuple[str, object]],
         value, offset = _decode_scalar(buffer, offset)
         pairs.append((name, value))
     return pairs, offset
+
+
+def _require_end(payload: bytes, offset: int) -> None:
+    """A variable-length payload must end where its last field does."""
+    if offset != len(payload):
+        raise ValueError(
+            f"payload of {len(payload)} bytes, fields end at byte {offset}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +248,8 @@ class SubscribeMessage:
     def decode_payload(cls, payload: bytes) -> "SubscribeMessage":
         """Inverse of :meth:`encode_payload`."""
         sub_id, radius, x, y, vx, vy = struct.unpack_from(">Qddddd", payload, 0)
-        expression, _ = decode_expression(payload, struct.calcsize(">Qddddd"))
+        expression, end = decode_expression(payload, struct.calcsize(">Qddddd"))
+        _require_end(payload, end)
         return cls(sub_id, radius, expression, Point(x, y), Point(vx, vy))
 
 
@@ -333,6 +346,18 @@ class SafeRegionPush:
         return cls(sub_id, grid_n, bool(complement), WAHBitmap(length, list(words)))
 
 
+#: A notification frame is a per-recipient *head* — frame type, payload
+#: length, sub id, event id, seq — and a *tail* — x, y, attribute pairs —
+#: that is the same bytes for every recipient of one event.
+_NOTIFICATION_HEAD = struct.Struct(">BIQQQ")
+#: the part of the head that belongs to the payload (the three ids)
+_NOTIFICATION_IDS = struct.calcsize(">QQQ")
+
+
+def _notification_tail(location: Point, attributes) -> bytes:
+    return struct.pack(">dd", location.x, location.y) + _encode_pairs(attributes)
+
+
 @dataclass(frozen=True)
 class NotificationMessage:
     """S->C: deliver one matching event."""
@@ -350,19 +375,15 @@ class NotificationMessage:
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
         return struct.pack(
-            ">QQQdd",
-            self.sub_id,
-            self.event_id,
-            self.seq,
-            self.location.x,
-            self.location.y,
-        ) + _encode_pairs(self.attributes)
+            ">QQQ", self.sub_id, self.event_id, self.seq
+        ) + _notification_tail(self.location, self.attributes)
 
     @classmethod
     def decode_payload(cls, payload: bytes) -> "NotificationMessage":
         """Inverse of :meth:`encode_payload`."""
         sub_id, event_id, seq, x, y = struct.unpack_from(">QQQdd", payload, 0)
-        attributes, _ = _decode_pairs(payload, struct.calcsize(">QQQdd"))
+        attributes, end = _decode_pairs(payload, struct.calcsize(">QQQdd"))
+        _require_end(payload, end)
         return cls(sub_id, event_id, Point(x, y), tuple(attributes), seq)
 
 
@@ -386,7 +407,8 @@ class EventPublishMessage:
     def decode_payload(cls, payload: bytes) -> "EventPublishMessage":
         """Inverse of :meth:`encode_payload`."""
         event_id, x, y, ttl = struct.unpack_from(">Qddi", payload, 0)
-        attributes, _ = _decode_pairs(payload, struct.calcsize(">Qddi"))
+        attributes, end = _decode_pairs(payload, struct.calcsize(">Qddi"))
+        _require_end(payload, end)
         return cls(event_id, Point(x, y), tuple(attributes), ttl)
 
 
@@ -431,6 +453,7 @@ class EventPublishBatchMessage:
                 EventPublishMessage.decode_payload(payload[offset : offset + length])
             )
             offset += length
+        _require_end(payload, offset)
         return cls(tuple(events))
 
 
@@ -692,6 +715,48 @@ def decode_message(frame: bytes) -> Message:
     return cls.decode_payload(frame[header:])
 
 
+class MessageDecoder:
+    """:func:`decode_message` for one connection's inbound stream, with a
+    one-entry memo of the last notification tail it parsed.
+
+    A connection that multiplexes many subscribers receives one event's
+    notification once per matching subscriber, back to back, and those
+    frames differ only in the head: the location and the attribute pairs
+    are parsed for the first and reused (they are immutable) for the rest.
+    A connection carrying one subscriber pays one failed compare a frame.
+    Only a tail that parsed to its end is ever remembered.
+    """
+
+    __slots__ = ("_tail", "_location", "_attributes")
+
+    def __init__(self) -> None:
+        self._tail: Optional[bytes] = None
+        self._location: Optional[Point] = None
+        self._attributes: Tuple[Tuple[str, object], ...] = ()
+
+    def decode(self, frame: bytes) -> Message:
+        """What ``decode_message(frame)`` returns."""
+        tail = self._tail
+        head = _NOTIFICATION_HEAD.size
+        if (
+            tail is not None
+            and len(frame) == head + len(tail)
+            and frame[0] == NotificationMessage.TYPE
+            and frame.endswith(tail)
+        ):
+            _, length, sub_id, event_id, seq = _NOTIFICATION_HEAD.unpack_from(frame)
+            if length == _NOTIFICATION_IDS + len(tail):
+                return NotificationMessage(
+                    sub_id, event_id, self._location, self._attributes, seq
+                )
+        message = decode_message(frame)
+        if isinstance(message, NotificationMessage):
+            self._tail = bytes(frame[head:])
+            self._location = message.location
+            self._attributes = message.attributes
+        return message
+
+
 def message_bytes(message: Message) -> int:
     """Wire size of one message, frame header included."""
     return len(encode_message(message))
@@ -753,6 +818,26 @@ def notification_for(sub_id: int, event, seq: int = 0) -> NotificationMessage:
         tuple(sorted(event.attributes.items())),
         seq,
     )
+
+
+def notification_tail(event) -> bytes:
+    """The bytes every recipient's notification of ``event`` ends with,
+    so a fan-out encodes them once per event."""
+    return _notification_tail(event.location, sorted(event.attributes.items()))
+
+
+def notification_frame(sub_id: int, event_id: int, seq: int, tail: bytes) -> bytes:
+    """``encode_message(notification_for(sub_id, event, seq))`` from the
+    event's :func:`notification_tail`."""
+    return _NOTIFICATION_HEAD.pack(
+        NotificationMessage.TYPE, _NOTIFICATION_IDS + len(tail), sub_id, event_id, seq
+    ) + tail
+
+
+def notification_bytes(event) -> int:
+    """Wire size of one notification of ``event``, frame header included
+    (the same for every recipient)."""
+    return _NOTIFICATION_HEAD.size + len(notification_tail(event))
 
 
 def region_push_for(sub_id: int, safe_region) -> SafeRegionPush:

@@ -74,7 +74,7 @@ from .protocol import (
     LocationReport,
     SubscribeMessage,
     message_bytes,
-    notification_for,
+    notification_bytes,
     region_delta_for,
     region_push_for,
 )
@@ -344,7 +344,9 @@ class ElapsServer:
         live), and count the notifications.
         """
         with self.tracer.span("match"):
-            matched = self.event_index.match(record.subscription, location)
+            matched = self.event_index.match(
+                record.subscription, location, exclude=record.delivered
+            )
         sub_id = record.subscription.sub_id
         notifications: List[Notification] = []
         for event in matched:
@@ -359,12 +361,15 @@ class ElapsServer:
         return notifications
 
     def _account_notification_bytes(self, notifications: List[Notification]) -> None:
+        # every recipient's frame of one event is the same length, and a
+        # publish returns its notifications event by event: one encode
+        # per run, counted at the length of the frame that is sent
+        event, size = None, 0
         for notification in notifications:
-            self.metrics.wire_bytes_down += message_bytes(
-                notification_for(
-                    notification.sub_id, notification.event, notification.seq
-                )
-            )
+            if notification.event is not event:
+                event = notification.event
+                size = notification_bytes(event)
+            self.metrics.wire_bytes_down += size
 
     def unsubscribe(self, sub_id: int) -> None:
         """Drop a subscriber from every index (subscription expiration)."""
@@ -517,8 +522,6 @@ class ElapsServer:
                     )
                     notifications.append(notification)
                     self.metrics.notifications += 1
-                    if self.measure_bytes:
-                        self._account_notification_bytes([notification])
                 else:
                     if field is not None:
                         field.note_event(event.event_id, event.location)
@@ -526,6 +529,8 @@ class ElapsServer:
                     pending_repair.setdefault(subscription.sub_id, []).append(
                         event.location
                     )
+        if self.measure_bytes:
+            self._account_notification_bytes(notifications)
         for sub_id, record in needs_construct.items():
             if self.repair and self._repair(record, pending_repair[sub_id]):
                 continue

@@ -17,7 +17,7 @@ event list so a bug cannot hide in cached results.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..expressions import Event, Subscription
 from ..geometry import Point
@@ -56,13 +56,24 @@ class BruteForceOracle:
         """Definition 3: boolean-expression matches, locations ignored."""
         return [e for e in self._events if subscription.be_matches(e)]
 
-    def match(self, subscription: Subscription, at: Point) -> List[Event]:
-        """Definition 5: full matches for one subscriber at ``at``.
+    def match(
+        self,
+        subscription: Subscription,
+        at: Point,
+        exclude: Optional[AbstractSet[int]] = None,
+    ) -> List[Event]:
+        """Definition 5: full matches for one subscriber at ``at``, minus
+        the already-sent ids in ``exclude``.
 
         Insertion order — compare against index output as *sets* of event
         ids (the indexes return spatial-walk order).
         """
-        return [e for e in self._events if subscription.matches(e, at)]
+        exclude = exclude or ()
+        return [
+            e
+            for e in self._events
+            if e.event_id not in exclude and subscription.matches(e, at)
+        ]
 
     def matching_pairs(
         self, queries: Sequence[Tuple[Subscription, Point]]

@@ -9,9 +9,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
+from repro.expressions import (
+    BooleanExpression,
+    DnfExpression,
+    Event,
+    Operator,
+    Predicate,
+    Subscription,
+)
 from repro.geometry import Point, Rect
 from repro.index import BEQTree, KIndex, OpIndex, QuadTree
+from repro.testing.oracle import BruteForceOracle
 
 from conftest import random_events
 
@@ -79,6 +87,57 @@ class TestAgreement:
         events, indexes = world
         for name, index in indexes.items():
             assert len(index) == len(events), name
+
+
+DNF_SUBSCRIPTION = Subscription(
+    6,
+    DnfExpression(
+        [
+            BooleanExpression([Predicate("a1", Operator.LE, 3)]),
+            BooleanExpression(
+                [Predicate("a2", Operator.GE, 6), Predicate("a0", Operator.NE, 2)]
+            ),
+        ]
+    ),
+    3500,
+)
+
+
+class TestExclude:
+    """``match(sub, at, exclude=D)`` is the order-preserving filter of
+    ``match(sub, at)`` — on the four indexes and on the oracle."""
+
+    @pytest.mark.parametrize(
+        "sub", SUBSCRIPTIONS + [DNF_SUBSCRIPTION], ids=lambda s: f"sub{s.sub_id}"
+    )
+    def test_exclude_filters_in_place(self, world, sub):
+        events, indexes = world
+        indexes = dict(indexes, oracle=BruteForceOracle(events))
+        rng = random.Random(sub.sub_id)
+        at = Point(5000, 5000)
+        for name, index in indexes.items():
+            full = [e.event_id for e in index.match(sub, at)]
+            matched = set(full)
+            strangers = {e.event_id for e in events} - matched
+            for excluded in (
+                set(),
+                frozenset(full[::2]),
+                set(rng.sample(sorted(matched), len(matched) // 3))
+                | set(rng.sample(sorted(strangers), 20)),
+                matched,
+            ):
+                got = [e.event_id for e in index.match(sub, at, exclude=excluded)]
+                assert got == [i for i in full if i not in excluded], name
+            assert [e.event_id for e in index.match(sub, at, exclude=None)] == full
+
+    def test_leaf_be_match_excludes_before_building_events(self, world):
+        events, indexes = world
+        expression = DNF_SUBSCRIPTION.expression
+        for leaf in indexes["beq"].leaves():
+            full = [e.event_id for e in leaf.be_match(expression)]
+            excluded = set(full[::2]) | {10**9}
+            got = {e.event_id for e in leaf.be_match(expression, excluded)}
+            assert got == set(full) - excluded
 
 
 class TestDeletion:

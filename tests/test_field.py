@@ -14,8 +14,9 @@ from repro.core import (
     LazyBEQField,
     StaticMatchingField,
     SystemStats,
+    VectorizedIGM,
 )
-from repro.expressions import BooleanExpression, Operator, Predicate
+from repro.expressions import BooleanExpression, Event, Operator, Predicate
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 
@@ -124,3 +125,119 @@ class TestConstructionEquivalence:
             results.append(IGM().construct(request))
         assert set(results[0].safe.cells) == set(results[1].safe.cells)
         assert set(results[0].impact.cells) == set(results[1].impact.cells)
+
+
+class FullWalkField(LazyBEQField):
+    """The field as it was before coverage grew by strips: every growth
+    re-walks every leaf under the whole new rectangle."""
+
+    def _cover(self, i_min, j_min, i_max, j_max):
+        n = self.grid.n
+        i_min, j_min = max(i_min, 0), max(j_min, 0)
+        i_max, j_max = min(i_max, n - 1), min(j_max, n - 1)
+        if self._covered is not None:
+            ci_min, cj_min, ci_max, cj_max = self._covered
+            if ci_min <= i_min and cj_min <= j_min and i_max <= ci_max and j_max <= cj_max:
+                return
+            i_min, j_min = min(i_min, ci_min), min(j_min, cj_min)
+            i_max, j_max = max(i_max, ci_max), max(j_max, cj_max)
+        lo = self.grid.cell_rect((i_min, j_min))
+        hi = self.grid.cell_rect((i_max, j_max))
+        area = Rect(lo.x_min, lo.y_min, hi.x_max, hi.y_max)
+        for leaf in self._tree.leaves_intersecting_rect(area):
+            if leaf.cell_id in self._scanned_leaves:
+                continue
+            self._scanned_leaves.add(leaf.cell_id)
+            self.leaves_scanned += 1
+            self.events_scanned += len(leaf.events)
+            for event in leaf.be_match(self._expression):
+                if event.event_id in self._excluded or event.event_id in self._seen_ids:
+                    continue
+                self._admit(event.event_id, event.location)
+        self._covered = (i_min, j_min, i_max, j_max)
+
+
+class TestStripWalk:
+    """Growing coverage by strips scans the leaves the full-rectangle
+    walk scans — same counters, same events, same regions — on a tree
+    that keeps splitting and merging between constructions."""
+
+    @staticmethod
+    def observed(field):
+        return (
+            field.leaves_scanned,
+            field.events_scanned,
+            field._covered,
+            set(field.known_points()),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_expansions_over_a_churning_tree(self, seed):
+        rng = random.Random(seed)
+        grid = Grid(40, SPACE)
+        tree = BEQTree(SPACE, emax=8)
+        live = random_events(rng, SPACE, 150)
+        tree.insert_all(live)
+        next_id = len(live)
+        expression = BooleanExpression([Predicate("a1", Operator.LE, 7)])
+        stats = SystemStats(event_rate=3.0, total_events=300)
+        for _ in range(12):
+            # churn: a clustered burst splits leaves, deletions merge them
+            centre = Point(rng.uniform(500, 9_500), rng.uniform(500, 9_500))
+            for _ in range(rng.randint(0, 40)):
+                event = Event(
+                    next_id,
+                    {"a1": rng.randint(0, 9)},
+                    Point(
+                        min(max(centre.x + rng.gauss(0, 300), 0), 9_999),
+                        min(max(centre.y + rng.gauss(0, 300), 0), 9_999),
+                    ),
+                )
+                next_id += 1
+                tree.insert(event)
+                live.append(event)
+            rng.shuffle(live)
+            for _ in range(rng.randint(0, min(30, len(live) - 20))):
+                tree.delete(live.pop())
+            excluded = {e.event_id for e in rng.sample(live, len(live) // 4)}
+            strips = LazyBEQField(grid, tree, expression, excluded_ids=set(excluded))
+            full = FullWalkField(grid, tree, expression, excluded_ids=set(excluded))
+            # a random walk of queries, the way a frontier wanders
+            i, j = rng.randrange(40), rng.randrange(40)
+            for _ in range(rng.randint(5, 60)):
+                i = min(max(i + rng.randint(-3, 3), 0), 39)
+                j = min(max(j + rng.randint(-3, 3), 0), 39)
+                query = rng.choice(["safe", "count", "neighbourhood"])
+                answers = []
+                for field in (strips, full):
+                    if query == "safe":
+                        answers.append(field.is_cell_safe((i, j), RADIUS))
+                    elif query == "count":
+                        answers.append(field.count_in_cell((i, j)))
+                    else:
+                        answers.append(field.ensure_cell_neighbourhood((i, j), RADIUS))
+                assert answers[0] == answers[1]
+                assert self.observed(strips) == self.observed(full)
+            # and whole constructions, scalar and vectorized
+            for strategy in (IGM(max_cells=120), VectorizedIGM(max_cells=120)):
+                location = Point(rng.uniform(0, 9_999), rng.uniform(0, 9_999))
+                pairs = []
+                for cls in (LazyBEQField, FullWalkField):
+                    field = cls(grid, tree, expression, excluded_ids=set(excluded))
+                    request = ConstructionRequest(
+                        location=location,
+                        velocity=Point(50, 20),
+                        radius=RADIUS,
+                        grid=grid,
+                        matching_field=field,
+                        stats=stats,
+                    )
+                    pairs.append((strategy.construct(request), self.observed(field)))
+                (strip_pair, strip_seen), (full_pair, full_seen) = pairs
+                assert strip_pair == full_pair
+                assert strip_seen == full_seen
+                for region in ("safe", "impact"):
+                    assert (
+                        getattr(strip_pair, region).to_bitmap().words
+                        == getattr(full_pair, region).to_bitmap().words
+                    )

@@ -20,7 +20,16 @@ from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import NetworkConfig, ServerConfig, ElapsServer
 from repro.system.network import ElapsNetworkClient, ElapsTCPServer
-from repro.system.protocol import SafeRegionPush, SubscribeMessage, encode_message
+from repro.expressions import Event
+from repro.system.protocol import (
+    EventPublishBatchMessage,
+    SafeRegionPush,
+    SubscribeMessage,
+    decode_message,
+    encode_message,
+    notification_for,
+    publish_message_for,
+)
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 FUZZ_SEED = 0xE1A95
@@ -170,6 +179,56 @@ class TestGarbageStreams:
             await asyncio.sleep(0.2)
             assert tcp.server.metrics.malformed_frames >= 1
             await assert_still_serving(tcp, sub_id=5)
+            await tcp.stop()
+
+        assert run_with_loop_watch(scenario) == []
+
+    def test_string_running_past_the_payload_is_malformed(self):
+        """The last string declares 100 bytes and 5 are there: a slice
+        would hand back the 5 as if nothing were wrong."""
+        frame = encode_message(
+            notification_for(1, Event(7, {"topic": "sales"}, Point(1.0, 2.0)), 1)
+        )
+        assert frame.endswith(struct.pack(">I", 5) + b"sales")
+        lying = frame[:-9] + struct.pack(">I", 100) + b"sales"
+        with pytest.raises(ValueError, match="past the buffer"):
+            decode_message(lying)
+        self._assert_counted_as_malformed(lying)
+
+    def test_bytes_after_the_last_pair_are_malformed(self):
+        for message in (
+            notification_for(1, Event(7, {"topic": "sale"}, Point(1.0, 2.0)), 1),
+            publish_message_for(7, {"topic": "sale"}, Point(1.0, 2.0)),
+            EventPublishBatchMessage(
+                (publish_message_for(7, {"topic": "sale"}, Point(1.0, 2.0)),)
+            ),
+            SubscribeMessage(
+                1, 1_500.0, make_sub().expression, Point(5_000, 5_000), Point(40, 0)
+            ),
+        ):
+            payload = message.encode_payload() + b"\x00\x00\x00"
+            padded = struct.pack(">BI", message.TYPE, len(payload)) + payload
+            with pytest.raises(ValueError, match="fields end at byte"):
+                decode_message(padded)
+            self._assert_counted_as_malformed(padded)
+
+    def test_batch_element_with_trailing_bytes_is_malformed(self):
+        element = publish_message_for(
+            7, {"topic": "sale"}, Point(1.0, 2.0)
+        ).encode_payload() + b"\x00"
+        payload = struct.pack(">II", 1, len(element)) + element
+        with pytest.raises(ValueError, match="fields end at byte"):
+            decode_message(struct.pack(">BI", 10, len(payload)) + payload)
+
+    @staticmethod
+    def _assert_counted_as_malformed(frame: bytes) -> None:
+        async def scenario():
+            tcp = make_tcp_server()
+            await tcp.start()
+            await send_raw(tcp.port, frame)
+            await asyncio.sleep(0.1)
+            assert tcp.server.metrics.malformed_frames == 1
+            await assert_still_serving(tcp, sub_id=8)
             await tcp.stop()
 
         assert run_with_loop_watch(scenario) == []

@@ -18,6 +18,13 @@ from repro.expressions import BooleanExpression, Event, Operator, Predicate, Sub
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import ServerConfig, CommunicationStats, ElapsServer
+from repro.system.protocol import (
+    LocationPing,
+    encode_message,
+    message_bytes,
+    notification_for,
+    region_push_for,
+)
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 
@@ -68,6 +75,55 @@ class TestModes:
         assert metrics.wire_bytes_down > 0    # pushes + notifications
         assert metrics.safe_region_bytes > 0  # compressed region payloads
         assert metrics.raw_region_bytes >= metrics.safe_region_bytes
+
+    def test_a_notification_counts_as_the_frame_that_carries_it(self):
+        """One encode per event, not one per recipient — and still the
+        length of each recipient's own frame."""
+        server = ElapsServer(
+            Grid(40, SPACE),
+            IGM(max_cells=400),
+            ServerConfig(initial_rate=1.0, measure_bytes=True),
+            event_index=BEQTree(SPACE, emax=32))
+        for sub_id in (1, 2, 3):
+            sub = Subscription(
+                sub_id,
+                BooleanExpression([Predicate("topic", Operator.EQ, "sale")]),
+                radius=1_500.0,
+            )
+            server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
+        before = server.metrics.wire_bytes_down
+        notifications = server.publish_batch(
+            [
+                Event(1, {"topic": "sale", "flag": True, "café": 1.5},
+                      Point(5_100, 5_000), arrived_at=1),
+                Event(2, {"zone": "x" * 40, "topic": "sale"},
+                      Point(5_200, 5_000), arrived_at=1),
+            ],
+            now=1,
+        )
+        assert len(notifications) == 6
+        frames = sum(
+            len(encode_message(notification_for(n.sub_id, n.event, n.seq)))
+            for n in notifications
+        )
+        pings = sum(message_bytes(LocationPing(sub_id)) for sub_id in (1, 2, 3))
+        assert server.metrics.wire_bytes_down - before == frames + pings
+        # the corpus-scan path (one subscriber, many events) counts the same
+        before = server.metrics.wire_bytes_down
+        latecomer = Subscription(
+            4, BooleanExpression([Predicate("topic", Operator.EQ, "sale")]), 1_500.0
+        )
+        notifications, region = server.subscribe(
+            latecomer, Point(5_000, 5_000), Point(20, 0), now=2
+        )
+        assert len(notifications) == 2
+        frames = sum(
+            len(encode_message(notification_for(n.sub_id, n.event, n.seq)))
+            for n in notifications
+        )
+        assert server.metrics.wire_bytes_down - before == frames + message_bytes(
+            region_push_for(4, region)
+        )
 
     def test_both_modes_agree_on_communication_rounds(self):
         """Measurement is observational: it never changes behaviour."""

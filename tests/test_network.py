@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import asyncio
+import os
 import socket
 import struct
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.bitmap import WAHBitmap
 from repro.core import IGM
 from repro.expressions import BooleanExpression, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
@@ -17,6 +21,7 @@ from repro.system.network import (
     ElapsNetworkClient,
     ElapsTCPServer,
     FrameError,
+    FrameReader,
     TruncatedFrameError,
     read_frame,
 )
@@ -353,6 +358,236 @@ class TestReadFrame:
 
     def test_truncation_is_a_frame_error(self):
         assert issubclass(TruncatedFrameError, FrameError)
+
+
+class ScriptedReader:
+    """The one method :class:`FrameReader` asks of a stream: ``read``
+    hands out the scripted chunks in order, then EOF."""
+
+    def __init__(self, chunks, delay: float = 0.0) -> None:
+        self._chunks = deque(chunk for chunk in chunks if chunk)
+        self._delay = delay
+
+    async def read(self, n: int) -> bytes:
+        if self._delay:
+            await asyncio.sleep(self._delay)
+        if not self._chunks:
+            return b""
+        chunk = self._chunks.popleft()
+        if len(chunk) > n:
+            self._chunks.appendleft(chunk[n:])
+            chunk = chunk[:n]
+        return chunk
+
+
+async def drain(next_frame):
+    """Every frame ``next_frame()`` yields, then how the stream ended:
+    ``None`` for a clean EOF, else the exception type."""
+    frames = []
+    while True:
+        try:
+            frame = await next_frame()
+        except FrameError as exc:
+            return frames, type(exc)
+        if frame is None:
+            return frames, None
+        frames.append(frame)
+
+
+#: CI's chaos lane raises the budget, as the differential suites' lane does
+FRAGMENTATION_EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "60"))
+MAX_LENGTH = 300
+
+raw_frames = st.builds(
+    lambda kind, payload: struct.pack(">BI", kind, len(payload)) + payload,
+    st.integers(0, 255),
+    st.binary(max_size=MAX_LENGTH),
+)
+
+
+class TestFrameReader:
+    """The buffered parser keeps ``read_frame``'s contract however the
+    bytes are cut into socket chunks."""
+
+    @settings(max_examples=FRAGMENTATION_EXAMPLES, deadline=None)
+    @given(
+        st.lists(raw_frames, max_size=12),
+        st.lists(st.integers(1, 700), min_size=1, max_size=40),
+        st.sampled_from(["whole", "truncated", "oversize"]),
+        st.integers(0, 10_000),
+    )
+    @example([b"\x08\x00\x00\x00\x03abc"] * 5, [1], "whole", 0)
+    @example([b"\x08\x00\x00\x00\x03abc"] * 5, [10_000], "truncated", 17)
+    @example([b"\x08\x00\x00\x00\x03abc"] * 5, [4], "oversize", 2)
+    def test_any_fragmentation_yields_what_read_frame_yields(
+        self, frames, sizes, ending, where
+    ):
+        stream = b"".join(frames)
+        if ending == "truncated" and stream:
+            stream = stream[: where % len(stream)]
+        elif ending == "oversize":
+            at = where % (len(frames) + 1)
+            stream = (
+                b"".join(frames[:at])
+                + struct.pack(">BI", 1, MAX_LENGTH + 1 + where)
+                + b"x" * (where % 50)
+                + b"".join(frames[at:])
+            )
+        chunks, offset, turn = [], 0, 0
+        while offset < len(stream):
+            size = sizes[turn % len(sizes)]
+            chunks.append(stream[offset : offset + size])
+            offset, turn = offset + size, turn + 1
+
+        async def scenario():
+            reference = asyncio.StreamReader()
+            reference.feed_data(stream)
+            reference.feed_eof()
+            expected = await drain(lambda: read_frame(reference, MAX_LENGTH))
+            reader = FrameReader(ScriptedReader(chunks), MAX_LENGTH)
+            assert await drain(lambda: reader.read(None)) == expected
+
+        run(scenario())
+
+    def test_oversize_header_is_rejected_before_its_payload_arrives(self):
+        async def scenario():
+            reader = FrameReader(
+                ScriptedReader([struct.pack(">BI", 1, 1 << 30), b"x" * 10]), 1024
+            )
+            with pytest.raises(FrameError):
+                await reader.read(None)
+
+        run(scenario())
+
+    def test_deadline_is_per_frame_and_a_timeout_keeps_the_bytes(self):
+        first = encode_message(HeartbeatMessage(3, 7))
+        second = encode_message(HeartbeatMessage(4, 8))
+        trickle = [bytes([byte]) for byte in first + second]
+
+        async def scenario():
+            # a byte every 20 ms: each single read beats the timeout, the
+            # 21-byte frame does not
+            reader = FrameReader(ScriptedReader(trickle, delay=0.02))
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(asyncio.TimeoutError):
+                await reader.read(0.1)
+            assert loop.time() - started < 0.3
+            # the bytes that did arrive were kept: the stream resumes
+            # mid-frame instead of parsing a payload as a header
+            assert await reader.read(5.0) == first
+            assert await reader.read_message(5.0) == HeartbeatMessage(4, 8)
+            assert await reader.read(5.0) is None
+
+        run(scenario())
+
+    def test_receive_timeout_between_header_and_payload_loses_nothing(self):
+        """At the parent commit the timed-out ``receive`` had consumed the
+        header, and the next one raised ``unknown message type 0``."""
+        frames = encode_message(HeartbeatMessage(1, 2)) + encode_message(
+            HeartbeatMessage(3, 4)
+        )
+
+        async def scenario():
+            async def stall_mid_frame(reader, writer):
+                writer.write(frames[:10])
+                await writer.drain()
+                await asyncio.sleep(0.4)
+                writer.write(frames[10:])
+                await writer.drain()
+                await reader.read()  # until the client hangs up
+                writer.close()
+
+            server = await asyncio.start_server(stall_mid_frame, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = ElapsNetworkClient("127.0.0.1", port)
+            await client.connect()
+            with pytest.raises(asyncio.TimeoutError):
+                await client.receive(timeout=0.15)
+            assert await client.receive(timeout=5.0) == HeartbeatMessage(1, 2)
+            assert await client.receive(timeout=5.0) == HeartbeatMessage(3, 4)
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+        run(scenario())
+
+    def test_a_gateway_connection_decodes_what_a_plain_decode_would(self):
+        """Many subscribers on one socket, one event: the frames share a
+        tail, the messages are still each recipient's own."""
+
+        async def scenario():
+            tcp = make_tcp_server()
+            await tcp.start()
+            gateway = ElapsNetworkClient("127.0.0.1", tcp.port)
+            publisher = ElapsNetworkClient("127.0.0.1", tcp.port)
+            await gateway.connect()
+            await publisher.connect()
+            for sub_id in (1, 2, 3):
+                await gateway.subscribe(
+                    make_sub(sub_id), Point(5_000, 5_000), Point(40, 0)
+                )
+            await publisher.publish(9, {"topic": "sale", "price": 3}, Point(5_100, 5_000))
+            await publisher.publish(10, {"topic": "sale", "price": 4}, Point(5_200, 5_000))
+            got = []
+            while len(got) < 6:
+                message = await gateway.receive()
+                if isinstance(message, NotificationMessage):
+                    got.append(message)
+            assert [(m.sub_id, m.event_id & 0xFFFFFFFF) for m in got] == [
+                (1, 9), (2, 9), (3, 9), (1, 10), (2, 10), (3, 10),
+            ]
+            for message in got:
+                price = 3 if message.event_id & 0xFFFFFFFF == 9 else 4
+                assert message.attributes == (("price", price), ("topic", "sale"))
+                assert decode_message(encode_message(message)) == message
+            await gateway.close()
+            await publisher.close()
+            await tcp.stop()
+
+        run(scenario())
+
+
+class TestRegionShip:
+    def test_one_ship_encodes_its_bitmap_once(self, monkeypatch):
+        """The byte counters and the frame used to run the WAH encoder
+        once each; the region remembers its bitmap now."""
+        encodes = []
+        for name in ("from_positions", "from_positions_array"):
+            original = getattr(WAHBitmap, name).__func__
+
+            def counting(cls, *args, _original=original, **kwargs):
+                encodes.append(1)
+                return _original(cls, *args, **kwargs)
+
+            monkeypatch.setattr(WAHBitmap, name, classmethod(counting))
+
+        async def scenario():
+            server = ElapsServer(
+                Grid(40, SPACE),
+                IGM(max_cells=400),
+                ServerConfig(initial_rate=1.0, measure_bytes=True),
+                event_index=BEQTree(SPACE, emax=32),
+            )
+            tcp = ElapsTCPServer(server, port=0, timestamp_seconds=0.05)
+            await tcp.start()
+            client = ElapsNetworkClient("127.0.0.1", tcp.port)
+            await client.connect()
+            received = await client.subscribe(
+                make_sub(), Point(5_000, 5_000), Point(40, 0)
+            )
+            push = received[-1]
+            assert isinstance(push, SafeRegionPush)
+            assert len(encodes) == server.metrics.constructions == 1
+            # same words on the wire as in the counters
+            assert server.metrics.safe_region_bytes == push.bitmap.compressed_bytes()
+            await client.send(LocationReport(1, Point(8_000, 8_000), Point(40, 0)))
+            assert isinstance(await client.receive(), SafeRegionPush)
+            assert len(encodes) == server.metrics.constructions == 2
+            await client.close()
+            await tcp.stop()
+
+        run(scenario())
 
 
 class TestHardening:

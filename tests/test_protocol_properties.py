@@ -11,6 +11,7 @@ table must survive ``decode(encode(command))``.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap import WAHBitmap
@@ -29,6 +30,7 @@ from repro.system.protocol import (
     HeartbeatMessage,
     LocationPing,
     LocationReport,
+    MessageDecoder,
     NotificationMessage,
     ResyncMessage,
     SafeRegionPush,
@@ -37,6 +39,10 @@ from repro.system.protocol import (
     decode_message,
     encode_message,
     message_bytes,
+    notification_bytes,
+    notification_for,
+    notification_frame,
+    notification_tail,
 )
 
 # ----------------------------------------------------------------------
@@ -162,6 +168,98 @@ def test_truncated_frames_never_decode_silently(message, cut):
     except Exception:
         return  # rejection is the expected outcome
     raise AssertionError("truncated frame decoded without error")
+
+
+# ----------------------------------------------------------------------
+# Notifications: a per-recipient head and a tail every recipient shares
+# ----------------------------------------------------------------------
+#: what a publisher may hand the server: bools travel as 0/1
+event_attributes = st.dictionaries(
+    names, st.one_of(scalars, st.booleans()), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(uint64, uint64, uint64, points, event_attributes, st.randoms(use_true_random=False))
+def test_notification_frame_is_head_plus_shared_tail(
+    sub_id, event_id, seq, location, attributes, shuffler
+):
+    items = list(attributes.items())
+    shuffler.shuffle(items)  # the frame sorts; the event's own order is free
+    event = Event(event_id, dict(items), location)
+    tail = notification_tail(event)
+    frame = notification_frame(sub_id, event_id, seq, tail)
+    assert frame == encode_message(notification_for(sub_id, event, seq))
+    assert notification_bytes(event) == len(frame)
+    assert decode_message(frame) == MessageDecoder().decode(frame)
+
+
+notifications = st.builds(
+    NotificationMessage, uint64, uint64, points, attribute_tuples, uint64
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(notifications, min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.integers(0, 2), uint64, uint64, st.integers(0, 1)) | MESSAGES,
+        max_size=12,
+    ),
+)
+def test_tail_memo_never_changes_a_decode(pool, script):
+    """Two connections' decoders, fed any interleaving of a few events'
+    notifications (so tails repeat) and other frames: every message is
+    what the memo-less ``decode_message`` returns."""
+    decoders = (MessageDecoder(), MessageDecoder())
+    for step in script:
+        if isinstance(step, tuple):
+            which, sub_id, seq, connection = step
+            base = pool[which % len(pool)]
+            message = NotificationMessage(
+                sub_id, base.event_id, base.location, base.attributes, seq
+            )
+        else:
+            message, connection = step, 0
+        frame = encode_message(message)
+        assert decoders[connection].decode(frame) == decode_message(frame) == message
+
+
+def test_tail_memo_a_b_a_then_one_byte_off():
+    def frame(sub_id, name, seq):
+        event = Event(7, {"topic": name, "price": 3}, Point(1.0, 2.0))
+        return encode_message(notification_for(sub_id, event, seq))
+
+    # A, B, A, then A' — A with one byte of its tail changed — then A
+    frames = [
+        frame(1, "sale", 1), frame(2, "sold", 1), frame(3, "sale", 2),
+        frame(4, "salf", 1), frame(5, "sale", 3),
+    ]
+    assert len(frames[2]) == len(frames[3])
+    first, second = MessageDecoder(), MessageDecoder()
+    for data in frames:
+        assert first.decode(data) == decode_message(data)
+    # nothing leaks between connections: the second one has only ever
+    # seen A' when A arrives
+    assert second.decode(frames[3]) == decode_message(frames[3])
+    assert second.decode(frames[0]) == decode_message(frames[0])
+
+
+def test_tail_memo_keeps_only_a_tail_that_parsed_to_its_end():
+    good = encode_message(
+        notification_for(1, Event(7, {"topic": "sale"}, Point(1.0, 2.0)), 1)
+    )
+    payload = good[5:] + b"\x00\x01"  # two bytes after the last pair
+    bad = good[:1] + len(payload).to_bytes(4, "big") + payload
+    decoder = MessageDecoder()
+    for _ in range(2):  # a remembered bad tail would decode the second time
+        with pytest.raises(ValueError):
+            decoder.decode(bad)
+    assert decoder.decode(good) == decode_message(good)
+    # a frame whose header lies about its length never rides the memo
+    lying = good[:1] + (len(good) - 4).to_bytes(4, "big") + good[5:]
+    with pytest.raises(ValueError):
+        decoder.decode(lying)
 
 
 # ----------------------------------------------------------------------

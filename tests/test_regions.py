@@ -3,6 +3,7 @@ representation, and the Appendix B wire encoding."""
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -72,6 +73,32 @@ class TestGridRegion:
     def test_encoded_bytes_positive(self, small_grid):
         region = GridRegion.of(small_grid, [(1, 1)])
         assert region.encoded_bytes() > 0
+
+
+    @pytest.mark.parametrize("cells", [3, 200], ids=["scalar", "array"])
+    def test_bitmap_is_encoded_once_and_stays_out_of_the_value(self, small_grid, cells):
+        chosen = [(i % 30, i // 30) for i in range(cells)]
+        region = SafeRegion(small_grid, frozenset(chosen))
+        twin = SafeRegion(small_grid, frozenset(chosen))
+        bitmap = region.to_bitmap()
+        assert region.to_bitmap() is bitmap  # both sides of the cutover
+        assert bitmap.words == twin.to_bitmap().words
+        # the memo is no part of the value ...
+        assert region == SafeRegion(small_grid, frozenset(chosen))
+        assert hash(region) == hash(SafeRegion(small_grid, frozenset(chosen)))
+        assert "bitmap" not in repr(region)
+        # ... and does not ride a fleet worker's pipe
+        fresh = SafeRegion(small_grid, frozenset(chosen))
+        assert len(pickle.dumps(region)) == len(pickle.dumps(fresh))
+        copy = pickle.loads(pickle.dumps(region))
+        assert copy.cells == region.cells and "_bitmap" not in vars(copy)
+        assert copy.to_bitmap().words == bitmap.words
+        # a derived region encodes its own cells
+        smaller, removed = region.subtract([chosen[0]])
+        assert removed == {chosen[0]}
+        assert smaller.to_bitmap().words == SafeRegion(
+            small_grid, frozenset(chosen[1:])
+        ).to_bitmap().words
 
 
 class TestImpactFromSafe:
