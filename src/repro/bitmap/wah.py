@@ -267,8 +267,3 @@ class WAHBitmap:
     def raw_bytes(self) -> int:
         """Wire size of the uncompressed bitmap."""
         return (self.length + 7) // 8
-
-    def compression_ratio(self) -> float:
-        """compressed / raw; the paper reports 0.05-0.10 for safe regions."""
-        raw = self.raw_bytes()
-        return self.compressed_bytes() / raw if raw else 1.0

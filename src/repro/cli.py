@@ -347,7 +347,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         ingress_queue=args.ingress_queue,
         send_queue=args.send_queue,
         send_queue_hard=args.send_queue_hard,
-        shed_policy=args.shed_policy,
         slow_consumer_grace=args.slow_consumer_grace,
         max_connections=args.max_connections,
         write_buffer_limit=args.write_buffer_limit,
@@ -366,7 +365,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {world.strategy} core on {tcp.host}:{tcp.port} "
             f"(E={world.initial_events}, send_queue={network.send_queue}/"
-            f"{network.hard_cap}, shed={network.shed_policy})",
+            f"{network.hard_cap})",
             flush=True,
         )
         try:
@@ -504,10 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-connection egress soft cap (frames)")
     serve.add_argument("--send-queue-hard", type=int, default=None,
                        help="egress hard cap (default: 2x the soft cap)")
-    serve.add_argument("--shed-policy", choices=("stale", "none"),
-                       default="stale",
-                       help="'stale' sheds superseded region state from "
-                            "over-cap queues; 'none' never drops a frame")
     serve.add_argument("--slow-consumer-grace", type=float, default=2.0,
                        help="seconds a queue may stay over cap before the "
                             "consumer is disconnected")

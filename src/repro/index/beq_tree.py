@@ -38,7 +38,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -62,8 +61,8 @@ class CacheCounters:
 
     * ``hits`` / ``misses`` — per-leaf clause-cache outcomes (a hit skips
       the counting algorithm's inverted-list probes entirely);
-    * ``probes_saved`` — tree descents and leaf visits a batched call
-      avoided compared to the equivalent one-at-a-time calls.
+    * ``probes_saved`` — tree descents a batched insert avoided
+      compared to the equivalent one-at-a-time inserts.
     """
 
     __slots__ = ("hits", "misses", "probes_saved")
@@ -158,9 +157,9 @@ class LeafCell:
     def clause_match_ids(self, clause: BooleanExpression) -> FrozenSet[int]:
         """Ids of this cell's events be-matching one conjunctive clause.
 
-        The result is memoised per clause: a burst of constructions (or a
-        batched match) probing the same vocabulary pays the counting
-        algorithm once per (leaf, clause) instead of once per call.
+        The result is memoised per clause: a burst of constructions
+        probing the same vocabulary pays the counting algorithm once per
+        (leaf, clause) instead of once per call.
         """
         cached = self._clause_cache.get(clause)
         if cached is not None:
@@ -439,41 +438,6 @@ class BEQTree(EventIndex):
         for leaf in self.leaves_intersecting_circle(circle):
             matched.extend(self._match_in_leaf(leaf, subscription, circle, exclude))
         return matched
-
-    def match_batch(
-        self, queries: Sequence[Tuple[Subscription, Point]]
-    ) -> List[List[Event]]:
-        """Match many (subscription, location) pairs in one tree walk.
-
-        Equivalent to ``[self.match(s, at) for s, at in queries]`` —
-        same events, same order per query (the leaf visiting order of the
-        single-query walk is preserved) — but the tree is descended once:
-        every node carries the group of queries whose notification circle
-        intersects it, so node descents and circle/rectangle tests are
-        shared across the batch, and the per-leaf clause cache amortises
-        the counting algorithm across queries with shared vocabulary.
-        ``counters.probes_saved`` accumulates the leaf visits saved
-        versus the one-at-a-time walks.
-        """
-        results: List[List[Event]] = [[] for _ in queries]
-        if not queries:
-            return results
-        circles = [sub.notification_region(at) for sub, at in queries]
-        stack: List[Tuple[_Node, List[int]]] = [(self._root, list(range(len(queries))))]
-        while stack:
-            node, group = stack.pop()
-            group = [qi for qi in group if circles[qi].intersects_rect(node.boundary)]
-            if not group:
-                continue
-            if node.is_leaf:
-                self.counters.probes_saved += len(group) - 1
-                for qi in group:
-                    results[qi].extend(
-                        self._match_in_leaf(node.cell, queries[qi][0], circles[qi])
-                    )
-            else:
-                stack.extend((child, group) for child in node.children)
-        return results
 
     def be_candidates(self, subscription: Subscription, at: Point) -> List[Event]:
         """Events passing the BE phase in the circle-intersecting leaves."""

@@ -9,7 +9,7 @@ because its leaves carry inverted lists).
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Iterator, List, Optional
 
 from ..expressions import Event, Subscription
 from ..geometry import Circle, Point, Rect
@@ -47,8 +47,6 @@ class QuadTree(EventIndex):
         self.max_depth = max_depth
         self._root = _Node(boundary)
         self._size = 0
-        #: node visits a batched match avoided versus one-at-a-time walks
-        self.probes_saved = 0
 
     def __len__(self) -> int:
         return self._size
@@ -130,20 +128,6 @@ class QuadTree(EventIndex):
                 stack.extend(node.children)
         return result
 
-    def events_in_rect(self, rect: Rect) -> List[Event]:
-        """All stored events inside the rectangle."""
-        result: List[Event] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not rect.intersects(node.boundary):
-                continue
-            if node.is_leaf:
-                result.extend(e for e in node.events if rect.contains_point(e.location))
-            else:
-                stack.extend(node.children)
-        return result
-
     def be_candidates(self, subscription: Subscription, at: Point) -> List[Event]:
         """Quadtree filters spatially first; candidates await BE verification."""
         return self.events_in_circle(subscription.notification_region(at))
@@ -161,40 +145,6 @@ class QuadTree(EventIndex):
             for event in self.be_candidates(subscription, at)
             if event.event_id not in exclude and subscription.be_matches(event)
         ]
-
-    def match_batch(
-        self, queries: Sequence[Tuple[Subscription, Point]]
-    ) -> List[List[Event]]:
-        """Match many (subscription, location) pairs in one tree walk.
-
-        The baseline counterpart of :meth:`BEQTree.match_batch`:
-        equivalent to mapping :meth:`match` over the queries (same events,
-        same per-query order), with node descents shared by carrying the
-        group of still-intersecting queries down the tree.
-        """
-        results: List[List[Event]] = [[] for _ in queries]
-        if not queries:
-            return results
-        circles = [sub.notification_region(at) for sub, at in queries]
-        stack: List[Tuple[_Node, List[int]]] = [(self._root, list(range(len(queries))))]
-        while stack:
-            node, group = stack.pop()
-            group = [qi for qi in group if circles[qi].intersects_rect(node.boundary)]
-            if not group:
-                continue
-            if node.is_leaf:
-                self.probes_saved += len(group) - 1
-                for qi in group:
-                    subscription = queries[qi][0]
-                    results[qi].extend(
-                        event
-                        for event in node.events
-                        if circles[qi].contains(event.location)
-                        and subscription.be_matches(event)
-                    )
-            else:
-                stack.extend((child, group) for child in node.children)
-        return results
 
     def leaves(self) -> Iterator[_Node]:
         """Every leaf node of the tree."""

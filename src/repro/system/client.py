@@ -20,7 +20,7 @@ the impact region — that stays on the server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..core import SafeRegion
 from ..expressions import Event, Subscription
@@ -120,15 +120,6 @@ class MobileClient:
         self.seen_event_ids.add(event.event_id)
         self.received_events.append(event)
         return True
-
-    def receive_notifications(self, events: Iterable[Event]) -> int:
-        """Apply a burst of notifications; returns how many were fresh.
-
-        The batched counterpart of :meth:`receive_notification` (a
-        ``publish_batch`` on the server can deliver several events to one
-        subscriber at once); the same dedupe filter applies per event.
-        """
-        return sum(1 for event in events if self.receive_notification(event))
 
     def answer_ping(self) -> tuple:
         """The client's reply to a server location ping."""

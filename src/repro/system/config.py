@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, FrozenSet, Optional, Tuple
 from ..geometry import Cell, Point
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core import RepairBudget, SafeRegion, SystemStats
+    from ..core import SafeRegion, SystemStats
     from .journal import JournalSpec
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
 #: treated as a framing error (a corrupted length field would otherwise
 #: stall the reader for gigabytes)
 MAX_FRAME_LENGTH = 1 << 24
-
-#: the egress shed policies :class:`NetworkConfig` understands
-SHED_POLICIES = ("stale", "none")
 
 #: the matching modes the server understands (DESIGN.md §6)
 MATCHING_MODES = ("ondemand", "full", "cached")
@@ -102,8 +99,6 @@ class ServerConfig:
     #: ``full`` (materialise every be-match), or ``cached`` (incremental
     #: per-subscriber caches)
     matching_mode: str = "ondemand"
-    #: sliding window (timestamps) of the event-rate estimator (Eq. 5-6)
-    rate_window: int = 50
     #: seed value for the rate estimator until the window fills; None
     #: starts the estimate from observed arrivals only
     initial_rate: Optional[float] = None
@@ -118,8 +113,6 @@ class ServerConfig:
     #: incremental safe-region repair (DESIGN.md §10) instead of full
     #: reconstruction on type-II out-of-radius events
     repair: bool = False
-    #: the repair/rebuild balance policy; None uses the default budget
-    repair_budget: Optional["RepairBudget"] = None
     #: durability: journal every state-changing operation under this
     #: spec's directory and enable snapshot/recover (DESIGN.md §13);
     #: None keeps the server purely in-memory.  Sharded fleets derive a
@@ -161,8 +154,6 @@ class NetworkConfig:
     #: a frame that cannot be flushed within this budget marks a stalled
     #: peer and drops the connection; None disables
     write_timeout: Optional[float] = 10.0
-    #: frames declaring a payload beyond this are framing errors
-    max_frame_length: int = MAX_FRAME_LENGTH
     #: with True, a dropped connection keeps its subscriber records so a
     #: reconnecting client can resubscribe/resync into them; the default
     #: preserves the original semantics (disconnect means unsubscribe)
@@ -170,26 +161,20 @@ class NetworkConfig:
     #: decoded frames buffered between the sockets and the core; when
     #: full, connection handlers stop reading (TCP backpressure)
     ingress_queue: int = 1024
-    #: soft cap on frames queued per connection; crossing it triggers
-    #: shedding (per ``shed_policy``) and starts the slow-consumer clock
+    #: soft cap on frames queued per connection; crossing it sheds stale
+    #: region pushes/deltas and ephemeral frames (notifications are never
+    #: shed — a consumer that cannot drain them is disconnected and healed
+    #: by resync) and starts the slow-consumer clock
     send_queue: int = 256
     #: hard cap on frames queued per connection — reaching it disconnects
     #: the consumer immediately; None defaults to ``2 * send_queue``
     send_queue_hard: Optional[int] = None
-    #: ``"stale"`` sheds region pushes/deltas and ephemeral frames from
-    #: an over-cap queue (notifications are never shed — a consumer that
-    #: cannot drain them is disconnected and healed by resync);
-    #: ``"none"`` disables shedding and supersede-coalescing entirely
-    shed_policy: str = "stale"
     #: seconds a send queue may sit over ``send_queue`` before the
     #: consumer is declared slow and disconnected
     slow_consumer_grace: float = 2.0
     #: admission control: connections beyond this are closed at accept
     #: time (counted in ``connections_refused``); None admits everyone
     max_connections: Optional[int] = None
-    #: seconds ``stop()`` waits for connection handlers before
-    #: cancelling the survivors (and logging them)
-    stop_timeout: float = 5.0
     #: when set, each accepted connection's transport write buffer (and
     #: its socket ``SO_SNDBUF``) is capped at this many bytes, so a slow
     #: consumer backs the writer task up into the send queue instead of
@@ -201,10 +186,6 @@ class NetworkConfig:
             raise ValueError(f"read_timeout must be >= 0: {self.read_timeout}")
         if self.write_timeout is not None and self.write_timeout < 0:
             raise ValueError(f"write_timeout must be >= 0: {self.write_timeout}")
-        if self.max_frame_length < 1:
-            raise ValueError(
-                f"max_frame_length must be positive: {self.max_frame_length}"
-            )
         if self.ingress_queue < 1:
             raise ValueError(f"ingress_queue must be positive: {self.ingress_queue}")
         if self.send_queue < 1:
@@ -214,11 +195,6 @@ class NetworkConfig:
                 f"send_queue_hard ({self.send_queue_hard}) must be at least "
                 f"send_queue ({self.send_queue})"
             )
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy: {self.shed_policy!r}; "
-                f"pick one of {SHED_POLICIES}"
-            )
         if self.slow_consumer_grace < 0:
             raise ValueError(
                 f"slow_consumer_grace must be >= 0: {self.slow_consumer_grace}"
@@ -227,8 +203,6 @@ class NetworkConfig:
             raise ValueError(
                 f"max_connections must be positive: {self.max_connections}"
             )
-        if self.stop_timeout < 0:
-            raise ValueError(f"stop_timeout must be >= 0: {self.stop_timeout}")
         if self.write_buffer_limit is not None and self.write_buffer_limit < 1:
             raise ValueError(
                 f"write_buffer_limit must be positive: {self.write_buffer_limit}"

@@ -191,19 +191,7 @@ def build_server(config: ExperimentConfig, journal=None):
             event_index=BEQTree(space, emax=config.emax),
             subscription_index=SubscriptionIndex(generator.frequency_hint()),
         )
-    settings = {
-        "enabled": config.trace_spans,
-        "slow_threshold": config.slow_span_seconds,
-    }
-    for name, value in settings.items():
-        setattr(server.tracer, name, value)
-        if config.shards > 1:  # the same toggle on every shard's tracer
-            server.executor.run(
-                {
-                    spec.shard_id: ("__tracer_set__", (name, value))
-                    for spec in server.specs
-                }
-            )
+    server.configure_tracing(config.trace_spans, config.slow_span_seconds)
     return server
 
 

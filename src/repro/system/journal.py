@@ -485,7 +485,8 @@ def _scan_log(path: str) -> Tuple[List[Tuple[int, bytes]], int, bool]:
     good = 0
     torn = False
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         return records, good, torn
     offset = 0
@@ -621,7 +622,8 @@ class Journal:
     def read_snapshot(self) -> Optional[Tuple[int, bytes]]:
         """The latest snapshot as ``(seq, body)``; None when absent."""
         try:
-            blob = open(self._snapshot_path, "rb").read()
+            with open(self._snapshot_path, "rb") as handle:
+                blob = handle.read()
         except FileNotFoundError:
             return None
         header_size = len(_SNAPSHOT_MAGIC) + struct.calcsize(">IQI")

@@ -18,9 +18,10 @@ event lands in a subscriber's impact region, the server answers the
 "ping" from the subscriber's most recent report instead of blocking the
 publish on a network round-trip (clients report whenever they leave
 their safe region, so the freshness guarantee is the same as the
-simulation's: one report round per region exit).  A
-:class:`~repro.system.protocol.LocationPing` is still pushed so the
-client knows to report promptly.
+simulation's: one report round per region exit).  No
+:class:`~repro.system.protocol.LocationPing` frame is ever sent; the
+message type and the resilient client's handler for it stay for a server
+that does ping.
 
 The layer assumes a hostile network (DESIGN.md §8).  Framing
 (:class:`FrameReader`, one buffered parser per connection, and the
@@ -69,7 +70,6 @@ import logging
 import math
 import random
 import socket
-import struct
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -87,6 +87,7 @@ from .config import (
 )
 from .metrics import CommunicationStats
 from .protocol import (
+    FRAME_HEADER,
     EventPublishBatchMessage,
     EventPublishMessage,
     HeartbeatMessage,
@@ -118,10 +119,12 @@ from .server import ElapsServer
 
 logger = logging.getLogger(__name__)
 
-_FRAME_HEADER = struct.Struct(">BI")
-_HEADER_SIZE = _FRAME_HEADER.size
+_HEADER_SIZE = FRAME_HEADER.size
 #: bytes asked of the socket per read: the stream reader's own buffer limit
 _READ_CHUNK = 64 * 1024
+#: seconds ``stop()`` waits for connection handlers, and then for the
+#: ingress queue to drain, before cancelling what is left
+STOP_TIMEOUT = 5.0
 
 
 class FrameError(Exception):
@@ -134,7 +137,7 @@ class TruncatedFrameError(FrameError):
 
 def _payload_length(header: bytes, offset: int, max_length: int) -> int:
     """The payload length a frame header declares, checked against the cap."""
-    (_, length) = _FRAME_HEADER.unpack_from(header, offset)
+    (_, length) = FRAME_HEADER.unpack_from(header, offset)
     if length > max_length:
         raise FrameError(f"declared payload of {length} bytes exceeds {max_length}")
     return length
@@ -336,7 +339,6 @@ class SendQueue:
         hard_cap: Optional[int] = None,
         *,
         grace: float = 2.0,
-        shed: bool = True,
         stats: Optional[CommunicationStats] = None,
     ) -> None:
         if soft_cap < 1:
@@ -348,7 +350,6 @@ class SendQueue:
                 f"hard_cap ({self.hard_cap}) must be at least soft_cap ({soft_cap})"
             )
         self.grace = grace
-        self.shed_enabled = shed
         self.stats = stats if stats is not None else CommunicationStats()
         self.high_water = 0
         self._entries: Deque[QueuedFrame] = deque()
@@ -370,8 +371,7 @@ class SendQueue:
     ) -> SendVerdict:
         """Enqueue one frame and judge the consumer's health."""
         if kind is FrameKind.REGION:
-            if self.shed_enabled:
-                self._supersede(sub_id)
+            self._supersede(sub_id)
             # a full push is self-contained: it re-syncs a broken chain
             self._dirty.discard(sub_id)
         elif kind is FrameKind.DELTA and sub_id in self._dirty:
@@ -389,7 +389,7 @@ class SendQueue:
             self.high_water = depth
         if depth > self.stats.send_queue_high_water:
             self.stats.send_queue_high_water = depth
-        if depth > self.soft_cap and self.shed_enabled and self._sheddable:
+        if depth > self.soft_cap and self._sheddable:
             self._shed()
         return self._verdict(now)
 
@@ -488,37 +488,17 @@ class _Connection:
         self.writer_task: Optional[asyncio.Task] = None
 
 
-class TCPTransport(Transport):
-    """The TCP layer's client-facing seam: frames over the sockets.
-
-    Regions and deltas are encoded and queued on the subscriber's live
-    connection; the location ping is answered from the last reported
-    position (a TCP client is not synchronously pingable — it reports
-    when it leaves its region, exactly the paper's protocol).
-    """
-
-    def __init__(self, tcp_server: "ElapsTCPServer") -> None:
-        self._tcp = tcp_server
-
-    def ship_region(self, sub_id, region) -> None:
-        """Frame and queue a full safe region for the live connection."""
-        self._tcp._push_region(sub_id, region)
-
-    def ship_delta(self, sub_id, removed, region) -> None:
-        """Frame and queue a repair delta for the live connection."""
-        self._tcp._push_delta(sub_id, removed, region)
-
-    def locate(self, sub_id):
-        """The last position the subscriber reported over the wire."""
-        return self._tcp._last_known_location(sub_id)
-
-
-class ElapsTCPServer:
+class ElapsTCPServer(Transport):
     """Serve an :class:`ElapsServer` (or a
     :class:`~repro.system.sharding.ShardedElapsServer`) on a TCP port.
 
     Every front-end knob lives on the :class:`NetworkConfig` passed as
-    ``config``.
+    ``config``.  The class that owns the sockets is the wrapped server's
+    :class:`~repro.system.config.Transport`: regions and deltas are
+    framed and queued on the subscriber's live connection, and the
+    location ping is answered from the last reported position (a TCP
+    client is not synchronously pingable — it reports when it leaves its
+    region, exactly the paper's protocol).
     """
 
     def __init__(
@@ -547,7 +527,7 @@ class ElapsTCPServer:
         self._ingress: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         # everything the wrapped server ships goes out over the sockets
-        server.transport = TCPTransport(self)
+        server.transport = self
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -566,7 +546,7 @@ class ElapsTCPServer:
 
         Handlers are unblocked by closing their transports first: a
         clean EOF exercises exactly the disconnect path they already
-        own.  Any handler still alive after ``config.stop_timeout`` is
+        own.  Any handler still alive after :data:`STOP_TIMEOUT` is
         cancelled and logged instead of leaked; the dispatcher then
         drains the remaining ingress work (including the handlers' close
         markers) before it is stopped.
@@ -582,15 +562,13 @@ class ElapsTCPServer:
                 conn.writer.close()
         pending = [task for task in self._connection_tasks if not task.done()]
         if pending:
-            _, survivors = await asyncio.wait(
-                pending, timeout=self.config.stop_timeout
-            )
+            _, survivors = await asyncio.wait(pending, timeout=STOP_TIMEOUT)
             if survivors:
                 logger.warning(
                     "stop(): cancelling %d connection handler(s) still "
                     "alive after %.1fs",
                     len(survivors),
-                    self.config.stop_timeout,
+                    STOP_TIMEOUT,
                 )
                 for task in survivors:
                     task.cancel()
@@ -598,9 +576,7 @@ class ElapsTCPServer:
         if self._dispatcher is not None:
             if self._ingress is not None:
                 with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        self._ingress.join(), self.config.stop_timeout
-                    )
+                    await asyncio.wait_for(self._ingress.join(), STOP_TIMEOUT)
             self._dispatcher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._dispatcher
@@ -618,18 +594,20 @@ class ElapsTCPServer:
         return int((time.monotonic() - self._started_at) / self.timestamp_seconds)
 
     # ------------------------------------------------------------------
-    # Server-transport plumbing (egress)
+    # The wrapped server's transport (egress)
     # ------------------------------------------------------------------
-    def _last_known_location(self, sub_id: int):
+    def locate(self, sub_id: int):
+        """The last position the subscriber reported over the wire."""
         record = self.server.subscribers[sub_id]
         return record.location, record.velocity
 
-    def _push_region(self, sub_id: int, region) -> None:
+    def ship_region(self, sub_id: int, region) -> None:
+        """Frame and queue a full safe region for the live connection."""
         self._ship(
             sub_id, FrameKind.REGION, encode_message(region_push_for(sub_id, region))
         )
 
-    def _push_delta(self, sub_id: int, removed, region) -> None:
+    def ship_delta(self, sub_id: int, removed, region) -> None:
         """Queue a repair as a delta frame (the full region stays home).
 
         The delta only makes sense against the region the client already
@@ -644,7 +622,7 @@ class ElapsTCPServer:
         if conn is None:
             return
         if conn.queue.region_state_dirty(sub_id):
-            self._push_region(sub_id, region)
+            self.ship_region(sub_id, region)
             return
         self._ship(
             sub_id,
@@ -808,7 +786,6 @@ class ElapsTCPServer:
                 config.send_queue,
                 config.hard_cap,
                 grace=config.slow_consumer_grace,
-                shed=config.shed_policy == "stale",
                 stats=metrics,
             ),
         )
@@ -817,7 +794,7 @@ class ElapsTCPServer:
         conn.writer_task.add_done_callback(self._writer_tasks.discard)
         self._connections.add(conn)
         assert self._ingress is not None, "start() first"
-        frames = FrameReader(reader, config.max_frame_length)
+        frames = FrameReader(reader)
         try:
             while True:
                 try:
@@ -937,7 +914,7 @@ class ElapsTCPServer:
             notifications, _ = self.server.subscribe(
                 subscription, message.location, message.velocity, now
             )
-            # the initial region push went out via the region sink;
+            # the initial region push went out through ship_region;
             # deliver the already-matching events
             self._push_notifications(notifications)
         elif isinstance(message, LocationReport):

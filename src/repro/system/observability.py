@@ -2,29 +2,27 @@
 
 The paper's evaluation is *measurement* — §3.3's cost model and
 Appendix D's server-computation figures stand or fall with the
-accounting behind them.  Until now that accounting was a bag of plain
-counters (:class:`~repro.system.metrics.CommunicationStats`) plus one
-lumped ``server_seconds`` float fed by ad-hoc ``time.perf_counter()``
-calls.  This module replaces the sprinkling with one instrument:
+accounting behind them.  Beside the plain counters
+(:class:`~repro.system.metrics.CommunicationStats`) this module is the
+one instrument for time:
 
 * :class:`LatencyHistogram` — fixed log-scale buckets over seconds with
   p50/p95/p99 estimates; histograms merge bucket-wise, so shards and
   reruns aggregate without losing the distribution;
 * :class:`SpanTracer` — near-zero-overhead, nestable context-manager
   spans over the hot stages of the pipeline (``match``, ``construct``,
-  ``repair``, ``ship``, ``batch``, frame ``read``/``decode``/
+  ``repair``, ``ship``, ``publish``, frame ``read``/``decode``/
   ``dispatch``/``drain``, ...), each feeding one histogram; an optional
   slow-span threshold logs outliers as they happen;
 * :class:`MetricsRegistry` — the one handle unifying the counter
-  accumulator and the tracer: snapshots (for the ``StatsSnapshot`` wire
-  message, frame type 13), merging, and a ``render_prometheus()`` text
-  exporter in the Prometheus exposition format.
+  accumulator and the tracer: merging, and the two ways out — the
+  ``StatsSnapshot`` wire message (frame type 13) and a
+  ``render_prometheus()`` text exporter in the Prometheus exposition
+  format.
 
 Overhead discipline: a disabled tracer hands out one shared no-op span
 (two attribute loads per stage), and an enabled span costs two
-``perf_counter()`` calls plus one histogram insert.  The benchmark
-suite gates the enabled-tracing overhead at under 5% of batched publish
-throughput (``BENCH_throughput.json`` schema v3).
+``perf_counter()`` calls plus one histogram insert.
 """
 
 from __future__ import annotations
@@ -156,7 +154,7 @@ class LatencyHistogram:
         return self.total_seconds / total if total else 0.0
 
     # ------------------------------------------------------------------
-    # Algebra & codecs
+    # Algebra
     # ------------------------------------------------------------------
     def merged_with(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Bucket-wise sum with another histogram (inputs untouched).
@@ -182,15 +180,6 @@ class LatencyHistogram:
             "total_seconds": self.total_seconds,
         }
 
-    def as_dict(self) -> Dict[str, object]:
-        """Machine-readable form: the bucket counts plus the exact sum."""
-        return {"counts": list(self.counts), "total_seconds": self.total_seconds}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "LatencyHistogram":
-        """Inverse of :meth:`as_dict`."""
-        return cls(list(payload["counts"]), float(payload["total_seconds"]))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LatencyHistogram(count={self.count}, p50={self.p50:g}, "
@@ -205,7 +194,7 @@ class Span:
     """One timed region of code.
 
     Spans are plain context managers, so they nest naturally — a
-    ``construct`` span inside a ``batch`` span times the construction
+    ``construct`` span inside a ``publish`` span times the construction
     and contributes to both histograms.  Every ``span()`` call hands out
     a fresh object: interleaved spans of the same stage (two TCP
     connections awaiting ``drain`` concurrently) each keep their own
@@ -312,8 +301,8 @@ class MetricsRegistry:
     """One handle over everything the system measures.
 
     Unifies the counter accumulator (:class:`CommunicationStats`) with
-    the span tracer's histograms, so snapshots, merges, and exports see
-    a single consistent surface.  The server owns one; the TCP layer
+    the span tracer's histograms, so merges and exports see a single
+    consistent surface.  The server owns one; the TCP layer
     serves it as frame type 13; the CLI and benchmarks print it.
     """
 
@@ -330,18 +319,8 @@ class MetricsRegistry:
         return self.tracer.span(stage)
 
     # ------------------------------------------------------------------
-    # Snapshots & merging
+    # Merging
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """A point-in-time copy: every counter, every histogram."""
-        return {
-            "counters": self.stats.as_dict(),
-            "spans": {
-                stage: histogram.as_dict()
-                for stage, histogram in sorted(self.tracer.histograms.items())
-            },
-        }
-
     def merged_with(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Counters add field-wise; histograms merge bucket-wise.
 

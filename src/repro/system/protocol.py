@@ -343,6 +343,7 @@ class SafeRegionPush:
         )
         offset = struct.calcsize(">QIBII")
         words = struct.unpack_from(f">{word_count}I", payload, offset)
+        _require_end(payload, offset + 4 * word_count)
         return cls(sub_id, grid_n, bool(complement), WAHBitmap(length, list(words)))
 
 
@@ -491,6 +492,7 @@ class SafeRegionDelta:
         sub_id, grid_n, length, word_count = struct.unpack_from(">QIII", payload, 0)
         offset = struct.calcsize(">QIII")
         words = struct.unpack_from(f">{word_count}I", payload, offset)
+        _require_end(payload, offset + 4 * word_count)
         return cls(sub_id, grid_n, WAHBitmap(length, list(words)))
 
 
@@ -565,6 +567,7 @@ class StatsSnapshot:
             (total_seconds,) = struct.unpack_from(">d", payload, offset)
             offset += 8
             spans.append((stage, counts, total_seconds))
+        _require_end(payload, offset)
         return cls(tuple(counters), tuple(spans))
 
     # convenience views ---------------------------------------------------
@@ -654,6 +657,7 @@ class ResyncMessage:
         sub_id, x, y, vx, vy, count = struct.unpack_from(">QddddI", payload, 0)
         offset = struct.calcsize(">QddddI")
         received = struct.unpack_from(f">{count}Q", payload, offset)
+        _require_end(payload, offset + 8 * count)
         return cls(sub_id, Point(x, y), Point(vx, vy), tuple(received))
 
 
@@ -676,35 +680,21 @@ _MESSAGE_TYPES = {
     )
 }
 
-Message = Union[
-    SubscribeMessage,
-    UnsubscribeMessage,
-    LocationReport,
-    LocationPing,
-    SafeRegionPush,
-    NotificationMessage,
-    EventPublishMessage,
-    EventPublishBatchMessage,
-    HeartbeatMessage,
-    ResyncMessage,
-    SafeRegionDelta,
-    StatsRequest,
-    StatsSnapshot,
-]
-
-_FRAME_HEADER = ">BI"
+#: what every frame starts with: type byte, payload length
+FRAME_HEADER = struct.Struct(">BI")
 
 
-def encode_message(message: Message) -> bytes:
+def encode_message(message) -> bytes:
     """One framed message: type byte, payload length, payload."""
     payload = message.encode_payload()
-    return struct.pack(_FRAME_HEADER, message.TYPE, len(payload)) + payload
+    return FRAME_HEADER.pack(message.TYPE, len(payload)) + payload
 
 
-def decode_message(frame: bytes) -> Message:
-    """Decode one framed message; trailing bytes are an error."""
-    message_type, length = struct.unpack_from(_FRAME_HEADER, frame, 0)
-    header = struct.calcsize(_FRAME_HEADER)
+def decode_message(frame: bytes):
+    """Decode one framed message (an instance of one of the
+    ``_MESSAGE_TYPES``); trailing bytes are an error."""
+    message_type, length = FRAME_HEADER.unpack_from(frame, 0)
+    header = FRAME_HEADER.size
     if len(frame) != header + length:
         raise ValueError(
             f"frame length mismatch: header says {length}, got {len(frame) - header}"
@@ -734,7 +724,7 @@ class MessageDecoder:
         self._location: Optional[Point] = None
         self._attributes: Tuple[Tuple[str, object], ...] = ()
 
-    def decode(self, frame: bytes) -> Message:
+    def decode(self, frame: bytes):
         """What ``decode_message(frame)`` returns."""
         tail = self._tail
         head = _NOTIFICATION_HEAD.size
@@ -757,21 +747,9 @@ class MessageDecoder:
         return message
 
 
-def message_bytes(message: Message) -> int:
+def message_bytes(message) -> int:
     """Wire size of one message, frame header included."""
     return len(encode_message(message))
-
-
-def frame_type(frame: bytes) -> int:
-    """The type byte of an encoded frame, without decoding the payload.
-
-    The egress queue classifies frames by kind (is this a region push?
-    a notification?) and tests assert on raw captures; both need the
-    type without paying for a full decode.
-    """
-    if not frame:
-        raise ValueError("empty frame has no type byte")
-    return frame[0]
 
 
 def subscribe_message_for(subscription, location, velocity) -> SubscribeMessage:

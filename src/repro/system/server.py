@@ -39,7 +39,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core import (
     ConstructionRequest,
@@ -72,16 +72,18 @@ from .observability import MetricsRegistry
 from .protocol import (
     LocationPing,
     LocationReport,
-    SubscribeMessage,
     message_bytes,
     notification_bytes,
     region_delta_for,
     region_push_for,
+    subscribe_message_for,
 )
 
 #: lower bound on the speed used for region construction: a parked
 #: subscriber still gets a region shaped for (slow) movement
 MIN_SPEED = 1.0
+#: sliding window (timestamps) of the event-rate estimator (Eq. 5-6)
+RATE_WINDOW = 50
 
 
 @dataclass
@@ -163,7 +165,7 @@ class ElapsServer:
         )
         self.impact_index = ImpactRegionIndex()
         self.matching_mode = config.matching_mode
-        self.rate_window = config.rate_window
+        self.rate_window = RATE_WINDOW
         self.initial_rate = config.initial_rate
         self.stats_override = config.stats_override
         self.measure_bytes = config.measure_bytes
@@ -175,7 +177,7 @@ class ElapsServer:
         #: instead of re-running the construction strategy.  Off by
         #: default; the always-rebuild behaviour is the paper's.
         self.repair = config.repair
-        self.repair_budget = config.repair_budget or RepairBudget()
+        self.repair_budget = RepairBudget()
         #: the one client-facing seam: region/delta shipping and the
         #: location ping all go through here (None = headless server)
         self.transport: Optional[Transport] = transport
@@ -240,6 +242,9 @@ class ElapsServer:
 
     def _store_event(self, event: Event) -> None:
         self.event_index.insert(event)
+        self._track_event(event)
+
+    def _track_event(self, event: Event) -> None:
         self._events_by_id[event.event_id] = event
         if event.expires_at is not None:
             heapq.heappush(self._expiry_heap, (event.expires_at, event.event_id))
@@ -318,10 +323,7 @@ class ElapsServer:
         notifications = self._deliver_corpus_matches(record, location, now)
         if self.measure_bytes:
             self.metrics.wire_bytes_up += message_bytes(
-                SubscribeMessage(
-                    subscription.sub_id, subscription.radius,
-                    subscription.expression, location, velocity,
-                )
+                subscribe_message_for(subscription, location, velocity)
             )
             self._account_notification_bytes(notifications)
         self._construct(record, now)
@@ -444,9 +446,7 @@ class ElapsServer:
         covering_hits_before = self.impact_index.cache_hits
         self.event_index.insert_batch(events)
         for event in events:
-            self._events_by_id[event.event_id] = event
-            if event.expires_at is not None:
-                heapq.heappush(self._expiry_heap, (event.expires_at, event.event_id))
+            self._track_event(event)
         self._note_arrivals(now, len(events))
         event_cells = [self.grid.cell_of(event.location) for event in events]
         covering: Dict = {}
@@ -756,30 +756,31 @@ class ElapsServer:
             started_at=self._started_at,
             arrival_times=list(self._arrival_times),
             events=list(self._events_by_id.values()),
-            subscribers=[
-                self._subscriber_snapshot(record)
-                for record in self.subscribers.values()
-            ],
+            subscribers=self.subscriber_snapshots(),
             counters=self.metrics.as_dict(),
         )
         written = self.journal.write_snapshot(encode_snapshot(image), image.last_seq)
         self.metrics.snapshots_taken += 1
         self.metrics.snapshot_bytes += written
 
-    def _subscriber_snapshot(self, record: SubscriberRecord) -> SubscriberSnapshot:
-        sub_id = record.subscription.sub_id
-        safe = None
-        if record.safe is not None:
-            safe = (record.safe.complement, frozenset(record.safe.cells))
-        return SubscriberSnapshot(
-            subscription=record.subscription,
-            location=record.location,
-            velocity=record.velocity,
-            delivered=frozenset(record.delivered),
-            next_seq=record.next_seq,
-            safe=safe,
-            impact=self.impact_index.region_of(sub_id),
-        )
+    def subscriber_snapshots(self) -> List[SubscriberSnapshot]:
+        """Every subscriber's durable image, in subscribe order: what
+        :meth:`snapshot` persists and a recovered fleet's coordinator reads."""
+        return [
+            SubscriberSnapshot(
+                subscription=record.subscription,
+                location=record.location,
+                velocity=record.velocity,
+                delivered=frozenset(record.delivered),
+                next_seq=record.next_seq,
+                safe=(
+                    None if record.safe is None
+                    else (record.safe.complement, frozenset(record.safe.cells))
+                ),
+                impact=self.impact_index.region_of(sub_id),
+            )
+            for sub_id, record in self.subscribers.items()
+        ]
 
     def recover(self) -> int:
         """Rebuild state from the latest snapshot plus the journal tail.
@@ -892,9 +893,15 @@ class ElapsServer:
         """The full observability view (counters + span histograms)."""
         return self.registry
 
-    def corpus_matches(self, expression) -> Iterator[Event]:
+    def configure_tracing(self, enabled: bool, slow_threshold: Optional[float]) -> None:
+        """Turn the span tracer on or off and set the duration (seconds)
+        at or above which a span is logged as slow; ``None`` logs none."""
+        self.tracer.enabled = enabled
+        self.tracer.slow_threshold = slow_threshold
+
+    def corpus_matches(self, expression) -> List[Event]:
         """Every live event be-matching ``expression`` (audits/oracles)."""
-        return iter(self.event_index.be_match(expression))
+        return self.event_index.be_match(expression)
 
     def delivered_ids(self, sub_id: int) -> FrozenSet[int]:
         """The ids this server has delivered to ``sub_id`` so far."""
@@ -913,24 +920,17 @@ class ElapsServer:
     def _matching_field(self, record: SubscriberRecord):
         if self.matching_mode == "ondemand":
             sub_id = record.subscription.sub_id
-            if self.repair:
-                field = self._lazy_fields.get(sub_id)
-                if field is not None and not field.too_stale():
-                    return field
+            field = self._lazy_fields.get(sub_id) if self.repair else None
+            if field is None or field.too_stale():
                 field = LazyBEQField(
                     self.grid,
                     self.event_index,
                     record.subscription.expression,
                     excluded_ids=record.delivered,
                 )
-                self._lazy_fields[sub_id] = field
-                return field
-            return LazyBEQField(
-                self.grid,
-                self.event_index,
-                record.subscription.expression,
-                excluded_ids=record.delivered,
-            )
+                if self.repair:
+                    self._lazy_fields[sub_id] = field
+            return field
         if self.matching_mode == "cached":
             signature = self._matching_signature(record)
             cached = self._field_cache.get(record.subscription.sub_id)

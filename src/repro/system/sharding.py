@@ -37,10 +37,12 @@ Routing rules (DESIGN.md §12):
 Execution is pluggable through :class:`ShardExecutor`, and a shard is
 reached exactly one way: ``executor.run({shard_id: (method, args)})``.
 The executor owns the servers it hosts — the fleet hands it one builder
-per band through ``launch`` — and runs every command through
-:func:`_dispatch_command`.  :class:`SerialExecutor` hosts the servers
-in-process and runs commands in ascending shard order on the calling
-thread (deterministic — the golden-trace differential runs under it);
+per band through ``launch`` — and a command names a public
+:class:`ElapsServer` method: applying it is ``getattr(server,
+method)(*args)``, the expression recovery and trace replay use.
+:class:`SerialExecutor` hosts the servers in-process and runs commands
+in ascending shard order on the calling thread (deterministic — the
+golden-trace differential runs under it);
 :class:`ProcessExecutor` hosts each worker in its own OS process
 (DESIGN.md §15) — the same ``(method, args)`` values travel over pipes,
 the workers reply with results plus any buffered region shipments, and
@@ -63,7 +65,6 @@ import bisect
 import dataclasses
 import functools
 import inspect
-import itertools
 import json
 import math
 import multiprocessing
@@ -76,7 +77,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -91,7 +91,7 @@ from ..expressions import Event, Subscription
 from ..geometry import Cell, Grid, Point, Rect
 from .config import CallbackTransport, RebalancePolicy, ServerConfig, Transport
 from .metrics import CommunicationStats
-from .observability import LatencyHistogram, MetricsRegistry
+from .observability import MetricsRegistry
 from .server import ElapsServer, Notification
 
 __all__ = [
@@ -187,21 +187,24 @@ class WorkerCrashed(RuntimeError):
         self.exitcode = exitcode
 
 
-#: one unit of shard work: ``method(*args)`` on one shard's server
+#: one unit of shard work: the public :class:`ElapsServer` method
+#: ``method``, called with ``args``, on one shard's server
 Command = Tuple[str, Tuple]
 
 
 def _checked(command) -> Command:
-    """A malformed command is the caller's bug: reject it before it
-    reaches a server or a pipe."""
+    """A malformed command — a private method name included — is the
+    caller's bug: reject it before it reaches a server or a pipe."""
     if not (
         isinstance(command, tuple)
         and len(command) == 2
         and isinstance(command[0], str)
+        and not command[0].startswith("_")
         and isinstance(command[1], tuple)
     ):
         raise TypeError(
-            f"a shard command is a (method, args) tuple, got {command!r}"
+            "a shard command is a (public method, args) tuple, "
+            f"got {command!r}"
         )
     return command
 
@@ -274,12 +277,12 @@ class SerialExecutor(ShardExecutor):
 
     def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
         """Run the commands one after another, ascending shard order."""
-        return {
-            shard_id: _dispatch_command(
-                self.shard_servers[shard_id], *_checked(commands[shard_id])
-            )
-            for shard_id in sorted(commands)
-        }
+        results: Dict[int, object] = {}
+        for shard_id in sorted(commands):
+            method, args = _checked(commands[shard_id])
+            server = self.shard_servers[shard_id]
+            results[shard_id] = getattr(server, method)(*args)
+        return results
 
     def close(self) -> None:
         """Release every hosted server's journal (idempotent)."""
@@ -327,55 +330,6 @@ class _WorkerTransport(Transport):
         return shipments
 
 
-@dataclass(frozen=True)
-class _ShardSubscriberView:
-    """A picklable snapshot of one worker-side subscriber record — the
-    fields fleet recovery reads (same attribute names as the live
-    :class:`~repro.system.server.SubscriberRecord`)."""
-
-    subscription: Subscription
-    location: Point
-    velocity: Point
-    delivered: FrozenSet[int]
-    safe: Optional[SafeRegion]
-
-
-def _dispatch_command(server: ElapsServer, method: str, args: Tuple) -> object:
-    """Run one ``(method, args)`` command against an executor-owned server.
-
-    Plain names call the public surface directly; the dunder commands
-    marshal state that is an *attribute* (not a method) on a local
-    server, or that needs a picklable projection.
-    """
-    if method == "__metrics__":
-        return server.metrics
-    if method == "__registry__":
-        return (
-            server.metrics,
-            {
-                stage: histogram.as_dict()
-                for stage, histogram in server.registry.tracer.histograms.items()
-            },
-        )
-    if method == "__describe__":
-        return {
-            sub_id: _ShardSubscriberView(
-                subscription=record.subscription,
-                location=record.location,
-                velocity=record.velocity,
-                delivered=frozenset(record.delivered),
-                safe=record.safe,
-            )
-            for sub_id, record in server.subscribers.items()
-        }
-    if method == "__corpus__":
-        return list(server.corpus_matches(args[0]))
-    if method == "__tracer_set__":
-        setattr(server.tracer, args[0], args[1])
-        return None
-    return getattr(server, method)(*args)
-
-
 def _shard_worker_main(builder, conn) -> None:
     """The worker-process loop: build the shard's server, then serve
     command messages until EOF or the ``None`` close sentinel."""
@@ -393,7 +347,7 @@ def _shard_worker_main(builder, conn) -> None:
                 break
             method, args = message
             try:
-                result = _dispatch_command(server, method, args)
+                result = getattr(server, method)(*args)
             except BaseException as exc:  # noqa: BLE001 — marshal everything
                 shipped = transport.drain()
                 remote_tb = traceback.format_exc()
@@ -570,16 +524,6 @@ class ProcessExecutor(ShardExecutor):
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
             handle.conn.close()
-
-
-def _registry_from_parts(
-    stats: CommunicationStats, spans: Dict[str, Dict]
-) -> MetricsRegistry:
-    """Rebuild a registry from the parts a worker marshals back."""
-    registry = MetricsRegistry(dataclasses.replace(stats))
-    for stage, digest in spans.items():
-        registry.tracer.histograms[stage] = LatencyHistogram.from_dict(digest)
-    return registry
 
 
 # ----------------------------------------------------------------------
@@ -786,6 +730,13 @@ class ShardedElapsServer:
     def shard_of_point(self, p: Point) -> int:
         """The shard whose band contains ``p``."""
         return self._shard_by_column[self.grid.cell_of(p)[0]]
+
+    def _by_shard(self, events) -> Dict[int, List[Event]]:
+        """The events grouped by owning shard, their order kept."""
+        groups: Dict[int, List[Event]] = {}
+        for event in events:
+            groups.setdefault(self.shard_of_point(event.location), []).append(event)
+        return groups
 
     def _column_reach(self, radius: float) -> int:
         """Columns a dilation by ``radius`` can add on either side."""
@@ -1007,13 +958,10 @@ class ShardedElapsServer:
     # ------------------------------------------------------------------
     def bootstrap(self, events) -> None:
         """Load the initial event database, routed to the owning shards."""
-        groups: Dict[int, List[Event]] = {}
-        for event in events:
-            groups.setdefault(self.shard_of_point(event.location), []).append(event)
         self.executor.run(
             {
                 shard_id: ("bootstrap", (shard_events,))
-                for shard_id, shard_events in groups.items()
+                for shard_id, shard_events in self._by_shard(events).items()
             }
         )
 
@@ -1092,13 +1040,10 @@ class ShardedElapsServer:
         events = list(events)
         if not events:
             return []
-        groups: Dict[int, List[Event]] = {}
-        for event in events:
-            groups.setdefault(self.shard_of_point(event.location), []).append(event)
         results = self.executor.run(
             {
                 shard_id: ("publish_batch", (shard_events, now))
-                for shard_id, shard_events in groups.items()
+                for shard_id, shard_events in self._by_shard(events).items()
             }
         )
         position = {
@@ -1311,21 +1256,9 @@ class ShardedElapsServer:
         self._shard_by_column = new_map
         # 3. Hand the moved events to their new owners (journaled there
         #    as a bootstrap), in deterministic arrival order.
-        regroup: Dict[int, List[Event]] = {}
-        for donor in sorted(extracted):
-            for event in extracted[donor]:
-                regroup.setdefault(
-                    self.shard_of_point(event.location), []
-                ).append(event)
-        for group in regroup.values():
-            group.sort(key=lambda e: (e.arrived_at, e.event_id))
-        if regroup:
-            self.executor.run(
-                {
-                    shard_id: ("bootstrap", (group,))
-                    for shard_id, group in regroup.items()
-                }
-            )
+        moved = [event for donor in sorted(extracted) for event in extracted[donor]]
+        if moved:
+            self.bootstrap(sorted(moved, key=lambda e: (e.arrived_at, e.event_id)))
         # 4. Re-home every subscriber under the new map (owners may have
         #    changed; new homes run the full subscribe flow, their corpus
         #    matches deduped to nothing by _absorb), then prune the homes
@@ -1440,21 +1373,25 @@ class ShardedElapsServer:
         self.subscribers = {}
         with self._mutex:
             self._dirty = {}
-        for shard_id, views in enumerate(self._run_all("__describe__")):
-            for sub_id, shard_record in views.items():
+        for shard_id, snapshots in enumerate(self._run_all("subscriber_snapshots")):
+            for sub in snapshots:
+                sub_id = sub.subscription.sub_id
                 record = self.subscribers.get(sub_id)
                 if record is None:
                     record = ShardedSubscriberRecord(
-                        subscription=shard_record.subscription,
-                        location=shard_record.location,
-                        velocity=shard_record.velocity,
-                        owner=self.shard_of_point(shard_record.location),
+                        subscription=sub.subscription,
+                        location=sub.location,
+                        velocity=sub.velocity,
+                        owner=self.shard_of_point(sub.location),
                     )
                     self.subscribers[sub_id] = record
                 record.homes.add(shard_id)
-                record.delivered |= shard_record.delivered
-                if shard_record.safe is not None:
-                    record.shard_regions[shard_id] = shard_record.safe
+                record.delivered |= sub.delivered
+                if sub.safe is not None:
+                    complement, cells = sub.safe
+                    record.shard_regions[shard_id] = SafeRegion(
+                        self.grid, frozenset(cells), complement
+                    )
         for record in self.subscribers.values():
             record.next_seq = len(record.delivered)
             self._recompute_held(record)
@@ -1466,22 +1403,30 @@ class ShardedElapsServer:
     def merged_metrics(self) -> CommunicationStats:
         """Coordinator counters plus every worker's, field-wise."""
         merged = self.metrics
-        for stats in self._run_all("__metrics__"):
+        for stats in self._run_all("merged_metrics"):
             merged = merged.merged_with(stats)
         return merged
 
     def merged_registry(self) -> MetricsRegistry:
         """Coordinator registry plus every worker's (histograms bucket-wise)."""
         merged = self.registry
-        for stats, spans in self._run_all("__registry__"):
-            merged = merged.merged_with(_registry_from_parts(stats, spans))
+        for registry in self._run_all("merged_registry"):
+            merged = merged.merged_with(registry)
         return merged
 
-    def corpus_matches(self, expression) -> Iterator[Event]:
+    def configure_tracing(self, enabled: bool, slow_threshold: Optional[float]) -> None:
+        """Set the span tracer of the coordinator and of every shard."""
+        self.tracer.enabled = enabled
+        self.tracer.slow_threshold = slow_threshold
+        self._run_all("configure_tracing", enabled, slow_threshold)
+
+    def corpus_matches(self, expression) -> List[Event]:
         """Every live be-matching event, across all shards' corpora."""
-        return itertools.chain.from_iterable(
-            self._run_all("__corpus__", expression)
-        )
+        return [
+            event
+            for matched in self._run_all("corpus_matches", expression)
+            for event in matched
+        ]
 
     def delivered_ids(self, sub_id: int) -> FrozenSet[int]:
         """The coordinator's global delivered set for ``sub_id``."""

@@ -17,7 +17,7 @@ event list so a bug cannot hide in cached results.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..expressions import Event, Subscription
 from ..geometry import Point
@@ -110,10 +110,3 @@ def oracle_pairs(
 def ids(events: Iterable[Event]) -> List[int]:
     """Event ids in the given order (test-side comparison helper)."""
     return [event.event_id for event in events]
-
-
-def pair_map(results: Sequence[List[Event]], queries) -> Dict[int, List[int]]:
-    """Per-query id lists keyed by sub_id, for readable assertion diffs."""
-    return {
-        queries[i][0].sub_id: ids(result) for i, result in enumerate(results)
-    }

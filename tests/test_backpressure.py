@@ -43,6 +43,7 @@ from repro.system import (
     SendVerdict,
     ServerConfig,
 )
+from repro.system import network
 from repro.system.network import read_frame
 from repro.system.protocol import (
     LocationReport,
@@ -169,15 +170,6 @@ class TestSendQueue:
         q.pop()  # back at the cap: consumer recovered
         assert q.offer(FrameKind.NOTIFICATION, 1, b"x", 20.0) is SendVerdict.OVER
         assert q.offer(FrameKind.NOTIFICATION, 1, b"y", 20.5) is SendVerdict.OVER
-
-    def test_shed_policy_none_never_drops(self):
-        q = SendQueue(2, 100, shed=False)
-        q.offer(FrameKind.REGION, 1, b"r1", 0.0)
-        q.offer(FrameKind.REGION, 1, b"r2", 0.0)
-        q.offer(FrameKind.EPHEMERAL, None, b"e", 0.0)
-        assert len(q) == 3
-        assert q.stats.frames_shed == 0
-        assert q.stats.superseded_region_ships == 0
 
     def test_high_water_reaches_stats(self):
         stats = CommunicationStats()
@@ -528,9 +520,11 @@ class TestAdmissionControl:
 
 
 class TestStopDoesNotLeak:
-    def test_stuck_handler_is_cancelled_and_logged(self, caplog):
+    def test_stuck_handler_is_cancelled_and_logged(self, caplog, monkeypatch):
+        monkeypatch.setattr(network, "STOP_TIMEOUT", 0.2)
+
         async def scenario():
-            tcp = make_tcp_server(NetworkConfig(stop_timeout=0.2))
+            tcp = make_tcp_server()
             await tcp.start()
 
             stuck = asyncio.ensure_future(asyncio.Event().wait())
@@ -540,7 +534,7 @@ class TestStopDoesNotLeak:
                 await tcp.stop()
             elapsed = asyncio.get_running_loop().time() - started
             assert stuck.cancelled()
-            assert elapsed < 2.0  # bounded by stop_timeout, not leaked
+            assert elapsed < 2.0  # bounded by STOP_TIMEOUT, not leaked
             assert any("cancelling" in r.message for r in caplog.records)
 
         run(scenario())

@@ -18,6 +18,7 @@ from repro.expressions import BooleanExpression, Event, Operator, Predicate, Sub
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import CallbackTransport, ElapsServer, ServerConfig, Transport
+from repro.system.server import RATE_WINDOW
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 
@@ -51,7 +52,6 @@ class TestServerConfig:
     def test_defaults_round_trip_onto_the_server(self):
         config = ServerConfig(
             matching_mode="full",
-            rate_window=25,
             initial_rate=3.0,
             measure_bytes=True,
             use_impact_region=False,
@@ -60,7 +60,7 @@ class TestServerConfig:
         server = make_server(config)
         assert server.config is config
         assert server.matching_mode == "full"
-        assert server.rate_window == 25
+        assert server.rate_window == RATE_WINDOW
         assert server.initial_rate == 3.0
         assert server.measure_bytes is True
         assert server.metrics.bytes_measured is True

@@ -19,10 +19,12 @@ from repro.expressions import BooleanExpression, Operator, Predicate, Subscripti
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import NetworkConfig, ServerConfig, ElapsServer
+from repro.system.config import MAX_FRAME_LENGTH
 from repro.system.network import ElapsNetworkClient, ElapsTCPServer
 from repro.expressions import Event
 from repro.system.protocol import (
     EventPublishBatchMessage,
+    ResyncMessage,
     SafeRegionPush,
     SubscribeMessage,
     decode_message,
@@ -161,9 +163,9 @@ class TestGarbageStreams:
 
     def test_oversized_declared_length_is_malformed(self):
         async def scenario():
-            tcp = make_tcp_server(max_frame_length=1024)
+            tcp = make_tcp_server()
             await tcp.start()
-            await send_raw(tcp.port, struct.pack(">BI", 1, 1 << 30))
+            await send_raw(tcp.port, struct.pack(">BI", 1, MAX_FRAME_LENGTH + 1))
             await asyncio.sleep(0.2)
             assert tcp.server.metrics.malformed_frames >= 1
             await assert_still_serving(tcp, sub_id=4)
@@ -205,6 +207,9 @@ class TestGarbageStreams:
             SubscribeMessage(
                 1, 1_500.0, make_sub().expression, Point(5_000, 5_000), Point(40, 0)
             ),
+            # no pairs, an id array: the client-to-server frame whose
+            # decoder used to stop reading at the count it declared
+            ResyncMessage(1, Point(5_000, 5_000), Point(40, 0), (7, 9)),
         ):
             payload = message.encode_payload() + b"\x00\x00\x00"
             padded = struct.pack(">BI", message.TYPE, len(payload)) + payload

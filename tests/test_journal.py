@@ -246,7 +246,8 @@ class TestSnapshots:
         journal.write_snapshot(encode_snapshot(self._snapshot()), seq=1)
         journal.close()
         snapshot_path = os.path.join(str(tmp_path), "snapshot.bin")
-        blob = bytearray(open(snapshot_path, "rb").read())
+        with open(snapshot_path, "rb") as handle:
+            blob = bytearray(handle.read())
         blob[-1] ^= 0xFF
         with open(snapshot_path, "wb") as handle:
             handle.write(bytes(blob))
@@ -278,9 +279,8 @@ class TestSpec:
         assert journal.read_meta() == {}
         journal.write_meta({"grid_n": 40, "dataset": "twitter"})
         journal.close()
-        assert Journal(str(tmp_path)).read_meta() == {
-            "grid_n": 40, "dataset": "twitter",
-        }
+        with Journal(str(tmp_path)) as reopened:
+            assert reopened.read_meta() == {"grid_n": 40, "dataset": "twitter"}
 
 
 class TestServerRecovery:

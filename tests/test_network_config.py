@@ -69,14 +69,11 @@ class TestNetworkConfig:
     @pytest.mark.parametrize("bad", [
         {"read_timeout": -1.0},
         {"write_timeout": -0.5},
-        {"max_frame_length": 0},
         {"ingress_queue": 0},
         {"send_queue": 0},
         {"send_queue": 10, "send_queue_hard": 9},
-        {"shed_policy": "latest"},
         {"slow_consumer_grace": -0.1},
         {"max_connections": 0},
-        {"stop_timeout": -1.0},
         {"write_buffer_limit": 0},
     ])
     def test_validation_rejects(self, bad):

@@ -1,14 +1,14 @@
 """Differential testing against the brute-force oracle.
 
-The contract (ISSUE: batched fast path): on any workload,
+The contract: on any workload,
 
-    BEQ single-query  ==  BEQ batched  ==  OpIndex  ==  oracle
+    BEQ (built event by event)  ==  BEQ (z-order batch insert)
+        ==  OpIndex  ==  Quadtree  ==  oracle
 
-where the oracle is the O(S*E) scan of :mod:`repro.testing.oracle` and
-"==" means the same notification pairs.  For the two BEQ paths the bar
-is higher: ``match_batch`` must return the *same events in the same
-order* as per-query ``match`` calls (the batched walk preserves the
-single-query leaf order), so golden traces stay byte-identical.
+where the oracle is the O(S*E) scan of :mod:`repro.testing.oracle`,
+every index answers one ``match`` per query (the server's only matching
+entry point on an event index), and "==" means the same notification
+pairs.
 
 Workloads come from two generators: the paper-shaped Twitter-like
 dataset (shared Zipf vocabulary, hotspot locations — realistic
@@ -54,25 +54,21 @@ def assert_all_agree(events, queries):
     quadtree = QuadTree(SPACE, max_per_leaf=8)
     quadtree.insert_all(events)
 
-    single = [beq.match(sub, at) for sub, at in queries]
-    batched = beq.match_batch(queries)
-    quad_batched = quadtree.match_batch(queries)
+    matched = [beq.match(sub, at) for sub, at in queries]
 
     for i, (sub, at) in enumerate(queries):
         expected = sorted(ids(oracle.match(sub, at)))
-        # Strict order-equivalence between the two BEQ paths.
-        assert ids(batched[i]) == ids(single[i]), sub.sub_id
         # A z-order batch insert builds the same corpus.
         assert sorted(ids(beq_batch_built.match(sub, at))) == expected, sub.sub_id
         # Set-equivalence of every index against the oracle.
-        assert sorted(ids(single[i])) == expected, sub.sub_id
+        assert sorted(ids(matched[i])) == expected, sub.sub_id
         assert sorted(ids(opindex.match(sub, at))) == expected, sub.sub_id
-        assert sorted(ids(quad_batched[i])) == expected, sub.sub_id
+        assert sorted(ids(quadtree.match(sub, at))) == expected, sub.sub_id
 
     # The canonical pair set, cross-checked once per workload.
     assert {
         (queries[i][0].sub_id, event.event_id)
-        for i, result in enumerate(batched)
+        for i, result in enumerate(matched)
         for event in result
     } == oracle.matching_pairs(queries)
 
@@ -127,11 +123,10 @@ def test_adversarial_workloads_agree(seed, event_count, sub_count):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**20))
 def test_agreement_survives_churn(seed):
-    """Cache invalidation: delete/reinsert between batched match rounds.
+    """Cache invalidation: delete/reinsert between match rounds.
 
-    The per-leaf clause caches and the batched walk must never serve
-    results for events that left the corpus (or miss events that joined
-    after the cache warmed).
+    The per-leaf clause caches must never serve results for events that
+    left the corpus (or miss events that joined after the cache warmed).
     """
     generator = TwitterLikeGenerator(SPACE, seed=seed)
     rng = random.Random(seed)
@@ -142,7 +137,8 @@ def test_agreement_survives_churn(seed):
     beq = BEQTree(SPACE, emax=16)
     beq.insert_batch(events)
     oracle = BruteForceOracle(events)
-    beq.match_batch(queries)  # warm every leaf cache
+    for sub, at in queries:  # warm every leaf cache
+        beq.match(sub, at)
 
     doomed = rng.sample(events, 30)
     for event in doomed:
@@ -153,10 +149,8 @@ def test_agreement_survives_churn(seed):
     for event in fresh:
         oracle.insert(event)
 
-    batched = beq.match_batch(queries)
-    for i, (sub, at) in enumerate(queries):
-        assert sorted(ids(batched[i])) == sorted(ids(oracle.match(sub, at)))
-        assert ids(batched[i]) == ids(beq.match(sub, at))
+    for sub, at in queries:
+        assert sorted(ids(beq.match(sub, at))) == sorted(ids(oracle.match(sub, at)))
 
 
 # ----------------------------------------------------------------------

@@ -116,20 +116,23 @@ class TestProcessPlumbing:
             assert registry.tracer.histogram("publish").count >= 1
 
     def test_tracer_attributes_proxy_across_the_pipe(self):
-        """``__tracer_set__`` flips the worker-side tracer: spans stop
-        and resume being recorded in the worker's own registry."""
+        """``configure_tracing`` on the fleet flips the coordinator's
+        tracer and every worker-side one: spans stop and resume being
+        recorded in the worker's own registry."""
 
         def publish_spans(server):
-            _, spans = server.executor.run({0: ("__registry__", ())})[0]
-            return spans.get("publish", {"counts": []})["counts"]
+            registry = server.executor.run({0: ("merged_registry", ())})[0]
+            return registry.tracer.histogram("publish").count
 
         with make_process_fleet(2) as server:
-            server.executor.run({0: ("__tracer_set__", ("enabled", False))})
+            server.configure_tracing(False, None)
+            assert server.tracer.enabled is False
             server.publish(sale(1, 1_000, 5_000), now=1)
-            assert sum(publish_spans(server)) == 0
-            server.executor.run({0: ("__tracer_set__", ("enabled", True))})
+            assert publish_spans(server) == 0
+            server.configure_tracing(True, 30.0)
+            assert (server.tracer.enabled, server.tracer.slow_threshold) == (True, 30.0)
             server.publish(sale(2, 1_000, 5_000), now=2)
-            assert sum(publish_spans(server)) == 1
+            assert publish_spans(server) == 1
 
     def test_remote_corpus_and_subscriber_views(self):
         with make_process_fleet(2) as server:
@@ -139,8 +142,9 @@ class TestProcessPlumbing:
             )
             matches = list(server.corpus_matches(make_sub().expression))
             assert [e.event_id for e in matches] == [1]
-            views = server.executor.run({0: ("__describe__", ())})[0]
-            assert 1 in views and views[1].delivered == frozenset({1})
+            (view,) = server.executor.run({0: ("subscriber_snapshots", ())})[0]
+            assert view.subscription.sub_id == 1
+            assert view.delivered == frozenset({1})
 
     def test_worker_errors_carry_type_and_remote_traceback(self):
         with make_process_fleet(2) as server:
@@ -156,8 +160,10 @@ class TestProcessPlumbing:
     @pytest.mark.parametrize(
         "command",
         [lambda: 1, ("publish_batch",), ["expire_due_events", (1,)],
-         ("expire_due_events", 1), (b"expire_due_events", (1,))],
-        ids=["thunk", "no-args", "list", "bare-arg", "bytes-name"],
+         ("expire_due_events", 1), (b"expire_due_events", (1,)),
+         ("_construct", (None, 1)), ("__metrics__", ())],
+        ids=["thunk", "no-args", "list", "bare-arg", "bytes-name",
+             "private-name", "dunder-name"],
     )
     def test_a_malformed_command_is_a_typeerror_on_both_executors(
         self, make, command
@@ -195,7 +201,7 @@ class TestOneFanOutPerFleetOperation:
         executor = CountingExecutor()
         with make_sharded(2, executor=executor, config=config) as server:
             for operation, fanouts in [
-                (server.recover, [[0, 1], [0, 1]]),  # replay, then describe
+                (server.recover, [[0, 1], [0, 1]]),  # replay, then snapshots
                 (server.snapshot, [[0, 1]]),
                 (server.merged_metrics, [[0, 1]]),
                 (server.merged_registry, [[0, 1]]),
@@ -285,6 +291,7 @@ class TestSerialProcessEquality:
                 rebuilt.append(self.pulled(server))
         serial, process = rebuilt
         assert process["state"] == serial["state"]
+        assert process["stages"] == serial["stages"]  # replay's own spans
         assert process["corpus"] == serial["corpus"] == before["corpus"]
         # against the live fleet: everything but the owner, which
         # recovery re-derives from the last reported location

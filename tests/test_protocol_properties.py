@@ -25,7 +25,10 @@ from repro.expressions import (
 )
 from repro.geometry import Point
 from repro.system.journal import OPERATIONS, _decode_record, _encode_record
+from repro.system.observability import BUCKET_BOUNDS
 from repro.system.protocol import (
+    _MESSAGE_TYPES,
+    EventPublishBatchMessage,
     EventPublishMessage,
     HeartbeatMessage,
     LocationPing,
@@ -33,7 +36,10 @@ from repro.system.protocol import (
     MessageDecoder,
     NotificationMessage,
     ResyncMessage,
+    SafeRegionDelta,
     SafeRegionPush,
+    StatsRequest,
+    StatsSnapshot,
     SubscribeMessage,
     UnsubscribeMessage,
     decode_message,
@@ -108,23 +114,48 @@ bitmaps = st.builds(
     WAHBitmap.from_bits, st.lists(st.booleans(), min_size=1, max_size=200)
 )
 
-MESSAGES = st.one_of(
-    st.builds(SubscribeMessage, uint64, radii, expressions, points, points),
-    st.builds(UnsubscribeMessage, uint64),
-    st.builds(LocationReport, uint64, points, points),
-    st.builds(LocationPing, uint64),
-    st.builds(SafeRegionPush, uint64, uint32, st.booleans(), bitmaps),
-    st.builds(NotificationMessage, uint64, uint64, points, attribute_tuples),
-    st.builds(EventPublishMessage, uint64, points, attribute_tuples, int32),
-    st.builds(HeartbeatMessage, uint64, uint64),
-    st.builds(
-        ResyncMessage,
-        uint64,
-        points,
-        points,
-        st.lists(uint64, max_size=8).map(tuple),
-    ),
+publishes = st.builds(EventPublishMessage, uint64, points, attribute_tuples, int32)
+span_rows = st.tuples(
+    names,
+    st.lists(
+        uint64, min_size=len(BUCKET_BOUNDS) + 1, max_size=len(BUCKET_BOUNDS) + 1
+    ).map(tuple),
+    finite,
 )
+
+#: one strategy per message type, all thirteen of them
+MESSAGES_BY_TYPE = {
+    SubscribeMessage: st.builds(
+        SubscribeMessage, uint64, radii, expressions, points, points
+    ),
+    UnsubscribeMessage: st.builds(UnsubscribeMessage, uint64),
+    LocationReport: st.builds(LocationReport, uint64, points, points),
+    LocationPing: st.builds(LocationPing, uint64),
+    SafeRegionPush: st.builds(SafeRegionPush, uint64, uint32, st.booleans(), bitmaps),
+    NotificationMessage: st.builds(
+        NotificationMessage, uint64, uint64, points, attribute_tuples
+    ),
+    EventPublishMessage: publishes,
+    EventPublishBatchMessage: st.builds(
+        EventPublishBatchMessage, st.lists(publishes, min_size=1, max_size=3).map(tuple)
+    ),
+    HeartbeatMessage: st.builds(HeartbeatMessage, uint64, uint64),
+    ResyncMessage: st.builds(
+        ResyncMessage, uint64, points, points, st.lists(uint64, max_size=8).map(tuple)
+    ),
+    SafeRegionDelta: st.builds(SafeRegionDelta, uint64, uint32, bitmaps),
+    StatsRequest: st.builds(StatsRequest),
+    StatsSnapshot: st.builds(
+        StatsSnapshot,
+        st.lists(st.tuples(names, st.one_of(int64, finite)), max_size=5).map(tuple),
+        st.lists(span_rows, max_size=3).map(tuple),
+    ),
+}
+MESSAGES = st.one_of(*MESSAGES_BY_TYPE.values())
+
+
+def test_every_message_type_has_a_strategy():
+    assert set(MESSAGES_BY_TYPE) == set(_MESSAGE_TYPES.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,6 +199,20 @@ def test_truncated_frames_never_decode_silently(message, cut):
     except Exception:
         return  # rejection is the expected outcome
     raise AssertionError("truncated frame decoded without error")
+
+
+@pytest.mark.parametrize("message_type", list(MESSAGES_BY_TYPE), ids=lambda t: t.__name__)
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.binary(min_size=1, max_size=9))
+def test_bytes_after_the_last_field_never_decode_silently(message_type, data, junk):
+    """Junk after a payload's last field is rejected even when the frame
+    header accounts for it — by every message type, array-carrying or
+    pair-carrying, fixed-size or empty."""
+    message = data.draw(MESSAGES_BY_TYPE[message_type])
+    payload = message.encode_payload() + junk
+    padded = bytes([message.TYPE]) + len(payload).to_bytes(4, "big") + payload
+    with pytest.raises(Exception):
+        decode_message(padded)
 
 
 # ----------------------------------------------------------------------

@@ -92,20 +92,33 @@ class TestConfigurationSurface:
         from repro.system import ServerConfig
 
         assert self.field_names(ServerConfig) == {
-            "matching_mode", "rate_window", "initial_rate", "stats_override",
-            "measure_bytes", "use_impact_region", "repair", "repair_budget",
-            "journal",
+            "matching_mode", "initial_rate", "stats_override",
+            "measure_bytes", "use_impact_region", "repair", "journal",
         }
 
     def test_network_config_fields(self):
         from repro.system import NetworkConfig
 
         assert self.field_names(NetworkConfig) == {
-            "read_timeout", "write_timeout", "max_frame_length",
-            "retain_subscribers", "ingress_queue", "send_queue",
-            "send_queue_hard", "shed_policy", "slow_consumer_grace",
-            "max_connections", "stop_timeout", "write_buffer_limit",
+            "read_timeout", "write_timeout", "retain_subscribers",
+            "ingress_queue", "send_queue", "send_queue_hard",
+            "slow_consumer_grace", "max_connections", "write_buffer_limit",
         }
+
+    def test_send_queue_parameters(self):
+        import inspect
+        from repro.system import SendQueue
+
+        assert list(inspect.signature(SendQueue).parameters) == [
+            "soft_cap", "hard_cap", "grace", "stats",
+        ]
+
+    def test_the_two_commands_that_replaced_dunders_are_documented_methods(self):
+        from repro.system import ElapsServer, ShardedElapsServer
+
+        assert ElapsServer.subscriber_snapshots.__doc__
+        for server in (ElapsServer, ShardedElapsServer):
+            assert server.configure_tracing.__doc__
 
     def test_client_config_fields(self):
         from repro.system import ClientConfig

@@ -190,9 +190,8 @@ class TestRepairPath:
         )
 
     def test_budget_exhaustion_falls_back_to_full_construction(self):
-        server, sub = self.repair_server(
-            repair_budget=RepairBudget(max_removed_fraction=0.01)
-        )
+        server, sub = self.repair_server()
+        server.repair_budget = RepairBudget(max_removed_fraction=0.01)
         built = server.metrics.constructions
         server.publish(sale(10, 7_600, 5_000), now=1)
         assert server.metrics.repairs == 0
@@ -204,9 +203,8 @@ class TestRepairPath:
     def test_batch_repairs_once_per_subscriber(self):
         # a generous budget: three carves remove a lot of the region, and
         # this test is about batching, not about the fallback triggers
-        server, sub = self.repair_server(
-            repair_budget=RepairBudget(max_removed_fraction=1.0)
-        )
+        server, sub = self.repair_server()
+        server.repair_budget = RepairBudget(max_removed_fraction=1.0)
         built = server.metrics.constructions
         burst = [sale(10, 7_600, 5_000), sale(11, 7_700, 5_200), sale(12, 2_400, 5_000)]
         server.publish_batch(burst, now=1)

@@ -176,7 +176,8 @@ class TestStatsEstimation:
         """The rate window is pruned as arrivals are appended, not only
         when a construction reads the rate: a fleet that never
         reconstructs must not grow it without bound."""
-        server = make_server(rate_window=50)
+        server = make_server()
+        assert server.rate_window == 50
         server._started_at = 0  # past warm-up: the rate is the windowed count
         built = server.metrics.constructions
         per_tick, event_id = 10, 0
@@ -199,7 +200,8 @@ class TestStatsEstimation:
         import random
 
         rng = random.Random(11)
-        server = make_server(rate_window=20)
+        server = make_server()
+        server.rate_window = 20
         server._started_at = -1_000
         arrivals, now, event_id = [], 0, 0
         for _ in range(300):

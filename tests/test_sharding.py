@@ -27,6 +27,7 @@ from repro.index import BEQTree, SubscriptionIndex
 from repro.system import (
     CallbackTransport,
     ElapsServer,
+    JournalSpec,
     RebalancePolicy,
     SerialExecutor,
     ServerConfig,
@@ -532,6 +533,60 @@ class TestExecutorLifecycle:
         server.publish(sale(1, 5_000, 5_000), now=1)
         server.close()
         server.close()
+
+
+class RecordingExecutor(SerialExecutor):
+    """A serial executor that adds every method name it is sent to
+    ``sent`` (shared, so one set can span several fleets)."""
+
+    def __init__(self, sent):
+        super().__init__()
+        self.sent = sent
+
+    def run(self, commands):
+        self.sent.update(method for method, _ in commands.values())
+        return super().run(commands)
+
+
+class TestCommandNamespace:
+    def test_every_command_is_a_public_server_method(self, tmp_path):
+        """A shard command lives in one namespace — the public methods
+        of :class:`ElapsServer`: whatever the coordinator sends, over
+        the golden workload, a forced rebalance and every fleet-wide
+        pull, resolves there and nowhere else."""
+        sent = set()
+        trace = run_sharded_simulation(
+            4, batched=True, executor=RecordingExecutor(sent),
+            rebalance_at=GROUPS // 2, bounds=[0, 5, 12, 30, 40],
+        )
+        assert trace.encode() == GOLDEN.read_bytes()
+        config = ServerConfig(initial_rate=2.0, journal=JournalSpec(str(tmp_path)))
+        with make_sharded(2, RecordingExecutor(sent), config) as server:
+            server.bootstrap([sale(1, 2_000, 5_000, arrived_at=0)])
+            server.subscribe(make_sub(radius=3_000.0), Point(4_000, 5_000), Point(0, 0), 0)
+            server.publish(sale(2, 4_500, 5_000), now=1)
+            server.report_location(1, Point(6_000, 5_000), Point(0, 0), 2)
+            server.resync(1, Point(6_000, 5_000), Point(0, 0), (1,), 3)
+            server.expire_due_events(4)
+            server.rebuild_all(4)
+            server.system_stats(now=4)
+            server.snapshot()
+            server.configure_tracing(True, None)
+            assert server.merged_metrics().notifications >= 2
+            assert server.merged_registry().tracer.histogram("publish").count == 1
+            assert len(list(server.corpus_matches(make_sub().expression))) == 2
+            assert server.rebalance_now(now=5, bounds=[0, 30, 40])
+            server.unsubscribe(1)
+        with make_sharded(2, RecordingExecutor(sent), config) as server:
+            assert server.recover() > 0
+        assert {
+            "snapshot", "recover", "subscriber_snapshots", "merged_metrics",
+            "merged_registry", "corpus_matches", "configure_tracing",
+            "extract_events_in_columns",
+        } <= sent
+        for method in sorted(sent):
+            assert not method.startswith("_"), method
+            assert callable(getattr(ElapsServer, method, None)), method
 
 
 # ----------------------------------------------------------------------
