@@ -41,6 +41,12 @@ from ..geometry import Cell, Grid, Point, Rect
 # beats the array kernel's fixed overhead.
 _UNSAFE_ARRAY_CUTOVER = 4096
 
+# The array prefilter of ``LazyBEQField.matches_in_circle`` compares
+# squared distances built from separately rounded products; the factor
+# keeps every point the exact ``math.hypot`` test could accept (their
+# results differ by a few ulps, 1e-16 relative) and next to nothing else.
+_NEAR_SLACK = 1.0 + 1e-9
+
 
 def dilate_point(grid: Grid, point: Point, radius: float, into: Set[Cell]) -> None:
     """Add every cell within ``radius`` of ``point`` (closed) to ``into``."""
@@ -189,6 +195,16 @@ class LazyBEQField(MatchingEventField):
       valid (a conservative, smaller region) — but they accumulate as
       staleness, and :meth:`too_stale` tells the owner when a fresh field
       would pay for itself.
+
+    **Invariant** (what construction has always assumed, and what makes
+    a retained field the location-update matcher too): the field knows
+    every live, undelivered be-matching event located inside its covered
+    rectangle — a leaf is scanned when coverage first reaches it, later
+    arrivals come in through :meth:`note_event`, and whoever stores
+    events *without* telling the field (a mid-life ``bootstrap``) must
+    drop it.  It may also know events that have since been delivered,
+    expired or extracted; :meth:`matches_in_circle` returns ids, and the
+    caller filters them against the live corpus.
     """
 
     #: staleness floor before :meth:`too_stale` can trigger
@@ -209,6 +225,13 @@ class LazyBEQField(MatchingEventField):
         self._excluded = excluded_ids if excluded_ids is not None else set()
         self._counts: Dict[Cell, int] = defaultdict(int)
         self._points: List[Point] = []
+        #: ``_ids[k]`` is the event located at ``_points[k]``
+        self._ids: List[int] = []
+        #: the coordinates of a prefix of ``_points`` as arrays, extended
+        #: by :meth:`matches_in_circle` when it is asked (a field that is
+        #: never asked — a stationary subscriber's — never pays for them)
+        self._xs = np.empty(0)
+        self._ys = np.empty(0)
         self._unsafe: Dict[float, Set[Cell]] = defaultdict(set)
         self._scanned_leaves: Set[int] = set()
         self._seen_ids: Set[int] = set()
@@ -283,6 +306,7 @@ class LazyBEQField(MatchingEventField):
         """Record one newly discovered matching event as a constraint."""
         self._seen_ids.add(event_id)
         self._points.append(location)
+        self._ids.append(event_id)
         self._counts[self.grid.cell_of(location)] += 1
         for radius, unsafe in self._unsafe.items():
             dilate_point(self.grid, location, radius, unsafe)
@@ -352,6 +376,48 @@ class LazyBEQField(MatchingEventField):
             self._unsafe[radius] = unsafe
         self._ensure_neighbourhood(cell, radius)
         return cell not in self._unsafe[radius]
+
+    def matches_in_circle(self, center: Point, radius: float) -> Optional[List[int]]:
+        """Ids of the known events within ``radius`` (closed) of
+        ``center``, or None when the field cannot vouch for the circle.
+
+        The field vouches for it when the cells of the circle's bounding
+        box lie inside the covered rectangle (see the class invariant);
+        coverage never grows here.  One array pass over the known points
+        keeps those within a hair *more* than ``radius``; each of these
+        few is then decided by the arithmetic of ``Point.distance_to`` /
+        ``Circle.contains`` (``math.hypot``, closed), so an event at
+        distance exactly ``radius`` is decided as the BEQ-Tree's spatial
+        match decides it, and a field that has known thousands of events
+        (a corpus that never expires) still answers in microseconds.
+        """
+        if self._covered is None:
+            return None
+        cx, cy = center.x, center.y
+        i_min, j_min = self.grid.cell_of(Point(cx - radius, cy - radius))
+        i_max, j_max = self.grid.cell_of(Point(cx + radius, cy + radius))
+        ci_min, cj_min, ci_max, cj_max = self._covered
+        if i_min < ci_min or j_min < cj_min or i_max > ci_max or j_max > cj_max:
+            return None
+        points = self._points
+        if len(points) > self._xs.size:
+            fresh = points[self._xs.size :]
+            count = len(fresh)
+            self._xs = np.concatenate(
+                (self._xs, np.fromiter((p.x for p in fresh), np.float64, count))
+            )
+            self._ys = np.concatenate(
+                (self._ys, np.fromiter((p.y for p in fresh), np.float64, count))
+            )
+        dx = cx - self._xs
+        dy = cy - self._ys
+        near = np.flatnonzero(dx * dx + dy * dy <= radius * radius * _NEAR_SLACK)
+        ids = self._ids
+        return [
+            ids[k]
+            for k in near.tolist()
+            if center.distance_to(points[k]) <= radius
+        ]
 
     def unsafe_cells(self, radius: float) -> FrozenSet[Cell]:
         """Full-coverage unsafe set (GM under on-demand matching)."""

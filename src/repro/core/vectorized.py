@@ -13,11 +13,18 @@ and O(events)-sized inner loop into numpy:
   :class:`_FieldArrayView` (``unsafe`` boolean mask + per-cell ``counts``),
   maintained incrementally with one vectorized dilation pass per batch of
   newly discovered events (one pass per BEQ leaf probe in on-demand mode);
-* frontier bookkeeping (visited / region / impact membership) lives in flat
-  boolean arrays indexed ``i * n + j``;
+* frontier bookkeeping (visited / impact membership) lives in boolean
+  arrays, impact flat-indexed ``i * n + j``; the accepted cells are a set,
+  probed eight times per pop;
 * each acceptance applies the Example 2 strip offsets as array index
-  arithmetic — bounds filter, impact-membership filter and the ``ne`` count
-  are three elementwise operations instead of a Python loop.
+  arithmetic: the candidate offsets for the accepted neighbours at hand
+  come from a per-(grid, radius) table
+  (:meth:`Grid.strip_candidate_offsets`) already in flat form, so a cell
+  away from the borders adds ``i * n + j`` once; the impact-membership
+  filter and the ``ne`` count are elementwise operations, not a Python loop;
+* a start cell that is unsafe — the subscriber reports every timestamp
+  until it leaves it — is the loop's single pop, and is answered before any
+  of that state is allocated.
 
 The 8-cell neighbour ring stays scalar on purpose: numpy's per-call
 overhead exceeds the loop cost below a few dozen elements, and the scalar
@@ -45,16 +52,22 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..geometry import Cell, Grid, interleave
+from ..geometry.grid import RING
 from .construction import ConstructionRequest, RegionPair
 from .cost_model import CostModel
 from .field import MatchingEventField
 from .igm import IncrementalGridMethod
 from .regions import ImpactRegion, SafeRegion
+
+
+#: ``(key bit, di, dj)`` per neighbour direction: the accepted neighbours
+#: of a cell, OR-ed, are its :class:`~repro.geometry.grid.StripCandidates` key
+_RING_BITS = tuple((1 << bit, di, dj) for bit, (di, dj) in enumerate(RING))
 
 
 class _FieldArrayView:
@@ -81,11 +94,27 @@ class _FieldArrayView:
     def ensure_cell(self, cell: Cell) -> None:
         """Make the arrays authoritative for ``cell`` and its neighbourhood."""
         self.field.ensure_cell_neighbourhood(cell, self.radius)
-        points = self.field.known_points()
-        if len(points) > self._cursor:
-            self._sync(points)
+        self._sync()
 
-    def _sync(self, points) -> None:
+    def is_unsafe(self, cell: Cell) -> bool:
+        """The safety bit of ``cell`` with its neighbourhood covered.
+
+        ``unsafe`` bits are only ever set (exclusions are not un-dilated,
+        and a field rebuilt for staleness gets a new view), so a bit that
+        is already set is final and the points noted since the last sync
+        can wait for the next :meth:`ensure_cell`; a clear bit is decided
+        only after the sync.
+        """
+        self.field.ensure_cell_neighbourhood(cell, self.radius)
+        if not self.unsafe[cell]:
+            self._sync()
+        return bool(self.unsafe[cell])
+
+    def _sync(self) -> None:
+        """Project the points the field has learnt since the last sync."""
+        points = self.field.known_points()
+        if len(points) == self._cursor:
+            return
         fresh = points[self._cursor :]
         self._cursor = len(points)
         count = len(fresh)
@@ -146,12 +175,25 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
     def construct(self, request: ConstructionRequest) -> RegionPair:
         """Grid expansion bounded by the balance ratio, SoA state."""
         grid = request.grid
-        model = CostModel(request.stats)
         radius = request.radius
-        speed = request.speed
         n = grid.n
 
         view = self._view(request.matching_field, grid, radius)
+        start = grid.cell_of(request.location)
+        # An unsafe start cell is the loop's single pop: nothing accepted,
+        # nothing pushed.  Decide it before any frontier state is built
+        # (with ``max_cells`` 0 the loop pops nothing at all, not even it).
+        if (self.max_cells is None or self.max_cells > 0) and view.is_unsafe(start):
+            return RegionPair(
+                safe=SafeRegion(grid, frozenset()),
+                impact=ImpactRegion(grid, frozenset()),
+                cells_examined=1,
+                matching_in_impact=0,
+                visit_order=(start,) if self.record_visits else None,
+            )
+
+        model = CostModel(request.stats)
+        speed = request.speed
         unsafe = view.unsafe
         counts_flat = view.counts.reshape(-1)  # row-major: index i * n + j
 
@@ -164,21 +206,23 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
             vx, vy = request.velocity.x, request.velocity.y
             vnorm = request.velocity.norm()
 
-        start = grid.cell_of(request.location)
         start_dist = grid.min_distance_point_cell(request.location, start)
 
         visited = np.zeros((n, n), dtype=bool)
-        in_region = np.zeros(n * n, dtype=bool)
         in_impact = np.zeros(n * n, dtype=bool)
         visited[start] = True
 
         heap: List[Tuple[float, float, int, Cell]] = [
             (self._priority(request, start, start_dist), start_dist, interleave(*start), start)
         ]
-        off_i, off_j = grid.disk_offset_arrays(radius)
-        strip_masks = grid.strip_offset_masks(radius) if self.incremental_impact else None
+        # Example 2's candidate offsets depend only on the grid, the radius
+        # and which neighbours are accepted: looked up, not recomputed.
+        candidates = grid.strip_candidate_offsets(radius)
+        ring = _RING_BITS if self.incremental_impact else ()
+        # cells this far from every border have all candidates in bounds
+        inner_lo, inner_hi = candidates.reach, n - candidates.reach
 
-        region_cells: List[Cell] = []
+        region: Set[Cell] = set()
         matching_in_impact = 0
         cells_examined = 0
         last_accepted_bm: Optional[float] = None
@@ -186,7 +230,7 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
         visit_order: Optional[List[Cell]] = [] if self.record_visits else None
 
         while heap:
-            if self.max_cells is not None and len(region_cells) >= self.max_cells:
+            if self.max_cells is not None and len(region) >= self.max_cells:
                 break
             _, dist, _, cell = heapq.heappop(heap)
             cells_examined += 1
@@ -217,23 +261,19 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
             if heap and heap[0][1] < boundary:
                 boundary = heap[0][1]
 
-            # Example 2 strips as mask intersections over the offset arrays.
-            if strip_masks is not None:
-                omask: Optional[np.ndarray] = None
-                for (di, dj), smask in strip_masks.items():
-                    ri, rj = i + di, j + dj
-                    if 0 <= ri < n and 0 <= rj < n and in_region[ri * n + rj]:
-                        omask = smask if omask is None else omask & smask
-                if omask is None:
-                    coff_i, coff_j = off_i, off_j
-                else:
-                    coff_i, coff_j = off_i[omask], off_j[omask]
+            # Example 2 strips: the accepted neighbours are the table key.
+            key = 0
+            for flag, di, dj in ring:
+                if (i + di, j + dj) in region:
+                    key |= flag
+            coff_i, coff_j, coff_flat = candidates[key]
+            if inner_lo <= i < inner_hi and inner_lo <= j < inner_hi:
+                idx = coff_flat + (i * n + j)
             else:
-                coff_i, coff_j = off_i, off_j
-            ci = coff_i + i
-            cj = coff_j + j
-            inb = (ci >= 0) & (ci < n) & (cj >= 0) & (cj < n)
-            idx = ci[inb] * n + cj[inb]
+                ci = coff_i + i
+                cj = coff_j + j
+                inb = (ci >= 0) & (ci < n) & (cj >= 0) & (cj < n)
+                idx = ci[inb] * n + cj[inb]
             new_idx = idx[~in_impact[idx]]
             candidate_ne = matching_in_impact + int(counts_flat[new_idx].sum())
 
@@ -242,8 +282,7 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
                 first_rejected_bm = bm
             if bm <= self.beta:
                 last_accepted_bm = bm
-                region_cells.append(cell)
-                in_region[i * n + j] = True
+                region.add(cell)
                 in_impact[new_idx] = True
                 matching_in_impact = candidate_ne
                 for ni, nj, ndist in neighbors:
@@ -264,7 +303,7 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
 
         ii, jj = np.nonzero(in_impact.reshape(n, n))
         return RegionPair(
-            safe=SafeRegion(grid, frozenset(region_cells)),
+            safe=SafeRegion(grid, frozenset(region)),
             impact=ImpactRegion(grid, frozenset(zip(ii.tolist(), jj.tolist()))),
             cells_examined=cells_examined,
             last_accepted_bm=last_accepted_bm,

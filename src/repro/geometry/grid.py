@@ -40,6 +40,46 @@ _ARRAY_CHUNK = 1 << 18
 # the numpy kernel's fixed overhead.
 _DILATE_ARRAY_CUTOVER = 4096
 
+#: the 8 neighbour directions, in the order of :meth:`Grid.dilation_strips`'s
+#: keys; bit ``k`` of a :class:`StripCandidates` key stands for ``RING[k]``
+RING: Tuple[Cell, ...] = tuple(
+    (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
+)
+
+
+class StripCandidates(dict):
+    """Candidate impact offsets per set of already-accepted neighbours.
+
+    ``table[key]`` is ``(off_i, off_j, off_i * n + off_j)``: the offsets
+    of ``disk_offset_arrays(radius)`` lying in the strip of *every*
+    direction ``RING[k]`` whose bit ``k`` is set in ``key`` (the Example 2
+    intersection; key 0 is the full disk), in the disk's sorted order.
+    A pure function of the grid and the radius, so each of the at most
+    256 entries is computed on first use and kept.  ``reach`` is the
+    largest ``|offset|`` of the disk: a cell at least that far from every
+    border has all its candidates in bounds, at ``flat + (i * n + j)``.
+    """
+
+    def __init__(self, grid: "Grid", radius: float) -> None:
+        super().__init__()
+        self._n = grid.n
+        self._offsets = grid.disk_offset_arrays(radius)
+        masks = grid.strip_offset_masks(radius)
+        self._masks = [masks[direction] for direction in RING]
+        off_i, off_j = self._offsets
+        self.reach = int(max(np.abs(off_i).max(), np.abs(off_j).max())) if off_i.size else 0
+
+    def __missing__(self, key: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        off_i, off_j = self._offsets
+        mask = None
+        for bit, strip_mask in enumerate(self._masks):
+            if key >> bit & 1:
+                mask = strip_mask if mask is None else mask & strip_mask
+        if mask is not None:
+            off_i, off_j = off_i[mask], off_j[mask]
+        entry = self[key] = (off_i, off_j, off_i * self._n + off_j)
+        return entry
+
 
 class Grid:
     """A uniform ``n x n`` partition of a square space."""
@@ -55,6 +95,15 @@ class Grid:
         self._strips: Dict[float, Dict[Cell, FrozenSet[Cell]]] = {}
         self._offset_arrays: Dict[Tuple[float, bool], Tuple[np.ndarray, np.ndarray]] = {}
         self._strip_masks: Dict[float, Dict[Cell, np.ndarray]] = {}
+        self._strip_candidates: Dict[float, StripCandidates] = {}
+
+    def __getstate__(self):
+        # a fleet worker's reply carries regions, each with its grid; the
+        # candidate tables (up to 256 array triples per radius) are
+        # rebuilt on demand and stay out of the pickle
+        state = dict(self.__dict__)
+        state["_strip_candidates"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Addressing
@@ -194,14 +243,12 @@ class Grid:
         if cached is not None:
             return cached
         offsets = self.disk_offsets(radius)
-        strips: Dict[Cell, FrozenSet[Cell]] = {}
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                strips[(di, dj)] = frozenset(
-                    (oi, oj) for (oi, oj) in offsets if (oi - di, oj - dj) not in offsets
-                )
+        strips: Dict[Cell, FrozenSet[Cell]] = {
+            (di, dj): frozenset(
+                (oi, oj) for (oi, oj) in offsets if (oi - di, oj - dj) not in offsets
+            )
+            for (di, dj) in RING
+        }
         self._strips[radius] = strips
         return strips
 
@@ -239,6 +286,14 @@ class Grid:
                 for direction, strip in self.dilation_strips(radius).items()
             }
             self._strip_masks[radius] = cached
+        return cached
+
+    def strip_candidate_offsets(self, radius: float) -> StripCandidates:
+        """The per-accepted-neighbour-set candidate offsets of Algorithm 1
+        (:class:`StripCandidates`), cached per radius like the masks."""
+        cached = self._strip_candidates.get(radius)
+        if cached is None:
+            cached = self._strip_candidates[radius] = StripCandidates(self, radius)
         return cached
 
     def dilate_points_mask(

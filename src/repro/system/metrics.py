@@ -138,6 +138,18 @@ class CommunicationStats:
     #: populated only when byte measurement is enabled
     delta_region_bytes: int = 0
     # ------------------------------------------------------------------
+    # Location-update traffic: which share of the type-I work is the
+    # cheap kind.
+    # ------------------------------------------------------------------
+    #: location updates whose corpus match was answered by the
+    #: subscriber's retained matching field, without the event index
+    #: (``repair=True`` only); a share of ``location_update_rounds``
+    corpus_matches_from_field: int = 0
+    #: constructions that returned an empty safe region — the
+    #: subscriber's own cell is unsafe and it reports every timestamp;
+    #: a share of ``constructions``
+    degenerate_constructions: int = 0
+    # ------------------------------------------------------------------
     # Durability counters (the journal of DESIGN.md §13; a server built
     # without ``ServerConfig.journal`` leaves them all at 0).
     # ------------------------------------------------------------------

@@ -120,6 +120,10 @@ class SubscriberRecord:
     #: can detect gaps after a reconnect (snapshots persist it; tail
     #: replay re-stamps deterministically)
     next_seq: int = 0
+    #: the cell whose dilation is installed as this subscriber's impact
+    #: region by a degenerate (empty-region) construction; None while a
+    #: constructed impact region — or none at all — is installed
+    degenerate_cell: Optional[Cell] = None
 
 
 @dataclass(frozen=True)
@@ -231,6 +235,7 @@ class ElapsServer:
         """Load the initial event database without arrival processing."""
         events = list(events)
         self._journal_append("bootstrap", (events,))
+        stored = 0
         for event in events:
             if event.event_id in self._events_by_id:
                 # Idempotent, as in publish_batch: a re-run load (partial-
@@ -238,6 +243,12 @@ class ElapsServer:
                 self.metrics.duplicate_publishes += 1
                 continue
             self._store_event(event)
+            stored += 1
+        if stored:
+            # Stored without arrival processing, so no retained matching
+            # field heard of them, and a scanned leaf is never revisited:
+            # a mid-life load (a band move's hand-over) retires them all.
+            self._lazy_fields.clear()
         self._maybe_snapshot()
 
     def _store_event(self, event: Event) -> None:
@@ -344,11 +355,24 @@ class ElapsServer:
         events already in the ``delivered`` set, mark the rest delivered
         (excluding them from a cached matching ``field`` when one is
         live), and count the notifications.
+
+        A location report hands over the subscriber's retained ``field``,
+        which already knows every live undelivered be-matching event of
+        the rectangle it covers (its class invariant), so it is asked
+        first.  The event index still answers when there is no field,
+        when the circle is not covered — and when more than one event
+        survives: the tree's order (leaf stack, then iDistance) is part
+        of the notification log and of every ``seq``, and is the tree's
+        to state.
         """
         with self.tracer.span("match"):
-            matched = self.event_index.match(
-                record.subscription, location, exclude=record.delivered
-            )
+            matched = None
+            if field is not None:
+                matched = self._corpus_matches_from_field(record, location, field)
+            if matched is None:
+                matched = self.event_index.match(
+                    record.subscription, location, exclude=record.delivered
+                )
         sub_id = record.subscription.sub_id
         notifications: List[Notification] = []
         for event in matched:
@@ -361,6 +385,28 @@ class ElapsServer:
             notifications.append(Notification(sub_id, event, now, record.next_seq))
         self.metrics.notifications += len(notifications)
         return notifications
+
+    def _corpus_matches_from_field(
+        self, record: SubscriberRecord, location: Point, field: LazyBEQField
+    ) -> Optional[List[Event]]:
+        """The corpus match at ``location`` as the retained ``field`` knows
+        it: the one undelivered event inside the circle, or none — or None
+        when that is the event index's to say (circle not covered, or
+        several events whose order the tree defines)."""
+        known = field.matches_in_circle(location, record.subscription.radius)
+        if known is None:
+            return None
+        live = self._events_by_id
+        delivered = record.delivered
+        survivors = [
+            live[event_id]
+            for event_id in known
+            if event_id in live and event_id not in delivered
+        ]
+        if len(survivors) > 1:
+            return None
+        self.metrics.corpus_matches_from_field += 1
+        return survivors
 
     def _account_notification_bytes(self, notifications: List[Notification]) -> None:
         # every recipient's frame of one event is the same length, and a
@@ -1018,21 +1064,29 @@ class ElapsServer:
         )
         pair = self.strategy.construct(request)
         record.safe = pair.safe
-        impact = pair.impact
         if pair.safe.is_empty():
             # Degenerate case: the subscriber's own cell is unsafe, so the
             # client reports every timestamp.  The impact region must still
             # cover the notification circle (Lemma 1), so install the
-            # dilation of the subscriber's cell.
+            # dilation of the subscriber's cell — which is what the last
+            # timestamp installed unless the subscriber crossed a cell edge.
+            self.metrics.degenerate_constructions += 1
             cell = self.grid.cell_of(record.location)
-            cells = set(
-                self.grid.cells_within_radius(
-                    cell, record.subscription.radius, inclusive=True
+            if cell != record.degenerate_cell:
+                cells = set(
+                    self.grid.cells_within_radius(
+                        cell, record.subscription.radius, inclusive=True
+                    )
                 )
-            )
-            cells.add(cell)
-            impact = ImpactRegion(self.grid, frozenset(cells))
-        self.impact_index.replace_region(record.subscription.sub_id, impact)
+                cells.add(cell)
+                self.impact_index.replace_region(
+                    record.subscription.sub_id,
+                    ImpactRegion(self.grid, frozenset(cells)),
+                )
+                record.degenerate_cell = cell
+        else:
+            record.degenerate_cell = None
+            self.impact_index.replace_region(record.subscription.sub_id, pair.impact)
         if reusable:
             self._region_cache[record.subscription.sub_id] = (signature, pair)
         if self.repair:

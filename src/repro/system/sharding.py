@@ -1206,10 +1206,15 @@ class ShardedElapsServer:
         live event within a subscriber's radius was already delivered
         under the homing invariant, so the corpus matches produced by
         re-homing are all absorbed as duplicates, and migration itself
-        (extract + bootstrap) never runs arrival processing (Def. 1 is a
-        conjunction over events — removing one can only grow true safe
-        regions, and the receiving shard's regions are rebuilt through
-        the normal re-home flow).
+        (extract + bootstrap) never runs arrival processing.  On the
+        donor that is sound as it stands — Def. 1 is a conjunction over
+        events, removing one can only grow true safe regions.  On the
+        receiver it is not: a region built there before the hand-over
+        was built without the moved events.  A *new* home is built by
+        the re-home flow after them; a subscriber the receiver already
+        homed re-runs the subscribe flow there, which rebuilds its
+        region (and its matching artefacts) over the corpus as it now
+        stands.
         """
         n = self.grid.n
         old_map = self._shard_by_column
@@ -1259,28 +1264,43 @@ class ShardedElapsServer:
         moved = [event for donor in sorted(extracted) for event in extracted[donor]]
         if moved:
             self.bootstrap(sorted(moved, key=lambda e: (e.arrived_at, e.event_id)))
-        # 4. Re-home every subscriber under the new map (owners may have
-        #    changed; new homes run the full subscribe flow, their corpus
-        #    matches deduped to nothing by _absorb), then prune the homes
-        #    the invariant no longer requires under the new boundaries.
+        receivers = set(self._by_shard(moved))
+        # 4. Rebuild every subscriber a receiver already homes — its
+        #    region there predates the events just handed over — then
+        #    re-home under the new map (owners may have changed; new homes
+        #    run the same full subscribe flow, and all these corpus matches
+        #    are deduped to nothing by _absorb), then prune the homes the
+        #    invariant no longer requires under the new boundaries.
+        rebuilt: Set[int] = set()
         for record in list(self.subscribers.values()):
             record.owner = self.shard_of_point(record.location)
+            predating = record.homes & receivers
+            if predating:
+                rebuilt |= predating
+                self._run_absorbing(
+                    predating,
+                    "subscribe",
+                    (record.subscription, record.location, record.velocity, now),
+                    notifications,
+                )
+                self._recompute_held(record)
             self._rehome(record, now, notifications)
             self._prune_homes(record, now, notifications)
         # 5. Restore single-server notification order on every shard
-        #    that gained members: re-homed subscribers were appended at
-        #    the end of the shard's index, out of subscribe order.
+        #    that gained members or rebuilt one: a (re)subscribed
+        #    subscriber sits at the end of the shard's index, out of
+        #    subscribe order.
         order = tuple(self.subscribers)
-        gaining = [
+        resequence = rebuilt | {
             shard_id
             for shard_id, (after, before) in enumerate(zip(members(), pre_members))
             if after - before
-        ]
-        if gaining:
+        }
+        if resequence:
             self.executor.run(
                 {
                     shard_id: ("resequence_subscriptions", (order,))
-                    for shard_id in gaining
+                    for shard_id in sorted(resequence)
                 }
             )
         self._settle(now, notifications)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import IGM
@@ -79,10 +80,14 @@ def staleness(server):
     }
 
 
-def drive(server, shard_servers, *, ticks, extract_at=None, rebalance_at=None):
+def drive(
+    server, shard_servers, *, ticks, extract_at=None, rebalance_at=None,
+    seed=20150531, after_each=lambda what: None,
+):
     """A seeded publish / report / expire run; returns everything the
-    batched sweep must leave untouched."""
-    rng = random.Random(20150531)
+    batched sweep must leave untouched.  ``after_each`` is called with a
+    label after every operation on the server."""
+    rng = random.Random(seed)
     positions = {}
     server.transport = CallbackTransport(
         locate=lambda sub_id: (positions[sub_id], Point(0, 0))
@@ -110,6 +115,7 @@ def drive(server, shard_servers, *, ticks, extract_at=None, rebalance_at=None):
             make_sub(sub_id, TOPICS[sub_id % 2]), positions[sub_id], Point(0, 0), 0
         )
         record(notes)
+        after_each(f"subscribe {sub_id}")
     for now in range(1, ticks + 1):
         burst = [
             make_event(
@@ -120,6 +126,7 @@ def drive(server, shard_servers, *, ticks, extract_at=None, rebalance_at=None):
         ]
         next_id += len(burst)
         record(server.publish_batch(burst, now))
+        after_each(f"publish at {now}")
         mover = rng.randint(1, 8)
         step = Point(rng.uniform(-700, 700), rng.uniform(-700, 700))
         target = positions[mover]
@@ -130,6 +137,7 @@ def drive(server, shard_servers, *, ticks, extract_at=None, rebalance_at=None):
         positions[mover] = target
         notes, _ = server.report_location(mover, target, Point(0, 0), now)
         record(notes)
+        after_each(f"report {mover} at {now}")
         if now == extract_at:
             # events leave by extraction; their heap entries stay behind
             # and must be skipped (not counted again) when they come due
@@ -138,7 +146,9 @@ def drive(server, shard_servers, *, ticks, extract_at=None, rebalance_at=None):
             trail.append(("extracted", sorted(e.event_id for e in gone)))
         if now == rebalance_at:
             assert server.rebalance_now(now, bounds=[0, 13, 40])
+            after_each(f"rebalance at {now}")
         trail.append((now, server.expire_due_events(now)))
+        after_each(f"expire at {now}")
         trail.append([staleness(shard) for shard in shard_servers])
     metrics = server.merged_metrics()
     return {
@@ -185,6 +195,54 @@ class TestBatchedSweepIsUnobservable:
             count for entry in batched["trail"] if isinstance(entry, list)
             for shard in entry for count in shard.values()
         )
+
+
+def definition1_violations(fleet):
+    """Definition 1 by brute force over the union corpus: the held safe
+    cells within ``r`` (closed) of a live, undelivered, be-matching event,
+    as ``(sub_id, event_id, cell)`` — no index or field takes part."""
+    grid = fleet.grid
+    live = {}
+    for shard in fleet.shard_servers:
+        live.update(shard._events_by_id)
+    violations = []
+    for sub_id, record in fleet.subscribers.items():
+        if record.safe is None or record.safe.is_empty():
+            continue
+        cells = np.array(sorted(record.safe.cells))
+        x_lo = grid.space.x_min + cells[:, 0] * grid.cell_width
+        y_lo = grid.space.y_min + cells[:, 1] * grid.cell_height
+        for event in live.values():
+            if event.event_id in record.delivered:
+                continue
+            if not record.subscription.be_matches(event):
+                continue
+            x, y = event.location.x, event.location.y
+            dx = np.maximum(np.maximum(x_lo - x, 0.0), x - (x_lo + grid.cell_width))
+            dy = np.maximum(np.maximum(y_lo - y, 0.0), y - (y_lo + grid.cell_height))
+            for k in np.flatnonzero(np.hypot(dx, dy) <= record.subscription.radius):
+                violations.append((sub_id, event.event_id, tuple(cells[k])))
+    return violations
+
+
+@pytest.mark.fleet
+class TestDefinition1SurvivesABandMove:
+    """A band move hands events to a shard whose subscribers are already
+    homed there: their regions were built without those events, and a
+    retained matching field never revisits a scanned leaf.  The receiving
+    shard has to rebuild them (DESIGN.md §15)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_held_region_comes_within_r_of_a_matching_event(self, seed):
+        with make_fleet() as server:
+            def check(what):
+                assert not definition1_violations(server), f"after {what}"
+
+            drive(
+                server, server.shard_servers, ticks=60, rebalance_at=30,
+                seed=seed, after_each=check,
+            )
+            assert server.rebalances == 1
 
 
 class TestWhatAnExclusionCounts:

@@ -11,9 +11,14 @@ behaviour repair mode is measured against.
 
 from __future__ import annotations
 
-import pytest
+import math
+import os
+import random
 
-from repro.core import IGM, RegionDelta, RepairBudget, SafeRegion
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import IGM, RegionDelta, RepairBudget, SafeRegion, VectorizedIGM
 from repro.core.field import dilate_point
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
@@ -501,3 +506,272 @@ class TestDegenerateConstruction:
         assert server.metrics.repairs == 0
         assert server.metrics.repair_fallbacks == 1
         assert server.metrics.constructions == built + 1
+
+
+class TestDegenerateImpactMemo:
+    """A subscriber in an unsafe cell reports every timestamp; its
+    degenerate impact region — the dilation of its own cell — is
+    re-installed only when that cell changes."""
+
+    def spied_server(self):
+        server = make_server(repair=True)
+        sub = make_sub()
+        server.bootstrap([sale(1, 5_000 + 1_600, 5_000)])
+        _, region = server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
+        assert region.is_empty()
+        calls = []
+        index = server.impact_index
+        for name in ("replace", "replace_region"):
+            inner = getattr(index, name)
+            setattr(
+                index, name,
+                lambda *args, inner=inner, name=name: (calls.append(name), inner(*args))[1],
+            )
+        return server, sub, calls
+
+    def dilation_of(self, server, sub, cell):
+        cells = set(server.grid.cells_within_radius(cell, sub.radius, inclusive=True))
+        return frozenset(cells | {cell})
+
+    def test_same_cell_installs_nothing(self):
+        server, sub, calls = self.spied_server()
+        before = server.impact_index.cells_of(sub.sub_id)
+        built = server.metrics.constructions
+        # (5_000, 5_000) and (5_100, 5_100) share cell (20, 20) of the 250 m grid
+        _, region = server.report_location(sub.sub_id, Point(5_100, 5_100), Point(20, 0), now=1)
+        assert region.is_empty()
+        assert calls == []
+        assert server.impact_index.cells_of(sub.sub_id) is before
+        # ... and everything else about the construction is counted as ever
+        assert server.metrics.constructions == built + 1
+        assert server.metrics.degenerate_constructions == 2
+        assert server.subscribers[sub.sub_id].degenerate_cell == (20, 20)
+
+    def test_crossing_a_cell_edge_installs_the_new_dilation(self):
+        server, sub, calls = self.spied_server()
+        _, region = server.report_location(sub.sub_id, Point(5_300, 5_000), Point(20, 0), now=1)
+        assert region.is_empty()
+        assert "replace" in calls
+        assert server.impact_index.cells_of(sub.sub_id) == self.dilation_of(server, sub, (21, 20))
+        assert server.subscribers[sub.sub_id].degenerate_cell == (21, 20)
+
+    def test_degenerate_normal_degenerate_reinstalls(self):
+        server, sub, calls = self.spied_server()
+        degenerate = server.impact_index.cells_of(sub.sub_id)
+        # far from the event the construction is a normal one ...
+        _, region = server.report_location(sub.sub_id, Point(1_000, 1_000), Point(20, 0), now=1)
+        record = server.subscribers[sub.sub_id]
+        assert not region.is_empty() and record.degenerate_cell is None
+        assert server.impact_index.cells_of(sub.sub_id) != degenerate
+        # ... and back in the old cell the dilation is installed again,
+        # although it is the cell the last degenerate install was for
+        del calls[:]
+        _, region = server.report_location(sub.sub_id, Point(5_000, 5_000), Point(20, 0), now=2)
+        assert region.is_empty()
+        assert "replace" in calls
+        assert server.impact_index.cells_of(sub.sub_id) == degenerate
+
+    def test_unsubscribe_and_resubscribe_start_clean(self):
+        server, sub, calls = self.spied_server()
+        server.unsubscribe(sub.sub_id)
+        assert server.impact_index.cells_of(sub.sub_id) == frozenset()
+        for _ in range(2):  # a fresh subscribe, then a resubscribe
+            del calls[:]
+            _, region = server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=1)
+            assert region.is_empty()
+            assert "replace" in calls
+            assert server.impact_index.cells_of(sub.sub_id) == self.dilation_of(
+                server, sub, (20, 20)
+            )
+
+    def test_a_restored_snapshot_starts_clean(self, tmp_path):
+        from repro.system.journal import JournalSpec
+
+        def journaled():
+            return make_server(repair=True, journal=JournalSpec(str(tmp_path)))
+
+        server = journaled()
+        sub = make_sub()
+        server.bootstrap([sale(1, 5_000 + 1_600, 5_000)])
+        server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
+        assert server.subscribers[sub.sub_id].degenerate_cell == (20, 20)
+        server.snapshot()
+        server.close()
+        revived = journaled()
+        revived.recover()
+        record = revived.subscribers[sub.sub_id]
+        assert record.degenerate_cell is None
+        installed = revived.impact_index.cells_of(sub.sub_id)
+        assert installed == self.dilation_of(revived, sub, (20, 20))
+        _, region = revived.report_location(sub.sub_id, Point(5_100, 5_100), Point(20, 0), now=1)
+        assert region.is_empty()
+        assert record.degenerate_cell == (20, 20)
+        assert revived.impact_index.cells_of(sub.sub_id) == installed
+        revived.close()
+
+
+#: per-test hypothesis example budget; the CI differential lane raises it
+EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "25"))
+
+
+def cross_check_corpus_matches(server):
+    """Hold every ``_deliver_corpus_matches`` call of ``server`` against
+    the event index: the delivered events are ``event_index.match(...,
+    exclude=delivered)`` *as a list*, and a field that vouches for the
+    circle knows exactly the tree's events among its live, undelivered
+    ids (the class invariant of ``LazyBEQField``)."""
+    inner = server._deliver_corpus_matches
+
+    def checked(record, location, now, field=None):
+        expected = server.event_index.match(
+            record.subscription, location, exclude=record.delivered
+        )
+        if field is not None:
+            known = field.matches_in_circle(location, record.subscription.radius)
+            if known is not None:
+                assert {
+                    event_id
+                    for event_id in known
+                    if event_id in server._events_by_id
+                    and event_id not in record.delivered
+                } == {event.event_id for event in expected}
+        notifications = inner(record, location, now, field=field)
+        assert [n.event for n in notifications] == expected
+        return notifications
+
+    server._deliver_corpus_matches = checked
+
+
+@pytest.mark.differential
+class TestRetainedFieldIsTheLocationUpdateMatcher:
+    """Under ``repair=True`` a location update's corpus match is answered
+    by the subscriber's retained matching field when it covers the circle
+    and at most one event survives; the BEQ-Tree is the oracle."""
+
+    def server_with_walker(self, events, start=Point(3_000, 5_000)):
+        """A cross-checked server whose subscriber's field covers well
+        past x = 6 500 after the first construction."""
+        server = make_server(repair=True)
+        cross_check_corpus_matches(server)
+        server.bootstrap(events)
+        sub = make_sub()
+        notifications, _ = server.subscribe(sub, start, Point(20, 0), now=0)
+        assert notifications == []
+        return server, sub
+
+    def report(self, server, sub, location, now=1):
+        answered = server.metrics.corpus_matches_from_field
+        notifications, _ = server.report_location(
+            sub.sub_id, location, Point(20, 0), now=now
+        )
+        from_field = server.metrics.corpus_matches_from_field - answered
+        return [n.event.event_id for n in notifications], bool(from_field)
+
+    def test_an_event_at_distance_exactly_r_is_delivered_from_the_field(self):
+        at_r = sale(1, 6_500.0, 5_000.0)
+        beyond = sale(2, 5_000.0, math.nextafter(6_500.0, math.inf))
+        server, sub = self.server_with_walker([at_r, beyond])
+        assert self.report(server, sub, Point(5_000.0, 5_000.0)) == ([1], True)
+
+    def test_a_circle_reaching_outside_the_covered_rectangle_asks_the_tree(self):
+        server, sub = self.server_with_walker([sale(1, 9_500, 9_500)])
+        covered = server._lazy_fields[sub.sub_id]._covered
+        assert covered[2] < 39 and covered[3] < 39
+        assert self.report(server, sub, Point(9_000, 9_000)) == ([1], False)
+
+    def test_two_survivors_are_delivered_in_the_trees_order(self):
+        events = [sale(k, 5_000 + 300 * k, 5_000 + 100 * k) for k in range(1, 5)]
+        server, sub = self.server_with_walker(events)
+        ids, from_field = self.report(server, sub, Point(5_400, 5_000))
+        assert len(ids) >= 2 and not from_field  # order held by the cross-check
+        # the rest already delivered, nothing survives: the field answers
+        assert self.report(server, sub, Point(5_450, 5_000), now=2) == ([], True)
+
+    def test_a_mid_life_bootstrap_retires_the_retained_fields(self):
+        """``bootstrap`` stores events without arrival processing, so no
+        retained field hears of them and a scanned leaf is never
+        revisited: the field must go, or the next report misses a
+        delivery and the next construction builds an unsafe region."""
+        server, sub = self.server_with_walker([sale(1, 9_500, 9_500)])
+        assert sub.sub_id in server._lazy_fields
+        inside, outside = sale(2, 5_600, 5_000), sale(3, 7_000, 5_000)
+        server.bootstrap([inside, outside])
+        assert server._lazy_fields == {}
+        ids, from_field = self.report(server, sub, Point(5_000, 5_000))
+        assert ids == [2] and not from_field
+        safe = server.subscribers[sub.sub_id].safe
+        for cell in safe.cells:
+            assert (
+                server.grid.cell_rect(cell).min_distance_to_point(outside.location)
+                > sub.radius
+            )
+        # an idempotent re-load stores nothing and retires nothing
+        server.bootstrap([inside, outside])
+        assert sub.sub_id in server._lazy_fields
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vectorized=st.booleans())
+    def test_every_corpus_match_equals_the_event_index(self, seed, vectorized):
+        rng = random.Random(seed)
+        strategy = (VectorizedIGM if vectorized else IGM)(max_cells=rng.choice([40, 400]))
+        server = make_server(strategy, repair=True)
+        cross_check_corpus_matches(server)
+        topics = ("sale", "show")
+        positions = {}
+        server.transport = CallbackTransport(
+            locate=lambda sub_id: (positions[sub_id], Point(20, 0))
+        )
+        next_id = iter(range(1, 1 << 30))
+
+        def fresh_events(count, now):
+            return [
+                Event(
+                    next(next_id), {"topic": rng.choice(topics)},
+                    Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)),
+                    arrived_at=now, expires_at=now + rng.randint(2, 30),
+                )
+                for _ in range(count)
+            ]
+
+        def subscribe(sub_id, now):
+            positions[sub_id] = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+            subscription = Subscription(
+                sub_id,
+                BooleanExpression([Predicate("topic", Operator.EQ, rng.choice(topics))]),
+                radius=rng.choice([400.0, 1_200.0, 2_500.0]),
+            )
+            server.subscribe(subscription, positions[sub_id], Point(20, 0), now)
+
+        server.bootstrap(fresh_events(rng.randint(0, 80), 0))
+        for sub_id in range(1, 5):
+            subscribe(sub_id, 0)
+        for now in range(1, 40):
+            sub_id = rng.randint(1, 4)
+            roll = rng.random()
+            if roll < 0.45:
+                # mostly small steps (the covered rectangle holds the
+                # circle), sometimes a jump out of it
+                reach = 300 if rng.random() < 0.8 else 6_000
+                at = positions[sub_id]
+                positions[sub_id] = Point(
+                    min(max(at.x + rng.uniform(-reach, reach), 0.0), 10_000.0),
+                    min(max(at.y + rng.uniform(-reach, reach), 0.0), 10_000.0),
+                )
+                server.report_location(sub_id, positions[sub_id], Point(20, 0), now)
+            elif roll < 0.75:
+                server.publish_batch(fresh_events(rng.randint(1, 12), now), now)
+            elif roll < 0.85:
+                server.expire_due_events(now)
+            elif roll < 0.89:
+                lo = rng.randint(0, 35)
+                server.extract_events_in_columns([(lo, lo + rng.randint(1, 5))])
+            elif roll < 0.93:
+                server.bootstrap(fresh_events(rng.randint(1, 6), now))
+            elif roll < 0.97:
+                received = rng.sample(
+                    sorted(server.subscribers[sub_id].delivered),
+                    k=len(server.subscribers[sub_id].delivered) // 2,
+                )
+                server.resync(sub_id, positions[sub_id], Point(20, 0), received, now)
+            else:
+                subscribe(sub_id, now)

@@ -35,8 +35,9 @@ from repro.core import IDGM, IGM, VectorizedIDGM, VectorizedIGM
 from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import SystemStats
 from repro.core.field import LazyBEQField, StaticMatchingField, dilate_point
-from repro.expressions import BooleanExpression, Operator, Predicate
+from repro.expressions import BooleanExpression, Event, Operator, Predicate
 from repro.geometry import Grid, Point, Rect
+from repro.geometry.grid import RING
 from repro.geometry.zorder import interleave, interleave_array
 from repro.index import BEQTree
 
@@ -248,6 +249,199 @@ def test_lemma1_empty_region_degenerate_case(family):
     assert scalar_pair.safe.is_empty() and vector_pair.safe.is_empty()
     assert scalar_pair.impact.is_empty() and vector_pair.impact.is_empty()
     assert_pairs_identical(scalar_pair, vector_pair)
+
+
+@DIFF_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(FAMILIES)),
+    max_cells=st.sampled_from([None, 0, 1, 120]),
+)
+def test_unsafe_start_cell_over_a_lazy_field_is_the_scalar_single_pop(
+    seed, family, max_cells
+):
+    """The vectorized core decides an unsafe start cell before it builds
+    any frontier state.  The result must be the scalar loop's single pop —
+    every RegionPair field, the visit order, and the same covered-rectangle
+    growth (``events_scanned`` / ``leaves_scanned``) — also with
+    ``max_cells=0``, where the loop pops nothing at all."""
+    rng = random.Random(seed)
+    grid = Grid(40, SPACE)
+    location = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+    radius = rng.uniform(300, 2500)
+    events = random_events(rng, SPACE, rng.randint(20, 200))
+    expression = BooleanExpression([Predicate("a0", Operator.GE, 0)])
+    # one matching event out of reach of a notification, within reach of
+    # the subscriber's cell: the start cell is unsafe
+    angle = rng.uniform(0, 6.283)
+    near = Point(
+        min(max(location.x + 0.5 * radius * np.cos(angle), 0.0), 10_000.0),
+        min(max(location.y + 0.5 * radius * np.sin(angle), 0.0), 10_000.0),
+    )
+    events.append(Event(len(events), {"a0": 1}, near))
+    velocity = Point(rng.uniform(-40, 40), rng.uniform(-40, 40))
+
+    def build(strategy_cls):
+        tree = BEQTree(SPACE, emax=16)
+        tree.insert_all(events)
+        field = LazyBEQField(grid, tree, expression)
+        request = ConstructionRequest(
+            location=location,
+            velocity=velocity,
+            radius=radius,
+            grid=grid,
+            matching_field=field,
+            stats=SystemStats(event_rate=2.0, total_events=len(events)),
+        )
+        strategy = strategy_cls(max_cells=max_cells, record_visits=True)
+        return strategy.construct(request), field
+
+    scalar_cls, vector_cls = FAMILIES[family]
+    scalar_pair, scalar_field = build(scalar_cls)
+    vector_pair, vector_field = build(vector_cls)
+    assert scalar_pair.safe.is_empty()
+    assert scalar_pair.cells_examined == (0 if max_cells == 0 else 1)
+    assert_pairs_identical(scalar_pair, vector_pair)
+    assert scalar_field.events_scanned == vector_field.events_scanned
+    assert scalar_field.leaves_scanned == vector_field.leaves_scanned
+
+
+@DIFF_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(sorted(FAMILIES)))
+def test_array_view_sync_may_lag_behind_an_unsafe_start_cell(seed, family):
+    """A start cell whose unsafe bit is already set is decided without
+    syncing the points noted since (bits are only ever set).  The lag
+    must be invisible: after degenerate constructions interleaved with
+    ``note_event`` calls, a move to another cell builds exactly what the
+    scalar strategy builds over an identically fed field."""
+    rng = random.Random(seed)
+    grid = Grid(40, SPACE)
+    radius = rng.uniform(400, 1500)
+    expression = BooleanExpression([Predicate("a0", Operator.GE, 0)])
+    home = Point(rng.uniform(2_000, 8_000), rng.uniform(2_000, 8_000))
+    blocker = Point(home.x + 0.4 * radius, home.y)
+    stats = SystemStats(event_rate=2.0, total_events=50)
+    scalar_cls, vector_cls = FAMILIES[family]
+    sides = []
+    for strategy_cls in (scalar_cls, vector_cls):
+        tree = BEQTree(SPACE, emax=16)
+        tree.insert_all([Event(0, {"a0": 1}, blocker)])
+        sides.append(
+            (
+                strategy_cls(max_cells=150, record_visits=True),
+                LazyBEQField(grid, tree, expression),
+            )
+        )
+
+    def construct_both(location):
+        pairs = [
+            strategy.construct(
+                ConstructionRequest(
+                    location=location,
+                    velocity=Point(15.0, -5.0),
+                    radius=radius,
+                    grid=grid,
+                    matching_field=field,
+                    stats=stats,
+                )
+            )
+            for strategy, field in sides
+        ]
+        assert_pairs_identical(*pairs)
+        for _, field in sides:
+            assert field.events_scanned == sides[0][1].events_scanned
+            assert field.leaves_scanned == sides[0][1].leaves_scanned
+        return pairs[0]
+
+    next_id = 1
+    for _ in range(3):
+        # degenerate at home: the first syncs (the bit is clear), the
+        # later ones find it set and leave the noted points unsynced
+        assert construct_both(home).safe.is_empty()
+        for _ in range(rng.randint(1, 6)):
+            point = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+            for _, field in sides:
+                field.note_event(next_id, point)
+            next_id += 1
+    vector_strategy, vector_field = sides[1]
+    view = vector_strategy._view(vector_field, grid, radius)
+    assert view._cursor < len(vector_field.known_points())  # the lag is real
+    away = Point(
+        min(max(home.x - 2.5 * radius, 100.0), 9_900.0),
+        min(max(home.y + rng.uniform(-1_000, 1_000), 100.0), 9_900.0),
+    )
+    construct_both(away)
+    assert view._cursor == len(vector_field.known_points())
+
+
+@DIFF_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(FAMILIES)),
+    incremental_impact=st.booleans(),
+    all_border=st.booleans(),
+)
+def test_candidate_offset_tables_with_and_without_interior_cells(
+    seed, family, incremental_impact, all_border
+):
+    """The per-accepted-neighbour-set offset tables add ``i * n + j`` in
+    one step for a cell at least ``reach`` from every border and keep the
+    bounds filter elsewhere.  Both branches against the scalar oracle: a
+    grid whose every cell is a border cell (``reach >= n / 2``) and one
+    with an interior."""
+    rng = random.Random(seed)
+    grid = Grid(14 if all_border else 40, SPACE)
+    radius = rng.uniform(4_600, 6_000) if all_border else rng.uniform(300, 1_800)
+    reach = grid.strip_candidate_offsets(radius).reach
+    assert (2 * reach >= grid.n) == all_border
+    points = [
+        Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+        for _ in range(rng.randint(0, 6 if all_border else 60))
+    ]
+
+    location = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+    velocity = Point(rng.uniform(-40, 40), rng.uniform(-40, 40))
+    stats = SystemStats(event_rate=rng.uniform(0.5, 8), total_events=200)
+
+    def request():
+        return ConstructionRequest(
+            location=location,
+            velocity=velocity,
+            radius=radius,
+            grid=grid,
+            matching_field=StaticMatchingField(grid, points),
+            stats=stats,
+        )
+
+    kwargs = dict(
+        max_cells=rng.choice([None, 60, 400]),
+        incremental_impact=incremental_impact,
+        record_visits=True,
+    )
+    scalar_cls, vector_cls = FAMILIES[family]
+    scalar_pair = scalar_cls(**kwargs).construct(request())
+    vector_pair = vector_cls(**kwargs).construct(request())
+    assert_pairs_identical(scalar_pair, vector_pair)
+
+
+@DIFF_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), key=st.integers(0, 255))
+def test_strip_candidates_equal_the_mask_intersections(seed, key):
+    """``StripCandidates[key]`` vs intersecting the strip masks of the set
+    bits by hand, with the flat form ``off_i * n + off_j`` beside them."""
+    rng = random.Random(seed)
+    grid = Grid(rng.choice([14, 25, 40]), SPACE)
+    radius = rng.choice([0.0, rng.uniform(1, 300), rng.uniform(300, 2500)])
+    off_i, off_j = grid.disk_offset_arrays(radius)
+    keep = np.ones(off_i.size, dtype=bool)
+    for bit, direction in enumerate(RING):
+        if key >> bit & 1:
+            keep &= grid.strip_offset_masks(radius)[direction]
+    got_i, got_j, got_flat = grid.strip_candidate_offsets(radius)[key]
+    assert got_i.tolist() == off_i[keep].tolist()
+    assert got_j.tolist() == off_j[keep].tolist()
+    assert got_flat.tolist() == (off_i[keep] * grid.n + off_j[keep]).tolist()
+    assert list(RING) == list(grid.dilation_strips(radius))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
