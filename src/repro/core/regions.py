@@ -122,7 +122,8 @@ class GridRegion:
         keeps the caller's class (so ``SafeRegion ∩ SafeRegion`` is a
         ``SafeRegion``).
         """
-        if self.grid is not other.grid and self.grid.n != other.grid.n:
+        mine, theirs = self.grid, other.grid
+        if mine is not theirs and (mine.n, mine.space) != (theirs.n, theirs.space):
             raise ValueError("cannot intersect regions over different grids")
         if self.complement and other.complement:
             return type(self)(self.grid, self.cells | other.cells, True)
@@ -165,7 +166,8 @@ class GridRegion:
         return bitmap
 
     def __getstate__(self):
-        # ... and out of pickles: a fleet worker's reply carries regions
+        # ... and out of pickles and copies: across a fleet worker's pipe a
+        # region is this state with its grid by identity (DESIGN.md §15)
         state = dict(self.__dict__)
         state.pop("_bitmap", None)
         return state

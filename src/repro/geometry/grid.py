@@ -97,14 +97,6 @@ class Grid:
         self._strip_masks: Dict[float, Dict[Cell, np.ndarray]] = {}
         self._strip_candidates: Dict[float, StripCandidates] = {}
 
-    def __getstate__(self):
-        # a fleet worker's reply carries regions, each with its grid; the
-        # candidate tables (up to 256 array triples per radius) are
-        # rebuilt on demand and stay out of the pickle
-        state = dict(self.__dict__)
-        state["_strip_candidates"] = {}
-        return state
-
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------

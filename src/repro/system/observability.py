@@ -313,6 +313,9 @@ class MetricsRegistry:
     ) -> None:
         self.stats = stats if stats is not None else CommunicationStats()
         self.tracer = tracer if tracer is not None else SpanTracer()
+        #: readings that are no :class:`CommunicationStats` field because
+        #: only some deployments have them (a process fleet's pipe bytes)
+        self.gauges: Dict[str, float] = {}
 
     def span(self, stage: str):
         """Shorthand for ``registry.tracer.span(stage)``."""
@@ -322,7 +325,7 @@ class MetricsRegistry:
     # Merging
     # ------------------------------------------------------------------
     def merged_with(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Counters add field-wise; histograms merge bucket-wise.
+        """Counters and gauges add; histograms merge bucket-wise.
 
         The distinction matters: a histogram is a distribution, and the
         only lossless combination is element-wise bucket addition —
@@ -341,6 +344,8 @@ class MetricsRegistry:
             else:
                 combined = left.merged_with(right)
             merged.tracer.histograms[stage] = combined
+        for name in sorted(set(self.gauges) | set(other.gauges)):
+            merged.gauges[name] = self.gauges.get(name, 0) + other.gauges.get(name, 0)
         return merged
 
     # ------------------------------------------------------------------
@@ -349,7 +354,10 @@ class MetricsRegistry:
     def render_prometheus(self, prefix: str = "elaps") -> str:
         """The registry in the Prometheus text exposition format."""
         return render_prometheus(
-            self.stats.as_dict(), self.tracer.histograms, prefix=prefix
+            self.stats.as_dict(),
+            self.tracer.histograms,
+            prefix=prefix,
+            gauges=self.gauges,
         )
 
 
@@ -372,15 +380,17 @@ def render_prometheus(
     histograms: Dict[str, LatencyHistogram],
     *,
     prefix: str = "elaps",
+    gauges: Optional[Dict[str, float]] = None,
 ) -> str:
-    """Counters and histograms as Prometheus text exposition format.
+    """Counters, histograms and gauges as Prometheus text exposition format.
 
     Counter fields become ``<prefix>_<name>_total`` counters (the
     ``bytes_measured`` flag and the ``*_high_water`` queue-depth marks
     become gauges, ``server_seconds`` keeps its unit in the name); every
     span stage becomes one labelled
     series of the single ``<prefix>_stage_duration_seconds`` histogram
-    family, with the cumulative ``le`` buckets the format requires.
+    family, with the cumulative ``le`` buckets the format requires; every
+    entry of ``gauges`` becomes a ``<prefix>_<name>`` gauge.
     """
     lines: List[str] = []
     for name in sorted(counters):
@@ -403,6 +413,11 @@ def render_prometheus(
         lines.append(f"# HELP {metric} CommunicationStats.{name} accumulator.")
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_format_value(value)}")
+    for name in sorted(gauges or ()):
+        metric = f"{prefix}_{name}"
+        lines.append(f"# HELP {metric} MetricsRegistry.gauges {name}.")
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {_format_value(gauges[name])}")
     if histograms:
         family = f"{prefix}_stage_duration_seconds"
         lines.append(f"# HELP {family} Span latency by pipeline stage.")

@@ -62,14 +62,17 @@ so client-visible deliveries are unchanged — byte-identical under
 from __future__ import annotations
 
 import bisect
+import copyreg
 import dataclasses
 import functools
 import inspect
+import io
 import json
 import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import threading
 import traceback
 from dataclasses import dataclass, field as dataclass_field
@@ -212,7 +215,8 @@ def _checked(command) -> Command:
 class ShardExecutor:
     """Where the fleet's shard servers live and how they are reached.
 
-    ``launch`` takes one server builder per shard plus the coordinator's
+    ``launch`` takes one server builder per shard, the coordinator's
+    grid — the one every region handed back must be over — and its
     three hooks; the executor builds and *owns* the servers.  ``run``
     takes ``{shard_id: (method, args)}`` and returns ``{shard_id:
     result}`` — the only way the coordinator ever touches a shard.
@@ -225,6 +229,7 @@ class ShardExecutor:
         self,
         builders: Sequence[Callable[[Transport], ElapsServer]],
         *,
+        grid: Grid,
         locate: Callable[[int], Optional[Tuple[Point, Point]]],
         on_region: Callable[[int, int, SafeRegion], None],
         on_delta: Callable[[int, int, FrozenSet[Cell], SafeRegion], None],
@@ -235,6 +240,11 @@ class ShardExecutor:
     def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
         """Run every command; return its result keyed by shard id."""
         raise NotImplementedError
+
+    def gauges(self) -> Dict[str, int]:
+        """What reaching the shards has cost so far, for
+        :meth:`ShardedElapsServer.merged_registry`; in-process, nothing."""
+        return {}
 
     def close(self) -> None:
         """Close the hosted servers and release executor resources."""
@@ -259,9 +269,10 @@ class SerialExecutor(ShardExecutor):
         #: the live servers, in shard order (tests and audits read them)
         self.shard_servers: List[ElapsServer] = []
 
-    def launch(self, builders, *, locate, on_region, on_delta) -> None:
+    def launch(self, builders, *, grid, locate, on_region, on_delta) -> None:
         """Build every shard's server on the calling thread; whatever a
-        shard ships lands at the coordinator's hooks, never at a client."""
+        shard ships lands at the coordinator's hooks, never at a client
+        (``grid`` is unused: these regions never leave the process)."""
         if self.shard_servers:
             raise RuntimeError("this SerialExecutor already hosts a fleet")
         self.shard_servers = [
@@ -330,11 +341,82 @@ class _WorkerTransport(Transport):
         return shipments
 
 
+# What crosses a pipe (DESIGN.md §15).  Down, a command is the plain
+# pickle of ``(method, args)`` — no argument holds a region.  Up, every
+# reply goes through :class:`_ReplySeam`, which knows one thing: the
+# fleet's ``Grid`` crosses *by identity*.  A region is then its class,
+# ``complement`` and ``cells`` beside a tag that the receiving end
+# resolves to its own grid.  Left to plain pickle a region drags its
+# ``Grid`` and that grid's per-radius tables along (hundreds of KB once
+# a fleet has served a hundred radii), so any *other* ``Grid`` is
+# refused instead of riding along.
+def _fleet_grid() -> Grid:
+    """What a reply holds where the sender's grid was.  Only the
+    receiving end of a shard pipe can say which grid that is."""
+    raise pickle.UnpicklingError(
+        "a shard reply was loaded outside its pipe: no grid to attach"
+    )
+
+
+class _ReplyUnpickler(pickle.Unpickler):
+    """Loads a reply with :func:`_fleet_grid` resolving to ``grid``."""
+
+    def __init__(self, file, grid: Grid) -> None:
+        super().__init__(file)
+        self._own_grid = lambda: grid
+
+    def find_class(self, module, name):
+        """Every global as pickle finds it, but for the grid's tag."""
+        found = super().find_class(module, name)
+        return self._own_grid if found is _fleet_grid else found
+
+
+class _ReplySeam:
+    """One end of a shard pipe's reply direction, over this end's grid.
+
+    A type-keyed ``dispatch_table`` rather than ``persistent_id``: that
+    hook is a Python call per pickled *object* (a 20-notification reply
+    read 63 → 174 µs to dump under it), the table costs nothing on
+    objects that are not a ``Grid``.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        self._grid = grid
+        self._dispatch_table = {**copyreg.dispatch_table, Grid: self._by_identity}
+
+    def _by_identity(self, grid: Grid):
+        if grid is not self._grid:
+            raise pickle.PicklingError(
+                "a Grid other than the fleet's reached a shard pipe "
+                f"(n={grid.n}, space={grid.space}); a region crosses as its "
+                "cells, over the fleet's grid"
+            )
+        return _fleet_grid, ()
+
+    def dumps(self, reply) -> bytes:
+        """``reply`` as the bytes a worker writes to its pipe."""
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer)
+        pickler.dispatch_table = self._dispatch_table
+        pickler.dump(reply)
+        return buffer.getvalue()
+
+    def loads(self, data: bytes):
+        """The reply in ``data``, its regions over this end's grid."""
+        return _ReplyUnpickler(io.BytesIO(data), self._grid).load()
+
+
 def _shard_worker_main(builder, conn) -> None:
     """The worker-process loop: build the shard's server, then serve
     command messages until EOF or the ``None`` close sentinel."""
     transport = _WorkerTransport(conn)
     server = builder(transport)
+    seam = _ReplySeam(server.grid)
+
+    def send(*reply) -> None:
+        """Write one reply through the seam, against this shard's grid."""
+        conn.send_bytes(seam.dumps(reply))
+
     try:
         while True:
             try:
@@ -352,26 +434,22 @@ def _shard_worker_main(builder, conn) -> None:
                 shipped = transport.drain()
                 remote_tb = traceback.format_exc()
                 try:
-                    conn.send(("error", exc, remote_tb, shipped))
+                    send("error", exc, remote_tb, shipped)
                 except Exception:
                     # The exception itself would not pickle; ship a
                     # faithful stand-in so the parent still raises.
-                    conn.send(
-                        ("error", RuntimeError(repr(exc)), remote_tb, shipped)
-                    )
+                    send("error", RuntimeError(repr(exc)), remote_tb, shipped)
             else:
                 try:
-                    conn.send(("done", result, transport.drain()))
+                    send("done", result, transport.drain())
                 except Exception as exc:
-                    conn.send(
-                        (
-                            "error",
-                            RuntimeError(
-                                f"unpicklable result from {method!r}: {exc!r}"
-                            ),
-                            "",
-                            [],
-                        )
+                    send(
+                        "error",
+                        RuntimeError(
+                            f"unpicklable result from {method!r}: {exc!r}"
+                        ),
+                        "",
+                        [],
                     )
     finally:
         conn.close()
@@ -399,7 +477,8 @@ class ProcessExecutor(ShardExecutor):
     the child* (the ``fork`` start method inherits the grid, strategy
     factory, and config without pickling them) and then serves
     ``(method, args)`` commands over its pipe.  Only the commands,
-    results, and buffered region shipments cross the pipes.
+    results, and buffered region shipments cross the pipes — never a
+    ``Grid``: a reply's regions arrive over the coordinator's own.
 
     ``run`` dispatches every command before collecting any reply, so the
     fan-out genuinely overlaps; while collecting, the parent services
@@ -416,17 +495,24 @@ class ProcessExecutor(ShardExecutor):
             )
         self._context = multiprocessing.get_context(_START_METHOD)
         self._workers: Dict[int, _WorkerHandle] = {}
+        self._seam: Optional[_ReplySeam] = None
         self._locate: Optional[Callable] = None
         self._on_region: Optional[Callable] = None
         self._on_delta: Optional[Callable] = None
         self._closed = False
+        #: pipe traffic so far, both directions, and the command replies
+        #: it carried (locate upcalls count as bytes, not as replies)
+        self._gauges = dict.fromkeys(
+            ("pipe_bytes_sent", "pipe_bytes_received", "pipe_replies"), 0
+        )
 
-    def launch(self, builders, *, locate, on_region, on_delta) -> None:
+    def launch(self, builders, *, grid, locate, on_region, on_delta) -> None:
         """Fork one worker per builder and wire the coordinator hooks."""
         if self._workers:
             raise RuntimeError("this ProcessExecutor already hosts a fleet")
         if self._closed:
             raise RuntimeError("cannot launch on a closed ProcessExecutor")
+        self._seam = _ReplySeam(grid)
         self._locate = locate
         self._on_region = on_region
         self._on_delta = on_delta
@@ -442,9 +528,20 @@ class ProcessExecutor(ShardExecutor):
             child_conn.close()
             self._workers[shard_id] = _WorkerHandle(shard_id, process, parent_conn)
 
+    def gauges(self) -> Dict[str, int]:
+        """The pipe counters, named as the metrics registry shows them."""
+        return dict(self._gauges)
+
     def _crashed(self, handle: _WorkerHandle) -> WorkerCrashed:
         handle.process.join(timeout=5.0)
         return WorkerCrashed(handle.shard_id, handle.process.exitcode)
+
+    def _send(self, handle: _WorkerHandle, data: bytes) -> None:
+        try:
+            handle.conn.send_bytes(data)
+        except (BrokenPipeError, OSError):
+            raise self._crashed(handle) from None
+        self._gauges["pipe_bytes_sent"] += len(data)
 
     def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
         """Dispatch every command, then collect; service locate upcalls."""
@@ -453,15 +550,17 @@ class ProcessExecutor(ShardExecutor):
         if not self._workers:
             raise RuntimeError("ProcessExecutor.run before launch()")
         pending: Dict[object, _WorkerHandle] = {}
+        #: a command value fanned out to several shards is pickled once
+        pickled: Dict[int, bytes] = {}
         for shard_id in sorted(commands):
             command = _checked(commands[shard_id])
             handle = self._workers[shard_id]
             if not handle.process.is_alive():
                 raise self._crashed(handle)
-            try:
-                handle.conn.send(command)
-            except (BrokenPipeError, OSError):
-                raise self._crashed(handle) from None
+            data = pickled.get(id(command))
+            if data is None:
+                data = pickled[id(command)] = pickle.dumps(command)
+            self._send(handle, data)
             pending[handle.conn] = handle
         results: Dict[int, object] = {}
         errors: List[Tuple[int, BaseException, str]] = []
@@ -471,22 +570,24 @@ class ProcessExecutor(ShardExecutor):
             for conn in ready:
                 handle = pending[conn]
                 try:
-                    message = conn.recv()
+                    data = conn.recv_bytes()
                 except (EOFError, OSError):
                     raise self._crashed(handle) from None
+                self._gauges["pipe_bytes_received"] += len(data)
+                message = self._seam.loads(data)
                 kind = message[0]
                 if kind == "locate":
-                    conn.send(self._locate(message[1]))
-                elif kind == "done":
+                    self._send(handle, pickle.dumps(self._locate(message[1])))
+                    continue
+                if kind == "done":
                     _, result, shipped = message
                     results[handle.shard_id] = result
-                    shipments.append((handle.shard_id, shipped))
-                    del pending[conn]
                 else:  # "error"
                     _, exc, remote_tb, shipped = message
                     errors.append((handle.shard_id, exc, remote_tb))
-                    shipments.append((handle.shard_id, shipped))
-                    del pending[conn]
+                shipments.append((handle.shard_id, shipped))
+                self._gauges["pipe_replies"] += 1
+                del pending[conn]
         # Replay region traffic in shard order — shipments that happened
         # before a failure are real worker state and must land.
         for shard_id, shipped in sorted(shipments):
@@ -654,6 +755,7 @@ class ShardedElapsServer:
 
         self.executor.launch(
             [make_builder(spec) for spec in self.specs],
+            grid=grid,
             locate=self._locate_subscriber,
             on_region=self._on_shard_region,
             on_delta=self._on_shard_delta,
@@ -690,8 +792,9 @@ class ShardedElapsServer:
 
     def _run_all(self, method: str, *args) -> List[object]:
         """One command to every shard; the results in shard order."""
+        command = (method, args)
         results = self.executor.run(
-            {spec.shard_id: (method, args) for spec in self.specs}
+            {spec.shard_id: command for spec in self.specs}
         )
         return [results[spec.shard_id] for spec in self.specs]
 
@@ -704,8 +807,9 @@ class ShardedElapsServer:
     ) -> None:
         """Fan one notifying command out to ``shard_ids``; absorb each
         shard's notifications in ascending shard order."""
+        command = (method, args)
         results = self.executor.run(
-            {shard_id: (method, args) for shard_id in shard_ids}
+            {shard_id: command for shard_id in shard_ids}
         )
         for shard_id in sorted(results):
             shard_notifications, _ = results[shard_id]
@@ -1290,19 +1394,14 @@ class ShardedElapsServer:
         #    that gained members or rebuilt one: a (re)subscribed
         #    subscriber sits at the end of the shard's index, out of
         #    subscribe order.
-        order = tuple(self.subscribers)
         resequence = rebuilt | {
             shard_id
             for shard_id, (after, before) in enumerate(zip(members(), pre_members))
             if after - before
         }
         if resequence:
-            self.executor.run(
-                {
-                    shard_id: ("resequence_subscriptions", (order,))
-                    for shard_id in sorted(resequence)
-                }
-            )
+            command = ("resequence_subscriptions", (tuple(self.subscribers),))
+            self.executor.run({shard_id: command for shard_id in resequence})
         self._settle(now, notifications)
         # 6. Age the load signal so the policy tracks a moving hotspot.
         decay = (
@@ -1428,10 +1527,12 @@ class ShardedElapsServer:
         return merged
 
     def merged_registry(self) -> MetricsRegistry:
-        """Coordinator registry plus every worker's (histograms bucket-wise)."""
+        """Coordinator registry plus every worker's (histograms
+        bucket-wise), and the executor's pipe counters as gauges."""
         merged = self.registry
         for registry in self._run_all("merged_registry"):
             merged = merged.merged_with(registry)
+        merged.gauges.update(self.executor.gauges())
         return merged
 
     def configure_tracing(self, enabled: bool, slow_threshold: Optional[float]) -> None:

@@ -591,6 +591,7 @@ class TestFrozenFormat:
         executor = SerialExecutor()
         executor.launch(
             [lambda transport: fixture_server(transport=transport)],
+            grid=Grid(20, SPACE),
             locate=lambda sub_id: None,
             on_region=lambda *shipped: None,
             on_delta=lambda *shipped: None,

@@ -256,6 +256,21 @@ class TestPrometheusExport:
         assert "\nelaps_send_queue_high_water 7" in text
         assert "elaps_send_queue_high_water_total" not in text
 
+    def test_registry_gauges_merge_by_addition_and_render_as_gauges(self):
+        """What only some deployments measure (a process fleet's pipe
+        bytes) rides the registry without becoming a counter field."""
+        left, right = MetricsRegistry(), MetricsRegistry()
+        left.gauges["pipe_bytes_received"] = 300
+        right.gauges.update(pipe_bytes_received=200, pipe_replies=4)
+        merged = left.merged_with(right)
+        assert merged.gauges == {"pipe_bytes_received": 500, "pipe_replies": 4}
+        assert "pipe_bytes_received" not in merged.stats.as_dict()
+        text = merged.render_prometheus()
+        assert "# TYPE elaps_pipe_bytes_received gauge" in text
+        assert "\nelaps_pipe_bytes_received 500\n" in text
+        assert "elaps_pipe_replies_total" not in text
+        assert "pipe_" not in MetricsRegistry().render_prometheus()
+
     def test_every_counter_field_present(self):
         registry, text = self._exposition()
         for name in registry.stats.as_dict():

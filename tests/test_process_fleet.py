@@ -6,6 +6,9 @@ Two layers of coverage:
 * plumbing — ``(method, args)`` command round-trips, locate upcalls,
   metrics/histogram marshalling, crash surfacing, close idempotency,
   and one ``run`` of K commands per fleet-wide operation;
+* the reply seam — a region crosses a pipe as its cells and arrives
+  over the coordinator's own grid, no ``Grid`` rides along (marked
+  ``fleet`` so the process-fleet CI lane runs it and prints the sizes);
 * serial-vs-process equality of everything the coordinator pulls from
   its shards (merged metrics, span histograms, corpus, recovered state);
 * the differential — the golden 20-subscriber/200-event trace must stay
@@ -16,16 +19,19 @@ Two layers of coverage:
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import IGM
+from repro.core import IGM, ImpactRegion, SafeRegion
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import (
     CallbackTransport,
+    ElapsServer,
     JournalSpec,
     ProcessExecutor,
     ServerConfig,
@@ -33,6 +39,8 @@ from repro.system import (
     ShardedElapsServer,
     WorkerCrashed,
 )
+from repro.system.server import Notification
+from repro.system.sharding import _ReplySeam
 
 from test_golden_trace import GOLDEN, GROUPS, SPACE
 from test_sharding import (
@@ -46,6 +54,33 @@ from test_sharding import (
 
 def make_process_fleet(shards=2, **kwargs):
     return make_sharded(shards, executor=ProcessExecutor(), **kwargs)
+
+
+class MisbehavingServer(ElapsServer):
+    """A band server with two commands no real one has: a region ship
+    followed by a failure, and a result over somebody else's grid."""
+
+    def ship_then_fail(self, sub_id, cells):
+        """Ship a region the way a construction does, then raise."""
+        self.transport.ship_region(sub_id, SafeRegion(self.grid, frozenset(cells)))
+        raise LookupError("after the ship")
+
+    def foreign_region(self):
+        """A region over a grid that is not this shard's."""
+        return [], SafeRegion(Grid(4, SPACE), frozenset({(1, 1)}))
+
+
+def launch_misbehaving(grid, landed):
+    """One misbehaving band behind a pipe; region ships land in ``landed``."""
+    executor = ProcessExecutor()
+    executor.launch(
+        [lambda transport: MisbehavingServer(grid, IGM(max_cells=40), transport=transport)],
+        grid=grid,
+        locate=lambda sub_id: None,
+        on_region=lambda *shipped: landed.append(shipped),
+        on_delta=lambda *shipped: None,
+    )
+    return executor
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +190,18 @@ class TestProcessPlumbing:
             assert "report_location" in info.value._remote_traceback
             # the fleet survives a failed command
             server.publish(sale(5, 1_000, 5_000), now=1)
+        # what a worker shipped before it failed is real worker state: it
+        # lands, and — like every region off a pipe — over *this* grid
+        grid, landed = Grid(40, SPACE), []
+        cells = [(3, 4), (3, 5)]
+        with launch_misbehaving(grid, landed) as executor:
+            with pytest.raises(LookupError, match="after the ship") as info:
+                executor.run({0: ("ship_then_fail", (7, cells))})
+            assert "ship_then_fail" in info.value._remote_traceback
+        ((shard_id, sub_id, region),) = landed
+        assert (shard_id, sub_id) == (0, 7)
+        assert region.grid is grid
+        assert region == SafeRegion(grid, frozenset(cells))
 
     @pytest.mark.parametrize("make", [SerialExecutor, ProcessExecutor])
     @pytest.mark.parametrize(
@@ -362,7 +409,7 @@ class TestProcessLifecycle:
         server = make_process_fleet(2)
         with pytest.raises(RuntimeError):
             server.executor.launch(
-                [lambda t: None], locate=lambda s: None,
+                [lambda t: None], grid=server.grid, locate=lambda s: None,
                 on_region=lambda *a: None, on_delta=lambda *a: None,
             )
         server.close()
@@ -393,3 +440,160 @@ class TestProcessGoldenDifferential:
             rebalance_at=GROUPS // 2, bounds=[0, 5, 12, 30, 40],
         )
         assert trace.encode() == frozen
+
+
+# ----------------------------------------------------------------------
+# The reply seam: no Grid crosses a pipe (DESIGN.md §15)
+# ----------------------------------------------------------------------
+#: a small grid for the seam's round-trip property
+SEAM_GRID = Grid(8, SPACE)
+_cells = st.frozensets(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20
+)
+_regions = st.one_of(
+    st.builds(SafeRegion, st.just(SEAM_GRID), _cells, st.booleans()),
+    st.builds(ImpactRegion, st.just(SEAM_GRID), _cells, st.booleans()),
+    st.just(SafeRegion.empty(SEAM_GRID)),
+    st.just(SafeRegion.whole_space(SEAM_GRID)),
+)
+_notifications = st.lists(
+    st.builds(
+        Notification,
+        st.integers(1, 50),
+        st.builds(
+            Event,
+            st.integers(0, 1_000),
+            st.dictionaries(st.sampled_from("abc"), st.integers(0, 9), min_size=1),
+            st.builds(Point, st.floats(0, 10_000), st.floats(0, 10_000)),
+        ),
+        st.integers(0, 100),
+        st.integers(0, 100),
+    ),
+    max_size=5,
+)
+_shipments = st.lists(
+    st.one_of(
+        st.tuples(st.just("region"), st.integers(1, 50), _regions),
+        st.tuples(st.just("delta"), st.integers(1, 50), _cells, _regions),
+    ),
+    max_size=4,
+)
+
+
+def warm(grid, radii=120):
+    """Fill ``grid``'s per-radius tables the way a fleet that has served
+    ``radii`` distinct notification radii has; forked workers inherit them."""
+    for k in range(radii):
+        radius = 400.0 + 7.5 * k
+        grid.disk_offsets(radius)
+        grid.dilation_strips(radius)
+        grid.disk_offset_arrays(radius)
+        grid.strip_offset_masks(radius)
+
+
+@pytest.mark.fleet
+class TestNoGridCrossesAPipe:
+    @settings(max_examples=60, deadline=None)
+    @given(_notifications, _regions, _shipments)
+    def test_a_reply_round_trips_as_a_value(self, notifications, region, shipped):
+        region.to_bitmap()  # a worker has usually encoded what it ships
+        reply = ("done", (notifications, region), shipped)
+        seam = _ReplySeam(SEAM_GRID)
+        copy = seam.loads(seam.dumps(reply))
+        assert copy == reply
+        _, (_, copied_region), copied_shipped = copy
+        for original, landed in [(region, copied_region)] + [
+            (item[-1], copied[-1]) for item, copied in zip(shipped, copied_shipped)
+        ]:
+            assert type(landed) is type(original)
+            assert landed.grid is SEAM_GRID
+            assert "_bitmap" not in vars(landed)
+
+    def test_replies_stay_small_however_warm_the_grid(self):
+        """The regression a slower benchmark would only hint at, as a
+        number: bytes per command reply, by the executor's own counter
+        (over a plain-pickle pipe each region drags this grid along and
+        the same replies read hundreds of KB)."""
+        grid = Grid(40, SPACE)
+        warm(grid)
+        with make_process_fleet(2, grid=grid, max_cells=60) as server:
+            def per_reply(operation):
+                before = server.executor.gauges()
+                operation()
+                after = server.executor.gauges()
+                replies = after["pipe_replies"] - before["pipe_replies"]
+                received = after["pipe_bytes_received"] - before["pipe_bytes_received"]
+                assert replies >= 1
+                return received / replies
+
+            subscribe = per_reply(
+                lambda: server.subscribe(
+                    make_sub(radius=1_500.0), Point(5_000, 5_000), Point(0, 0), 0
+                )
+            )
+            assert len(server.subscribers[1].homes) == 2  # both pipes carried a region
+            delivered = []
+            publish = per_reply(
+                lambda: delivered.extend(
+                    server.publish_batch(
+                        [sale(k, 4_000 + 100 * k, 5_000) for k in range(20)], now=1
+                    )
+                )
+            )
+            assert delivered
+            gauges = server.merged_registry().gauges
+        print(f"\npipe bytes per reply: subscribe {subscribe:.0f}, "
+              f"publish_batch {publish:.0f}; totals {gauges}")
+        assert subscribe < 2_048
+        assert publish < 2_048
+        assert gauges["pipe_bytes_sent"] > 0 and gauges["pipe_replies"] >= 4
+
+    def test_every_held_region_is_over_the_coordinators_grid(self, tmp_path):
+        grid = Grid(40, SPACE)
+
+        def drive(server):
+            TestSerialProcessEquality.drive(server)
+            server.resync(3, Point(4_900, 5_200), Point(0, 0), [101, 205], now=9)
+            assert server.rebalance_now(now=10, bounds=[0, 12, 40])
+            server.publish_batch(
+                [sale(2_000 + k, 250.0 * k, 5_000, arrived_at=11) for k in range(40)],
+                now=11,
+            )
+
+        def held(server):
+            regions = {}
+            for sub_id, record in server.subscribers.items():
+                assert record.safe.grid is grid
+                for shard_id, region in record.shard_regions.items():
+                    assert region.grid is grid, (sub_id, shard_id)
+                regions[sub_id] = (record.safe, dict(record.shard_regions))
+            assert regions
+            return regions
+
+        live, recovered = [], []
+        for make in (SerialExecutor, ProcessExecutor):
+            config = ServerConfig(
+                initial_rate=2.0, journal=JournalSpec(str(tmp_path / make.__name__))
+            )
+            with make_sharded(2, make(), config, grid) as server:
+                drive(server)
+                live.append(held(server))
+            with make_sharded(2, make(), config, grid) as server:
+                assert server.recover() > 0
+                recovered.append(held(server))
+        # frozen-dataclass equality, grid included: "same cells" at last
+        assert live[1] == live[0]
+        assert recovered[1] == recovered[0]
+
+    def test_a_foreign_grid_is_refused_not_shipped(self):
+        grid, landed = Grid(40, SPACE), []
+        with launch_misbehaving(grid, landed) as executor:
+            with pytest.raises(RuntimeError, match="Grid other than the fleet's"):
+                executor.run({0: ("foreign_region", ())})
+            # refused by the worker's end of the seam, which lives on
+            assert executor.run({0: ("expire_due_events", (1,))}) == {0: 0}
+        assert landed == []
+        # and a reply means nothing to a reader with no grid of its own
+        piped = _ReplySeam(grid).dumps(SafeRegion.whole_space(grid))
+        with pytest.raises(pickle.UnpicklingError, match="outside its pipe"):
+            pickle.loads(piped)

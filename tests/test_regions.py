@@ -19,6 +19,7 @@ from repro.core import (
     impact_from_safe,
 )
 from repro.geometry import Grid, Point, Rect
+from repro.system.sharding import _ReplySeam
 
 from conftest import make_subscription
 
@@ -87,11 +88,15 @@ class TestGridRegion:
         assert region == SafeRegion(small_grid, frozenset(chosen))
         assert hash(region) == hash(SafeRegion(small_grid, frozenset(chosen)))
         assert "bitmap" not in repr(region)
-        # ... and does not ride a fleet worker's pipe
+        # ... and rides neither a plain pickle nor a fleet worker's pipe
         fresh = SafeRegion(small_grid, frozenset(chosen))
         assert len(pickle.dumps(region)) == len(pickle.dumps(fresh))
-        copy = pickle.loads(pickle.dumps(region))
-        assert copy.cells == region.cells and "_bitmap" not in vars(copy)
+        assert "_bitmap" not in vars(pickle.loads(pickle.dumps(region)))
+        seam = _ReplySeam(small_grid)
+        piped = seam.dumps(region)
+        assert len(piped) == len(seam.dumps(fresh))
+        copy = seam.loads(piped)
+        assert copy == region and "_bitmap" not in vars(copy)
         assert copy.to_bitmap().words == bitmap.words
         # a derived region encodes its own cells
         smaller, removed = region.subtract([chosen[0]])
@@ -99,6 +104,20 @@ class TestGridRegion:
         assert smaller.to_bitmap().words == SafeRegion(
             small_grid, frozenset(chosen[1:])
         ).to_bitmap().words
+
+
+    def test_intersection_needs_one_grid_not_just_one_resolution(self, small_grid):
+        region = SafeRegion.of(small_grid, [(1, 1), (2, 2)])
+        # an equal grid built elsewhere (a recovered or a client-side one) will do
+        twin = Grid(small_grid.n, Rect(0, 0, 6000, 6000))
+        merged = region.intersected_with(SafeRegion.of(twin, [(2, 2), (3, 3)]))
+        assert merged == SafeRegion.of(small_grid, [(2, 2)])
+        # the same 30 x 30 cells laid over another stretch of space will not
+        shifted = Grid(small_grid.n, Rect(3000, 0, 9000, 6000))
+        with pytest.raises(ValueError, match="different grids"):
+            region.intersected_with(SafeRegion.of(shifted, [(2, 2)]))
+        with pytest.raises(ValueError, match="different grids"):
+            region.intersected_with(SafeRegion.of(Grid(31, small_grid.space), [(2, 2)]))
 
 
 class TestImpactFromSafe:

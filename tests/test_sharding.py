@@ -38,10 +38,10 @@ from repro.system import (
 from test_golden_trace import GOLDEN, GROUP_SIZE, GROUPS, SEED, SPACE
 
 
-def make_sharded(shards, executor=None, config=None, **kwargs):
+def make_sharded(shards, executor=None, config=None, grid=None, max_cells=400, **kwargs):
     return ShardedElapsServer(
-        Grid(40, SPACE),
-        IGM(max_cells=400),
+        grid or Grid(40, SPACE),
+        IGM(max_cells=max_cells),
         config or ServerConfig(initial_rate=2.0),
         shards=shards,
         executor=executor or SerialExecutor(),
@@ -482,6 +482,7 @@ def launch_bare(executor, shards=2):
             )
         ]
         * shards,
+        grid=Grid(40, SPACE),
         locate=lambda sub_id: None,
         on_region=lambda *args: None,
         on_delta=lambda *args: None,
