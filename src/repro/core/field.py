@@ -51,7 +51,7 @@ _NEAR_SLACK = 1.0 + 1e-9
 def dilate_point(grid: Grid, point: Point, radius: float, into: Set[Cell]) -> None:
     """Add every cell within ``radius`` of ``point`` (closed) to ``into``."""
     i, j = grid.cell_of(point)
-    for (di, dj) in grid.disk_offsets(radius, inclusive=True):
+    for (di, dj) in grid.disk(radius, inclusive=True).offsets:
         candidate = (i + di, j + dj)
         if candidate in into or not grid.in_bounds(candidate):
             continue
@@ -64,6 +64,10 @@ class MatchingEventField:
 
     grid: Grid
     events_scanned: int = 0
+    #: the vectorized strategy's array projections of this field, by
+    #: radius.  The field is their only holder and they hold no reference
+    #: back, so dropping the field frees its ``n x n`` arrays with it.
+    array_views: Dict[float, object]
 
     def count_in_cell(self, cell: Cell) -> int:
         """phi[cell]: the number of matching events located in the cell."""
@@ -114,6 +118,7 @@ class StaticMatchingField(MatchingEventField):
         self._points: List[Point] = []
         self._unsafe: Dict[float, FrozenSet[Cell]] = {}
         self.events_scanned = 0
+        self.array_views = {}
         for point in points:
             self._points.append(point)
             self._counts[grid.cell_of(point)] += 1
@@ -133,7 +138,7 @@ class StaticMatchingField(MatchingEventField):
         cached = self._unsafe.get(radius)
         if cached is None:
             footprint = len(self._points) * len(
-                self.grid.disk_offsets(radius, inclusive=True)
+                self.grid.disk(radius, inclusive=True).offsets
             )
             if footprint >= _UNSAFE_ARRAY_CUTOVER:
                 xs = np.fromiter(
@@ -241,6 +246,7 @@ class LazyBEQField(MatchingEventField):
         self.leaves_scanned = 0
         #: seen events later delivered/expired; see :meth:`too_stale`
         self.stale_exclusions = 0
+        self.array_views = {}
 
     # ------------------------------------------------------------------
     # Coverage

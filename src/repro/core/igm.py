@@ -137,8 +137,9 @@ class IncrementalGridMethod(SafeRegionStrategy):
             heap,
             (self._priority(request, start, start_dist), start_dist, interleave(*start), start),
         )
-        offsets = grid.disk_offsets(radius)
-        strips = grid.dilation_strips(radius)
+        disk = grid.disk(radius)
+        offsets = disk.offsets
+        strips = disk.strips
 
         while heap:
             if self.max_cells is not None and len(region) >= self.max_cells:

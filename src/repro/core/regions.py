@@ -226,7 +226,7 @@ class RegionDelta:
 
 def _structuring_element(grid: Grid, radius: float) -> np.ndarray:
     """The disk-offsets mask as a boolean array centred on the origin."""
-    offsets = grid.disk_offsets(radius)
+    offsets = grid.disk(radius).offsets
     reach_i = max(abs(di) for (di, dj) in offsets)
     reach_j = max(abs(dj) for (di, dj) in offsets)
     mask = np.zeros((2 * reach_i + 1, 2 * reach_j + 1), dtype=bool)

@@ -18,9 +18,9 @@ and O(events)-sized inner loop into numpy:
   probed eight times per pop;
 * each acceptance applies the Example 2 strip offsets as array index
   arithmetic: the candidate offsets for the accepted neighbours at hand
-  come from a per-(grid, radius) table
-  (:meth:`Grid.strip_candidate_offsets`) already in flat form, so a cell
-  away from the borders adds ``i * n + j`` once; the impact-membership
+  come from the disk's own table
+  (:attr:`~repro.geometry.grid.Disk.candidates`) already in flat form, so
+  a cell away from the borders adds ``i * n + j`` once; the impact-membership
   filter and the ``ne`` count are elementwise operations, not a Python loop;
 * a start cell that is unsafe — the subscriber reports every timestamp
   until it leaves it — is the loop's single pop, and is answered before any
@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import weakref
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from ..geometry.grid import RING
 from .construction import ConstructionRequest, RegionPair
 from .cost_model import CostModel
 from .field import MatchingEventField
-from .igm import IncrementalGridMethod
+from .igm import IDGM, IGM, IncrementalGridMethod
 from .regions import ImpactRegion, SafeRegion
 
 
@@ -79,24 +78,27 @@ class _FieldArrayView:
     ``known_points()`` list through a cursor, so a field reused across
     constructions (repair mode) only pays for events discovered since the
     last sync — mirroring the scalar field's incremental ``_admit``.
+
+    The field holds its views (``field.array_views``) and a view holds
+    no reference back — every method takes the field from the caller —
+    so there is no cycle: the arrays are freed the moment the field is.
     """
 
-    __slots__ = ("field", "grid", "radius", "unsafe", "counts", "_cursor")
+    __slots__ = ("grid", "radius", "unsafe", "counts", "_cursor")
 
-    def __init__(self, field: MatchingEventField, grid: Grid, radius: float) -> None:
-        self.field = field
+    def __init__(self, grid: Grid, radius: float) -> None:
         self.grid = grid
         self.radius = radius
         self.unsafe = np.zeros((grid.n, grid.n), dtype=bool)
         self.counts = np.zeros((grid.n, grid.n), dtype=np.int32)
         self._cursor = 0
 
-    def ensure_cell(self, cell: Cell) -> None:
+    def ensure_cell(self, field: MatchingEventField, cell: Cell) -> None:
         """Make the arrays authoritative for ``cell`` and its neighbourhood."""
-        self.field.ensure_cell_neighbourhood(cell, self.radius)
-        self._sync()
+        field.ensure_cell_neighbourhood(cell, self.radius)
+        self._sync(field)
 
-    def is_unsafe(self, cell: Cell) -> bool:
+    def is_unsafe(self, field: MatchingEventField, cell: Cell) -> bool:
         """The safety bit of ``cell`` with its neighbourhood covered.
 
         ``unsafe`` bits are only ever set (exclusions are not un-dilated,
@@ -105,14 +107,14 @@ class _FieldArrayView:
         can wait for the next :meth:`ensure_cell`; a clear bit is decided
         only after the sync.
         """
-        self.field.ensure_cell_neighbourhood(cell, self.radius)
+        field.ensure_cell_neighbourhood(cell, self.radius)
         if not self.unsafe[cell]:
-            self._sync()
+            self._sync(field)
         return bool(self.unsafe[cell])
 
-    def _sync(self) -> None:
+    def _sync(self, field: MatchingEventField) -> None:
         """Project the points the field has learnt since the last sync."""
-        points = self.field.known_points()
+        points = field.known_points()
         if len(points) == self._cursor:
             return
         fresh = points[self._cursor :]
@@ -128,46 +130,12 @@ class _FieldArrayView:
 class VectorizedIncrementalGridMethod(IncrementalGridMethod):
     """Array-backed Algorithm 1 returning byte-identical :class:`RegionPair`s.
 
-    Accepts the same parameters as the scalar class.  Not thread-safe
-    across concurrent ``construct`` calls on the *same instance* (the view
-    cache is unsynchronised); sharded fleets already build one strategy
-    per shard via the factory form.
+    Accepts the same parameters as the scalar class and, like it, keeps
+    no state between ``construct`` calls: the array views belong to the
+    matching field they project.
     """
 
     name = "iGM-vec"
-
-    def __init__(
-        self,
-        alpha: float = 0.0,
-        beta: float = 1.0,
-        max_cells: Optional[int] = None,
-        incremental_impact: bool = True,
-        record_visits: bool = False,
-    ) -> None:
-        super().__init__(
-            alpha=alpha,
-            beta=beta,
-            max_cells=max_cells,
-            incremental_impact=incremental_impact,
-            record_visits=record_visits,
-        )
-        # field -> {radius: view}; weak keys let retired fields (staleness,
-        # resync, fresh per-construct fields) drop their arrays with them.
-        self._views: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-    # ------------------------------------------------------------------
-    # Field views
-    # ------------------------------------------------------------------
-    def _view(self, field: MatchingEventField, grid: Grid, radius: float) -> _FieldArrayView:
-        per_field: Optional[Dict[float, _FieldArrayView]] = self._views.get(field)
-        if per_field is None:
-            per_field = {}
-            self._views[field] = per_field
-        view = per_field.get(radius)
-        if view is None or view.grid is not grid:
-            view = _FieldArrayView(field, grid, radius)
-            per_field[radius] = view
-        return view
 
     # ------------------------------------------------------------------
     # Algorithm 1, array form
@@ -178,12 +146,15 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
         radius = request.radius
         n = grid.n
 
-        view = self._view(request.matching_field, grid, radius)
+        field = request.matching_field
+        view = field.array_views.get(radius)
+        if view is None or view.grid is not grid:
+            view = field.array_views[radius] = _FieldArrayView(grid, radius)
         start = grid.cell_of(request.location)
         # An unsafe start cell is the loop's single pop: nothing accepted,
         # nothing pushed.  Decide it before any frontier state is built
         # (with ``max_cells`` 0 the loop pops nothing at all, not even it).
-        if (self.max_cells is None or self.max_cells > 0) and view.is_unsafe(start):
+        if (self.max_cells is None or self.max_cells > 0) and view.is_unsafe(field, start):
             return RegionPair(
                 safe=SafeRegion(grid, frozenset()),
                 impact=ImpactRegion(grid, frozenset()),
@@ -217,7 +188,7 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
         ]
         # Example 2's candidate offsets depend only on the grid, the radius
         # and which neighbours are accepted: looked up, not recomputed.
-        candidates = grid.strip_candidate_offsets(radius)
+        candidates = grid.disk(radius).candidates
         ring = _RING_BITS if self.incremental_impact else ()
         # cells this far from every border have all candidates in bounds
         inner_lo, inner_hi = candidates.reach, n - candidates.reach
@@ -236,7 +207,7 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
             cells_examined += 1
             if visit_order is not None:
                 visit_order.append(cell)
-            view.ensure_cell(cell)
+            view.ensure_cell(field, cell)
             i, j = cell
             if unsafe[i, j]:
                 continue  # B[c'] is false: the cell stays outside (line 10)
@@ -313,44 +284,15 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
         )
 
 
-class VectorizedIGM(VectorizedIncrementalGridMethod):
-    """iGM with the array-backed core; drop-in for :class:`~repro.core.IGM`."""
+class VectorizedIGM(VectorizedIncrementalGridMethod, IGM):
+    """iGM with the array-backed core; drop-in for :class:`~repro.core.IGM`
+    (its constructor *is* the scalar class's)."""
 
     name = "iGM-vec"
 
-    def __init__(
-        self,
-        beta: float = 1.0,
-        max_cells: Optional[int] = None,
-        incremental_impact: bool = True,
-        record_visits: bool = False,
-    ) -> None:
-        super().__init__(
-            alpha=0.0,
-            beta=beta,
-            max_cells=max_cells,
-            incremental_impact=incremental_impact,
-            record_visits=record_visits,
-        )
 
-
-class VectorizedIDGM(VectorizedIncrementalGridMethod):
-    """idGM with the array-backed core; drop-in for :class:`~repro.core.IDGM`."""
+class VectorizedIDGM(VectorizedIncrementalGridMethod, IDGM):
+    """idGM with the array-backed core; drop-in for :class:`~repro.core.IDGM`
+    (its constructor *is* the scalar class's)."""
 
     name = "idGM-vec"
-
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        beta: float = 1.0,
-        max_cells: Optional[int] = None,
-        incremental_impact: bool = True,
-        record_visits: bool = False,
-    ) -> None:
-        super().__init__(
-            alpha=alpha,
-            beta=beta,
-            max_cells=max_cells,
-            incremental_impact=incremental_impact,
-            record_visits=record_visits,
-        )

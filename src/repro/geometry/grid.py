@@ -15,13 +15,15 @@ Two distance notions matter:
   safe region).
 
 For uniform cells the cell-to-cell min distance only depends on the index
-offset, so the dilation structuring element (the "disk of offsets") is
-computed once per radius and cached.
+offset, so the dilation structuring element (the "disk of offsets") is a
+value of its own: :meth:`Grid.disk` hands out one :class:`Disk` per
+*distinct offset set*, and everything derived from the set hangs off it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 import numpy as np
@@ -40,8 +42,8 @@ _ARRAY_CHUNK = 1 << 18
 # the numpy kernel's fixed overhead.
 _DILATE_ARRAY_CUTOVER = 4096
 
-#: the 8 neighbour directions, in the order of :meth:`Grid.dilation_strips`'s
-#: keys; bit ``k`` of a :class:`StripCandidates` key stands for ``RING[k]``
+#: the 8 neighbour directions, in the order of :attr:`Disk.strips`'s keys;
+#: bit ``k`` of a :class:`StripCandidates` key stands for ``RING[k]``
 RING: Tuple[Cell, ...] = tuple(
     (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
 )
@@ -51,21 +53,20 @@ class StripCandidates(dict):
     """Candidate impact offsets per set of already-accepted neighbours.
 
     ``table[key]`` is ``(off_i, off_j, off_i * n + off_j)``: the offsets
-    of ``disk_offset_arrays(radius)`` lying in the strip of *every*
-    direction ``RING[k]`` whose bit ``k`` is set in ``key`` (the Example 2
-    intersection; key 0 is the full disk), in the disk's sorted order.
-    A pure function of the grid and the radius, so each of the at most
-    256 entries is computed on first use and kept.  ``reach`` is the
-    largest ``|offset|`` of the disk: a cell at least that far from every
-    border has all its candidates in bounds, at ``flat + (i * n + j)``.
+    of ``disk.arrays`` lying in the strip of *every* direction ``RING[k]``
+    whose bit ``k`` is set in ``key`` (the Example 2 intersection; key 0
+    is the full disk), in the disk's sorted order.  A pure function of
+    the disk, so each of the at most 256 entries is computed on first use
+    and kept.  ``reach`` is the largest ``|offset|`` of the disk: a cell
+    at least that far from every border has all its candidates in bounds,
+    at ``flat + (i * n + j)``.
     """
 
-    def __init__(self, grid: "Grid", radius: float) -> None:
+    def __init__(self, disk: "Disk") -> None:
         super().__init__()
-        self._n = grid.n
-        self._offsets = grid.disk_offset_arrays(radius)
-        masks = grid.strip_offset_masks(radius)
-        self._masks = [masks[direction] for direction in RING]
+        self._n = disk.n
+        self._offsets = disk.arrays
+        self._masks = [disk.masks[direction] for direction in RING]
         off_i, off_j = self._offsets
         self.reach = int(max(np.abs(off_i).max(), np.abs(off_j).max())) if off_i.size else 0
 
@@ -81,8 +82,71 @@ class StripCandidates(dict):
         return entry
 
 
+class Disk:
+    """One dilation structuring element of an ``n x n`` grid: a set of
+    index offsets, and every table computed from it on first use.
+
+    :meth:`Grid.disk` interns one instance per distinct offset set, so
+    the thousands of float radii a churning population brings share the
+    handful of disks they compute; nothing here is keyed by radius.
+    """
+
+    def __init__(self, n: int, offsets: FrozenSet[Cell]) -> None:
+        self.n = n
+        #: the offsets ``(di, dj)`` themselves (what the scalar oracle reads)
+        self.offsets = offsets
+
+    @cached_property
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``offsets`` as a pair of int64 arrays ``(di, dj)``, sorted
+        lexicographically so every kernel built on them sees a stable,
+        reproducible order."""
+        arr = np.array(sorted(self.offsets), dtype=np.int64).reshape(-1, 2)
+        return (np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1]))
+
+    @cached_property
+    def strips(self) -> Dict[Cell, FrozenSet[Cell]]:
+        """Per-direction dilation deltas (the Example 2 optimisation).
+
+        When a cell ``c`` joins a safe region that already contains its
+        neighbour ``n = c + d``, the impact cells newly introduced by ``c``
+        are contained in ``dilate({c}) - dilate({n})`` — a thin strip on the
+        far side of ``c``.  The strip only depends on the direction ``d``:
+        ``strips[d] = {off in offsets : off - d not in offsets}``, keyed in
+        :data:`RING` order.
+        """
+        offsets = self.offsets
+        return {
+            (di, dj): frozenset(
+                (oi, oj) for (oi, oj) in offsets if (oi - di, oj - dj) not in offsets
+            )
+            for (di, dj) in RING
+        }
+
+    @cached_property
+    def masks(self) -> Dict[Cell, np.ndarray]:
+        """``strips`` as boolean masks over ``arrays``: ``masks[d][k]`` is
+        True when the k-th offset belongs to the direction-``d`` strip, so
+        strip intersections become elementwise ANDs."""
+        off_i, off_j = self.arrays
+        pairs = list(zip(off_i.tolist(), off_j.tolist()))
+        return {
+            direction: np.array([off in strip for off in pairs], dtype=bool)
+            for direction, strip in self.strips.items()
+        }
+
+    @cached_property
+    def candidates(self) -> StripCandidates:
+        """The per-accepted-neighbour-set candidate offsets of Algorithm 1."""
+        return StripCandidates(self)
+
+
 class Grid:
     """A uniform ``n x n`` partition of a square space."""
+
+    #: radius-memo entries beyond this are dropped wholesale (bounds the
+    #: memory of a server whose subscribers bring ever-new float radii)
+    DISK_MEMO_LIMIT = 1 << 13
 
     def __init__(self, n: int, space: Rect) -> None:
         if n <= 0:
@@ -91,11 +155,11 @@ class Grid:
         self.space = space
         self.cell_width = space.width / n
         self.cell_height = space.height / n
-        self._disk_offsets: Dict[Tuple[float, bool], FrozenSet[Cell]] = {}
-        self._strips: Dict[float, Dict[Cell, FrozenSet[Cell]]] = {}
-        self._offset_arrays: Dict[Tuple[float, bool], Tuple[np.ndarray, np.ndarray]] = {}
-        self._strip_masks: Dict[float, Dict[Cell, np.ndarray]] = {}
-        self._strip_candidates: Dict[float, StripCandidates] = {}
+        #: one :class:`Disk` per distinct offset set (at most one per
+        #: distinct cell-to-cell distance: bounded by the grid)
+        self._disks: Dict[FrozenSet[Cell], Disk] = {}
+        #: ``(radius, inclusive)`` -> its disk, the one float-keyed table
+        self._disk_memo: Dict[Tuple[float, bool], Disk] = {}
 
     # ------------------------------------------------------------------
     # Addressing
@@ -192,8 +256,9 @@ class Grid:
     # ------------------------------------------------------------------
     # Dilation (impact-region structuring element)
     # ------------------------------------------------------------------
-    def disk_offsets(self, radius: float, inclusive: bool = False) -> FrozenSet[Cell]:
-        """Index offsets ``(di, dj)`` whose cell-to-cell min distance < radius.
+    def disk(self, radius: float, inclusive: bool = False) -> Disk:
+        """The :class:`Disk` of index offsets ``(di, dj)`` whose
+        cell-to-cell min distance is < ``radius``.
 
         Dilating a cell set by this structuring element yields exactly the
         set of cells containing at least one point within distance ``radius``
@@ -202,11 +267,15 @@ class Grid:
         With ``inclusive=True`` offsets at distance exactly ``radius`` are
         kept too; the safety test needs that closed variant (a cell is unsafe
         already when a matching event sits at distance exactly ``r``).
+
+        Radii are outside input, so the radius memo is bounded: past
+        :attr:`DISK_MEMO_LIMIT` it is cleared, and a radius still in use
+        pays one offset enumeration to find its interned disk again.
         """
         key = (radius, inclusive)
-        cached = self._disk_offsets.get(key)
-        if cached is not None:
-            return cached
+        disk = self._disk_memo.get(key)
+        if disk is not None:
+            return disk
         reach_x = int(radius / self.cell_width) + 2
         reach_y = int(radius / self.cell_height) + 2
         offsets = set()
@@ -217,76 +286,14 @@ class Grid:
                 distance = math.hypot(dx, dy)
                 if distance < radius or (inclusive and distance == radius):
                     offsets.add((di, dj))
-        result = frozenset(offsets)
-        self._disk_offsets[key] = result
-        return result
-
-    def dilation_strips(self, radius: float) -> Dict[Cell, FrozenSet[Cell]]:
-        """Per-direction dilation deltas (the Example 2 optimisation).
-
-        When a cell ``c`` joins a safe region that already contains its
-        neighbour ``n = c + d``, the impact cells newly introduced by ``c``
-        are contained in ``dilate({c}) - dilate({n})`` — a thin strip on the
-        far side of ``c``.  The strip only depends on the direction ``d``,
-        so the eight strips are precomputed per radius:
-        ``strips[d] = {off in disk_offsets(radius) : off - d not in it}``.
-        """
-        cached = self._strips.get(radius)
-        if cached is not None:
-            return cached
-        offsets = self.disk_offsets(radius)
-        strips: Dict[Cell, FrozenSet[Cell]] = {
-            (di, dj): frozenset(
-                (oi, oj) for (oi, oj) in offsets if (oi - di, oj - dj) not in offsets
-            )
-            for (di, dj) in RING
-        }
-        self._strips[radius] = strips
-        return strips
-
-    def disk_offset_arrays(
-        self, radius: float, inclusive: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`disk_offsets` as a pair of int64 arrays ``(di, dj)``.
-
-        The offsets are sorted lexicographically so every kernel built on the
-        arrays sees a stable, reproducible order; cached per radius like the
-        frozenset form.
-        """
-        key = (radius, inclusive)
-        cached = self._offset_arrays.get(key)
-        if cached is None:
-            offsets = sorted(self.disk_offsets(radius, inclusive=inclusive))
-            arr = np.array(offsets, dtype=np.int64).reshape(-1, 2)
-            cached = (np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1]))
-            self._offset_arrays[key] = cached
-        return cached
-
-    def strip_offset_masks(self, radius: float) -> Dict[Cell, np.ndarray]:
-        """:meth:`dilation_strips` as boolean masks over the offset arrays.
-
-        ``masks[d][k]`` is True when the k-th offset of
-        ``disk_offset_arrays(radius)`` belongs to the direction-``d`` strip,
-        so strip intersections become elementwise ANDs.
-        """
-        cached = self._strip_masks.get(radius)
-        if cached is None:
-            off_i, off_j = self.disk_offset_arrays(radius)
-            pairs = list(zip(off_i.tolist(), off_j.tolist()))
-            cached = {
-                direction: np.array([off in strip for off in pairs], dtype=bool)
-                for direction, strip in self.dilation_strips(radius).items()
-            }
-            self._strip_masks[radius] = cached
-        return cached
-
-    def strip_candidate_offsets(self, radius: float) -> StripCandidates:
-        """The per-accepted-neighbour-set candidate offsets of Algorithm 1
-        (:class:`StripCandidates`), cached per radius like the masks."""
-        cached = self._strip_candidates.get(radius)
-        if cached is None:
-            cached = self._strip_candidates[radius] = StripCandidates(self, radius)
-        return cached
+        frozen = frozenset(offsets)
+        disk = self._disks.get(frozen)
+        if disk is None:
+            disk = self._disks[frozen] = Disk(self.n, frozen)
+        if len(self._disk_memo) >= self.DISK_MEMO_LIMIT:
+            self._disk_memo.clear()
+        self._disk_memo[key] = disk
+        return disk
 
     def dilate_points_mask(
         self,
@@ -311,7 +318,7 @@ class Grid:
         ys = np.asarray(ys, dtype=np.float64)
         if xs.size == 0:
             return out
-        off_i, off_j = self.disk_offset_arrays(radius, inclusive=True)
+        off_i, off_j = self.disk(radius, inclusive=True).arrays
         if off_i.size == 0:
             return out
         ci, cj = self.cells_of_array(xs, ys)
@@ -333,7 +340,7 @@ class Grid:
 
     def dilate(self, cells: FrozenSet[Cell] | set, radius: float) -> set:
         """All in-bounds cells within ``radius`` of the given cell set."""
-        offsets = self.disk_offsets(radius)
+        offsets = self.disk(radius).offsets
         if len(cells) * len(offsets) >= _DILATE_ARRAY_CUTOVER:
             seeds = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
             # The mask kernel cannot represent out-of-bounds seed cells, whose
@@ -352,7 +359,7 @@ class Grid:
 
     def _dilate_array(self, seeds: np.ndarray, radius: float) -> set:
         """Array form of :meth:`dilate` for in-bounds seed cells."""
-        off_i, off_j = self.disk_offset_arrays(radius)
+        off_i, off_j = self.disk(radius).arrays
         mask = np.zeros((self.n, self.n), dtype=bool)
         if seeds.size == 0 or off_i.size == 0:
             return set()
@@ -370,7 +377,7 @@ class Grid:
     ) -> Iterator[Cell]:
         """In-bounds cells whose min distance to ``cell`` is below ``radius``."""
         i, j = cell
-        for (di, dj) in self.disk_offsets(radius, inclusive=inclusive):
+        for (di, dj) in self.disk(radius, inclusive=inclusive).offsets:
             candidate = (i + di, j + dj)
             if self.in_bounds(candidate):
                 yield candidate

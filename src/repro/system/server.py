@@ -107,7 +107,10 @@ class RepairState:
 
 @dataclass
 class SubscriberRecord:
-    """Server-side state for one subscriber."""
+    """Server-side state for one subscriber, derived artefacts included:
+    they are retired with the record (unsubscribe drops it, a resubscribe
+    starts a fresh one) or by :meth:`drop_derived`.
+    """
 
     subscription: Subscription
     location: Point
@@ -124,6 +127,29 @@ class SubscriberRecord:
     #: region by a degenerate (empty-region) construction; None while a
     #: constructed impact region — or none at all — is installed
     degenerate_cell: Optional[Cell] = None
+    #: repair mode under on-demand matching: the one matching field that
+    #: survives across constructions.  Corpus churn reaches it through
+    #: note_event / note_exclusions; staleness replaces it.
+    lazy_field: Optional[LazyBEQField] = None
+    #: "cached" matching mode: the be-matching events (id -> location),
+    #: filled at subscribe, extended on publish and filtered lazily
+    #: against the live corpus and the delivered set.  Communication
+    #: behaviour is identical to "full" (tested); only server work differs.
+    be_matches: Optional[Dict[int, Point]] = None
+    #: cached mode: the last matching signature (live, undelivered
+    #: be-matching ids) with the static field built for it, and — for a
+    #: location-independent strategy (GM) — with the region pair
+    static_field: Optional[Tuple[FrozenSet[int], StaticMatchingField]] = None
+    region_pair: Optional[Tuple[FrozenSet[int], RegionPair]] = None
+
+    def drop_derived(self) -> None:
+        """Forget everything built against ``delivered`` (the field
+        excludes by reference to it, the signatures derive from it);
+        ``be_matches`` and ``degenerate_cell`` do not depend on it."""
+        self.lazy_field = None
+        self.static_field = None
+        self.region_pair = None
+        self.repair = None
 
 
 @dataclass(frozen=True)
@@ -202,19 +228,6 @@ class ElapsServer:
         self._expiry_heap: List[Tuple[int, int]] = []  # (expires_at, event_id)
         self._events_by_id: Dict[int, Event] = {}
         self._started_at: Optional[int] = None
-        # "cached" matching mode: per-subscriber be-matching event cache,
-        # maintained incrementally on publish and filtered lazily against
-        # the live corpus and the delivered set.  Communication behaviour
-        # is identical to "full" (tested); only server work differs.
-        self._matching_cache: Dict[int, Dict[int, Point]] = {}
-        self._field_cache: Dict[int, Tuple[FrozenSet[int], StaticMatchingField]] = {}
-        self._region_cache: Dict[int, Tuple[FrozenSet[int], "RegionPair"]] = {}
-        # Repair mode under on-demand matching: one LazyBEQField per
-        # subscriber survives across constructions.  Corpus churn reaches
-        # it through note_event/note_exclusion; it is dropped when the
-        # staleness budget trips or the subscriber's state is replaced
-        # (resubscribe, resync, unsubscribe).
-        self._lazy_fields: Dict[int, LazyBEQField] = {}
         #: durable operation journal (DESIGN.md §13); None keeps the
         #: server purely in-memory
         self.journal: Optional[Journal] = (
@@ -248,7 +261,8 @@ class ElapsServer:
             # Stored without arrival processing, so no retained matching
             # field heard of them, and a scanned leaf is never revisited:
             # a mid-life load (a band move's hand-over) retires them all.
-            self._lazy_fields.clear()
+            for record in self.subscribers.values():
+                record.lazy_field = None
         self._maybe_snapshot()
 
     def _store_event(self, event: Event) -> None:
@@ -312,11 +326,11 @@ class ElapsServer:
         self._journal_append("subscribe", (subscription, location, velocity, now))
         if self._started_at is None:
             self._started_at = now
-        # The expression (hence the matching-event set) may change across
-        # a resubscribe; any cached matching field is for the old one.
-        self._lazy_fields.pop(subscription.sub_id, None)
         existing = self.subscribers.get(subscription.sub_id)
         if existing is not None:
+            # The expression and the radius may change across a
+            # resubscribe: a fresh record, so nothing derived for the old
+            # ones is carried over.
             self.subscription_index.delete(existing.subscription)
             record = SubscriberRecord(
                 subscription, location, velocity, delivered=existing.delivered
@@ -327,10 +341,7 @@ class ElapsServer:
         self.subscribers[subscription.sub_id] = record
         self.subscription_index.insert(subscription)
         if self.matching_mode == "cached":
-            self._matching_cache[subscription.sub_id] = {
-                event.event_id: event.location
-                for event in self.event_index.be_match(subscription.expression)
-            }
+            record.be_matches = self._be_matches(subscription)
         notifications = self._deliver_corpus_matches(record, location, now)
         if self.measure_bytes:
             self.metrics.wire_bytes_up += message_bytes(
@@ -429,10 +440,6 @@ class ElapsServer:
         record = self.subscribers.pop(sub_id)
         self.subscription_index.delete(record.subscription)
         self.impact_index.remove(sub_id)
-        self._matching_cache.pop(sub_id, None)
-        self._field_cache.pop(sub_id, None)
-        self._region_cache.pop(sub_id, None)
-        self._lazy_fields.pop(sub_id, None)
         self._maybe_snapshot()
 
     # ------------------------------------------------------------------
@@ -530,11 +537,9 @@ class ElapsServer:
                 record = self.subscribers.get(subscription.sub_id)
                 if record is None or event.event_id in record.delivered:
                     continue
-                if self.matching_mode == "cached":
-                    self._matching_cache[subscription.sub_id][event.event_id] = (
-                        event.location
-                    )
-                field = self._lazy_fields.get(subscription.sub_id)
+                if record.be_matches is not None:
+                    record.be_matches[event.event_id] = event.location
+                field = record.lazy_field
                 if self.use_impact_region and (
                     subscription.sub_id not in covering[event_cell]
                 ):
@@ -618,10 +623,11 @@ class ElapsServer:
         """
         for event in events:
             self.event_index.delete(event)
-        if events and self._lazy_fields:
+        if events and self.repair:  # no field is retained otherwise
             retired_ids = {event.event_id for event in events}
-            for field in self._lazy_fields.values():
-                field.note_exclusions(retired_ids)
+            for record in self.subscribers.values():
+                if record.lazy_field is not None:
+                    record.lazy_field.note_exclusions(retired_ids)
 
     # ------------------------------------------------------------------
     # Band migration (DESIGN.md §15)
@@ -705,7 +711,7 @@ class ElapsServer:
         record.velocity = velocity
         # The move may have brought matching events inside the circle.
         notifications = self._deliver_corpus_matches(
-            record, location, now, field=self._lazy_fields.get(sub_id)
+            record, location, now, field=record.lazy_field
         )
         if self.measure_bytes:
             self.metrics.wire_bytes_up += message_bytes(
@@ -746,10 +752,7 @@ class ElapsServer:
         # state, or a post-reconnect repair would carve against a field
         # built for the pre-disconnect delivered set (a recovered server
         # resyncing clients after a restart hits exactly this path).
-        self._lazy_fields.pop(sub_id, None)
-        self._field_cache.pop(sub_id, None)
-        self._region_cache.pop(sub_id, None)
-        record.repair = None
+        record.drop_derived()
         record.delivered = set(received)
         notifications = self._deliver_corpus_matches(record, location, now)
         self.metrics.redeliveries += len(notifications)
@@ -899,23 +902,19 @@ class ElapsServer:
             self.subscribers[sub.subscription.sub_id] = record
             self.subscription_index.insert(sub.subscription)
             if self.matching_mode == "cached":
-                self._matching_cache[sub.subscription.sub_id] = {
-                    event.event_id: event.location
-                    for event in self.event_index.be_match(
-                        sub.subscription.expression
-                    )
-                }
+                record.be_matches = self._be_matches(sub.subscription)
             if sub.impact is not None:
                 complement, cells = sub.impact
                 self.impact_index.replace_region(
                     sub.subscription.sub_id,
                     ImpactRegion(self.grid, frozenset(cells), complement),
                 )
-        # Recovery invariant (DESIGN.md §13): derived matching artefacts —
-        # lazy fields, repair drift state, cached-mode field/region caches —
-        # are never restored.  The first post-restart type-II event falls
-        # back to a full construction instead of carving against a field
-        # built by the pre-crash process.
+        # Recovery invariant (DESIGN.md §13): a restored record starts
+        # with nothing derived — no retained field, no repair drift state,
+        # no cached-mode field or region pair; ``be_matches`` is recomputed
+        # from the restored corpus.  The first post-restart type-II event
+        # falls back to a full construction instead of carving against a
+        # field built by the pre-crash process.
 
     def close(self) -> None:
         """Release the journal's file handle (a no-op without one)."""
@@ -965,8 +964,7 @@ class ElapsServer:
 
     def _matching_field(self, record: SubscriberRecord):
         if self.matching_mode == "ondemand":
-            sub_id = record.subscription.sub_id
-            field = self._lazy_fields.get(sub_id) if self.repair else None
+            field = record.lazy_field
             if field is None or field.too_stale():
                 field = LazyBEQField(
                     self.grid,
@@ -975,18 +973,17 @@ class ElapsServer:
                     excluded_ids=record.delivered,
                 )
                 if self.repair:
-                    self._lazy_fields[sub_id] = field
+                    record.lazy_field = field
             return field
         if self.matching_mode == "cached":
             signature = self._matching_signature(record)
-            cached = self._field_cache.get(record.subscription.sub_id)
+            cached = record.static_field
             if cached is not None and cached[0] == signature:
                 return cached[1]
-            cache = self._matching_cache[record.subscription.sub_id]
             field = StaticMatchingField(
-                self.grid, [cache[event_id] for event_id in signature]
+                self.grid, [record.be_matches[event_id] for event_id in signature]
             )
-            self._field_cache[record.subscription.sub_id] = (signature, field)
+            record.static_field = (signature, field)
             return field
         # Full mode: materialise every be-matching event upfront (the
         # paper's "-BE" variants route this through k-index; the work is
@@ -999,12 +996,18 @@ class ElapsServer:
         self.metrics.events_scanned += len(self.event_index)
         return StaticMatchingField(self.grid, [event.location for event in events])
 
+    def _be_matches(self, subscription: Subscription) -> Dict[int, Point]:
+        """The corpus events be-matching ``subscription``, id -> location."""
+        return {
+            event.event_id: event.location
+            for event in self.event_index.be_match(subscription.expression)
+        }
+
     def _matching_signature(self, record: SubscriberRecord) -> frozenset:
         """The live, undelivered be-matching event ids (cached mode)."""
-        cache = self._matching_cache[record.subscription.sub_id]
         return frozenset(
             event_id
-            for event_id in cache
+            for event_id in record.be_matches
             if event_id in self._events_by_id and event_id not in record.delivered
         )
 
@@ -1029,7 +1032,7 @@ class ElapsServer:
         )
         if reusable:
             signature = self._matching_signature(record)
-            cached_pair = self._region_cache.get(record.subscription.sub_id)
+            cached_pair = record.region_pair
             if cached_pair is not None and cached_pair[0] == signature:
                 pair = cached_pair[1]
                 record.safe = pair.safe
@@ -1088,7 +1091,7 @@ class ElapsServer:
             record.degenerate_cell = None
             self.impact_index.replace_region(record.subscription.sub_id, pair.impact)
         if reusable:
-            self._region_cache[record.subscription.sub_id] = (signature, pair)
+            record.region_pair = (signature, pair)
         if self.repair:
             record.repair = RepairState(
                 pair=pair,

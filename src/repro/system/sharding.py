@@ -73,7 +73,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import threading
 import traceback
 from dataclasses import dataclass, field as dataclass_field
 from typing import (
@@ -762,8 +761,6 @@ class ShardedElapsServer:
         )
         #: column index → owning shard id
         self._shard_by_column = self._column_map(self.specs)
-        #: grid columns one notification radius can span (dilation reach)
-        self._reach_cache: Dict[float, int] = {}
 
         self.subscribers: Dict[int, ShardedSubscriberRecord] = {}
         #: coordinator-level counters: client-facing region pushes; the
@@ -774,7 +771,6 @@ class ShardedElapsServer:
         self.registry = MetricsRegistry(self.metrics)
         self.tracer = self.registry.tracer
         self._dirty: Dict[int, _Dirty] = {}
-        self._mutex = threading.Lock()
         #: per-column published-event counters — the load signal the
         #: rebalance policy cuts new boundaries from
         self._column_load: List[float] = [0.0] * grid.n
@@ -844,11 +840,7 @@ class ShardedElapsServer:
 
     def _column_reach(self, radius: float) -> int:
         """Columns a dilation by ``radius`` can add on either side."""
-        reach = self._reach_cache.get(radius)
-        if reach is None:
-            reach = int(math.ceil(radius / self.grid.cell_width)) + 1
-            self._reach_cache[radius] = reach
-        return reach
+        return int(math.ceil(radius / self.grid.cell_width)) + 1
 
     def _shards_in_columns(self, lo: int, hi: int) -> Set[int]:
         lo = max(lo, 0)
@@ -889,12 +881,11 @@ class ShardedElapsServer:
     # Shard-to-coordinator callbacks
     # ------------------------------------------------------------------
     def _on_shard_region(self, shard_id: int, sub_id: int, region: SafeRegion) -> None:
-        with self._mutex:
-            record = self.subscribers.get(sub_id)
-            if record is None:
-                return
-            record.shard_regions[shard_id] = region
-            self._dirty.setdefault(sub_id, _Dirty()).full = True
+        record = self.subscribers.get(sub_id)
+        if record is None:
+            return
+        record.shard_regions[shard_id] = region
+        self._dirty.setdefault(sub_id, _Dirty()).full = True
 
     def _on_shard_delta(
         self,
@@ -903,12 +894,11 @@ class ShardedElapsServer:
         removed: FrozenSet[Cell],
         region: SafeRegion,
     ) -> None:
-        with self._mutex:
-            record = self.subscribers.get(sub_id)
-            if record is None:
-                return
-            record.shard_regions[shard_id] = region
-            self._dirty.setdefault(sub_id, _Dirty()).removed.update(removed)
+        record = self.subscribers.get(sub_id)
+        if record is None:
+            return
+        record.shard_regions[shard_id] = region
+        self._dirty.setdefault(sub_id, _Dirty()).removed.update(removed)
 
     def _locate_subscriber(self, sub_id: int) -> Optional[Tuple[Point, Point]]:
         transport = self.transport
@@ -1027,8 +1017,7 @@ class ShardedElapsServer:
         """
         shipped: Dict[int, object] = {}
         while True:
-            with self._mutex:
-                dirty, self._dirty = self._dirty, {}
+            dirty, self._dirty = self._dirty, {}
             if not dirty:
                 break
             for sub_id, change in dirty.items():
@@ -1114,8 +1103,7 @@ class ShardedElapsServer:
         record = self.subscribers.pop(sub_id, None)
         if record is None:
             raise KeyError(f"unknown subscriber {sub_id}")
-        with self._mutex:
-            self._dirty.pop(sub_id, None)
+        self._dirty.pop(sub_id, None)
         if record.homes:
             self.executor.run(
                 {shard_id: ("unsubscribe", (sub_id,)) for shard_id in record.homes}
@@ -1490,8 +1478,7 @@ class ShardedElapsServer:
             self.rebalances = int(fleet_meta.get("rebalances", 0))
         applied = sum(self._run_all("recover"))
         self.subscribers = {}
-        with self._mutex:
-            self._dirty = {}
+        self._dirty = {}
         for shard_id, snapshots in enumerate(self._run_all("subscriber_snapshots")):
             for sub in snapshots:
                 sub_id = sub.subscription.sub_id

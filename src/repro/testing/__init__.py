@@ -1,4 +1,4 @@
-"""Test support: chaos harness, matching oracle, and trace replay.
+"""Test support: chaos harness, matching oracle, contract checks, trace replay.
 
 ``repro.testing`` is the stable doorway to the fault-injection machinery
 of :mod:`repro.system.faults` — external test suites (and our own chaos
@@ -29,6 +29,7 @@ from ..system.faults import (
     FaultKind,
     FaultStats,
 )
+from .invariants import definition1_violations
 from .oracle import BruteForceOracle, oracle_pairs
 from .replay import (
     ReplayResult,
@@ -49,6 +50,7 @@ __all__ = [
     "ReplayResult",
     "TraceRecorder",
     "chaos_proxy",
+    "definition1_violations",
     "diff_logs",
     "notification_log",
     "oracle_pairs",

@@ -1,0 +1,251 @@
+"""Derived state lives on the thing it describes and dies with it.
+
+Three defects the side tables hid, one regression test each (DESIGN.md
+§9, §10, §14).  Each prints the number it measures under ``-s`` — CI's
+vectorized-differential lane runs the file that way — so a regression
+shows as a number in the log, not only as a red test:
+
+* a matching field's array views are held by the field alone, with no
+  reference back: dropping the field frees them at once, cyclic
+  collector or not (*views alive*);
+* a resubscribe starts a fresh :class:`SubscriberRecord`: nothing built
+  for the old radius or expression is shipped again (*unsafe cells
+  held*);
+* per-radius tables belong to the :class:`Disk` they are computed from,
+  one per distinct offset set however many float radii arrive (*table
+  sets per 1,000 radii*).
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import weakref
+
+from repro.core import IDGM, IGM, GridMethod, LazyBEQField, VectorizedIDGM, VectorizedIGM
+from repro.core.vectorized import _FieldArrayView
+from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
+from repro.geometry import Grid, Point, Rect
+from repro.index import BEQTree
+from repro.system import ElapsServer, ServerConfig
+from repro.testing import definition1_violations
+
+SPACE = Rect(0, 0, 10_000, 10_000)
+STILL = Point(0, 0)
+
+
+def make_sub(sub_id, radius=1_200.0):
+    return Subscription(
+        sub_id, BooleanExpression([Predicate("topic", Operator.EQ, "sale")]), radius=radius
+    )
+
+
+def sale(event_id, x, y):
+    return Event(event_id, {"topic": "sale"}, Point(x, y), arrived_at=0)
+
+
+def make_server(strategy, grid=None, **config_fields):
+    return ElapsServer(
+        grid or Grid(50, SPACE),
+        strategy,
+        ServerConfig(initial_rate=1.0, **config_fields),
+        event_index=BEQTree(SPACE, emax=32),
+    )
+
+
+def scattered_sales(rng, count, first_id=1):
+    return [
+        sale(first_id + k, rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+        for k in range(count)
+    ]
+
+
+class TestViewsDieWithTheirField:
+    """Test (i).  At the parent the strategy's ``WeakKeyDictionary`` held
+    values that referenced their own keys: N of N fields stayed alive."""
+
+    CYCLES = 60
+
+    def alive(self):
+        """Live ``(fields, views)`` in the process, found by type."""
+        objects = gc.get_objects()
+        return (
+            sum(isinstance(o, LazyBEQField) for o in objects),
+            sum(isinstance(o, _FieldArrayView) for o in objects),
+        )
+
+    def without_the_collector(self, drive):
+        """Run ``drive`` with the cyclic collector off and return the
+        fields and views it left alive, plus its field weakrefs still
+        live — only reference counts may free anything."""
+        gc.collect()
+        gc.disable()
+        try:
+            fields_before, views_before = self.alive()
+            refs = drive()
+            fields_after, views_after = self.alive()
+        finally:
+            gc.enable()
+        return (
+            fields_after - fields_before,
+            views_after - views_before,
+            sum(ref() is not None for ref in refs),
+        )
+
+    def test_the_strategy_holds_nothing_but_its_parameters(self):
+        for vector_cls, scalar_cls in ((VectorizedIGM, IGM), (VectorizedIDGM, IDGM)):
+            assert vars(vector_cls(max_cells=7)) == vars(scalar_cls(max_cells=7))
+            assert vector_cls.construct is not scalar_cls.construct
+
+    def test_subscribe_unsubscribe_cycles_leave_only_the_live_subscribers(self):
+        rng = random.Random(23)
+        server = make_server(VectorizedIGM(max_cells=120), repair=True)
+        server.bootstrap(scattered_sales(rng, 40))
+        server.subscribe(make_sub(1), Point(5_000, 5_000), STILL, 0)  # stays
+
+        def drive():
+            refs = []
+            for cycle in range(self.CYCLES):
+                sub = make_sub(100 + cycle, radius=rng.uniform(600, 1_500))
+                at = Point(rng.uniform(1_000, 9_000), rng.uniform(1_000, 9_000))
+                server.subscribe(sub, at, STILL, cycle)
+                field = server.subscribers[sub.sub_id].lazy_field
+                assert field.array_views  # the construction projected it
+                refs.append(weakref.ref(field))
+                server.unsubscribe(sub.sub_id)
+            return refs
+
+        fields, views, live_refs = self.without_the_collector(drive)
+        print(
+            f"\nviews alive after {self.CYCLES} subscribe/unsubscribe cycles "
+            f"(1 live subscriber, gc off): {views} new, fields {fields} new, "
+            f"weakrefs live {live_refs}"
+        )
+        assert (fields, views, live_refs) == (0, 0, 0)
+        # the subscriber that stayed keeps exactly its own field and view
+        kept = server.subscribers[1].lazy_field
+        assert list(kept.array_views) == [1_200.0]
+
+    def test_reports_without_repair_leave_nothing(self):
+        """``repair=False`` (the default) builds a fresh field for every
+        construction; nothing may outlive the construction."""
+        rng = random.Random(29)
+        server = make_server(VectorizedIGM(max_cells=120))
+        server.bootstrap(scattered_sales(rng, 40))
+        server.subscribe(make_sub(1), Point(5_000, 5_000), STILL, 0)
+        built = []
+        construct = server.strategy.construct
+
+        def spy(request):
+            built.append(weakref.ref(request.matching_field))
+            return construct(request)
+
+        server.strategy.construct = spy
+
+        def drive():
+            for tick in range(1, self.CYCLES + 1):
+                at = Point(rng.uniform(1_000, 9_000), rng.uniform(1_000, 9_000))
+                server.report_location(1, at, STILL, tick)
+            return built
+
+        fields, views, live_refs = self.without_the_collector(drive)
+        print(
+            f"\nviews alive after {self.CYCLES} reports on a repair=False "
+            f"server (gc off): {views} new, fields {fields} new, "
+            f"weakrefs live {live_refs}"
+        )
+        assert len(built) == self.CYCLES
+        assert (fields, views, live_refs) == (0, 0, 0)
+
+
+class TestResubscribeStartsAFreshRecord:
+    """Test (ii).  At the parent ``subscribe`` popped the retained field
+    but not the cached-mode region pair: with GM, whose regions do not
+    depend on the location, a resubscribe at a larger radius re-shipped
+    the region built for the smaller one."""
+
+    def test_a_larger_radius_is_not_served_the_old_radius_region(self):
+        rng = random.Random(31)
+        corner = Point(800, 800)
+        # nothing within the larger radius of the subscriber: no delivery
+        # changes the matching signature between the two subscribes
+        events = [
+            e for e in scattered_sales(rng, 6) if e.location.distance_to(corner) > 3_300
+        ]
+        assert events
+        shipped = {}
+        grid = Grid(50, SPACE)  # shared: regions compare equal over one grid
+
+        def server_with_corpus():
+            server = make_server(GridMethod(), grid, matching_mode="cached")
+            server.bootstrap(events)
+            return server
+
+        server = server_with_corpus()
+        server.subscribe(make_sub(1, radius=500.0), corner, STILL, 0)
+        assert not definition1_violations(server)
+        notes, shipped["resubscribed"] = server.subscribe(
+            make_sub(1, radius=3_000.0), corner, STILL, 1
+        )
+        assert notes == []
+
+        fresh = server_with_corpus()
+        _, shipped["fresh"] = fresh.subscribe(make_sub(1, radius=3_000.0), corner, STILL, 1)
+
+        unsafe = {cell for _, _, cell in definition1_violations(server)}
+        held = shipped["resubscribed"].area_cells()
+        print(
+            f"\nunsafe cells held after resubscribing r 500 -> 3000 "
+            f"(cached + GM): {len(unsafe)} of {held} "
+            f"(a fresh server ships {shipped['fresh'].area_cells()})"
+        )
+        assert not unsafe
+        assert shipped["resubscribed"] == shipped["fresh"]
+        assert server.impact_index.region_of(1) == fresh.impact_index.region_of(1)
+
+
+class TestPerRadiusTablesBelongToTheirDisk:
+    """Test (iii).  At the parent every distinct float radius left its own
+    five tables on the grid for good: 1,000 radii, 1,000 table sets."""
+
+    def tables(self, disk):
+        return (
+            disk.offsets,
+            [a.tolist() for a in disk.arrays],
+            disk.strips,
+            {d: m.tolist() for d, m in disk.masks.items()},
+            [[a.tolist() for a in disk.candidates[key]] for key in (0, 1, 37, 255)],
+        )
+
+    def test_a_thousand_radii_share_the_disks_they_compute(self):
+        rng = random.Random(37)
+        grid = Grid(200, Rect(0, 0, 50_000, 50_000))
+        radii = [rng.uniform(100, 300) for _ in range(1_000)]
+        disks = [grid.disk(radius) for radius in radii]
+        offset_sets = {disk.offsets for disk in disks}
+        table_sets = {id(disk) for disk in disks}
+        print(
+            f"\ntable sets per 1,000 radii in (100, 300) on Grid(200, 50 km): "
+            f"{len(table_sets)} for {len(offset_sets)} distinct offset sets"
+        )
+        assert len(table_sets) == len(offset_sets) == 2
+        assert set(grid._disks) == offset_sets
+        # the closed variant is the same set unless a cell sits at
+        # distance exactly r: it shares the disk, it does not copy it
+        assert all(grid.disk(r, inclusive=True) is grid.disk(r) for r in radii)
+
+    def test_pushing_the_memo_past_its_limit_changes_no_table(self, monkeypatch):
+        monkeypatch.setattr(Grid, "DISK_MEMO_LIMIT", 16)
+        rng = random.Random(41)
+        grid = Grid(40, SPACE)
+        radii = [rng.uniform(100, 3_000) for _ in range(12)]
+        before = {radius: grid.disk(radius) for radius in radii}
+        tables = {radius: self.tables(disk) for radius, disk in before.items()}
+        for _ in range(100):  # ever-new radii from outside
+            grid.disk(rng.uniform(100, 3_000))
+            assert len(grid._disk_memo) <= Grid.DISK_MEMO_LIMIT
+        assert not all(key in grid._disk_memo for key in ((r, False) for r in radii))
+        for radius in radii:
+            disk = grid.disk(radius)
+            assert disk is before[radius]  # interned: found again, not rebuilt
+            assert self.tables(disk) == tables[radius]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core import IGM
@@ -26,16 +25,26 @@ from repro.system import (
     ServerConfig,
     ShardedElapsServer,
 )
+from repro.testing import definition1_violations
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 TOPICS = ("sale", "show")
+
+
+def lazy_fields(server):
+    """The retained matching fields, by ``sub_id`` (subscribe order)."""
+    return {
+        sub_id: record.lazy_field
+        for sub_id, record in server.subscribers.items()
+        if record.lazy_field is not None
+    }
 
 
 def per_event_retire(self, events):
     """The sweep as one ``note_exclusion`` per (event, field) pair."""
     for event in events:
         self.event_index.delete(event)
-        for field in self._lazy_fields.values():
+        for field in lazy_fields(self).values():
             field.note_exclusion(event.event_id)
 
 
@@ -76,7 +85,7 @@ def make_fleet():
 def staleness(server):
     return {
         sub_id: field.stale_exclusions
-        for sub_id, field in sorted(server._lazy_fields.items())
+        for sub_id, field in sorted(lazy_fields(server).items())
     }
 
 
@@ -197,34 +206,6 @@ class TestBatchedSweepIsUnobservable:
         )
 
 
-def definition1_violations(fleet):
-    """Definition 1 by brute force over the union corpus: the held safe
-    cells within ``r`` (closed) of a live, undelivered, be-matching event,
-    as ``(sub_id, event_id, cell)`` — no index or field takes part."""
-    grid = fleet.grid
-    live = {}
-    for shard in fleet.shard_servers:
-        live.update(shard._events_by_id)
-    violations = []
-    for sub_id, record in fleet.subscribers.items():
-        if record.safe is None or record.safe.is_empty():
-            continue
-        cells = np.array(sorted(record.safe.cells))
-        x_lo = grid.space.x_min + cells[:, 0] * grid.cell_width
-        y_lo = grid.space.y_min + cells[:, 1] * grid.cell_height
-        for event in live.values():
-            if event.event_id in record.delivered:
-                continue
-            if not record.subscription.be_matches(event):
-                continue
-            x, y = event.location.x, event.location.y
-            dx = np.maximum(np.maximum(x_lo - x, 0.0), x - (x_lo + grid.cell_width))
-            dy = np.maximum(np.maximum(y_lo - y, 0.0), y - (y_lo + grid.cell_height))
-            for k in np.flatnonzero(np.hypot(dx, dy) <= record.subscription.radius):
-                violations.append((sub_id, event.event_id, tuple(cells[k])))
-    return violations
-
-
 @pytest.mark.fleet
 class TestDefinition1SurvivesABandMove:
     """A band move hands events to a shard whose subscribers are already
@@ -251,7 +232,7 @@ class TestWhatAnExclusionCounts:
         server = make_server()
         server.bootstrap([make_event(1, 7_600, 5_000, now=0, ttl=10)])
         server.subscribe(make_sub(1, radius=1_500.0), Point(5_000, 5_000), Point(0, 0), 0)
-        field = server._lazy_fields[1]
+        field = server.subscribers[1].lazy_field
         assert 1 in field._seen_ids and field.stale_exclusions == 0
         return server, field
 
@@ -261,7 +242,7 @@ class TestWhatAnExclusionCounts:
         # rectangle's staleness budget: delivery is one exclusion ...
         notes, _ = server.report_location(1, Point(7_000, 5_000), Point(0, 0), 1)
         assert [n.event.event_id for n in notes] == [1]
-        if server._lazy_fields[1] is not field:
+        if server.subscribers[1].lazy_field is not field:
             pytest.skip("the report rebuilt the field")
         assert field.stale_exclusions == 1
         # ... and the expiry of the same, still-seen event is another
@@ -302,7 +283,7 @@ class TestSweepCost:
                 Point(0, 0),
                 0,
             )
-        fields = list(server._lazy_fields.values())
+        fields = list(lazy_fields(server).values())
         assert len(fields) == 6
         calls = []
         expected = {}

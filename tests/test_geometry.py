@@ -154,10 +154,10 @@ class TestGrid:
         assert grid.min_distance_cell_cell(a, b) == pytest.approx(expected)
 
     def test_disk_offsets_contains_origin(self, grid):
-        assert (0, 0) in grid.disk_offsets(100.0)
+        assert (0, 0) in grid.disk(100.0).offsets
 
     def test_disk_offsets_symmetry(self, grid):
-        offsets = grid.disk_offsets(700.0)
+        offsets = grid.disk(700.0).offsets
         assert all((-di, -dj) in offsets for (di, dj) in offsets)
 
     def test_dilate_matches_brute_force(self, grid):
@@ -173,8 +173,8 @@ class TestGrid:
     def test_dilation_strips_reconstruct_disk(self, grid):
         """dilate(c) - dilate(c+d) == strip(d) applied at c."""
         radius = 600.0
-        offsets = grid.disk_offsets(radius)
-        strips = grid.dilation_strips(radius)
+        offsets = grid.disk(radius).offsets
+        strips = grid.disk(radius).strips
         for direction, strip in strips.items():
             brute = {
                 off

@@ -484,11 +484,8 @@ def warm(grid, radii=120):
     """Fill ``grid``'s per-radius tables the way a fleet that has served
     ``radii`` distinct notification radii has; forked workers inherit them."""
     for k in range(radii):
-        radius = 400.0 + 7.5 * k
-        grid.disk_offsets(radius)
-        grid.dilation_strips(radius)
-        grid.disk_offset_arrays(radius)
-        grid.strip_offset_masks(radius)
+        disk = grid.disk(400.0 + 7.5 * k)
+        disk.strips, disk.arrays, disk.masks
 
 
 @pytest.mark.fleet

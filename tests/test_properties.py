@@ -87,8 +87,8 @@ class TestGridProperties:
     def test_strips_partition_consistency(self, n, radius):
         """Strips are subsets of the disk and contain its outer rim."""
         grid = Grid(n, SPACE)
-        offsets = grid.disk_offsets(radius)
-        for direction, strip in grid.dilation_strips(radius).items():
+        offsets = grid.disk(radius).offsets
+        for direction, strip in grid.disk(radius).strips.items():
             assert strip <= offsets
             shifted_out = {
                 off for off in offsets

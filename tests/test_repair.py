@@ -304,16 +304,16 @@ class TestFieldReuse:
         server = make_server(repair=True)
         sub = make_sub()
         server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
-        field = server._lazy_fields.get(sub.sub_id)
-        assert field is not None
         record = server.subscribers[sub.sub_id]
+        field = record.lazy_field
+        assert field is not None
         assert server._matching_field(record) is field
 
     def test_no_cache_without_repair(self):
         server = make_server()
         sub = make_sub()
         server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
-        assert server._lazy_fields == {}
+        assert server.subscribers[sub.sub_id].lazy_field is None
 
     def test_cached_field_learns_new_events_outside_scanned_leaves(self):
         """A reused field must see events published after its leaf scans.
@@ -332,7 +332,7 @@ class TestFieldReuse:
         # field is fed so the event constrains the next construction
         far = sale(10, 500, 500)
         server.publish(far, now=1)
-        field = server._lazy_fields[sub.sub_id]
+        field = server.subscribers[sub.sub_id].lazy_field
         assert far.event_id in field._seen_ids
         # force a reconstruction via a location report near the event
         notifications, region = server.report_location(
@@ -349,13 +349,13 @@ class TestFieldReuse:
         server = make_server(repair=True)
         sub = make_sub()
         server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
-        field = server._lazy_fields[sub.sub_id]
+        record = server.subscribers[sub.sub_id]
+        field = record.lazy_field
         field.stale_exclusions = 10_000  # exceed any threshold
         assert field.too_stale()
-        record = server.subscribers[sub.sub_id]
         fresh = server._matching_field(record)
         assert fresh is not field
-        assert server._lazy_fields[sub.sub_id] is fresh
+        assert record.lazy_field is fresh
 
     def test_expiry_marks_seen_events_stale(self):
         server = make_server(repair=True)
@@ -367,7 +367,7 @@ class TestFieldReuse:
             10, {"topic": "sale"}, Point(7_600, 5_000), arrived_at=1, expires_at=3
         )
         server.publish(doomed, now=1)
-        field = server._lazy_fields[sub.sub_id]
+        field = server.subscribers[sub.sub_id].lazy_field
         assert doomed.event_id in field._seen_ids
         before = field.stale_exclusions
         server.expire_due_events(now=5)
@@ -377,11 +377,14 @@ class TestFieldReuse:
         server = make_server(repair=True)
         sub = make_sub()
         server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
-        assert sub.sub_id in server._lazy_fields
+        record = server.subscribers[sub.sub_id]
+        old = record.lazy_field
+        assert old is not None
         server.resync(sub.sub_id, Point(5_000, 5_000), Point(20, 0), (), now=1)
-        field = server._lazy_fields[sub.sub_id]
+        field = record.lazy_field
+        assert field is not old
         # the fresh field shares the record's (rebound) delivered set
-        assert field._excluded is server.subscribers[sub.sub_id].delivered
+        assert field._excluded is record.delivered
 
     def test_resync_retires_every_derived_matching_artefact(self):
         """Resync rebinds ``delivered`` to a fresh set; every cache keyed
@@ -399,13 +402,13 @@ class TestFieldReuse:
         assert record.repair is not None
         assert record.repair.removed_since_build > 0
         # seed the signature caches with entries for the old delivered set
-        server._field_cache[sub.sub_id] = ("stale", object())
-        server._region_cache[sub.sub_id] = ("stale", object())
+        record.static_field = ("stale", object())
+        record.region_pair = ("stale", object())
 
         server.resync(sub.sub_id, Point(5_000, 5_000), Point(20, 0), (10,), now=2)
 
-        assert server._field_cache.get(sub.sub_id, (None,))[0] != "stale"
-        assert server._region_cache.get(sub.sub_id, (None,))[0] != "stale"
+        assert record.static_field is None
+        assert record.region_pair is None
         # the post-resync construction installed *fresh* drift state
         assert record.repair is not None
         assert record.repair.removed_since_build == 0
@@ -443,9 +446,9 @@ class TestRecoveryNeverRestoresDerivedState:
         revived.recover()
         record = revived.subscribers[sub.sub_id]
         assert record.repair is None          # drift did not survive the image
-        assert sub.sub_id not in revived._lazy_fields
-        assert sub.sub_id not in revived._field_cache
-        assert sub.sub_id not in revived._region_cache
+        assert record.lazy_field is None
+        assert record.static_field is None
+        assert record.region_pair is None
         assert record.safe is not None        # ...but the region itself did
 
         fallbacks = revived.metrics.repair_fallbacks
@@ -675,7 +678,7 @@ class TestRetainedFieldIsTheLocationUpdateMatcher:
 
     def test_a_circle_reaching_outside_the_covered_rectangle_asks_the_tree(self):
         server, sub = self.server_with_walker([sale(1, 9_500, 9_500)])
-        covered = server._lazy_fields[sub.sub_id]._covered
+        covered = server.subscribers[sub.sub_id].lazy_field._covered
         assert covered[2] < 39 and covered[3] < 39
         assert self.report(server, sub, Point(9_000, 9_000)) == ([1], False)
 
@@ -693,10 +696,11 @@ class TestRetainedFieldIsTheLocationUpdateMatcher:
         revisited: the field must go, or the next report misses a
         delivery and the next construction builds an unsafe region."""
         server, sub = self.server_with_walker([sale(1, 9_500, 9_500)])
-        assert sub.sub_id in server._lazy_fields
+        record = server.subscribers[sub.sub_id]
+        assert record.lazy_field is not None
         inside, outside = sale(2, 5_600, 5_000), sale(3, 7_000, 5_000)
         server.bootstrap([inside, outside])
-        assert server._lazy_fields == {}
+        assert record.lazy_field is None
         ids, from_field = self.report(server, sub, Point(5_000, 5_000))
         assert ids == [2] and not from_field
         safe = server.subscribers[sub.sub_id].safe
@@ -707,7 +711,7 @@ class TestRetainedFieldIsTheLocationUpdateMatcher:
             )
         # an idempotent re-load stores nothing and retires nothing
         server.bootstrap([inside, outside])
-        assert sub.sub_id in server._lazy_fields
+        assert record.lazy_field is not None
 
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), vectorized=st.booleans())

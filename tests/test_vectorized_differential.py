@@ -363,8 +363,8 @@ def test_array_view_sync_may_lag_behind_an_unsafe_start_cell(seed, family):
             for _, field in sides:
                 field.note_event(next_id, point)
             next_id += 1
-    vector_strategy, vector_field = sides[1]
-    view = vector_strategy._view(vector_field, grid, radius)
+    _, vector_field = sides[1]
+    view = vector_field.array_views[radius]
     assert view._cursor < len(vector_field.known_points())  # the lag is real
     away = Point(
         min(max(home.x - 2.5 * radius, 100.0), 9_900.0),
@@ -392,7 +392,7 @@ def test_candidate_offset_tables_with_and_without_interior_cells(
     rng = random.Random(seed)
     grid = Grid(14 if all_border else 40, SPACE)
     radius = rng.uniform(4_600, 6_000) if all_border else rng.uniform(300, 1_800)
-    reach = grid.strip_candidate_offsets(radius).reach
+    reach = grid.disk(radius).candidates.reach
     assert (2 * reach >= grid.n) == all_border
     points = [
         Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
@@ -432,16 +432,17 @@ def test_strip_candidates_equal_the_mask_intersections(seed, key):
     rng = random.Random(seed)
     grid = Grid(rng.choice([14, 25, 40]), SPACE)
     radius = rng.choice([0.0, rng.uniform(1, 300), rng.uniform(300, 2500)])
-    off_i, off_j = grid.disk_offset_arrays(radius)
+    disk = grid.disk(radius)
+    off_i, off_j = disk.arrays
     keep = np.ones(off_i.size, dtype=bool)
     for bit, direction in enumerate(RING):
         if key >> bit & 1:
-            keep &= grid.strip_offset_masks(radius)[direction]
-    got_i, got_j, got_flat = grid.strip_candidate_offsets(radius)[key]
+            keep &= disk.masks[direction]
+    got_i, got_j, got_flat = disk.candidates[key]
     assert got_i.tolist() == off_i[keep].tolist()
     assert got_j.tolist() == off_j[keep].tolist()
     assert got_flat.tolist() == (off_i[keep] * grid.n + off_j[keep]).tolist()
-    assert list(RING) == list(grid.dilation_strips(radius))
+    assert list(RING) == list(disk.strips)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
