@@ -17,6 +17,7 @@ import os
 from typing import Dict, Iterable, List, Sequence
 
 from repro.system import ExperimentConfig, run_experiment
+from repro.system.experiment import matching_mode_for
 
 FAST = os.environ.get("REPRO_BENCH_FAST") == "1"
 
@@ -56,14 +57,9 @@ DELTA_SWEEP: Sequence[int] = (1, 2, 3, 4, 5)
 STRATEGY_ORDER = ("VM", "GM", "iGM", "idGM")
 
 
-def mode_for(strategy: str) -> str:
-    """VM/GM need the global matching set; iGM/idGM run on-demand."""
-    return "cached" if strategy in ("VM", "GM") else "ondemand"
-
-
 def run_strategy(config: ExperimentConfig, strategy: str, **overrides) -> Dict[str, float]:
     """Run one (configuration, strategy) cell and return the figure row."""
-    changes = {"strategy": strategy, "matching_mode": mode_for(strategy)}
+    changes = {"strategy": strategy, "matching_mode": matching_mode_for(strategy)}
     changes.update(overrides)
     cell = config.with_(**changes)
     result = run_experiment(cell)

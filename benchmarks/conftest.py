@@ -15,75 +15,6 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--profile",
-        action="store_true",
-        default=False,
-        help="dump a cProfile top-20 (cumulative) per benchmark body "
-        "into benchmarks/results/profile_<name>.txt",
-    )
-    parser.addoption(
-        "--stats",
-        action="store_true",
-        default=False,
-        help="print the per-stage latency summary (span histograms) for "
-        "benchmarks that trace their servers",
-    )
-    parser.addoption(
-        "--slow-span-ms",
-        type=float,
-        default=None,
-        help="report any traced pipeline span at or above this many "
-        "milliseconds as it happens",
-    )
-
-
-@pytest.fixture
-def stats_options(request):
-    """(print_stats, slow_threshold_seconds) from --stats/--slow-span-ms."""
-    slow_ms = request.config.getoption("--slow-span-ms")
-    return (
-        request.config.getoption("--stats"),
-        None if slow_ms is None else slow_ms / 1000.0,
-    )
-
-
-@pytest.fixture
-def profiled(request):
-    """profiled(name, fn) -> fn, cProfile-wrapped when --profile is set.
-
-    The wrapper writes the top-20 cumulative entries to
-    ``benchmarks/results/profile_<name>.txt`` and returns fn's result
-    unchanged, so benchmark timings include the (constant-factor)
-    profiler overhead only when explicitly requested.
-    """
-    if not request.config.getoption("--profile"):
-        return lambda name, fn: fn
-
-    import cProfile
-    import io
-    import pstats
-
-    def _wrap(name, fn):
-        def _run(*args, **kwargs):
-            profiler = cProfile.Profile()
-            try:
-                return profiler.runcall(fn, *args, **kwargs)
-            finally:
-                stream = io.StringIO()
-                stats = pstats.Stats(profiler, stream=stream)
-                stats.sort_stats("cumulative").print_stats(20)
-                RESULTS_DIR.mkdir(exist_ok=True)
-                path = RESULTS_DIR / f"profile_{name}.txt"
-                path.write_text(stream.getvalue())
-                print(f"\n[cProfile top-20 written to {path}]")
-
-        return _run
-
-    return _wrap
-
-
 @pytest.fixture
 def report():
     """report(name, text): persist and echo one figure's table."""

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 from config import DEFAULTS, format_table, run_strategy
 from repro.system import run_experiment
+from repro.system.experiment import matching_mode_for
 
 
 def _run():
     rows = []
     for strategy in ("VM", "iGM", "idGM"):
-        mode = "cached" if strategy == "VM" else "ondemand"
         result = run_experiment(
-            DEFAULTS.with_(strategy=strategy, matching_mode=mode, measure_bytes=True)
+            DEFAULTS.with_(
+                strategy=strategy,
+                matching_mode=matching_mode_for(strategy),
+                measure_bytes=True,
+            )
         )
         stats = result.stats
         rows.append(

@@ -12,7 +12,7 @@ Both datasets are swept as in the paper.
 
 from __future__ import annotations
 
-from config import DEFAULTS, FAST, format_table, mode_for, run_strategy
+from config import DEFAULTS, FAST, format_table, run_strategy
 
 BETAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 STRATEGIES = ("iGM",) if FAST else ("iGM", "idGM")

@@ -32,16 +32,10 @@ from .datasets import TwitterLikeGenerator
 from .geometry import Rect
 from .index import BEQTree, KIndex, OpIndex, QuadTree
 from .system import ExperimentConfig, run_experiment
-from .system.experiment import STRATEGIES
+from .system.experiment import STRATEGIES, matching_mode_for
 
 #: every selectable strategy, including the vectorized ``-vec`` twins
 _STRATEGY_CHOICES = tuple(STRATEGIES)
-
-
-def _default_mode(strategy: str) -> str:
-    """VM/GM need the global matching list; the incremental family
-    (scalar or vectorized) pulls events on demand."""
-    return "cached" if strategy in ("VM", "GM") else "ondemand"
 
 
 def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
@@ -157,7 +151,7 @@ def _print_span_table(registry, label: str = "") -> None:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    mode = _default_mode(args.strategy)
+    mode = matching_mode_for(args.strategy)
     _print_header(args)
     started = time.perf_counter()
     result = run_experiment(_config_from(args, args.strategy, mode))
@@ -176,7 +170,7 @@ def _command_compare(args: argparse.Namespace) -> int:
     totals = {}
     span_tables = []
     for strategy in ("VM", "GM", "iGM", "idGM"):
-        mode = _default_mode(strategy)
+        mode = matching_mode_for(strategy)
         started = time.perf_counter()
         result = run_experiment(_config_from(args, strategy, mode))
         per = result.per_subscriber()
@@ -240,7 +234,7 @@ def _command_match(args: argparse.Namespace) -> int:
 _TRACE_META_FIELDS = (
     "strategy", "dataset", "movement", "event_rate", "speed", "radius",
     "initial_events", "subscription_size", "subscribers", "timestamps",
-    "grid_n", "space_size", "emax", "event_ttl", "matching_mode", "seed",
+    "grid_n", "emax", "event_ttl", "matching_mode", "seed",
     "shards", "shard_executor", "rebalance", "repair",
 )
 
@@ -250,7 +244,7 @@ def _command_record(args: argparse.Namespace) -> int:
     from .system.journal import Journal
     from .testing import TraceRecorder
 
-    mode = _default_mode(args.strategy)
+    mode = matching_mode_for(args.strategy)
     config = _config_from(args, args.strategy, mode)
     _print_header(args)
     journal = Journal(args.trace)

@@ -3,7 +3,7 @@ Twitter/AOL and Foursquare corpora (see DESIGN.md for the substitution
 rationale)."""
 
 from .foursquare_like import FoursquareLikeConfig, FoursquareLikeGenerator
-from .locations import LocationSampler, SkewedLocationSampler
+from .locations import LocationSampler
 from .twitter_like import TwitterLikeConfig, TwitterLikeGenerator
 from .vocabulary import Vocabulary
 
@@ -11,7 +11,6 @@ __all__ = [
     "FoursquareLikeConfig",
     "FoursquareLikeGenerator",
     "LocationSampler",
-    "SkewedLocationSampler",
     "TwitterLikeConfig",
     "TwitterLikeGenerator",
     "Vocabulary",

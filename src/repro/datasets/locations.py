@@ -3,21 +3,15 @@
 Geo-tweets and venues cluster around urban centres.  Locations are drawn
 from a mixture of Gaussian hotspots plus a uniform background, clipped to
 the space; the hotspot layout is itself seeded so a generator is fully
-reproducible.
-
-:class:`LocationSampler` picks hotspots uniformly — mild, spread-out
-clustering.  :class:`SkewedLocationSampler` picks them Zipf-weighted, so
-one cluster dominates the stream: the workload shape that stalls a
-statically column-partitioned fleet and that load-adaptive
-repartitioning (DESIGN.md §15) is built for.
+reproducible.  :class:`LocationSampler` picks hotspots uniformly — mild,
+spread-out clustering.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..geometry import Point, Rect
 
@@ -65,75 +59,6 @@ class LocationSampler:
                 rng.uniform(self.space.y_min, self.space.y_max),
             )
         hotspot = rng.choice(self.hotspots)
-        x = min(max(rng.gauss(hotspot.center.x, hotspot.std), self.space.x_min), self.space.x_max)
-        y = min(max(rng.gauss(hotspot.center.y, hotspot.std), self.space.y_min), self.space.y_max)
-        return Point(x, y)
-
-
-class SkewedLocationSampler(LocationSampler):
-    """Zipf-weighted Gaussian hotspot clusters: a dominant urban core.
-
-    Hotspot ``k`` (0-based, in layout order) is chosen with probability
-    proportional to ``1 / (k + 1) ** zipf_s`` — at the default exponent
-    the first cluster draws roughly as much traffic as all the others
-    combined, concentrating the stream on a small patch of space.  The
-    cluster layout, spreads, and draw sequence are all seeded, so two
-    samplers with the same parameters replay the same skew.
-
-    ``centers`` optionally pins the cluster centres (rank order =
-    sequence order) instead of scattering them from the seed — how the
-    scaling benchmark plants its dominant hotspot in the middle of one
-    static band.
-    """
-
-    def __init__(
-        self,
-        space: Rect,
-        hotspots: int = 8,
-        hotspot_std_fraction: float = 0.03,
-        uniform_fraction: float = 0.05,
-        zipf_s: float = 1.5,
-        seed: int = 0,
-        centers: Optional[Sequence[Point]] = None,
-    ) -> None:
-        if zipf_s < 0.0:
-            raise ValueError(f"zipf exponent must be non-negative: {zipf_s}")
-        super().__init__(
-            space,
-            hotspots=hotspots,
-            hotspot_std_fraction=hotspot_std_fraction,
-            uniform_fraction=uniform_fraction,
-            seed=seed,
-        )
-        if centers is not None:
-            if len(centers) > len(self.hotspots):
-                raise ValueError(
-                    f"{len(centers)} centers for {len(self.hotspots)} hotspots"
-                )
-            self.hotspots = [
-                Hotspot(center, hotspot.std)
-                for center, hotspot in zip(centers, self.hotspots)
-            ] + self.hotspots[len(centers):]
-        weights = [1.0 / (k + 1) ** zipf_s for k in range(len(self.hotspots))]
-        total = sum(weights)
-        #: cumulative Zipf mass per rank, for inverse-CDF cluster choice
-        self._cumulative: List[float] = list(
-            itertools.accumulate(w / total for w in weights)
-        )
-
-    def sample(self, rng: random.Random) -> Point:
-        """One location: Zipf-ranked hotspot draw or uniform background."""
-        if not self.hotspots or rng.random() < self.uniform_fraction:
-            return Point(
-                rng.uniform(self.space.x_min, self.space.x_max),
-                rng.uniform(self.space.y_min, self.space.y_max),
-            )
-        u = rng.random()
-        rank = next(
-            (k for k, mass in enumerate(self._cumulative) if u <= mass),
-            len(self.hotspots) - 1,
-        )
-        hotspot = self.hotspots[rank]
         x = min(max(rng.gauss(hotspot.center.x, hotspot.std), self.space.x_min), self.space.x_max)
         y = min(max(rng.gauss(hotspot.center.y, hotspot.std), self.space.y_min), self.space.y_max)
         return Point(x, y)

@@ -64,17 +64,13 @@ class TwitterLikeGenerator:
         space: Rect,
         config: Optional[TwitterLikeConfig] = None,
         seed: int = 0,
-        locations: Optional[LocationSampler] = None,
     ) -> None:
         self.space = space
         self.config = config or TwitterLikeConfig()
         self.seed = seed
         self.vocabulary = Vocabulary(self.config.vocabulary_size, self.config.zipf_skew)
         self._subscription_vocabulary = self.vocabulary.top(self.config.subscription_pool)
-        # ``locations`` swaps the spatial mixture — e.g. a
-        # SkewedLocationSampler for hotspot-concentrated streams — while
-        # keeping the attribute workload identical.
-        self._locations = locations if locations is not None else LocationSampler(
+        self._locations = LocationSampler(
             space,
             hotspots=self.config.hotspots,
             uniform_fraction=self.config.uniform_fraction,

@@ -10,15 +10,15 @@ figures the paper plots.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Type
 
 from ..core import (
     GridMethod,
     IDGM,
     IGM,
     SafeRegionStrategy,
-    SystemStats,
     VectorizedIDGM,
     VectorizedIGM,
     VoronoiMethod,
@@ -36,25 +36,26 @@ from .server import ElapsServer
 from .sharding import ProcessExecutor, SerialExecutor, ShardedElapsServer
 from .simulation import Simulation, SimulationResult
 
-#: strategy factory registry: name -> (max_cells -> strategy).  The
-#: ``-vec`` variants run the array-backed construction core (DESIGN.md
-#: §14), byte-identical to their scalar oracles.
-STRATEGIES: Dict[str, Callable[[Optional[int]], SafeRegionStrategy]] = {
-    "VM": lambda max_cells: VoronoiMethod(max_cells=max_cells),
-    "GM": lambda max_cells: GridMethod(),
-    "iGM": lambda max_cells: IGM(max_cells=max_cells),
-    "idGM": lambda max_cells: IDGM(max_cells=max_cells),
-    "iGM-vec": lambda max_cells: VectorizedIGM(max_cells=max_cells),
-    "idGM-vec": lambda max_cells: VectorizedIDGM(max_cells=max_cells),
-}
-
-#: the incremental family, scalar and vectorized, for override handling
-_INCREMENTAL_CLASSES = {
+#: strategy registry: name -> class.  The ``-vec`` variants run the
+#: array-backed construction core (DESIGN.md §14), byte-identical to
+#: their scalar oracles.
+STRATEGIES: Dict[str, Type[SafeRegionStrategy]] = {
+    "VM": VoronoiMethod,
+    "GM": GridMethod,
     "iGM": IGM,
     "idGM": IDGM,
     "iGM-vec": VectorizedIGM,
     "idGM-vec": VectorizedIDGM,
 }
+
+#: side of the square space in metres, mirroring the Singapore extent
+SPACE_SIZE = 50_000.0
+
+
+def matching_mode_for(strategy: str) -> str:
+    """VM/GM need the global matching list; the incremental family
+    (scalar or vectorized) pulls events on demand."""
+    return "cached" if strategy in ("VM", "GM") else "ondemand"
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,12 @@ class ExperimentConfig:
     subscribers: int = 40
     timestamps: int = 250
     grid_n: int = 120  # N
-    space_size: float = 50_000.0
     emax: int = 512  # BEQ-Tree leaf capacity
     event_ttl: Optional[int] = None
     matching_mode: str = "ondemand"
     max_cells: Optional[int] = 2500  # safe-region cap (deviation, DESIGN.md)
     seed: int = 7
     measure_bytes: bool = False
-    stats_override: Optional[Callable[[int], SystemStats]] = None
     alpha: Optional[float] = None  # idGM direction weight override
     beta: Optional[float] = None  # termination threshold override (Fig 9)
     rate_schedule: Optional[Callable[[int], float]] = None  # dynamic f (Fig 10a)
@@ -94,7 +93,6 @@ class ExperimentConfig:
     use_impact_region: bool = True  # ablation: False pings on every match
     incremental_impact: bool = True  # ablation: Example 2 strips on/off
     repair: bool = False  # incremental safe-region repair (DESIGN.md §10)
-    trace_spans: bool = True  # span tracer on the server's hot stages
     slow_span_seconds: Optional[float] = None  # log spans at/above this
     shards: int = 1  # spatial shards; > 1 builds a ShardedElapsServer
     shard_executor: str = "serial"  # or "process"
@@ -107,29 +105,22 @@ class ExperimentConfig:
 
 def build_strategy(config: ExperimentConfig) -> SafeRegionStrategy:
     """Instantiate the configured strategy, honouring alpha/beta overrides."""
-    name = config.strategy
-    if name not in STRATEGIES:
-        raise ValueError(f"unknown strategy {name!r}; pick one of {sorted(STRATEGIES)}")
-    overridden = (
-        config.alpha is not None
-        or config.beta is not None
-        or not config.incremental_impact
-    )
-    if name in _INCREMENTAL_CLASSES and overridden:
-        cls = _INCREMENTAL_CLASSES[name]
-        if name.startswith("iGM"):
-            return cls(
-                beta=config.beta if config.beta is not None else 1.0,
-                max_cells=config.max_cells,
-                incremental_impact=config.incremental_impact,
-            )
-        return cls(
-            alpha=config.alpha if config.alpha is not None else 0.5,
-            beta=config.beta if config.beta is not None else 1.0,
-            max_cells=config.max_cells,
-            incremental_impact=config.incremental_impact,
+    cls = STRATEGIES.get(config.strategy)
+    if cls is None:
+        raise ValueError(
+            f"unknown strategy {config.strategy!r}; pick one of {sorted(STRATEGIES)}"
         )
-    return STRATEGIES[name](config.max_cells)
+    knobs = {
+        "alpha": config.alpha,
+        "beta": config.beta,
+        "max_cells": config.max_cells,
+        "incremental_impact": config.incremental_impact,
+    }
+    # each class takes the knobs its constructor names; None is "its default"
+    accepted = inspect.signature(cls).parameters
+    return cls(
+        **{k: v for k, v in knobs.items() if k in accepted and v is not None}
+    )
 
 
 def _build_generator(config: ExperimentConfig, space: Rect):
@@ -149,13 +140,12 @@ def build_server(config: ExperimentConfig, journal=None):
     recorded workload under a different configuration.  ``journal``
     (a :class:`~repro.system.journal.JournalSpec`) turns on durability.
     """
-    space = Rect(0.0, 0.0, config.space_size, config.space_size)
+    space = Rect(0.0, 0.0, SPACE_SIZE, SPACE_SIZE)
     grid = Grid(config.grid_n, space)
     generator = _build_generator(config, space)
     server_config = ServerConfig(
         matching_mode=config.matching_mode,
         initial_rate=config.event_rate,
-        stats_override=config.stats_override,
         measure_bytes=config.measure_bytes,
         use_impact_region=config.use_impact_region,
         repair=config.repair,
@@ -191,7 +181,7 @@ def build_server(config: ExperimentConfig, journal=None):
             event_index=BEQTree(space, emax=config.emax),
             subscription_index=SubscriptionIndex(generator.frequency_hint()),
         )
-    server.configure_tracing(config.trace_spans, config.slow_span_seconds)
+    server.configure_tracing(True, config.slow_span_seconds)
     return server
 
 
@@ -202,7 +192,7 @@ def build_simulation(config: ExperimentConfig, wrap_server=None) -> Simulation:
     wrapper such as :class:`repro.testing.replay.TraceRecorder` observes
     every operation including the initial corpus load.
     """
-    space = Rect(0.0, 0.0, config.space_size, config.space_size)
+    space = Rect(0.0, 0.0, SPACE_SIZE, SPACE_SIZE)
     generator = _build_generator(config, space)
     stream = generator.event_stream(start_id=config.initial_events, seed_offset=1)
 

@@ -261,8 +261,12 @@ class ElapsServer:
             # Stored without arrival processing, so no retained matching
             # field heard of them, and a scanned leaf is never revisited:
             # a mid-life load (a band move's hand-over) retires them all.
+            # Cached mode's be-matching list missed them the same way; the
+            # signatures derive from it, so field and pair follow.
             for record in self.subscribers.values():
                 record.lazy_field = None
+                if record.be_matches is not None:
+                    record.be_matches = self._be_matches(record.subscription)
         self._maybe_snapshot()
 
     def _store_event(self, event: Event) -> None:

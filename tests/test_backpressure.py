@@ -391,6 +391,22 @@ def _pad(n: int = 2_000) -> str:
     return "x" * n
 
 
+def resilient_client(port: int, sub_id: int = 1) -> ResilientElapsClient:
+    """A reconnecting subscriber at the centre, quick to notice silence."""
+    return ResilientElapsClient(
+        "127.0.0.1",
+        port,
+        make_sub(sub_id),
+        Point(5_000, 5_000),
+        grid=Grid(40, SPACE),
+        config=ClientConfig(
+            heartbeat_interval=0.2,
+            read_timeout=1.0,
+            reconnect=ReconnectPolicy(base_delay=0.05, max_delay=0.3),
+        ),
+    )
+
+
 class TestSlowConsumers:
     def test_stalled_reader_hits_hard_cap_and_is_disconnected(self):
         async def scenario():
@@ -639,19 +655,7 @@ class TestSlowConsumerChaos:
             tcp = make_tcp_server(config)
             await tcp.start()
             async with chaos_proxy("127.0.0.1", tcp.port, FaultConfig()) as proxy:
-                grid = Grid(40, SPACE)
-                client = ResilientElapsClient(
-                    "127.0.0.1",
-                    proxy.port,
-                    make_sub(),
-                    Point(5_000, 5_000),
-                    grid=grid,
-                    config=ClientConfig(
-                        heartbeat_interval=0.2,
-                        read_timeout=1.0,
-                        reconnect=ReconnectPolicy(base_delay=0.05, max_delay=0.3),
-                    ),
-                )
+                client = resilient_client(proxy.port)
                 await client.start()
                 await client.subscribe(timeout=5.0)
 
@@ -684,6 +688,83 @@ class TestSlowConsumerChaos:
                 assert metrics.resyncs >= 1
                 await client.stop()
                 await publisher.close()
+            await tcp.stop()
+
+        run(scenario())
+
+    def test_a_mixed_fleet_isolates_prompt_readers_and_heals_every_slow_one(self):
+        """What the connection-scaling series asserted beside its timing,
+        at a tenth of its fleet: under a paced burst the prompt readers
+        receive everything while a throttled quarter is cut loose, queue
+        memory stays at the hard cap, and every slow consumer heals to
+        exactly the published set."""
+        fast_n, slow_n = 6, 2
+        expected = set(range(1_000, 1_080))
+
+        async def scenario():
+            config = NetworkConfig(
+                send_queue=16,
+                send_queue_hard=32,
+                slow_consumer_grace=0.3,
+                write_buffer_limit=4096,
+                retain_subscribers=True,
+            )
+            tcp = make_tcp_server(config)
+            await tcp.start()
+            loop = asyncio.get_running_loop()
+            async with chaos_proxy("127.0.0.1", tcp.port, FaultConfig()) as proxy:
+                # without the clamp the kernel absorbs the whole burst
+                proxy.upstream_rcvbuf = 8_192
+                fast = [ElapsNetworkClient("127.0.0.1", tcp.port) for _ in range(fast_n)]
+                for sub_id, reader in enumerate(fast, start=1):
+                    await reader.connect()
+                    await reader.subscribe(make_sub(sub_id), Point(5_000, 5_000), Point(0, 0))
+                slow = [
+                    resilient_client(proxy.port, fast_n + k + 1) for k in range(slow_n)
+                ]
+                for client in slow:
+                    await client.start()
+                    await client.subscribe(timeout=5.0)
+                proxy.throttle_downstream = 0.05
+
+                async def read_burst(reader):
+                    received = set()
+                    while received != expected:
+                        message = await reader.receive(timeout=15.0)
+                        if message is None:  # cut loose: fails the assert below
+                            break
+                        if isinstance(message, NotificationMessage):
+                            received.add(message.event_id & 0xFFFFFFFF)
+                    return received
+
+                readers = [asyncio.create_task(read_burst(reader)) for reader in fast]
+                publisher = ElapsNetworkClient("127.0.0.1", tcp.port)
+                await publisher.connect()
+                for event_id in sorted(expected):
+                    await publisher.publish(
+                        event_id, {"topic": "sale", "pad": _pad(4_096)}, Point(5_100, 5_000)
+                    )
+                    await asyncio.sleep(0.004)
+                assert await asyncio.gather(*readers) == [expected] * fast_n
+
+                metrics = tcp.server.metrics
+                deadline = loop.time() + 15.0
+                while metrics.slow_consumer_disconnects == 0:
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.05)
+                assert metrics.send_queue_high_water <= config.hard_cap
+
+                proxy.throttle_downstream = 0.0  # the network heals
+                deadline = loop.time() + 30.0
+                for client in slow:
+                    while {e.event_id & 0xFFFFFFFF for e in client.events} != expected:
+                        assert loop.time() < deadline
+                        await asyncio.sleep(0.1)
+                    ids = [e.event_id for e in client.events]
+                    assert len(ids) == len(set(ids)) == len(expected)
+                    await client.stop()
+                for reader in (*fast, publisher):
+                    await reader.close()
             await tcp.stop()
 
         run(scenario())

@@ -1,9 +1,10 @@
 """Derived state lives on the thing it describes and dies with it.
 
-Three defects the side tables hid, one regression test each (DESIGN.md
-§9, §10, §14).  Each prints the number it measures under ``-s`` — CI's
-vectorized-differential lane runs the file that way — so a regression
-shows as a number in the log, not only as a red test:
+Three defects the side tables hid and one they did not cause, one
+regression test each (DESIGN.md §9, §10, §14).  Each prints the number
+it measures under ``-s`` — CI's vectorized-differential lane runs the
+file that way — so a regression shows as a number in the log, not only
+as a red test:
 
 * a matching field's array views are held by the field alone, with no
   reference back: dropping the field frees them at once, cyclic
@@ -11,6 +12,9 @@ shows as a number in the log, not only as a red test:
 * a resubscribe starts a fresh :class:`SubscriberRecord`: nothing built
   for the old radius or expression is shipped again (*unsafe cells
   held*);
+* a mid-life ``bootstrap`` reaches what every matching mode derives
+  from the corpus, cached mode's be-matching list included (*unsafe
+  cells held*);
 * per-radius tables belong to the :class:`Disk` they are computed from,
   one per distinct offset set however many float radii arrive (*table
   sets per 1,000 radii*).
@@ -21,6 +25,8 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+
+import pytest
 
 from repro.core import IDGM, IGM, GridMethod, LazyBEQField, VectorizedIDGM, VectorizedIGM
 from repro.core.vectorized import _FieldArrayView
@@ -202,6 +208,24 @@ class TestResubscribeStartsAFreshRecord:
         assert not unsafe
         assert shipped["resubscribed"] == shipped["fresh"]
         assert server.impact_index.region_of(1) == fresh.impact_index.region_of(1)
+
+
+class TestAMidLifeLoadReachesEveryMatchingMode:
+    """Test (iv).  At the parent ``bootstrap`` on a live server retired
+    the retained field but left cached mode's ``be_matches`` as it was:
+    every later construction was built without the loaded events (32
+    unsafe cells held on this probe, 0 in the other two modes)."""
+
+    @pytest.mark.parametrize("mode", ["cached", "full", "ondemand"])
+    def test_a_region_built_after_the_load_respects_the_loaded_events(self, mode):
+        server = make_server(GridMethod(), matching_mode=mode)
+        server.bootstrap([sale(1, 9_000, 9_000)])
+        server.subscribe(make_sub(1, radius=500.0), Point(1_000, 1_000), STILL, 0)
+        server.bootstrap([sale(2, 5_000, 5_000)])
+        server.report_location(1, Point(1_200, 1_000), STILL, 1)
+        unsafe = definition1_violations(server)
+        print(f"\nunsafe cells held after a mid-life bootstrap ({mode} + GM): {len(unsafe)}")
+        assert not unsafe
 
 
 class TestPerRadiusTablesBelongToTheirDisk:

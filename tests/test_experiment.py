@@ -130,11 +130,3 @@ class TestTracingConfig:
         summaries = result.registry.tracer.summaries()
         assert "construct" in summaries
         assert summaries["construct"]["count"] >= 2  # one per subscriber
-
-    def test_trace_spans_off_records_nothing(self):
-        from repro.system import run_experiment
-
-        result = run_experiment(
-            ExperimentConfig(trace_spans=False, **self.SMALL)
-        )
-        assert result.registry.tracer.histograms == {}

@@ -44,6 +44,8 @@ from repro.system.sharding import _ReplySeam
 
 from test_golden_trace import GOLDEN, GROUPS, SPACE
 from test_sharding import (
+    SKEW_POLICY,
+    drive_skewed_stream,
     launch_bare,
     make_sharded,
     make_sub,
@@ -440,6 +442,17 @@ class TestProcessGoldenDifferential:
             rebalance_at=GROUPS // 2, bounds=[0, 5, 12, 30, 40],
         )
         assert trace.encode() == frozen
+
+    def test_policy_driven_moves_over_pipes_deliver_the_static_serial_pairs(self):
+        """What the process-scaling series asserted before it timed
+        anything: the policy fires on the skewed stream, and neither the
+        moves nor the pipes change a delivery."""
+        static_pairs, _, _ = drive_skewed_stream(make_sharded(4))
+        pairs, moves, _ = drive_skewed_stream(
+            make_process_fleet(4, rebalance=SKEW_POLICY)
+        )
+        assert moves >= 1
+        assert pairs == static_pairs
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,19 @@ class TestConfigurationSurface:
             "slow_consumer_grace", "max_connections", "write_buffer_limit",
         }
 
+    def test_experiment_config_fields(self):
+        from repro.system import ExperimentConfig
+
+        assert self.field_names(ExperimentConfig) == {
+            "strategy", "dataset", "movement", "event_rate", "speed", "radius",
+            "initial_events", "subscription_size", "subscribers", "timestamps",
+            "grid_n", "emax", "event_ttl", "matching_mode", "max_cells", "seed",
+            "measure_bytes", "alpha", "beta", "rate_schedule", "speed_schedule",
+            "oracle_rebuild", "use_impact_region", "incremental_impact",
+            "repair", "slow_span_seconds", "shards", "shard_executor",
+            "rebalance",
+        }
+
     def test_send_queue_parameters(self):
         import inspect
         from repro.system import SendQueue

@@ -221,6 +221,35 @@ class TestRepairPath:
             dilate_point(server.grid, event.location, sub.radius, unsafe)
             assert not (record.safe.cells & unsafe)
 
+    def test_the_same_stream_delivers_the_same_pairs_in_fewer_bytes_down(self):
+        """What the repair-vs-rebuild series asserted before it timed
+        anything: deliveries are pinned by geometry, and a carve ships
+        the removed cells where a rebuild ships a whole region."""
+
+        def drive(repair):
+            rng = random.Random(43)
+            server = make_server(repair=repair, measure_bytes=True)
+            positions = {}
+            for sub_id in range(1, 9):
+                positions[sub_id] = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+                server.subscribe(make_sub(sub_id), positions[sub_id], Point(0, 0), now=0)
+            server.transport = CallbackTransport(
+                locate=lambda sub_id: (positions[sub_id], Point(0, 0)))
+            pairs = []
+            for event_id in range(100, 180):
+                event = sale(event_id, rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+                pairs += [
+                    (n.sub_id, n.event.event_id)
+                    for n in server.publish(event, now=event_id - 99)
+                ]
+            return pairs, server.metrics
+
+        rebuilt_pairs, rebuilt = drive(repair=False)
+        repaired_pairs, repaired = drive(repair=True)
+        assert repaired_pairs == rebuilt_pairs and rebuilt_pairs
+        assert repaired.repairs > 0 and repaired.constructions < rebuilt.constructions
+        assert repaired.wire_bytes_down < rebuilt.wire_bytes_down
+
     def test_repair_off_by_default(self):
         server = make_server()
         assert server.repair is False

@@ -594,14 +594,53 @@ class TestCommandNamespace:
 # Load-adaptive repartitioning (serial executor; process fleet coverage
 # lives in test_process_fleet.py)
 # ----------------------------------------------------------------------
+SKEW_POLICY = RebalancePolicy(check_every=16, min_events=64, max_imbalance=1.5)
+
+
+def drive_skewed_stream(server):
+    """A row of subscribers under a stream concentrated on columns
+    12..17 of the 40-column grid, in batches of 16; returns the sorted
+    ``(sub_id, event_id)`` pairs, the boundary moves and the max/mean
+    band load the fleet ends with, and closes it."""
+    rng = random.Random(17)
+    for sub_id in range(1, 13):
+        server.subscribe(
+            make_sub(sub_id=sub_id, radius=1_200.0),
+            Point(rng.uniform(500, 9_500), rng.uniform(0, 10_000)),
+            Point(0, 0),
+            0,
+        )
+    pairs = []
+    for tick in range(1, 13):
+        batch = [
+            sale(tick * 100 + k, rng.uniform(3_100, 4_400), rng.uniform(0, 10_000), tick)
+            for k in range(16)
+        ]
+        pairs += [(n.sub_id, n.event.event_id) for n in server.publish_batch(batch, tick)]
+    loads = server.shard_loads()
+    imbalance = max(loads) * len(loads) / sum(loads)
+    rebalances = server.rebalances
+    server.close()
+    return sorted(pairs), rebalances, imbalance
+
+
 class TestRebalance:
     def hot_event(self, event_id, rng):
         # concentrate the stream on columns 12..17 of the 40-column grid
         return sale(event_id, rng.uniform(3_100, 4_400), rng.uniform(0, 10_000))
 
+    def test_adaptive_fleet_delivers_the_static_pairs_and_ends_flatter(self):
+        static_pairs, moves, static_imbalance = drive_skewed_stream(make_sharded(4))
+        assert moves == 0 and static_pairs
+        pairs, moves, imbalance = drive_skewed_stream(
+            make_sharded(4, rebalance=SKEW_POLICY)
+        )
+        assert moves >= 1
+        assert pairs == static_pairs
+        assert imbalance < static_imbalance
+
     def test_policy_fires_and_recuts_around_the_hotspot(self):
-        policy = RebalancePolicy(check_every=16, min_events=64, max_imbalance=1.5)
-        server = make_sharded(4, rebalance=policy)
+        server = make_sharded(4, rebalance=SKEW_POLICY)
         rng = random.Random(11)
         for event_id in range(160):
             server.publish(self.hot_event(event_id, rng), now=1 + event_id)

@@ -35,11 +35,12 @@ from repro.core import IDGM, IGM, VectorizedIDGM, VectorizedIGM
 from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import SystemStats
 from repro.core.field import LazyBEQField, StaticMatchingField, dilate_point
-from repro.expressions import BooleanExpression, Event, Operator, Predicate
+from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.geometry.grid import RING
 from repro.geometry.zorder import interleave, interleave_array
 from repro.index import BEQTree
+from repro.system import CallbackTransport, ElapsServer
 
 from conftest import random_events
 
@@ -104,6 +105,44 @@ def static_request(seed: int, radius=None, event_count=None) -> ConstructionRequ
         matching_field=StaticMatchingField(GRID, points),
         stats=SystemStats(event_rate=rng.uniform(0.5, 8), total_events=200),
     )
+
+
+# ----------------------------------------------------------------------
+# Through a server: the same deliveries from the same constructions
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_server_delivers_the_same_pairs_from_as_many_constructions(family):
+    """What the construct sweep asserted before it timed anything: the
+    cores build identical regions, so a server makes the same rebuild
+    decisions and deliveries over either (repair off, as in the sweep)."""
+
+    def drive(strategy_cls):
+        rng = random.Random(61)
+        server = ElapsServer(
+            GRID, strategy_cls(max_cells=60), event_index=BEQTree(SPACE, emax=16)
+        )
+        server.bootstrap(random_events(rng, SPACE, 300, attributes=3))
+        positions = {}
+        pairs = []
+        for sub_id in range(1, 7):
+            positions[sub_id] = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+            broad = BooleanExpression([Predicate(f"a{sub_id % 3}", Operator.GE, 0)])
+            notes, _ = server.subscribe(
+                Subscription(sub_id, broad, radius=1_500.0),
+                positions[sub_id], Point(30, -10), now=0,
+            )
+            pairs += [(n.sub_id, n.event.event_id) for n in notes]
+        server.transport = CallbackTransport(
+            locate=lambda sub_id: (positions[sub_id], Point(30, -10)))
+        for tick, event in enumerate(random_events(rng, SPACE, 120, attributes=3), 1):
+            arrival = Event(1_000 + tick, event.attributes, event.location, arrived_at=tick)
+            pairs += [(n.sub_id, n.event.event_id) for n in server.publish(arrival, tick)]
+        return pairs, server.metrics.constructions, server.metrics.events_scanned
+
+    scalar_cls, vectorized_cls = FAMILIES[family]
+    scalar = drive(scalar_cls)
+    assert scalar[0] and scalar[1] > 6  # deliveries, and rebuilds past the subscribes
+    assert drive(vectorized_cls) == scalar
 
 
 # ----------------------------------------------------------------------
