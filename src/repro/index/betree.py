@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..expressions import Event, Operator, Predicate, Subscription
 from ..expressions.dnf import clauses_of
@@ -280,6 +280,10 @@ class BETreeIndex:
                 # clauses constraining an attribute the event lacks can
                 # never match: the whole directory is pruned
         return [self._subscriptions[sub_id] for sub_id in sorted(matched_ids)]
+
+    def match_batch(self, events: Iterable[Event]) -> List[List[Subscription]]:
+        """Per-event be-matches: :meth:`match_event` once per event."""
+        return [self.match_event(event) for event in events]
 
     # ------------------------------------------------------------------
     # Introspection (for tests and tuning)

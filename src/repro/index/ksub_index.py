@@ -24,7 +24,7 @@ exclusion.)
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..expressions import Event, Predicate, Subscription
 from ..expressions.dnf import clauses_of
@@ -96,3 +96,7 @@ class KSubscriptionIndex:
                     matched_ids.add(sub_id)
                     matched.append(self._subscriptions[sub_id])
         return matched
+
+    def match_batch(self, events: Iterable[Event]) -> List[List[Subscription]]:
+        """Per-event be-matches: :meth:`match_event` once per event."""
+        return [self.match_event(event) for event in events]

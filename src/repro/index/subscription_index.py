@@ -25,19 +25,20 @@ Two accelerations sit on top (DESIGN.md §16):
   intersection of its clauses' required-attribute bitmasks; an event
   whose own attribute bitmask is not a superset cannot complete any
   clause there, so the partition is skipped without a single probe;
-* a **batched matcher** (:meth:`SubscriptionIndex.match_batch`) — one
-  pass over the pivot partitions for a whole ``publish_batch``, probing
-  each operator group once per distinct (attribute, value) across the
-  batch and counting with flat per-slot arrays instead of per-event
-  dicts.  Its output is byte-identical, per event, to
-  :meth:`SubscriptionIndex.match_event`.
+* a **probe memo** — every attribute layer keeps the result of each
+  probe it ran, ``operand_key(value) -> clause slots``, until the next
+  insert or delete that touches that layer.  Clause slots are assigned
+  per partition at insert and kept until delete, so a memo entry stays
+  valid while other layers change: an event pays a probe only for the
+  (layer, value) pairs a write touched since they were last probed, and
+  its counting runs over the partition's flat per-slot arrays.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..expressions import Event, Operator, Predicate, Subscription, operand_key
 from ..expressions.dnf import clauses_of
@@ -45,41 +46,50 @@ from ..expressions.dnf import clauses_of
 #: (sub_id, clause index): one counting unit of the algorithm.
 _ClauseKey = Tuple[int, int]
 
+#: probe-memo entries per attribute layer beyond this are assumed
+#: pathological (a stream of distinct float values) and the memo is
+#: dropped wholesale
+_PROBE_MEMO_LIMIT = 128
+
 
 class _AttributePredicates:
-    """All predicates on one attribute within one pivot partition."""
+    """All predicates on one attribute within one pivot partition, each
+    stored under its clause's partition slot."""
 
-    __slots__ = ("equals", "less", "less_keys", "greater", "greater_keys", "linear")
+    __slots__ = ("equals", "less", "less_keys", "greater", "greater_keys", "linear", "memo")
 
     def __init__(self) -> None:
-        # operand -> clause keys (EQ probes are hash lookups; dict
-        # hashing already aliases True == 1 exactly like Predicate.matches)
-        self.equals: Dict[object, List[_ClauseKey]] = defaultdict(list)
-        # (operand, strict, clause key) for < / <= : satisfied when value
-        # < operand (or <=); kept sorted by operand so a probe is a
-        # suffix scan.  ``less_keys`` mirrors the list with each entry's
-        # operand_key so scans and pointer advances never recompute it.
-        self.less: List[Tuple[object, bool, _ClauseKey]] = []
+        # operand -> slots (EQ probes are hash lookups; dict hashing
+        # already aliases True == 1 exactly like Predicate.matches)
+        self.equals: Dict[object, List[int]] = defaultdict(list)
+        # (operand, strict, slot) for < / <= : satisfied when value <
+        # operand (or <=); kept sorted by operand so a probe is a suffix
+        # scan.  ``less_keys`` mirrors the list with each entry's
+        # operand_key so scans never recompute it.
+        self.less: List[Tuple[object, bool, int]] = []
         self.less_keys: List[Tuple[str, object]] = []
-        # (operand, strict, clause key) for > / >= : prefix scan.
-        self.greater: List[Tuple[object, bool, _ClauseKey]] = []
+        # (operand, strict, slot) for > / >= : prefix scan.
+        self.greater: List[Tuple[object, bool, int]] = []
         self.greater_keys: List[Tuple[str, object]] = []
         # everything else (BETWEEN, NE, IN, NOT_IN): linear probe.
-        self.linear: List[Tuple[Predicate, _ClauseKey]] = []
+        self.linear: List[Tuple[Predicate, int]] = []
+        # operand_key(value) -> hits_for(value); any write clears it
+        self.memo: Dict[Tuple[str, object], List[int]] = {}
 
-    def add(self, predicate: Predicate, key: _ClauseKey) -> None:
+    def add(self, predicate: Predicate, slot: int) -> None:
         """Register one predicate under its operator group."""
+        self.memo.clear()
         op = predicate.operator
         if op is Operator.EQ:
-            self.equals[predicate.operand].append(key)
+            self.equals[predicate.operand].append(slot)
         elif op in (Operator.LT, Operator.LE):
             self._insort(self.less, self.less_keys,
-                         (predicate.operand, op is Operator.LT, key))
+                         (predicate.operand, op is Operator.LT, slot))
         elif op in (Operator.GT, Operator.GE):
             self._insort(self.greater, self.greater_keys,
-                         (predicate.operand, op is Operator.GT, key))
+                         (predicate.operand, op is Operator.GT, slot))
         else:
-            self.linear.append((predicate, key))
+            self.linear.append((predicate, slot))
 
     @staticmethod
     def _insort(entries, keys, entry) -> None:
@@ -88,24 +98,25 @@ class _AttributePredicates:
         entries.insert(position, entry)
         keys.insert(position, entry_key)
 
-    def remove(self, predicate: Predicate, key: _ClauseKey) -> None:
+    def remove(self, predicate: Predicate, slot: int) -> None:
         """Remove one registered predicate."""
+        self.memo.clear()
         op = predicate.operator
         if op is Operator.EQ:
             bucket = self.equals[predicate.operand]
-            bucket.remove(key)
+            bucket.remove(slot)
             if not bucket:
                 del self.equals[predicate.operand]
         elif op in (Operator.LT, Operator.LE):
-            position = self.less.index((predicate.operand, op is Operator.LT, key))
+            position = self.less.index((predicate.operand, op is Operator.LT, slot))
             del self.less[position]
             del self.less_keys[position]
         elif op in (Operator.GT, Operator.GE):
-            position = self.greater.index((predicate.operand, op is Operator.GT, key))
+            position = self.greater.index((predicate.operand, op is Operator.GT, slot))
             del self.greater[position]
             del self.greater_keys[position]
         else:
-            self.linear.remove((predicate, key))
+            self.linear.remove((predicate, slot))
 
     def __len__(self) -> int:
         return (
@@ -115,95 +126,68 @@ class _AttributePredicates:
             + len(self.linear)
         )
 
-    def hits_for(self, value) -> List[_ClauseKey]:
-        """Clause keys of every predicate ``value`` satisfies, in the
-        canonical probe order: equality bucket, ``<``/``<=`` suffix,
-        ``>``/``>=`` prefix, then the linear group.
+    def hits_for(self, value) -> List[int]:
+        """Slots of every predicate ``value`` satisfies, in the canonical
+        probe order: equality bucket, ``<``/``<=`` suffix, ``>``/``>=``
+        prefix, then the linear group.
 
         The inequality scans are bounded to the value's type group —
         operands from another group are never ``<``/``>`` comparable, so
         a range predicate across groups fails, exactly as
-        :meth:`Predicate.matches` answers.
+        :meth:`Predicate.matches` answers.  A value unequal to itself
+        (NaN) is unordered and equals nothing, so only the linear group
+        can hold for it.
         """
+        if value != value:
+            return [slot for predicate, slot in self.linear if predicate.matches(value)]
         value_key = operand_key(value)
         group = value_key[0]
-        out: List[_ClauseKey] = list(self.equals.get(value, ()))
+        out: List[int] = list(self.equals.get(value, ()))
         # A < o is satisfied iff o > value: the suffix of the operand-
         # sorted list starting at value (minus the strict o == value run).
         less, less_keys = self.less, self.less_keys
         index = bisect.bisect_left(less_keys, value_key)
         while index < len(less) and less_keys[index][0] == group:
-            operand, strict, key = less[index]
+            operand, strict, slot = less[index]
             # operand >= value here; a strict < with operand == value fails.
             if not strict or operand != value:
-                out.append(key)
+                out.append(slot)
             index += 1
         # A > o is satisfied iff o < value: the in-group prefix below
         # value (plus the o == value run for >=).
         group_lo = bisect.bisect_left(self.greater_keys, (group,))
         stop = bisect.bisect_right(self.greater_keys, value_key)
-        for operand, strict, key in self.greater[group_lo:stop]:
+        for operand, strict, slot in self.greater[group_lo:stop]:
             if not strict or operand != value:
-                out.append(key)
-        for predicate, key in self.linear:
+                out.append(slot)
+        for predicate, slot in self.linear:
             if predicate.matches(value):
-                out.append(key)
+                out.append(slot)
         return out
 
-    def probe(self, value, counters: Dict[_ClauseKey, int]) -> None:
-        """Count every predicate on this attribute that ``value`` satisfies."""
-        for key in self.hits_for(value):
-            counters[key] += 1
+    def remember(self, value, value_key: Tuple[str, object]) -> List[int]:
+        """Probe ``value`` and memoise its slots under ``value_key``.
 
-    def batch_hits(self, ordered_column) -> Dict[Tuple[str, object], List[_ClauseKey]]:
-        """One probe per distinct value of a batch's sorted value column.
-
-        ``ordered_column`` holds ``(value_key, value)`` pairs, one
-        representative per distinct :func:`operand_key`, sorted by that
-        key.  Because the column is sorted, the suffix/prefix endpoints
-        of the inequality scans only move forward — monotone pointers
-        over the cached key arrays replace the per-value bisects.  Each
-        returned hit list is exactly ``hits_for(value)``.
+        Values with equal keys (``True``, ``1``, ``1.0``) satisfy the
+        same predicates, so they share one entry.
         """
-        hits: Dict[Tuple[str, object], List[_ClauseKey]] = {}
-        less, less_keys = self.less, self.less_keys
-        greater, greater_keys = self.greater, self.greater_keys
-        linear = self.linear
-        n_less, n_greater = len(less), len(greater)
-        li = 0  # first less-entry with operand key >= the current value
-        glo = 0  # first greater-entry inside the current type group
-        ghi = 0  # first greater-entry with operand key > the current value
-        for value_key, value in ordered_column:
-            group = value_key[0]
-            group_key = (group,)
-            out: List[_ClauseKey] = list(self.equals.get(value, ()))
-            while li < n_less and less_keys[li] < value_key:
-                li += 1
-            index = li
-            while index < n_less and less_keys[index][0] == group:
-                operand, strict, key = less[index]
-                if not strict or operand != value:
-                    out.append(key)
-                index += 1
-            while glo < n_greater and greater_keys[glo] < group_key:
-                glo += 1
-            while ghi < n_greater and greater_keys[ghi] <= value_key:
-                ghi += 1
-            for operand, strict, key in greater[glo:ghi]:
-                if not strict or operand != value:
-                    out.append(key)
-            for predicate, key in linear:
-                if predicate.matches(value):
-                    out.append(key)
-            hits[value_key] = out
-        return hits
+        memo = self.memo
+        if len(memo) >= _PROBE_MEMO_LIMIT:
+            memo.clear()
+        slots = memo[value_key] = self.hits_for(value)
+        return slots
 
 
 class _Partition:
-    """One pivot partition: per-attribute operator groups plus the
-    attribute-bitmap prefilter state."""
+    """One pivot partition: per-attribute operator groups, the
+    attribute-bitmap prefilter state, and the clause slots the layers
+    store — persistent from insert to delete, so a layer's probe memo
+    stays valid while other layers change."""
 
-    __slots__ = ("layers", "clause_masks", "common_mask")
+    __slots__ = (
+        "layers", "clause_masks", "common_mask",
+        "slot_of", "keys", "sizes", "counts", "free",
+    )
 
     def __init__(self) -> None:
         self.layers: Dict[str, _AttributePredicates] = {}
@@ -216,6 +200,33 @@ class _Partition:
         # attribute, so a missing required attribute keeps every counter
         # short of |s|) — the partition is skippable without probing.
         self.common_mask: int = 0
+        # clause key -> slot; per slot its clause key, predicate count
+        # and counter (0 between events); released slots are reused
+        self.slot_of: Dict[_ClauseKey, int] = {}
+        self.keys: List[Optional[_ClauseKey]] = []
+        self.sizes: List[int] = []
+        self.counts: List[int] = []
+        self.free: List[int] = []
+
+    def assign(self, key: _ClauseKey, size: int) -> int:
+        """A slot for a newly inserted clause of ``size`` predicates."""
+        if self.free:
+            slot = self.free.pop()
+            self.keys[slot] = key
+            self.sizes[slot] = size
+        else:
+            slot = len(self.keys)
+            self.keys.append(key)
+            self.sizes.append(size)
+            self.counts.append(0)
+        self.slot_of[key] = slot
+        return slot
+
+    def release(self, key: _ClauseKey) -> None:
+        """Return a deleted clause's slot to the free list."""
+        slot = self.slot_of.pop(key)
+        self.keys[slot] = None
+        self.free.append(slot)
 
     def recompute_common(self) -> None:
         """Rebuild the required-attribute intersection after a delete."""
@@ -223,27 +234,6 @@ class _Partition:
         for mask in self.clause_masks.values():
             common &= mask
         self.common_mask = common if common != -1 else 0
-
-
-class _BatchPlan:
-    """Per-partition probe results for one ``match_batch`` call.
-
-    Clause keys are interned into dense slots so per-event counting runs
-    over flat integer arrays.  ``event_cells`` maps each member event to
-    its row of probe cells, one per (attribute, value) the event carries
-    into this partition, in the event's attribute order; each cell is
-    the shared slot list its distinct-value probe produced (filled in
-    place after the column probe), so replaying an event is pure list
-    iteration — no dict lookups."""
-
-    __slots__ = ("slot_of", "keys", "sizes", "counts", "event_cells")
-
-    def __init__(self) -> None:
-        self.slot_of: Dict[_ClauseKey, int] = {}
-        self.keys: List[_ClauseKey] = []
-        self.sizes: List[int] = []
-        self.counts: List[int] = []
-        self.event_cells: Dict[int, List[List[int]]] = {}
 
 
 class SubscriptionIndex:
@@ -254,12 +244,12 @@ class SubscriptionIndex:
         self._partitions: Dict[str, _Partition] = {}
         # sub_id -> (subscription, per-clause pivots in clause order)
         self._subscriptions: Dict[int, Tuple[Subscription, Tuple[str, ...]]] = {}
-        # (sub_id, clause index) -> number of predicates in the clause
-        self._clause_sizes: Dict[_ClauseKey, int] = {}
         # attribute name -> bit in the prefilter masks, assigned on first use
         self._attr_bits: Dict[str, int] = {}
-        #: distinct (operator group, value) probes the batched matcher ran
+        #: (layer, value) probes the matcher actually ran (memo misses)
         self.match_batch_probes: int = 0
+        #: (layer, value) probe results the matcher took from a layer memo
+        self.match_probe_memo_hits: int = 0
         #: (event, partition) pairs the bitmap prefilter skipped entirely
         self.partitions_pruned: int = 0
 
@@ -282,20 +272,6 @@ class SubscriptionIndex:
             self._attr_bits[attribute] = bit
         return bit
 
-    def _event_mask(self, attributes: Mapping[str, object]) -> int:
-        """Bitmask of the event's attributes the index has bits for.
-
-        Attributes no subscription ever mentioned have no bit — they
-        cannot appear in any clause mask either, so omitting them keeps
-        the subset test exact."""
-        bits = self._attr_bits
-        mask = 0
-        for attribute in attributes:
-            bit = bits.get(attribute)
-            if bit is not None:
-                mask |= bit
-        return mask
-
     def insert(self, subscription: Subscription) -> None:
         """Register a subscription; a DNF registers one entry per clause."""
         if subscription.sub_id in self._subscriptions:
@@ -309,6 +285,7 @@ class SubscriptionIndex:
             if partition is None:
                 partition = _Partition()
                 self._partitions[pivot] = partition
+            slot = partition.assign(key, len(clause.predicates))
             clause_mask = 0
             for predicate in clause:
                 attribute = predicate.attribute
@@ -316,14 +293,13 @@ class SubscriptionIndex:
                 if layer is None:
                     layer = _AttributePredicates()
                     partition.layers[attribute] = layer
-                layer.add(predicate, key)
+                layer.add(predicate, slot)
                 clause_mask |= self._bit_of(attribute)
             partition.clause_masks[key] = clause_mask
             if len(partition.clause_masks) == 1:
                 partition.common_mask = clause_mask
             else:
                 partition.common_mask &= clause_mask
-            self._clause_sizes[key] = len(clause.predicates)
         self._subscriptions[subscription.sub_id] = (subscription, tuple(pivots))
 
     def delete(self, subscription: Subscription) -> None:
@@ -337,17 +313,18 @@ class SubscriptionIndex:
         ):
             key = (stored_sub.sub_id, clause_index)
             partition = self._partitions[pivot]
+            slot = partition.slot_of[key]
             for predicate in clause:
                 layer = partition.layers[predicate.attribute]
-                layer.remove(predicate, key)
+                layer.remove(predicate, slot)
                 if not len(layer):
                     del partition.layers[predicate.attribute]
+            partition.release(key)
             del partition.clause_masks[key]
             if not partition.layers:
                 del self._partitions[pivot]
             else:
                 partition.recompute_common()
-            del self._clause_sizes[key]
 
     def match_event(self, event: Event) -> List[Subscription]:
         """All stored subscriptions whose expression ``event`` satisfies.
@@ -355,149 +332,72 @@ class SubscriptionIndex:
         A subscription matches when any of its clauses is fully counted;
         each subscription is reported once.
         """
-        matched: List[Subscription] = []
-        matched_ids: Set[int] = set()
-        event_mask = self._event_mask(event.attributes)
-        for attribute in event.attributes:
-            partition = self._partitions.get(attribute)
-            if partition is None:
-                continue
-            if partition.common_mask & ~event_mask:
-                # Some attribute every clause here requires is missing.
-                self.partitions_pruned += 1
-                continue
-            counters: Dict[_ClauseKey, int] = defaultdict(int)
-            for event_attribute, value in event.attributes.items():
-                layer = partition.layers.get(event_attribute)
-                if layer is not None:
-                    layer.probe(value, counters)
-            for key, count in counters.items():
-                sub_id = key[0]
-                if sub_id in matched_ids:
-                    continue
-                if count == self._clause_sizes[key]:
-                    matched_ids.add(sub_id)
-                    matched.append(self._subscriptions[sub_id][0])
-        return matched
+        return self.match_batch((event,))[0]
 
-    def match_batch(self, events: List[Event]) -> List[List[Subscription]]:
-        """Per-event be-matches for a whole batch, in one partition pass.
+    def match_batch(self, events: Iterable[Event]) -> List[List[Subscription]]:
+        """Per-event be-matches, one event at a time.
 
-        Byte-identical to ``[self.match_event(e) for e in events]`` —
-        same subscriptions, same order — but amortised three ways:
-
-        * the bitmap prefilter drops (event, partition) pairs up front;
-        * each surviving partition's operator groups are probed once per
-          *distinct* (attribute, value) across the batch, over the
-          column sorted by :func:`operand_key` with monotone scan
-          pointers (:meth:`_AttributePredicates.batch_hits`), instead of
-          once per event;
-        * counters live in flat per-slot arrays reused across the
-          batch's events, not per-event dicts.
-
-        The per-event reporting order is reproduced exactly: slots are
-        replayed in first-increment order, which is the per-attribute
-        probe order ``match_event`` counts in.
+        For each event, every partition pivoted on one of its attributes
+        that survives the bitmap prefilter takes one cell per event
+        attribute it has a layer for — from the layer's memo, or probed
+        and memoised on a miss — then counts the cells' slots in
+        attribute order, recording each slot on its first increment.
+        Replaying that first-increment order reports subscriptions in
+        the per-attribute probe order, and zeroes the counters for the
+        next event.
         """
-        events = list(events)
-        if not events:
-            return []
-        masks = [self._event_mask(event.attributes) for event in events]
-        # Value keys computed once per (event, attribute) — every touched
-        # partition below reuses them (insertion order == attribute order,
-        # so iterating a row replays the event's probe order exactly).
-        key_rows: List[Dict[str, Tuple[str, object]]] = [
-            {
-                attribute: operand_key(value)
-                for attribute, value in event.attributes.items()
-            }
-            for event in events
-        ]
-        # Phase 1 — prefilter: which events probe which partitions.
-        touched: Dict[str, List[int]] = {}
-        for index, event in enumerate(events):
-            mask = masks[index]
-            for attribute in event.attributes:
-                partition = self._partitions.get(attribute)
+        partitions = self._partitions
+        subscriptions = self._subscriptions
+        bits = self._attr_bits
+        probes = memo_hits = pruned = 0
+        results: List[List[Subscription]] = []
+        for event in events:
+            attributes = event.attributes
+            # Attributes no subscription ever mentioned have no bit —
+            # they cannot appear in any clause mask either, so omitting
+            # them keeps the subset test exact.
+            mask = 0
+            for attribute in attributes:
+                bit = bits.get(attribute)
+                if bit is not None:
+                    mask |= bit
+            value_keys: Optional[Dict[str, Tuple[str, object]]] = None
+            matched: List[Subscription] = []
+            matched_ids: Set[int] = set()
+            for pivot in attributes:
+                partition = partitions.get(pivot)
                 if partition is None:
                     continue
                 if partition.common_mask & ~mask:
-                    self.partitions_pruned += 1
+                    # Some attribute every clause here requires is missing.
+                    pruned += 1
                     continue
-                touched.setdefault(attribute, []).append(index)
-        # Phase 2 — one pass over the touched partitions: probe each
-        # layer's operator groups once per distinct value carried by the
-        # partition's member events.  Restricting the column to members
-        # matters: a layer whose attribute only appears in non-member
-        # events would otherwise be probed for values no event here
-        # counts.
-        plans: Dict[str, _BatchPlan] = {}
-        for pivot, indices in touched.items():
-            partition = self._partitions[pivot]
-            layers = partition.layers
-            plan = _BatchPlan()
-            event_cells = plan.event_cells
-            # Each column entry is (shared slot-list cell, representative
-            # value); member rows reference the cells, so filling a cell
-            # after the probe fills every row that carries the value.
-            columns: Dict[str, Dict[Tuple[str, object], tuple]] = {}
-            for index in indices:
-                key_row = key_rows[index]
-                row: List[List[int]] = []
-                for attribute, value in events[index].attributes.items():
-                    if attribute in layers:
-                        column = columns.get(attribute)
-                        if column is None:
-                            column = columns[attribute] = {}
-                        value_key = key_row[attribute]
-                        entry = column.get(value_key)
-                        if entry is None:
-                            entry = column[value_key] = ([], value)
-                        row.append(entry[0])
-                event_cells[index] = row
-            slot_of, keys, sizes = plan.slot_of, plan.keys, plan.sizes
-            for attribute, column in columns.items():
-                ordered = sorted(column.items())
-                layer_hits = layers[attribute].batch_hits(
-                    [(value_key, entry[1]) for value_key, entry in ordered]
-                )
-                self.match_batch_probes += len(ordered)
-                for value_key, (cell, _) in ordered:
-                    for key in layer_hits[value_key]:
-                        slot = slot_of.get(key)
-                        if slot is None:
-                            slot = len(keys)
-                            slot_of[key] = slot
-                            keys.append(key)
-                            sizes.append(self._clause_sizes[key])
-                        cell.append(slot)
-            plan.counts = [0] * len(keys)
-            plans[pivot] = plan
-        # Phase 3 — per-event counting over the flat slot arrays,
-        # replaying match_event's partition and probe order exactly:
-        # each row's cells sit in the event's attribute order, each
-        # cell's slots in the canonical per-layer probe order.
-        subscriptions = self._subscriptions
-        results: List[List[Subscription]] = []
-        for index, event in enumerate(events):
-            matched: List[Subscription] = []
-            matched_ids: Set[int] = set()
-            for attribute in event.attributes:
-                plan = plans.get(attribute)
-                if plan is None:
-                    continue
-                row = plan.event_cells.get(index)
-                if row is None:
-                    continue
-                counts = plan.counts
+                if value_keys is None:
+                    value_keys = {a: operand_key(v) for a, v in attributes.items()}
+                layers = partition.layers
+                # Every cell is in hand before a counter moves, so a probe
+                # that raises leaves the counters at 0.
+                cells = []
+                for attribute, value in attributes.items():
+                    layer = layers.get(attribute)
+                    if layer is None:
+                        continue
+                    cell = layer.memo.get(value_keys[attribute])
+                    if cell is None:
+                        cell = layer.remember(value, value_keys[attribute])
+                        probes += 1
+                    else:
+                        memo_hits += 1
+                    cells.append(cell)
+                counts = partition.counts
                 order: List[int] = []
-                for cell in row:
+                for cell in cells:
                     for slot in cell:
                         count = counts[slot]
                         if not count:
                             order.append(slot)
                         counts[slot] = count + 1
-                sizes, keys = plan.sizes, plan.keys
+                sizes, keys = partition.sizes, partition.keys
                 for slot in order:
                     if counts[slot] == sizes[slot]:
                         sub_id = keys[slot][0]
@@ -506,4 +406,7 @@ class SubscriptionIndex:
                             matched.append(subscriptions[sub_id][0])
                     counts[slot] = 0
             results.append(matched)
+        self.match_batch_probes += probes
+        self.match_probe_memo_hits += memo_hits
+        self.partitions_pruned += pruned
         return results

@@ -58,13 +58,16 @@ class CommunicationStats:
     #: batched processing (each hit skips an inverted-list counting run
     #: or a complement-table scan)
     cache_hits: int = 0
-    #: distinct (operator group, value) probes the batched subscription
-    #: matcher ran — ``match_batch`` probes once per distinct value per
-    #: attribute layer, so this divided by ``batch_events`` shows the
-    #: per-event probe amortisation
+    #: (attribute layer, value) probes the subscription matcher actually
+    #: ran — memo misses: a layer probes a value once and keeps the
+    #: result until a write touches the layer, so this divided by
+    #: ``batch_events`` shows the probes an event still pays for
     match_batch_probes: int = 0
+    #: (attribute layer, value) probe results taken from a layer's memo
+    #: instead; ``hits / (hits + probes)`` is the memo hit share
+    match_probe_memo_hits: int = 0
     #: (event, partition) pairs the attribute-bitmap prefilter skipped
-    #: without probing (both the single-event and the batched matcher)
+    #: without probing
     partitions_pruned: int = 0
     # ------------------------------------------------------------------
     # Network-hardening counters (TCP layer only; the in-process

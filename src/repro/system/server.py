@@ -84,6 +84,9 @@ from .protocol import (
 MIN_SPEED = 1.0
 #: sliding window (timestamps) of the event-rate estimator (Eq. 5-6)
 RATE_WINDOW = 50
+#: the subscription index's work counters, scraped into the metrics
+#: around every matching pass
+_MATCH_COUNTERS = ("match_batch_probes", "match_probe_memo_hits", "partitions_pruned")
 
 
 @dataclass
@@ -518,24 +521,16 @@ class ElapsServer:
         pending_repair: Dict[int, List[Point]] = {}
         # One span covers the whole batch's matching pass: a per-event
         # span here would cost more than the (sub-10us) matches it times.
-        # The OpIndex-style default index matches the whole batch in one
-        # partition pass (byte-identical per event to match_event); the
-        # alternative subscription indexes fall back to the scalar loop.
+        # Only the OpIndex-style default index keeps the work counters.
         index = self.subscription_index
-        batch_matcher = getattr(index, "match_batch", None)
-        match_probes_before = getattr(index, "match_batch_probes", 0)
-        match_pruned_before = getattr(index, "partitions_pruned", 0)
+        counted = [getattr(index, name, 0) for name in _MATCH_COUNTERS]
         with self.tracer.span("match"):
-            if batch_matcher is not None:
-                matched_per_event = batch_matcher(events)
-            else:
-                matched_per_event = [index.match_event(event) for event in events]
-        self.metrics.match_batch_probes += (
-            getattr(index, "match_batch_probes", 0) - match_probes_before
-        )
-        self.metrics.partitions_pruned += (
-            getattr(index, "partitions_pruned", 0) - match_pruned_before
-        )
+            matched_per_event = index.match_batch(events)
+        for name, before in zip(_MATCH_COUNTERS, counted):
+            setattr(
+                self.metrics, name,
+                getattr(self.metrics, name) + getattr(index, name, 0) - before,
+            )
         for event, event_cell, matched in zip(events, event_cells, matched_per_event):
             for subscription in matched:
                 record = self.subscribers.get(subscription.sub_id)

@@ -1122,10 +1122,9 @@ class ShardedElapsServer:
         notified subscribers all came from that event's shard, already in
         subscription-index order.
 
-        Every worker runs the batched subscription matcher on its slice
-        (``SubscriptionIndex.match_batch``), so
-        the per-event matching residual that does not split with K is
-        amortised *within* each shard too; the ``match_batch_probes`` /
+        Every worker runs its own subscription matcher on its slice
+        (``SubscriptionIndex.match_batch``, with its own probe memos); the
+        ``match_batch_probes`` / ``match_probe_memo_hits`` /
         ``partitions_pruned`` counters it accumulates merge through
         :meth:`merged_metrics` like every other field.
         """

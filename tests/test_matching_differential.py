@@ -5,7 +5,10 @@ total, per-clause reimplementation of BE-match built directly on
 ``Predicate.matches``.  The strategies deliberately generate the
 adversarial shapes behind the PR 9 bugfixes: duplicate IN members
 (bypassing frozenset normalisation), mixed-type operands, bool/int/float
-aliases, multi-clause DNF, and multiple predicates per attribute.
+aliases, multi-clause DNF, and multiple predicates per attribute.  The
+churn tests pit an index warmed by interleaved inserts, deletes and
+matches (its probe memos live) against one built fresh from the same
+subscriptions, with NaN among the event values.
 
 Runs under the ``differential`` marker; ``DIFFERENTIAL_EXAMPLES``
 controls the per-test example budget (default 25).
@@ -29,7 +32,7 @@ from repro.expressions import (
     clauses_of,
 )
 from repro.geometry import Point
-from repro.index import SubscriptionIndex
+from repro.index import SubscriptionIndex, subscription_index
 
 pytestmark = pytest.mark.differential
 
@@ -41,6 +44,7 @@ ATTRIBUTES = ("a", "b", "c", "d")
 VALUES = (0, 1, 2, 3, True, False, 0.5, 1.0, 2.5, "x", "y", "")
 NUMERIC = tuple(v for v in VALUES if isinstance(v, (int, float)))
 STRINGS = tuple(v for v in VALUES if isinstance(v, str))
+NAN = float("nan")
 
 SCALAR_OPS = (
     Operator.EQ,
@@ -163,6 +167,109 @@ def test_match_survives_churn(data):
         got = {s.sub_id for s in index.match_event(event)}
         expected = {s.sub_id for s in remaining if oracle_matches(s, event)}
         assert got == expected
+
+
+def _ids(rows):
+    return [[s.sub_id for s in row] for row in rows]
+
+
+def _answers_like_a_fresh_index(index, live, batch):
+    """The warm ``index`` answers ``batch`` list-equal to an index built
+    fresh from ``live`` (insertion-ordered), and set-equal to the oracle."""
+    fresh = SubscriptionIndex()
+    for sub in live.values():
+        fresh.insert(sub)
+    got = _ids(index.match_batch(batch))
+    assert got == _ids(fresh.match_batch(batch))
+    for row, event in zip(got, batch):
+        expected = {s.sub_id for s in live.values() if oracle_matches(s, event)}
+        assert set(row) == expected, event.attributes
+
+
+@st.composite
+def churn_events(draw, event_id):
+    # NaN rides along with the aliased values: unordered, equal to nothing
+    values = st.sampled_from(VALUES + (NAN,))
+    attrs = draw(
+        st.dictionaries(
+            st.sampled_from(ATTRIBUTES), values, min_size=1, max_size=len(ATTRIBUTES)
+        )
+    )
+    return Event(event_id, attrs, Point(0.0, 0.0))
+
+
+@DIFF_SETTINGS
+@given(data=st.data())
+def test_a_churned_warm_index_answers_like_a_fresh_one(data):
+    # Inserts, deletes, re-inserts of a sub_id under a new expression and
+    # matches, interleaved: every write must invalidate exactly the memo
+    # entries it could change, and freed slots must come back clean.
+    index = SubscriptionIndex()
+    live: Dict[int, Subscription] = {}
+    for _ in range(data.draw(st.integers(4, 30))):
+        action = data.draw(st.sampled_from(("insert", "insert", "delete", "match")))
+        if action == "insert":
+            sub_id = data.draw(st.integers(0, 7))
+            if sub_id in live:
+                index.delete(live.pop(sub_id))
+            live[sub_id] = data.draw(subscriptions(sub_id))
+            index.insert(live[sub_id])
+        elif action == "delete" and live:
+            index.delete(live.pop(data.draw(st.sampled_from(sorted(live)))))
+        else:
+            batch = [data.draw(churn_events(i)) for i in range(data.draw(st.integers(1, 6)))]
+            _answers_like_a_fresh_index(index, live, batch)
+    batch = [data.draw(churn_events(i)) for i in range(4)]
+    _answers_like_a_fresh_index(index, live, batch)
+
+
+def test_the_churn_shapes_by_hand():
+    # The shapes the random churn must reach, scripted once each: a DNF,
+    # two predicates on one attribute in one clause, True / 1 / 1.0 on
+    # one memo entry, NaN, and a layer emptied and then recreated.
+    index = SubscriptionIndex()
+    live: Dict[int, Subscription] = {}
+
+    def insert(sub):
+        live[sub.sub_id] = sub
+        index.insert(sub)
+
+    insert(Subscription(1, DnfExpression([
+        BooleanExpression((Predicate("a", Operator.EQ, 1),)),
+        BooleanExpression((Predicate("a", Operator.GT, 0), Predicate("a", Operator.LT, 2),
+                           Predicate("b", Operator.NE, 5))),
+    ]), 1000.0))
+    insert(Subscription(2, BooleanExpression((Predicate("a", Operator.NE, 3),)), 1000.0))
+    batch = [
+        Event(i, {"a": value, "b": 2}, Point(0.0, 0.0))
+        for i, value in enumerate((True, 1, 1.0, NAN, 0.5))
+    ]
+    _answers_like_a_fresh_index(index, live, batch)
+    partition = index._partitions["a"]
+    assert len(partition.layers["a"].memo) == 3  # True / 1 / 1.0 share one
+    assert _ids(index.match_batch(batch)) == [[1, 2], [1, 2], [1, 2], [2], [1, 2]]
+    # sub 1 alone had a "b" predicate: its delete empties that layer
+    index.delete(live.pop(1))
+    assert "b" not in partition.layers
+    _answers_like_a_fresh_index(index, live, batch)
+    insert(Subscription(1, BooleanExpression(
+        (Predicate("a", Operator.LE, 1), Predicate("b", Operator.EQ, 2))), 1000.0))
+    _answers_like_a_fresh_index(index, live, batch)
+    assert _ids(index.match_batch(batch)) == [[1, 2], [1, 2], [1, 2], [2], [1, 2]]
+
+
+def test_the_probe_memo_stays_bounded_on_distinct_values():
+    index = SubscriptionIndex()
+    index.insert(Subscription(1, BooleanExpression((Predicate("a", Operator.GE, 0.5),)), 1000.0))
+    layer = index._partitions["a"].layers["a"]
+    sizes = []
+    for event_id in range(3 * subscription_index._PROBE_MEMO_LIMIT):
+        value = event_id / 7.0
+        row = index.match_event(Event(event_id, {"a": value}, Point(0.0, 0.0)))
+        assert bool(row) is (value >= 0.5)
+        sizes.append(len(layer.memo))
+    assert max(sizes) == subscription_index._PROBE_MEMO_LIMIT
+    assert index.match_batch_probes == len(sizes)  # every value was new
 
 
 @DIFF_SETTINGS

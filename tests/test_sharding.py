@@ -369,11 +369,14 @@ class TestAggregates:
         server = make_sharded(2)
         server.subscribe(make_sub(radius=3_000.0), Point(5_000, 5_000), Point(0, 0), 0)
         server.publish_batch([sale(10, 5_100, 5_000), sale(11, 4_900, 5_000)], now=1)
+        server.publish_batch([sale(12, 5_100, 5_000), sale(13, 4_900, 5_000)], now=2)
         merged = server.merged_metrics()
         assert merged.match_batch_probes > 0
-        assert merged.match_batch_probes == sum(
-            worker.metrics.match_batch_probes for worker in server.shard_servers
-        )
+        assert merged.match_probe_memo_hits > 0  # the second batch re-probes nothing
+        for counter in ("match_batch_probes", "match_probe_memo_hits"):
+            assert getattr(merged, counter) == sum(
+                getattr(worker.metrics, counter) for worker in server.shard_servers
+            )
 
     def test_merged_registry_histograms(self):
         server = make_sharded(2)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import TwitterLikeGenerator
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Point
+from repro.geometry import Point, Rect
 from repro.index import SubscriptionIndex
 
 
@@ -254,23 +257,57 @@ class TestMatchBatch:
             [s.sub_id for s in row] for row in per_event
         ]
 
-    def test_batch_counters_populate(self):
+    def test_a_repeated_batch_runs_no_probe(self):
         rng = random.Random(5)
         index = self._random_pool(rng)
         events = self._random_events(rng, count=16)
+        first = [[s.sub_id for s in row] for row in index.match_batch(events)]
+        probes, hits = index.match_batch_probes, index.match_probe_memo_hits
+        assert probes > 0
+        again = [[s.sub_id for s in row] for row in index.match_batch(events)]
+        assert again == first
+        assert index.match_batch_probes == probes
+        # every lookup of the first pass, probed or not, is a hit now
+        assert index.match_probe_memo_hits == hits + (probes + hits)
+
+    def test_an_insert_reprobes_only_the_layers_it_touched(self):
+        pool = [
+            make_sub(0, Predicate("a0", Operator.GE, 2), Predicate("a1", Operator.LT, 7)),
+            make_sub(1, Predicate("a1", Operator.EQ, 3), Predicate("a2", Operator.GE, 1)),
+            make_sub(2, Predicate("a2", Operator.NE, 4), Predicate("a3", Operator.LE, 5)),
+            make_sub(3, Predicate("a0", Operator.IN, {1, 2, 3}), Predicate("a3", Operator.GT, 0)),
+        ]
+        # pivoted on a1 (no frequency hint: the alphabetically first
+        # attribute), so it touches exactly partition a1's layers a1, a2
+        newcomer = make_sub(9, Predicate("a1", Operator.GT, 4), Predicate("a2", Operator.LT, 8))
+        rng = random.Random(17)
+        events = [
+            Event(event_id, {f"a{a}": rng.randint(0, 9) for a in range(4)}, Point(0, 0))
+            for event_id in range(20)
+        ]
+        index = SubscriptionIndex()
+        for sub in pool:
+            index.insert(sub)
         index.match_batch(events)
-        assert index.match_batch_probes > 0
-        # Fewer distinct probes than the scalar path's one-per-event
-        # probing is the whole point of the batch.
-        scalar_probes = sum(
-            1
-            for event in events
-            for attribute in event.attributes
-            if attribute in index._partitions
-            for event_attribute in event.attributes
-            if event_attribute in index._partitions[attribute].layers
-        )
-        assert index.match_batch_probes < scalar_probes
+        untouched = {
+            (pivot, attribute): dict(layer.memo)
+            for pivot, partition in index._partitions.items()
+            for attribute, layer in partition.layers.items()
+            if pivot != "a1"
+        }
+        probes = index.match_batch_probes
+        index.insert(newcomer)
+        got = [[s.sub_id for s in row] for row in index.match_batch(events)]
+        distinct = lambda attribute: len({e.attributes[attribute] for e in events})
+        assert index.match_batch_probes - probes == distinct("a1") + distinct("a2")
+        assert untouched and all(untouched.values())
+        for (pivot, attribute), memo in untouched.items():
+            assert index._partitions[pivot].layers[attribute].memo == memo
+        fresh = SubscriptionIndex()
+        for sub in pool + [newcomer]:
+            fresh.insert(sub)
+        assert got == [[s.sub_id for s in row] for row in fresh.match_batch(events)]
+        assert any(9 in row for row in got)
 
     def test_batch_with_churn(self):
         rng = random.Random(31)
@@ -282,6 +319,37 @@ class TestMatchBatch:
         per_event = [[s.sub_id for s in index.match_event(e)] for e in events]
         batched = [[s.sub_id for s in row] for row in index.match_batch(events)]
         assert batched == per_event
+
+
+class TestProbeMemo:
+    def test_a_seeded_storm_reads_its_memo_hit_share(self):
+        """Memo hit share and probes per event on a 500-subscriber storm
+        that replaces two subscribers per 64-event batch, as numbers in
+        the log — the traffic share the memo is worth, by its counters."""
+        generator = TwitterLikeGenerator(Rect(0.0, 0.0, 10_000.0, 10_000.0), seed=7)
+        live = deque(generator.subscriptions(500, size=3))
+        replacements = iter(generator.subscriptions(80, size=3, start_id=1_000, seed_offset=1))
+        stream = generator.event_stream(seed_offset=2)
+        index = SubscriptionIndex(generator.frequency_hint())
+        for sub in live:
+            index.insert(sub)
+        events = 0
+        for _ in range(40):
+            for _ in range(2):
+                index.delete(live.popleft())
+                live.append(next(replacements))
+                index.insert(live[-1])
+            batch = list(itertools.islice(stream, 64))
+            rows = index.match_batch(batch)
+            events += len(batch)
+        for event, row in zip(batch, rows):
+            assert {s.sub_id for s in row} == {s.sub_id for s in live if s.be_matches(event)}
+        probes, hits = index.match_batch_probes, index.match_probe_memo_hits
+        share = hits / (hits + probes)
+        print(f"\nprobe memo over {events} events: hit share {share:.3f}, "
+              f"probes per event {probes / events:.3f}, "
+              f"lookups per event {(hits + probes) / events:.2f}")
+        assert share > 0.8
 
 
 @settings(max_examples=40, deadline=None)
