@@ -25,7 +25,8 @@ depend on event-loop scheduling and a failing chaos run replays from its
 seed alone.
 
 The proxy is protocol-aware only in its framing (it relays whole frames
-read with the hardened ``read_frame``); it never decodes payloads, so
+cut by the server's own :class:`~repro.system.network.FrameParser`); it
+never decodes payloads, so
 corrupted bytes travel exactly as a hostile network would deliver them.
 """
 
@@ -40,7 +41,7 @@ import socket
 from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
-from .network import FrameError, read_frame
+from .network import FrameError, FrameReader
 
 
 class FaultKind(enum.Enum):
@@ -270,24 +271,11 @@ class ChaosProxy:
         pair = (client_writer, server_writer)
         pumps = [
             asyncio.ensure_future(
-                self._pump(
-                    client_reader,
-                    server_writer,
-                    FaultInjector(self.config, 2 * stream_id)
-                    if self.config.upstream
-                    else None,
-                    pair,
-                )
+                self._pump(client_reader, server_writer, stream_id, pair)
             ),
             asyncio.ensure_future(
                 self._pump(
-                    server_reader,
-                    client_writer,
-                    FaultInjector(self.config, 2 * stream_id + 1)
-                    if self.config.downstream
-                    else None,
-                    pair,
-                    downstream=True,
+                    server_reader, client_writer, stream_id, pair, downstream=True
                 )
             ),
         ]
@@ -316,15 +304,21 @@ class ChaosProxy:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        injector: Optional[FaultInjector],
+        stream_id: int,
         pair: Tuple[asyncio.StreamWriter, ...],
         downstream: bool = False,
     ) -> None:
+        injector = (
+            FaultInjector(self.config, 2 * stream_id + downstream)
+            if (self.config.downstream if downstream else self.config.upstream)
+            else None
+        )
+        frames = FrameReader(reader)
         try:
             while True:
                 if downstream and self.throttle_downstream > 0:
                     await asyncio.sleep(self.throttle_downstream)
-                frame = await read_frame(reader)
+                frame = await frames.read(None)
                 if frame is None:
                     return
                 if injector is None or not self.enabled:

@@ -79,7 +79,7 @@ class CommunicationStats:
     #: corrupted payload); each one drops its connection
     malformed_frames: int = 0
     #: connections torn down by a peer reset (``ECONNRESET``) — distinct
-    #: from clean EOF since the hardened ``read_frame`` surfaces them
+    #: from clean EOF, which the server's read loop tells apart
     connection_resets: int = 0
     #: connections reaped because no frame arrived within the read timeout
     read_timeouts: int = 0

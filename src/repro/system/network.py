@@ -18,14 +18,16 @@ event lands in a subscriber's impact region, the server answers the
 "ping" from the subscriber's most recent report instead of blocking the
 publish on a network round-trip (clients report whenever they leave
 their safe region, so the freshness guarantee is the same as the
-simulation's: one report round per region exit).  No
-:class:`~repro.system.protocol.LocationPing` frame is ever sent; the
-message type and the resilient client's handler for it stay for a server
-that does ping.
+simulation's: one report round per region exit).
 
-The layer assumes a hostile network (DESIGN.md §8).  Framing
-(:class:`FrameReader`, one buffered parser per connection, and the
-frame-at-a-time ``read_frame`` it is held to) distinguishes clean EOF
+The server side is split in two (DESIGN.md §17): a :class:`Connection`
+is one socket's protocol as a pure state machine (bytes and clock
+readings in; messages, send-queue verdicts and bytes to write out), and
+:class:`ElapsTCPServer` is the asyncio adapter that moves the bytes and
+reads the clock.
+
+The layer assumes a hostile network (DESIGN.md §8).  Framing (one
+:class:`FrameParser` per stream) distinguishes clean EOF
 from peer resets and truncated streams; the server enforces per-frame
 read timeouts and a frame-length cap,
 echoes client heartbeats, and degrades gracefully on malformed frames
@@ -38,9 +40,9 @@ reconnect so deliveries stay exactly-once end to end.
 The data path is built around explicit bounded queues (DESIGN.md §17),
 configured by one frozen :class:`~repro.system.config.NetworkConfig`:
 
-* **ingress** — connection handlers read and decode frames, then feed a
-  bounded queue drained by a single dispatcher task.  When the queue is
-  full the handlers stop reading, which is natural TCP backpressure:
+* **ingress** — handlers read, their connections decode, and the
+  messages feed a bounded queue drained by one dispatcher task.  When
+  the queue is full the handlers stop reading (TCP backpressure):
   the kernel window closes and well-behaved publishers slow down
   instead of ballooning server memory.  Heartbeats are answered inline,
   off the ingress path, so keepalives survive a backed-up queue.
@@ -73,7 +75,7 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..expressions import Event, Subscription
 from ..geometry import Grid, Point
@@ -91,7 +93,6 @@ from .protocol import (
     EventPublishBatchMessage,
     EventPublishMessage,
     HeartbeatMessage,
-    LocationPing,
     LocationReport,
     MessageDecoder,
     NotificationMessage,
@@ -135,86 +136,73 @@ class TruncatedFrameError(FrameError):
     """The peer vanished mid-frame (partial header or payload)."""
 
 
-def _payload_length(header: bytes, offset: int, max_length: int) -> int:
-    """The payload length a frame header declares, checked against the cap."""
-    (_, length) = FRAME_HEADER.unpack_from(header, offset)
-    if length > max_length:
-        raise FrameError(f"declared payload of {length} bytes exceeds {max_length}")
-    return length
+class FrameParser:
+    """The one frame parser: bytes in, frames out, no I/O.
 
-
-async def read_frame(
-    reader: asyncio.StreamReader, max_length: int = MAX_FRAME_LENGTH
-) -> Optional[bytes]:
-    """Read one length-prefixed frame; None on a clean EOF.
-
-    Failure modes are kept distinct so callers can account for them:
-
-    * clean EOF (peer closed between frames) returns ``None``;
-    * EOF inside a frame raises :class:`TruncatedFrameError`;
-    * a declared length beyond ``max_length`` raises :class:`FrameError`;
-    * a peer reset propagates as :class:`ConnectionResetError` instead of
-      being conflated with a graceful disconnect.
-
-    Two awaits a frame: the connection read loops go through
-    :class:`FrameReader`, which keeps this contract and awaits once per
-    socket chunk.
-    """
-    try:
-        header = await reader.readexactly(_HEADER_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
-            raise TruncatedFrameError(
-                f"stream ended after {len(exc.partial)} header bytes"
-            ) from exc
-        return None
-    length = _payload_length(header, 0, max_length)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise TruncatedFrameError(
-            f"stream ended {length - len(exc.partial)} bytes short of a payload"
-        ) from exc
-    return header + payload
-
-
-class FrameReader:
-    """The read side of one connection: a buffered frame parser.
-
-    Bytes arrive in socket chunks (``reader.read`` of up to
-    :data:`_READ_CHUNK`) and frames are sliced out of the buffer for as
-    long as a complete one is there, so a burst of small frames costs
-    one ``await`` per chunk instead of two per frame.  The contract is
-    :func:`read_frame`'s: clean EOF is ``None``, EOF inside a frame is
+    Bytes arrive in whatever chunks the stream hands out, and frames are
+    sliced out of the buffer for as long as a complete one is there.
+    The ways a stream can go wrong stay distinct so callers can account
+    for them: its end (``feed(b"")``) inside a frame is
     :class:`TruncatedFrameError`, a declared length over the cap is
     :class:`FrameError` as soon as its header is parsed (so at most one
-    chunk of such a frame is ever buffered), a reset propagates.
-
-    A timeout leaves whatever part of a frame has arrived in the buffer:
-    the next read resumes the same frame instead of parsing its payload
-    as a header.
+    chunk of such a frame is ever buffered), and a clean end is silent.
     """
 
-    def __init__(
-        self, reader: asyncio.StreamReader, max_length: int = MAX_FRAME_LENGTH
-    ) -> None:
-        self._reader = reader
+    def __init__(self, max_length: int = MAX_FRAME_LENGTH) -> None:
         self._max_length = max_length
         self._buffer = bytearray()
         #: offset of the first byte not yet returned in a frame
         self._consumed = 0
-        self._decoder = MessageDecoder()
+
+    def feed(self, data: bytes) -> None:
+        """Append bytes read off the stream; ``b""`` is its end."""
+        if not data:
+            pending = len(self._buffer) - self._consumed
+            if pending:
+                raise TruncatedFrameError(f"stream ended {pending} bytes into a frame")
+            return
+        # the consumed prefix goes when the next chunk arrives, not
+        # frame by frame
+        del self._buffer[: self._consumed]
+        self._consumed = 0
+        self._buffer += data
 
     def pop(self) -> Optional[bytes]:
         """The next frame if all of it is buffered, else ``None``."""
         buffer, start = self._buffer, self._consumed
         if len(buffer) - start < _HEADER_SIZE:
             return None
-        end = start + _HEADER_SIZE + _payload_length(buffer, start, self._max_length)
+        (_, length) = FRAME_HEADER.unpack_from(buffer, start)
+        if length > self._max_length:
+            raise FrameError(
+                f"declared payload of {length} bytes exceeds {self._max_length}"
+            )
+        end = start + _HEADER_SIZE + length
         if end > len(buffer):
             return None
         self._consumed = end
         return bytes(buffer[start:end])
+
+
+class FrameReader:
+    """A :class:`FrameParser` over an asyncio stream: the read side of
+    both clients and of the chaos proxy.
+
+    It awaits once per socket chunk (``reader.read`` of up to
+    :data:`_READ_CHUNK`), not once per frame.  Clean EOF is ``None``, a
+    truncated or oversize frame raises as the parser does, and a peer
+    reset propagates as :class:`ConnectionResetError` instead of being
+    conflated with a graceful disconnect.  A timeout leaves whatever part
+    of a frame has arrived in the parser: the next read resumes the same
+    frame instead of parsing its payload as a header.
+    """
+
+    def __init__(
+        self, reader: asyncio.StreamReader, max_length: int = MAX_FRAME_LENGTH
+    ) -> None:
+        self._reader = reader
+        self._parser = FrameParser(max_length)
+        self._decoder = MessageDecoder()
 
     async def read(self, timeout: Optional[float]) -> Optional[bytes]:
         """The next frame, or ``None`` on a clean EOF.
@@ -224,7 +212,7 @@ class FrameReader:
         for each chunk of it, so a peer trickling bytes cannot extend it;
         :class:`asyncio.TimeoutError` when it expires.
         """
-        frame = self.pop()
+        frame = self._parser.pop()
         if frame is not None:
             return frame
         loop = asyncio.get_running_loop()
@@ -234,20 +222,9 @@ class FrameReader:
             if remaining is not None and remaining <= 0:
                 raise asyncio.TimeoutError()
             chunk = await asyncio.wait_for(self._reader.read(_READ_CHUNK), remaining)
-            if not chunk:
-                pending = len(self._buffer) - self._consumed
-                if pending:
-                    raise TruncatedFrameError(
-                        f"stream ended {pending} bytes into a frame"
-                    )
-                return None
-            # the consumed prefix goes when the next chunk arrives, not
-            # frame by frame
-            del self._buffer[: self._consumed]
-            self._consumed = 0
-            self._buffer += chunk
-            frame = self.pop()
-            if frame is not None:
+            self._parser.feed(chunk)
+            frame = self._parser.pop()
+            if frame is not None or not chunk:
                 return frame
 
     async def read_message(self, timeout: Optional[float]):
@@ -464,18 +441,27 @@ class SendQueue:
         return SendVerdict.OVER
 
 
-class _Connection:
-    """One accepted socket: its writer, send queue, and writer task."""
+class Connection:
+    """One accepted socket's protocol, as a pure state machine.
+
+    No ``await``, no socket, no clock read: the adapter
+    (:class:`ElapsTCPServer`) does the I/O and hands in ``now``, so a
+    test drives the whole protocol on a fake clock.  ``wake`` is called
+    whenever the writer has something new to do (bytes, or the close).
+    """
 
     __slots__ = (
-        "writer", "queue", "ready", "sub_ids", "closed", "draining",
-        "writer_task",
+        "queue", "sub_ids", "closed", "draining", "wake", "_server",
+        "_parser", "_read_timeout", "_deadline",
     )
 
-    def __init__(self, writer: asyncio.StreamWriter, queue: SendQueue) -> None:
-        self.writer = writer
-        self.queue = queue
-        self.ready = asyncio.Event()
+    def __init__(self, config: NetworkConfig, server: ElapsServer) -> None:
+        self.queue = SendQueue(
+            config.send_queue,
+            config.hard_cap,
+            grace=config.slow_consumer_grace,
+            stats=server.metrics,
+        )
         self.sub_ids: Set[int] = set()
         self.closed = False
         #: a slow-consumer verdict landed: no new frames are accepted
@@ -485,7 +471,138 @@ class _Connection:
         #: cover the remainder — a backlog larger than the hard cap
         #: heals geometrically instead of livelocking on resets
         self.draining = False
-        self.writer_task: Optional[asyncio.Task] = None
+        self.wake: Callable[[], None] = lambda: None
+        self._server = server
+        self._parser = FrameParser()
+        self._read_timeout = config.read_timeout
+        #: when the frame being awaited is overdue; armed by :meth:`deadline`
+        self._deadline: Optional[float] = None
+
+    def deadline(self, now: float) -> Optional[float]:
+        """When the frame now awaited is overdue (``None``: never); the
+        first call after a frame arms it, so it bounds the frame, not
+        each read, and bytes trickling in cannot extend it."""
+        if self._deadline is None and self._read_timeout is not None:
+            self._deadline = now + self._read_timeout
+        return self._deadline
+
+    def expire(self, now: float) -> None:
+        """Reap the connection (``read_timeouts``) if the frame awaited
+        is overdue at ``now``."""
+        if self._deadline is not None and now >= self._deadline and not self.closed:
+            self._server.metrics.read_timeouts += 1
+            self.close()
+
+    def receive(self, data: bytes, now: float) -> List:
+        """The messages for the dispatcher in ``data`` (``b""``: EOF).
+
+        Heartbeats are answered here, so keepalives stay responsive
+        however busy the dispatcher is.  A frame that does not parse,
+        decode or pass :meth:`_message_sane` counts in
+        ``malformed_frames`` and closes the connection; the messages
+        before it are still returned.
+        """
+        if self.closed:
+            return []
+        metrics = self._server.metrics
+        tracer = self._server.tracer
+        messages = []
+        try:
+            self._parser.feed(data)
+            while (frame := self._parser.pop()) is not None:
+                self._deadline = None
+                with tracer.span("decode"):
+                    message = decode_message(frame)
+                if not self._message_sane(message):
+                    raise ValueError(f"{type(message).__name__} out of bounds")
+                if isinstance(message, HeartbeatMessage):
+                    metrics.heartbeats += 1
+                    self.offer(FrameKind.EPHEMERAL, None, encode_message(message), now)
+                else:
+                    messages.append(message)
+        except Exception:
+            # a broken frame or a corrupted payload (bad tag, short
+            # buffer, garbage unicode, unknown type, poison geometry...)
+            metrics.malformed_frames += 1
+            self.close()
+        if not data:
+            self.close()
+        return messages
+
+    def offer(
+        self, kind: FrameKind, sub_id: Optional[int], frame: bytes, now: float
+    ) -> Optional[SendVerdict]:
+        """Queue one frame at ``now``: the queue's verdict (``DISCONNECT``
+        starts the drain), or ``None`` once nothing more is accepted."""
+        if self.closed or self.draining:
+            return None
+        verdict = self.queue.offer(kind, sub_id, frame, now)
+        if verdict is SendVerdict.DISCONNECT:
+            self._server.metrics.slow_consumer_disconnects += 1
+            logger.warning(
+                "slow consumer: send queue depth %d (cap %d/%d); "
+                "disconnecting after flush",
+                len(self.queue),
+                self.queue.soft_cap,
+                self.queue.hard_cap,
+            )
+            self.draining = True
+        self.wake()
+        return verdict
+
+    def outgoing(self) -> bytes:
+        """The next write — up to 64 queued frames coalesced into one —
+        or ``b""`` when there is none.
+
+        A draining connection whose backlog is flushed closes here, and
+        the adapter ends it with a clean FIN so every written frame
+        survives (an abort's RST could discard them in flight).
+        """
+        if self.closed:
+            return b""
+        frames = []
+        while len(frames) < 64 and (entry := self.queue.pop()) is not None:
+            frames.append(entry.frame)
+        if not frames and self.draining:
+            self.close()
+        return b"".join(frames)
+
+    def close(self) -> None:
+        """End the connection: nothing more is read, queued or written."""
+        if not self.closed:
+            self.closed = True
+            self.wake()
+
+    def _message_sane(self, message) -> bool:
+        """Semantic bounds on network input.
+
+        Decoding only proves the bytes parse; a corrupted frame can
+        still carry poison — a radius of ``1e308`` would iterate region
+        construction until the heat death of the universe, a NaN
+        coordinate breaks cell addressing.  Geometry must be finite and
+        the radius must fit inside the served space.
+        """
+
+        def sane_point(p: Point) -> bool:
+            """Both coordinates finite (no NaN/inf cell addressing)."""
+            return math.isfinite(p.x) and math.isfinite(p.y)
+
+        space = self._server.grid.space
+        diagonal = math.hypot(space.width, space.height)
+        if isinstance(message, SubscribeMessage):
+            return (
+                sane_point(message.location)
+                and sane_point(message.velocity)
+                and math.isfinite(message.radius)
+                and 0 < message.radius <= diagonal
+            )
+        if isinstance(message, (LocationReport, ResyncMessage)):
+            return sane_point(message.location) and sane_point(message.velocity)
+        if isinstance(message, EventPublishMessage):
+            return sane_point(message.location)
+        if isinstance(message, EventPublishBatchMessage):
+            return all(sane_point(event.location) for event in message.events)
+        return True
 
 
 class ElapsTCPServer(Transport):
@@ -499,6 +616,9 @@ class ElapsTCPServer(Transport):
     location ping is answered from the last reported position (a TCP
     client is not synchronously pingable — it reports when it leaves its
     region, exactly the paper's protocol).
+
+    It is the asyncio adapter around one :class:`Connection` per socket,
+    and the only server code that reads a clock.
     """
 
     def __init__(
@@ -517,12 +637,16 @@ class ElapsTCPServer(Transport):
         self.host = host
         self.port = port
         self.timestamp_seconds = timestamp_seconds
-        self._subscriber_conns: Dict[int, _Connection] = {}
-        self._connections: Set[_Connection] = set()
+        self._subscriber_conns: Dict[int, Connection] = {}
+        #: every live connection, and the socket its writer task writes
+        self._connections: Dict[Connection, asyncio.StreamWriter] = {}
         self._connection_tasks: Set[asyncio.Task] = set()
         self._writer_tasks: Set[asyncio.Task] = set()
         self._event_ids = itertools.count(1)
         self._started_at = time.monotonic()
+        #: the clock reading of the message being dispatched, which the
+        #: frames the core ships through this transport are offered at
+        self._now = self._started_at
         self._tcp_server: Optional[asyncio.base_events.Server] = None
         self._ingress: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -544,10 +668,11 @@ class ElapsTCPServer(Transport):
     async def stop(self) -> None:
         """Stop accepting, close every connection, wait for handlers.
 
-        Handlers are unblocked by closing their transports first: a
-        clean EOF exercises exactly the disconnect path they already
-        own.  Any handler still alive after :data:`STOP_TIMEOUT` is
-        cancelled and logged instead of leaked; the dispatcher then
+        Handlers are unblocked by closing their connections first (each
+        writer task then closes its transport): a clean EOF exercises
+        exactly the disconnect path they already own.  Any handler still
+        alive after :data:`STOP_TIMEOUT` is cancelled and logged instead
+        of leaked; the dispatcher then
         drains the remaining ingress work (including the handlers' close
         markers) before it is stopped.
         """
@@ -556,10 +681,7 @@ class ElapsTCPServer(Transport):
             await self._tcp_server.wait_closed()
             self._tcp_server = None
         for conn in list(self._connections):
-            conn.closed = True
-            conn.ready.set()
-            with contextlib.suppress(Exception):
-                conn.writer.close()
+            conn.close()
         pending = [task for task in self._connection_tasks if not task.done()]
         if pending:
             _, survivors = await asyncio.wait(pending, timeout=STOP_TIMEOUT)
@@ -591,7 +713,10 @@ class ElapsTCPServer(Transport):
 
     def now(self) -> int:
         """The server clock in timestamps since start."""
-        return int((time.monotonic() - self._started_at) / self.timestamp_seconds)
+        return self._timestamp(time.monotonic())
+
+    def _timestamp(self, now: float) -> int:
+        return int((now - self._started_at) / self.timestamp_seconds)
 
     # ------------------------------------------------------------------
     # The wrapped server's transport (egress)
@@ -653,97 +778,58 @@ class ElapsTCPServer(Transport):
             # no live connection: the loss is healed by the client's
             # next resync, exactly like the pre-queue direct write
             return
-        self._offer(conn, kind, sub_id, frame)
+        self._offer(conn, kind, sub_id, frame, self._now)
 
-    def _offer(
-        self, conn: _Connection, kind: FrameKind, sub_id: Optional[int], frame: bytes
+    def _offer(self, conn: Connection, kind, sub_id, frame, now: float) -> None:
+        """Hand one frame from the dispatcher to a connection at ``now``."""
+        conn.offer(kind, sub_id, frame, now)
+
+    async def _writer_loop(
+        self, conn: Connection, writer: asyncio.StreamWriter, ready: asyncio.Event
     ) -> None:
-        """Enqueue one frame and act on the queue's verdict."""
-        if conn.closed or conn.draining:
-            return
-        verdict = conn.queue.offer(kind, sub_id, frame, time.monotonic())
-        conn.ready.set()
-        if verdict is SendVerdict.DISCONNECT:
-            self.server.metrics.slow_consumer_disconnects += 1
-            logger.warning(
-                "slow consumer: send queue depth %d (cap %d/%d); "
-                "disconnecting after flush",
-                len(conn.queue),
-                self.config.send_queue,
-                self.config.hard_cap,
-            )
-            conn.draining = True
+        """Write what the connection gives out onto its socket, draining
+        once per write; woken through ``conn.wake``.
 
-    def _abort_connection(self, conn: _Connection) -> None:
-        """Server-initiated teardown; counters guard on ``conn.closed``."""
-        if conn.closed:
-            return
-        conn.closed = True
-        conn.ready.set()
-        with contextlib.suppress(Exception):
-            conn.writer.transport.abort()
-
-    async def _writer_loop(self, conn: _Connection) -> None:
-        """Drain one connection's send queue onto its socket.
-
-        The only place this connection's socket is written.  A stalled
-        drain lands in ``write_timeouts``; any other write failure on a
-        live connection lands in ``push_errors`` (the counter the old
-        silent ``_push_to`` except-pass was hiding).
+        The only place this connection's socket is written or closed: a
+        closed connection ends with a clean FIN; a stalled drain
+        (``write_timeouts``), any other write failure on a live
+        connection (``push_errors``, the counter the old silent
+        ``_push_to`` except-pass was hiding) or a cancel aborts it.
         """
         metrics = self.server.metrics
         tracer = self.server.tracer
-        writer = conn.writer
         write_timeout = self.config.write_timeout
-        while True:
-            entry = conn.queue.pop()
-            if entry is None:
-                if conn.closed:
-                    return
-                if conn.draining:
-                    # backlog flushed: finish the slow-consumer
-                    # disconnect with a clean FIN so every written
-                    # frame survives (an abort's RST could discard
-                    # them in flight)
-                    conn.closed = True
-                    with contextlib.suppress(Exception):
-                        writer.close()
-                    return
-                conn.ready.clear()
-                await conn.ready.wait()
-                continue
-            # coalesce a burst into one write; drain once for the batch
-            frames = [entry.frame]
-            while len(frames) < 64:
-                nxt = conn.queue.pop()
-                if nxt is None:
-                    break
-                frames.append(nxt.frame)
-            try:
-                writer.write(frames[0] if len(frames) == 1 else b"".join(frames))
-                with tracer.span("drain"):
-                    if write_timeout is None:
-                        await writer.drain()
-                    else:
+        clean = False
+        try:
+            while True:
+                data = conn.outgoing()
+                if data:
+                    writer.write(data)
+                    with tracer.span("drain"):
                         await asyncio.wait_for(writer.drain(), write_timeout)
-            except asyncio.TimeoutError:
-                # a drain that cannot flush is a stalled *peer*, not a
-                # silent one; counting it as a read timeout hid every
-                # backpressure incident inside the idle-connection tally
-                if not conn.closed:
-                    metrics.write_timeouts += 1
-                    self._abort_connection(conn)
-                return
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                if not conn.closed:
-                    metrics.push_errors += 1
-                    logger.debug(
-                        "write to connection failed; dropping it", exc_info=True
-                    )
-                    self._abort_connection(conn)
-                return
+                elif conn.closed:
+                    clean = True
+                    return
+                else:
+                    ready.clear()
+                    await ready.wait()
+        except asyncio.TimeoutError:
+            # a drain that cannot flush is a stalled *peer*, not a
+            # silent one; counting it as a read timeout hid every
+            # backpressure incident inside the idle-connection tally
+            if not conn.closed:
+                metrics.write_timeouts += 1
+        except Exception:
+            if not conn.closed:
+                metrics.push_errors += 1
+                logger.debug("write to connection failed; dropping it", exc_info=True)
+        finally:
+            conn.close()
+            with contextlib.suppress(Exception):
+                if clean:
+                    writer.close()
+                else:
+                    writer.transport.abort()
 
     # ------------------------------------------------------------------
     # Connection handling (ingress)
@@ -751,18 +837,16 @@ class ElapsTCPServer(Transport):
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Read chunks off the socket into its :class:`Connection` and
+        queue the messages it decodes for the dispatcher."""
         metrics = self.server.metrics
         tracer = self.server.tracer
         config = self.config
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
         if (
             config.max_connections is not None
             and len(self._connections) >= config.max_connections
         ):
             metrics.connections_refused += 1
-            self._connection_tasks.discard(task)
             writer.close()
             return
         if config.write_buffer_limit is not None:
@@ -780,80 +864,50 @@ class ElapsTCPServer(Transport):
                         socket.SO_SNDBUF,
                         config.write_buffer_limit,
                     )
-        conn = _Connection(
-            writer,
-            SendQueue(
-                config.send_queue,
-                config.hard_cap,
-                grace=config.slow_consumer_grace,
-                stats=metrics,
-            ),
-        )
-        conn.writer_task = asyncio.ensure_future(self._writer_loop(conn))
-        self._writer_tasks.add(conn.writer_task)
-        conn.writer_task.add_done_callback(self._writer_tasks.discard)
-        self._connections.add(conn)
         assert self._ingress is not None, "start() first"
-        frames = FrameReader(reader)
+        task = asyncio.current_task()
+        self._connection_tasks.add(task)
+        conn = Connection(config, self.server)
+        ready = asyncio.Event()
+        conn.wake = ready.set
+        self._connections[conn] = writer
+        writer_task = asyncio.ensure_future(self._writer_loop(conn, writer, ready))
+        self._writer_tasks.add(writer_task)
+        writer_task.add_done_callback(self._writer_tasks.discard)
         try:
-            while True:
+            while not conn.closed:
+                now = time.monotonic()
+                deadline = conn.deadline(now)
                 try:
-                    frame = frames.pop()
-                    if frame is None:
-                        # the "read" stage is the wait for the peer's
-                        # next bytes, so its histogram is the arrival
-                        # picture between bursts, not parsing cost
-                        with tracer.span("read"):
-                            frame = await frames.read(config.read_timeout)
+                    # the "read" stage is the wait for the peer's next
+                    # bytes, so its histogram is the arrival picture
+                    # between bursts, not parsing cost
+                    with tracer.span("read"):
+                        data = await asyncio.wait_for(
+                            reader.read(_READ_CHUNK),
+                            None if deadline is None else deadline - now,
+                        )
                 except asyncio.TimeoutError:
-                    if not conn.closed:
-                        metrics.read_timeouts += 1
-                    break
+                    conn.expire(time.monotonic())
+                    continue
                 except ConnectionResetError:
                     if not conn.closed:
                         metrics.connection_resets += 1
                     break
-                except FrameError:
-                    metrics.malformed_frames += 1
-                    break
-                if frame is None:
-                    break
-                try:
-                    with tracer.span("decode"):
-                        message = decode_message(frame)
-                except Exception:
-                    # corrupted payload (bad tag, short buffer, garbage
-                    # unicode, unknown type...): count it and cut the
-                    # connection — the stream can no longer be trusted
-                    metrics.malformed_frames += 1
-                    break
-                if not self._message_sane(message):
-                    metrics.malformed_frames += 1
-                    break
-                if isinstance(message, HeartbeatMessage):
-                    # answered inline, off the ingress path: keepalives
-                    # stay responsive however busy the dispatcher is
-                    metrics.heartbeats += 1
-                    self._offer(
-                        conn, FrameKind.EPHEMERAL, None, encode_message(message)
-                    )
-                    continue
-                # a full ingress queue blocks here, which stops this
-                # read loop: the kernel window closes and the peer
-                # experiences ordinary TCP backpressure
-                await self._ingress.put((conn, message))
-                depth = self._ingress.qsize()
-                if depth > metrics.ingress_queue_high_water:
-                    metrics.ingress_queue_high_water = depth
+                for message in conn.receive(data, time.monotonic()):
+                    # a full ingress queue blocks here, which stops this
+                    # read loop: the kernel window closes and the peer
+                    # experiences ordinary TCP backpressure
+                    await self._ingress.put((conn, message))
+                    depth = self._ingress.qsize()
+                    if depth > metrics.ingress_queue_high_water:
+                        metrics.ingress_queue_high_water = depth
         except Exception:  # graceful degradation: never crash the loop
             logger.exception("connection handler failed; dropping connection")
         finally:
-            conn.closed = True
-            conn.ready.set()
-            self._connections.discard(conn)
+            conn.close()
+            self._connections.pop(conn, None)
             self._connection_tasks.discard(task)
-            with contextlib.suppress(Exception):
-                writer.close()
             # the dispatcher owns subscriber-state cleanup, via a close
             # marker that queues FIFO *behind* this connection's
             # still-pending messages — no teardown/dispatch races
@@ -876,19 +930,20 @@ class ElapsTCPServer(Transport):
                 if message is None:
                     self._cleanup_connection(conn)
                 else:
+                    now = time.monotonic()
                     with tracer.span("dispatch"):
-                        self._dispatch(conn, message)
+                        self._dispatch(conn, message, now)
             except asyncio.CancelledError:
                 raise
             except Exception:
                 # graceful degradation: a poisoned message costs its
                 # connection, never the dispatcher
                 logger.exception("dispatch failed; dropping connection")
-                self._abort_connection(conn)
+                conn.close()
             finally:
                 self._ingress.task_done()
 
-    def _cleanup_connection(self, conn: _Connection) -> None:
+    def _cleanup_connection(self, conn: Connection) -> None:
         """Tear down the subscriber state a dead connection owned."""
         for sub_id in list(conn.sub_ids):
             # a reconnected client may already own a fresh connection;
@@ -902,39 +957,38 @@ class ElapsTCPServer(Transport):
             ):
                 self.server.unsubscribe(sub_id)
 
-    def _dispatch(self, conn: _Connection, message) -> None:
-        """Apply one decoded frame to the wrapped server."""
+    def _dispatch(self, conn: Connection, message, now: float) -> None:
+        """Apply one decoded frame to the wrapped server at ``now``."""
+        self._now = now
+        timestamp = self._timestamp(now)
         if isinstance(message, SubscribeMessage):
             self._subscriber_conns[message.sub_id] = conn
             conn.sub_ids.add(message.sub_id)
             subscription = Subscription(
                 message.sub_id, message.expression, message.radius
             )
-            now = self.now()
             notifications, _ = self.server.subscribe(
-                subscription, message.location, message.velocity, now
+                subscription, message.location, message.velocity, timestamp
             )
             # the initial region push went out through ship_region;
             # deliver the already-matching events
             self._push_notifications(notifications)
         elif isinstance(message, LocationReport):
             if message.sub_id in self.server.subscribers:
-                now = self.now()
                 notifications, _ = self.server.report_location(
-                    message.sub_id, message.location, message.velocity, now
+                    message.sub_id, message.location, message.velocity, timestamp
                 )
                 self._push_notifications(notifications)
         elif isinstance(message, ResyncMessage):
             if message.sub_id in self.server.subscribers:
                 self._subscriber_conns[message.sub_id] = conn
                 conn.sub_ids.add(message.sub_id)
-                now = self.now()
                 notifications, _ = self.server.resync(
                     message.sub_id,
                     message.location,
                     message.velocity,
                     message.received,
-                    now,
+                    timestamp,
                 )
                 self._push_notifications(notifications)
         elif isinstance(message, StatsRequest):
@@ -945,6 +999,7 @@ class ElapsTCPServer(Transport):
                 FrameKind.CONTROL,
                 None,
                 encode_message(stats_snapshot_for(self.server.merged_registry())),
+                now,
             )
         elif isinstance(message, UnsubscribeMessage):
             if message.sub_id in self.server.subscribers:
@@ -954,46 +1009,14 @@ class ElapsTCPServer(Transport):
         elif isinstance(message, (EventPublishMessage, EventPublishBatchMessage)):
             # one pipeline behind both wire forms: a lone publish frame
             # is a batch of one
-            now = self.now()
             items = (
                 (message,) if isinstance(message, EventPublishMessage)
                 else message.events
             )
-            events = [self._event_from(item, now) for item in items]
-            self.server.expire_due_events(now)
-            notifications = self.server.publish_batch(events, now)
+            events = [self._event_from(item, timestamp) for item in items]
+            self.server.expire_due_events(timestamp)
+            notifications = self.server.publish_batch(events, timestamp)
             self._push_notifications(notifications)
-
-    def _message_sane(self, message) -> bool:
-        """Semantic bounds on network input.
-
-        Decoding only proves the bytes parse; a corrupted frame can
-        still carry poison — a radius of ``1e308`` would iterate region
-        construction until the heat death of the universe, a NaN
-        coordinate breaks cell addressing.  Geometry must be finite and
-        the radius must fit inside the served space.
-        """
-
-        def sane_point(p: Point) -> bool:
-            """Both coordinates finite (no NaN/inf cell addressing)."""
-            return math.isfinite(p.x) and math.isfinite(p.y)
-
-        space = self.server.grid.space
-        diagonal = math.hypot(space.width, space.height)
-        if isinstance(message, SubscribeMessage):
-            return (
-                sane_point(message.location)
-                and sane_point(message.velocity)
-                and math.isfinite(message.radius)
-                and 0 < message.radius <= diagonal
-            )
-        if isinstance(message, (LocationReport, ResyncMessage)):
-            return sane_point(message.location) and sane_point(message.velocity)
-        if isinstance(message, EventPublishMessage):
-            return sane_point(message.location)
-        if isinstance(message, EventPublishBatchMessage):
-            return all(sane_point(event.location) for event in message.events)
-        return True
 
     def _event_from(self, message: EventPublishMessage, now: int) -> Event:
         """A server-side event for one publish, with a collision-free id."""
@@ -1032,10 +1055,8 @@ class ElapsNetworkClient:
         """Close the connection."""
         if self.writer is not None:
             self.writer.close()
-            try:
+            with contextlib.suppress(ConnectionResetError):  # platform noise
                 await self.writer.wait_closed()
-            except ConnectionResetError:  # pragma: no cover - platform noise
-                pass
 
     async def send(self, message) -> None:
         """Send one protocol message."""
@@ -1261,13 +1282,13 @@ class ResilientElapsClient:
 
     async def resync_now(self) -> None:
         """Force a resync on the live connection (e.g. after a chaos run)."""
-        await self._send_quietly(
-            ResyncMessage(
-                self.mobile.subscription.sub_id,
-                self.mobile.location,
-                self.mobile.velocity,
-                self.mobile.received_ids(),
-            )
+        await self._send_quietly(self._resync())
+
+    def _resync(self) -> ResyncMessage:
+        mobile = self.mobile
+        return ResyncMessage(
+            mobile.subscription.sub_id, mobile.location, mobile.velocity,
+            mobile.received_ids(),
         )
 
     async def force_reconnect(self) -> None:
@@ -1290,13 +1311,11 @@ class ResilientElapsClient:
         writer, self._writer = self._writer, None
         if writer is None:
             return
-        try:
+        with contextlib.suppress(Exception):  # platform noise
             if abort:
                 writer.transport.abort()
             else:
                 writer.close()
-        except Exception:  # pragma: no cover - platform noise
-            pass
 
     # ------------------------------------------------------------------
     # Supervisor
@@ -1342,16 +1361,7 @@ class ResilientElapsClient:
         if self.connections > 1:
             # reconnect: reconcile the server against what actually
             # arrived before the old connection died
-            writer.write(
-                encode_message(
-                    ResyncMessage(
-                        self.mobile.subscription.sub_id,
-                        self.mobile.location,
-                        self.mobile.velocity,
-                        self.mobile.received_ids(),
-                    )
-                )
-            )
+            writer.write(encode_message(self._resync()))
         await writer.drain()
         self._connected.set()
         heartbeats = asyncio.ensure_future(self._heartbeat_loop(writer))
@@ -1405,14 +1415,3 @@ class ResilientElapsClient:
                 if not future.done():
                     future.set_result(message)
                     break
-        elif isinstance(message, LocationPing):
-            writer = self._writer
-            if writer is not None:
-                location, velocity = self.mobile.answer_ping()
-                writer.write(
-                    encode_message(
-                        LocationReport(
-                            self.mobile.subscription.sub_id, location, velocity
-                        )
-                    )
-                )

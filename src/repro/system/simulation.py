@@ -51,10 +51,6 @@ class SimulationTransport(Transport):
         """The client side of the safe-region push (Figure 6)."""
         self._simulation.clients[sub_id].receive_region(region)
 
-    def ship_delta(self, sub_id, removed, region) -> None:
-        """Clients hold full regions in-process; apply the repaired one."""
-        self.ship_region(sub_id, region)
-
 
 @dataclass
 class SimulationResult:

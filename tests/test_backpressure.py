@@ -12,21 +12,31 @@ Four layers of coverage:
   the no-shed path, slow-consumer disconnects, supersede under a stalled
   reader, admission control, the ``stop()`` leak fix and
   ``push_errors``;
-* a chaos run (``-m chaos``): a throttled reader behind the fault proxy
+* chaos runs (``-m chaos``): a throttled reader behind the fault proxy
   is shed and disconnected, then heals through reconnect + resync into
-  an exactly-once delivered set.
+  an exactly-once delivered set — and the same path seeded on a virtual
+  clock, with :class:`~repro.system.network.Connection` objects and no
+  socket.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import random
 import socket
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import IGM
-from repro.expressions import BooleanExpression, Operator, Predicate, Subscription
+from repro.expressions import (
+    BooleanExpression,
+    Event,
+    Operator,
+    Predicate,
+    Subscription,
+)
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import (
@@ -43,11 +53,15 @@ from repro.system import (
     SendVerdict,
     ServerConfig,
 )
-from repro.system import network
-from repro.system.network import read_frame
+from repro.system import MobileClient, network
+from repro.system.network import Connection, FrameParser, FrameReader
 from repro.system.protocol import (
     LocationReport,
     NotificationMessage,
+    ResyncMessage,
+    decode_message,
+    encode_message,
+    publish_batch_message_for,
     subscribe_message_for,
 )
 from repro.testing import FaultConfig, chaos_proxy
@@ -338,9 +352,9 @@ class TestGoldenTrace:
             recorded = []
             original = tcp._offer
 
-            def tap(conn, kind, sub_id, frame):
+            def tap(conn, kind, sub_id, frame, now):
                 recorded.append((conn, bytes(frame)))
-                original(conn, kind, sub_id, frame)
+                original(conn, kind, sub_id, frame, now)
 
             tcp._offer = tap
             await tcp.start()
@@ -367,12 +381,11 @@ class TestGoldenTrace:
             sub_conn = tcp._subscriber_conns[1]
             offered = b"".join(f for c, f in recorded if c is sub_conn)
             received = b""
+            frames = FrameReader(subscriber.reader)
             # drain everything already flushed to the socket
             while True:
                 try:
-                    frame = await asyncio.wait_for(
-                        read_frame(subscriber.reader), 0.3
-                    )
+                    frame = await frames.read(0.3)
                 except asyncio.TimeoutError:
                     break
                 assert frame is not None
@@ -503,7 +516,7 @@ class TestAdmissionControl:
             second = ElapsNetworkClient("127.0.0.1", tcp.port)
             await second.connect()
             # the refused connection is closed without a frame
-            assert await asyncio.wait_for(read_frame(second.reader), 2.0) is None
+            assert await second.receive(2.0) is None
             assert tcp.server.metrics.connections_refused == 1
             # the admitted connection still works
             await first.send(LocationReport(1, Point(8_000, 8_000), Point(40, 0)))
@@ -589,7 +602,7 @@ class TestPushErrors:
             def broken_write(data):
                 raise OSError("wire cut")
 
-            conn.writer.write = broken_write
+            tcp._connections[conn].write = broken_write
             await publisher.publish(
                 300, {"topic": "sale"}, Point(5_100, 5_000), ttl=100
             )
@@ -637,6 +650,113 @@ class TestIngressBackpressure:
 # ----------------------------------------------------------------------
 # Chaos: shed -> disconnect -> resync, exactly once
 # ----------------------------------------------------------------------
+#: CI's chaos lane raises the budget, as the differential suites' lane does
+VIRTUAL_CLOCK_EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "10"))
+
+
+@pytest.mark.chaos
+class TestSlowConsumerOnAVirtualClock:
+    """The slow-consumer path with no socket, no ``SO_RCVBUF`` clamp and
+    no sleep: :class:`Connection` objects of a server that was never
+    started, the dispatcher called directly, and a fake clock."""
+
+    @settings(max_examples=VIRTUAL_CLOCK_EXAMPLES, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(0)
+    def test_a_seeded_slow_consumer_heals_into_exactly_once_delivery(self, seed):
+        rng = random.Random(seed)
+        config = NetworkConfig(
+            send_queue=8,
+            send_queue_hard=1_000,
+            slow_consumer_grace=1.0,
+            retain_subscribers=True,
+        )
+        tcp = make_tcp_server(config)
+        metrics = tcp.server.metrics
+        now = tcp._started_at  # the fake clock starts at the server's epoch
+        client = MobileClient(make_sub(), Point(5_000, 5_000))
+        parser = FrameParser()
+        published = []
+
+        def deliver(conn, message):
+            # the adapter's ingress, minus the socket and the queue
+            for decoded in conn.receive(encode_message(message), now):
+                tcp._dispatch(conn, decoded, now)
+
+        def read(conn, writes):
+            # the client reads ``writes`` writes off the connection
+            for _ in range(writes):
+                data = conn.outgoing()
+                if not data:
+                    return
+                parser.feed(data)
+                while (frame := parser.pop()) is not None:
+                    message = decode_message(frame)
+                    if isinstance(message, NotificationMessage):
+                        client.receive_notification(
+                            Event(message.event_id, dict(message.attributes),
+                                  message.location),
+                            message.seq,
+                        )
+
+        def publish(count):
+            ids = range(len(published), len(published) + count)
+            published.extend(ids)
+            deliver(publisher, publish_batch_message_for(
+                [(i, {"topic": "sale"}, Point(5_100, 5_000)) for i in ids]
+            ))
+
+        def resubscribe(conn):
+            deliver(conn, subscribe_message_for(
+                client.subscription, client.location, client.velocity
+            ))
+
+        publisher = Connection(config, tcp.server)
+        link = Connection(config, tcp.server)
+        resubscribe(link)
+        read(link, 1)
+        # the consumer falls behind: bursts land faster than it reads
+        over_since = None
+        while not link.draining:
+            now += rng.uniform(0.1, 0.6)
+            publish(rng.randint(1, 6))
+            if link.draining:
+                break
+            if len(link.queue) > config.send_queue and over_since is None:
+                over_since = now  # soft cap crossed: OVER, grace running
+            if rng.random() < 0.2:
+                read(link, 1)
+                if len(link.queue) <= config.send_queue:
+                    over_since = None
+        # DISCONNECT came from the grace window, not the hard cap
+        assert over_since is not None and now - over_since > config.slow_consumer_grace
+        assert len(link.queue) < config.hard_cap
+        assert metrics.slow_consumer_disconnects == 1
+        # a draining connection accepts nothing more: these are lost on it
+        publish(rng.randint(1, 6))
+        # the backlog is flushed, then the connection closes
+        read(link, 1_000)
+        assert link.closed
+        assert {e.event_id & 0xFFFFFFFF for e in client.received_events} < set(published)
+        tcp._cleanup_connection(link)  # the adapter's close marker
+
+        # reconnect: resubscribe and resync on a fresh connection
+        client.reset_connection()
+        relink = Connection(config, tcp.server)
+        resubscribe(relink)
+        deliver(relink, ResyncMessage(
+            client.subscription.sub_id, client.location, client.velocity,
+            client.received_ids(),
+        ))
+        read(relink, 1_000)
+        ids = [e.event_id & 0xFFFFFFFF for e in client.received_events]
+        assert sorted(ids) == published  # every event, exactly once
+        assert client.duplicates_suppressed == 0
+        assert metrics.resyncs == 1
+        assert metrics.send_queue_high_water < config.hard_cap
+        assert not relink.closed and not relink.draining
+
+
 @pytest.mark.chaos
 class TestSlowConsumerChaos:
     def test_throttled_reader_heals_into_exactly_once_delivery(self):

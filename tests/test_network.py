@@ -17,16 +17,20 @@ from repro.expressions import BooleanExpression, Operator, Predicate, Subscripti
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import NetworkConfig, ServerConfig, ElapsServer
+from repro.system.config import MAX_FRAME_LENGTH
 from repro.system.network import (
+    Connection,
     ElapsNetworkClient,
     ElapsTCPServer,
     FrameError,
+    FrameKind,
+    FrameParser,
     FrameReader,
     TruncatedFrameError,
-    read_frame,
 )
 from repro.system.observability import render_prometheus
 from repro.system.protocol import (
+    EventPublishMessage,
     HeartbeatMessage,
     LocationReport,
     NotificationMessage,
@@ -38,6 +42,7 @@ from repro.system.protocol import (
     cells_from_delta,
     decode_message,
     encode_message,
+    publish_message_for,
 )
 
 SPACE = Rect(0, 0, 10_000, 10_000)
@@ -303,58 +308,53 @@ class TestRegionDeltaWire:
         run(scenario())
 
 
-class TestReadFrame:
-    """The hardened framing: EOF, truncation and resets are distinct."""
+def parse(chunks, max_length: int = MAX_FRAME_LENGTH):
+    """Feed ``chunks`` and then the end of the stream to one
+    :class:`FrameParser`: every frame it yields, and how the stream
+    ended — ``None`` for a clean end, else the exception type."""
+    parser = FrameParser(max_length)
+    frames = []
+    try:
+        for chunk in (*chunks, b""):
+            parser.feed(chunk)
+            while (frame := parser.pop()) is not None:
+                frames.append(frame)
+    except FrameError as exc:
+        return frames, type(exc)
+    return frames, None
 
-    @staticmethod
-    def reader_with(data: bytes, eof: bool = True) -> asyncio.StreamReader:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        if eof:
-            reader.feed_eof()
-        return reader
+
+class TestReadFrame:
+    """The hardened framing: a clean end, truncation and an oversize
+    frame are distinct (the one parser, fed a whole stream)."""
 
     def test_clean_eof_returns_none(self):
-        async def scenario():
-            assert await read_frame(self.reader_with(b"")) is None
-
-        run(scenario())
+        parser = FrameParser()
+        parser.feed(b"")
+        assert parser.pop() is None
+        assert parse([b""]) == ([], None)
 
     def test_whole_frame_roundtrips(self):
         frame = encode_message(HeartbeatMessage(3, 7))
-
-        async def scenario():
-            got = await read_frame(self.reader_with(frame))
-            assert got == frame
-            assert decode_message(got) == HeartbeatMessage(3, 7)
-
-        run(scenario())
+        assert parse([frame]) == ([frame], None)
+        assert decode_message(frame) == HeartbeatMessage(3, 7)
 
     def test_partial_header_is_truncation(self):
-        async def scenario():
-            with pytest.raises(TruncatedFrameError):
-                await read_frame(self.reader_with(b"\x08\x00"))
-
-        run(scenario())
+        parser = FrameParser()
+        parser.feed(b"\x08\x00")
+        assert parser.pop() is None
+        with pytest.raises(TruncatedFrameError):
+            parser.feed(b"")
 
     def test_partial_payload_is_truncation(self):
         frame = encode_message(HeartbeatMessage(3, 7))
-
-        async def scenario():
-            with pytest.raises(TruncatedFrameError):
-                await read_frame(self.reader_with(frame[:-4]))
-
-        run(scenario())
+        assert parse([frame[:-4]]) == ([], TruncatedFrameError)
 
     def test_oversized_length_is_frame_error(self):
-        async def scenario():
-            with pytest.raises(FrameError):
-                await read_frame(
-                    self.reader_with(struct.pack(">BI", 1, 1 << 20)),
-                    max_length=1024,
-                )
-
-        run(scenario())
+        parser = FrameParser(max_length=1024)
+        parser.feed(struct.pack(">BI", 1, 1 << 20))
+        with pytest.raises(FrameError):
+            parser.pop()
 
     def test_truncation_is_a_frame_error(self):
         assert issubclass(TruncatedFrameError, FrameError)
@@ -406,8 +406,9 @@ raw_frames = st.builds(
 
 
 class TestFrameReader:
-    """The buffered parser keeps ``read_frame``'s contract however the
-    bytes are cut into socket chunks."""
+    """The parser, and the async reader over it, yield what one parser
+    fed the whole stream yields, however the bytes are cut into socket
+    chunks."""
 
     @settings(max_examples=FRAGMENTATION_EXAMPLES, deadline=None)
     @given(
@@ -419,7 +420,7 @@ class TestFrameReader:
     @example([b"\x08\x00\x00\x00\x03abc"] * 5, [1], "whole", 0)
     @example([b"\x08\x00\x00\x00\x03abc"] * 5, [10_000], "truncated", 17)
     @example([b"\x08\x00\x00\x00\x03abc"] * 5, [4], "oversize", 2)
-    def test_any_fragmentation_yields_what_read_frame_yields(
+    def test_any_fragmentation_yields_what_one_whole_feed_yields(
         self, frames, sizes, ending, where
     ):
         stream = b"".join(frames)
@@ -439,11 +440,10 @@ class TestFrameReader:
             chunks.append(stream[offset : offset + size])
             offset, turn = offset + size, turn + 1
 
+        expected = parse([stream], MAX_LENGTH)
+        assert parse(chunks, MAX_LENGTH) == expected
+
         async def scenario():
-            reference = asyncio.StreamReader()
-            reference.feed_data(stream)
-            reference.feed_eof()
-            expected = await drain(lambda: read_frame(reference, MAX_LENGTH))
             reader = FrameReader(ScriptedReader(chunks), MAX_LENGTH)
             assert await drain(lambda: reader.read(None)) == expected
 
@@ -676,6 +676,78 @@ class TestHardening:
             await tcp.stop()
 
         run(scenario())
+
+
+class TestConnectionOnAVirtualClock:
+    """The per-connection protocol with no socket and no sleep: a
+    :class:`Connection` of a server that was never started, fed bytes and
+    a fake ``now``."""
+
+    @staticmethod
+    def connection(**knobs):
+        tcp = make_tcp_server(**knobs)
+        return tcp, Connection(tcp.config, tcp.server)
+
+    def test_a_trickled_frame_crosses_its_deadline(self):
+        tcp, conn = self.connection(read_timeout=0.1)
+        frame = encode_message(HeartbeatMessage(3, 7))
+        assert conn.deadline(0.0) == 0.1
+        # a byte every 20 ms: each byte is in time, the 21-byte frame is not
+        for i in range(5):
+            now = 0.02 * i
+            conn.expire(now)
+            assert conn.receive(frame[i : i + 1], now) == []
+            assert conn.deadline(now) == 0.1  # arriving bytes do not extend it
+        assert not conn.closed
+        conn.expire(0.1)
+        assert conn.closed
+        assert tcp.server.metrics.read_timeouts == 1
+        assert tcp.server.metrics.heartbeats == 0
+        assert conn.outgoing() == b""
+
+    def test_each_frame_gets_its_own_deadline(self):
+        tcp, conn = self.connection(read_timeout=0.1)
+        stream = encode_message(HeartbeatMessage(1, 1)) + encode_message(
+            HeartbeatMessage(2, 2)
+        )
+        # 4 ms a byte: 0.084 s a frame fits the deadline, 0.168 s for
+        # both would not
+        for i in range(len(stream)):
+            now = 0.004 * i
+            conn.deadline(now)
+            conn.expire(now)
+            conn.receive(stream[i : i + 1], now)
+        assert not conn.closed
+        assert tcp.server.metrics.heartbeats == 2
+        assert tcp.server.metrics.read_timeouts == 0
+
+    def test_a_heartbeat_is_echoed_as_an_ephemeral_frame(self):
+        tcp, conn = self.connection()
+        frame = encode_message(HeartbeatMessage(1, 42))
+        assert conn.receive(frame, 0.0) == []  # answered here, never dispatched
+        entry = conn.queue.pop()
+        assert entry.kind is FrameKind.EPHEMERAL
+        assert entry.frame == frame
+        assert conn.queue.pop() is None
+        assert tcp.server.metrics.heartbeats == 1
+
+    def test_an_insane_subscribe_is_malformed_and_closes(self):
+        tcp, conn = self.connection()
+        publish = encode_message(
+            publish_message_for(1, {"topic": "sale"}, Point(5_000, 5_000))
+        )
+        insane = encode_message(
+            SubscribeMessage(
+                1, float("inf"), make_sub().expression, Point(5_000, 5_000),
+                Point(40, 0),
+            )
+        )
+        messages = conn.receive(publish + insane + publish, 0.0)
+        # the frame before it still reaches the dispatcher, none after it
+        assert [type(m) for m in messages] == [EventPublishMessage]
+        assert tcp.server.metrics.malformed_frames == 1
+        assert conn.closed
+        assert conn.receive(publish, 0.0) == []
 
 
 class TestStatsOverTCP:
