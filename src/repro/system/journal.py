@@ -15,9 +15,13 @@ This module adds the durability substrate:
   server state (corpus, subscription table, cached safe/impact regions,
   per-subscriber delivery state, :class:`CommunicationStats` counters)
   that lets recovery skip the log prefix and rotate the journal;
-* the **record/snapshot codecs**, built on the same tagged-scalar and
-  expression encoders as the wire protocol so a journal is readable by
-  anything that can read the wire format.
+* the **record/snapshot layouts** — the absolute-time event, the sorted
+  cell-list region, the per-operation record heads, the snapshot order
+  — written entirely with the wire protocol's value codecs and read
+  with its one strict reader (``protocol._Reader``), so a journal is
+  readable by anything that can read the wire format and follows the
+  wire's end rule: a complete, checksum-clean body that does not decode
+  to exactly its length is :class:`JournalCorruptionError`.
 
 Framing on disk (``journal.log``)::
 
@@ -30,9 +34,11 @@ Two failure modes are distinguished deliberately:
   process died mid-append; the file is silently truncated back to the
   last complete record (write-ahead logging makes the half-written
   operation as-if-never-attempted);
-* a *complete* record whose CRC32 does not match is **corruption** —
-  bit rot or a hostile edit; :class:`JournalCorruptionError` is raised
-  because nothing after the damaged record can be trusted.
+* a *complete* record whose CRC32 does not match, or whose
+  checksum-clean body does not decode to exactly its length, is
+  **corruption** — bit rot or a hostile edit;
+  :class:`JournalCorruptionError` is raised because nothing after the
+  damaged record can be trusted.
 
 Idempotent replay falls out of the sequence numbers: the server tracks
 the highest applied seq (snapshots persist it), and recovery applies
@@ -64,9 +70,10 @@ from typing import (
 from ..expressions import Event, Subscription
 from ..geometry import Point
 from .protocol import (
-    _decode_pairs,
+    _encode_array,
     _encode_pairs,
-    decode_expression,
+    _encode_point,
+    _Reader,
     encode_expression,
 )
 
@@ -89,13 +96,13 @@ class JournalError(Exception):
 
 
 class JournalCorruptionError(JournalError):
-    """A complete record (or snapshot) failed its checksum."""
+    """A complete record (or snapshot) failed its checksum, or its body
+    does not decode to exactly its length."""
 
 
 _RECORD_HEADER = ">II"  # length, crc32
 _RECORD_HEADER_SIZE = struct.calcsize(_RECORD_HEADER)
-_SEQ_KIND = ">QB"
-_SEQ_KIND_SIZE = struct.calcsize(_SEQ_KIND)
+_SEQ_KIND = struct.Struct(">QB")
 
 _SNAPSHOT_MAGIC = b"ELAPSNAP"
 _SNAPSHOT_VERSION = 1
@@ -142,17 +149,9 @@ class JournalRecord(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# Scalar/structure codecs (shared by records and snapshots)
+# Journal-only layouts, written with protocol.py's value codecs and read
+# with its one strict reader
 # ----------------------------------------------------------------------
-def _encode_point(point: Point) -> bytes:
-    return struct.pack(">dd", point.x, point.y)
-
-
-def _decode_point(payload: bytes, offset: int) -> Tuple[Point, int]:
-    x, y = struct.unpack_from(">dd", payload, offset)
-    return Point(x, y), offset + 16
-
-
 _EVENT = struct.Struct(">Qddqq")  # id, x, y, arrived, expires (-1 = never)
 
 
@@ -169,17 +168,15 @@ def _encode_event(event: Event) -> bytes:
     ) + _encode_pairs(event.attributes.items())
 
 
-def _decode_event(payload: bytes, offset: int) -> Tuple[Event, int]:
-    event_id, x, y, arrived, expires = _EVENT.unpack_from(payload, offset)
-    attributes, offset = _decode_pairs(payload, offset + _EVENT.size)
-    event = Event(
+def _read_event(reader: _Reader) -> Event:
+    event_id, x, y, arrived, expires = reader.unpack(_EVENT)
+    return Event(
         event_id,
-        dict(attributes),
+        dict(reader.pairs()),
         Point(x, y),
         arrived_at=arrived,
         expires_at=None if expires < 0 else expires,
     )
-    return event, offset
 
 
 def _encode_events(events: Sequence[Event]) -> bytes:
@@ -188,29 +185,14 @@ def _encode_events(events: Sequence[Event]) -> bytes:
     return b"".join(parts)
 
 
-def _decode_events(payload: bytes, offset: int) -> Tuple[Tuple[Event, ...], int]:
-    (count,) = struct.unpack_from(">I", payload, offset)
-    offset += 4
-    events: List[Event] = []
-    for _ in range(count):
-        event, offset = _decode_event(payload, offset)
-        events.append(event)
-    return tuple(events), offset
-
-
-def _encode_ids(ids: Sequence[int]) -> bytes:
-    return struct.pack(f">I{len(ids)}Q", len(ids), *ids)
-
-
-def _decode_ids(payload: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
-    (count,) = struct.unpack_from(">I", payload, offset)
-    return struct.unpack_from(f">{count}Q", payload, offset + 4), offset + 4 + 8 * count
+def _read_events(reader: _Reader) -> Tuple[Event, ...]:
+    return tuple([_read_event(reader) for _ in range(reader.count())])
 
 
 # ----------------------------------------------------------------------
-# Record bodies: one encoder/decoder pair per journaled operation.  An
-# encoder takes the operation's positional arguments; a decoder takes
-# the record payload and the offset of its body and returns them.
+# Record bodies: one encoder/reader pair per journaled operation.  An
+# encoder takes the operation's positional arguments; a reader takes
+# the cursor at the start of the body and returns them.
 # ----------------------------------------------------------------------
 _SUBSCRIBE = struct.Struct(">Qdqdddd")  # sub id, radius, now, location, velocity
 _MOVE = struct.Struct(">Qqdddd")  # sub id, now, location, velocity
@@ -225,103 +207,112 @@ def _encode_subscribe(subscription, location, velocity, now) -> bytes:
     ) + encode_expression(subscription.expression)
 
 
-def _decode_subscribe(payload: bytes, offset: int) -> Tuple:
-    sub_id, radius, now, x, y, vx, vy = _SUBSCRIBE.unpack_from(payload, offset)
-    expression, _ = decode_expression(payload, offset + _SUBSCRIBE.size)
-    return Subscription(sub_id, expression, radius), Point(x, y), Point(vx, vy), now
+def _read_subscribe(reader: _Reader) -> Tuple:
+    sub_id, radius, now, x, y, vx, vy = reader.unpack(_SUBSCRIBE)
+    subscription = Subscription(sub_id, reader.expression(), radius)
+    return subscription, Point(x, y), Point(vx, vy), now
 
 
 def _encode_unsubscribe(sub_id) -> bytes:
     return _ID_NOW.pack(sub_id, 0)  # the format reserves a timestamp
 
 
-def _decode_unsubscribe(payload: bytes, offset: int) -> Tuple:
-    return _ID_NOW.unpack_from(payload, offset)[:1]
+def _read_unsubscribe(reader: _Reader) -> Tuple:
+    return reader.unpack(_ID_NOW)[:1]
 
 
 def _encode_report_location(sub_id, location, velocity, now) -> bytes:
     return _MOVE.pack(sub_id, now, location.x, location.y, velocity.x, velocity.y)
 
 
-def _decode_report_location(payload: bytes, offset: int) -> Tuple:
-    sub_id, now, x, y, vx, vy = _MOVE.unpack_from(payload, offset)
+def _read_report_location(reader: _Reader) -> Tuple:
+    sub_id, now, x, y, vx, vy = reader.unpack(_MOVE)
     return sub_id, Point(x, y), Point(vx, vy), now
 
 
 def _encode_resync(sub_id, location, velocity, received, now) -> bytes:
-    return _encode_report_location(sub_id, location, velocity, now) + _encode_ids(
-        received
-    )
+    return _encode_report_location(
+        sub_id, location, velocity, now
+    ) + _encode_array("Q", received)
 
 
-def _decode_resync(payload: bytes, offset: int) -> Tuple:
-    sub_id, location, velocity, now = _decode_report_location(payload, offset)
-    received, _ = _decode_ids(payload, offset + _MOVE.size)
-    return sub_id, location, velocity, received, now
+def _read_resync(reader: _Reader) -> Tuple:
+    sub_id, location, velocity, now = _read_report_location(reader)
+    return sub_id, location, velocity, reader.counted("Q"), now
 
 
 def _encode_publish(event, now) -> bytes:
     return _NOW.pack(now) + _encode_event(event)
 
 
-def _decode_publish(payload: bytes, offset: int) -> Tuple:
-    (now,) = _NOW.unpack_from(payload, offset)
-    return _decode_event(payload, offset + _NOW.size)[0], now
+def _read_publish(reader: _Reader) -> Tuple:
+    (now,) = reader.unpack(_NOW)
+    return _read_event(reader), now
 
 
 def _encode_publish_batch(events, now) -> bytes:
     return _NOW.pack(now) + _encode_events(events)
 
 
-def _decode_publish_batch(payload: bytes, offset: int) -> Tuple:
-    (now,) = _NOW.unpack_from(payload, offset)
-    return _decode_events(payload, offset + _NOW.size)[0], now
+def _read_publish_batch(reader: _Reader) -> Tuple:
+    (now,) = reader.unpack(_NOW)
+    return _read_events(reader), now
 
 
 def _encode_bootstrap(events) -> bytes:
     return _encode_publish_batch(events, 0)  # the format reserves a timestamp
 
 
-def _decode_bootstrap(payload: bytes, offset: int) -> Tuple:
-    return _decode_publish_batch(payload, offset)[:1]
+def _read_bootstrap(reader: _Reader) -> Tuple:
+    return _read_publish_batch(reader)[:1]
 
 
-def _decode_expire(payload: bytes, offset: int) -> Tuple:
-    return _NOW.unpack_from(payload, offset)
+def _read_expire(reader: _Reader) -> Tuple:
+    return reader.unpack(_NOW)
 
 
 def _encode_extract(ranges) -> bytes:
     # band migration (DESIGN.md §15): the half-open column ranges whose
     # events left this shard's corpus, flattened ``lo0, hi0, lo1, hi1…``;
     # extraction is deterministic given the corpus, so replay redoes it
-    return _encode_ids(tuple(itertools.chain.from_iterable(ranges)))
+    return _encode_array("Q", tuple(itertools.chain.from_iterable(ranges)))
 
 
-def _decode_extract(payload: bytes, offset: int) -> Tuple:
-    flat, _ = _decode_ids(payload, offset)
+def _read_extract(reader: _Reader) -> Tuple:
+    flat = reader.counted("Q")
     return (tuple(zip(flat[0::2], flat[1::2])),)
 
 
 #: every journaled operation: the public server method it is →
-#: ``(kind byte on disk, encode(*args) -> body, decode(payload, offset)
-#: -> args)``.  Servers write a single publish as a ``publish_batch`` of
-#: one; ``publish`` records come from older journals and from trace
-#: recording (which logs the call the client made).
+#: ``(kind byte on disk, encode(*args) -> body, read(reader) -> args)``.
+#: Servers write a single publish as a ``publish_batch`` of one;
+#: ``publish`` records come from older journals and from trace recording
+#: (which logs the call the client made).
 OPERATIONS: Dict[str, Tuple[int, Callable, Callable]] = {
-    "subscribe": (1, _encode_subscribe, _decode_subscribe),
-    "unsubscribe": (2, _encode_unsubscribe, _decode_unsubscribe),
-    "report_location": (3, _encode_report_location, _decode_report_location),
-    "resync": (4, _encode_resync, _decode_resync),
-    "publish": (5, _encode_publish, _decode_publish),
-    "publish_batch": (6, _encode_publish_batch, _decode_publish_batch),
-    "expire_due_events": (7, _NOW.pack, _decode_expire),
-    "bootstrap": (8, _encode_bootstrap, _decode_bootstrap),
-    "extract_events_in_columns": (9, _encode_extract, _decode_extract),
+    "subscribe": (1, _encode_subscribe, _read_subscribe),
+    "unsubscribe": (2, _encode_unsubscribe, _read_unsubscribe),
+    "report_location": (3, _encode_report_location, _read_report_location),
+    "resync": (4, _encode_resync, _read_resync),
+    "publish": (5, _encode_publish, _read_publish),
+    "publish_batch": (6, _encode_publish_batch, _read_publish_batch),
+    "expire_due_events": (7, _NOW.pack, _read_expire),
+    "bootstrap": (8, _encode_bootstrap, _read_bootstrap),
+    "extract_events_in_columns": (9, _encode_extract, _read_extract),
 }
-_BY_KIND = {kind: (method, decode) for method, (kind, _, decode) in OPERATIONS.items()}
+_BY_KIND = {kind: (method, read) for method, (kind, _, read) in OPERATIONS.items()}
 #: the operations that insert arriving events (replay reshapes these,
 #: recovery tolerates one that failed validation after it was logged)
 PUBLISHES = ("publish", "publish_batch")
+
+
+def _strictly(read: Callable[[_Reader], object], payload: bytes):
+    """``read`` over the whole of a CRC-clean ``payload``.  Framing alone
+    decides a torn tail, so a body that does not decode to exactly its
+    length — short, trailing bytes, a bad tag, bad UTF-8 — is corruption."""
+    try:
+        return _Reader(payload).exactly(read)
+    except (ValueError, TypeError) as exc:
+        raise JournalCorruptionError(f"journal body does not decode: {exc}") from exc
 
 
 def _encode_record(seq: int, method: str, args: Tuple) -> bytes:
@@ -330,16 +321,20 @@ def _encode_record(seq: int, method: str, args: Tuple) -> bytes:
         kind, encode, _ = OPERATIONS[method]
     except KeyError:
         raise JournalError(f"not a journaled operation: {method!r}") from None
-    return struct.pack(_SEQ_KIND, seq, kind) + encode(*args)
+    return _SEQ_KIND.pack(seq, kind) + encode(*args)
+
+
+def _read_record(reader: _Reader) -> JournalRecord:
+    seq, kind = reader.unpack(_SEQ_KIND)
+    try:
+        method, read = _BY_KIND[kind]
+    except KeyError:
+        raise JournalCorruptionError(f"unknown journal record kind: {kind}") from None
+    return JournalRecord(seq, method, read(reader))
 
 
 def _decode_record(payload: bytes) -> JournalRecord:
-    seq, kind = struct.unpack_from(_SEQ_KIND, payload, 0)
-    try:
-        method, decode = _BY_KIND[kind]
-    except KeyError:
-        raise JournalCorruptionError(f"unknown journal record kind: {kind}") from None
-    return JournalRecord(seq, method, decode(payload, _SEQ_KIND_SIZE))
+    return _strictly(_read_record, payload)
 
 
 # ----------------------------------------------------------------------
@@ -373,31 +368,31 @@ class ServerSnapshot:
     counters: Dict[str, object] = field(default_factory=dict)
 
 
+_PRESENT = struct.Struct(">B")
+_REGION = struct.Struct(">BI")  # complement, cell count
+
+
 def _encode_region(region: Optional[Tuple[bool, FrozenSet[Tuple[int, int]]]]) -> bytes:
     if region is None:
-        return struct.pack(">B", 0)
+        return b"\x00"
     complement, cells = region
-    parts = [struct.pack(">BBI", 1, int(complement), len(cells))]
-    for i, j in sorted(cells):
-        parts.append(struct.pack(">II", i, j))
-    return b"".join(parts)
+    flat = [index for cell in sorted(cells) for index in cell]
+    return struct.pack(f">BBI{len(flat)}I", 1, int(complement), len(cells), *flat)
 
 
-def _decode_region(
-    payload: bytes, offset: int
-) -> Tuple[Optional[Tuple[bool, FrozenSet[Tuple[int, int]]]], int]:
-    (present,) = struct.unpack_from(">B", payload, offset)
-    offset += 1
+def _read_region(
+    reader: _Reader,
+) -> Optional[Tuple[bool, FrozenSet[Tuple[int, int]]]]:
+    (present,) = reader.unpack(_PRESENT)
     if not present:
-        return None, offset
-    complement, count = struct.unpack_from(">BI", payload, offset)
-    offset += 5
-    cells = []
-    for _ in range(count):
-        i, j = struct.unpack_from(">II", payload, offset)
-        offset += 8
-        cells.append((i, j))
-    return (bool(complement), frozenset(cells)), offset
+        return None
+    complement, count = reader.unpack(_REGION)
+    flat = reader.array("I", 2 * count)
+    return bool(complement), frozenset(zip(flat[0::2], flat[1::2]))
+
+
+_SNAPSHOT_HEAD = struct.Struct(">Qq")  # last seq, started at (-1 = never)
+_SUBSCRIBER = struct.Struct(">QdQ")  # sub id, radius, next seq
 
 
 def encode_snapshot(snapshot: ServerSnapshot) -> bytes:
@@ -405,71 +400,59 @@ def encode_snapshot(snapshot: ServerSnapshot) -> bytes:
     :class:`Journal` when it is written to disk)."""
     started = -1 if snapshot.started_at is None else snapshot.started_at
     parts = [
-        struct.pack(
-            ">QqI",
-            snapshot.last_seq,
-            started,
-            len(snapshot.arrival_times),
-        ),
-        struct.pack(f">{len(snapshot.arrival_times)}q", *snapshot.arrival_times),
+        _SNAPSHOT_HEAD.pack(snapshot.last_seq, started),
+        _encode_array("q", snapshot.arrival_times),
         _encode_events(snapshot.events),
         struct.pack(">I", len(snapshot.subscribers)),
     ]
     for sub in snapshot.subscribers:
-        delivered = sorted(sub.delivered)
         parts.append(
-            struct.pack(">QdQ", sub.subscription.sub_id, sub.subscription.radius,
-                        sub.next_seq)
+            _SUBSCRIBER.pack(
+                sub.subscription.sub_id, sub.subscription.radius, sub.next_seq
+            )
         )
         parts.append(_encode_point(sub.location))
         parts.append(_encode_point(sub.velocity))
         parts.append(encode_expression(sub.subscription.expression))
-        parts.append(_encode_ids(delivered))
+        parts.append(_encode_array("Q", sorted(sub.delivered)))
         parts.append(_encode_region(sub.safe))
         parts.append(_encode_region(sub.impact))
     parts.append(_encode_pairs(sorted(snapshot.counters.items())))
     return b"".join(parts)
 
 
-def decode_snapshot(payload: bytes) -> ServerSnapshot:
-    """Inverse of :func:`encode_snapshot`."""
-    last_seq, started, arrival_count = struct.unpack_from(">QqI", payload, 0)
-    offset = struct.calcsize(">QqI")
-    arrival_times = list(struct.unpack_from(f">{arrival_count}q", payload, offset))
-    offset += 8 * arrival_count
-    events, offset = _decode_events(payload, offset)
-    (sub_count,) = struct.unpack_from(">I", payload, offset)
-    offset += 4
-    subscribers: List[SubscriberSnapshot] = []
-    for _ in range(sub_count):
-        sub_id, radius, next_seq = struct.unpack_from(">QdQ", payload, offset)
-        offset += struct.calcsize(">QdQ")
-        location, offset = _decode_point(payload, offset)
-        velocity, offset = _decode_point(payload, offset)
-        expression, offset = decode_expression(payload, offset)
-        delivered, offset = _decode_ids(payload, offset)
-        safe, offset = _decode_region(payload, offset)
-        impact, offset = _decode_region(payload, offset)
-        subscribers.append(
-            SubscriberSnapshot(
-                subscription=Subscription(sub_id, expression, radius),
-                location=location,
-                velocity=velocity,
-                delivered=frozenset(delivered),
-                next_seq=next_seq,
-                safe=safe,
-                impact=impact,
-            )
-        )
-    counters, _ = _decode_pairs(payload, offset)
+def _read_subscriber(reader: _Reader) -> SubscriberSnapshot:
+    sub_id, radius, next_seq = reader.unpack(_SUBSCRIBER)
+    location = reader.point()
+    velocity = reader.point()
+    expression = reader.expression()
+    return SubscriberSnapshot(
+        subscription=Subscription(sub_id, expression, radius),
+        location=location,
+        velocity=velocity,
+        delivered=frozenset(reader.counted("Q")),
+        next_seq=next_seq,
+        safe=_read_region(reader),
+        impact=_read_region(reader),
+    )
+
+
+def _read_snapshot(reader: _Reader) -> ServerSnapshot:
+    last_seq, started = reader.unpack(_SNAPSHOT_HEAD)
     return ServerSnapshot(
         last_seq=last_seq,
         started_at=None if started < 0 else started,
-        arrival_times=arrival_times,
-        events=list(events),
-        subscribers=subscribers,
-        counters=dict(counters),
+        arrival_times=list(reader.counted("q")),
+        events=list(_read_events(reader)),
+        subscribers=[_read_subscriber(reader) for _ in range(reader.count())],
+        counters=dict(reader.pairs()),
     )
+
+
+def decode_snapshot(payload: bytes) -> ServerSnapshot:
+    """Inverse of :func:`encode_snapshot`; a body that does not decode
+    to exactly its length raises :class:`JournalCorruptionError`."""
+    return _strictly(_read_snapshot, payload)
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +489,7 @@ def _scan_log(path: str) -> Tuple[List[Tuple[int, bytes]], int, bool]:
             raise JournalCorruptionError(
                 f"journal record at offset {offset} failed its checksum"
             )
-        if length < _SEQ_KIND_SIZE:
+        if length < _SEQ_KIND.size:
             raise JournalCorruptionError(
                 f"journal record at offset {offset} is impossibly short"
             )

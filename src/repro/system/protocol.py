@@ -1,4 +1,4 @@
-"""The Elaps wire protocol: compact binary encodings for every message.
+"""The Elaps wire protocol, and the one place a value is laid out in bytes.
 
 The paper's communication analysis counts message *rounds* and, in
 Appendix B, the bytes of the safe-region push (z-ordered WAH bitmaps).
@@ -35,16 +35,23 @@ message                       direction  payload
 ============================  =========  =====================================
 
 Frames are ``[1-byte type][4-byte big-endian payload length][payload]``.
-Values inside payloads are tagged scalars (int / float / str), strings
-are length-prefixed UTF-8, and expressions serialise clause by clause so
-DNF subscriptions travel unchanged.
+Values inside payloads are tagged scalars (int / float / str; a bool is
+the int 0/1), strings are length-prefixed UTF-8, points are two doubles,
+id lists and WAH word arrays are ``u32``-counted, and expressions
+serialise clause by clause so DNF subscriptions travel unchanged.
+
+The journal (``journal.py``) writes the same values to disk with the
+encoders below and reads them back with the same :class:`_Reader`, so
+the wire and the disk follow one rule: a payload decodes to exactly its
+length — a short one, bytes after the last field, a bad tag or bad
+UTF-8 are all a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..bitmap import WAHBitmap
 from ..expressions import (
@@ -56,17 +63,30 @@ from ..expressions import (
 )
 from ..geometry import Point
 
+Expression = Union[BooleanExpression, DnfExpression]
+
 # ----------------------------------------------------------------------
-# Scalar tagging
+# Value codecs: one encoder per value here, its decoder on _Reader
 # ----------------------------------------------------------------------
 _TAG_INT = 0
 _TAG_FLOAT = 1
 _TAG_STR = 2
 
+_BYTE = struct.Struct(">B")
+_U32 = struct.Struct(">I")
+_ID = struct.Struct(">Q")
+_INT = struct.Struct(">q")
+_FLOAT = struct.Struct(">d")
+_POINT = struct.Struct(">dd")
+
+_OPERATOR_CODES: Dict[Operator, int] = {op: i for i, op in enumerate(Operator)}
+_CODES_OPERATOR: Dict[int, Operator] = {i: op for op, i in _OPERATOR_CODES.items()}
+_SET_OPERATORS = (Operator.IN, Operator.NOT_IN)
+
 
 def _encode_scalar(value) -> bytes:
-    if isinstance(value, bool):
-        raise TypeError("booleans are not part of the wire format; use 0/1")
+    """A tagged scalar.  A bool is the int 0/1: ``True == 1`` and the
+    indexes alias the two (``type_group``), so it decodes equal."""
     if isinstance(value, int):
         return struct.pack(">Bq", _TAG_INT, value)
     if isinstance(value, float):
@@ -77,152 +97,198 @@ def _encode_scalar(value) -> bytes:
     raise TypeError(f"unsupported scalar type: {type(value).__name__}")
 
 
-def _decode_scalar(buffer: bytes, offset: int):
-    (tag,) = struct.unpack_from(">B", buffer, offset)
-    offset += 1
-    if tag == _TAG_INT:
-        (value,) = struct.unpack_from(">q", buffer, offset)
-        return value, offset + 8
-    if tag == _TAG_FLOAT:
-        (value,) = struct.unpack_from(">d", buffer, offset)
-        return value, offset + 8
-    if tag == _TAG_STR:
-        return _decode_str(buffer, offset)
-    raise ValueError(f"unknown scalar tag {tag}")
-
-
 def _encode_str(value: str) -> bytes:
     raw = value.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
-
-
-def _decode_str(buffer: bytes, offset: int) -> Tuple[str, int]:
-    (length,) = struct.unpack_from(">I", buffer, offset)
-    offset += 4
-    end = offset + length
-    if end > len(buffer):
-        # a slice would silently shorten the string
-        raise ValueError(
-            f"string of {length} bytes runs {end - len(buffer)} past the buffer"
-        )
-    return buffer[offset:end].decode("utf-8"), end
+    return _U32.pack(len(raw)) + raw
 
 
 def _encode_pairs(pairs) -> bytes:
     """``[u32 count][str name, tagged scalar]*`` in iteration order —
-    event attributes and counters, on the wire and in the journal.  A
-    bool (``bytes_measured``) travels as 0/1."""
-    parts = [struct.pack(">I", len(pairs))]
+    event attributes and counters, on the wire and in the journal."""
+    parts = [_U32.pack(len(pairs))]
     for name, value in pairs:
         parts.append(_encode_str(name))
-        parts.append(_encode_scalar(int(value) if isinstance(value, bool) else value))
+        parts.append(_encode_scalar(value))
     return b"".join(parts)
 
 
-def _decode_pairs(buffer: bytes, offset: int) -> Tuple[List[Tuple[str, object]], int]:
-    (count,) = struct.unpack_from(">I", buffer, offset)
-    offset += 4
-    pairs = []
-    for _ in range(count):
-        name, offset = _decode_str(buffer, offset)
-        value, offset = _decode_scalar(buffer, offset)
-        pairs.append((name, value))
-    return pairs, offset
+def _encode_point(point: Point) -> bytes:
+    return _POINT.pack(point.x, point.y)
 
 
-def _require_end(payload: bytes, offset: int) -> None:
-    """A variable-length payload must end where its last field does."""
-    if offset != len(payload):
-        raise ValueError(
-            f"payload of {len(payload)} bytes, fields end at byte {offset}"
-        )
-
-
-# ----------------------------------------------------------------------
-# Expression encoding
-# ----------------------------------------------------------------------
-_OPERATOR_CODES: Dict[Operator, int] = {op: i for i, op in enumerate(Operator)}
-_CODES_OPERATOR: Dict[int, Operator] = {i: op for op, i in _OPERATOR_CODES.items()}
+def _encode_array(code: str, values) -> bytes:
+    """``[u32 count][count × code]``: an id list is ``Q``, a WAH word
+    array ``I``."""
+    return struct.pack(f">I{len(values)}{code}", len(values), *values)
 
 
 def _encode_predicate(predicate: Predicate) -> bytes:
     parts = [
         _encode_str(predicate.attribute),
-        struct.pack(">B", _OPERATOR_CODES[predicate.operator]),
+        _BYTE.pack(_OPERATOR_CODES[predicate.operator]),
     ]
     if predicate.operator is Operator.BETWEEN:
         low, high = predicate.operand
         parts.append(_encode_scalar(low))
         parts.append(_encode_scalar(high))
-    elif predicate.operator in (Operator.IN, Operator.NOT_IN):
+    elif predicate.operator in _SET_OPERATORS:
         members = sorted(predicate.operand, key=repr)
-        parts.append(struct.pack(">I", len(members)))
+        parts.append(_U32.pack(len(members)))
         parts.extend(_encode_scalar(member) for member in members)
     else:
         parts.append(_encode_scalar(predicate.operand))
     return b"".join(parts)
 
 
-def _decode_predicate(buffer: bytes, offset: int) -> Tuple[Predicate, int]:
-    attribute, offset = _decode_str(buffer, offset)
-    (code,) = struct.unpack_from(">B", buffer, offset)
-    offset += 1
-    operator = _CODES_OPERATOR[code]
-    if operator is Operator.BETWEEN:
-        low, offset = _decode_scalar(buffer, offset)
-        high, offset = _decode_scalar(buffer, offset)
-        return Predicate(attribute, operator, (low, high)), offset
-    if operator in (Operator.IN, Operator.NOT_IN):
-        (count,) = struct.unpack_from(">I", buffer, offset)
-        offset += 4
-        members = []
-        for _ in range(count):
-            member, offset = _decode_scalar(buffer, offset)
-            members.append(member)
-        return Predicate(attribute, operator, frozenset(members)), offset
-    operand, offset = _decode_scalar(buffer, offset)
-    return Predicate(attribute, operator, operand), offset
-
-
-Expression = Union[BooleanExpression, DnfExpression]
-
-
 def encode_expression(expression: Expression) -> bytes:
     """Serialise a conjunction or DNF, clause by clause."""
     clauses = clauses_of(expression)
-    parts = [struct.pack(">I", len(clauses))]
+    parts = [_U32.pack(len(clauses))]
     for clause in clauses:
-        parts.append(struct.pack(">I", len(clause.predicates)))
+        parts.append(_U32.pack(len(clause.predicates)))
         parts.extend(_encode_predicate(p) for p in clause.predicates)
     return b"".join(parts)
 
 
-def decode_expression(buffer: bytes, offset: int = 0) -> Tuple[Expression, int]:
-    """Inverse of :func:`encode_expression`; returns (expression, offset)."""
-    (clause_count,) = struct.unpack_from(">I", buffer, offset)
-    offset += 4
-    clauses: List[BooleanExpression] = []
-    for _ in range(clause_count):
-        (predicate_count,) = struct.unpack_from(">I", buffer, offset)
-        offset += 4
-        predicates = []
-        for _ in range(predicate_count):
-            predicate, offset = _decode_predicate(buffer, offset)
-            predicates.append(predicate)
-        clauses.append(BooleanExpression(predicates))
-    if len(clauses) == 1:
-        return clauses[0], offset
-    return DnfExpression(clauses), offset
+class _Reader:
+    """A bounds-checked cursor over one buffer.
+
+    Every read advances :attr:`offset`; a field or string that would run
+    past the buffer is a ``ValueError``, never a silently short value,
+    and :meth:`exactly` is the one end rule: a payload (or a
+    length-prefixed entry) must end where its last field does.
+    """
+
+    __slots__ = ("buffer", "offset")
+
+    def __init__(self, buffer: bytes) -> None:
+        self.buffer = buffer
+        self.offset = 0
+
+    def exactly(
+        self, read: Callable[["_Reader"], object], length: Optional[int] = None
+    ):
+        """``read(self)``, which must consume exactly ``length`` bytes
+        (default: the rest of the buffer)."""
+        end = len(self.buffer) if length is None else self.offset + length
+        value = read(self)
+        if self.offset != end:
+            raise ValueError(
+                f"payload ends at byte {end}, fields end at byte {self.offset}"
+            )
+        return value
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """The fields of one fixed-size ``layout``."""
+        start = self.offset
+        self.offset = start + layout.size
+        try:
+            return layout.unpack_from(self.buffer, start)
+        except struct.error:
+            raise self._overrun(start) from None
+
+    def _overrun(self, start: int) -> ValueError:
+        return ValueError(
+            f"a field from byte {start} to {self.offset} runs "
+            f"{self.offset - len(self.buffer)} past the buffer"
+        )
+
+    def count(self) -> int:
+        """A ``u32`` element count."""
+        return self.unpack(_U32)[0]
+
+    def array(self, code: str, count: int) -> tuple:
+        """``count`` values of the struct ``code``.  The bounds are checked
+        first: a format of a hostile ``count`` would be allocated whole."""
+        start = self.offset
+        self.offset = start + count * struct.calcsize(">" + code)
+        if self.offset > len(self.buffer):
+            raise self._overrun(start)
+        return struct.unpack_from(f">{count}{code}", self.buffer, start)
+
+    def counted(self, code: str) -> tuple:
+        """Inverse of :func:`_encode_array`."""
+        return self.array(code, self.count())
+
+    def sized(self, read: Callable[["_Reader"], object]):
+        """``read`` over the next ``[u32 length][length bytes]`` entry,
+        in place, which it must consume exactly."""
+        return self.exactly(read, self.count())
+
+    def point(self) -> Point:
+        """Inverse of :func:`_encode_point`."""
+        return Point(*self.unpack(_POINT))
+
+    def text(self) -> str:
+        """Inverse of :func:`_encode_str`."""
+        (length,) = self.unpack(_U32)
+        start = self.offset
+        self.offset = start + length
+        if self.offset > len(self.buffer):
+            # a slice would silently shorten the string
+            raise self._overrun(start)
+        return self.buffer[start : self.offset].decode("utf-8")
+
+    def scalar(self):
+        """Inverse of :func:`_encode_scalar`."""
+        (tag,) = self.unpack(_BYTE)
+        if tag == _TAG_INT:
+            return self.unpack(_INT)[0]
+        if tag == _TAG_FLOAT:
+            return self.unpack(_FLOAT)[0]
+        if tag == _TAG_STR:
+            return self.text()
+        raise ValueError(f"unknown scalar tag {tag}")
+
+    def pairs(self) -> list:
+        """Inverse of :func:`_encode_pairs`."""
+        return [(self.text(), self.scalar()) for _ in range(self.count())]
+
+    def _predicate(self) -> Predicate:
+        attribute = self.text()
+        (code,) = self.unpack(_BYTE)
+        operator = _CODES_OPERATOR.get(code)
+        if operator is None:
+            raise ValueError(f"unknown operator code {code}")
+        if operator is Operator.BETWEEN:
+            operand = (self.scalar(), self.scalar())
+        elif operator in _SET_OPERATORS:
+            operand = frozenset([self.scalar() for _ in range(self.count())])
+        else:
+            operand = self.scalar()
+        return Predicate(attribute, operator, operand)
+
+    def expression(self) -> Expression:
+        """Inverse of :func:`encode_expression`."""
+        clauses = [
+            BooleanExpression([self._predicate() for _ in range(self.count())])
+            for _ in range(self.count())
+        ]
+        return clauses[0] if len(clauses) == 1 else DnfExpression(clauses)
 
 
 # ----------------------------------------------------------------------
 # Messages
 # ----------------------------------------------------------------------
+class _Message:
+    """What every message shares: its ``_read(reader)`` classmethod is
+    the payload layout, and decoding ends where the payload does."""
+
+    @classmethod
+    def decode_payload(cls, payload: bytes):
+        """Inverse of ``encode_payload``."""
+        return _Reader(payload).exactly(cls._read)
+
+
+_REPORT = struct.Struct(">Qdddd")  # sub id, location, velocity
+
+
 @dataclass(frozen=True)
-class SubscribeMessage:
+class SubscribeMessage(_Message):
     """C->S: register a subscription with its start location."""
 
     TYPE = 1
+    _HEAD = struct.Struct(">Qddddd")
     sub_id: int
     radius: float
     expression: Expression
@@ -232,8 +298,7 @@ class SubscribeMessage:
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
         return (
-            struct.pack(
-                ">Qddddd",
+            self._HEAD.pack(
                 self.sub_id,
                 self.radius,
                 self.location.x,
@@ -245,16 +310,13 @@ class SubscribeMessage:
         )
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "SubscribeMessage":
-        """Inverse of :meth:`encode_payload`."""
-        sub_id, radius, x, y, vx, vy = struct.unpack_from(">Qddddd", payload, 0)
-        expression, end = decode_expression(payload, struct.calcsize(">Qddddd"))
-        _require_end(payload, end)
-        return cls(sub_id, radius, expression, Point(x, y), Point(vx, vy))
+    def _read(cls, reader: _Reader) -> "SubscribeMessage":
+        sub_id, radius, x, y, vx, vy = reader.unpack(cls._HEAD)
+        return cls(sub_id, radius, reader.expression(), Point(x, y), Point(vx, vy))
 
 
 @dataclass(frozen=True)
-class UnsubscribeMessage:
+class UnsubscribeMessage(_Message):
     """C->S: drop a subscription."""
 
     TYPE = 2
@@ -262,17 +324,15 @@ class UnsubscribeMessage:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        return struct.pack(">Q", self.sub_id)
+        return _ID.pack(self.sub_id)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "UnsubscribeMessage":
-        """Inverse of :meth:`encode_payload`."""
-        (sub_id,) = struct.unpack(">Q", payload)
-        return cls(sub_id)
+    def _read(cls, reader: _Reader) -> "UnsubscribeMessage":
+        return cls(*reader.unpack(_ID))
 
 
 @dataclass(frozen=True)
-class LocationReport:
+class LocationReport(_Message):
     """C->S: position and velocity after a safe-region exit or ping."""
 
     TYPE = 3
@@ -282,8 +342,7 @@ class LocationReport:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        return struct.pack(
-            ">Qdddd",
+        return _REPORT.pack(
             self.sub_id,
             self.location.x,
             self.location.y,
@@ -292,14 +351,13 @@ class LocationReport:
         )
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "LocationReport":
-        """Inverse of :meth:`encode_payload`."""
-        sub_id, x, y, vx, vy = struct.unpack(">Qdddd", payload)
+    def _read(cls, reader: _Reader) -> "LocationReport":
+        sub_id, x, y, vx, vy = reader.unpack(_REPORT)
         return cls(sub_id, Point(x, y), Point(vx, vy))
 
 
 @dataclass(frozen=True)
-class LocationPing:
+class LocationPing(_Message):
     """S->C: request a location (event-arrival flow)."""
 
     TYPE = 4
@@ -307,20 +365,19 @@ class LocationPing:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        return struct.pack(">Q", self.sub_id)
+        return _ID.pack(self.sub_id)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "LocationPing":
-        """Inverse of :meth:`encode_payload`."""
-        (sub_id,) = struct.unpack(">Q", payload)
-        return cls(sub_id)
+    def _read(cls, reader: _Reader) -> "LocationPing":
+        return cls(*reader.unpack(_ID))
 
 
 @dataclass(frozen=True)
-class SafeRegionPush:
+class SafeRegionPush(_Message):
     """S->C: a freshly constructed safe region as a WAH bitmap."""
 
     TYPE = 5
+    _HEAD = struct.Struct(">QIBI")  # sub id, grid n, complement, bit length
     sub_id: int
     grid_n: int
     complement: bool
@@ -328,23 +385,15 @@ class SafeRegionPush:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        words = self.bitmap.words
-        header = struct.pack(
-            ">QIBII", self.sub_id, self.grid_n, int(self.complement),
-            self.bitmap.length, len(words),
-        )
-        return header + struct.pack(f">{len(words)}I", *words)
+        return self._HEAD.pack(
+            self.sub_id, self.grid_n, int(self.complement), self.bitmap.length
+        ) + _encode_array("I", self.bitmap.words)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "SafeRegionPush":
-        """Inverse of :meth:`encode_payload`."""
-        sub_id, grid_n, complement, length, word_count = struct.unpack_from(
-            ">QIBII", payload, 0
-        )
-        offset = struct.calcsize(">QIBII")
-        words = struct.unpack_from(f">{word_count}I", payload, offset)
-        _require_end(payload, offset + 4 * word_count)
-        return cls(sub_id, grid_n, bool(complement), WAHBitmap(length, list(words)))
+    def _read(cls, reader: _Reader) -> "SafeRegionPush":
+        sub_id, grid_n, complement, length = reader.unpack(cls._HEAD)
+        bitmap = WAHBitmap(length, list(reader.counted("I")))
+        return cls(sub_id, grid_n, bool(complement), bitmap)
 
 
 #: A notification frame is a per-recipient *head* — frame type, payload
@@ -352,18 +401,19 @@ class SafeRegionPush:
 #: that is the same bytes for every recipient of one event.
 _NOTIFICATION_HEAD = struct.Struct(">BIQQQ")
 #: the part of the head that belongs to the payload (the three ids)
-_NOTIFICATION_IDS = struct.calcsize(">QQQ")
+_NOTIFICATION_IDS = struct.Struct(">QQQ")
 
 
 def _notification_tail(location: Point, attributes) -> bytes:
-    return struct.pack(">dd", location.x, location.y) + _encode_pairs(attributes)
+    return _encode_point(location) + _encode_pairs(attributes)
 
 
 @dataclass(frozen=True)
-class NotificationMessage:
+class NotificationMessage(_Message):
     """S->C: deliver one matching event."""
 
     TYPE = 6
+    _HEAD = struct.Struct(">QQQdd")  # sub id, event id, seq, location
     sub_id: int
     event_id: int
     location: Point
@@ -375,24 +425,22 @@ class NotificationMessage:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        return struct.pack(
-            ">QQQ", self.sub_id, self.event_id, self.seq
+        return _NOTIFICATION_IDS.pack(
+            self.sub_id, self.event_id, self.seq
         ) + _notification_tail(self.location, self.attributes)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "NotificationMessage":
-        """Inverse of :meth:`encode_payload`."""
-        sub_id, event_id, seq, x, y = struct.unpack_from(">QQQdd", payload, 0)
-        attributes, end = _decode_pairs(payload, struct.calcsize(">QQQdd"))
-        _require_end(payload, end)
-        return cls(sub_id, event_id, Point(x, y), tuple(attributes), seq)
+    def _read(cls, reader: _Reader) -> "NotificationMessage":
+        sub_id, event_id, seq, x, y = reader.unpack(cls._HEAD)
+        return cls(sub_id, event_id, Point(x, y), tuple(reader.pairs()), seq)
 
 
 @dataclass(frozen=True)
-class EventPublishMessage:
+class EventPublishMessage(_Message):
     """P->S: a publisher announces a spatial event (optionally expiring)."""
 
     TYPE = 7
+    _HEAD = struct.Struct(">Qddi")  # event id, location, ttl
     event_id: int
     location: Point
     attributes: Tuple[Tuple[str, object], ...]
@@ -400,21 +448,18 @@ class EventPublishMessage:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        return struct.pack(
-            ">Qddi", self.event_id, self.location.x, self.location.y, self.ttl
+        return self._HEAD.pack(
+            self.event_id, self.location.x, self.location.y, self.ttl
         ) + _encode_pairs(self.attributes)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "EventPublishMessage":
-        """Inverse of :meth:`encode_payload`."""
-        event_id, x, y, ttl = struct.unpack_from(">Qddi", payload, 0)
-        attributes, end = _decode_pairs(payload, struct.calcsize(">Qddi"))
-        _require_end(payload, end)
-        return cls(event_id, Point(x, y), tuple(attributes), ttl)
+    def _read(cls, reader: _Reader) -> "EventPublishMessage":
+        event_id, x, y, ttl = reader.unpack(cls._HEAD)
+        return cls(event_id, Point(x, y), tuple(reader.pairs()), ttl)
 
 
 @dataclass(frozen=True)
-class EventPublishBatchMessage:
+class EventPublishBatchMessage(_Message):
     """P->S: a burst of spatial events published as one frame.
 
     The batched fast path of the server: all events of the frame share
@@ -434,32 +479,21 @@ class EventPublishBatchMessage:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        parts = [struct.pack(">I", len(self.events))]
+        parts = [_U32.pack(len(self.events))]
         for event in self.events:
             payload = event.encode_payload()
-            parts.append(struct.pack(">I", len(payload)))
+            parts.append(_U32.pack(len(payload)))
             parts.append(payload)
         return b"".join(parts)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "EventPublishBatchMessage":
-        """Inverse of :meth:`encode_payload`."""
-        (count,) = struct.unpack_from(">I", payload, 0)
-        offset = 4
-        events = []
-        for _ in range(count):
-            (length,) = struct.unpack_from(">I", payload, offset)
-            offset += 4
-            events.append(
-                EventPublishMessage.decode_payload(payload[offset : offset + length])
-            )
-            offset += length
-        _require_end(payload, offset)
-        return cls(tuple(events))
+    def _read(cls, reader: _Reader) -> "EventPublishBatchMessage":
+        read = EventPublishMessage._read
+        return cls(tuple([reader.sized(read) for _ in range(reader.count())]))
 
 
 @dataclass(frozen=True)
-class SafeRegionDelta:
+class SafeRegionDelta(_Message):
     """S->C: cells removed from the client's current safe region.
 
     The incremental-repair alternative to a full :class:`SafeRegionPush`:
@@ -474,30 +508,25 @@ class SafeRegionDelta:
     """
 
     TYPE = 11
+    _HEAD = struct.Struct(">QII")  # sub id, grid n, bit length
     sub_id: int
     grid_n: int
     bitmap: WAHBitmap
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        words = self.bitmap.words
-        header = struct.pack(
-            ">QIII", self.sub_id, self.grid_n, self.bitmap.length, len(words)
-        )
-        return header + struct.pack(f">{len(words)}I", *words)
+        return self._HEAD.pack(
+            self.sub_id, self.grid_n, self.bitmap.length
+        ) + _encode_array("I", self.bitmap.words)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "SafeRegionDelta":
-        """Inverse of :meth:`encode_payload`."""
-        sub_id, grid_n, length, word_count = struct.unpack_from(">QIII", payload, 0)
-        offset = struct.calcsize(">QIII")
-        words = struct.unpack_from(f">{word_count}I", payload, offset)
-        _require_end(payload, offset + 4 * word_count)
-        return cls(sub_id, grid_n, WAHBitmap(length, list(words)))
+    def _read(cls, reader: _Reader) -> "SafeRegionDelta":
+        sub_id, grid_n, length = reader.unpack(cls._HEAD)
+        return cls(sub_id, grid_n, WAHBitmap(length, list(reader.counted("I"))))
 
 
 @dataclass(frozen=True)
-class StatsRequest:
+class StatsRequest(_Message):
     """C->S: ask the server for a :class:`StatsSnapshot`.
 
     The observability pull model: any connected peer (an operator tool,
@@ -513,17 +542,12 @@ class StatsRequest:
         return b""
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "StatsRequest":
-        """Inverse of :meth:`encode_payload`."""
-        if payload:
-            raise ValueError(
-                f"stats request carries no payload, got {len(payload)} bytes"
-            )
+    def _read(cls, reader: _Reader) -> "StatsRequest":
         return cls()
 
 
 @dataclass(frozen=True)
-class StatsSnapshot:
+class StatsSnapshot(_Message):
     """S->C: a point-in-time copy of the server's metrics registry.
 
     Two sections travel:
@@ -543,32 +567,21 @@ class StatsSnapshot:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        parts = [_encode_pairs(self.counters), struct.pack(">I", len(self.spans))]
+        parts = [_encode_pairs(self.counters), _U32.pack(len(self.spans))]
         for stage, counts, total_seconds in self.spans:
             parts.append(_encode_str(stage))
-            parts.append(struct.pack(">I", len(counts)))
-            parts.append(struct.pack(f">{len(counts)}Q", *counts))
-            parts.append(struct.pack(">d", total_seconds))
+            parts.append(_encode_array("Q", counts))
+            parts.append(_FLOAT.pack(total_seconds))
         return b"".join(parts)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "StatsSnapshot":
-        """Inverse of :meth:`encode_payload`."""
-        counters, offset = _decode_pairs(payload, 0)
-        (span_count,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        spans = []
-        for _ in range(span_count):
-            stage, offset = _decode_str(payload, offset)
-            (bucket_count,) = struct.unpack_from(">I", payload, offset)
-            offset += 4
-            counts = struct.unpack_from(f">{bucket_count}Q", payload, offset)
-            offset += 8 * bucket_count
-            (total_seconds,) = struct.unpack_from(">d", payload, offset)
-            offset += 8
-            spans.append((stage, counts, total_seconds))
-        _require_end(payload, offset)
-        return cls(tuple(counters), tuple(spans))
+    def _read(cls, reader: _Reader) -> "StatsSnapshot":
+        counters = tuple(reader.pairs())
+        spans = tuple(
+            (reader.text(), reader.counted("Q"), reader.unpack(_FLOAT)[0])
+            for _ in range(reader.count())
+        )
+        return cls(counters, spans)
 
     # convenience views ---------------------------------------------------
     def counters_dict(self) -> Dict[str, Union[int, float]]:
@@ -597,7 +610,7 @@ def stats_snapshot_for(registry) -> StatsSnapshot:
 
 
 @dataclass(frozen=True)
-class HeartbeatMessage:
+class HeartbeatMessage(_Message):
     """C<->S: liveness probe; the server echoes the frame unchanged.
 
     A quiet subscriber is indistinguishable from a dead connection (the
@@ -608,22 +621,21 @@ class HeartbeatMessage:
     """
 
     TYPE = 8
+    _HEAD = struct.Struct(">QQ")
     sub_id: int
     seq: int
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        return struct.pack(">QQ", self.sub_id, self.seq)
+        return self._HEAD.pack(self.sub_id, self.seq)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "HeartbeatMessage":
-        """Inverse of :meth:`encode_payload`."""
-        sub_id, seq = struct.unpack(">QQ", payload)
-        return cls(sub_id, seq)
+    def _read(cls, reader: _Reader) -> "HeartbeatMessage":
+        return cls(*reader.unpack(cls._HEAD))
 
 
 @dataclass(frozen=True)
-class ResyncMessage:
+class ResyncMessage(_Message):
     """C->S: reconcile state after a reconnect.
 
     The client reports its position and the ids of every notification it
@@ -640,25 +652,18 @@ class ResyncMessage:
 
     def encode_payload(self) -> bytes:
         """Serialise the payload (frame header excluded)."""
-        header = struct.pack(
-            ">QddddI",
+        return _REPORT.pack(
             self.sub_id,
             self.location.x,
             self.location.y,
             self.velocity.x,
             self.velocity.y,
-            len(self.received),
-        )
-        return header + struct.pack(f">{len(self.received)}Q", *self.received)
+        ) + _encode_array("Q", self.received)
 
     @classmethod
-    def decode_payload(cls, payload: bytes) -> "ResyncMessage":
-        """Inverse of :meth:`encode_payload`."""
-        sub_id, x, y, vx, vy, count = struct.unpack_from(">QddddI", payload, 0)
-        offset = struct.calcsize(">QddddI")
-        received = struct.unpack_from(f">{count}Q", payload, offset)
-        _require_end(payload, offset + 8 * count)
-        return cls(sub_id, Point(x, y), Point(vx, vy), tuple(received))
+    def _read(cls, reader: _Reader) -> "ResyncMessage":
+        sub_id, x, y, vx, vy = reader.unpack(_REPORT)
+        return cls(sub_id, Point(x, y), Point(vx, vy), reader.counted("Q"))
 
 
 _MESSAGE_TYPES = {
@@ -735,7 +740,7 @@ class MessageDecoder:
             and frame.endswith(tail)
         ):
             _, length, sub_id, event_id, seq = _NOTIFICATION_HEAD.unpack_from(frame)
-            if length == _NOTIFICATION_IDS + len(tail):
+            if length == _NOTIFICATION_IDS.size + len(tail):
                 return NotificationMessage(
                     sub_id, event_id, self._location, self._attributes, seq
                 )
@@ -807,8 +812,9 @@ def notification_tail(event) -> bytes:
 def notification_frame(sub_id: int, event_id: int, seq: int, tail: bytes) -> bytes:
     """``encode_message(notification_for(sub_id, event, seq))`` from the
     event's :func:`notification_tail`."""
+    length = _NOTIFICATION_IDS.size + len(tail)
     return _NOTIFICATION_HEAD.pack(
-        NotificationMessage.TYPE, _NOTIFICATION_IDS + len(tail), sub_id, event_id, seq
+        NotificationMessage.TYPE, length, sub_id, event_id, seq
     ) + tail
 
 

@@ -12,6 +12,7 @@ import hashlib
 import os
 import shutil
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from repro.system.journal import (
     JournalSpec,
     ServerSnapshot,
     SubscriberSnapshot,
+    _encode_record,
     decode_snapshot,
     encode_snapshot,
     read_records,
@@ -462,6 +464,67 @@ class TestServerRecovery:
         assert (revived.delivered_ids(7), revived.subscribers[7].next_seq) == want
         assert len(revived.event_index) == held + 1
         assert revived.metrics.duplicate_publishes == 5
+        revived.close()
+
+
+class TestStrictBodies:
+    """A complete, CRC-clean body that does not decode to exactly its
+    length is corruption — only the framing decides a torn tail."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda body: body + b"\x00",               # a byte after the last field
+        lambda body: body[:-1],                     # short
+        lambda body: body[:-9] + b"\x07" + body[-8:],  # "sale"'s scalar tag
+        lambda body: body[:-4] + b"\xff" * 4,       # "sale" as bad UTF-8
+    ], ids=["trailing", "short", "scalar_tag", "utf8"])
+    def test_a_checksummed_record_that_does_not_decode_raises(self, tmp_path, damage):
+        body = damage(_encode_record(1, "publish", (sale_event(1, 100, 100), 0)))
+        (tmp_path / "journal.log").write_bytes(
+            struct.pack(">II", len(body), zlib.crc32(body)) + body
+        )
+        with Journal(str(tmp_path)) as journal:
+            assert not journal.torn_tail_truncated
+            with pytest.raises(JournalCorruptionError):
+                list(journal.records())
+
+    def test_a_checksummed_snapshot_that_does_not_decode_raises(self, tmp_path):
+        body = encode_snapshot(TestSnapshots()._snapshot())
+        with Journal(str(tmp_path)) as journal:
+            journal.write_snapshot(body + b"\x00\x00\x00", seq=1)
+        server = make_server(tmp_path)
+        with pytest.raises(JournalCorruptionError):
+            server.recover()
+        server.close()
+
+
+class TestBooleanOperands:
+    def test_a_journaled_server_takes_what_a_plain_one_does(self, tmp_path):
+        """A bool operand is the int 0/1 in the journal, as it is on the
+        wire, so ``Predicate("flag", EQ, True)`` subscribes, delivers and
+        recovers on a journaled server exactly as on a plain one."""
+        flagged = Subscription(
+            1, BooleanExpression([Predicate("flag", Operator.EQ, True)]), radius=1500.0
+        )
+        events = [
+            Event(2, {"flag": 1}, Point(5050, 5000)),
+            Event(3, {"flag": False}, Point(5050, 5000)),
+            Event(4, {"flag": True}, Point(5000, 5050)),
+        ]
+        delivered = []
+        for server in (make_server(), make_server(tmp_path)):
+            server.subscribe(flagged, Point(5000, 5000), Point(0, 0), now=0)
+            for now, event in enumerate(events, start=1):
+                server.publish(event, now)
+            delivered.append(server.delivered_ids(1))
+        assert delivered == [{2, 4}, {2, 4}]
+        server.close()
+
+        revived = make_server(tmp_path)
+        assert revived.recover() == 1 + len(events)
+        assert revived.subscribers[1].subscription == flagged
+        assert revived.delivered_ids(1) == {2, 4}
+        notified = revived.publish(Event(5, {"flag": True}, Point(5000, 5000)), 9)
+        assert [n.event.event_id for n in notified] == [5]
         revived.close()
 
 

@@ -19,8 +19,8 @@ from repro.system.protocol import (
     StatsSnapshot,
     SubscribeMessage,
     UnsubscribeMessage,
+    _Reader,
     cells_from_delta,
-    decode_expression,
     decode_message,
     encode_expression,
     encode_message,
@@ -41,8 +41,9 @@ def expr():
 class TestExpressionCodec:
     def test_conjunction_roundtrip(self):
         encoded = encode_expression(expr())
-        decoded, offset = decode_expression(encoded)
-        assert offset == len(encoded)
+        reader = _Reader(encoded)
+        decoded = reader.expression()
+        assert reader.offset == len(encoded)
         assert isinstance(decoded, BooleanExpression)
         assert {str(p) for p in decoded} == {str(p) for p in expr()}
 
@@ -52,7 +53,7 @@ class TestExpressionCodec:
             BooleanExpression([Predicate("b", Operator.NE, "x"),
                                Predicate("c", Operator.NOT_IN, frozenset({1, 2}))]),
         ])
-        decoded, _ = decode_expression(encode_expression(dnf))
+        decoded = _Reader(encode_expression(dnf)).expression()
         assert isinstance(decoded, DnfExpression)
         assert len(decoded.clauses) == 2
         assert decoded.matches({"a": 5})
@@ -61,7 +62,7 @@ class TestExpressionCodec:
 
     def test_float_operand_roundtrip(self):
         expression = BooleanExpression([Predicate("rating", Operator.GE, 7.5)])
-        decoded, _ = decode_expression(encode_expression(expression))
+        decoded = _Reader(encode_expression(expression)).expression()
         assert decoded.predicates[0].operand == 7.5
 
 

@@ -6,7 +6,9 @@ expression codec and bitmap packing all get exercised from the outside.
 The hand-written cases in ``test_protocol.py`` pin the byte layout;
 these properties pin totality.  The journal's record codec rides the
 same strategies: every ``(method, args)`` command of its ``OPERATIONS``
-table must survive ``decode(encode(command))``.
+table must survive ``decode(encode(command))``, and a record or
+snapshot body that is cut short or carries bytes after its last field
+is a ``JournalCorruptionError`` — the wire's end rule, on disk.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ from repro.expressions import (
     Subscription,
 )
 from repro.geometry import Point
-from repro.system.journal import OPERATIONS, _decode_record, _encode_record
+from repro.system.journal import (
+    OPERATIONS,
+    JournalCorruptionError,
+    ServerSnapshot,
+    SubscriberSnapshot,
+    _decode_record,
+    _encode_record,
+    decode_snapshot,
+    encode_snapshot,
+)
 from repro.system.observability import BUCKET_BOUNDS
 from repro.system.protocol import (
     _MESSAGE_TYPES,
@@ -62,7 +73,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 points = st.builds(Point, finite, finite)
 radii = st.floats(min_value=0.001, max_value=1e9, allow_nan=False)
 names = st.text(min_size=1, max_size=12)
-scalars = st.one_of(int64, finite, st.text(max_size=16))
+#: a bool travels as the int 0/1 and decodes equal (``True == 1``)
+scalars = st.one_of(int64, finite, st.text(max_size=16), st.booleans())
 
 
 def _between_operand(draw_pair):
@@ -218,10 +230,7 @@ def test_bytes_after_the_last_field_never_decode_silently(message_type, data, ju
 # ----------------------------------------------------------------------
 # Notifications: a per-recipient head and a tail every recipient shares
 # ----------------------------------------------------------------------
-#: what a publisher may hand the server: bools travel as 0/1
-event_attributes = st.dictionaries(
-    names, st.one_of(scalars, st.booleans()), min_size=1, max_size=5
-)
+event_attributes = st.dictionaries(names, scalars, min_size=1, max_size=5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -365,3 +374,76 @@ def test_every_journal_command_roundtrips(seq, command):
     record = _decode_record(_encode_record(seq, method, args))
     assert record == (seq, method, args)
     assert _attribute_orders(record.args) == _attribute_orders(args)
+
+
+# ----------------------------------------------------------------------
+# Journal bodies decode strictly
+# ----------------------------------------------------------------------
+cells = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+regions = st.none() | st.tuples(st.booleans(), st.frozensets(cells, max_size=4))
+snapshots = st.builds(
+    ServerSnapshot,
+    last_seq=uint64,
+    started_at=st.none() | timestamps,
+    arrival_times=st.lists(int64, max_size=4),
+    events=st.lists(events, max_size=3),
+    subscribers=st.lists(
+        st.builds(
+            SubscriberSnapshot,
+            subscription=subscriptions,
+            location=points,
+            velocity=points,
+            delivered=st.frozensets(uint64, max_size=4),
+            next_seq=uint64,
+            safe=regions,
+            impact=regions,
+        ),
+        max_size=2,
+    ),
+    counters=st.dictionaries(names, scalars, max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(snapshots)
+def test_every_snapshot_roundtrips(snapshot):
+    assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
+
+
+#: every kind of journal body — one per operation, and the snapshot —
+#: as ``(encoded body strategy, decoder)``
+JOURNAL_BODIES = {
+    **{
+        method: (
+            st.builds(
+                lambda seq, args, method=method: _encode_record(seq, method, args),
+                uint64,
+                arguments,
+            ),
+            _decode_record,
+        )
+        for method, arguments in COMMAND_ARGS.items()
+    },
+    "snapshot": (snapshots.map(encode_snapshot), decode_snapshot),
+}
+
+
+@pytest.mark.parametrize("body", list(JOURNAL_BODIES))
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=30))
+def test_truncated_journal_bodies_never_decode_silently(body, data, cut):
+    """A complete, CRC-clean body missing its last bytes is corruption:
+    only the framing decides a torn tail."""
+    strategy, decode = JOURNAL_BODIES[body]
+    encoded = data.draw(strategy)
+    with pytest.raises(JournalCorruptionError):
+        decode(encoded[:-cut])
+
+
+@pytest.mark.parametrize("body", list(JOURNAL_BODIES))
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.binary(min_size=1, max_size=9))
+def test_bytes_after_a_journal_body_never_decode_silently(body, data, junk):
+    strategy, decode = JOURNAL_BODIES[body]
+    with pytest.raises(JournalCorruptionError):
+        decode(data.draw(strategy) + junk)
