@@ -32,6 +32,7 @@ from .datasets import TwitterLikeGenerator
 from .geometry import Rect
 from .index import BEQTree, KIndex, OpIndex, QuadTree
 from .system import ExperimentConfig, run_experiment
+from .system.config import MATCHING_MODES
 from .system.experiment import STRATEGIES, matching_mode_for
 
 #: every selectable strategy, including the vectorized ``-vec`` twins
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, help="override the recorded strategy")
     replay.add_argument("--grid", type=int, default=None,
                         help="override the recorded grid resolution")
-    replay.add_argument("--matching-mode", choices=("ondemand", "cached"),
+    replay.add_argument("--matching-mode", choices=MATCHING_MODES,
                         default=None, help="override the matching mode")
     replay.add_argument("--shards", type=int, default=None,
                         help="replay through a sharded fleet of this size")

@@ -23,9 +23,6 @@ class GridMethod(SafeRegionStrategy):
     """The GM baseline."""
 
     name = "GM"
-    #: GM's regions depend only on the matching events, never on the
-    #: subscriber's location — the server exploits this for region reuse.
-    location_independent = True
 
     def construct(self, request: ConstructionRequest) -> RegionPair:
         """Build GM's regions: every safe cell, impact in complement form."""

@@ -25,6 +25,7 @@ constraint (see :meth:`Predicate.matches`).
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Tuple, TypeVar
 
@@ -43,9 +44,16 @@ class SortedTupleList:
 
     Payloads are event identifiers (or local slots).  Duplicate values are
     allowed; delete removes one matching ``(value, payload)`` entry.
+
+    A value unequal to itself (NaN) has no place in the order: it
+    satisfies no ``=``, ``<``, ``[]`` or ``in`` constraint (see
+    :meth:`Predicate.matches`), and as a key it would mislead every
+    bisect over the entries beside it.  Such entries are kept apart,
+    reached only by the full scans of ``!=`` and ``not in``, and deleted
+    by payload, since equality never finds them.
     """
 
-    __slots__ = ("_values", "_payloads", "_keys")
+    __slots__ = ("_values", "_payloads", "_keys", "_unordered")
 
     def __init__(self) -> None:
         self._values: List = []
@@ -53,15 +61,20 @@ class SortedTupleList:
         # operand_key(value) per entry: the list the bisects run over,
         # so mixed-type values stay totally ordered.
         self._keys: List[Tuple[str, object]] = []
+        # (value, payload) entries whose value is unequal to itself
+        self._unordered: List[Tuple[object, object]] = []
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._values) + len(self._unordered)
 
     def __iter__(self) -> Iterator[Tuple[object, object]]:
-        return zip(self._values, self._payloads)
+        return itertools.chain(zip(self._values, self._payloads), self._unordered)
 
     def insert(self, value, payload) -> None:
         """Insert keeping the key order (O(log n) search, O(n) shift)."""
+        if value != value:
+            self._unordered.append((value, payload))
+            return
         key = operand_key(value)
         index = bisect.bisect_right(self._keys, key)
         self._keys.insert(index, key)
@@ -70,6 +83,12 @@ class SortedTupleList:
 
     def delete(self, value, payload) -> bool:
         """Remove one ``(value, payload)`` entry; False if absent."""
+        if value != value:
+            for index, (_, stored) in enumerate(self._unordered):
+                if stored == payload:
+                    del self._unordered[index]
+                    return True
+            return False
         key = operand_key(value)
         index = bisect.bisect_left(self._keys, key)
         while index < len(self._keys) and self._keys[index] == key:
@@ -130,7 +149,7 @@ class SortedTupleList:
         if op in (Operator.NE, Operator.NOT_IN):
             # Full scan minus the excluded values; the paper notes these
             # operators visit all entries except the operand's.
-            for value, payload in zip(self._values, self._payloads):
+            for value, payload in self:
                 if predicate.matches(value):
                     yield payload
             return
@@ -165,8 +184,8 @@ class SortedTupleList:
         return iter(list(zip(self._values[lo:], self._payloads[lo:])))
 
     def values(self) -> List:
-        """The sorted values (a copy)."""
-        return list(self._values)
+        """The values in order, self-unequal ones last (a copy)."""
+        return [value for value, _ in self]
 
 
 class AttributeLists:

@@ -47,7 +47,7 @@ __all__ = [
 MAX_FRAME_LENGTH = 1 << 24
 
 #: the matching modes the server understands (DESIGN.md §6)
-MATCHING_MODES = ("ondemand", "full", "cached")
+MATCHING_MODES = ("ondemand", "full")
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class ServerConfig:
     never be built half-repairing or half-measuring.
     """
 
-    #: event-to-subscriber matching strategy: ``ondemand`` (LazyBEQField),
-    #: ``full`` (materialise every be-match), or ``cached`` (incremental
-    #: per-subscriber caches)
+    #: how a construction finds the subscriber's matching events, one of
+    #: the paper's two: ``ondemand`` (LazyBEQField, the ``-BEQ`` path) or
+    #: ``full`` (materialise every be-match, the ``-BE`` path)
     matching_mode: str = "ondemand"
     #: seed value for the rate estimator until the window fills; None
     #: starts the estimate from observed arrivals only

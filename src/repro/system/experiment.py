@@ -53,9 +53,10 @@ SPACE_SIZE = 50_000.0
 
 
 def matching_mode_for(strategy: str) -> str:
-    """VM/GM need the global matching list; the incremental family
+    """VM/GM need the global matching list, a full-corpus match per
+    construction (the paper's ``-BE`` path); the incremental family
     (scalar or vectorized) pulls events on demand."""
-    return "cached" if strategy in ("VM", "GM") else "ondemand"
+    return "full" if strategy in ("VM", "GM") else "ondemand"
 
 
 @dataclass(frozen=True)

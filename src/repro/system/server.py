@@ -134,24 +134,12 @@ class SubscriberRecord:
     #: survives across constructions.  Corpus churn reaches it through
     #: note_event / note_exclusions; staleness replaces it.
     lazy_field: Optional[LazyBEQField] = None
-    #: "cached" matching mode: the be-matching events (id -> location),
-    #: filled at subscribe, extended on publish and filtered lazily
-    #: against the live corpus and the delivered set.  Communication
-    #: behaviour is identical to "full" (tested); only server work differs.
-    be_matches: Optional[Dict[int, Point]] = None
-    #: cached mode: the last matching signature (live, undelivered
-    #: be-matching ids) with the static field built for it, and — for a
-    #: location-independent strategy (GM) — with the region pair
-    static_field: Optional[Tuple[FrozenSet[int], StaticMatchingField]] = None
-    region_pair: Optional[Tuple[FrozenSet[int], RegionPair]] = None
 
     def drop_derived(self) -> None:
         """Forget everything built against ``delivered`` (the field
-        excludes by reference to it, the signatures derive from it);
-        ``be_matches`` and ``degenerate_cell`` do not depend on it."""
+        excludes by reference to it, the drift state carves the region
+        built from it); ``degenerate_cell`` does not depend on it."""
         self.lazy_field = None
-        self.static_field = None
-        self.region_pair = None
         self.repair = None
 
 
@@ -264,12 +252,8 @@ class ElapsServer:
             # Stored without arrival processing, so no retained matching
             # field heard of them, and a scanned leaf is never revisited:
             # a mid-life load (a band move's hand-over) retires them all.
-            # Cached mode's be-matching list missed them the same way; the
-            # signatures derive from it, so field and pair follow.
             for record in self.subscribers.values():
                 record.lazy_field = None
-                if record.be_matches is not None:
-                    record.be_matches = self._be_matches(record.subscription)
         self._maybe_snapshot()
 
     def _store_event(self, event: Event) -> None:
@@ -347,8 +331,6 @@ class ElapsServer:
             record = SubscriberRecord(subscription, location, velocity)
         self.subscribers[subscription.sub_id] = record
         self.subscription_index.insert(subscription)
-        if self.matching_mode == "cached":
-            record.be_matches = self._be_matches(subscription)
         notifications = self._deliver_corpus_matches(record, location, now)
         if self.measure_bytes:
             self.metrics.wire_bytes_up += message_bytes(
@@ -536,8 +518,6 @@ class ElapsServer:
                 record = self.subscribers.get(subscription.sub_id)
                 if record is None or event.event_id in record.delivered:
                     continue
-                if record.be_matches is not None:
-                    record.be_matches[event.event_id] = event.location
                 field = record.lazy_field
                 if self.use_impact_region and (
                     subscription.sub_id not in covering[event_cell]
@@ -745,9 +725,9 @@ class ElapsServer:
         self.metrics.resyncs += 1
         record.location = location
         record.velocity = velocity
-        # ``delivered`` is rebound to a fresh set; every cached matching
-        # artefact holds a reference to (or a signature derived from) the
-        # old one and must not survive — in particular the repair drift
+        # ``delivered`` is rebound to a fresh set; the retained matching
+        # field holds a reference to the old one, and neither it nor the
+        # state built with it may survive — in particular the repair drift
         # state, or a post-reconnect repair would carve against a field
         # built for the pre-disconnect delivered set (a recovered server
         # resyncing clients after a restart hits exactly this path).
@@ -900,8 +880,6 @@ class ElapsServer:
                 record.safe = SafeRegion(self.grid, frozenset(cells), complement)
             self.subscribers[sub.subscription.sub_id] = record
             self.subscription_index.insert(sub.subscription)
-            if self.matching_mode == "cached":
-                record.be_matches = self._be_matches(sub.subscription)
             if sub.impact is not None:
                 complement, cells = sub.impact
                 self.impact_index.replace_region(
@@ -909,11 +887,10 @@ class ElapsServer:
                     ImpactRegion(self.grid, frozenset(cells), complement),
                 )
         # Recovery invariant (DESIGN.md §13): a restored record starts
-        # with nothing derived — no retained field, no repair drift state,
-        # no cached-mode field or region pair; ``be_matches`` is recomputed
-        # from the restored corpus.  The first post-restart type-II event
-        # falls back to a full construction instead of carving against a
-        # field built by the pre-crash process.
+        # with nothing derived — no retained field, no repair drift
+        # state.  The first post-restart type-II event falls back to a
+        # full construction instead of carving against a field built by
+        # the pre-crash process.
 
     def close(self) -> None:
         """Release the journal's file handle (a no-op without one)."""
@@ -974,16 +951,6 @@ class ElapsServer:
                 if self.repair:
                     record.lazy_field = field
             return field
-        if self.matching_mode == "cached":
-            signature = self._matching_signature(record)
-            cached = record.static_field
-            if cached is not None and cached[0] == signature:
-                return cached[1]
-            field = StaticMatchingField(
-                self.grid, [record.be_matches[event_id] for event_id in signature]
-            )
-            record.static_field = (signature, field)
-            return field
         # Full mode: materialise every be-matching event upfront (the
         # paper's "-BE" variants route this through k-index; the work is
         # equivalent — a full-corpus boolean match).
@@ -995,25 +962,7 @@ class ElapsServer:
         self.metrics.events_scanned += len(self.event_index)
         return StaticMatchingField(self.grid, [event.location for event in events])
 
-    def _be_matches(self, subscription: Subscription) -> Dict[int, Point]:
-        """The corpus events be-matching ``subscription``, id -> location."""
-        return {
-            event.event_id: event.location
-            for event in self.event_index.be_match(subscription.expression)
-        }
-
-    def _matching_signature(self, record: SubscriberRecord) -> frozenset:
-        """The live, undelivered be-matching event ids (cached mode)."""
-        return frozenset(
-            event_id
-            for event_id in record.be_matches
-            if event_id in self._events_by_id and event_id not in record.delivered
-        )
-
     def _construct(self, record: SubscriberRecord, now: int) -> None:
-        # Every exit path — the cached fast path included — contributes
-        # its elapsed time to ``server_seconds``; the try/finally is what
-        # guarantees the early return cannot dodge the accounting again.
         started = time.perf_counter()
         try:
             with self.tracer.span("construct"):
@@ -1022,32 +971,6 @@ class ElapsServer:
             self.metrics.server_seconds += time.perf_counter() - started
 
     def _construct_inner(self, record: SubscriberRecord, now: int) -> None:
-        # GM's regions do not depend on the subscriber's location, so in
-        # cached mode an unchanged matching set lets the previous region
-        # pair be re-shipped without rebuilding.
-        reusable = (
-            self.matching_mode == "cached"
-            and getattr(self.strategy, "location_independent", False)
-        )
-        if reusable:
-            signature = self._matching_signature(record)
-            cached_pair = record.region_pair
-            if cached_pair is not None and cached_pair[0] == signature:
-                pair = cached_pair[1]
-                record.safe = pair.safe
-                if self.repair:
-                    # The re-ship hands the client the full cached region,
-                    # so drift bookkeeping restarts from this pair; the
-                    # stale state would carry removed_since_build and an
-                    # inflated ne_estimate from a region the client no
-                    # longer holds.
-                    record.repair = RepairState(
-                        pair=pair,
-                        cells_at_build=pair.safe.area_cells(),
-                        ne_estimate=pair.matching_in_impact or 0,
-                    )
-                self._ship_region(record)
-                return
         speed = max(record.velocity.norm(), MIN_SPEED)
         direction = record.velocity.normalized().scaled(speed)
         if direction == Point(0.0, 0.0):
@@ -1089,8 +1012,6 @@ class ElapsServer:
         else:
             record.degenerate_cell = None
             self.impact_index.replace_region(record.subscription.sub_id, pair.impact)
-        if reusable:
-            record.region_pair = (signature, pair)
         if self.repair:
             record.repair = RepairState(
                 pair=pair,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -39,7 +41,7 @@ class TestSimulate:
         assert "location upd." in out
         assert "iGM" in out
 
-    def test_gm_uses_cached_mode(self, capsys):
+    def test_gm_uses_full_mode(self, capsys):
         assert main(["simulate", "--strategy", "GM", *SMALL_SIM]) == 0
         assert "GM" in capsys.readouterr().out
 
@@ -119,6 +121,25 @@ class TestRecordReplay:
         # the same trace through a different configuration is identical
         assert main([
             "replay", "--trace", trace, "--shards", "2", "--batch-size", "4",
+            "--expect", log_path,
+        ]) == 0
+        assert "byte-identical" in capsys.readouterr().out
+
+    def test_replay_refuses_the_retired_cached_mode(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["record", "--trace", str(trace), "--strategy", "GM", *TINY_SIM]) == 0
+        meta_path = trace / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["matching_mode"] == "full"
+        log_path = str(tmp_path / "replay.log")
+        assert main(["replay", "--trace", str(trace), "--out", log_path]) == 0
+        # a trace whose metadata names the mode VM/GM used to record under
+        meta_path.write_text(json.dumps(dict(meta, matching_mode="cached")))
+        with pytest.raises(ValueError, match="unknown matching mode"):
+            main(["replay", "--trace", str(trace)])
+        capsys.readouterr()
+        assert main([
+            "replay", "--trace", str(trace), "--matching-mode", "full",
             "--expect", log_path,
         ]) == 0
         assert "byte-identical" in capsys.readouterr().out

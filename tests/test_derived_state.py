@@ -13,8 +13,7 @@ as a red test:
   for the old radius or expression is shipped again (*unsafe cells
   held*);
 * a mid-life ``bootstrap`` reaches what every matching mode derives
-  from the corpus, cached mode's be-matching list included (*unsafe
-  cells held*);
+  from the corpus (*unsafe cells held*);
 * per-radius tables belong to the :class:`Disk` they are computed from,
   one per distinct offset set however many float radii arrive (*table
   sets per 1,000 radii*).
@@ -165,16 +164,16 @@ class TestViewsDieWithTheirField:
 
 
 class TestResubscribeStartsAFreshRecord:
-    """Test (ii).  At the parent ``subscribe`` popped the retained field
-    but not the cached-mode region pair: with GM, whose regions do not
-    depend on the location, a resubscribe at a larger radius re-shipped
-    the region built for the smaller one."""
+    """Test (ii).  GM's regions do not depend on the location, so a
+    record that outlived a resubscribe would re-ship the region built for
+    the old radius (1,418 unsafe cells held when a per-subscriber region
+    cache did exactly that)."""
 
     def test_a_larger_radius_is_not_served_the_old_radius_region(self):
         rng = random.Random(31)
         corner = Point(800, 800)
         # nothing within the larger radius of the subscriber: no delivery
-        # changes the matching signature between the two subscribes
+        # changes the matching events between the two subscribes
         events = [
             e for e in scattered_sales(rng, 6) if e.location.distance_to(corner) > 3_300
         ]
@@ -183,7 +182,7 @@ class TestResubscribeStartsAFreshRecord:
         grid = Grid(50, SPACE)  # shared: regions compare equal over one grid
 
         def server_with_corpus():
-            server = make_server(GridMethod(), grid, matching_mode="cached")
+            server = make_server(GridMethod(), grid, matching_mode="full")
             server.bootstrap(events)
             return server
 
@@ -202,7 +201,7 @@ class TestResubscribeStartsAFreshRecord:
         held = shipped["resubscribed"].area_cells()
         print(
             f"\nunsafe cells held after resubscribing r 500 -> 3000 "
-            f"(cached + GM): {len(unsafe)} of {held} "
+            f"(full + GM): {len(unsafe)} of {held} "
             f"(a fresh server ships {shipped['fresh'].area_cells()})"
         )
         assert not unsafe
@@ -211,12 +210,12 @@ class TestResubscribeStartsAFreshRecord:
 
 
 class TestAMidLifeLoadReachesEveryMatchingMode:
-    """Test (iv).  At the parent ``bootstrap`` on a live server retired
-    the retained field but left cached mode's ``be_matches`` as it was:
-    every later construction was built without the loaded events (32
-    unsafe cells held on this probe, 0 in the other two modes)."""
+    """Test (iv).  A ``bootstrap`` on a live server stores events that no
+    per-subscriber matching artefact heard of; every later construction
+    must still respect them (a stale per-subscriber match list held 32
+    unsafe cells on this probe)."""
 
-    @pytest.mark.parametrize("mode", ["cached", "full", "ondemand"])
+    @pytest.mark.parametrize("mode", ["full", "ondemand"])
     def test_a_region_built_after_the_load_respects_the_loaded_events(self, mode):
         server = make_server(GridMethod(), matching_mode=mode)
         server.bootstrap([sale(1, 9_000, 9_000)])

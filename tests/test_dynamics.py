@@ -85,7 +85,7 @@ class TestWireBytes:
 
     def test_gm_complement_regions_ship_compact(self):
         result = run_experiment(
-            SMALL.with_(strategy="GM", matching_mode="cached", measure_bytes=True)
+            SMALL.with_(strategy="GM", matching_mode="full", measure_bytes=True)
         )
         stats = result.stats
         # GM's regions cover almost the whole grid; shipping the excluded

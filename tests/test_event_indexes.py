@@ -4,6 +4,7 @@ produce the same and complete results")."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from repro.expressions import (
     Subscription,
 )
 from repro.geometry import Point, Rect
-from repro.index import BEQTree, KIndex, OpIndex, QuadTree
+from repro.index import BEQTree, KIndex, OpIndex, QuadTree, SortedTupleList
 from repro.testing.oracle import BruteForceOracle
 
 from conftest import random_events
@@ -208,3 +209,63 @@ def test_property_agreement(data):
     for name, index in indexes.items():
         got = sorted(e.event_id for e in index.match(sub, at))
         assert got == expected, name
+
+
+#: event values an ordered list cannot place by equality alone: NaN
+#: (unequal to itself), the infinities, and bool/int/float aliases
+EDGE_VALUES = (float("nan"), math.inf, -math.inf, True, 1, 1.0, 0, 2.5)
+EDGE_PREDICATES = [
+    Predicate("a", operator, operand)
+    for operator in (
+        Operator.EQ, Operator.NE, Operator.LT, Operator.LE, Operator.GT, Operator.GE
+    )
+    for operand in (1, 5, math.inf, -math.inf)
+] + [
+    Predicate("a", Operator.BETWEEN, (0, 5)),
+    Predicate("a", Operator.BETWEEN, (-math.inf, math.inf)),
+    Predicate("a", Operator.IN, frozenset({1, math.inf})),
+    Predicate("a", Operator.NOT_IN, frozenset({1, math.inf})),
+]
+
+
+class TestSelfUnequalEventValues:
+    """A NaN event value satisfies ``!=`` and ``not in`` and nothing else
+    (:meth:`Predicate.matches`), and an index must be able to drop it."""
+
+    @staticmethod
+    def events():
+        return [
+            Event(k, {"a": value}, Point(4_000 + 100 * k, 5_000))
+            for k, value in enumerate(EDGE_VALUES)
+        ]
+
+    @pytest.mark.parametrize("predicate", EDGE_PREDICATES, ids=str)
+    def test_every_index_answers_as_predicate_matches(self, predicate):
+        events = self.events()
+        sub = Subscription(1, BooleanExpression([predicate]), 5_000)
+        at = Point(5_000, 5_000)
+        expected = brute_force(events, sub, at)
+        for name, index in build_all(events).items():
+            assert sorted(e.event_id for e in index.match(sub, at)) == expected, name
+
+    def test_insert_then_delete_leaves_every_index_empty(self):
+        events = self.events()
+        everything = Subscription(
+            1, BooleanExpression([Predicate("a", Operator.NE, 7)]), 5_000
+        )
+        for name, index in build_all(events).items():
+            for event in events:
+                index.delete(event)
+            assert len(index) == 0, name
+            assert index.match(everything, Point(5_000, 5_000)) == [], name
+
+    def test_a_sorted_list_deletes_a_nan_by_its_payload(self):
+        lst = SortedTupleList()
+        for payload, value in enumerate(EDGE_VALUES):
+            lst.insert(value, payload)
+        assert not lst.delete(float("nan"), 99)
+        for payload, value in enumerate(EDGE_VALUES):
+            # a fresh NaN object: equality cannot find the stored one
+            probe = float("nan") if value != value else value
+            assert lst.delete(probe, payload), value
+        assert len(lst) == 0 and list(lst) == []

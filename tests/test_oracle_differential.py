@@ -29,7 +29,7 @@ from conftest import random_events
 from repro.datasets import TwitterLikeGenerator
 from repro.geometry import Point, Rect
 from repro.index import BEQTree, OpIndex, QuadTree
-from repro.testing import BruteForceOracle
+from repro.testing import BruteForceOracle, definition1_violations
 from repro.testing.oracle import ids
 
 SPACE = Rect(0, 0, 10_000, 10_000)
@@ -193,31 +193,6 @@ def _run_event_workload(seed: int, *, repair: bool):
     return server, log
 
 
-def _assert_regions_valid(server) -> None:
-    """Brute force: no safe cell within the radius of a live constraint.
-
-    The repaired region must exclude every unsafe cell exactly as a fresh
-    construction would (Definition 1 at cell granularity) — delivered
-    events excepted, since they never constrain the subscriber again.
-    """
-    live = list(server._events_by_id.values())
-    for record in server.subscribers.values():
-        radius = record.subscription.radius
-        constraints = [
-            event.location
-            for event in live
-            if record.subscription.expression.matches(event.attributes)
-            and event.event_id not in record.delivered
-        ]
-        for cell in record.safe.iter_cells():
-            rect = server.grid.cell_rect(cell)
-            for location in constraints:
-                assert rect.min_distance_to_point(location) > radius, (
-                    record.subscription.sub_id,
-                    cell,
-                )
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**20))
 def test_repair_and_rebuild_deliver_identical_notifications(seed):
@@ -232,7 +207,7 @@ def test_repair_and_rebuild_deliver_identical_notifications(seed):
     _, rebuild_log = _run_event_workload(seed, repair=False)
     repair_server, repair_log = _run_event_workload(seed, repair=True)
     assert repair_log == rebuild_log
-    _assert_regions_valid(repair_server)
+    assert definition1_violations(repair_server) == []
 
 
 def test_repair_workload_actually_repairs():

@@ -264,68 +264,6 @@ class TestRepairPath:
         assert server.metrics.repair_fallbacks == 0
 
 
-class TestCachedFastPathAccounting:
-    """The cached-region fast path (GM + cached matching) must stay on
-    the books: its elapsed time lands in ``server_seconds`` and, under
-    repair, drift bookkeeping restarts with the re-shipped pair.  The
-    original early return skipped both."""
-
-    def cached_server(self, **kwargs):
-        from repro.core import GridMethod
-
-        server = make_server(
-            strategy=GridMethod(), matching_mode="cached", **kwargs
-        )
-        sub = make_sub()
-        server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
-        server.transport = CallbackTransport(
-            locate=lambda sub_id: (Point(5_000, 5_000), Point(20, 0)))
-        return server, sub
-
-    def test_fast_path_reuses_the_cached_pair(self):
-        server, sub = self.cached_server()
-        built = server.metrics.constructions
-        _, region = server.report_location(
-            sub.sub_id, Point(5_200, 5_000), Point(20, 0), now=1
-        )
-        assert server.metrics.constructions == built  # re-shipped, not rebuilt
-        assert region.cells == server.subscribers[sub.sub_id].safe.cells
-
-    def test_fast_path_contributes_to_server_seconds(self):
-        server, sub = self.cached_server()
-        before = server.metrics.server_seconds
-        server.report_location(sub.sub_id, Point(5_200, 5_000), Point(20, 0), now=1)
-        assert server.metrics.server_seconds > before
-
-    def test_fast_path_restarts_repair_bookkeeping(self):
-        server, sub = self.cached_server(repair=True)
-        record = server.subscribers[sub.sub_id]
-        built = server.metrics.constructions
-        # an out-of-radius type-II hit with a TTL: the repair carves the
-        # region and the cached-matching signature gains the event...
-        event = Event(
-            10, {"topic": "sale"}, Point(7_600, 5_000), arrived_at=1, expires_at=2
-        )
-        assert server.publish(event, now=1) == []
-        assert server.metrics.repairs == 1
-        drifted = record.repair
-        assert drifted.removed_since_build >= 1
-        # ...and the expiry reverts the signature to the subscribe-time
-        # one, so the next report takes the cached fast path
-        server.expire_due_events(3)
-        seconds_before = server.metrics.server_seconds
-        server.report_location(sub.sub_id, Point(5_200, 5_000), Point(20, 0), now=4)
-        assert server.metrics.constructions == built  # the fast path hit
-        assert server.metrics.server_seconds > seconds_before
-        # the re-ship handed the client the full cached region, so the
-        # drift bookkeeping must restart from that pair — stale carve
-        # counts would skew the repair budget against a region the
-        # client no longer holds
-        assert record.repair is not drifted
-        assert record.repair.removed_since_build == 0
-        assert record.repair.pair.safe is record.safe
-
-
 class TestFieldReuse:
     """The per-subscriber LazyBEQField surviving across constructions."""
 
@@ -416,10 +354,10 @@ class TestFieldReuse:
         assert field._excluded is record.delivered
 
     def test_resync_retires_every_derived_matching_artefact(self):
-        """Resync rebinds ``delivered`` to a fresh set; every cache keyed
-        on (or carrying drift from) the old one must be retired, not just
-        the lazy field: the cached-mode field/region caches and the
-        repair drift state all reference the pre-reconnect world."""
+        """Resync rebinds ``delivered`` to a fresh set; everything built
+        against (or carrying drift from) the old one must be retired, not
+        just the lazy field: the repair drift state references the
+        pre-reconnect world too."""
         server = make_server(repair=True)
         sub = make_sub()
         server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
@@ -430,14 +368,9 @@ class TestFieldReuse:
         server.publish(sale(10, 7_600, 5_000), now=1)
         assert record.repair is not None
         assert record.repair.removed_since_build > 0
-        # seed the signature caches with entries for the old delivered set
-        record.static_field = ("stale", object())
-        record.region_pair = ("stale", object())
 
         server.resync(sub.sub_id, Point(5_000, 5_000), Point(20, 0), (10,), now=2)
 
-        assert record.static_field is None
-        assert record.region_pair is None
         # the post-resync construction installed *fresh* drift state
         assert record.repair is not None
         assert record.repair.removed_since_build == 0
@@ -449,7 +382,7 @@ class TestFieldReuse:
 
 class TestRecoveryNeverRestoresDerivedState:
     """DESIGN.md §13's recovery invariant: snapshots persist only ground
-    truth — lazy fields, cached matching artefacts and repair drift are
+    truth — lazy fields and repair drift are
     derived, never restored, so the first post-restart type-II event
     falls back to a full construction instead of carving against state
     from the previous incarnation."""
@@ -476,8 +409,6 @@ class TestRecoveryNeverRestoresDerivedState:
         record = revived.subscribers[sub.sub_id]
         assert record.repair is None          # drift did not survive the image
         assert record.lazy_field is None
-        assert record.static_field is None
-        assert record.region_pair is None
         assert record.safe is not None        # ...but the region itself did
 
         fallbacks = revived.metrics.repair_fallbacks

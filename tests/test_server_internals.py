@@ -1,5 +1,5 @@
-"""Server internals: the cached-mode region reuse, the protocol helper
-constructors, the min-speed floor and the ablation switch."""
+"""Server internals: the protocol helper constructors, the min-speed
+floor and the ablation switch."""
 
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ class TestProtocolHelpers:
         assert decode_message(encode_message(message)) == message
 
     def test_region_push_for_complement_region(self):
-        server = make_server(strategy=GridMethod(), matching_mode="cached")
+        server = make_server(strategy=GridMethod(), matching_mode="full")
         server.bootstrap([sale(1, 5_000, 5_000)])
         sub = make_sub()
         _, region = server.subscribe(sub, Point(1_000, 1_000), Point(40, 0))
@@ -61,37 +61,6 @@ class TestProtocolHelpers:
         # the complement encoding ships only the excluded cells
         assert push.bitmap.compressed_bytes() < 4_000
         assert decode_message(encode_message(push)) == push
-
-
-class TestCachedRegionReuse:
-    def test_gm_region_reused_until_matching_set_changes(self):
-        server = make_server(strategy=GridMethod(), matching_mode="cached")
-        server.bootstrap([sale(1, 8_000, 8_000)])
-        sub = make_sub()
-        server.subscribe(sub, Point(1_000, 1_000), Point(40, 0))
-        server.transport = CallbackTransport(
-            locate=lambda sub_id: (Point(1_000, 1_000), Point(40, 0)))
-        built = server.metrics.constructions
-        # a location update with an unchanged matching set reuses the pair
-        server.report_location(sub.sub_id, Point(1_500, 1_000), Point(40, 0), now=1)
-        assert server.metrics.constructions == built
-        # a new matching event outside the circle changes the set: GM's
-        # whole-space impact region catches it and a real rebuild happens
-        server.publish(sale(2, 6_000, 6_000), now=2)
-        assert server.metrics.constructions > built
-        rebuilt = server.metrics.constructions
-        # and the new pair is reused again afterwards
-        server.report_location(sub.sub_id, Point(1_600, 1_000), Point(40, 0), now=3)
-        assert server.metrics.constructions == rebuilt
-
-    def test_igm_never_reuses(self):
-        server = make_server(matching_mode="cached")
-        server.bootstrap([sale(1, 8_000, 8_000)])
-        sub = make_sub()
-        server.subscribe(sub, Point(1_000, 1_000), Point(40, 0))
-        built = server.metrics.constructions
-        server.report_location(sub.sub_id, Point(1_500, 1_000), Point(40, 0), now=1)
-        assert server.metrics.constructions == built + 1
 
 
 class TestMinSpeedFloor:
@@ -132,15 +101,15 @@ class TestRecordBookkeeping:
         assert record.velocity == Point(45, 5)
 
     def test_delivered_excluded_from_matching_field(self):
-        server = make_server(matching_mode="cached")
+        server = make_server(matching_mode="full")
         server.bootstrap([sale(1, 5_000, 6_800)])  # outside r, matching
         sub = make_sub()
         server.subscribe(sub, Point(5_000, 5_000), Point(40, 0))
         record = server.subscribers[sub.sub_id]
-        assert server._matching_signature(record) == {1}
+        assert server._matching_field(record).all_points() == [Point(5_000, 6_800)]
         # once delivered, the event stops constraining the safe region
         record.delivered.add(1)
-        assert server._matching_signature(record) == frozenset()
+        assert server._matching_field(record).all_points() == []
 
 
 class TestResequenceSubscriptions:

@@ -1,6 +1,6 @@
 """End-to-end integration: the full simulation must be deterministic,
 deliver every matching event (the paper's real-time guarantee), and the
-three matching modes must agree on communication behaviour."""
+two matching modes must agree on communication behaviour."""
 
 from __future__ import annotations
 
@@ -60,10 +60,10 @@ class TestDeterminism:
 class TestMatchingModesAgree:
     @pytest.mark.parametrize("strategy", ["iGM", "VM", "GM"])
     def test_modes_identical_communication(self, strategy):
-        """'ondemand', 'full' and 'cached' change server work, never the
+        """'ondemand' and 'full' change server work, never the
         client-visible behaviour."""
         outcomes = []
-        for mode in ("ondemand", "full", "cached"):
+        for mode in ("ondemand", "full"):
             result = run_experiment(SMALL.with_(strategy=strategy, matching_mode=mode))
             outcomes.append(
                 (
@@ -73,7 +73,7 @@ class TestMatchingModesAgree:
                     result.notification_count,
                 )
             )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 class TestResultAccounting:
@@ -102,12 +102,12 @@ class TestCostModelResponses:
     def test_higher_event_rate_increases_baseline_event_channel(self):
         """GM's event-arrival channel must scale with f (the paper's core
         observation motivating the cost model)."""
-        low = run_experiment(SMALL.with_(strategy="GM", matching_mode="cached", event_rate=2.0))
-        high = run_experiment(SMALL.with_(strategy="GM", matching_mode="cached", event_rate=16.0))
+        low = run_experiment(SMALL.with_(strategy="GM", matching_mode="full", event_rate=2.0))
+        high = run_experiment(SMALL.with_(strategy="GM", matching_mode="full", event_rate=16.0))
         assert high.stats.event_arrival_rounds > low.stats.event_arrival_rounds
 
     def test_igm_beats_gm_in_total_io_at_high_rate(self):
         config = SMALL.with_(event_rate=16.0, timestamps=80)
         igm = run_experiment(config.with_(strategy="iGM"))
-        gm = run_experiment(config.with_(strategy="GM", matching_mode="cached"))
+        gm = run_experiment(config.with_(strategy="GM", matching_mode="full"))
         assert igm.stats.total_rounds < gm.stats.total_rounds
