@@ -72,14 +72,21 @@ class CostModel:
         Degenerate cases follow ``ts / ti`` limits: a parked user never
         exits (``bm = 0`` unless ``ti`` is also infinite, then 0 too — a
         parked user with no event pressure has nothing to trade off).
+
+        ``ts`` and ``ti`` are spelled out as in :meth:`expected_exit_time`
+        and :meth:`expected_impact_time`, the same operations and limits:
+        Algorithm 1 evaluates this once per frontier pop.
         """
-        ts = self.expected_exit_time(boundary_distance, speed)
-        ti = self.expected_impact_time(matching_in_impact)
+        f, n = self.stats.event_rate, self.stats.total_events
+        if f <= 0 or matching_in_impact <= 0 or n <= 0:
+            return 0.0  # ti is infinite: nothing can hit
+        ti = n / (f * matching_in_impact)
         if math.isinf(ti):
             return 0.0
-        if math.isinf(ts):
-            return math.inf
-        if ti == 0:
+        if speed <= 0:
+            return math.inf  # ts is infinite: a parked user never exits
+        ts = boundary_distance / speed
+        if math.isinf(ts) or ti == 0:
             return math.inf
         return ts / ti
 

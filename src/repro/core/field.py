@@ -108,6 +108,16 @@ class MatchingEventField:
         ``leaves_scanned`` identical between the two strategies.
         """
 
+    def covered_window(self, radius: float) -> Tuple[int, int, int, int]:
+        """The cells :meth:`ensure_cell_neighbourhood` would not grow
+        coverage for at ``radius``, as an inclusive ``(i_min, j_min,
+        i_max, j_max)`` range (empty when ``i_min > i_max``).
+
+        A fully materialised field covers everything from the start.
+        """
+        last = self.grid.n - 1
+        return (0, 0, last, last)
+
 
 class StaticMatchingField(MatchingEventField):
     """A field over an upfront list of matching-event locations."""
@@ -448,3 +458,21 @@ class LazyBEQField(MatchingEventField):
     def ensure_cell_neighbourhood(self, cell: Cell, radius: float) -> None:
         """Cover the cell's radius-neighbourhood (no unsafe-set upkeep)."""
         self._ensure_neighbourhood(cell, radius)
+
+    def covered_window(self, radius: float) -> Tuple[int, int, int, int]:
+        """The covered rectangle shrunk by the neighbourhood reach.
+
+        :meth:`_cover` clamps a request to the grid, so a covered side
+        that already touches the border admits every cell up to it.
+        """
+        if self._covered is None:
+            return (0, 0, -1, -1)
+        reach = self._reach(radius)
+        last = self.grid.n - 1
+        ci_min, cj_min, ci_max, cj_max = self._covered
+        return (
+            ci_min + reach if ci_min > 0 else 0,
+            cj_min + reach if cj_min > 0 else 0,
+            ci_max - reach if ci_max < last else last,
+            cj_max - reach if cj_max < last else last,
+        )

@@ -6,29 +6,36 @@ three places: dilating every discovered event over the disk of offsets (one
 counts through dict lookups, and re-deriving cell rectangles for frontier
 distances.  This module keeps Algorithm 1's control flow — a heap-driven
 nearest-first/τ frontier popped one cell at a time, because each acceptance
-changes the state the next decision depends on — but moves every O(offsets)-
-and O(events)-sized inner loop into numpy:
+changes the state the next decision depends on — moves the O(events)-sized
+work into numpy, and makes each pop pay only for what depends on that pop:
 
 * the matching field is projected into a struct-of-arrays
   :class:`_FieldArrayView` (``unsafe`` boolean mask + per-cell ``counts``),
   maintained incrementally with one vectorized dilation pass per batch of
   newly discovered events (one pass per BEQ leaf probe in on-demand mode);
-* frontier bookkeeping (visited / impact membership) lives in boolean
-  arrays, impact flat-indexed ``i * n + j``; the accepted cells are a set,
-  probed eight times per pop;
-* each acceptance applies the Example 2 strip offsets as array index
-  arithmetic: the candidate offsets for the accepted neighbours at hand
-  come from the disk's own table
-  (:attr:`~repro.geometry.grid.Disk.candidates`) already in flat form, so
-  a cell away from the borders adds ``i * n + j`` once; the impact-membership
-  filter and the ``ne`` count are elementwise operations, not a Python loop;
+  the loop reads both through flat ``memoryview``s of those same arrays;
+* everything a pop needs that is a sum of an x part and a y part is
+  tabulated before the loop: the squared per-axis distances to the
+  subscriber (per construct, from the grid's edge tables) and the Morton
+  code as two per-axis bit spreads (per grid,
+  :class:`~repro.geometry.grid.GridAxes`), so a
+  neighbour costs one ``sqrt`` of two list reads and its heap key one OR;
+* frontier bookkeeping — visited, accepted, impact membership — lives in
+  flat ``bytearray``s indexed ``i * n + j``, heap entries carry that
+  index, and one pass over the 8-ring reads both the Example 2 strip key
+  (accepted neighbours) and the Equation 7 ring (unvisited ones);
+* each acceptance applies the Example 2 strip offsets from the disk's
+  own tables (:attr:`~repro.geometry.grid.Disk.candidates`): a cell at
+  least ``reach`` from every border adds ``i * n + j`` to a tuple of flat
+  offsets in Python — a strip holds a handful, below the break-even of
+  a numpy call — and a border cell or a long candidate list (a full disk)
+  takes the bounds-filtered array path;
+* a pop whose neighbourhood the field already covers
+  (:meth:`MatchingEventField.covered_window`) skips the call into the
+  field, which could only return at once;
 * a start cell that is unsafe — the subscriber reports every timestamp
   until it leaves it — is the loop's single pop, and is answered before any
   of that state is allocated.
-
-The 8-cell neighbour ring stays scalar on purpose: numpy's per-call
-overhead exceeds the loop cost below a few dozen elements, and the scalar
-form reuses the exact arithmetic of ``Rect.min_distance_to_point``.
 
 **Equivalence contract** (enforced by ``tests/test_vectorized_differential``
 and the golden traces): every float compared or returned here is computed
@@ -38,8 +45,9 @@ path — ``sqrt(dx*dx + dy*dy)`` distances, cell edges formed as
 the velocity norm) taken from the same ``math`` calls.  Heap keys carry the
 cell's Morton code, which is injective, so the pop order is the unique
 ascending key order for both strategies.  Field coverage grows through
-:meth:`MatchingEventField.ensure_cell_neighbourhood` once per pop — the
-same covered-rectangle growth a scalar ``is_cell_safe`` performs — so
+:meth:`MatchingEventField.ensure_cell_neighbourhood` for every pop outside
+the covered window — the same covered-rectangle growth a scalar
+``is_cell_safe`` performs, which is a no-op inside it — so
 ``events_scanned``/``leaves_scanned`` also match exactly.
 
 The scalar classes remain the *oracle*: they are the reference semantics
@@ -51,11 +59,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import Cell, Grid, interleave
+from ..geometry import Cell, Grid
 from ..geometry.grid import RING
 from .construction import ConstructionRequest, RegionPair
 from .cost_model import CostModel
@@ -67,6 +75,12 @@ from .regions import ImpactRegion, SafeRegion
 #: ``(key bit, di, dj)`` per neighbour direction: the accepted neighbours
 #: of a cell, OR-ed, are its :class:`~repro.geometry.grid.StripCandidates` key
 _RING_BITS = tuple((1 << bit, di, dj) for bit, (di, dj) in enumerate(RING))
+
+#: strips up to this many offsets are filtered and counted in Python
+#: (~0.15 us an offset); longer ones — a full disk: the start cell, or
+#: no Example 2 strips — take the array path (~6.5 us, flat), which
+#: breaks even at about 35 (DESIGN.md §14)
+_SCALAR_STRIP_MAX = 32
 
 
 class _FieldArrayView:
@@ -141,7 +155,7 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
     # Algorithm 1, array form
     # ------------------------------------------------------------------
     def construct(self, request: ConstructionRequest) -> RegionPair:
-        """Grid expansion bounded by the balance ratio, SoA state."""
+        """Grid expansion bounded by the balance ratio, flat state."""
         grid = request.grid
         radius = request.radius
         n = grid.n
@@ -163,37 +177,71 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
                 visit_order=(start,) if self.record_visits else None,
             )
 
-        model = CostModel(request.stats)
+        balance = CostModel(request.stats).balance
         speed = request.speed
-        unsafe = view.unsafe
-        counts_flat = view.counts.reshape(-1)  # row-major: index i * n + j
+        beta = self.beta
+        cap = self.max_cells if self.max_cells is not None else n * n + 1
 
-        x0, y0 = grid.space.x_min, grid.space.y_min
-        cw, ch = grid.cell_width, grid.cell_height
+        # Per-construct distance tables: a neighbour's distance is
+        # sqrt(dxx[i] + dyy[j]), Rect.min_distance_to_point's operations
+        # in its order (the squares of equal-magnitude zeros agree).
+        axes = grid.axes
         px, py = request.location.x, request.location.y
+        dx = np.maximum(np.maximum(axes.x_lo - px, 0.0), px - axes.x_hi)
+        dy = np.maximum(np.maximum(axes.y_lo - py, 0.0), py - axes.y_hi)
+        dxx = (dx * dx).tolist()
+        dyy = (dy * dy).tolist()
+        morton_x, morton_y = axes.morton_x, axes.morton_y
         d_max = math.hypot(grid.space.width, grid.space.height)
         alpha = self.alpha
         if alpha != 0.0:
-            vx, vy = request.velocity.x, request.velocity.y
+            # Equation 9's terms, split by axis as _priority sums them
             vnorm = request.velocity.norm()
+            tx = axes.x_mid - px
+            ty = axes.y_mid - py
+            txx, tyy = (tx * tx).tolist(), (ty * ty).tolist()
+            vtx = (request.velocity.x * tx).tolist()
+            vty = (request.velocity.y * ty).tolist()
+
+        # Frontier state, flat-indexed i * n + j.  A bytearray probe costs
+        # a third of a numpy scalar index; the bounds-filtered border path
+        # reads the same bytes through numpy.
+        visited = bytearray(n * n)
+        accepted = bytearray(n * n)
+        in_impact = bytearray(n * n)
+        impact_array = np.frombuffer(in_impact, dtype=bool)
+        # live views of the arrays _sync updates in place
+        unsafe = memoryview(view.unsafe.reshape(-1))
+        counts = memoryview(view.counts.reshape(-1))
+        counts_array = view.counts.reshape(-1)
 
         start_dist = grid.min_distance_point_cell(request.location, start)
-
-        visited = np.zeros((n, n), dtype=bool)
-        in_impact = np.zeros(n * n, dtype=bool)
-        visited[start] = True
-
-        heap: List[Tuple[float, float, int, Cell]] = [
-            (self._priority(request, start, start_dist), start_dist, interleave(*start), start)
+        start_index = start[0] * n + start[1]
+        visited[start_index] = 1
+        heap: List[Tuple[float, float, int, int]] = [
+            (
+                self._priority(request, start, start_dist),
+                start_dist,
+                morton_x[start[0]] | morton_y[start[1]],
+                start_index,
+            )
         ]
         # Example 2's candidate offsets depend only on the grid, the radius
         # and which neighbours are accepted: looked up, not recomputed.
-        candidates = grid.disk(radius).candidates
-        ring = _RING_BITS if self.incremental_impact else ()
+        disk = grid.disk(radius)
+        candidates, flat_candidates = disk.candidates, disk.flat_candidates
+        incremental = self.incremental_impact
         # cells this far from every border have all candidates in bounds
         inner_lo, inner_hi = candidates.reach, n - candidates.reach
+        ring = tuple((flag, di, dj, di * n + dj) for flag, di, dj in _RING_BITS)
 
-        region: Set[Cell] = set()
+        # Cells whose neighbourhood the field already covers: a pop there
+        # skips the field.  The window is read right after a sync, and
+        # only ensure_cell grows coverage (and so the known points).
+        win_i0, win_j0, win_i1, win_j1 = 0, 0, -1, -1
+
+        heappop, heappush, sqrt = heapq.heappop, heapq.heappush, math.sqrt
+        region: List[Cell] = []
         matching_in_impact = 0
         cells_examined = 0
         last_accepted_bm: Optional[float] = None
@@ -201,78 +249,94 @@ class VectorizedIncrementalGridMethod(IncrementalGridMethod):
         visit_order: Optional[List[Cell]] = [] if self.record_visits else None
 
         while heap:
-            if self.max_cells is not None and len(region) >= self.max_cells:
+            if len(region) >= cap:
                 break
-            _, dist, _, cell = heapq.heappop(heap)
+            k = heappop(heap)[3]
             cells_examined += 1
+            i, j = divmod(k, n)
             if visit_order is not None:
-                visit_order.append(cell)
-            view.ensure_cell(field, cell)
-            i, j = cell
-            if unsafe[i, j]:
+                visit_order.append((i, j))
+            if not (win_i0 <= i <= win_i1 and win_j0 <= j <= win_j1):
+                view.ensure_cell(field, (i, j))
+                win_i0, win_j0, win_i1, win_j1 = field.covered_window(radius)
+            if unsafe[k]:
                 continue  # B[c'] is false: the cell stays outside (line 10)
 
-            # Unvisited 8-ring with Rect.min_distance_to_point arithmetic
-            # inlined (scalar on purpose — see the module docstring).
-            neighbors: List[Tuple[int, int, float]] = []
+            # One pass over the 8-ring: the accepted neighbours are the
+            # Example 2 strip key, the unvisited ones the Equation 7 ring.
+            neighbors: List[Tuple[float, int, int, int]] = []
             boundary = math.inf
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    ni, nj = i + di, j + dj
-                    if 0 <= ni < n and 0 <= nj < n and not visited[ni, nj]:
-                        dx = max(x0 + ni * cw - px, 0.0, px - (x0 + (ni + 1) * cw))
-                        dy = max(y0 + nj * ch - py, 0.0, py - (y0 + (nj + 1) * ch))
-                        ndist = math.sqrt(dx * dx + dy * dy)
-                        neighbors.append((ni, nj, ndist))
-                        if ndist < boundary:
-                            boundary = ndist
+            key = 0
+            interior_ring = 0 < i < n - 1 and 0 < j < n - 1
+            for flag, di, dj, offset in ring:
+                ni, nj = i + di, j + dj
+                if not interior_ring and not (0 <= ni < n and 0 <= nj < n):
+                    continue
+                c = k + offset
+                if accepted[c]:
+                    key |= flag
+                elif not visited[c]:
+                    ndist = sqrt(dxx[ni] + dyy[nj])
+                    neighbors.append((ndist, ni, nj, c))
+                    if ndist < boundary:
+                        boundary = ndist
+            if not incremental:
+                key = 0
             # Equation 7: the heap top competes with the adjacent cells.
             if heap and heap[0][1] < boundary:
                 boundary = heap[0][1]
 
-            # Example 2 strips: the accepted neighbours are the table key.
-            key = 0
-            for flag, di, dj in ring:
-                if (i + di, j + dj) in region:
-                    key |= flag
-            coff_i, coff_j, coff_flat = candidates[key]
+            fresh: Optional[List[int]] = None
             if inner_lo <= i < inner_hi and inner_lo <= j < inner_hi:
-                idx = coff_flat + (i * n + j)
+                offsets = flat_candidates[key]
+                if len(offsets) <= _SCALAR_STRIP_MAX:
+                    fresh = []
+                    candidate_ne = matching_in_impact
+                    for offset in offsets:
+                        c = k + offset
+                        if not in_impact[c]:
+                            fresh.append(c)
+                            candidate_ne += counts[c]
+                else:
+                    idx = candidates[key][2] + k
             else:
+                coff_i, coff_j, _ = candidates[key]
                 ci = coff_i + i
                 cj = coff_j + j
                 inb = (ci >= 0) & (ci < n) & (cj >= 0) & (cj < n)
                 idx = ci[inb] * n + cj[inb]
-            new_idx = idx[~in_impact[idx]]
-            candidate_ne = matching_in_impact + int(counts_flat[new_idx].sum())
+            if fresh is None:
+                new_idx = idx[~impact_array[idx]]
+                candidate_ne = matching_in_impact + int(counts_array[new_idx].sum())
 
-            bm = model.balance(boundary, speed, candidate_ne)
-            if bm > self.beta and first_rejected_bm is None:
-                first_rejected_bm = bm
-            if bm <= self.beta:
+            bm = balance(boundary, speed, candidate_ne)
+            if bm <= beta:
                 last_accepted_bm = bm
-                region.add(cell)
-                in_impact[new_idx] = True
+                accepted[k] = 1
+                region.append((i, j))
+                if fresh is None:
+                    impact_array[new_idx] = True
+                else:
+                    for c in fresh:
+                        in_impact[c] = 1
                 matching_in_impact = candidate_ne
-                for ni, nj, ndist in neighbors:
-                    visited[ni, nj] = True
+                for ndist, ni, nj, c in neighbors:
+                    visited[c] = 1
                     distp = ndist / d_max if d_max > 0 else 0.0
                     if alpha == 0.0:
                         prio = distp
                     else:
-                        tx = x0 + (ni + 0.5) * cw - px
-                        ty = y0 + (nj + 0.5) * ch - py
-                        denom = vnorm * math.sqrt(tx * tx + ty * ty)
+                        denom = vnorm * sqrt(txx[ni] + tyy[nj])
                         if denom == 0.0:
                             cosine = 0.0
                         else:
-                            cosine = max(-1.0, min(1.0, (vx * tx + vy * ty) / denom))
+                            cosine = max(-1.0, min(1.0, (vtx[ni] + vty[nj]) / denom))
                         prio = alpha * ((1.0 - cosine) / 2.0) + (1.0 - alpha) * distp
-                    heapq.heappush(heap, (prio, ndist, interleave(ni, nj), (ni, nj)))
+                    heappush(heap, (prio, ndist, morton_x[ni] | morton_y[nj], c))
+            elif bm > beta and first_rejected_bm is None:
+                first_rejected_bm = bm
 
-        ii, jj = np.nonzero(in_impact.reshape(n, n))
+        ii, jj = np.nonzero(impact_array.reshape(n, n))
         return RegionPair(
             safe=SafeRegion(grid, frozenset(region)),
             impact=ImpactRegion(grid, frozenset(zip(ii.tolist(), jj.tolist()))),

@@ -31,6 +31,7 @@ import numpy as np
 from .circle import Circle
 from .point import Point
 from .rect import Rect
+from .zorder import interleave
 
 Cell = Tuple[int, int]
 
@@ -79,6 +80,21 @@ class StripCandidates(dict):
         if mask is not None:
             off_i, off_j = off_i[mask], off_j[mask]
         entry = self[key] = (off_i, off_j, off_i * self._n + off_j)
+        return entry
+
+
+class FlatStripOffsets(dict):
+    """``table[key]`` is ``candidates[key]``'s flat offsets as a tuple of
+    ints.  A cell at least ``candidates.reach`` from every border adds
+    them to ``i * n + j`` one at a time: for the handful of offsets a
+    strip holds that beats any array operation's call overhead."""
+
+    def __init__(self, candidates: StripCandidates) -> None:
+        super().__init__()
+        self._candidates = candidates
+
+    def __missing__(self, key: int) -> Tuple[int, ...]:
+        entry = self[key] = tuple(self._candidates[key][2].tolist())
         return entry
 
 
@@ -140,6 +156,46 @@ class Disk:
         """The per-accepted-neighbour-set candidate offsets of Algorithm 1."""
         return StripCandidates(self)
 
+    @cached_property
+    def flat_candidates(self) -> FlatStripOffsets:
+        """:attr:`candidates`' flat offsets as Python tuples."""
+        return FlatStripOffsets(self.candidates)
+
+
+class GridAxes:
+    """Per-axis tables of a grid, ``n`` (or ``n + 1``) entries each.
+
+    Everything a frontier needs per cell that is a sum of an x part and a
+    y part, tabulated once per grid so no construction recomputes it:
+
+    * ``x_lo[i] = x_min + i * cell_width`` and ``x_hi[i] = x_min + (i + 1)
+      * cell_width`` (float64 arrays; the y twins alike): the cell edges
+      exactly as :meth:`Grid.cell_rect` forms them;
+    * ``x_mid[i] = x_min + (i + 0.5) * cell_width``: the centres exactly as
+      :meth:`Grid.cell_center` forms them;
+    * ``morton_x[i] | morton_y[j] == interleave(i, j)``: the Morton code
+      as two per-axis bit spreads (its bits of i and of j are disjoint),
+      not an ``n x n`` table.
+
+    Each entry is computed by Python float arithmetic, so every table
+    value is bit-identical to what the scalar methods compute per call.
+    """
+
+    __slots__ = ("x_lo", "x_hi", "y_lo", "y_hi", "x_mid", "y_mid", "morton_x", "morton_y")
+
+    def __init__(self, grid: "Grid") -> None:
+        n = grid.n
+        x0, y0 = grid.space.x_min, grid.space.y_min
+        cw, ch = grid.cell_width, grid.cell_height
+        x_edges = np.array([x0 + i * cw for i in range(n + 1)], dtype=np.float64)
+        y_edges = np.array([y0 + j * ch for j in range(n + 1)], dtype=np.float64)
+        self.x_lo, self.x_hi = x_edges[:-1], x_edges[1:]
+        self.y_lo, self.y_hi = y_edges[:-1], y_edges[1:]
+        self.x_mid = np.array([x0 + (i + 0.5) * cw for i in range(n)], dtype=np.float64)
+        self.y_mid = np.array([y0 + (j + 0.5) * ch for j in range(n)], dtype=np.float64)
+        self.morton_x = tuple(interleave(i, 0) for i in range(n))
+        self.morton_y = tuple(interleave(0, j) for j in range(n))
+
 
 class Grid:
     """A uniform ``n x n`` partition of a square space."""
@@ -160,6 +216,18 @@ class Grid:
         self._disks: Dict[FrozenSet[Cell], Disk] = {}
         #: ``(radius, inclusive)`` -> its disk, the one float-keyed table
         self._disk_memo: Dict[Tuple[float, bool], Disk] = {}
+
+    def __getstate__(self) -> dict:
+        # the axis tables are a pure function of (n, space): a pickled
+        # grid (what a process fleet ships) stays the size it always was
+        state = self.__dict__.copy()
+        state.pop("axes", None)
+        return state
+
+    @cached_property
+    def axes(self) -> GridAxes:
+        """The per-axis edge, centre and Morton tables (built on first use)."""
+        return GridAxes(self)
 
     # ------------------------------------------------------------------
     # Addressing

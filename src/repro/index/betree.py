@@ -44,17 +44,20 @@ def predicate_interval(predicate: Predicate) -> Optional[Tuple[float, float]]:
     """The satisfying interval of a numeric predicate, or None.
 
     ``None`` means the satisfying set is not a closed numeric interval
-    (``!=``, set operators, or string operands) and the predicate must go
-    to the open bucket, which every probe visits.
+    (``!=``, set operators, string operands, or a NaN bound, which no
+    bucket arithmetic can place) and the predicate must go to the open
+    bucket, which every probe visits.
     """
     operand = predicate.operand
     op = predicate.operator
     if op is Operator.BETWEEN:
         low, high = operand
         if isinstance(low, (int, float)) and isinstance(high, (int, float)):
+            if low != low or high != high:
+                return None
             return (float(low), float(high))
         return None
-    if not isinstance(operand, (int, float)) or isinstance(operand, bool):
+    if not isinstance(operand, (int, float)) or isinstance(operand, bool) or operand != operand:
         return None
     value = float(operand)
     if op is Operator.EQ:
@@ -140,7 +143,9 @@ class _Directory:
     def probe(self, value) -> List["_Node"]:
         """The buckets that may hold predicates satisfied by ``value``."""
         nodes = [self.open_bucket]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # a bool is the number it compares as (True == 1), as in
+        # Predicate.matches; a NaN lies in no bucket
+        if isinstance(value, (int, float)):
             v = float(value)
             if self.low <= v <= self.high:
                 index = min(

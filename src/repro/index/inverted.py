@@ -46,11 +46,14 @@ class SortedTupleList:
     allowed; delete removes one matching ``(value, payload)`` entry.
 
     A value unequal to itself (NaN) has no place in the order: it
-    satisfies no ``=``, ``<``, ``[]`` or ``in`` constraint (see
+    satisfies no ``=``, ``<`` or ``[]`` constraint (see
     :meth:`Predicate.matches`), and as a key it would mislead every
     bisect over the entries beside it.  Such entries are kept apart,
-    reached only by the full scans of ``!=`` and ``not in``, and deleted
-    by payload, since equality never finds them.
+    reached only by the full scans of ``!=`` and ``not in`` and by an
+    ``in`` set holding that very object, and deleted by payload, since
+    equality never finds them.  The same holds for a self-unequal
+    *operand*: ``= nan``, ``<= nan`` or ``[nan, 5]`` selects nothing,
+    and a NaN member of an ``in`` set matches no ordered entry.
     """
 
     __slots__ = ("_values", "_payloads", "_keys", "_unordered")
@@ -116,14 +119,19 @@ class SortedTupleList:
 
         Only valid for ``=, <, <=, >, >=, []`` — the operators whose
         satisfying values form one contiguous run in the sorted order.
+        An operand or bound unequal to itself selects the empty range.
         """
         op, operand = predicate.operator, predicate.operand
         if op is Operator.BETWEEN:
             low, high = operand
+            if low != low or high != high:
+                return 0, 0
             return (
                 bisect.bisect_left(self._keys, operand_key(low)),
                 bisect.bisect_right(self._keys, operand_key(high)),
             )
+        if operand != operand:
+            return 0, 0
         key = operand_key(operand)
         if op is Operator.EQ:
             return (
@@ -158,9 +166,12 @@ class SortedTupleList:
             # duplicate members (a raw ``(3, 3)`` operand) or key-equal
             # members with overlapping runs would double-increment the
             # counting algorithm and fake a full |s| count.  Deduplicate
-            # and clamp each run past the previous one.
+            # and clamp each run past the previous one.  A self-unequal
+            # member has no run; set membership can still hold for an
+            # unordered entry (the very same NaN object).
             last_hi = 0
-            for member in sorted(set(predicate.operand), key=operand_key):
+            members = {member for member in predicate.operand if member == member}
+            for member in sorted(members, key=operand_key):
                 member_key = operand_key(member)
                 lo = bisect.bisect_left(self._keys, member_key)
                 hi = bisect.bisect_right(self._keys, member_key)
@@ -168,6 +179,9 @@ class SortedTupleList:
                     continue
                 yield from self._payloads[max(lo, last_hi) : hi]
                 last_hi = hi
+            for value, payload in self._unordered:
+                if predicate.matches(value):
+                    yield payload
             return
         lo, hi = self.range_for(predicate)
         yield from self._payloads[lo:hi]

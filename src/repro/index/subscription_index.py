@@ -77,10 +77,19 @@ class _AttributePredicates:
         self.memo: Dict[Tuple[str, object], List[int]] = {}
 
     def add(self, predicate: Predicate, slot: int) -> None:
-        """Register one predicate under its operator group."""
+        """Register one predicate under its operator group.
+
+        An operand unequal to itself (NaN) has no place in an equality
+        bucket or an operand-sorted list — it would mislead every bisect
+        beside it — so such a predicate joins the linear group, where
+        :meth:`Predicate.matches` decides it (``= nan`` and ``<= nan``
+        hold for no value).
+        """
         self.memo.clear()
         op = predicate.operator
-        if op is Operator.EQ:
+        if predicate.operand != predicate.operand:
+            self.linear.append((predicate, slot))
+        elif op is Operator.EQ:
             self.equals[predicate.operand].append(slot)
         elif op in (Operator.LT, Operator.LE):
             self._insort(self.less, self.less_keys,
@@ -102,7 +111,9 @@ class _AttributePredicates:
         """Remove one registered predicate."""
         self.memo.clear()
         op = predicate.operator
-        if op is Operator.EQ:
+        if predicate.operand != predicate.operand:
+            self.linear.remove((predicate, slot))
+        elif op is Operator.EQ:
             bucket = self.equals[predicate.operand]
             bucket.remove(slot)
             if not bucket:

@@ -152,6 +152,12 @@ class CommunicationStats:
     #: subscriber's own cell is unsafe and it reports every timestamp;
     #: a share of ``constructions``
     degenerate_constructions: int = 0
+    #: non-degenerate constructions whose region reached the strategy's
+    #: ``max_cells`` cap — the cap, not the balance ratio or an exhausted
+    #: frontier, ended the expansion (a frontier that ran dry on the very
+    #: cell that filled the cap counts here too); a share of
+    #: ``constructions``
+    capped_constructions: int = 0
     # ------------------------------------------------------------------
     # Durability counters (the journal of DESIGN.md §13; a server built
     # without ``ServerConfig.journal`` leaves them all at 0).

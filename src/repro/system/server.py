@@ -1012,6 +1012,9 @@ class ElapsServer:
         else:
             record.degenerate_cell = None
             self.impact_index.replace_region(record.subscription.sub_id, pair.impact)
+            max_cells = getattr(self.strategy, "max_cells", None)
+            if max_cells is not None and pair.safe.area_cells() >= max_cells:
+                self.metrics.capped_constructions += 1
         if self.repair:
             record.repair = RepairState(
                 pair=pair,

@@ -13,7 +13,7 @@ from repro.core import (
     VoronoiMethod,
 )
 from repro.system import CommunicationStats, ExperimentConfig, build_strategy
-from repro.system.experiment import STRATEGIES
+from repro.system.experiment import STRATEGIES, build_simulation
 
 
 class TestBuildStrategy:
@@ -116,6 +116,43 @@ class TestCommunicationStats:
         assert merged.wire_bytes_up == 30
         # inputs untouched
         assert a.location_update_rounds == 1
+
+
+class TestCappedConstructions:
+    """How many full constructions the ``max_cells`` cap, not the balance
+    ratio, ended — counted so the share is read, never guessed."""
+
+    SEEDED = ExperimentConfig(
+        strategy="iGM-vec", subscribers=20, timestamps=60, initial_events=3_000,
+        event_rate=20.0, max_cells=300, repair=True, seed=7,
+    )
+
+    @pytest.mark.parametrize("strategy", ["iGM", "iGM-vec"])
+    def test_a_seeded_drive_pins_the_capped_share(self, strategy):
+        stats = build_simulation(self.SEEDED.with_(strategy=strategy)).run(60).stats
+        full = stats.constructions - stats.degenerate_constructions
+        print(f"\ncapped constructions ({strategy}): {stats.capped_constructions} "
+              f"of {full} full, {stats.constructions} in all")
+        # both endings occur, so the counter separates them
+        assert (stats.constructions, stats.degenerate_constructions) == (236, 214)
+        assert stats.capped_constructions == 16
+
+    def test_a_fleet_sums_its_shards(self):
+        simulation = build_simulation(self.SEEDED.with_(shards=2))
+        stats = simulation.run(60).stats
+        workers = simulation.server.shard_servers
+        assert stats.capped_constructions == 56
+        assert stats.capped_constructions == sum(
+            worker.metrics.capped_constructions for worker in workers
+        )
+        assert stats.degenerate_constructions == sum(
+            worker.metrics.degenerate_constructions for worker in workers
+        )
+
+    def test_an_uncapped_strategy_counts_nothing(self):
+        stats = build_simulation(self.SEEDED.with_(max_cells=None, timestamps=10)).run(10).stats
+        assert stats.constructions > stats.degenerate_constructions
+        assert stats.capped_constructions == 0
 
 
 class TestTracingConfig:

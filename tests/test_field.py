@@ -105,6 +105,35 @@ class TestLazyField:
         assert lazy.leaves_scanned <= total_leaves
 
 
+class TestCoveredWindow:
+    """``covered_window`` is exactly the set of cells whose neighbourhood
+    query grows no coverage — the frontier skips the field for those."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_window_is_where_a_query_covers_nothing(self, world, seed):
+        grid, tree, expression, _ = world
+        rng = random.Random(seed)
+        radius = rng.choice([0.0, 300.0, 1_200.0])
+        field = LazyBEQField(grid, tree, expression)
+        assert field.covered_window(radius) == (0, 0, -1, -1)  # nothing covered yet
+        for _ in range(4):
+            field.ensure_cell_neighbourhood(
+                (rng.randrange(grid.n), rng.randrange(grid.n)), radius
+            )
+            i_min, j_min, i_max, j_max = field.covered_window(radius)
+            for cell in grid.all_cells():
+                probe = LazyBEQField(grid, tree, expression)
+                probe._covered = field._covered
+                probe.ensure_cell_neighbourhood(cell, radius)
+                inside = i_min <= cell[0] <= i_max and j_min <= cell[1] <= j_max
+                assert (probe._covered == field._covered) == inside, cell
+
+    def test_a_materialised_field_covers_the_grid(self, world):
+        grid, _, _, matching = world
+        last = grid.n - 1
+        assert StaticMatchingField(grid, matching).covered_window(RADIUS) == (0, 0, last, last)
+
+
 class TestConstructionEquivalence:
     def test_igm_identical_under_both_fields(self, world):
         grid, tree, expression, matching = world

@@ -16,6 +16,7 @@ controls the per-test example budget (default 25).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, Sequence
 
@@ -31,8 +32,16 @@ from repro.expressions import (
     Subscription,
     clauses_of,
 )
-from repro.geometry import Point
-from repro.index import SubscriptionIndex, subscription_index
+from repro.core import VectorizedIGM
+from repro.geometry import Grid, Point, Rect
+from repro.index import (
+    BEQTree,
+    BETreeIndex,
+    KSubscriptionIndex,
+    SubscriptionIndex,
+    subscription_index,
+)
+from repro.system import ElapsServer
 
 pytestmark = pytest.mark.differential
 
@@ -288,3 +297,115 @@ def test_batch_sizes_do_not_change_results(data):
             [s.sub_id for s in row] for row in index.match_batch(batch[start : start + chunk])
         )
     assert chunked == whole
+
+
+# ----------------------------------------------------------------------
+# Self-unequal and infinite operands
+# ----------------------------------------------------------------------
+#: operands an operand-sorted index cannot place by value alone: NaN
+#: (one object, so ``in`` may hold by identity), the infinities, and the
+#: bool/int/float aliases beside them
+EDGE_OPERANDS = (NAN, math.inf, -math.inf, 1, 5, 2.5, True)
+EDGE_EVENT_VALUES = EDGE_OPERANDS + (0, 1.0, "x")
+EDGE_SPACE = Rect(0.0, 0.0, 10_000.0, 10_000.0)
+
+
+@st.composite
+def edge_predicates(draw):
+    attribute = draw(st.sampled_from(("a", "b")))
+    kind = draw(st.sampled_from(("scalar", "scalar", "between", "in", "not_in")))
+    operands = st.sampled_from(EDGE_OPERANDS)
+    if kind == "scalar":
+        return Predicate(attribute, draw(st.sampled_from(SCALAR_OPS)), draw(operands))
+    if kind == "between":
+        low, high = draw(operands), draw(operands)
+        if low == low and high == high and low > high:
+            low, high = high, low
+        return Predicate(attribute, Operator.BETWEEN, (low, high))
+    members = frozenset(draw(st.lists(operands, min_size=1, max_size=3)))
+    return Predicate(attribute, Operator.IN if kind == "in" else Operator.NOT_IN, members)
+
+
+def _edge_events(draw):
+    values = st.sampled_from(EDGE_EVENT_VALUES)
+    return [
+        Event(
+            event_id,
+            draw(st.dictionaries(st.sampled_from(("a", "b")), values, min_size=1)),
+            Point(500.0 + 900.0 * event_id, 5_000.0),
+        )
+        for event_id in range(draw(st.integers(1, 10)))
+    ]
+
+
+@DIFF_SETTINGS
+@given(data=st.data())
+def test_nan_and_infinite_operands_agree_with_the_oracle(data):
+    """Every subscription index and the BEQ-Tree answer NaN and ±inf
+    operands as :meth:`Predicate.matches` does: ``= nan``, ``<= nan`` and
+    ``[nan, 5]`` hold for nothing, ``!= nan`` for everything, and an
+    ``in`` set holds for its members only."""
+    subs = [
+        Subscription(
+            sub_id,
+            BooleanExpression(tuple(data.draw(st.lists(edge_predicates(), min_size=1, max_size=2)))),
+            1_000.0,
+        )
+        for sub_id in range(data.draw(st.integers(1, 8)))
+    ]
+    events = _edge_events(data.draw)
+    # a small BE-Tree bucket splits into value directories, whose
+    # clustering arithmetic must place (or refuse) a NaN bound
+    indexes = [SubscriptionIndex(), KSubscriptionIndex(), BETreeIndex(max_bucket=2)]
+    for index in indexes:
+        for sub in subs:
+            index.insert(sub)
+    for event in events:
+        expected = {sub.sub_id for sub in subs if oracle_matches(sub, event)}
+        for index in indexes:
+            got = {sub.sub_id for sub in index.match_event(event)}
+            assert got == expected, (type(index).__name__, event.attributes)
+    tree = BEQTree(EDGE_SPACE, emax=4)
+    for event in events:
+        tree.insert(event)
+    for sub in subs:
+        expected = {event.event_id for event in events if oracle_matches(sub, event)}
+        got = {event.event_id for event in tree.be_match(sub.expression)}
+        assert got == expected, str(sub.expression)
+    for index in indexes:
+        for sub in subs:
+            index.delete(sub)
+        assert len(index) == 0
+
+
+@pytest.mark.parametrize(
+    "predicate, delivered",
+    [
+        (Predicate("a", Operator.LE, NAN), []),
+        (Predicate("a", Operator.EQ, NAN), []),
+        (Predicate("a", Operator.BETWEEN, (NAN, 5)), []),
+        (Predicate("a", Operator.IN, frozenset({NAN})), []),
+        (Predicate("a", Operator.NE, NAN), [1, 2]),
+        (Predicate("a", Operator.LE, math.inf), [1, 2]),
+    ],
+    ids=str,
+)
+def test_a_subscriber_is_delivered_what_its_predicate_matches(predicate, delivered):
+    """The parent's misread end to end: ``a <= nan`` was delivered the
+    whole corpus at subscribe time."""
+    grid = Grid(25, EDGE_SPACE)
+    server = ElapsServer(grid, VectorizedIGM(max_cells=60), event_index=BEQTree(EDGE_SPACE, emax=16))
+    server.bootstrap([
+        Event(1, {"a": 1}, Point(5_000.0, 5_000.0)),
+        Event(2, {"a": 5}, Point(5_200.0, 5_000.0)),
+    ])
+    notes, _ = server.subscribe(
+        Subscription(1, BooleanExpression((predicate,)), 1_000.0),
+        Point(5_100.0, 5_000.0), Point(0.0, 0.0), now=0,
+    )
+    assert sorted(note.event.event_id for note in notes) == delivered
+    index = SubscriptionIndex()
+    index.insert(Subscription(1, BooleanExpression((predicate,)), 1_000.0))
+    matched = [event_id for event_id, value in ((1, 1), (2, 5))
+               if index.match_event(Event(event_id, {"a": value}, Point(0.0, 0.0)))]
+    assert matched == delivered

@@ -558,6 +558,24 @@ class TestNoGridCrossesAPipe:
         assert publish < 2_048
         assert gauges["pipe_bytes_sent"] > 0 and gauges["pipe_replies"] >= 4
 
+    def test_a_pickled_grid_leaves_its_axis_tables_behind(self):
+        """The per-axis tables a construction builds on the grid are a
+        pure function of it: a grid pickles to the same bytes before and
+        after (the fleet ships it to every worker), and a copy rebuilds
+        them on first use."""
+        grid = Grid(40, SPACE)
+        warm(grid)
+        cold = pickle.dumps(grid)
+        assert grid.axes.morton_x[5] == 0b10001
+        warmed = pickle.dumps(grid)
+        print(f"\npickled Grid(40) with warm disks: {len(cold)} bytes, "
+              f"{len(warmed)} after its axis tables are built")
+        assert len(warmed) == len(cold)
+        copy = pickle.loads(warmed)
+        assert "axes" not in vars(copy)
+        assert copy.axes.morton_y == grid.axes.morton_y
+        assert copy.axes.x_hi.tolist() == grid.axes.x_hi.tolist()
+
     def test_every_held_region_is_over_the_coordinators_grid(self, tmp_path):
         grid = Grid(40, SPACE)
 

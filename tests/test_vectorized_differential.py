@@ -221,6 +221,164 @@ def test_lazy_beq_field_pairs_and_scan_counters_are_identical(seed, family, emax
     assert scalar_field.leaves_scanned == vector_field.leaves_scanned
 
 
+def _border_location(rng: random.Random, grid: Grid) -> Point:
+    """A point in a border row or column of ``grid``, a corner cell, or
+    exactly on the space's edge."""
+    low, high = SPACE.x_min, SPACE.x_max
+    edge = rng.choice([low, high, rng.uniform(low, low + grid.cell_width),
+                       rng.uniform(high - grid.cell_width, high)])
+    other = rng.choice([edge, rng.uniform(low, high)])  # a corner, or anywhere along
+    return Point(edge, other) if rng.random() < 0.5 else Point(other, edge)
+
+
+def _paths_taken(pair, grid: Grid, radius: float):
+    """Which of the frontier's two candidate paths the pops went down:
+    (some cell was ``reach`` from every border, some cell was not)."""
+    reach = grid.disk(radius).candidates.reach
+    inner = [reach <= i < grid.n - reach and reach <= j < grid.n - reach
+             for i, j in pair.visit_order]
+    return any(inner), not all(inner)
+
+
+@DIFF_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(FAMILIES)),
+    lazy=st.booleans(),
+    event_rate=st.sampled_from([0.0, 2.0]),
+    total_events=st.sampled_from([0, 40]),
+    still=st.booleans(),
+)
+def test_border_cells_and_degenerate_stats_are_byte_identical(
+    seed, family, lazy, event_rate, total_events, still
+):
+    """Expansions from border rows, columns and corners (the flat
+    interior path and the bounds-filtered border path in one frontier),
+    under the cost model's degenerate inputs: no event rate, an empty
+    corpus statistic, a parked subscriber — Equation 6's limits."""
+    rng = random.Random(seed)
+    grid = Grid(rng.choice([25, 40]), SPACE)
+    events = random_events(rng, SPACE, rng.randint(0, 60))
+    expression = BooleanExpression([Predicate(f"a{rng.randint(0, 5)}", Operator.LE, 4)])
+    points = [event.location for event in events if expression.matches(event.attributes)]
+    radius = rng.choice([0.0, rng.uniform(50, 500), rng.uniform(500, 2000)])
+    location = _border_location(rng, grid)
+    velocity = Point(0.0, 0.0) if still else Point(rng.uniform(-40, 40), rng.uniform(-40, 40))
+    stats = SystemStats(event_rate=event_rate, total_events=total_events)
+
+    def build(strategy_cls):
+        if lazy:
+            tree = BEQTree(SPACE, emax=16)
+            tree.insert_all(events)
+            field = LazyBEQField(grid, tree, expression)
+        else:
+            field = StaticMatchingField(grid, points)
+        request = ConstructionRequest(
+            location=location, velocity=velocity, radius=radius,
+            grid=grid, matching_field=field, stats=stats,
+        )
+        strategy = strategy_cls(max_cells=rng.choice([None, 90, 300]), record_visits=True)
+        return strategy.construct(request), field
+
+    scalar_cls, vector_cls = FAMILIES[family]
+    state = rng.getstate()
+    scalar_pair, scalar_field = build(scalar_cls)
+    rng.setstate(state)  # the same cap on both sides
+    vector_pair, vector_field = build(vector_cls)
+    assert_pairs_identical(scalar_pair, vector_pair)
+    assert scalar_field.events_scanned == vector_field.events_scanned
+    if lazy:
+        assert scalar_field.leaves_scanned == vector_field.leaves_scanned
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("corner", [(0.0, 0.0), (10_000.0, 0.0), (10_000.0, 10_000.0)])
+def test_one_expansion_runs_the_interior_and_the_border_path(family, corner):
+    """From a corner, with no event pressure, the frontier floods border
+    and interior cells alike: both candidate paths in one expansion."""
+    grid = Grid(40, SPACE)
+
+    def request():
+        return ConstructionRequest(
+            location=Point(*corner), velocity=Point(0.0, 0.0), radius=600.0,
+            grid=grid, matching_field=StaticMatchingField(grid, []),
+            stats=SystemStats(event_rate=0.0, total_events=0),
+        )
+
+    scalar_cls, vector_cls = FAMILIES[family]
+    scalar_pair = scalar_cls(max_cells=200, record_visits=True).construct(request())
+    vector_pair = vector_cls(max_cells=200, record_visits=True).construct(request())
+    assert_pairs_identical(scalar_pair, vector_pair)
+    assert _paths_taken(vector_pair, grid, 600.0) == (True, True)
+    assert scalar_pair.last_accepted_bm == 0.0  # Equation 6's f = 0 limit
+
+
+@DIFF_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(FAMILIES)),
+    border=st.booleans(),
+)
+def test_covered_pops_skip_the_field_and_scan_identically(seed, family, border):
+    """The coverage fast path: a pop whose neighbourhood the lazy field
+    already covers never calls into it, and the tree work still lands on
+    the scalar oracle's ``events_scanned`` / ``leaves_scanned``."""
+    rng = random.Random(seed)
+    grid = Grid(40, SPACE)
+    events = random_events(rng, SPACE, rng.randint(20, 200))
+    expression = BooleanExpression([Predicate(f"a{rng.randint(0, 5)}", Operator.LE, 3)])
+    radius = rng.uniform(100, 1500)
+    location = (
+        _border_location(rng, grid) if border
+        else Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+    )
+    stats = SystemStats(event_rate=rng.uniform(0.0, 2.0), total_events=len(events))
+
+    def build(strategy_cls):
+        tree = BEQTree(SPACE, emax=16)
+        tree.insert_all(events)
+        field = LazyBEQField(grid, tree, expression)
+        calls = []
+        ensure = field.ensure_cell_neighbourhood
+        field.ensure_cell_neighbourhood = lambda cell, r: (calls.append(cell), ensure(cell, r))
+        request = ConstructionRequest(
+            location=location, velocity=Point(20.0, -5.0), radius=radius,
+            grid=grid, matching_field=field, stats=stats,
+        )
+        pair = strategy_cls(max_cells=300, record_visits=True).construct(request)
+        return pair, field, calls
+
+    scalar_cls, vector_cls = FAMILIES[family]
+    scalar_pair, scalar_field, _ = build(scalar_cls)
+    vector_pair, vector_field, calls = build(vector_cls)
+    assert_pairs_identical(scalar_pair, vector_pair)
+    assert scalar_field.events_scanned == vector_field.events_scanned
+    assert scalar_field.leaves_scanned == vector_field.leaves_scanned
+    # at most the start cell's degenerate check plus one call per pop
+    assert len(calls) <= vector_pair.cells_examined + 1
+
+
+def test_a_large_expansion_calls_the_field_for_few_of_its_pops():
+    """The fast path is taken, not merely allowed: most pops of a wide
+    expansion over a lazy field land inside its covered window."""
+    rng = random.Random(3)
+    grid = Grid(40, SPACE)
+    events = random_events(rng, SPACE, 150)
+    tree = BEQTree(SPACE, emax=16)
+    tree.insert_all(events)
+    field = LazyBEQField(grid, tree, BooleanExpression([Predicate("a0", Operator.EQ, 99)]))
+    calls = []
+    ensure = field.ensure_cell_neighbourhood
+    field.ensure_cell_neighbourhood = lambda cell, r: (calls.append(cell), ensure(cell, r))
+    pair = VectorizedIGM(max_cells=400).construct(ConstructionRequest(
+        location=Point(5_000.0, 5_000.0), velocity=Point(20.0, 0.0), radius=800.0,
+        grid=grid, matching_field=field,
+        stats=SystemStats(event_rate=2.0, total_events=150),
+    ))
+    assert pair.cells_examined >= 400
+    assert len(calls) < pair.cells_examined // 4
+
+
 @DIFF_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(sorted(FAMILIES)))
 def test_field_reuse_across_constructions_stays_identical(seed, family):
