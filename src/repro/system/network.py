@@ -1209,14 +1209,23 @@ class ResilientElapsClient:
         self._task = asyncio.ensure_future(self._run())
 
     async def stop(self) -> None:
-        """Stop reconnecting and close the live connection, if any."""
+        """Stop reconnecting and close the live connection, if any.
+
+        The connection is closed before the supervisor is cancelled, as
+        :meth:`ElapsTCPServer.stop` does for its handlers: the session's
+        read then ends on EOF even if the cancellation is lost.  (On
+        Python 3.11, ``asyncio.wait_for`` returns a read that completed
+        in the same loop pass as the cancel and drops the
+        ``CancelledError``; a live session kept up by heartbeats would
+        never end.)
+        """
         self._stopping = True
+        self._close_writer()
         if self._task is not None:
             self._task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._task
             self._task = None
-        self._close_writer()
 
     async def wait_connected(self, timeout: float = 5.0) -> None:
         """Block until a connection is up and the subscribe was sent."""
