@@ -17,7 +17,6 @@ import os
 from typing import Dict, Iterable, List, Sequence
 
 from repro.system import ExperimentConfig, run_experiment
-from repro.system.experiment import matching_mode_for
 
 FAST = os.environ.get("REPRO_BENCH_FAST") == "1"
 
@@ -59,9 +58,7 @@ STRATEGY_ORDER = ("VM", "GM", "iGM", "idGM")
 
 def run_strategy(config: ExperimentConfig, strategy: str, **overrides) -> Dict[str, float]:
     """Run one (configuration, strategy) cell and return the figure row."""
-    changes = {"strategy": strategy, "matching_mode": matching_mode_for(strategy)}
-    changes.update(overrides)
-    cell = config.with_(**changes)
+    cell = config.with_(strategy=strategy, **overrides)
     result = run_experiment(cell)
     per = result.per_subscriber()
     return {

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 from config import DEFAULTS, format_table, run_strategy
 from repro.system import run_experiment
-from repro.system.experiment import matching_mode_for
 
 
 def _run():
     rows = []
     for strategy in ("VM", "iGM", "idGM"):
-        result = run_experiment(
-            DEFAULTS.with_(
-                strategy=strategy,
-                matching_mode=matching_mode_for(strategy),
-                measure_bytes=True,
-            )
-        )
+        result = run_experiment(DEFAULTS.with_(strategy=strategy, measure_bytes=True))
         stats = result.stats
         rows.append(
             {

@@ -11,7 +11,6 @@ Run:  python examples/taxi_monitoring.py       (~1-2 minutes)
 """
 
 from repro import ExperimentConfig, run_experiment
-from repro.system.experiment import matching_mode_for
 
 CONFIG = ExperimentConfig(
     movement="taxi",
@@ -34,9 +33,7 @@ def main() -> None:
           f"{'total I/O':>10} {'notifications':>14}")
     totals = {}
     for strategy in ("VM", "GM", "iGM", "idGM"):
-        result = run_experiment(
-            CONFIG.with_(strategy=strategy, matching_mode=matching_mode_for(strategy))
-        )
+        result = run_experiment(CONFIG.with_(strategy=strategy))
         per = result.per_subscriber()
         totals[strategy] = per["total"]
         print(f"{strategy:<6} {per['location_update']:>14.1f} "

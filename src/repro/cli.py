@@ -33,9 +33,8 @@ from .geometry import Rect
 from .index import BEQTree, KIndex, OpIndex, QuadTree
 from .system import ExperimentConfig, run_experiment
 from .system.config import MATCHING_MODES
-from .system.experiment import STRATEGIES, matching_mode_for
+from .system.experiment import STRATEGIES
 
-#: every selectable strategy, including the vectorized ``-vec`` twins
 _STRATEGY_CHOICES = tuple(STRATEGIES)
 
 
@@ -81,7 +80,7 @@ def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
                              "this many milliseconds as it happens")
 
 
-def _config_from(args: argparse.Namespace, strategy: str, mode: str) -> ExperimentConfig:
+def _config_from(args: argparse.Namespace, strategy: str) -> ExperimentConfig:
     return ExperimentConfig(
         strategy=strategy,
         dataset=args.dataset,
@@ -95,7 +94,6 @@ def _config_from(args: argparse.Namespace, strategy: str, mode: str) -> Experime
         timestamps=args.timestamps,
         grid_n=args.grid,
         event_ttl=args.ttl,
-        matching_mode=mode,
         seed=args.seed,
         shards=args.shards,
         shard_executor=args.shard_executor,
@@ -152,10 +150,9 @@ def _print_span_table(registry, label: str = "") -> None:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    mode = matching_mode_for(args.strategy)
     _print_header(args)
     started = time.perf_counter()
-    result = run_experiment(_config_from(args, args.strategy, mode))
+    result = run_experiment(_config_from(args, args.strategy))
     print()
     print(_TABLE_HEADER)
     _print_row(args.strategy, result.per_subscriber(), time.perf_counter() - started)
@@ -171,9 +168,8 @@ def _command_compare(args: argparse.Namespace) -> int:
     totals = {}
     span_tables = []
     for strategy in ("VM", "GM", "iGM", "idGM"):
-        mode = matching_mode_for(strategy)
         started = time.perf_counter()
-        result = run_experiment(_config_from(args, strategy, mode))
+        result = run_experiment(_config_from(args, strategy))
         per = result.per_subscriber()
         totals[strategy] = per["total"]
         span_tables.append((strategy, result.registry))
@@ -245,8 +241,7 @@ def _command_record(args: argparse.Namespace) -> int:
     from .system.journal import Journal
     from .testing import TraceRecorder
 
-    mode = matching_mode_for(args.strategy)
-    config = _config_from(args, args.strategy, mode)
+    config = _config_from(args, args.strategy)
     _print_header(args)
     journal = Journal(args.trace)
     recorder = None
@@ -260,9 +255,9 @@ def _command_record(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     simulation = build_simulation(config, wrap_server=wrap)
     result = simulation.run(config.timestamps)
-    journal.write_meta(
-        {name: getattr(config, name) for name in _TRACE_META_FIELDS}
-    )
+    meta = {name: getattr(config, name) for name in _TRACE_META_FIELDS}
+    meta["matching_mode"] = config.resolved_matching_mode
+    journal.write_meta(meta)
     record_count = journal.record_count
     recorder.close()
     print(
@@ -472,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default 0: pick a free one)")
-    serve.add_argument("--strategy", choices=_STRATEGY_CHOICES, default="iGM-vec")
+    serve.add_argument("--strategy", choices=_STRATEGY_CHOICES, default="iGM")
     serve.add_argument("--grid", type=int, default=120, help="N: grid resolution")
     serve.add_argument("--events", type=int, default=0,
                        help="E: initial event corpus size (default 0: empty)")

@@ -7,11 +7,6 @@ from .field import LazyBEQField, MatchingEventField, StaticMatchingField
 from .gm import GridMethod
 from .igm import IDGM, IGM, IncrementalGridMethod
 from .regions import GridRegion, ImpactRegion, RegionDelta, SafeRegion, impact_from_safe
-from .vectorized import (
-    VectorizedIDGM,
-    VectorizedIGM,
-    VectorizedIncrementalGridMethod,
-)
 from .vm import VoronoiMethod
 
 __all__ = [
@@ -32,9 +27,6 @@ __all__ = [
     "SafeRegionStrategy",
     "StaticMatchingField",
     "SystemStats",
-    "VectorizedIDGM",
-    "VectorizedIGM",
-    "VectorizedIncrementalGridMethod",
     "VoronoiMethod",
     "impact_from_safe",
 ]

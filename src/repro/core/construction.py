@@ -59,8 +59,8 @@ class RegionPair:
     matching_in_impact: Optional[int] = None
     #: the exact frontier pop order, recorded only when the strategy was
     #: built with ``record_visits=True``.  Diagnostics for the
-    #: scalar-vs-vectorized differential suite, which asserts order
-    #: equality, not just set equality; ``None`` otherwise.
+    #: array-core-vs-scalar-oracle differential suite, which asserts
+    #: order equality, not just set equality; ``None`` otherwise.
     visit_order: Optional[tuple] = None
 
 

@@ -64,7 +64,7 @@ class MatchingEventField:
 
     grid: Grid
     events_scanned: int = 0
-    #: the vectorized strategy's array projections of this field, by
+    #: the construction core's array projections of this field, by
     #: radius.  The field is their only holder and they hold no reference
     #: back, so dropping the field frees its ``n x n`` arrays with it.
     array_views: Dict[float, object]
@@ -86,26 +86,27 @@ class MatchingEventField:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Array-view hooks (the vectorized strategy's window into the field)
+    # Array-view hooks (the construction core's window into the field)
     # ------------------------------------------------------------------
     def known_points(self) -> List[Point]:
         """The matching-event locations discovered *so far* (live list).
 
         Unlike :meth:`all_points` this never triggers coverage or scans:
-        the vectorized field view consumes the list through a cursor, so
-        it must be append-only — already-consumed prefixes never change.
+        the construction core's array view consumes the list through a
+        cursor, so it must be append-only — already-consumed prefixes
+        never change.
         """
         raise NotImplementedError
 
     def ensure_cell_neighbourhood(self, cell: Cell, radius: float) -> None:
         """Discover every event whose dilation could reach ``cell``.
 
-        The vectorized strategy calls this once per frontier pop instead
+        The construction core calls this once per frontier pop instead
         of :meth:`is_cell_safe`, then reads safety and per-cell counts
         from its own arrays.  No-op for fully materialised fields; the
         lazy field grows its covered rectangle exactly as a scalar
         ``is_cell_safe`` query would, keeping ``events_scanned`` and
-        ``leaves_scanned`` identical between the two strategies.
+        ``leaves_scanned`` identical to the scalar oracle's.
         """
 
     def covered_window(self, radius: float) -> Tuple[int, int, int, int]:

@@ -22,18 +22,141 @@ preference ``D(s, c)`` (Equation 10).
    ``tau = alpha * (1 - A)/2 + (1 - alpha) * D``: smaller is better, cells
    along the motion vector and close to the subscriber come first, and
    ``alpha = 0`` degenerates to iGM's pure distance order exactly.
+
+**Array form.**  The loop keeps Algorithm 1's control flow — a
+heap-driven nearest-first/tau frontier popped one cell at a time, because
+each acceptance changes the state the next decision depends on — moves
+the O(events)-sized work into numpy, and makes each pop pay only for what
+depends on that pop:
+
+* the matching field is projected into a struct-of-arrays
+  :class:`_FieldArrayView` (``unsafe`` boolean mask + per-cell ``counts``),
+  maintained incrementally with one array dilation pass per batch of
+  newly discovered events (one pass per BEQ leaf probe in on-demand mode);
+  the loop reads both through flat ``memoryview``s of those same arrays;
+* everything a pop needs that is a sum of an x part and a y part is
+  tabulated before the loop: the squared per-axis distances to the
+  subscriber (per construct, from the grid's edge tables) and the Morton
+  code as two per-axis bit spreads (per grid,
+  :class:`~repro.geometry.grid.GridAxes`), so a
+  neighbour costs one ``sqrt`` of two list reads and its heap key one OR;
+* frontier bookkeeping — visited, accepted, impact membership — lives in
+  flat ``bytearray``s indexed ``i * n + j``, heap entries carry that
+  index, and one pass over the 8-ring reads both the Example 2 strip key
+  (accepted neighbours) and the Equation 7 ring (unvisited ones);
+* each acceptance applies the Example 2 strip offsets from the disk's
+  own tables (:attr:`~repro.geometry.grid.Disk.candidates`): a cell at
+  least ``reach`` from every border adds ``i * n + j`` to a tuple of flat
+  offsets in Python — a strip holds a handful, below the break-even of
+  a numpy call — and a border cell or a long candidate list (a full disk)
+  takes the bounds-filtered array path;
+* a pop whose neighbourhood the field already covers
+  (:meth:`MatchingEventField.covered_window`) skips the call into the
+  field, which could only return at once;
+* a start cell that is unsafe — the subscriber reports every timestamp
+  until it leaves it — is the loop's single pop, and is answered before any
+  of that state is allocated.
+
+**Equivalence contract** (enforced by ``tests/test_vectorized_differential``
+and the golden traces): Algorithm 1 as the paper writes it — a
+``Set[Cell]`` frontier asking the field about one cell at a time — is
+kept as the test oracle in :mod:`repro.testing.oracle`, and this loop
+returns byte-identical :class:`RegionPair` values.  Every float compared or returned here is
+computed by the same sequence of correctly-rounded IEEE-754 operations as
+the scalar loop — ``sqrt(dx*dx + dy*dy)`` distances, cell edges formed as
+``x_min + (i + 1) * cell_width``, shared per-request scalars (``d_max``,
+the velocity norm) taken from the same ``math`` calls.  Heap keys carry
+the cell's Morton code, which is injective, so the pop order is the
+unique ascending key order for both loops.  Field coverage grows through
+:meth:`MatchingEventField.ensure_cell_neighbourhood` for every pop
+outside the covered window — the same covered-rectangle growth a scalar
+``is_cell_safe`` performs, which is a no-op inside it — so
+``events_scanned``/``leaves_scanned`` also match exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from ..geometry import Cell, interleave
+import numpy as np
+
+from ..geometry import Cell, Grid
+from ..geometry.grid import RING
 from .construction import ConstructionRequest, RegionPair, SafeRegionStrategy
 from .cost_model import CostModel
+from .field import MatchingEventField
 from .regions import ImpactRegion, SafeRegion
+
+
+#: ``(key bit, di, dj)`` per neighbour direction: the accepted neighbours
+#: of a cell, OR-ed, are its :class:`~repro.geometry.grid.StripCandidates` key
+_RING_BITS = tuple((1 << bit, di, dj) for bit, (di, dj) in enumerate(RING))
+
+#: strips up to this many offsets are filtered and counted in Python
+#: (~0.15 us an offset); longer ones — a full disk: the start cell, or
+#: no Example 2 strips — take the array path (~6.5 us, flat), which
+#: breaks even at about 35 (DESIGN.md §14)
+_SCALAR_STRIP_MAX = 32
+
+
+class _FieldArrayView:
+    """Struct-of-arrays projection of a matching field at one radius.
+
+    ``unsafe[i, j]`` is True when cell ``(i, j)`` is within ``radius``
+    (closed) of some known matching event; ``counts[i, j]`` is the
+    per-cell event count phi.  The view consumes the field's append-only
+    ``known_points()`` list through a cursor, so a field reused across
+    constructions (repair mode) only pays for events discovered since the
+    last sync — mirroring the scalar field's incremental ``_admit``.
+
+    The field holds its views (``field.array_views``) and a view holds
+    no reference back — every method takes the field from the caller —
+    so there is no cycle: the arrays are freed the moment the field is.
+    """
+
+    __slots__ = ("grid", "radius", "unsafe", "counts", "_cursor")
+
+    def __init__(self, grid: Grid, radius: float) -> None:
+        self.grid = grid
+        self.radius = radius
+        self.unsafe = np.zeros((grid.n, grid.n), dtype=bool)
+        self.counts = np.zeros((grid.n, grid.n), dtype=np.int32)
+        self._cursor = 0
+
+    def ensure_cell(self, field: MatchingEventField, cell: Cell) -> None:
+        """Make the arrays authoritative for ``cell`` and its neighbourhood."""
+        field.ensure_cell_neighbourhood(cell, self.radius)
+        self._sync(field)
+
+    def is_unsafe(self, field: MatchingEventField, cell: Cell) -> bool:
+        """The safety bit of ``cell`` with its neighbourhood covered.
+
+        ``unsafe`` bits are only ever set (exclusions are not un-dilated,
+        and a field rebuilt for staleness gets a new view), so a bit that
+        is already set is final and the points noted since the last sync
+        can wait for the next :meth:`ensure_cell`; a clear bit is decided
+        only after the sync.
+        """
+        field.ensure_cell_neighbourhood(cell, self.radius)
+        if not self.unsafe[cell]:
+            self._sync(field)
+        return bool(self.unsafe[cell])
+
+    def _sync(self, field: MatchingEventField) -> None:
+        """Project the points the field has learnt since the last sync."""
+        points = field.known_points()
+        if len(points) == self._cursor:
+            return
+        fresh = points[self._cursor :]
+        self._cursor = len(points)
+        count = len(fresh)
+        xs = np.fromiter((p.x for p in fresh), dtype=np.float64, count=count)
+        ys = np.fromiter((p.y for p in fresh), dtype=np.float64, count=count)
+        self.grid.dilate_points_mask(xs, ys, self.radius, out=self.unsafe)
+        ci, cj = self.grid.cells_of_array(xs, ys)
+        np.add.at(self.counts, (ci, cj), 1)
 
 
 class IncrementalGridMethod(SafeRegionStrategy):
@@ -54,8 +177,8 @@ class IncrementalGridMethod(SafeRegionStrategy):
     record_visits:
         When True the returned :class:`RegionPair` carries the exact heap
         pop order in ``visit_order`` — the differential suite asserts the
-        vectorized frontier visits cells in the same order, not just that
-        it lands on the same sets.
+        scalar oracle visits cells in the same order, not just that it
+        lands on the same sets.
     """
 
     name = "iGM"
@@ -89,9 +212,9 @@ class IncrementalGridMethod(SafeRegionStrategy):
         if self.alpha == 0.0:
             return distance_preference
         # Equation 9's cosine with the to-cell norm spelled as
-        # sqrt(tx*tx + ty*ty): the composed form is what the vectorized
-        # frontier can reproduce bit for bit (math.hypot is not).  The
-        # velocity norm stays a per-request scalar shared by both paths.
+        # sqrt(tx*tx + ty*ty): the composed form is what the per-axis
+        # tables of construct reproduce bit for bit (math.hypot is not).
+        # The velocity norm stays a per-request scalar shared by both.
         center = request.grid.cell_center(cell)
         tx = center.x - request.location.x
         ty = center.y - request.location.y
@@ -110,112 +233,192 @@ class IncrementalGridMethod(SafeRegionStrategy):
     def construct(self, request: ConstructionRequest) -> RegionPair:
         """Algorithm 1: grid expansion bounded by the balance ratio."""
         grid = request.grid
-        field = request.matching_field
-        model = CostModel(request.stats)
         radius = request.radius
-        speed = request.speed
+        n = grid.n
 
+        field = request.matching_field
+        view = field.array_views.get(radius)
+        if view is None or view.grid is not grid:
+            view = field.array_views[radius] = _FieldArrayView(grid, radius)
         start = grid.cell_of(request.location)
-        start_dist = grid.min_distance_point_cell(request.location, start)
+        # An unsafe start cell is the loop's single pop: nothing accepted,
+        # nothing pushed.  Decide it before any frontier state is built
+        # (with ``max_cells`` 0 the loop pops nothing at all, not even it).
+        if (self.max_cells is None or self.max_cells > 0) and view.is_unsafe(field, start):
+            return RegionPair(
+                safe=SafeRegion(grid, frozenset()),
+                impact=ImpactRegion(grid, frozenset()),
+                cells_examined=1,
+                matching_in_impact=0,
+                visit_order=(start,) if self.record_visits else None,
+            )
 
-        # Heap entries are (priority, dist, z-order key, cell): equal-score
-        # frontier ties break on the cell's Morton code, a spatial order
-        # that is stable across the scalar and vectorized strategies (and
-        # total — the z key is injective — so the pop sequence is unique
-        # regardless of push order).
-        heap: List[Tuple[float, float, int, Cell]] = []
-        visited: Set[Cell] = {start}
-        region: Set[Cell] = set()
-        impact: Set[Cell] = set()
+        balance = CostModel(request.stats).balance
+        speed = request.speed
+        beta = self.beta
+        cap = self.max_cells if self.max_cells is not None else n * n + 1
+
+        # Per-construct distance tables: a neighbour's distance is
+        # sqrt(dxx[i] + dyy[j]), Rect.min_distance_to_point's operations
+        # in its order (the squares of equal-magnitude zeros agree).
+        axes = grid.axes
+        px, py = request.location.x, request.location.y
+        dx = np.maximum(np.maximum(axes.x_lo - px, 0.0), px - axes.x_hi)
+        dy = np.maximum(np.maximum(axes.y_lo - py, 0.0), py - axes.y_hi)
+        dxx = (dx * dx).tolist()
+        dyy = (dy * dy).tolist()
+        morton_x, morton_y = axes.morton_x, axes.morton_y
+        d_max = math.hypot(grid.space.width, grid.space.height)
+        alpha = self.alpha
+        if alpha != 0.0:
+            # Equation 9's terms, split by axis as _priority sums them
+            vnorm = request.velocity.norm()
+            tx = axes.x_mid - px
+            ty = axes.y_mid - py
+            txx, tyy = (tx * tx).tolist(), (ty * ty).tolist()
+            vtx = (request.velocity.x * tx).tolist()
+            vty = (request.velocity.y * ty).tolist()
+
+        # Frontier state, flat-indexed i * n + j.  A bytearray probe costs
+        # a third of a numpy scalar index; the bounds-filtered border path
+        # reads the same bytes through numpy.
+        visited = bytearray(n * n)
+        accepted = bytearray(n * n)
+        in_impact = bytearray(n * n)
+        impact_array = np.frombuffer(in_impact, dtype=bool)
+        # live views of the arrays _sync updates in place
+        unsafe = memoryview(view.unsafe.reshape(-1))
+        counts = memoryview(view.counts.reshape(-1))
+        counts_array = view.counts.reshape(-1)
+
+        start_dist = grid.min_distance_point_cell(request.location, start)
+        start_index = start[0] * n + start[1]
+        visited[start_index] = 1
+        heap: List[Tuple[float, float, int, int]] = [
+            (
+                self._priority(request, start, start_dist),
+                start_dist,
+                morton_x[start[0]] | morton_y[start[1]],
+                start_index,
+            )
+        ]
+        # Example 2's candidate offsets depend only on the grid, the radius
+        # and which neighbours are accepted: looked up, not recomputed.
+        disk = grid.disk(radius)
+        candidates, flat_candidates = disk.candidates, disk.flat_candidates
+        incremental = self.incremental_impact
+        # cells this far from every border have all candidates in bounds
+        inner_lo, inner_hi = candidates.reach, n - candidates.reach
+        ring = tuple((flag, di, dj, di * n + dj) for flag, di, dj in _RING_BITS)
+
+        # Cells whose neighbourhood the field already covers: a pop there
+        # skips the field.  The window is read right after a sync, and
+        # only ensure_cell grows coverage (and so the known points).
+        win_i0, win_j0, win_i1, win_j1 = 0, 0, -1, -1
+
+        heappop, heappush, sqrt = heapq.heappop, heapq.heappush, math.sqrt
+        region: List[Cell] = []
         matching_in_impact = 0
         cells_examined = 0
         last_accepted_bm: Optional[float] = None
         first_rejected_bm: Optional[float] = None
         visit_order: Optional[List[Cell]] = [] if self.record_visits else None
 
-        heapq.heappush(
-            heap,
-            (self._priority(request, start, start_dist), start_dist, interleave(*start), start),
-        )
-        disk = grid.disk(radius)
-        offsets = disk.offsets
-        strips = disk.strips
-
         while heap:
-            if self.max_cells is not None and len(region) >= self.max_cells:
+            if len(region) >= cap:
                 break
-            _, dist, _, cell = heapq.heappop(heap)
+            k = heappop(heap)[3]
             cells_examined += 1
+            i, j = divmod(k, n)
             if visit_order is not None:
-                visit_order.append(cell)
-            if not field.is_cell_safe(cell, radius):
+                visit_order.append((i, j))
+            if not (win_i0 <= i <= win_i1 and win_j0 <= j <= win_j1):
+                view.ensure_cell(field, (i, j))
+                win_i0, win_j0, win_i1, win_j1 = field.covered_window(radius)
+            if unsafe[k]:
                 continue  # B[c'] is false: the cell stays outside (line 10)
 
-            unvisited_adjacent = [
-                neighbor for neighbor in grid.neighbors(cell) if neighbor not in visited
-            ]
-            # Equation 7: d(s, R + c') = min(H.top().dist, d(s, c'') over the
-            # unvisited adjacent cells of c').  H.top() follows the heap's
-            # own expansion order — for idGM that is the tau-ranked frontier,
-            # which deliberately estimates the exit time along the expected
+            # One pass over the 8-ring: the accepted neighbours are the
+            # Example 2 strip key, the unvisited ones the Equation 7 ring.
+            neighbors: List[Tuple[float, int, int, int]] = []
+            boundary = math.inf
+            key = 0
+            interior_ring = 0 < i < n - 1 and 0 < j < n - 1
+            for flag, di, dj, offset in ring:
+                ni, nj = i + di, j + dj
+                if not interior_ring and not (0 <= ni < n and 0 <= nj < n):
+                    continue
+                c = k + offset
+                if accepted[c]:
+                    key |= flag
+                elif not visited[c]:
+                    ndist = sqrt(dxx[ni] + dyy[nj])
+                    neighbors.append((ndist, ni, nj, c))
+                    if ndist < boundary:
+                        boundary = ndist
+            if not incremental:
+                key = 0
+            # Equation 7: the heap top competes with the adjacent cells.  The
+            # top follows the heap's own order — for idGM the tau-ranked
+            # frontier, which estimates the exit time along the expected
             # direction of motion rather than the worst-case rear boundary.
-            adjacent_dists = [
-                grid.min_distance_point_cell(request.location, neighbor)
-                for neighbor in unvisited_adjacent
-            ]
-            candidates = list(adjacent_dists)
-            if heap:
-                candidates.append(heap[0][1])
-            boundary_distance = min(candidates) if candidates else math.inf
+            if heap and heap[0][1] < boundary:
+                boundary = heap[0][1]
 
-            # Example 2: only the impact cells not yet covered are added.
-            # When an already-accepted neighbour exists, the candidates
-            # shrink from the full disk to the strip past that neighbour
-            # (intersected over all accepted neighbours).
-            i, j = cell
-            candidate_offsets = None
-            if self.incremental_impact:
-                for direction, strip in strips.items():
-                    if (i + direction[0], j + direction[1]) in region:
-                        candidate_offsets = (
-                            strip
-                            if candidate_offsets is None
-                            else candidate_offsets & strip
-                        )
-            if candidate_offsets is None:
-                candidate_offsets = offsets
-            new_impact = [
-                (i + di, j + dj)
-                for (di, dj) in candidate_offsets
-                if grid.in_bounds((i + di, j + dj)) and (i + di, j + dj) not in impact
-            ]
-            candidate_ne = matching_in_impact + sum(
-                field.count_in_cell(impact_cell) for impact_cell in new_impact
-            )
-            bm = model.balance(boundary_distance, speed, candidate_ne)
-            if bm > self.beta and first_rejected_bm is None:
-                first_rejected_bm = bm
-            if bm <= self.beta:
+            fresh: Optional[List[int]] = None
+            if inner_lo <= i < inner_hi and inner_lo <= j < inner_hi:
+                offsets = flat_candidates[key]
+                if len(offsets) <= _SCALAR_STRIP_MAX:
+                    fresh = []
+                    candidate_ne = matching_in_impact
+                    for offset in offsets:
+                        c = k + offset
+                        if not in_impact[c]:
+                            fresh.append(c)
+                            candidate_ne += counts[c]
+                else:
+                    idx = candidates[key][2] + k
+            else:
+                coff_i, coff_j, _ = candidates[key]
+                ci = coff_i + i
+                cj = coff_j + j
+                inb = (ci >= 0) & (ci < n) & (cj >= 0) & (cj < n)
+                idx = ci[inb] * n + cj[inb]
+            if fresh is None:
+                new_idx = idx[~impact_array[idx]]
+                candidate_ne = matching_in_impact + int(counts_array[new_idx].sum())
+
+            bm = balance(boundary, speed, candidate_ne)
+            if bm <= beta:
                 last_accepted_bm = bm
-                region.add(cell)
-                impact.update(new_impact)
+                accepted[k] = 1
+                region.append((i, j))
+                if fresh is None:
+                    impact_array[new_idx] = True
+                else:
+                    for c in fresh:
+                        in_impact[c] = 1
                 matching_in_impact = candidate_ne
-                for neighbor, neighbor_dist in zip(unvisited_adjacent, adjacent_dists):
-                    visited.add(neighbor)
-                    heapq.heappush(
-                        heap,
-                        (
-                            self._priority(request, neighbor, neighbor_dist),
-                            neighbor_dist,
-                            interleave(*neighbor),
-                            neighbor,
-                        ),
-                    )
+                for ndist, ni, nj, c in neighbors:
+                    visited[c] = 1
+                    distp = ndist / d_max if d_max > 0 else 0.0
+                    if alpha == 0.0:
+                        prio = distp
+                    else:
+                        denom = vnorm * sqrt(txx[ni] + tyy[nj])
+                        if denom == 0.0:
+                            cosine = 0.0
+                        else:
+                            cosine = max(-1.0, min(1.0, (vtx[ni] + vty[nj]) / denom))
+                        prio = alpha * ((1.0 - cosine) / 2.0) + (1.0 - alpha) * distp
+                    heappush(heap, (prio, ndist, morton_x[ni] | morton_y[nj], c))
+            elif bm > beta and first_rejected_bm is None:
+                first_rejected_bm = bm
 
-        safe = SafeRegion(grid, frozenset(region))
+        ii, jj = np.nonzero(impact_array.reshape(n, n))
         return RegionPair(
-            safe=safe,
-            impact=ImpactRegion(grid, frozenset(impact)),
+            safe=SafeRegion(grid, frozenset(region)),
+            impact=ImpactRegion(grid, frozenset(zip(ii.tolist(), jj.tolist()))),
             cells_examined=cells_examined,
             last_accepted_bm=last_accepted_bm,
             first_rejected_bm=first_rejected_bm,

@@ -14,15 +14,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Type
 
-from ..core import (
-    GridMethod,
-    IDGM,
-    IGM,
-    SafeRegionStrategy,
-    VectorizedIDGM,
-    VectorizedIGM,
-    VoronoiMethod,
-)
+from ..core import GridMethod, IDGM, IGM, SafeRegionStrategy, VoronoiMethod
 from ..datasets import FoursquareLikeGenerator, TwitterLikeGenerator
 from ..geometry import Grid, Rect
 from ..index import BEQTree, SubscriptionIndex
@@ -36,16 +28,12 @@ from .server import ElapsServer
 from .sharding import ProcessExecutor, SerialExecutor, ShardedElapsServer
 from .simulation import Simulation, SimulationResult
 
-#: strategy registry: name -> class.  The ``-vec`` variants run the
-#: array-backed construction core (DESIGN.md §14), byte-identical to
-#: their scalar oracles.
+#: strategy registry: name -> class
 STRATEGIES: Dict[str, Type[SafeRegionStrategy]] = {
     "VM": VoronoiMethod,
     "GM": GridMethod,
     "iGM": IGM,
     "idGM": IDGM,
-    "iGM-vec": VectorizedIGM,
-    "idGM-vec": VectorizedIDGM,
 }
 
 #: side of the square space in metres, mirroring the Singapore extent
@@ -54,8 +42,8 @@ SPACE_SIZE = 50_000.0
 
 def matching_mode_for(strategy: str) -> str:
     """VM/GM need the global matching list, a full-corpus match per
-    construction (the paper's ``-BE`` path); the incremental family
-    (scalar or vectorized) pulls events on demand."""
+    construction (the paper's ``-BE`` path); iGM/idGM pull events on
+    demand."""
     return "full" if strategy in ("VM", "GM") else "ondemand"
 
 
@@ -82,7 +70,7 @@ class ExperimentConfig:
     grid_n: int = 120  # N
     emax: int = 512  # BEQ-Tree leaf capacity
     event_ttl: Optional[int] = None
-    matching_mode: str = "ondemand"
+    matching_mode: Optional[str] = None  # None: matching_mode_for(strategy)
     max_cells: Optional[int] = 2500  # safe-region cap (deviation, DESIGN.md)
     seed: int = 7
     measure_bytes: bool = False
@@ -102,6 +90,13 @@ class ExperimentConfig:
     def with_(self, **changes) -> "ExperimentConfig":
         """A copy of this configuration with fields replaced."""
         return dataclasses.replace(self, **changes)
+
+    @property
+    def resolved_matching_mode(self) -> str:
+        """The configured matching mode, or the strategy's own."""
+        if self.matching_mode is not None:
+            return self.matching_mode
+        return matching_mode_for(self.strategy)
 
 
 def build_strategy(config: ExperimentConfig) -> SafeRegionStrategy:
@@ -145,7 +140,7 @@ def build_server(config: ExperimentConfig, journal=None):
     grid = Grid(config.grid_n, space)
     generator = _build_generator(config, space)
     server_config = ServerConfig(
-        matching_mode=config.matching_mode,
+        matching_mode=config.resolved_matching_mode,
         initial_rate=config.event_rate,
         measure_bytes=config.measure_bytes,
         use_impact_region=config.use_impact_region,

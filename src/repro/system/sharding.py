@@ -65,7 +65,6 @@ import bisect
 import copyreg
 import dataclasses
 import functools
-import inspect
 import io
 import json
 import math
@@ -673,12 +672,8 @@ class ShardedElapsServer:
     worker is built from the *same* :class:`ServerConfig`.  ``strategy``
     may be a :class:`~repro.core.SafeRegionStrategy` instance (shared by
     all workers — the bundled strategies are stateless per ``construct``
-    call) or a factory producing one fresh strategy per shard.  The
-    factory takes either no argument or the shard's :class:`ShardSpec` —
-    the latter lets a fleet split a global region budget across bands
-    (the client-held region is the K-way intersection of the per-shard
-    regions, so each shard only needs ``max_cells / K`` of the budget;
-    deliveries are unaffected either way).
+    call) or a zero-argument factory producing one fresh strategy per
+    shard.
     """
 
     def __init__(
@@ -705,16 +700,13 @@ class ShardedElapsServer:
         self.rebalance_policy = rebalance
 
         if isinstance(strategy, SafeRegionStrategy):
-            factory: Callable[[ShardSpec], SafeRegionStrategy] = (
-                lambda spec: strategy
-            )
+            factory: Callable[[], SafeRegionStrategy] = lambda: strategy
         elif callable(strategy):
-            takes_spec = len(inspect.signature(strategy).parameters) >= 1
-            factory = strategy if takes_spec else lambda spec: strategy()
+            factory = strategy
         else:
             raise TypeError(
-                "strategy must be a SafeRegionStrategy or a factory "
-                f"(taking nothing or the ShardSpec), got {strategy!r}"
+                "strategy must be a SafeRegionStrategy or a zero-argument "
+                f"factory, got {strategy!r}"
             )
         # Per-band durability: each worker journals autonomously under a
         # ``band-<k>/`` subdirectory of the configured journal path (the
@@ -737,7 +729,7 @@ class ShardedElapsServer:
                 """Construct the band's server around the executor's transport."""
                 return ElapsServer(
                     grid,
-                    factory(spec),
+                    factory(),
                     band_config,
                     event_index=(
                         event_index_factory() if event_index_factory else None

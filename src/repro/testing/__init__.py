@@ -1,4 +1,4 @@
-"""Test support: chaos harness, matching oracle, contract checks, trace replay.
+"""Test support: chaos harness, oracles, contract checks, trace replay.
 
 ``repro.testing`` is the stable doorway to the fault-injection machinery
 of :mod:`repro.system.faults` — external test suites (and our own chaos
@@ -29,8 +29,8 @@ from ..system.faults import (
     FaultKind,
     FaultStats,
 )
-from .invariants import definition1_violations
-from .oracle import BruteForceOracle, oracle_pairs
+from .invariants import definition1_violations, impact_coverage_violations
+from .oracle import BruteForceOracle, ScalarIDGM, ScalarIGM, oracle_pairs
 from .replay import (
     ReplayResult,
     TraceRecorder,
@@ -48,9 +48,12 @@ __all__ = [
     "FaultKind",
     "FaultStats",
     "ReplayResult",
+    "ScalarIDGM",
+    "ScalarIGM",
     "TraceRecorder",
     "chaos_proxy",
     "definition1_violations",
+    "impact_coverage_violations",
     "diff_logs",
     "notification_log",
     "oracle_pairs",

@@ -7,6 +7,7 @@ in whatever built or cached a region cannot also hide the violation.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -46,3 +47,66 @@ def definition1_violations(server) -> List[Tuple[int, int, Cell]]:
             for k in np.flatnonzero(np.hypot(dx, dy) <= record.subscription.radius):
                 violations.append((sub_id, event.event_id, tuple(cells[k].tolist())))
     return violations
+
+
+def impact_coverage_violations(server) -> List[Tuple[int, Cell]]:
+    """Definition 2 by brute force: the cells whose min cell-to-cell
+    distance to a held safe region is ``< r`` but which that subscriber's
+    installed impact region leaves out, as ``(sub_id, cell)`` pairs —
+    empty when the contract holds.
+
+    Checked per server, or per shard of an in-process
+    :class:`~repro.system.ShardedElapsServer` (each shard installs the
+    impact region of the region it built).  An empty held region is
+    checked as the server covers it: the closed disk ``<= r`` around the
+    ``degenerate_cell`` whose dilation it installed (none installed by a
+    repair that carved the region empty: nothing to cover).  The offsets
+    are enumerated here, not taken from the grid's disk tables.
+    """
+    violations = []
+    for shard in getattr(server, "shard_servers", (server,)):
+        grid, n = shard.grid, shard.grid.n
+        for sub_id, record in shard.subscribers.items():
+            if record.safe is None:
+                continue
+            held = np.zeros((n, n), dtype=bool)
+            if record.safe.is_empty():
+                if record.degenerate_cell is None:
+                    continue
+                held[record.degenerate_cell] = True
+                closed = True
+            else:
+                held[tuple(np.array(list(record.safe.iter_cells())).T)] = True
+                closed = False
+            required = _dilated(grid, held, record.subscription.radius, closed)
+            installed = np.zeros((n, n), dtype=bool)
+            stored = shard.impact_index.region_of(sub_id)
+            if stored is not None:
+                complement, cells = stored
+                if cells:
+                    installed[tuple(np.array(list(cells)).T)] = True
+                if complement:
+                    installed = ~installed
+            for i, j in zip(*np.nonzero(required & ~installed)):
+                violations.append((sub_id, (int(i), int(j))))
+    return violations
+
+
+def _dilated(grid, mask: np.ndarray, radius: float, closed: bool) -> np.ndarray:
+    """``mask`` grown by every index offset whose cell-to-cell min
+    distance is ``< radius`` (``<=`` when ``closed``)."""
+    n = grid.n
+    out = np.zeros_like(mask)
+    reach_i = int(radius / grid.cell_width) + 1
+    reach_j = int(radius / grid.cell_height) + 1
+    for di in range(-reach_i, reach_i + 1):
+        for dj in range(-reach_j, reach_j + 1):
+            gap = math.hypot(
+                max(abs(di) - 1, 0) * grid.cell_width,
+                max(abs(dj) - 1, 0) * grid.cell_height,
+            )
+            if gap < radius or (closed and gap == radius):
+                out[max(di, 0) : n + min(di, 0), max(dj, 0) : n + min(dj, 0)] |= mask[
+                    max(-di, 0) : n - max(di, 0), max(-dj, 0) : n - max(dj, 0)
+                ]
+    return out

@@ -33,6 +33,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--strategy", "magic"])
 
+    @pytest.mark.parametrize("verb", [
+        ["simulate"], ["record", "--trace", "t"], ["replay", "--trace", "t"], ["serve"],
+    ])
+    def test_every_verb_offers_the_four_strategies(self, verb, capsys):
+        parser = build_parser()
+        for strategy in ("VM", "GM", "iGM", "idGM"):
+            assert parser.parse_args([*verb, "--strategy", strategy]).strategy == strategy
+        for retired in ("iGM-vec", "idGM-vec"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*verb, "--strategy", retired])
+        capsys.readouterr()
+
+    def test_serve_defaults_to_igm(self):
+        assert build_parser().parse_args(["serve"]).strategy == "iGM"
+
 
 class TestSimulate:
     def test_runs_and_prints_figures(self, capsys):
@@ -140,6 +155,25 @@ class TestRecordReplay:
         capsys.readouterr()
         assert main([
             "replay", "--trace", str(trace), "--matching-mode", "full",
+            "--expect", log_path,
+        ]) == 0
+        assert "byte-identical" in capsys.readouterr().out
+
+    def test_replay_refuses_the_retired_vec_strategy(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        assert main(["record", "--trace", str(trace), *TINY_SIM]) == 0
+        meta_path = trace / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert (meta["strategy"], meta["matching_mode"]) == ("iGM", "ondemand")
+        log_path = str(tmp_path / "replay.log")
+        assert main(["replay", "--trace", str(trace), "--out", log_path]) == 0
+        # a trace whose metadata names the array core's retired twin
+        meta_path.write_text(json.dumps(dict(meta, strategy="iGM-vec")))
+        with pytest.raises(ValueError, match="unknown strategy"):
+            main(["replay", "--trace", str(trace)])
+        capsys.readouterr()
+        assert main([
+            "replay", "--trace", str(trace), "--strategy", "iGM",
             "--expect", log_path,
         ]) == 0
         assert "byte-identical" in capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 Three defects the side tables hid and one they did not cause, one
 regression test each (DESIGN.md §9, §10, §14).  Each prints the number
-it measures under ``-s`` — CI's vectorized-differential lane runs the
+it measures under ``-s`` — CI's array-core-vs-scalar-oracle lane runs the
 file that way — so a regression shows as a number in the log, not only
 as a red test:
 
@@ -27,13 +27,18 @@ import weakref
 
 import pytest
 
-from repro.core import IDGM, IGM, GridMethod, LazyBEQField, VectorizedIDGM, VectorizedIGM
-from repro.core.vectorized import _FieldArrayView
+from repro.core import IDGM, IGM, GridMethod, LazyBEQField
+from repro.core.igm import _FieldArrayView
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import ElapsServer, ServerConfig
-from repro.testing import definition1_violations
+from repro.testing import (
+    ScalarIDGM,
+    ScalarIGM,
+    definition1_violations,
+    impact_coverage_violations,
+)
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 STILL = Point(0, 0)
@@ -98,13 +103,13 @@ class TestViewsDieWithTheirField:
         )
 
     def test_the_strategy_holds_nothing_but_its_parameters(self):
-        for vector_cls, scalar_cls in ((VectorizedIGM, IGM), (VectorizedIDGM, IDGM)):
+        for vector_cls, scalar_cls in ((IGM, ScalarIGM), (IDGM, ScalarIDGM)):
             assert vars(vector_cls(max_cells=7)) == vars(scalar_cls(max_cells=7))
             assert vector_cls.construct is not scalar_cls.construct
 
     def test_subscribe_unsubscribe_cycles_leave_only_the_live_subscribers(self):
         rng = random.Random(23)
-        server = make_server(VectorizedIGM(max_cells=120), repair=True)
+        server = make_server(IGM(max_cells=120), repair=True)
         server.bootstrap(scattered_sales(rng, 40))
         server.subscribe(make_sub(1), Point(5_000, 5_000), STILL, 0)  # stays
 
@@ -135,7 +140,7 @@ class TestViewsDieWithTheirField:
         """``repair=False`` (the default) builds a fresh field for every
         construction; nothing may outlive the construction."""
         rng = random.Random(29)
-        server = make_server(VectorizedIGM(max_cells=120))
+        server = make_server(IGM(max_cells=120))
         server.bootstrap(scattered_sales(rng, 40))
         server.subscribe(make_sub(1), Point(5_000, 5_000), STILL, 0)
         built = []
@@ -189,6 +194,7 @@ class TestResubscribeStartsAFreshRecord:
         server = server_with_corpus()
         server.subscribe(make_sub(1, radius=500.0), corner, STILL, 0)
         assert not definition1_violations(server)
+        assert not impact_coverage_violations(server)
         notes, shipped["resubscribed"] = server.subscribe(
             make_sub(1, radius=3_000.0), corner, STILL, 1
         )
@@ -205,6 +211,7 @@ class TestResubscribeStartsAFreshRecord:
             f"(a fresh server ships {shipped['fresh'].area_cells()})"
         )
         assert not unsafe
+        assert not impact_coverage_violations(server)
         assert shipped["resubscribed"] == shipped["fresh"]
         assert server.impact_index.region_of(1) == fresh.impact_index.region_of(1)
 
@@ -225,6 +232,7 @@ class TestAMidLifeLoadReachesEveryMatchingMode:
         unsafe = definition1_violations(server)
         print(f"\nunsafe cells held after a mid-life bootstrap ({mode} + GM): {len(unsafe)}")
         assert not unsafe
+        assert not impact_coverage_violations(server)
 
 
 class TestPerRadiusTablesBelongToTheirDisk:

@@ -4,23 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    GridMethod,
-    IDGM,
-    IGM,
-    VectorizedIDGM,
-    VectorizedIGM,
-    VoronoiMethod,
-)
+from repro.core import GridMethod, IDGM, IGM, VoronoiMethod
 from repro.system import CommunicationStats, ExperimentConfig, build_strategy
-from repro.system.experiment import STRATEGIES, build_simulation
+from repro.system.experiment import (
+    STRATEGIES,
+    build_server,
+    build_simulation,
+    matching_mode_for,
+)
+from repro.testing import ScalarIGM
 
 
 class TestBuildStrategy:
     def test_registry_covers_every_method(self):
-        assert set(STRATEGIES) == {
-            "VM", "GM", "iGM", "idGM", "iGM-vec", "idGM-vec"
-        }
+        assert set(STRATEGIES) == {"VM", "GM", "iGM", "idGM"}
 
     @pytest.mark.parametrize(
         "name,cls",
@@ -29,8 +26,6 @@ class TestBuildStrategy:
             ("GM", GridMethod),
             ("iGM", IGM),
             ("idGM", IDGM),
-            ("iGM-vec", VectorizedIGM),
-            ("idGM-vec", VectorizedIDGM),
         ],
     )
     def test_builds_the_right_class(self, name, cls):
@@ -40,6 +35,24 @@ class TestBuildStrategy:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             build_strategy(ExperimentConfig(strategy="???"))
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("strategy", ["VM", "GM", "iGM", "idGM"])
+    def test_a_built_server_runs_the_strategys_matching_mode(self, strategy, shards):
+        """No ``matching_mode`` means the strategy's own, on every shard:
+        VM/GM match the full corpus per construction (``repro serve``
+        built them on-demand when it left the mode out)."""
+        config = ExperimentConfig(strategy=strategy, shards=shards, grid_n=40)
+        assert config.matching_mode is None
+        server = build_server(config)
+        workers = getattr(server, "shard_servers", [server])
+        assert len(workers) == shards
+        assert {worker.matching_mode for worker in workers} == {matching_mode_for(strategy)}
+        assert config.resolved_matching_mode == matching_mode_for(strategy)
+        explicit = build_server(config.with_(matching_mode="ondemand"))
+        assert {w.matching_mode for w in getattr(explicit, "shard_servers", [explicit])} == {
+            "ondemand"
+        }
 
     def test_beta_override_reaches_igm(self):
         strategy = build_strategy(ExperimentConfig(strategy="iGM", beta=0.5))
@@ -123,15 +136,18 @@ class TestCappedConstructions:
     ratio, ended — counted so the share is read, never guessed."""
 
     SEEDED = ExperimentConfig(
-        strategy="iGM-vec", subscribers=20, timestamps=60, initial_events=3_000,
+        strategy="iGM", subscribers=20, timestamps=60, initial_events=3_000,
         event_rate=20.0, max_cells=300, repair=True, seed=7,
     )
 
-    @pytest.mark.parametrize("strategy", ["iGM", "iGM-vec"])
-    def test_a_seeded_drive_pins_the_capped_share(self, strategy):
-        stats = build_simulation(self.SEEDED.with_(strategy=strategy)).run(60).stats
+    @pytest.mark.parametrize("core", ["iGM", "iGM-scalar"])
+    def test_a_seeded_drive_pins_the_capped_share(self, core):
+        simulation = build_simulation(self.SEEDED)
+        if core == "iGM-scalar":
+            simulation.server.strategy = ScalarIGM(max_cells=self.SEEDED.max_cells)
+        stats = simulation.run(60).stats
         full = stats.constructions - stats.degenerate_constructions
-        print(f"\ncapped constructions ({strategy}): {stats.capped_constructions} "
+        print(f"\ncapped constructions ({core}): {stats.capped_constructions} "
               f"of {full} full, {stats.constructions} in all")
         # both endings occur, so the counter separates them
         assert (stats.constructions, stats.degenerate_constructions) == (236, 214)

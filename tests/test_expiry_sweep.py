@@ -25,7 +25,7 @@ from repro.system import (
     ServerConfig,
     ShardedElapsServer,
 )
-from repro.testing import definition1_violations
+from repro.testing import definition1_violations, impact_coverage_violations
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 TOPICS = ("sale", "show")
@@ -218,6 +218,7 @@ class TestDefinition1SurvivesABandMove:
         with make_fleet() as server:
             def check(what):
                 assert not definition1_violations(server), f"after {what}"
+                assert not impact_coverage_violations(server), f"after {what}"
 
             drive(
                 server, server.shard_servers, ticks=60, rebalance_at=30,

@@ -14,11 +14,11 @@ from repro.core import (
     LazyBEQField,
     StaticMatchingField,
     SystemStats,
-    VectorizedIGM,
 )
 from repro.expressions import BooleanExpression, Event, Operator, Predicate
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
+from repro.testing import ScalarIGM
 
 from conftest import random_events
 
@@ -247,8 +247,8 @@ class TestStripWalk:
                         answers.append(field.ensure_cell_neighbourhood((i, j), RADIUS))
                 assert answers[0] == answers[1]
                 assert self.observed(strips) == self.observed(full)
-            # and whole constructions, scalar and vectorized
-            for strategy in (IGM(max_cells=120), VectorizedIGM(max_cells=120)):
+            # and whole constructions, array core and scalar oracle
+            for strategy in (IGM(max_cells=120), ScalarIGM(max_cells=120)):
                 location = Point(rng.uniform(0, 9_999), rng.uniform(0, 9_999))
                 pairs = []
                 for cls in (LazyBEQField, FullWalkField):

@@ -32,11 +32,12 @@ import random
 from pathlib import Path
 from typing import List
 
-from repro.core import IGM, VectorizedIGM
+from repro.core import IGM
 from repro.datasets import TwitterLikeGenerator
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import ServerConfig, ElapsServer
+from repro.testing import ScalarIGM
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 SEED = 7
@@ -45,24 +46,24 @@ GROUP_SIZE = 10
 GOLDEN = Path(__file__).parent / "golden" / "trace_20sub_200ev_seed7.log"
 
 
-def strategy(vectorized: bool = False):
-    return (VectorizedIGM if vectorized else IGM)(max_cells=400)
+def strategy(scalar: bool = False):
+    return (ScalarIGM if scalar else IGM)(max_cells=400)
 
 
-def fresh_server(repair: bool = False, vectorized: bool = False) -> ElapsServer:
+def fresh_server(repair: bool = False, scalar: bool = False) -> ElapsServer:
     return ElapsServer(
         Grid(40, SPACE),
-        strategy(vectorized),
+        strategy(scalar),
         ServerConfig(initial_rate=2.0, repair=repair),
         event_index=BEQTree(SPACE, emax=32))
 
 
-def run_simulation(batched: bool, repair: bool = False, vectorized: bool = False) -> str:
+def run_simulation(batched: bool, repair: bool = False, scalar: bool = False) -> str:
     """The canonical notification log of the seeded simulation."""
     generator = TwitterLikeGenerator(SPACE, seed=SEED)
     subscriptions = generator.subscriptions(20, size=2, radius=3_000)
     rng = random.Random(SEED * 101)
-    server = fresh_server(repair, vectorized)
+    server = fresh_server(repair, scalar)
     lines: List[str] = []
 
     def record(notifications) -> None:
@@ -113,13 +114,14 @@ def test_repair_mode_reproduces_the_golden_trace():
 
 
 def test_vectorized_igm_reproduces_the_golden_trace():
-    """The array-backed construction core (DESIGN.md §14) is byte-identical
-    to the scalar oracle, so swapping ``IGM`` for ``VectorizedIGM`` must
-    leave the frozen trace untouched — single, batched, and repair paths."""
+    """``IGM`` is the array-backed construction core (DESIGN.md §14),
+    byte-identical to the scalar loop of ``repro.testing``, so both must
+    reproduce the frozen trace — single, batched, and repair paths."""
     frozen = GOLDEN.read_bytes()
-    assert run_simulation(batched=False, vectorized=True).encode() == frozen
-    assert run_simulation(batched=True, vectorized=True).encode() == frozen
-    assert run_simulation(batched=True, repair=True, vectorized=True).encode() == frozen
+    for scalar in (False, True):
+        assert run_simulation(batched=False, scalar=scalar).encode() == frozen
+        assert run_simulation(batched=True, scalar=scalar).encode() == frozen
+        assert run_simulation(batched=True, repair=True, scalar=scalar).encode() == frozen
 
 
 def test_trace_is_non_trivial():
@@ -152,13 +154,13 @@ def record_golden_trace(path) -> None:
             server.publish_batch(events, now)
 
 
-def fresh_fleet(shards: int = 2, repair: bool = False, vectorized: bool = False):
+def fresh_fleet(shards: int = 2, repair: bool = False, scalar: bool = False):
     from repro.index import SubscriptionIndex  # noqa: F401  (parity import)
     from repro.system import SerialExecutor, ShardedElapsServer
 
     return ShardedElapsServer(
         Grid(40, SPACE),
-        lambda: strategy(vectorized),
+        lambda: strategy(scalar),
         ServerConfig(initial_rate=2.0, repair=repair),
         shards=shards,
         executor=SerialExecutor(),
@@ -181,13 +183,13 @@ def test_recorded_trace_replays_byte_identically_across_configs(tmp_path):
         ("rebatched", lambda: fresh_server(), 64),       # coalesced bursts
         ("sharded", lambda: fresh_fleet(shards=2), None),
         ("sharded-repair", lambda: fresh_fleet(shards=2, repair=True), 1),
-        # The vectorized construction core, across every server shape:
-        ("vec", lambda: fresh_server(vectorized=True), None),
-        ("vec-repair", lambda: fresh_server(repair=True, vectorized=True), None),
-        ("vec-rebatched", lambda: fresh_server(vectorized=True), 64),
-        ("vec-sharded-1", lambda: fresh_fleet(shards=1, vectorized=True), None),
-        ("vec-sharded-2", lambda: fresh_fleet(shards=2, vectorized=True), None),
-        ("vec-sharded-4", lambda: fresh_fleet(shards=4, vectorized=True), None),
+        # The scalar oracle, across every server shape:
+        ("scalar", lambda: fresh_server(scalar=True), None),
+        ("scalar-repair", lambda: fresh_server(repair=True, scalar=True), None),
+        ("scalar-rebatched", lambda: fresh_server(scalar=True), 64),
+        ("scalar-sharded-1", lambda: fresh_fleet(shards=1, scalar=True), None),
+        ("scalar-sharded-2", lambda: fresh_fleet(shards=2, scalar=True), None),
+        ("scalar-sharded-4", lambda: fresh_fleet(shards=4, scalar=True), None),
     ]
     for label, build, batch_size in targets:
         result = replay_trace(str(tmp_path), build(), batch_size=batch_size)

@@ -33,29 +33,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    GridMethod,
-    IDGM,
-    IGM,
-    VectorizedIDGM,
-    VectorizedIGM,
-    VoronoiMethod,
-)
+from repro.core import GridMethod, IDGM, IGM, VoronoiMethod
 from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import CostModel, SystemStats
 from repro.core.field import StaticMatchingField
 from repro.geometry import Grid, Point, Rect
+from repro.testing import ScalarIDGM, ScalarIGM
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 GRID = Grid(25, SPACE)
 
-#: every incremental construction core; the metamorphic properties hold for
-#: the scalar oracles and their vectorized twins alike
+#: every incremental construction loop; the metamorphic properties hold for
+#: the array core and its scalar oracle alike
 INCREMENTAL = {
     "iGM": IGM,
     "idGM": IDGM,
-    "iGM-vec": VectorizedIGM,
-    "idGM-vec": VectorizedIDGM,
+    "iGM-scalar": ScalarIGM,
+    "idGM-scalar": ScalarIDGM,
 }
 
 
@@ -168,7 +162,7 @@ def test_non_incremental_strategies_leave_bm_unset():
 # Density monotonicity
 # ----------------------------------------------------------------------
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**20), strategy_name=st.sampled_from(["iGM", "iGM-vec"]))
+@given(seed=st.integers(0, 2**20), strategy_name=st.sampled_from(["iGM", "iGM-scalar"]))
 def test_emptiness_is_monotone_in_density(seed, strategy_name):
     """Once the expansion cannot start, more density never revives it."""
     was_empty = False

@@ -32,7 +32,7 @@ from repro.expressions import (
     Subscription,
     clauses_of,
 )
-from repro.core import VectorizedIGM
+from repro.core import IGM
 from repro.geometry import Grid, Point, Rect
 from repro.index import (
     BEQTree,
@@ -394,7 +394,7 @@ def test_a_subscriber_is_delivered_what_its_predicate_matches(predicate, deliver
     """The parent's misread end to end: ``a <= nan`` was delivered the
     whole corpus at subscribe time."""
     grid = Grid(25, EDGE_SPACE)
-    server = ElapsServer(grid, VectorizedIGM(max_cells=60), event_index=BEQTree(EDGE_SPACE, emax=16))
+    server = ElapsServer(grid, IGM(max_cells=60), event_index=BEQTree(EDGE_SPACE, emax=16))
     server.bootstrap([
         Event(1, {"a": 1}, Point(5_000.0, 5_000.0)),
         Event(2, {"a": 5}, Point(5_200.0, 5_000.0)),

@@ -29,7 +29,11 @@ from conftest import random_events
 from repro.datasets import TwitterLikeGenerator
 from repro.geometry import Point, Rect
 from repro.index import BEQTree, OpIndex, QuadTree
-from repro.testing import BruteForceOracle, definition1_violations
+from repro.testing import (
+    BruteForceOracle,
+    definition1_violations,
+    impact_coverage_violations,
+)
 from repro.testing.oracle import ids
 
 SPACE = Rect(0, 0, 10_000, 10_000)
@@ -208,6 +212,7 @@ def test_repair_and_rebuild_deliver_identical_notifications(seed):
     repair_server, repair_log = _run_event_workload(seed, repair=True)
     assert repair_log == rebuild_log
     assert definition1_violations(repair_server) == []
+    assert impact_coverage_violations(repair_server) == []
 
 
 def test_repair_workload_actually_repairs():

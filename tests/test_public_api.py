@@ -6,6 +6,8 @@ from __future__ import annotations
 import ast
 import pathlib
 
+import pytest
+
 import repro
 
 
@@ -167,3 +169,37 @@ class TestConfigurationSurface:
         assert set(sharding.__all__) <= set(repro.system.__all__)
         for name in ("SerialExecutor", "ProcessExecutor"):
             assert not inspect.signature(getattr(sharding, name)).parameters
+
+    def test_one_construction_core_and_its_oracle_in_testing(self):
+        import importlib
+
+        import repro.core
+        from repro.core import IDGM, IGM, IncrementalGridMethod
+        from repro.system.experiment import STRATEGIES
+        from repro.testing import ScalarIDGM, ScalarIGM
+
+        assert not [name for name in dir(repro.core) if name.startswith("Vectorized")]
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.vectorized")
+        assert set(STRATEGIES) == {"VM", "GM", "iGM", "idGM"}
+        # IGM and IDGM run the array loop; the scalar loop overrides only
+        # construct and is registered nowhere
+        assert IGM.construct is IDGM.construct is IncrementalGridMethod.construct
+        assert ScalarIGM.construct is ScalarIDGM.construct is not IGM.construct
+        for scalar, served in ((ScalarIGM, IGM), (ScalarIDGM, IDGM)):
+            assert scalar.__bases__ == (served,)
+            assert {name for name in vars(scalar) if not name.startswith("_")} == {"construct"}
+        assert not {ScalarIGM, ScalarIDGM} & set(STRATEGIES.values())
+
+    def test_a_fleet_takes_a_strategy_or_a_zero_argument_factory(self):
+        from repro.core import IGM
+        from repro.geometry import Grid, Rect
+        from repro.system import ShardedElapsServer
+
+        grid = Grid(20, Rect(0, 0, 10_000, 10_000))
+        shared = IGM(max_cells=50)
+        for strategy in (shared, lambda: shared):
+            fleet = ShardedElapsServer(grid, strategy, shards=2)
+            assert [w.strategy for w in fleet.shard_servers] == [shared, shared]
+        with pytest.raises(TypeError):
+            ShardedElapsServer(grid, lambda spec: shared, shards=2)

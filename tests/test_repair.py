@@ -18,12 +18,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import IGM, RegionDelta, RepairBudget, SafeRegion, VectorizedIGM
+from repro.core import IGM, RegionDelta, RepairBudget, SafeRegion
 from repro.core.field import dilate_point
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import CallbackTransport, ServerConfig, ElapsServer
+from repro.testing import ScalarIGM
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 
@@ -674,10 +675,10 @@ class TestRetainedFieldIsTheLocationUpdateMatcher:
         assert record.lazy_field is not None
 
     @settings(max_examples=EXAMPLES, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), vectorized=st.booleans())
-    def test_every_corpus_match_equals_the_event_index(self, seed, vectorized):
+    @given(seed=st.integers(0, 2**32 - 1), scalar=st.booleans())
+    def test_every_corpus_match_equals_the_event_index(self, seed, scalar):
         rng = random.Random(seed)
-        strategy = (VectorizedIGM if vectorized else IGM)(max_cells=rng.choice([40, 400]))
+        strategy = (ScalarIGM if scalar else IGM)(max_cells=rng.choice([40, 400]))
         server = make_server(strategy, repair=True)
         cross_check_corpus_matches(server)
         topics = ("sale", "show")

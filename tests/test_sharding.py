@@ -446,30 +446,6 @@ class TestAggregates:
             id(s) for s in built
         ]
 
-    def test_spec_strategy_factory_can_split_the_region_budget(self):
-        seen_specs = []
-
-        def factory(spec):
-            seen_specs.append(spec)
-            return IGM(max_cells=max(1, 400 // 4))
-
-        server = ShardedElapsServer(
-            Grid(40, SPACE),
-            factory,
-            ServerConfig(initial_rate=2.0),
-            shards=4,
-            executor=SerialExecutor(),
-            event_index_factory=lambda: BEQTree(SPACE, emax=32),
-        )
-        assert seen_specs == partition_columns(server.grid, 4)
-        assert all(w.strategy.max_cells == 100 for w in server.shard_servers)
-        # a smaller per-shard budget never changes what gets delivered
-        sub = make_sub()
-        server.bootstrap([sale(1, 9_000, 5_000)])
-        server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
-        notes = server.publish(sale(2, 5_200, 5_000, arrived_at=1), now=1)
-        assert [n.event.event_id for n in notes] == [2]
-
 
 # ----------------------------------------------------------------------
 # Executor lifecycle

@@ -7,7 +7,6 @@ from __future__ import annotations
 import pytest
 
 from repro.system import ExperimentConfig, build_simulation, run_experiment
-from repro.system.experiment import matching_mode_for
 
 SMALL = ExperimentConfig(
     initial_events=2500,
@@ -22,9 +21,7 @@ SMALL = ExperimentConfig(
 class TestDeliveryGuarantee:
     @pytest.mark.parametrize("strategy", ["iGM", "idGM", "VM", "GM"])
     def test_no_missed_notifications(self, strategy):
-        simulation = build_simulation(
-            SMALL.with_(strategy=strategy, matching_mode=matching_mode_for(strategy))
-        )
+        simulation = build_simulation(SMALL.with_(strategy=strategy))
         simulation.run(SMALL.timestamps)
         assert simulation.verify_no_missed_notifications() == []
 

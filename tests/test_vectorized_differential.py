@@ -1,7 +1,8 @@
-"""Strategy-differential suite: the vectorized core vs its scalar oracle.
+"""Strategy-differential suite: the array core vs its scalar oracle.
 
-The array-backed construction core (``repro.core.vectorized``, DESIGN.md
-§14) claims *byte identity* with the scalar iGM/idGM — not approximate
+The array-backed construction core (:class:`repro.core.IGM` /
+:class:`repro.core.IDGM`, DESIGN.md §14) claims *byte identity* with the
+scalar loop of :mod:`repro.testing.oracle` — not approximate
 agreement, not same-multiset-different-order: every field of every
 :class:`RegionPair`, including the exact IEEE-754 bits of the balance-ratio
 diagnostics and the frontier pop order, must match.  This module is the
@@ -22,6 +23,7 @@ its own lane with a raised example budget: set ``DIFFERENTIAL_EXAMPLES``
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import struct
@@ -31,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap.wah import WAHBitmap
-from repro.core import IDGM, IGM, VectorizedIDGM, VectorizedIGM
+from repro.core import IDGM, IGM
 from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import SystemStats
 from repro.core.field import LazyBEQField, StaticMatchingField, dilate_point
@@ -40,7 +42,8 @@ from repro.geometry import Grid, Point, Rect
 from repro.geometry.grid import RING
 from repro.geometry.zorder import interleave, interleave_array
 from repro.index import BEQTree
-from repro.system import CallbackTransport, ElapsServer
+from repro.system import CallbackTransport, ElapsServer, ExperimentConfig, build_simulation
+from repro.testing import ScalarIDGM, ScalarIGM
 
 from conftest import random_events
 
@@ -53,10 +56,10 @@ DIFF_SETTINGS = settings(max_examples=EXAMPLES, deadline=None)
 SPACE = Rect(0.0, 0.0, 10_000.0, 10_000.0)
 GRID = Grid(25, SPACE)
 
-#: (scalar oracle, vectorized twin) per strategy family
+#: (scalar oracle, array core) per strategy family
 FAMILIES = {
-    "iGM": (IGM, VectorizedIGM),
-    "idGM": (IDGM, VectorizedIDGM),
+    "iGM": (ScalarIGM, IGM),
+    "idGM": (ScalarIDGM, IDGM),
 }
 
 
@@ -145,6 +148,38 @@ def test_a_server_delivers_the_same_pairs_from_as_many_constructions(family):
     assert drive(vectorized_cls) == scalar
 
 
+@pytest.mark.parametrize("repair", [False, True])
+@pytest.mark.parametrize("mode", ["ondemand", "full"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_figure_runner_counts_the_same_over_the_scalar_oracle(family, mode, repair):
+    """A figure cell as ``build_simulation`` builds it, then again with the
+    server's strategy swapped for the scalar oracle: every counter of the
+    result but the wall clock is the same, in both matching modes and with
+    repair off and on."""
+    config = ExperimentConfig(
+        strategy=family, matching_mode=mode, repair=repair, seed=5,
+        subscribers=8, timestamps=40, grid_n=120, initial_events=2_000,
+        event_rate=20.0, event_ttl=20, max_cells=1_000,
+    )
+
+    def counters(simulation):
+        result = simulation.run(config.timestamps)
+        stats = dataclasses.asdict(result.stats)
+        del stats["server_seconds"]
+        return result.notification_count, stats
+
+    scalar_cls, array_cls = FAMILIES[family]
+    served = build_simulation(config)
+    assert type(served.server.strategy) is array_cls
+    oracle = build_simulation(config)
+    oracle.server.strategy = scalar_cls(max_cells=config.max_cells)
+    assert vars(oracle.server.strategy) == vars(served.server.strategy)
+    expected = counters(served)
+    assert expected[0] and expected[1]["constructions"] > config.subscribers
+    assert not repair or expected[1]["repairs"]
+    assert counters(oracle) == expected
+
+
 # ----------------------------------------------------------------------
 # RegionPair differentials
 # ----------------------------------------------------------------------
@@ -181,7 +216,7 @@ def test_static_field_pairs_are_byte_identical(
 def test_lazy_beq_field_pairs_and_scan_counters_are_identical(seed, family, emax):
     """On-demand (BEQ-Tree) mode: identical pairs AND identical tree work.
 
-    The vectorized path grows field coverage through
+    The array core grows field coverage through
     ``ensure_cell_neighbourhood`` instead of per-cell safety queries; the
     covered rectangles must evolve identically, so ``events_scanned`` and
     ``leaves_scanned`` — the Figure 13 server-work counters — must land on
@@ -370,7 +405,7 @@ def test_a_large_expansion_calls_the_field_for_few_of_its_pops():
     calls = []
     ensure = field.ensure_cell_neighbourhood
     field.ensure_cell_neighbourhood = lambda cell, r: (calls.append(cell), ensure(cell, r))
-    pair = VectorizedIGM(max_cells=400).construct(ConstructionRequest(
+    pair = IGM(max_cells=400).construct(ConstructionRequest(
         location=Point(5_000.0, 5_000.0), velocity=Point(20.0, 0.0), radius=800.0,
         grid=grid, matching_field=field,
         stats=SystemStats(event_rate=2.0, total_events=150),
@@ -384,7 +419,7 @@ def test_a_large_expansion_calls_the_field_for_few_of_its_pops():
 def test_field_reuse_across_constructions_stays_identical(seed, family):
     """Repair-mode shape: one field serves several constructions.
 
-    The vectorized strategy keeps a cursor-backed array view per field;
+    The array core keeps a cursor-backed array view per field;
     reusing the *same* field (and strategy instance) for a second
     construction from a different location must stay identical to the
     scalar oracle doing the same — this is the incremental ``_sync`` path.
@@ -457,7 +492,7 @@ def test_lemma1_empty_region_degenerate_case(family):
 def test_unsafe_start_cell_over_a_lazy_field_is_the_scalar_single_pop(
     seed, family, max_cells
 ):
-    """The vectorized core decides an unsafe start cell before it builds
+    """The array core decides an unsafe start cell before it builds
     any frontier state.  The result must be the scalar loop's single pop —
     every RegionPair field, the visit order, and the same covered-rectangle
     growth (``events_scanned`` / ``leaves_scanned``) — also with
@@ -660,10 +695,10 @@ def test_extreme_radii_degenerate_cases(family, radius):
 def test_empty_corpus_covers_space_identically():
     """No events: the uncapped expansion floods the whole grid on both
     paths, and the resulting 625-cell bitmaps cross the WAH array cutover."""
-    scalar_pair = IGM(record_visits=True).construct(
+    scalar_pair = ScalarIGM(record_visits=True).construct(
         static_request(3, radius=500.0, event_count=0)
     )
-    vector_pair = VectorizedIGM(record_visits=True).construct(
+    vector_pair = IGM(record_visits=True).construct(
         static_request(3, radius=500.0, event_count=0)
     )
     assert len(scalar_pair.safe.cells) == GRID.n * GRID.n
@@ -689,8 +724,8 @@ def test_tiebreak_visits_equal_score_cells_in_morton_order():
         matching_field=StaticMatchingField(grid, []),
         stats=SystemStats(event_rate=2.0, total_events=100),
     )
-    scalar_pair = IGM(max_cells=9, record_visits=True).construct(request_for())
-    vector_pair = VectorizedIGM(max_cells=9, record_visits=True).construct(
+    scalar_pair = ScalarIGM(max_cells=9, record_visits=True).construct(request_for())
+    vector_pair = IGM(max_cells=9, record_visits=True).construct(
         request_for()
     )
     assert scalar_pair.visit_order == vector_pair.visit_order
