@@ -148,6 +148,10 @@ class CommunicationStats:
     #: subscriber's retained matching field, without the event index
     #: (``repair=True`` only); a share of ``location_update_rounds``
     corpus_matches_from_field: int = 0
+    #: events un-dilated from a retained matching field — a delivery,
+    #: expiry or extraction of an event the field knew, counted once per
+    #: (event, field) pair (``repair=True`` only)
+    field_exclusions: int = 0
     #: constructions that returned an empty safe region — the
     #: subscriber's own cell is unsafe and it reports every timestamp;
     #: a share of ``constructions``

@@ -52,7 +52,7 @@ from ..core import (
     StaticMatchingField,
     SystemStats,
 )
-from ..core.field import dilate_point
+from ..core.field import dilate_points
 from ..expressions import Event, Subscription
 from ..geometry import Cell, Grid, Point
 from ..index import BEQTree, ImpactRegionIndex, SubscriptionIndex
@@ -132,14 +132,21 @@ class SubscriberRecord:
     degenerate_cell: Optional[Cell] = None
     #: repair mode under on-demand matching: the one matching field that
     #: survives across constructions.  Corpus churn reaches it through
-    #: note_event / note_exclusions; staleness replaces it.
+    #: note_event / note_exclusion(s), which keep it exact.
     lazy_field: Optional[LazyBEQField] = None
+
+    def drop_field(self) -> None:
+        """Drop the retained field, taking it out of the server's event
+        id -> holders map."""
+        if self.lazy_field is not None:
+            self.lazy_field.release()
+            self.lazy_field = None
 
     def drop_derived(self) -> None:
         """Forget everything built against ``delivered`` (the field
         excludes by reference to it, the drift state carves the region
         built from it); ``degenerate_cell`` does not depend on it."""
-        self.lazy_field = None
+        self.drop_field()
         self.repair = None
 
 
@@ -218,6 +225,10 @@ class ElapsServer:
         self._arrival_times: Deque[int] = deque()
         self._expiry_heap: List[Tuple[int, int]] = []  # (expires_at, event_id)
         self._events_by_id: Dict[int, Event] = {}
+        #: event id -> the subscribers whose retained matching field knows
+        #: the event: an exclusion goes to exactly those fields (repair
+        #: mode only)
+        self._field_holders: Dict[int, Set[int]] = {}
         self._started_at: Optional[int] = None
         #: durable operation journal (DESIGN.md §13); None keeps the
         #: server purely in-memory
@@ -253,7 +264,7 @@ class ElapsServer:
             # field heard of them, and a scanned leaf is never revisited:
             # a mid-life load (a band move's hand-over) retires them all.
             for record in self.subscribers.values():
-                record.lazy_field = None
+                record.drop_field()
         self._maybe_snapshot()
 
     def _store_event(self, event: Event) -> None:
@@ -323,6 +334,7 @@ class ElapsServer:
             # resubscribe: a fresh record, so nothing derived for the old
             # ones is carried over.
             self.subscription_index.delete(existing.subscription)
+            existing.drop_derived()
             record = SubscriberRecord(
                 subscription, location, velocity, delivered=existing.delivered
             )
@@ -379,8 +391,8 @@ class ElapsServer:
             if event.event_id in record.delivered:
                 continue
             record.delivered.add(event.event_id)
-            if field is not None:
-                field.note_exclusion(event.event_id)
+            if field is not None and field.note_exclusion(event.event_id):
+                self.metrics.field_exclusions += 1
             record.next_seq += 1
             notifications.append(Notification(sub_id, event, now, record.next_seq))
         self.metrics.notifications += len(notifications)
@@ -392,21 +404,13 @@ class ElapsServer:
         """The corpus match at ``location`` as the retained ``field`` knows
         it: the one undelivered event inside the circle, or none — or None
         when that is the event index's to say (circle not covered, or
-        several events whose order the tree defines)."""
+        several events whose order the tree defines).  The field is exact:
+        every id it returns is live and undelivered."""
         known = field.matches_in_circle(location, record.subscription.radius)
-        if known is None:
-            return None
-        live = self._events_by_id
-        delivered = record.delivered
-        survivors = [
-            live[event_id]
-            for event_id in known
-            if event_id in live and event_id not in delivered
-        ]
-        if len(survivors) > 1:
+        if known is None or len(known) > 1:
             return None
         self.metrics.corpus_matches_from_field += 1
-        return survivors
+        return [self._events_by_id[event_id] for event_id in known]
 
     def _account_notification_bytes(self, notifications: List[Notification]) -> None:
         # every recipient's frame of one event is the same length, and a
@@ -427,6 +431,7 @@ class ElapsServer:
             raise KeyError(f"unknown subscriber {sub_id}")
         self._journal_append("unsubscribe", (sub_id,))
         record = self.subscribers.pop(sub_id)
+        record.drop_derived()
         self.subscription_index.delete(record.subscription)
         self.impact_index.remove(sub_id)
         self._maybe_snapshot()
@@ -597,16 +602,18 @@ class ElapsServer:
 
     def _retire_events(self, events: List[Event]) -> None:
         """Drop events (already out of ``_events_by_id``) from the corpus
-        index and tell every live matching field about the whole sweep at
-        once — O(events + fields) calls, not one per (event, field) pair.
+        index and un-dilate them from the retained fields that know them —
+        one call per such field, none to any other.
         """
+        holders = self._field_holders
+        by_holder: Dict[int, List[int]] = {}
         for event in events:
             self.event_index.delete(event)
-        if events and self.repair:  # no field is retained otherwise
-            retired_ids = {event.event_id for event in events}
-            for record in self.subscribers.values():
-                if record.lazy_field is not None:
-                    record.lazy_field.note_exclusions(retired_ids)
+            for sub_id in holders.pop(event.event_id, ()):
+                by_holder.setdefault(sub_id, []).append(event.event_id)
+        for sub_id, event_ids in by_holder.items():
+            field = self.subscribers[sub_id].lazy_field
+            self.metrics.field_exclusions += field.note_exclusions(event_ids)
 
     # ------------------------------------------------------------------
     # Band migration (DESIGN.md §15)
@@ -618,10 +625,10 @@ class ElapsServer:
         The fleet coordinator calls this on the *donor* shard of a band
         move; the returned events are re-:meth:`bootstrap`-ped into the
         new owner.  Removal reuses the expiry machinery — the event
-        leaves the BEQ-Tree and every lazy matching field learns the
-        exclusion — so cached safe regions stay conservative (removing an
-        event can only *grow* the true safe region, never shrink it:
-        Definition 1 is a conjunction over events).  Stale expiry-heap
+        leaves the BEQ-Tree and the retained matching fields that know it
+        un-dilate it — so held safe regions stay valid (removing an event
+        can only *grow* the true safe region, never shrink it: Definition
+        1 is a conjunction over events).  Stale expiry-heap
         entries for the removed events are skipped by the sweep, exactly
         as after a normal expiry.
         """
@@ -941,12 +948,14 @@ class ElapsServer:
     def _matching_field(self, record: SubscriberRecord):
         if self.matching_mode == "ondemand":
             field = record.lazy_field
-            if field is None or field.too_stale():
+            if field is None:
                 field = LazyBEQField(
                     self.grid,
                     self.event_index,
                     record.subscription.expression,
                     excluded_ids=record.delivered,
+                    holders=self._field_holders if self.repair else None,
+                    owner=record.subscription.sub_id,
                 )
                 if self.repair:
                     record.lazy_field = field
@@ -1070,10 +1079,7 @@ class ElapsServer:
         state: RepairState,
         event_points: List[Point],
     ) -> bool:
-        unsafe: Set[Cell] = set()
-        radius = record.subscription.radius
-        for point in event_points:
-            dilate_point(self.grid, point, radius, unsafe)
+        unsafe = dilate_points(self.grid, event_points, record.subscription.radius)
         repaired, removed = record.safe.subtract(unsafe)
         state.removed_since_build += len(removed)
         state.ne_estimate += len(event_points)

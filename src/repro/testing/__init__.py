@@ -29,7 +29,11 @@ from ..system.faults import (
     FaultKind,
     FaultStats,
 )
-from .invariants import definition1_violations, impact_coverage_violations
+from .invariants import (
+    definition1_violations,
+    impact_coverage_violations,
+    spurious_standing_rounds,
+)
 from .oracle import BruteForceOracle, ScalarIDGM, ScalarIGM, oracle_pairs
 from .replay import (
     ReplayResult,
@@ -58,6 +62,7 @@ __all__ = [
     "notification_log",
     "oracle_pairs",
     "replay_trace",
+    "spurious_standing_rounds",
 ]
 
 

@@ -1,11 +1,13 @@
-"""Event retirement (expiry sweeps, band extraction) tells each live
-matching field about the whole sweep once.
+"""Event retirement (expiry sweeps, band extraction) un-dilates each
+retired event from exactly the retained matching fields that know it,
+one call per such field.
 
-The contract is that batching changes nothing observable: every field's
-``stale_exclusions`` — hence every ``too_stale()`` repair-vs-rebuild
-decision — and every notification match what one ``note_exclusion`` call
-per (event, field) pair produces.  The reference below *is* that loop,
-patched in for the second run of each differential.
+The contract is that targeting and batching change nothing observable:
+every field's known events — hence its unsafe cells, φ and array views —
+every ``field_exclusions`` count and every notification match what one
+``note_exclusion`` call per (event, live field) pair produces.  The
+reference below *is* that broadcast loop, patched in for the second run
+of each differential.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ def lazy_fields(server):
 
 
 def per_event_retire(self, events):
-    """The sweep as one ``note_exclusion`` per (event, field) pair."""
+    """The sweep as one ``note_exclusion`` per (event, live field) pair."""
     for event in events:
         self.event_index.delete(event)
         for field in lazy_fields(self).values():
-            field.note_exclusion(event.event_id)
+            self.metrics.field_exclusions += field.note_exclusion(event.event_id)
 
 
 def make_sub(sub_id, topic="sale", radius=1_200.0):
@@ -82,9 +84,9 @@ def make_fleet():
     )
 
 
-def staleness(server):
+def known_events(server):
     return {
-        sub_id: field.stale_exclusions
+        sub_id: sorted(field._position)
         for sub_id, field in sorted(lazy_fields(server).items())
     }
 
@@ -158,7 +160,7 @@ def drive(
             after_each(f"rebalance at {now}")
         trail.append((now, server.expire_due_events(now)))
         after_each(f"expire at {now}")
-        trail.append([staleness(shard) for shard in shard_servers])
+        trail.append([known_events(shard) for shard in shard_servers])
     metrics = server.merged_metrics()
     return {
         "log": log,
@@ -166,6 +168,7 @@ def drive(
         "repairs": metrics.repairs,
         "repair_fallbacks": metrics.repair_fallbacks,
         "constructions": metrics.constructions,
+        "field_exclusions": metrics.field_exclusions,
     }
 
 
@@ -179,12 +182,13 @@ class TestBatchedSweepIsUnobservable:
         monkeypatch.setattr(ElapsServer, "_retire_events", per_event_retire)
         reference = run()
         assert batched == reference
-        # and the run was worth comparing: exclusions accumulated, fields
-        # went stale and were rebuilt, repairs happened
+        # and the run was worth comparing: fields knew events, exclusions
+        # reached them, repairs happened
         assert any(
-            count for entry in batched["trail"] if isinstance(entry, list)
-            for count in entry[0].values()
+            known for entry in batched["trail"] if isinstance(entry, list)
+            for known in entry[0].values()
         )
+        assert batched["field_exclusions"] > 0
         assert batched["repairs"] > 0
         assert batched["constructions"] > 8 + 90  # > one per subscribe + report
 
@@ -200,9 +204,10 @@ class TestBatchedSweepIsUnobservable:
         reference = run()
         assert batched == reference
         assert batched["log"]
+        assert batched["field_exclusions"] > 0
         assert any(
-            count for entry in batched["trail"] if isinstance(entry, list)
-            for shard in entry for count in shard.values()
+            known for entry in batched["trail"] if isinstance(entry, list)
+            for shard in entry for known in shard.values()
         )
 
 
@@ -234,42 +239,44 @@ class TestWhatAnExclusionCounts:
         server.bootstrap([make_event(1, 7_600, 5_000, now=0, ttl=10)])
         server.subscribe(make_sub(1, radius=1_500.0), Point(5_000, 5_000), Point(0, 0), 0)
         field = server.subscribers[1].lazy_field
-        assert 1 in field._seen_ids and field.stale_exclusions == 0
+        assert 1 in field._position and server.metrics.field_exclusions == 0
         return server, field
 
-    def test_delivered_then_expired_counts_twice(self):
+    def test_delivered_then_expired_counts_once(self):
         server, field = self.seen_event_server()
-        # the subscriber walks into range without leaving the covered
-        # rectangle's staleness budget: delivery is one exclusion ...
+        # the subscriber walks into range: delivery un-dilates the event ...
         notes, _ = server.report_location(1, Point(7_000, 5_000), Point(0, 0), 1)
         assert [n.event.event_id for n in notes] == [1]
-        if server.subscribers[1].lazy_field is not field:
-            pytest.skip("the report rebuilt the field")
-        assert field.stale_exclusions == 1
-        # ... and the expiry of the same, still-seen event is another
+        assert server.subscribers[1].lazy_field is field
+        assert 1 not in field._position and 1 not in server._field_holders
+        assert server.metrics.field_exclusions == 1
+        # ... and the expiry of the same event reaches no field again
         assert server.expire_due_events(10) == 1
-        assert field.stale_exclusions == 2
+        assert server.metrics.field_exclusions == 1
 
     def test_extracted_event_is_not_counted_again_when_its_ttl_ends(self):
         server, field = self.seen_event_server()
         gone = server.extract_events_in_columns([(30, 31)])
         assert [e.event_id for e in gone] == [1]
-        assert field.stale_exclusions == 1
+        assert server.metrics.field_exclusions == 1
+        assert 1 not in field._position
         assert server._expiry_heap  # the heap entry outlives the event
         assert server.expire_due_events(10) == 0
-        assert field.stale_exclusions == 1
+        assert server.metrics.field_exclusions == 1
         assert not server._expiry_heap
 
     def test_unseen_events_do_not_count(self):
         server, field = self.seen_event_server()
         server.publish(make_event(2, 7_700, 5_000, now=1, ttl=3, topic="show"), 1)
         assert server.expire_due_events(4) == 1
-        assert field.stale_exclusions == 0
+        assert server.metrics.field_exclusions == 0
+        assert list(field._position) == [1]
 
 
 class TestSweepCost:
     def test_one_field_call_per_live_field(self):
-        """E retired events x S live fields: at most S field calls."""
+        """E retired events x S live fields: one call to each field that
+        knows a retired event, none to the others."""
         rng = random.Random(5)
         server = make_server()
         events = [
@@ -284,20 +291,22 @@ class TestSweepCost:
                 Point(0, 0),
                 0,
             )
-        fields = list(lazy_fields(server).values())
-        assert len(fields) == 6
+        # a seventh subscriber's field knows nothing the sweep retires
+        server.subscribe(make_sub(7, topic="show"), Point(5_000, 5_000), Point(0, 0), 0)
+        fields = lazy_fields(server)
+        assert len(fields) == 7 and not fields[7]._position
         calls = []
-        expected = {}
-        for field in fields:
-            expected[id(field)] = field.stale_exclusions + len(field._seen_ids)
+        known = {sub_id: len(field._position) for sub_id, field in fields.items()}
+        for sub_id, field in fields.items():
             for name in ("note_exclusion", "note_exclusions"):
                 inner = getattr(field, name)
                 setattr(
                     field, name,
-                    lambda arg, inner=inner, name=name: (calls.append(name), inner(arg))[1],
+                    lambda arg, inner=inner, sub_id=sub_id: (calls.append(sub_id), inner(arg))[1],
                 )
         assert server.expire_due_events(5) == 64
-        assert len(calls) <= len(fields)
-        # the spy forwarded: every seen event of every field was counted
-        for field in fields:
-            assert field.stale_exclusions == expected[id(field)] > 0
+        assert sorted(calls) == sorted(s for s, count in known.items() if count)
+        assert server.metrics.field_exclusions == sum(known.values()) > 0
+        # the spy forwarded: every field is empty now, and so is the map
+        assert not any(field._position for field in fields.values())
+        assert not server._field_holders

@@ -180,7 +180,7 @@ class FullWalkField(LazyBEQField):
             self.leaves_scanned += 1
             self.events_scanned += len(leaf.events)
             for event in leaf.be_match(self._expression):
-                if event.event_id in self._excluded or event.event_id in self._seen_ids:
+                if event.event_id in self._excluded or event.event_id in self._position:
                     continue
                 self._admit(event.event_id, event.location)
         self._covered = (i_min, j_min, i_max, j_max)

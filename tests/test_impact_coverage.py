@@ -1,9 +1,12 @@
 """Definition 2 as a brute-force invariant: every installed impact region
-covers the dilation of the safe region its subscriber holds.
+covers the dilation of the safe region its subscriber holds — and no
+standing round is spurious: an empty region is held only next to a live,
+undelivered matching event.
 
 :func:`repro.testing.impact_coverage_violations` enumerates the cells
 within ``r`` of a held region itself, so these checks share no table
-with the construction (``Grid.disk``, ``impact_from_safe``) they judge.
+with the construction (``Grid.disk``, ``impact_from_safe``) they judge;
+:func:`repro.testing.spurious_standing_rounds` reads only the corpus.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.expressions import BooleanExpression, Event, Operator, Predicate, Sub
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
 from repro.system import ElapsServer, ExperimentConfig, ServerConfig, build_simulation
-from repro.testing import impact_coverage_violations
+from repro.testing import impact_coverage_violations, spurious_standing_rounds
 
 SPACE = Rect(0, 0, 10_000, 10_000)
 STILL = Point(0, 0)
@@ -69,7 +72,8 @@ class TestTheCheckSeesAShortfall:
 @pytest.mark.parametrize("strategy", ["VM", "GM", "iGM", "idGM"])
 def test_a_seeded_drive_holds_definition2_after_every_timestamp(strategy, repair, shards):
     """Moving subscribers, arrivals and expiry through the figure runner;
-    the check runs once a timestamp has settled (after its expiry)."""
+    the standing check runs once a timestamp's reports and arrivals have
+    settled, Definition 2 once its expiry has too."""
     config = ExperimentConfig(
         strategy=strategy, repair=repair, shards=shards, seed=11,
         subscribers=12, timestamps=60, grid_n=60, initial_events=1_500,
@@ -81,6 +85,7 @@ def test_a_seeded_drive_holds_definition2_after_every_timestamp(strategy, repair
     checked = []
 
     def expire_then_check(now):
+        assert spurious_standing_rounds(server) == [], f"t={now}"
         result = expire(now)
         assert impact_coverage_violations(server) == [], f"t={now}"
         checked.append(now)
@@ -90,3 +95,16 @@ def test_a_seeded_drive_holds_definition2_after_every_timestamp(strategy, repair
     stats = simulation.run(config.timestamps).stats
     assert checked == list(range(1, config.timestamps + 1))
     assert stats.constructions > config.subscribers  # regions were rebuilt
+
+
+class TestTheStandingCheck:
+    def test_an_empty_region_next_to_an_undelivered_match_is_owed(self):
+        server = subscribed_server(Point(2_010, 2_010))
+        assert server.subscribers[1].safe.is_empty()
+        assert spurious_standing_rounds(server) == []
+
+    def test_an_empty_region_with_nothing_near_is_spurious(self):
+        server = subscribed_server(Point(2_010, 2_010))
+        record = server.subscribers[1]
+        record.delivered.add(1)  # as if delivered, behind the field's back
+        assert spurious_standing_rounds(server) == [(1, server.grid.cell_of(record.location))]
