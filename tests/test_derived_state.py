@@ -132,9 +132,28 @@ class TestViewsDieWithTheirField:
             f"weakrefs live {live_refs}"
         )
         assert (fields, views, live_refs) == (0, 0, 0)
-        # the subscriber that stayed keeps exactly its own field and view
+        # the subscriber that stayed keeps exactly its own field and view,
+        # and only it is left in the event id -> holders map
         kept = server.subscribers[1].lazy_field
         assert list(kept.array_views) == [1_200.0]
+        assert server._field_holders
+        assert set().union(*server._field_holders.values()) == {1}
+
+    def test_a_dropped_server_frees_its_fields(self):
+        """The event id -> holders map names subscribers, not fields, so a
+        server dropped whole frees its fields by reference count."""
+        rng = random.Random(29)
+
+        def drive():
+            server = make_server(IGM(max_cells=120), repair=True)
+            server.bootstrap(scattered_sales(rng, 40))
+            for sub_id in range(1, 6):
+                at = Point(rng.uniform(1_000, 9_000), rng.uniform(1_000, 9_000))
+                server.subscribe(make_sub(sub_id), at, STILL, 0)
+            assert server._field_holders
+            return [weakref.ref(r.lazy_field) for r in server.subscribers.values()]
+
+        assert self.without_the_collector(drive) == (0, 0, 0)
 
     def test_reports_without_repair_leave_nothing(self):
         """``repair=False`` (the default) builds a fresh field for every
