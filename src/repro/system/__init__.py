@@ -10,6 +10,7 @@ from .config import (
     ServerConfig,
     Transport,
 )
+from .executors import ProcessExecutor, SerialExecutor, ShardExecutor, WorkerCrashed
 from .experiment import (
     ExperimentConfig,
     STRATEGIES,
@@ -46,15 +47,7 @@ from .observability import (
     render_prometheus,
 )
 from .server import ElapsServer, Notification, SubscriberRecord
-from .sharding import (
-    ProcessExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    ShardSpec,
-    ShardedElapsServer,
-    WorkerCrashed,
-    partition_columns,
-)
+from .sharding import ShardSpec, ShardedElapsServer, partition_columns
 from .simulation import Simulation, SimulationResult, SimulationTransport
 
 __all__ = [

@@ -24,8 +24,9 @@ from ..trajectories import (
     TaxiTrajectoryGenerator,
 )
 from .config import RebalancePolicy, ServerConfig
+from .executors import ProcessExecutor, SerialExecutor
 from .server import ElapsServer
-from .sharding import ProcessExecutor, SerialExecutor, ShardedElapsServer
+from .sharding import ShardedElapsServer
 from .simulation import Simulation, SimulationResult
 
 #: strategy registry: name -> class

@@ -34,19 +34,16 @@ Routing rules (DESIGN.md §12):
   coordinator keeps a global delivered set as the final dedup guard for
   the re-homing corpus-match path.
 
-Execution is pluggable through :class:`ShardExecutor`, and a shard is
-reached exactly one way: ``executor.run({shard_id: (method, args)})``.
-The executor owns the servers it hosts — the fleet hands it one builder
-per band through ``launch`` — and a command names a public
-:class:`ElapsServer` method: applying it is ``getattr(server,
-method)(*args)``, the expression recovery and trace replay use.
-:class:`SerialExecutor` hosts the servers in-process and runs commands
-in ascending shard order on the calling thread (deterministic — the
-golden-trace differential runs under it);
-:class:`ProcessExecutor` hosts each worker in its own OS process
-(DESIGN.md §15) — the same ``(method, args)`` values travel over pipes,
-the workers reply with results plus any buffered region shipments, and
-location pings travel back up the same pipe synchronously.
+Execution is pluggable through a
+:class:`~repro.system.executors.ShardExecutor`, and a shard is reached
+exactly one way: ``executor.run({shard_id: (method, args)})``, which
+hands back each shard's reply — its result or its error, and the region
+shipments the command made.  One coordinator method, :meth:`_run`,
+reads every reply: it folds the shipments into the coordinator's region
+bookkeeping in shard order, raises the lowest failing shard's error,
+and returns the results.  Nothing in the coordinator changes while a
+command runs, whichever executor ran it, except the last known location
+a ``locate`` ping refreshes.
 
 Bands need not stay static: with a
 :class:`~repro.system.config.RebalancePolicy` the coordinator tracks
@@ -62,17 +59,10 @@ so client-visible deliveries are unchanged — byte-identical under
 from __future__ import annotations
 
 import bisect
-import copyreg
 import dataclasses
-import functools
-import io
 import json
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
-import pickle
-import traceback
 from dataclasses import dataclass, field as dataclass_field
 from typing import (
     Callable,
@@ -90,19 +80,16 @@ from typing import (
 from ..core import SafeRegion, SafeRegionStrategy, SystemStats
 from ..expressions import Event, Subscription
 from ..geometry import Cell, Grid, Point, Rect
-from .config import CallbackTransport, RebalancePolicy, ServerConfig, Transport
+from .config import RebalancePolicy, ServerConfig, Transport
+from .executors import Command, SerialExecutor, ShardExecutor
 from .metrics import CommunicationStats
 from .observability import MetricsRegistry
 from .server import ElapsServer, Notification
 
 __all__ = [
-    "ProcessExecutor",
     "RebalancePolicy",
-    "SerialExecutor",
-    "ShardExecutor",
     "ShardSpec",
     "ShardedElapsServer",
-    "WorkerCrashed",
     "partition_columns",
 ]
 
@@ -166,463 +153,6 @@ def partition_columns(
         )
         specs.append(ShardSpec(shard_id, lo, hi, rect))
     return specs
-
-
-# ----------------------------------------------------------------------
-# Executors
-# ----------------------------------------------------------------------
-class WorkerCrashed(RuntimeError):
-    """A shard worker process died mid-fleet (DESIGN.md §15).
-
-    Raised by :meth:`ProcessExecutor.run` when a worker's pipe hits EOF
-    or its process is found dead; the fleet is unusable afterwards (a
-    shard's corpus slice is gone) and should be closed and recovered
-    from its band journals.
-    """
-
-    def __init__(self, shard_id: int, exitcode: Optional[int]) -> None:
-        super().__init__(
-            f"shard worker {shard_id} died (exit code {exitcode})"
-        )
-        self.shard_id = shard_id
-        self.exitcode = exitcode
-
-
-#: one unit of shard work: the public :class:`ElapsServer` method
-#: ``method``, called with ``args``, on one shard's server
-Command = Tuple[str, Tuple]
-
-
-def _checked(command) -> Command:
-    """A malformed command — a private method name included — is the
-    caller's bug: reject it before it reaches a server or a pipe."""
-    if not (
-        isinstance(command, tuple)
-        and len(command) == 2
-        and isinstance(command[0], str)
-        and not command[0].startswith("_")
-        and isinstance(command[1], tuple)
-    ):
-        raise TypeError(
-            "a shard command is a (public method, args) tuple, "
-            f"got {command!r}"
-        )
-    return command
-
-
-class ShardExecutor:
-    """Where the fleet's shard servers live and how they are reached.
-
-    ``launch`` takes one server builder per shard, the coordinator's
-    grid — the one every region handed back must be over — and its
-    three hooks; the executor builds and *owns* the servers.  ``run``
-    takes ``{shard_id: (method, args)}`` and returns ``{shard_id:
-    result}`` — the only way the coordinator ever touches a shard.
-    Implementations decide *where* the commands run; the coordinator
-    never assumes more than "every command ran to completion before
-    ``run`` returns".
-    """
-
-    def launch(
-        self,
-        builders: Sequence[Callable[[Transport], ElapsServer]],
-        *,
-        grid: Grid,
-        locate: Callable[[int], Optional[Tuple[Point, Point]]],
-        on_region: Callable[[int, int, SafeRegion], None],
-        on_delta: Callable[[int, int, FrozenSet[Cell], SafeRegion], None],
-    ) -> None:
-        """Build one server per builder and wire the coordinator hooks."""
-        raise NotImplementedError
-
-    def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
-        """Run every command; return its result keyed by shard id."""
-        raise NotImplementedError
-
-    def gauges(self) -> Dict[str, int]:
-        """What reaching the shards has cost so far, for
-        :meth:`ShardedElapsServer.merged_registry`; in-process, nothing."""
-        return {}
-
-    def close(self) -> None:
-        """Close the hosted servers and release executor resources."""
-
-    def __enter__(self) -> "ShardExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SerialExecutor(ShardExecutor):
-    """Host the shard servers in-process; run commands inline, in
-    ascending shard order.
-
-    Fully deterministic — the sharded-vs-single golden differential is
-    pinned under this executor — and the right choice whenever the
-    workload is driven from tests or a single-threaded simulation.
-    """
-
-    def __init__(self) -> None:
-        #: the live servers, in shard order (tests and audits read them)
-        self.shard_servers: List[ElapsServer] = []
-
-    def launch(self, builders, *, grid, locate, on_region, on_delta) -> None:
-        """Build every shard's server on the calling thread; whatever a
-        shard ships lands at the coordinator's hooks, never at a client
-        (``grid`` is unused: these regions never leave the process)."""
-        if self.shard_servers:
-            raise RuntimeError("this SerialExecutor already hosts a fleet")
-        self.shard_servers = [
-            builder(
-                CallbackTransport(
-                    ship_region=functools.partial(on_region, shard_id),
-                    ship_delta=functools.partial(on_delta, shard_id),
-                    locate=locate,
-                )
-            )
-            for shard_id, builder in enumerate(builders)
-        ]
-
-    def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
-        """Run the commands one after another, ascending shard order."""
-        results: Dict[int, object] = {}
-        for shard_id in sorted(commands):
-            method, args = _checked(commands[shard_id])
-            server = self.shard_servers[shard_id]
-            results[shard_id] = getattr(server, method)(*args)
-        return results
-
-    def close(self) -> None:
-        """Release every hosted server's journal (idempotent)."""
-        for server in self.shard_servers:
-            server.close()
-
-
-# ----------------------------------------------------------------------
-# Process-parallel execution (DESIGN.md §15)
-# ----------------------------------------------------------------------
-class _WorkerTransport(Transport):
-    """The transport a worker-process server is built with.
-
-    Region and delta ships are *buffered* and returned with the command
-    reply — the coordinator replays them into its usual callbacks after
-    the fan-out — while ``locate`` is a synchronous upcall over the
-    worker's pipe: the parent services ``("locate", sub_id)`` requests
-    while it waits for command replies, so an event-arrival ping inside
-    a worker blocks only that worker.
-    """
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-        self._shipments: List[Tuple] = []
-
-    def ship_region(self, sub_id: int, region: SafeRegion) -> None:
-        """Buffer a full region ship for replay with the next reply."""
-        self._shipments.append(("region", sub_id, region))
-
-    def ship_delta(
-        self, sub_id: int, removed: FrozenSet[Cell], region: SafeRegion
-    ) -> None:
-        """Buffer a delta ship for replay with the next reply."""
-        self._shipments.append(("delta", sub_id, removed, region))
-
-    def locate(self, sub_id: int) -> Optional[Tuple[Point, Point]]:
-        """Ask the coordinator (synchronously, over the pipe) where a
-        subscriber is; blocks only this worker."""
-        self._conn.send(("locate", sub_id))
-        return self._conn.recv()
-
-    def drain(self) -> List[Tuple]:
-        """Return and clear the buffered shipments (sent with replies)."""
-        shipments, self._shipments = self._shipments, []
-        return shipments
-
-
-# What crosses a pipe (DESIGN.md §15).  Down, a command is the plain
-# pickle of ``(method, args)`` — no argument holds a region.  Up, every
-# reply goes through :class:`_ReplySeam`, which knows one thing: the
-# fleet's ``Grid`` crosses *by identity*.  A region is then its class,
-# ``complement`` and ``cells`` beside a tag that the receiving end
-# resolves to its own grid.  Left to plain pickle a region drags its
-# ``Grid`` and that grid's per-radius tables along (hundreds of KB once
-# a fleet has served a hundred radii), so any *other* ``Grid`` is
-# refused instead of riding along.
-def _fleet_grid() -> Grid:
-    """What a reply holds where the sender's grid was.  Only the
-    receiving end of a shard pipe can say which grid that is."""
-    raise pickle.UnpicklingError(
-        "a shard reply was loaded outside its pipe: no grid to attach"
-    )
-
-
-class _ReplyUnpickler(pickle.Unpickler):
-    """Loads a reply with :func:`_fleet_grid` resolving to ``grid``."""
-
-    def __init__(self, file, grid: Grid) -> None:
-        super().__init__(file)
-        self._own_grid = lambda: grid
-
-    def find_class(self, module, name):
-        """Every global as pickle finds it, but for the grid's tag."""
-        found = super().find_class(module, name)
-        return self._own_grid if found is _fleet_grid else found
-
-
-class _ReplySeam:
-    """One end of a shard pipe's reply direction, over this end's grid.
-
-    A type-keyed ``dispatch_table`` rather than ``persistent_id``: that
-    hook is a Python call per pickled *object* (a 20-notification reply
-    read 63 → 174 µs to dump under it), the table costs nothing on
-    objects that are not a ``Grid``.
-    """
-
-    def __init__(self, grid: Grid) -> None:
-        self._grid = grid
-        self._dispatch_table = {**copyreg.dispatch_table, Grid: self._by_identity}
-
-    def _by_identity(self, grid: Grid):
-        if grid is not self._grid:
-            raise pickle.PicklingError(
-                "a Grid other than the fleet's reached a shard pipe "
-                f"(n={grid.n}, space={grid.space}); a region crosses as its "
-                "cells, over the fleet's grid"
-            )
-        return _fleet_grid, ()
-
-    def dumps(self, reply) -> bytes:
-        """``reply`` as the bytes a worker writes to its pipe."""
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer)
-        pickler.dispatch_table = self._dispatch_table
-        pickler.dump(reply)
-        return buffer.getvalue()
-
-    def loads(self, data: bytes):
-        """The reply in ``data``, its regions over this end's grid."""
-        return _ReplyUnpickler(io.BytesIO(data), self._grid).load()
-
-
-def _shard_worker_main(builder, conn) -> None:
-    """The worker-process loop: build the shard's server, then serve
-    command messages until EOF or the ``None`` close sentinel."""
-    transport = _WorkerTransport(conn)
-    server = builder(transport)
-    seam = _ReplySeam(server.grid)
-
-    def send(*reply) -> None:
-        """Write one reply through the seam, against this shard's grid."""
-        conn.send_bytes(seam.dumps(reply))
-
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            if message is None:
-                server.close()
-                conn.send(("closed",))
-                break
-            method, args = message
-            try:
-                result = getattr(server, method)(*args)
-            except BaseException as exc:  # noqa: BLE001 — marshal everything
-                shipped = transport.drain()
-                remote_tb = traceback.format_exc()
-                try:
-                    send("error", exc, remote_tb, shipped)
-                except Exception:
-                    # The exception itself would not pickle; ship a
-                    # faithful stand-in so the parent still raises.
-                    send("error", RuntimeError(repr(exc)), remote_tb, shipped)
-            else:
-                try:
-                    send("done", result, transport.drain())
-                except Exception as exc:
-                    send(
-                        "error",
-                        RuntimeError(
-                            f"unpicklable result from {method!r}: {exc!r}"
-                        ),
-                        "",
-                        [],
-                    )
-    finally:
-        conn.close()
-
-
-#: worker builders close over unpicklable factories by design, so the
-#: children must inherit them: fork is the only start method that can
-_START_METHOD = "fork"
-
-
-@dataclass
-class _WorkerHandle:
-    """Parent-side handle on one worker process and its pipe end."""
-
-    shard_id: int
-    process: multiprocessing.process.BaseProcess
-    conn: multiprocessing.connection.Connection
-
-
-class ProcessExecutor(ShardExecutor):
-    """Run each shard in its own OS process — K shards, K cores.
-
-    The fleet constructor calls :meth:`launch` with one builder per
-    shard; each worker process builds its :class:`ElapsServer` *inside
-    the child* (the ``fork`` start method inherits the grid, strategy
-    factory, and config without pickling them) and then serves
-    ``(method, args)`` commands over its pipe.  Only the commands,
-    results, and buffered region shipments cross the pipes — never a
-    ``Grid``: a reply's regions arrive over the coordinator's own.
-
-    ``run`` dispatches every command before collecting any reply, so the
-    fan-out genuinely overlaps; while collecting, the parent services
-    the workers' synchronous ``locate`` upcalls.  A dead worker surfaces
-    as :class:`WorkerCrashed`.  ``close`` sends every worker a close
-    sentinel (each closes its server — and journal — cleanly), joins the
-    processes, and is idempotent.
-    """
-
-    def __init__(self) -> None:
-        if _START_METHOD not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {_START_METHOD!r} unavailable on this platform"
-            )
-        self._context = multiprocessing.get_context(_START_METHOD)
-        self._workers: Dict[int, _WorkerHandle] = {}
-        self._seam: Optional[_ReplySeam] = None
-        self._locate: Optional[Callable] = None
-        self._on_region: Optional[Callable] = None
-        self._on_delta: Optional[Callable] = None
-        self._closed = False
-        #: pipe traffic so far, both directions, and the command replies
-        #: it carried (locate upcalls count as bytes, not as replies)
-        self._gauges = dict.fromkeys(
-            ("pipe_bytes_sent", "pipe_bytes_received", "pipe_replies"), 0
-        )
-
-    def launch(self, builders, *, grid, locate, on_region, on_delta) -> None:
-        """Fork one worker per builder and wire the coordinator hooks."""
-        if self._workers:
-            raise RuntimeError("this ProcessExecutor already hosts a fleet")
-        if self._closed:
-            raise RuntimeError("cannot launch on a closed ProcessExecutor")
-        self._seam = _ReplySeam(grid)
-        self._locate = locate
-        self._on_region = on_region
-        self._on_delta = on_delta
-        for shard_id, builder in enumerate(builders):
-            parent_conn, child_conn = self._context.Pipe()
-            process = self._context.Process(
-                target=_shard_worker_main,
-                args=(builder, child_conn),
-                name=f"elaps-shard-{shard_id}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._workers[shard_id] = _WorkerHandle(shard_id, process, parent_conn)
-
-    def gauges(self) -> Dict[str, int]:
-        """The pipe counters, named as the metrics registry shows them."""
-        return dict(self._gauges)
-
-    def _crashed(self, handle: _WorkerHandle) -> WorkerCrashed:
-        handle.process.join(timeout=5.0)
-        return WorkerCrashed(handle.shard_id, handle.process.exitcode)
-
-    def _send(self, handle: _WorkerHandle, data: bytes) -> None:
-        try:
-            handle.conn.send_bytes(data)
-        except (BrokenPipeError, OSError):
-            raise self._crashed(handle) from None
-        self._gauges["pipe_bytes_sent"] += len(data)
-
-    def run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
-        """Dispatch every command, then collect; service locate upcalls."""
-        if self._closed:
-            raise RuntimeError("ProcessExecutor is closed")
-        if not self._workers:
-            raise RuntimeError("ProcessExecutor.run before launch()")
-        pending: Dict[object, _WorkerHandle] = {}
-        #: a command value fanned out to several shards is pickled once
-        pickled: Dict[int, bytes] = {}
-        for shard_id in sorted(commands):
-            command = _checked(commands[shard_id])
-            handle = self._workers[shard_id]
-            if not handle.process.is_alive():
-                raise self._crashed(handle)
-            data = pickled.get(id(command))
-            if data is None:
-                data = pickled[id(command)] = pickle.dumps(command)
-            self._send(handle, data)
-            pending[handle.conn] = handle
-        results: Dict[int, object] = {}
-        errors: List[Tuple[int, BaseException, str]] = []
-        shipments: List[Tuple[int, List[Tuple]]] = []
-        while pending:
-            ready = multiprocessing.connection.wait(list(pending))
-            for conn in ready:
-                handle = pending[conn]
-                try:
-                    data = conn.recv_bytes()
-                except (EOFError, OSError):
-                    raise self._crashed(handle) from None
-                self._gauges["pipe_bytes_received"] += len(data)
-                message = self._seam.loads(data)
-                kind = message[0]
-                if kind == "locate":
-                    self._send(handle, pickle.dumps(self._locate(message[1])))
-                    continue
-                if kind == "done":
-                    _, result, shipped = message
-                    results[handle.shard_id] = result
-                else:  # "error"
-                    _, exc, remote_tb, shipped = message
-                    errors.append((handle.shard_id, exc, remote_tb))
-                shipments.append((handle.shard_id, shipped))
-                self._gauges["pipe_replies"] += 1
-                del pending[conn]
-        # Replay region traffic in shard order — shipments that happened
-        # before a failure are real worker state and must land.
-        for shard_id, shipped in sorted(shipments):
-            for item in shipped:
-                if item[0] == "region":
-                    self._on_region(shard_id, item[1], item[2])
-                else:
-                    self._on_delta(shard_id, item[1], item[2], item[3])
-        if errors:
-            errors.sort(key=lambda entry: entry[0])
-            _, exc, remote_tb = errors[0]
-            exc._remote_traceback = remote_tb
-            raise exc
-        return results
-
-    def close(self) -> None:
-        """Send every worker the close sentinel, then join (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._workers.values():
-            if handle.process.is_alive():
-                try:
-                    handle.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-        for handle in self._workers.values():
-            try:
-                if handle.conn.poll(5.0):
-                    handle.conn.recv()  # the ("closed",) ack
-            except (EOFError, BrokenPipeError, OSError):
-                pass
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5.0)
-            handle.conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -748,8 +278,6 @@ class ShardedElapsServer:
             [make_builder(spec) for spec in self.specs],
             grid=grid,
             locate=self._locate_subscriber,
-            on_region=self._on_shard_region,
-            on_delta=self._on_shard_delta,
         )
         #: column index → owning shard id
         self._shard_by_column = self._column_map(self.specs)
@@ -778,12 +306,37 @@ class ShardedElapsServer:
         show (it exposes commands, not stand-ins)."""
         return self.executor.shard_servers
 
+    def _run(self, commands: Mapping[int, Command]) -> Dict[int, object]:
+        """Run ``commands`` on the executor and read every reply.
+
+        The one place a shard's answer reaches the coordinator: every
+        shard's region shipments are folded in ascending shard order —
+        a failed command's too, they are real shard state — then the
+        lowest failing shard's exception is raised, the original one
+        with its ``_remote_traceback`` attached.  Otherwise the results,
+        keyed by shard id.
+        """
+        replies = self.executor.run(commands)
+        results: Dict[int, object] = {}
+        errors = []
+        for shard_id in sorted(replies):
+            reply = replies[shard_id]
+            for shipment in reply[-1]:
+                self._fold_shipment(shard_id, *shipment)
+            if reply[0] == "done":
+                results[shard_id] = reply[1]
+            else:
+                errors.append(reply)
+        if errors:
+            _, exc, remote_traceback, _ = errors[0]
+            exc._remote_traceback = remote_traceback
+            raise exc
+        return results
+
     def _run_all(self, method: str, *args) -> List[object]:
         """One command to every shard; the results in shard order."""
         command = (method, args)
-        results = self.executor.run(
-            {spec.shard_id: command for spec in self.specs}
-        )
+        results = self._run({spec.shard_id: command for spec in self.specs})
         return [results[spec.shard_id] for spec in self.specs]
 
     def _run_absorbing(
@@ -796,9 +349,7 @@ class ShardedElapsServer:
         """Fan one notifying command out to ``shard_ids``; absorb each
         shard's notifications in ascending shard order."""
         command = (method, args)
-        results = self.executor.run(
-            {shard_id: command for shard_id in shard_ids}
-        )
+        results = self._run({shard_id: command for shard_id in shard_ids})
         for shard_id in sorted(results):
             shard_notifications, _ = results[shard_id]
             notifications.extend(self._absorb(shard_notifications))
@@ -870,27 +421,21 @@ class ShardedElapsServer:
         return homes
 
     # ------------------------------------------------------------------
-    # Shard-to-coordinator callbacks
+    # What shards ship and ask
     # ------------------------------------------------------------------
-    def _on_shard_region(self, shard_id: int, sub_id: int, region: SafeRegion) -> None:
+    def _fold_shipment(self, shard_id: int, kind: str, sub_id: int, *shipped) -> None:
+        """Fold one ``("region", sub_id, region)`` or ``("delta", sub_id,
+        removed, region)`` shipment into the shard's region and the
+        subscriber's pending change; :meth:`_settle` drains those."""
         record = self.subscribers.get(sub_id)
         if record is None:
             return
-        record.shard_regions[shard_id] = region
-        self._dirty.setdefault(sub_id, _Dirty()).full = True
-
-    def _on_shard_delta(
-        self,
-        shard_id: int,
-        sub_id: int,
-        removed: FrozenSet[Cell],
-        region: SafeRegion,
-    ) -> None:
-        record = self.subscribers.get(sub_id)
-        if record is None:
-            return
-        record.shard_regions[shard_id] = region
-        self._dirty.setdefault(sub_id, _Dirty()).removed.update(removed)
+        record.shard_regions[shard_id] = shipped[-1]
+        dirty = self._dirty.setdefault(sub_id, _Dirty())
+        if kind == "region":
+            dirty.full = True
+        else:
+            dirty.removed.update(shipped[0])
 
     def _locate_subscriber(self, sub_id: int) -> Optional[Tuple[Point, Point]]:
         transport = self.transport
@@ -944,7 +489,7 @@ class ShardedElapsServer:
         A new home runs the full subscribe flow — its corpus matches
         within the radius come back as notifications (deduped by
         :meth:`_absorb`), and its freshly built region lands in
-        ``shard_regions`` via the shard transport, shrinking the held
+        ``shard_regions`` with the reply, shrinking the held
         intersection.  Growing the held region's column span can demand
         further homes, so this loops to the fixpoint (at most K rounds).
         """
@@ -953,13 +498,25 @@ class ShardedElapsServer:
             if not new:
                 return
             record.homes |= new
-            self._run_absorbing(
-                new,
-                "subscribe",
-                (record.subscription, record.location, record.velocity, now),
-                notifications,
-            )
-            self._recompute_held(record)
+            self._subscribe_on(new, record, now, notifications)
+
+    def _subscribe_on(
+        self,
+        shard_ids,
+        record: ShardedSubscriberRecord,
+        now: int,
+        notifications: List[Notification],
+    ) -> None:
+        """Run the subscribe flow for ``record`` on ``shard_ids``: absorb
+        their corpus matches, then recompute the held region from the
+        regions they shipped."""
+        self._run_absorbing(
+            shard_ids,
+            "subscribe",
+            (record.subscription, record.location, record.velocity, now),
+            notifications,
+        )
+        self._recompute_held(record)
 
     def _prune_homes(
         self,
@@ -988,7 +545,7 @@ class ShardedElapsServer:
         record.homes -= stale
         for shard_id in stale:
             record.shard_regions.pop(shard_id, None)
-        self.executor.run(
+        self._run(
             {
                 shard_id: ("unsubscribe", (record.subscription.sub_id,))
                 for shard_id in stale
@@ -1043,7 +600,7 @@ class ShardedElapsServer:
     # ------------------------------------------------------------------
     def bootstrap(self, events) -> None:
         """Load the initial event database, routed to the owning shards."""
-        self.executor.run(
+        self._run(
             {
                 shard_id: ("bootstrap", (shard_events,))
                 for shard_id, shard_events in self._by_shard(events).items()
@@ -1079,13 +636,7 @@ class ShardedElapsServer:
             # holds one (their delivered sets survive, matching the
             # single server's reconnect semantics).
             record.homes = set(existing.homes)
-            self._run_absorbing(
-                record.homes,
-                "subscribe",
-                (subscription, location, velocity, now),
-                notifications,
-            )
-            self._recompute_held(record)
+            self._subscribe_on(record.homes, record, now, notifications)
         self._rehome(record, now, notifications)
         self._settle(now, notifications)
         return notifications, record.safe
@@ -1097,7 +648,7 @@ class ShardedElapsServer:
             raise KeyError(f"unknown subscriber {sub_id}")
         self._dirty.pop(sub_id, None)
         if record.homes:
-            self.executor.run(
+            self._run(
                 {shard_id: ("unsubscribe", (sub_id,)) for shard_id in record.homes}
             )
 
@@ -1123,7 +674,7 @@ class ShardedElapsServer:
         events = list(events)
         if not events:
             return []
-        results = self.executor.run(
+        results = self._run(
             {
                 shard_id: ("publish_batch", (shard_events, now))
                 for shard_id, shard_events in self._by_shard(events).items()
@@ -1332,7 +883,7 @@ class ShardedElapsServer:
             ):
                 column += 1
             donor_ranges.setdefault(donor, []).append((start, column))
-        extracted = self.executor.run(
+        extracted = self._run(
             {
                 donor: ("extract_events_in_columns", (tuple(ranges),))
                 for donor, ranges in donor_ranges.items()
@@ -1360,13 +911,7 @@ class ShardedElapsServer:
             predating = record.homes & receivers
             if predating:
                 rebuilt |= predating
-                self._run_absorbing(
-                    predating,
-                    "subscribe",
-                    (record.subscription, record.location, record.velocity, now),
-                    notifications,
-                )
-                self._recompute_held(record)
+                self._subscribe_on(predating, record, now, notifications)
             self._rehome(record, now, notifications)
             self._prune_homes(record, now, notifications)
         # 5. Restore single-server notification order on every shard
@@ -1380,7 +925,7 @@ class ShardedElapsServer:
         }
         if resequence:
             command = ("resequence_subscriptions", (tuple(self.subscribers),))
-            self.executor.run({shard_id: command for shard_id in resequence})
+            self._run({shard_id: command for shard_id in resequence})
         self._settle(now, notifications)
         # 6. Age the load signal so the policy tracks a moving hotspot.
         decay = (

@@ -656,10 +656,9 @@ class TestFrozenFormat:
             [lambda transport: fixture_server(transport=transport)],
             grid=Grid(20, SPACE),
             locate=lambda sub_id: None,
-            on_region=lambda *shipped: None,
-            on_delta=lambda *shipped: None,
         )
         for record in read_records(str(tmp_path)):
-            executor.run({0: (record.method, record.args)})
+            reply = executor.run({0: (record.method, record.args)})[0]
+            assert reply[0] == "done", reply
         assert state_digest(executor.shard_servers[0]) == want
         executor.close()

@@ -39,8 +39,8 @@ from repro.system import (
     ShardedElapsServer,
     WorkerCrashed,
 )
+from repro.system.executors import _ReplySeam
 from repro.system.server import Notification
-from repro.system.sharding import _ReplySeam
 
 from test_golden_trace import GOLDEN, GROUPS, SPACE
 from test_sharding import (
@@ -72,17 +72,17 @@ class MisbehavingServer(ElapsServer):
         return [], SafeRegion(Grid(4, SPACE), frozenset({(1, 1)}))
 
 
-def launch_misbehaving(grid, landed):
-    """One misbehaving band behind a pipe; region ships land in ``landed``."""
-    executor = ProcessExecutor()
-    executor.launch(
+def misbehaving_fleet(make, grid):
+    """A one-band fleet over ``grid`` on a ``make()`` executor that builds
+    a :class:`MisbehavingServer` where the fleet's builder would go."""
+    executor = make()
+    launch = executor.launch
+    executor.launch = lambda builders, *, grid, locate: launch(
         [lambda transport: MisbehavingServer(grid, IGM(max_cells=40), transport=transport)],
         grid=grid,
-        locate=lambda sub_id: None,
-        on_region=lambda *shipped: landed.append(shipped),
-        on_delta=lambda *shipped: None,
+        locate=locate,
     )
-    return executor
+    return ShardedElapsServer(grid, IGM(max_cells=40), shards=1, executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +158,7 @@ class TestProcessPlumbing:
         recorded in the worker's own registry."""
 
         def publish_spans(server):
-            registry = server.executor.run({0: ("merged_registry", ())})[0]
+            registry = server._run({0: ("merged_registry", ())})[0]
             return registry.tracer.histogram("publish").count
 
         with make_process_fleet(2) as server:
@@ -179,7 +179,7 @@ class TestProcessPlumbing:
             )
             matches = list(server.corpus_matches(make_sub().expression))
             assert [e.event_id for e in matches] == [1]
-            (view,) = server.executor.run({0: ("subscriber_snapshots", ())})[0]
+            (view,) = server._run({0: ("subscriber_snapshots", ())})[0]
             assert view.subscription.sub_id == 1
             assert view.delivered == frozenset({1})
 
@@ -187,23 +187,44 @@ class TestProcessPlumbing:
         with make_process_fleet(2) as server:
             command = ("report_location", (999, Point(0, 0), Point(0, 0), 1))
             with pytest.raises(KeyError) as info:
-                server.executor.run({0: command})
+                server._run({0: command})
             assert "extract_events_in_columns" not in str(info.value)
             assert "report_location" in info.value._remote_traceback
             # the fleet survives a failed command
             server.publish(sale(5, 1_000, 5_000), now=1)
-        # what a worker shipped before it failed is real worker state: it
-        # lands, and — like every region off a pipe — over *this* grid
-        grid, landed = Grid(40, SPACE), []
+
+    @pytest.mark.parametrize("make", [SerialExecutor, ProcessExecutor])
+    def test_what_a_shard_shipped_before_it_failed_lands(self, make):
+        """What a shard shipped before it failed is real shard state: it
+        lands in the coordinator's bookkeeping — over the coordinator's
+        own grid — before the error is raised."""
+        grid = Grid(40, SPACE)
         cells = [(3, 4), (3, 5)]
-        with launch_misbehaving(grid, landed) as executor:
+        with misbehaving_fleet(make, grid) as fleet:
+            fleet.subscribe(make_sub(sub_id=7), Point(5_000, 5_000), Point(0, 0), 0)
             with pytest.raises(LookupError, match="after the ship") as info:
-                executor.run({0: ("ship_then_fail", (7, cells))})
+                fleet._run({0: ("ship_then_fail", (7, cells))})
             assert "ship_then_fail" in info.value._remote_traceback
-        ((shard_id, sub_id, region),) = landed
-        assert (shard_id, sub_id) == (0, 7)
-        assert region.grid is grid
-        assert region == SafeRegion(grid, frozenset(cells))
+            region = fleet.subscribers[7].shard_regions[0]
+            assert region.grid is grid
+            assert region == SafeRegion(grid, frozenset(cells))
+            assert fleet._dirty[7].full
+
+    @pytest.mark.parametrize("make", [SerialExecutor, ProcessExecutor])
+    def test_every_shard_runs_and_the_lowest_failing_shard_raises(self, make):
+        """One failing command stops none of its neighbours, on either
+        executor; when several fail, the lowest shard's error is raised."""
+        unknown = ("report_location", (999, Point(0, 0), Point(0, 0), 1))
+        with make_sharded(2, executor=make()) as fleet:
+            with pytest.raises(KeyError):
+                fleet._run({0: unknown, 1: ("bootstrap", ([sale(1, 8_000, 5_000)],))})
+            with pytest.raises(KeyError):
+                fleet._run({0: ("bootstrap", ([sale(2, 2_000, 5_000)],)), 1: unknown})
+            assert [s.total_events for s in fleet._run_all("system_stats", 1)] == [1, 1]
+            with pytest.raises(KeyError) as info:
+                fleet._run({0: ("unsubscribe", (999,)), 1: unknown})
+            assert "unsubscribe" in info.value._remote_traceback
+            assert "report_location" not in info.value._remote_traceback
 
     @pytest.mark.parametrize("make", [SerialExecutor, ProcessExecutor])
     @pytest.mark.parametrize(
@@ -217,11 +238,15 @@ class TestProcessPlumbing:
     def test_a_malformed_command_is_a_typeerror_on_both_executors(
         self, make, command
     ):
+        bootstrap = ("bootstrap", ([sale(1, 2_000, 5_000)],))
         with launch_bare(make()) as executor:
-            with pytest.raises(TypeError):
-                executor.run({0: command})
-            # rejected before it reached a server or a pipe
-            assert executor.run({0: ("expire_due_events", (1,))}) == {0: 0}
+            for commands in ({0: command}, {0: bootstrap, 1: command}):
+                with pytest.raises(TypeError):
+                    executor.run(commands)
+            # every command was checked before any reached a server or a
+            # pipe, and the next reply is the next command's own
+            ((kind, stats, shipped),) = executor.run({0: ("system_stats", (1,))}).values()
+            assert (kind, stats.total_events, shipped) == ("done", 0, [])
 
 
 class CountingExecutor(ProcessExecutor):
@@ -412,7 +437,6 @@ class TestProcessLifecycle:
         with pytest.raises(RuntimeError):
             server.executor.launch(
                 [lambda t: None], grid=server.grid, locate=lambda s: None,
-                on_region=lambda *a: None, on_delta=lambda *a: None,
             )
         server.close()
 
@@ -614,13 +638,13 @@ class TestNoGridCrossesAPipe:
         assert recovered[1] == recovered[0]
 
     def test_a_foreign_grid_is_refused_not_shipped(self):
-        grid, landed = Grid(40, SPACE), []
-        with launch_misbehaving(grid, landed) as executor:
-            with pytest.raises(RuntimeError, match="Grid other than the fleet's"):
-                executor.run({0: ("foreign_region", ())})
+        grid = Grid(40, SPACE)
+        with misbehaving_fleet(ProcessExecutor, grid) as fleet:
+            kind, exc, _, shipped = fleet.executor.run({0: ("foreign_region", ())})[0]
+            assert (kind, type(exc), shipped) == ("error", RuntimeError, [])
+            assert "Grid other than the fleet's" in str(exc)
             # refused by the worker's end of the seam, which lives on
-            assert executor.run({0: ("expire_due_events", (1,))}) == {0: 0}
-        assert landed == []
+            assert fleet._run({0: ("expire_due_events", (1,))}) == {0: 0}
         # and a reply means nothing to a reader with no grid of its own
         piped = _ReplySeam(grid).dumps(SafeRegion.whole_space(grid))
         with pytest.raises(pickle.UnpicklingError, match="outside its pipe"):

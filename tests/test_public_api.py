@@ -160,15 +160,22 @@ class TestConfigurationSurface:
         # one task form — (method, args) tuples — so no command class,
         # and nothing to choose when constructing either executor
         import inspect
+        import repro.system.executors as executors_module
         import repro.system.sharding as sharding
 
-        assert set(sharding.__all__) == executors | {
-            "RebalancePolicy", "ShardSpec", "ShardedElapsServer",
-            "WorkerCrashed", "partition_columns",
+        assert set(executors_module.__all__) == executors | {"WorkerCrashed"}
+        assert set(sharding.__all__) == {
+            "RebalancePolicy", "ShardSpec", "ShardedElapsServer", "partition_columns",
         }
-        assert set(sharding.__all__) <= set(repro.system.__all__)
+        for module in (executors_module, sharding):
+            assert set(module.__all__) <= set(repro.system.__all__)
         for name in ("SerialExecutor", "ProcessExecutor"):
-            assert not inspect.signature(getattr(sharding, name)).parameters
+            assert not inspect.signature(getattr(executors_module, name)).parameters
+        # the shards hand back what they shipped: no coordinator hook
+        # beside the locate ping
+        for name in ("ShardExecutor", "SerialExecutor", "ProcessExecutor"):
+            launch = inspect.signature(getattr(executors_module, name).launch)
+            assert list(launch.parameters) == ["self", "builders", "grid", "locate"]
 
     def test_one_construction_core_and_its_oracle_in_testing(self):
         import importlib

@@ -19,7 +19,7 @@ from repro.core import (
     impact_from_safe,
 )
 from repro.geometry import Grid, Point, Rect
-from repro.system.sharding import _ReplySeam
+from repro.system.executors import _ReplySeam
 
 from conftest import make_subscription
 

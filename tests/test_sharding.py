@@ -34,6 +34,7 @@ from repro.system import (
     ShardedElapsServer,
     partition_columns,
 )
+from repro.testing import definition1_violations, impact_coverage_violations
 
 from test_golden_trace import GOLDEN, GROUP_SIZE, GROUPS, SEED, SPACE
 
@@ -451,9 +452,8 @@ class TestAggregates:
 # Executor lifecycle
 # ----------------------------------------------------------------------
 def launch_bare(executor, shards=2):
-    """Launch ``shards`` bare band servers on ``executor`` with the
-    coordinator hooks stubbed — what a fleet constructor does, minus the
-    coordinator."""
+    """Launch ``shards`` bare band servers on ``executor`` with a null
+    ``locate`` — what a fleet constructor does, minus the coordinator."""
     executor.launch(
         [
             lambda transport: ElapsServer(
@@ -463,8 +463,6 @@ def launch_bare(executor, shards=2):
         * shards,
         grid=Grid(40, SPACE),
         locate=lambda sub_id: None,
-        on_region=lambda *args: None,
-        on_delta=lambda *args: None,
     )
     return executor
 
@@ -473,7 +471,7 @@ class TestExecutorLifecycle:
     @pytest.mark.parametrize("make", [SerialExecutor], ids=["serial"])
     def test_close_is_idempotent(self, make):
         executor = launch_bare(make())
-        assert executor.run({0: ("expire_due_events", (1,))}) == {0: 0}
+        assert executor.run({0: ("expire_due_events", (1,))}) == {0: ("done", 0, [])}
         executor.close()
         executor.close()  # a second close must be a no-op
 
@@ -484,7 +482,7 @@ class TestExecutorLifecycle:
             stats = executor.run(
                 {0: ("system_stats", (1,)), 1: ("system_stats", (1,))}
             )
-            assert [stats[k].total_events for k in (0, 1)] == [0, 1]
+            assert [stats[k][1].total_events for k in (0, 1)] == [0, 1]
         executor.close()  # already closed; still a no-op
 
     def test_launch_twice_rejected(self):
@@ -708,3 +706,132 @@ class TestRebalance:
         notes = revived.publish(sale(3, 3_400, 5_000, arrived_at=4), now=4)
         assert [n.event.event_id for n in notes] == [3]
         revived.close()
+
+
+# ----------------------------------------------------------------------
+# A coordinator crash after every executor run of a rebalance
+# ----------------------------------------------------------------------
+class CoordinatorCrash(Exception):
+    """The coordinator dying between two executor runs."""
+
+
+class CrashingExecutor(SerialExecutor):
+    """A serial executor that raises :class:`CoordinatorCrash` right after
+    run number ``crash_at``: the shards applied that run's commands, the
+    coordinator never reads the replies.  ``None`` never crashes."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = 0
+        self.crash_at = None
+
+    def run(self, commands):
+        replies = super().run(commands)
+        self.runs += 1
+        if self.runs == self.crash_at:
+            raise CoordinatorCrash(f"after run {self.runs}")
+        return replies
+
+
+#: the forced move the crash loop interrupts, and the executor runs it takes
+CRASH_BOUNDS = [0, 5, 13, 30, 40]
+REBALANCE_RUNS = 13
+LOST_ON_EXTRACT = (
+    "a crash right after the donors' extract loses the moved events: "
+    "no receiver journaled them yet (ROADMAP item 3(c))"
+)
+OLD_BOUNDS_RECOVERED = (
+    "fleet.json is written after a rebalance's last executor run: a crash "
+    "before it recovers the old bounds while the moved events sit on "
+    "their new owners (ROADMAP item 3(c))"
+)
+
+
+def drive_before_the_move(fleet):
+    """A corpus across every band and a row of subscribers, some homed
+    where the move hands columns over."""
+    rng = random.Random(23)
+    fleet.bootstrap(
+        [sale(k, rng.uniform(0, 10_000), rng.uniform(0, 10_000), arrived_at=0)
+         for k in range(1, 41)]
+    )
+    for sub_id in range(1, 7):
+        fleet.subscribe(
+            make_sub(sub_id=sub_id, radius=1_200.0),
+            Point(rng.uniform(500, 9_500), rng.uniform(0, 10_000)),
+            Point(0, 0),
+            0,
+        )
+    fleet.publish_batch(
+        [sale(100 + k, rng.uniform(1_000, 4_000), rng.uniform(0, 10_000), arrived_at=1)
+         for k in range(16)],
+        now=1,
+    )
+
+
+def placed_events(fleet):
+    """Every live event of an in-process fleet, by id, with its shard."""
+    return {
+        event_id: (shard_id, event)
+        for shard_id, server in enumerate(fleet.shard_servers)
+        for event_id, event in server._events_by_id.items()
+    }
+
+
+class TestCrashDuringARebalance:
+    """Crash the coordinator after each executor run of a journaled
+    rebalance, recover a fresh fleet from the band journals and
+    ``fleet.json``, and hold it to the oracle: the pre-move corpus, each
+    event on the shard its column routes to, and after a resync of every
+    subscriber no Definition 1 or 2 violation and no delivered set
+    changed.  ``None`` is the uninterrupted move."""
+
+    @pytest.mark.parametrize(
+        "crash_after",
+        [
+            pytest.param(
+                k,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason=LOST_ON_EXTRACT if k == 1 else OLD_BOUNDS_RECOVERED,
+                ),
+            )
+            for k in range(1, REBALANCE_RUNS + 1)
+        ]
+        + [None],
+    )
+    def test_a_recovered_fleet_matches_the_oracle(self, tmp_path, crash_after):
+        config = ServerConfig(initial_rate=2.0, journal=JournalSpec(str(tmp_path)))
+        executor = CrashingExecutor()
+        fleet = make_sharded(4, executor, config, max_cells=100)
+        drive_before_the_move(fleet)
+        corpus = set(placed_events(fleet))
+        delivered = {sub_id: fleet.delivered_ids(sub_id) for sub_id in fleet.subscribers}
+        reports = {
+            sub_id: (record.location, record.velocity)
+            for sub_id, record in fleet.subscribers.items()
+        }
+        before = executor.runs
+        if crash_after is not None:
+            executor.crash_at = before + crash_after
+        try:
+            assert fleet.rebalance_now(now=2, bounds=CRASH_BOUNDS)
+        except CoordinatorCrash:
+            pass
+        else:
+            assert executor.runs - before == REBALANCE_RUNS
+        fleet.close()
+
+        with make_sharded(4, config=config, max_cells=100) as revived:
+            revived.recover()
+            placed = placed_events(revived)
+            assert set(placed) == corpus
+            for event_id, (shard_id, event) in placed.items():
+                assert revived.shard_of_point(event.location) == shard_id, event_id
+            for sub_id, (location, velocity) in reports.items():
+                revived.resync(sub_id, location, velocity, delivered[sub_id], now=3)
+            assert not definition1_violations(revived)
+            assert not impact_coverage_violations(revived)
+            assert {
+                sub_id: revived.delivered_ids(sub_id) for sub_id in delivered
+            } == delivered
