@@ -65,13 +65,16 @@ def dilate_points(grid: Grid, points: List[Point], radius: float) -> Set[Cell]:
     """The cells within ``radius`` (closed) of any of ``points``: the fold
     of :func:`dilate_point`, or — from :data:`_POINTS_ARRAY_CUTOVER`
     (points x offsets) up — the same set from one pass of the array
-    kernel (:meth:`Grid.dilate_points_mask`)."""
+    kernel (:meth:`Grid.dilation_hits`), its hits' flat indices made
+    unique (ascending, so row-major) and split back into cells."""
     count = len(points)
     if count * len(grid.disk(radius, inclusive=True).offsets) >= _POINTS_ARRAY_CUTOVER:
         xs = np.fromiter((p.x for p in points), dtype=np.float64, count=count)
         ys = np.fromiter((p.y for p in points), dtype=np.float64, count=count)
-        ii, jj = np.nonzero(grid.dilate_points_mask(xs, ys, radius))
-        return set(zip(ii.tolist(), jj.tolist()))
+        hits = [I * grid.n + J for I, J, _ in grid.dilation_hits(xs, ys, radius)]
+        if not hits:
+            return set()
+        return set(grid.cells_of_flat(np.unique(np.concatenate(hits))))
     cells: Set[Cell] = set()
     for point in points:
         dilate_point(grid, point, radius, cells)
@@ -102,13 +105,18 @@ class MatchingEventField:
 
     grid: Grid
     events_scanned: int = 0
+    #: how often one of this field's array views outgrew its band of
+    #: rows and was projected again (cumulative, like ``events_scanned``)
+    view_regrowths: int = 0
     #: the construction core's array projections of this field, by
     #: radius.  The field is their only holder and they hold no reference
-    #: back, so dropping the field frees its ``n x n`` arrays with it.
-    #: A view is created over :meth:`known_points` and then fed: the
-    #: field appends every point it learns to each view's ``admitted``
-    #: list and every point it forgets to its ``excluded`` list, and the
-    #: view drains both in its next sync.
+    #: back, so dropping the field frees their arrays with it.  A view
+    #: holds a band of full grid rows that contains every row of
+    #: :meth:`covered_rows`, not the whole grid.  It is created over
+    #: :meth:`known_points` and then fed: the field appends every point
+    #: it learns to each view's ``admitted`` list and every point it
+    #: forgets to its ``excluded`` list, and the view drains both in its
+    #: next sync.
     array_views: Dict[float, object]
 
     def count_in_cell(self, cell: Cell) -> int:
@@ -159,6 +167,14 @@ class MatchingEventField:
         """
         last = self.grid.n - 1
         return (0, 0, last, last)
+
+    def covered_rows(self) -> Tuple[int, int]:
+        """The grid rows ``lo <= i < hi`` the field's coverage spans, as
+        ``(lo, hi)``: every cell a construction reads lies in them.
+
+        A fully materialised field covers every row.
+        """
+        return (0, self.grid.n)
 
 
 class StaticMatchingField(MatchingEventField):
@@ -554,6 +570,12 @@ class LazyBEQField(MatchingEventField):
     def ensure_cell_neighbourhood(self, cell: Cell, radius: float) -> None:
         """Cover the cell's radius-neighbourhood (no unsafe-set upkeep)."""
         self._ensure_neighbourhood(cell, radius)
+
+    def covered_rows(self) -> Tuple[int, int]:
+        """The rows of the covered rectangle (none before any coverage)."""
+        if self._covered is None:
+            return (0, 0)
+        return (self._covered[0], self._covered[2] + 1)
 
     def covered_window(self, radius: float) -> Tuple[int, int, int, int]:
         """The covered rectangle shrunk by the neighbourhood reach.

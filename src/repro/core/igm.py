@@ -31,10 +31,11 @@ depends on that pop:
 
 * the matching field is projected into a struct-of-arrays
   :class:`_FieldArrayView` (uint8 per-cell ``cover`` count + per-cell
-  ``counts``), maintained incrementally with one signed array dilation
-  pass per batch of admitted and forgotten events (one pass per BEQ leaf
-  probe in on-demand mode); the loop reads both through flat
-  ``memoryview``s of those same arrays;
+  ``counts``) over the band of grid rows its coverage reaches,
+  maintained incrementally with one signed array dilation pass per batch
+  of admitted and forgotten events (one pass per BEQ leaf probe in
+  on-demand mode); the loop reads both through flat ``memoryview``s of
+  those same arrays, at its global flat index minus the band's ``base``;
 * everything a pop needs that is a sum of an x part and a y part is
   tabulated before the loop: the squared per-axis distances to the
   subscriber (per construct, from the grid's edge tables) and the Morton
@@ -103,41 +104,87 @@ _SCALAR_STRIP_MAX = 32
 
 
 class _FieldArrayView:
-    """Struct-of-arrays projection of a matching field at one radius.
+    """Struct-of-arrays projection of a matching field at one radius, over
+    a band of grid rows.
 
-    ``cover[i, j]`` counts the known matching events within ``radius``
-    (closed) of cell ``(i, j)`` — the cell is unsafe iff it is nonzero —
-    and ``counts[i, j]`` is the per-cell event count phi.  ``cover`` is
-    uint8, the size of a boolean mask; a count past 255 is held exactly
-    in ``overflow`` (flat index -> count) while ``cover`` reads 255.
+    The view holds the full-width rows ``row0 <= i < row0 + h`` of the
+    grid: ``cover[i - row0, j]`` counts the known matching events within
+    ``radius`` (closed) of cell ``(i, j)`` — the cell is unsafe iff it is
+    nonzero — and ``counts[i - row0, j]`` is the per-cell event count phi.
+    Flattened, cell ``(i, j)`` sits at ``i * n + j - base`` with ``base =
+    row0 * n``, so Algorithm 1 keeps its global flat indices and offset
+    tables and only subtracts ``base`` when it reads.  ``cover`` is uint8,
+    the size of a boolean mask; a count past 255 is held exactly in
+    ``overflow`` (band flat index -> count) while ``cover`` reads 255.
 
-    The view is projected from the field's ``known_points()`` when it is
-    created; after that the field appends each point it learns to
-    ``admitted`` and each point it forgets to ``excluded``, and one signed
-    kernel pass (:meth:`_sync`) applies both — so a field reused across
-    constructions (repair mode) only pays for what changed since the last
-    sync, and a point admitted and forgotten in between nets to nothing.
+    After every :meth:`ensure_cell` and :meth:`is_unsafe` the band
+    contains every row of the field's
+    :meth:`~MatchingEventField.covered_rows` — and every cell a
+    construction reads lies in those.  When coverage leaves the band, it
+    grows to twice the larger of the covered rows' height and its own
+    (clamped to the grid) and is projected again from ``known_points()``,
+    so a construct that grows coverage a dozen times re-projects once or
+    twice.  A flat memoryview wraps a negative index silently: a read
+    above the band would return a cell of its last row, never an error.
+
+    The view is projected from ``known_points()`` when it is created;
+    after that the field appends each point it learns to ``admitted``
+    and each point it forgets to ``excluded``, and one signed kernel pass
+    (:meth:`_sync`), clipped to the band, applies both — so a field
+    reused across constructions (repair mode) only pays for what changed
+    since the last sync, and a point admitted and forgotten in between
+    nets to nothing.
 
     The field holds its views (``field.array_views``) and a view holds
     no reference back — every method takes the field from the caller —
     so there is no cycle: the arrays are freed the moment the field is.
     """
 
-    __slots__ = ("grid", "radius", "cover", "counts", "overflow", "admitted", "excluded")
+    __slots__ = (
+        "grid", "radius", "row0", "base", "cover", "counts", "overflow",
+        "admitted", "excluded",
+    )
 
-    def __init__(self, grid: Grid, radius: float, points: List[Point]) -> None:
+    def __init__(
+        self,
+        grid: Grid,
+        radius: float,
+        points: List[Point],
+        rows: Optional[Tuple[int, int]] = None,
+    ) -> None:
         self.grid = grid
         self.radius = radius
-        self.cover = np.zeros((grid.n, grid.n), dtype=np.uint8)
-        self.counts = np.zeros((grid.n, grid.n), dtype=np.int32)
+        lo, hi = (0, grid.n) if rows is None else rows
+        self._project(points, lo, hi - lo)
+
+    def _project(self, points: List[Point], row0: int, height: int) -> None:
+        """Start over on rows ``row0 <= i < row0 + height``; ``points``
+        wait in ``admitted`` for the next sync."""
+        n = self.grid.n
+        self.row0 = row0
+        self.base = row0 * n
+        self.cover = np.zeros((height, n), dtype=np.uint8)
+        self.counts = np.zeros((height, n), dtype=np.int32)
         self.overflow: Dict[int, int] = {}
         self.admitted: List[Point] = list(points)
         self.excluded: List[Point] = []
 
-    def ensure_cell(self, field: MatchingEventField, cell: Cell) -> None:
-        """Make the arrays authoritative for ``cell`` and its neighbourhood."""
+    def flat_views(self) -> Tuple[int, memoryview, memoryview, np.ndarray]:
+        """``(base, cover, counts, counts)``: what Algorithm 1 reads, cell
+        ``k = i * n + j`` at ``k - base`` — two flat memoryviews for
+        scalar reads and the flat ``counts`` array for index arrays."""
+        counts = self.counts.reshape(-1)
+        return self.base, memoryview(self.cover.reshape(-1)), memoryview(counts), counts
+
+    def ensure_cell(self, field: MatchingEventField, cell: Cell) -> bool:
+        """Make the arrays authoritative for ``cell`` and its
+        neighbourhood; True when the band regrew, so views taken by
+        :meth:`flat_views` before are stale."""
         field.ensure_cell_neighbourhood(cell, self.radius)
+        if self._regrow(field):
+            return True
         self._sync()
+        return False
 
     def is_unsafe(self, field: MatchingEventField, cell: Cell) -> bool:
         """The safety bit of ``cell`` with its neighbourhood covered.
@@ -148,9 +195,27 @@ class _FieldArrayView:
         decided only after the sync.
         """
         field.ensure_cell_neighbourhood(cell, self.radius)
-        if self.excluded or not self.cover[cell]:
-            self._sync()
-        return bool(self.cover[cell])
+        if not self._regrow(field):
+            if self.excluded or not self.cover[cell[0] - self.row0, cell[1]]:
+                self._sync()
+        return bool(self.cover[cell[0] - self.row0, cell[1]])
+
+    def _regrow(self, field: MatchingEventField) -> bool:
+        """Grow the band over the field's covered rows if they left it:
+        to twice the larger of their height and its own, clamped to the
+        grid, the slack split around the covered rows; then project and
+        sync it afresh."""
+        lo, hi = field.covered_rows()
+        height = self.cover.shape[0]
+        if lo >= hi or (self.row0 <= lo and hi <= self.row0 + height):
+            return False
+        n = self.grid.n
+        height = min(2 * max(hi - lo, height), n)
+        row0 = min(max(lo - (height - (hi - lo)) // 2, 0), n - height)
+        self._project(field.known_points(), row0, height)
+        self._sync()
+        field.view_regrowths += 1
+        return True
 
     def _sync(self) -> None:
         """Apply the points admitted and excluded since the last sync."""
@@ -165,10 +230,13 @@ class _FieldArrayView:
         steps = np.ones(count, dtype=np.int32)
         steps[len(admitted):] = -1
         n = self.grid.n
+        row0, height = self.row0, self.cover.shape[0]
         cover = self.cover.reshape(-1)
         overflow = self.overflow
         first = 0
-        for I, J, keep in self.grid.dilation_hits(xs, ys, self.radius):
+        for I, J, keep in self.grid.dilation_hits(
+            xs, ys, self.radius, (row0, row0 + height)
+        ):
             chunk = steps[first : first + keep.shape[0]]
             first += keep.shape[0]
             if not I.size:
@@ -179,7 +247,7 @@ class _FieldArrayView:
             lo = int(flat.min())
             delta = np.bincount(flat - lo, weights=np.repeat(chunk, keep.sum(axis=1)))
             touched = np.flatnonzero(delta)
-            cells = touched + lo
+            cells = touched + (lo - self.base)
             before = cover[cells]
             true = before + delta[touched].astype(np.int64)
             if overflow:
@@ -189,7 +257,9 @@ class _FieldArrayView:
                 overflow[int(cells[k])] = int(true[k])
             cover[cells] = np.minimum(true, 255)
         ci, cj = self.grid.cells_of_array(xs, ys)
-        np.add.at(self.counts, (ci, cj), steps)
+        ci -= row0
+        inside = (ci >= 0) & (ci < height)
+        np.add.at(self.counts, (ci[inside], cj[inside]), steps[inside])
 
 
 class IncrementalGridMethod(SafeRegionStrategy):
@@ -273,7 +343,7 @@ class IncrementalGridMethod(SafeRegionStrategy):
         view = field.array_views.get(radius)
         if view is None or view.grid is not grid:
             view = field.array_views[radius] = _FieldArrayView(
-                grid, radius, field.known_points()
+                grid, radius, field.known_points(), field.covered_rows()
             )
         start = grid.cell_of(request.location)
         # An unsafe start cell is the loop's single pop: nothing accepted,
@@ -321,10 +391,8 @@ class IncrementalGridMethod(SafeRegionStrategy):
         accepted = bytearray(n * n)
         in_impact = bytearray(n * n)
         impact_array = np.frombuffer(in_impact, dtype=bool)
-        # live views of the arrays _sync updates in place
-        unsafe = memoryview(view.cover.reshape(-1))
-        counts = memoryview(view.counts.reshape(-1))
-        counts_array = view.counts.reshape(-1)
+        # live views of the band _sync updates in place, cell k at k - base
+        base, unsafe, counts, counts_array = view.flat_views()
 
         start_dist = grid.min_distance_point_cell(request.location, start)
         start_index = start[0] * n + start[1]
@@ -368,9 +436,10 @@ class IncrementalGridMethod(SafeRegionStrategy):
             if visit_order is not None:
                 visit_order.append((i, j))
             if not (win_i0 <= i <= win_i1 and win_j0 <= j <= win_j1):
-                view.ensure_cell(field, (i, j))
+                if view.ensure_cell(field, (i, j)):
+                    base, unsafe, counts, counts_array = view.flat_views()
                 win_i0, win_j0, win_i1, win_j1 = field.covered_window(radius)
-            if unsafe[k]:
+            if unsafe[k - base]:
                 continue  # B[c'] is false: the cell stays outside (line 10)
 
             # One pass over the 8-ring: the accepted neighbours are the
@@ -410,7 +479,7 @@ class IncrementalGridMethod(SafeRegionStrategy):
                         c = k + offset
                         if not in_impact[c]:
                             fresh.append(c)
-                            candidate_ne += counts[c]
+                            candidate_ne += counts[c - base]
                 else:
                     idx = candidates[key][2] + k
             else:
@@ -421,7 +490,7 @@ class IncrementalGridMethod(SafeRegionStrategy):
                 idx = ci[inb] * n + cj[inb]
             if fresh is None:
                 new_idx = idx[~impact_array[idx]]
-                candidate_ne = matching_in_impact + int(counts_array[new_idx].sum())
+                candidate_ne = matching_in_impact + int(counts_array[new_idx - base].sum())
 
             bm = balance(boundary, speed, candidate_ne)
             if bm <= beta:
@@ -450,10 +519,10 @@ class IncrementalGridMethod(SafeRegionStrategy):
             elif bm > beta and first_rejected_bm is None:
                 first_rejected_bm = bm
 
-        ii, jj = np.nonzero(impact_array.reshape(n, n))
+        impact = frozenset(grid.cells_of_flat(np.flatnonzero(impact_array)))
         return RegionPair(
             safe=SafeRegion(grid, frozenset(region)),
-            impact=ImpactRegion(grid, frozenset(zip(ii.tolist(), jj.tolist()))),
+            impact=ImpactRegion(grid, impact),
             cells_examined=cells_examined,
             last_accepted_bm=last_accepted_bm,
             first_rejected_bm=first_rejected_bm,

@@ -251,6 +251,11 @@ class Grid:
         np.clip(j, 0, self.n - 1, out=j)
         return i, j
 
+    def cells_of_flat(self, flat: np.ndarray) -> Iterator[Cell]:
+        """The cells ``(i, j)`` of flat indices ``i * n + j``, in order."""
+        ii, jj = np.divmod(flat, self.n)
+        return zip(ii.tolist(), jj.tolist())
+
     def in_bounds(self, cell: Cell) -> bool:
         """True when the cell index lies inside the grid."""
         return 0 <= cell[0] < self.n and 0 <= cell[1] < self.n
@@ -364,13 +369,19 @@ class Grid:
         return disk
 
     def dilation_hits(
-        self, xs: np.ndarray, ys: np.ndarray, radius: float
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        radius: float,
+        rows: Tuple[int, int] | None = None,
     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Every ``(point, cell)`` pair with the cell within ``radius``
         (closed) of the point, one chunk of consecutive points at a time,
         as ``(i, j, keep)``: the pairs' cell indices, point by point, and
         the chunk's ``(points, offsets)`` boolean mask they were kept by
-        (``keep.sum(axis=1)`` counts each point's pairs).
+        (``keep.sum(axis=1)`` counts each point's pairs).  ``rows`` =
+        ``(lo, hi)`` keeps only the cells with ``lo <= i < hi`` (default:
+        the whole grid).
 
         The array form of :func:`repro.core.field.dilate_point`'s test,
         reproducing ``Rect.min_distance_to_point`` bit for bit: rectangle
@@ -378,6 +389,7 @@ class Grid:
         :meth:`cell_rect` does, and the distance as ``sqrt(dx*dx + dy*dy)``.
         """
         n = self.n
+        row_lo, row_hi = (0, n) if rows is None else rows
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         off_i, off_j = self.disk(radius, inclusive=True).arrays
@@ -391,7 +403,7 @@ class Grid:
             hi = lo + step
             I = ci[lo:hi, None] + off_i[None, :]
             J = cj[lo:hi, None] + off_j[None, :]
-            inb = (I >= 0) & (I < n) & (J >= 0) & (J < n)
+            inb = (I >= row_lo) & (I < row_hi) & (J >= 0) & (J < n)
             px = xs[lo:hi, None]
             py = ys[lo:hi, None]
             dx = np.maximum(np.maximum(x0 + I * cw - px, 0.0), px - (x0 + (I + 1) * cw))
@@ -399,36 +411,12 @@ class Grid:
             keep = inb & (np.sqrt(dx * dx + dy * dy) <= radius)
             yield I[keep], J[keep], keep
 
-    def dilate_points_mask(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius: float,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Mark every cell within ``radius`` (closed) of any point into ``out``.
-
-        The resulting ``(n, n)`` boolean mask (indexed ``[i, j]``) equals
-        folding :func:`repro.core.field.dilate_point` over the points one
-        at a time (:meth:`dilation_hits` is the test).
-        """
-        if out is None:
-            out = np.zeros((self.n, self.n), dtype=bool)
-        for I, J, _ in self.dilation_hits(xs, ys, radius):
-            out[I, J] = True
-        return out
-
     def dilate(self, cells: FrozenSet[Cell] | set, radius: float) -> set:
         """All in-bounds cells within ``radius`` of the given cell set."""
         offsets = self.disk(radius).offsets
         if len(cells) * len(offsets) >= _DILATE_ARRAY_CUTOVER:
             seeds = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
-            # The mask kernel cannot represent out-of-bounds seed cells, whose
-            # dilation the scalar loop still clips into the grid.
-            if seeds.size == 0 or (
-                seeds.min() >= 0 and seeds.max() < self.n
-            ):
-                return self._dilate_array(seeds, radius)
+            return self._dilate_array(seeds, radius)
         result = set()
         for (i, j) in cells:
             for (di, dj) in offsets:
@@ -438,19 +426,20 @@ class Grid:
         return result
 
     def _dilate_array(self, seeds: np.ndarray, radius: float) -> set:
-        """Array form of :meth:`dilate` for in-bounds seed cells."""
+        """Array form of :meth:`dilate`: the kept candidates' flat indices,
+        made unique (ascending, so row-major) and split back into cells."""
         off_i, off_j = self.disk(radius).arrays
-        mask = np.zeros((self.n, self.n), dtype=bool)
         if seeds.size == 0 or off_i.size == 0:
             return set()
+        n = self.n
+        hits = []
         step = max(1, _ARRAY_CHUNK // off_i.size)
         for lo in range(0, len(seeds), step):
             I = (seeds[lo : lo + step, 0][:, None] + off_i[None, :]).ravel()
             J = (seeds[lo : lo + step, 1][:, None] + off_j[None, :]).ravel()
-            keep = (I >= 0) & (I < self.n) & (J >= 0) & (J < self.n)
-            mask[I[keep], J[keep]] = True
-        ii, jj = np.nonzero(mask)
-        return set(zip(ii.tolist(), jj.tolist()))
+            keep = (I >= 0) & (I < n) & (J >= 0) & (J < n)
+            hits.append(I[keep] * n + J[keep])
+        return set(self.cells_of_flat(np.unique(np.concatenate(hits))))
 
     def cells_within_radius(
         self, cell: Cell, radius: float, inclusive: bool = False

@@ -162,6 +162,10 @@ class CommunicationStats:
     #: cell that filled the cap counts here too); a share of
     #: ``constructions``
     capped_constructions: int = 0
+    #: times a construction's array view of a matching field outgrew its
+    #: band of grid rows and was projected again (the array core's own
+    #: work: a scalar construction reads no view and counts none)
+    view_regrowths: int = 0
     # ------------------------------------------------------------------
     # Durability counters (the journal of DESIGN.md §13; a server built
     # without ``ServerConfig.journal`` leaves them all at 0).

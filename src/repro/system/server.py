@@ -988,6 +988,7 @@ class ElapsServer:
         # A reused field's counter is cumulative across constructions;
         # account only this construction's scans.
         scanned_before = getattr(field, "events_scanned", 0)
+        regrowths_before = field.view_regrowths
         request = ConstructionRequest(
             location=record.location,
             velocity=direction,
@@ -1033,6 +1034,7 @@ class ElapsServer:
         self.metrics.constructions += 1
         self.metrics.cells_examined += pair.cells_examined
         self.metrics.events_scanned += getattr(field, "events_scanned", 0) - scanned_before
+        self.metrics.view_regrowths += field.view_regrowths - regrowths_before
         self._ship_region(record)
 
     def _ship_region(self, record: SubscriberRecord) -> None:

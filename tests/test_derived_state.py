@@ -16,7 +16,9 @@ as a red test:
   from the corpus (*unsafe cells held*);
 * per-radius tables belong to the :class:`Disk` they are computed from,
   one per distinct offset set however many float radii arrive (*table
-  sets per 1,000 radii*).
+  sets per 1,000 radii*);
+* a retained field's array view holds the band of grid rows its coverage
+  reaches, not the whole grid (*view bytes per subscriber*).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.core import IDGM, IGM, GridMethod, LazyBEQField
@@ -299,3 +302,48 @@ class TestPerRadiusTablesBelongToTheirDisk:
             disk = grid.disk(radius)
             assert disk is before[radius]  # interned: found again, not rebuilt
             assert self.tables(disk) == tables[radius]
+
+
+class TestViewsHoldTheRowsTheirCoverageReaches:
+    """Test (v).  A dense view held ``n x n`` uint8 cover counts and
+    int32 φ counts per subscriber — 200 KB at ``n`` = 200 — for a field
+    whose covered rectangle is a few dozen cells."""
+
+    def test_a_stationary_drive_holds_a_band_per_subscriber(self):
+        rng = random.Random(43)
+        space = Rect(0, 0, 50_000, 50_000)
+        grid = Grid(200, space)
+        server = ElapsServer(
+            grid, IGM(max_cells=60), ServerConfig(initial_rate=1.0, repair=True),
+            event_index=BEQTree(space, emax=32),
+        )
+
+        def sales(first_id, count):
+            return [
+                sale(first_id + k, rng.uniform(0, 50_000), rng.uniform(0, 50_000))
+                for k in range(count)
+            ]
+
+        server.bootstrap(sales(1, 1_280))
+        subscribers = 200
+        for sub_id in range(1, subscribers + 1):
+            at = Point(rng.uniform(0, 50_000), rng.uniform(0, 50_000))
+            server.subscribe(make_sub(sub_id, radius=rng.uniform(100, 300)), at, STILL, 0)
+        for tick in range(1, 11):
+            server.publish_batch(sales(10_000 * tick, 64), tick)
+        held = sum(
+            view.cover.nbytes + view.counts.nbytes
+            for record in server.subscribers.values()
+            for view in record.lazy_field.array_views.values()
+        )
+        dense = grid.n * grid.n * (np.dtype(np.uint8).itemsize + np.dtype(np.int32).itemsize)
+        per_subscriber = held / subscribers
+        print(
+            f"\nview bytes per subscriber ({subscribers} stationary subscribers, "
+            f"Grid(200), repair on): {per_subscriber:,.0f} "
+            f"(a dense view: {dense:,}); regrowths "
+            f"{server.metrics.view_regrowths} over "
+            f"{server.metrics.constructions} constructions"
+        )
+        assert server.metrics.view_regrowths > 0
+        assert per_subscriber <= dense / 8

@@ -171,6 +171,34 @@ class TestCappedConstructions:
         assert stats.capped_constructions == 0
 
 
+class TestViewRegrowths:
+    """How often a construction's array view outgrew its band of grid
+    rows and was projected again — the array core's own work, counted so
+    the cost of holding a band instead of the whole grid is read."""
+
+    SEEDED = TestCappedConstructions.SEEDED
+
+    def test_a_seeded_drive_pins_its_regrowths(self):
+        stats = build_simulation(self.SEEDED).run(60).stats
+        print(f"\nview regrowths: {stats.view_regrowths} over "
+              f"{stats.constructions} constructions")
+        assert stats.view_regrowths == 27
+
+    def test_the_scalar_oracle_reads_no_view(self):
+        simulation = build_simulation(self.SEEDED)
+        simulation.server.strategy = ScalarIGM(max_cells=self.SEEDED.max_cells)
+        assert simulation.run(60).stats.view_regrowths == 0
+
+    def test_a_fleet_sums_its_shards(self):
+        simulation = build_simulation(self.SEEDED.with_(shards=2))
+        stats = simulation.run(60).stats
+        workers = simulation.server.shard_servers
+        assert stats.view_regrowths == 37
+        assert stats.view_regrowths == sum(
+            worker.metrics.view_regrowths for worker in workers
+        )
+
+
 class TestTracingConfig:
     SMALL = dict(initial_events=800, subscribers=2, timestamps=10,
                  event_rate=2.0, grid_n=40, seed=3)

@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap.wah import WAHBitmap
+import repro.core.field as field_module
 from repro.core import IDGM, IGM
 from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import SystemStats
@@ -155,7 +156,9 @@ def test_the_figure_runner_counts_the_same_over_the_scalar_oracle(family, mode, 
     """A figure cell as ``build_simulation`` builds it, then again with the
     server's strategy swapped for the scalar oracle: every counter of the
     result but the wall clock is the same, in both matching modes and with
-    repair off and on."""
+    repair off and on.  ``view_regrowths`` counts the array core's own
+    work: the oracle reads no array view, so it counts none, and the core
+    counts them only where a lazy field's coverage grows."""
     config = ExperimentConfig(
         strategy=family, matching_mode=mode, repair=repair, seed=5,
         subscribers=8, timestamps=40, grid_n=120, initial_events=2_000,
@@ -166,7 +169,8 @@ def test_the_figure_runner_counts_the_same_over_the_scalar_oracle(family, mode, 
         result = simulation.run(config.timestamps)
         stats = dataclasses.asdict(result.stats)
         del stats["server_seconds"]
-        return result.notification_count, stats
+        regrowths = stats.pop("view_regrowths")
+        return result.notification_count, stats, regrowths
 
     scalar_cls, array_cls = FAMILIES[family]
     served = build_simulation(config)
@@ -177,7 +181,8 @@ def test_the_figure_runner_counts_the_same_over_the_scalar_oracle(family, mode, 
     expected = counters(served)
     assert expected[0] and expected[1]["constructions"] > config.subscribers
     assert not repair or expected[1]["repairs"]
-    assert counters(oracle) == expected
+    assert (expected[2] > 0) == (mode == "ondemand")
+    assert counters(oracle) == expected[:2] + (0,)
 
 
 # ----------------------------------------------------------------------
@@ -784,16 +789,28 @@ def test_visit_order_is_independent_of_corpus_ordering(seed, family):
 # ----------------------------------------------------------------------
 # Kernel differentials
 # ----------------------------------------------------------------------
+def dilate_points_through_the_array_path(grid, points, radius):
+    """:func:`dilate_points` with its array cutover forced to 0, so even
+    one point takes the array kernel."""
+    saved = field_module._POINTS_ARRAY_CUTOVER
+    field_module._POINTS_ARRAY_CUTOVER = 0
+    try:
+        return dilate_points(grid, points, radius)
+    finally:
+        field_module._POINTS_ARRAY_CUTOVER = saved
+
+
 @DIFF_SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(0, 40),
     near_edge=st.booleans(),
 )
-def test_dilate_points_mask_equals_folded_dilate_point(seed, count, near_edge):
+def test_dilate_points_array_path_equals_folded_dilate_point(seed, count, near_edge):
     """The array point-dilation kernel vs the scalar fold, point by point —
-    including points hugging (and outside) the space boundary — as a mask
-    and as the cell set ``Grid.dilate_points`` hands a repair to carve."""
+    including points hugging (and outside) the space boundary — forced
+    through the array path and as the cell set ``dilate_points`` hands a
+    repair to carve."""
     rng = random.Random(seed)
     grid = Grid(40, SPACE)
     if near_edge:
@@ -810,11 +827,7 @@ def test_dilate_points_mask_equals_folded_dilate_point(seed, count, near_edge):
     expected = set()
     for p in points:
         dilate_point(grid, p, radius, expected)
-    xs = np.array([p.x for p in points], dtype=np.float64)
-    ys = np.array([p.y for p in points], dtype=np.float64)
-    mask = grid.dilate_points_mask(xs, ys, radius)
-    ii, jj = np.nonzero(mask)
-    assert set(zip(ii.tolist(), jj.tolist())) == expected
+    assert dilate_points_through_the_array_path(grid, points, radius) == expected
     # the cell set a repair carves, through whichever path its footprint picks
     assert dilate_points(grid, points, radius) == expected
 
@@ -825,7 +838,7 @@ def test_grid_dilate_array_and_scalar_paths_agree(seed, out_of_bounds):
     """``Grid.dilate`` through both implementations on the same cell set.
 
     Out-of-bounds seed cells (legal input: callers may dilate hypothetical
-    cells) must take the scalar fallback and still clip correctly.
+    cells) are clipped into the grid the same way by both.
     """
     import repro.geometry.grid as grid_module
 
@@ -857,11 +870,7 @@ class TestDilationEdgeCases:
             cells = set()
             dilate_point(grid, point, radius, cells)
             return cells
-        mask = grid.dilate_points_mask(
-            np.array([point.x]), np.array([point.y]), radius
-        )
-        ii, jj = np.nonzero(mask)
-        return set(zip(ii.tolist(), jj.tolist()))
+        return dilate_points_through_the_array_path(grid, [point], radius)
 
     def test_radius_straddling_the_space_boundary(self, kernel):
         """A point one cell from the edge with a radius reaching past it:
