@@ -78,9 +78,7 @@ def test_micro_igm_construction(benchmark):
             candidate = ConstructionRequest(
                 location=Point(float(x), float(y)),
                 velocity=Point(60, 10),
-                radius=3_000.0,
-                grid=grid,
-                matching_field=StaticMatchingField(grid, matching),
+                matching_field=StaticMatchingField(grid, matching, 3_000.0),
                 stats=stats,
             )
             if strategy.construct(candidate).safe.area_cells() >= 100:

@@ -1,11 +1,12 @@
 """The safe-region construction interface shared by VM, GM, iGM and idGM.
 
 A *construction request* bundles what every method needs: the subscriber's
-reported location and velocity, the notification radius, the grid, the
-matching-event field, and the system statistics.  A *region pair* is the
-result: the safe region (shipped to the client) and its impact region
-(kept in the server's impact index), plus the bookkeeping counters the
-evaluation reports (cells examined, events scanned).
+reported location and velocity, the matching-event field (which brings
+the grid and the notification radius it was built for), and the system
+statistics.  A *region pair* is the result: the safe region (shipped to
+the client) and its impact region (kept in the server's impact index),
+plus the bookkeeping counters the evaluation reports (cells examined,
+events scanned).
 """
 
 from __future__ import annotations
@@ -26,10 +27,18 @@ class ConstructionRequest:
 
     location: Point
     velocity: Point  # metres per timestamp; the norm is the speed ``vs``
-    radius: float
-    grid: Grid
     matching_field: MatchingEventField
     stats: SystemStats
+
+    @property
+    def grid(self) -> Grid:
+        """The grid the matching field was built over."""
+        return self.matching_field.grid
+
+    @property
+    def radius(self) -> float:
+        """The notification radius the matching field was built for."""
+        return self.matching_field.radius
 
     @property
     def speed(self) -> float:

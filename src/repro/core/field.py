@@ -1,18 +1,20 @@
 """Matching-event fields: where the be-matching events are.
 
-Safe-region construction needs three queries about the subscriber's
-be-matching (and not yet delivered) events:
+A field belongs to one subscription and is built for its notification
+radius ``r`` (Definition 1).  Safe-region construction needs three
+queries about the subscriber's be-matching (and not yet delivered)
+events:
 
-* **safety** — is a grid cell farther than the notification radius from
-  every matching event? (the boolean array ``B`` of Algorithm 1);
+* **safety** — is a grid cell farther than ``r`` from every matching
+  event? (the boolean array ``B`` of Algorithm 1);
 * **density** — how many matching events sit inside a grid cell? (the
   per-cell counts ``phi`` feeding the ``ne`` estimate of the cost model);
 * **enumeration** — VM and GM need the full matching-event list.
 
 Safety is answered from an *unsafe-cell set*: every matching event is
-dilated by the notification radius once, after which each safety test is
-a set lookup.  Two implementations exist, mirroring the paper's two
-server modes (Appendix D.3):
+dilated by ``r`` once, after which each safety test is a set lookup.  Two
+implementations exist, mirroring the paper's two server modes (Appendix
+D.3):
 
 * :class:`StaticMatchingField` is built from a fully materialised list of
   matching-event locations (the ``-BE`` variants: k-index finds all
@@ -22,8 +24,12 @@ server modes (Appendix D.3):
   rectangle of grid cells that grows with the expansion; tree leaves are
   scanned at most once per construction, and freshly discovered events
   are dilated into the unsafe set incrementally.  Safety is kept as a
-  per-cell *cover count* (the known events within the radius), so an
-  event that stops mattering is un-dilated exactly.
+  per-cell *cover count* (the known events within ``r``), so an event
+  that stops mattering is un-dilated exactly.
+
+Every field also carries its own array projection — ``cover``, ``counts``
+and ``overflow`` over a band of grid rows — which the construction core
+(:mod:`repro.core.igm`) reads instead of asking one cell at a time.
 
 Both keep an ``events_scanned`` counter so the benchmarks can report the
 server-side work (Figure 13).
@@ -31,6 +37,7 @@ server-side work (Figure 13).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -100,34 +107,67 @@ def cover_point(
                 del cover[candidate]
 
 
-class MatchingEventField:
-    """Interface shared by the static and the lazy field."""
 
-    grid: Grid
-    events_scanned: int = 0
-    #: how often one of this field's array views outgrew its band of
-    #: rows and was projected again (cumulative, like ``events_scanned``)
-    view_regrowths: int = 0
-    #: the construction core's array projections of this field, by
-    #: radius.  The field is their only holder and they hold no reference
-    #: back, so dropping the field frees their arrays with it.  A view
-    #: holds a band of full grid rows that contains every row of
-    #: :meth:`covered_rows`, not the whole grid.  It is created over
-    #: :meth:`known_points` and then fed: the field appends every point
-    #: it learns to each view's ``admitted`` list and every point it
-    #: forgets to its ``excluded`` list, and the view drains both in its
-    #: next sync.
-    array_views: Dict[float, object]
+
+class MatchingEventField:
+    """Interface shared by the static and the lazy field, and the array
+    projection both carry for the construction core.
+
+    **The projection** holds the full-width grid rows ``row0 <= i < row0
+    + h``: ``cover[i - row0, j]`` counts the known matching events within
+    ``radius`` (closed) of cell ``(i, j)`` — the cell is unsafe iff it is
+    nonzero — and ``counts[i - row0, j]`` is the per-cell event count phi.
+    Flattened, cell ``(i, j)`` sits at ``i * n + j - base`` with ``base =
+    row0 * n``, so Algorithm 1 keeps its global flat indices and offset
+    tables and only subtracts ``base`` when it reads.  ``cover`` is uint8,
+    the size of a boolean mask; a count past 255 is held exactly in
+    ``overflow`` (band flat index -> count) while ``cover`` reads 255.
+
+    It is projected from :meth:`known_points` over :meth:`covered_rows`
+    the first time the core asks (``cover`` is None until then).  After
+    every :meth:`ensure_cell` and :meth:`is_unsafe` the band contains
+    every covered row — and every cell a construction reads lies in
+    those.  When coverage leaves the band, it grows to twice the larger
+    of the covered rows' height and its own (clamped to the grid) and is
+    projected again, so a construct that grows coverage a dozen times
+    re-projects once or twice.  A flat memoryview wraps a negative index
+    silently: a read above the band would return a cell of its last row,
+    never an error.
+
+    Once projected, each point the field learns waits in a pending
+    admitted list and each point it forgets in a pending excluded list;
+    one signed kernel pass (:meth:`_sync`), clipped to the band, applies
+    both — so a field reused across constructions (repair mode) only
+    pays for what changed since the last sync, and a point admitted and
+    forgotten in between nets to nothing.  Dropping the field frees its
+    arrays with it.
+    """
+
+    def __init__(self, grid: Grid, radius: float) -> None:
+        self.grid = grid
+        #: the notification radius every query of this field is at
+        self.radius = radius
+        self.events_scanned = 0
+        #: how often the projection outgrew its band of rows and was
+        #: projected again (cumulative, like ``events_scanned``)
+        self.view_regrowths = 0
+        self.cover: Optional[np.ndarray] = None
+        self.counts: Optional[np.ndarray] = None
+        self.overflow: Dict[int, int] = {}
+        self.row0 = 0
+        self.base = 0
+        self._admitted_points: List[Point] = []
+        self._excluded_points: List[Point] = []
 
     def count_in_cell(self, cell: Cell) -> int:
         """phi[cell]: the number of matching events located in the cell."""
         raise NotImplementedError
 
-    def is_cell_safe(self, cell: Cell, radius: float) -> bool:
+    def is_cell_safe(self, cell: Cell) -> bool:
         """True iff every point of ``cell`` is > ``radius`` from every event."""
         raise NotImplementedError
 
-    def unsafe_cells(self, radius: float) -> FrozenSet[Cell]:
+    def unsafe_cells(self) -> FrozenSet[Cell]:
         """All cells within ``radius`` of some matching event (GM's input)."""
         raise NotImplementedError
 
@@ -135,33 +175,30 @@ class MatchingEventField:
         """Every matching-event location (VM/GM need the global list)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Array-view hooks (the construction core's window into the field)
-    # ------------------------------------------------------------------
     def known_points(self) -> List[Point]:
         """The matching-event locations the field knows *now*.
 
         Unlike :meth:`all_points` this never triggers coverage or scans.
-        A new array view is projected from it; later changes reach the
-        view through its ``admitted`` / ``excluded`` lists.
+        The projection is made from it; later changes reach the
+        projection through the pending lists.
         """
         raise NotImplementedError
 
-    def ensure_cell_neighbourhood(self, cell: Cell, radius: float) -> None:
+    def ensure_cell_neighbourhood(self, cell: Cell) -> None:
         """Discover every event whose dilation could reach ``cell``.
 
         The construction core calls this once per frontier pop instead
         of :meth:`is_cell_safe`, then reads safety and per-cell counts
-        from its own arrays.  No-op for fully materialised fields; the
+        from the projection.  No-op for fully materialised fields; the
         lazy field grows its covered rectangle exactly as a scalar
         ``is_cell_safe`` query would, keeping ``events_scanned`` and
         ``leaves_scanned`` identical to the scalar oracle's.
         """
 
-    def covered_window(self, radius: float) -> Tuple[int, int, int, int]:
+    def covered_window(self) -> Tuple[int, int, int, int]:
         """The cells :meth:`ensure_cell_neighbourhood` would not grow
-        coverage for at ``radius``, as an inclusive ``(i_min, j_min,
-        i_max, j_max)`` range (empty when ``i_min > i_max``).
+        coverage for, as an inclusive ``(i_min, j_min, i_max, j_max)``
+        range (empty when ``i_min > i_max``).
 
         A fully materialised field covers everything from the start.
         """
@@ -176,17 +213,131 @@ class MatchingEventField:
         """
         return (0, self.grid.n)
 
+    # ------------------------------------------------------------------
+    # The array projection (the construction core's window into the field)
+    # ------------------------------------------------------------------
+    def flat_views(self) -> Tuple[int, memoryview, memoryview, np.ndarray]:
+        """``(base, cover, counts, counts)``: what Algorithm 1 reads, cell
+        ``k = i * n + j`` at ``k - base`` — two flat memoryviews for
+        scalar reads and the flat ``counts`` array for index arrays."""
+        self._projected()
+        counts = self.counts.reshape(-1)
+        return self.base, memoryview(self.cover.reshape(-1)), memoryview(counts), counts
+
+    def ensure_cell(self, cell: Cell) -> bool:
+        """Make the projection authoritative for ``cell`` and its
+        neighbourhood; True when the band regrew, so views taken by
+        :meth:`flat_views` before are stale."""
+        self._projected()
+        self.ensure_cell_neighbourhood(cell)
+        if self._regrow():
+            return True
+        self._sync()
+        return False
+
+    def is_unsafe(self, cell: Cell) -> bool:
+        """The safety bit of ``cell`` with its neighbourhood covered.
+
+        Admissions only raise counts, so while no exclusion is pending a
+        nonzero count is final and the admissions can wait for the next
+        :meth:`ensure_cell`; a zero count, or any pending exclusion, is
+        decided only after the sync.
+        """
+        self._projected()
+        self.ensure_cell_neighbourhood(cell)
+        if not self._regrow():
+            if self._excluded_points or not self.cover[cell[0] - self.row0, cell[1]]:
+                self._sync()
+        return bool(self.cover[cell[0] - self.row0, cell[1]])
+
+    def _projected(self) -> None:
+        """Project the arrays over the covered rows, once."""
+        if self.cover is None:
+            lo, hi = self.covered_rows()
+            self._project(lo, hi - lo)
+
+    def _project(self, row0: int, height: int) -> None:
+        """Start over on rows ``row0 <= i < row0 + height``; the known
+        points wait in the pending admitted list for the next sync."""
+        n = self.grid.n
+        self.row0 = row0
+        self.base = row0 * n
+        self.cover = np.zeros((height, n), dtype=np.uint8)
+        self.counts = np.zeros((height, n), dtype=np.int32)
+        self.overflow = {}
+        self._admitted_points = list(self.known_points())
+        self._excluded_points = []
+
+    def _regrow(self) -> bool:
+        """Grow the band over the covered rows if they left it: to twice
+        the larger of their height and its own, clamped to the grid, the
+        slack split around the covered rows; then project and sync it
+        afresh."""
+        lo, hi = self.covered_rows()
+        height = self.cover.shape[0]
+        if lo >= hi or (self.row0 <= lo and hi <= self.row0 + height):
+            return False
+        n = self.grid.n
+        height = min(2 * max(hi - lo, height), n)
+        row0 = min(max(lo - (height - (hi - lo)) // 2, 0), n - height)
+        self._project(row0, height)
+        self._sync()
+        self.view_regrowths += 1
+        return True
+
+    def _sync(self) -> None:
+        """Apply the points admitted and excluded since the last sync."""
+        admitted, excluded = self._admitted_points, self._excluded_points
+        if not admitted and not excluded:
+            return
+        self._admitted_points, self._excluded_points = [], []
+        points = admitted + excluded
+        count = len(points)
+        xs = np.fromiter((p.x for p in points), dtype=np.float64, count=count)
+        ys = np.fromiter((p.y for p in points), dtype=np.float64, count=count)
+        steps = np.ones(count, dtype=np.int32)
+        steps[len(admitted):] = -1
+        n = self.grid.n
+        row0, height = self.row0, self.cover.shape[0]
+        cover = self.cover.reshape(-1)
+        overflow = self.overflow
+        first = 0
+        for I, J, keep in self.grid.dilation_hits(
+            xs, ys, self.radius, (row0, row0 + height)
+        ):
+            chunk = steps[first : first + keep.shape[0]]
+            first += keep.shape[0]
+            if not I.size:
+                continue
+            # the net change per touched cell, then the true counts in
+            # int64: a cell that nets to zero is left alone
+            flat = I * n + J
+            lo = int(flat.min())
+            delta = np.bincount(flat - lo, weights=np.repeat(chunk, keep.sum(axis=1)))
+            touched = np.flatnonzero(delta)
+            cells = touched + (lo - self.base)
+            before = cover[cells]
+            true = before + delta[touched].astype(np.int64)
+            if overflow:
+                for k in np.flatnonzero(before == 255).tolist():
+                    true[k] += overflow.pop(int(cells[k]), 255) - 255
+            for k in np.flatnonzero(true > 255).tolist():
+                overflow[int(cells[k])] = int(true[k])
+            cover[cells] = np.minimum(true, 255)
+        ci, cj = self.grid.cells_of_array(xs, ys)
+        ci -= row0
+        inside = (ci >= 0) & (ci < height)
+        np.add.at(self.counts, (ci[inside], cj[inside]), steps[inside])
+
 
 class StaticMatchingField(MatchingEventField):
     """A field over an upfront list of matching-event locations."""
 
-    def __init__(self, grid: Grid, points: Iterable[Point]) -> None:
-        self.grid = grid
+    def __init__(self, grid: Grid, points: Iterable[Point], radius: float) -> None:
+        super().__init__(grid, radius)
         self._counts: Dict[Cell, int] = defaultdict(int)
         self._points: List[Point] = []
-        self._unsafe: Dict[float, FrozenSet[Cell]] = {}
-        self.events_scanned = 0
-        self.array_views = {}
+        self._unsafe: Optional[FrozenSet[Cell]] = None
         for point in points:
             self._points.append(point)
             self._counts[grid.cell_of(point)] += 1
@@ -195,18 +346,15 @@ class StaticMatchingField(MatchingEventField):
         """phi[cell]: matching events located in the cell."""
         return self._counts.get(cell, 0)
 
-    def unsafe_cells(self, radius: float) -> FrozenSet[Cell]:
+    def unsafe_cells(self) -> FrozenSet[Cell]:
         """All cells within the radius of some matching event (cached)."""
-        cached = self._unsafe.get(radius)
-        if cached is None:
-            cached = self._unsafe[radius] = frozenset(
-                dilate_points(self.grid, self._points, radius)
-            )
-        return cached
+        if self._unsafe is None:
+            self._unsafe = frozenset(dilate_points(self.grid, self._points, self.radius))
+        return self._unsafe
 
-    def is_cell_safe(self, cell: Cell, radius: float) -> bool:
+    def is_cell_safe(self, cell: Cell) -> bool:
         """O(1) lookup against the precomputed unsafe set."""
-        return cell not in self.unsafe_cells(radius)
+        return cell not in self.unsafe_cells()
 
     def all_points(self) -> List[Point]:
         """Every matching-event location (a copy)."""
@@ -229,7 +377,9 @@ class LazyBEQField(MatchingEventField):
     ``radius``-neighbourhood, scanning only the BEQ-Tree leaves that
     intersect the newly covered strip.  Because iGM/idGM expand outward
     from the subscriber, the rectangle tracks the expansion closely and
-    the rest of the space is never touched.
+    the rest of the space is never touched.  The field also keeps the
+    bounding box of the boundaries of every leaf it has scanned, as four
+    floats; the covered rectangle lies inside it.
 
     A field can outlive one construction (the server's repair mode keeps
     one per subscriber): discovered events are deduplicated by id, so a
@@ -237,14 +387,16 @@ class LazyBEQField(MatchingEventField):
     them, and the server feeds corpus churn in through two hooks:
 
     * :meth:`note_event` adds a freshly published be-matching event
-      without rescanning any leaf (covered or not — dedup protects the
-      later scan);
+      located in the box without rescanning any leaf (dedup protects a
+      later scan); an event outside the box sits in a leaf the field has
+      never scanned — the tree draws a fresh leaf id on every split and
+      merge — so coverage growth finds it when it scans that leaf;
     * :meth:`note_exclusion` forgets an event that stopped mattering
       (delivered, expired or extracted; :meth:`note_exclusions` takes a
       whole retirement sweep at once).  Safety is a per-cell cover count,
       so forgetting un-dilates the event exactly: its φ count and every
-      cover count it raised go back down, in the scalar sets and in every
-      array view.
+      cover count it raised go back down, in the scalar dicts and in the
+      array projection.
 
     ``holders`` (optional, shared by the owner's fields) maps an event id
     to the ``owner`` ids of the fields that know it, so the owner can send
@@ -254,14 +406,16 @@ class LazyBEQField(MatchingEventField):
 
     **Invariant** (what construction has always assumed, and what makes
     a retained field the location-update matcher too): the field knows
-    exactly the live, undelivered be-matching events located inside its
-    covered rectangle, plus those noted outside it — a leaf is scanned
-    when coverage first reaches it, later arrivals come in through
-    :meth:`note_event`, every delivery, expiry or extraction goes out
-    through :meth:`note_exclusion`, and whoever stores events *without*
-    telling the field (a mid-life ``bootstrap``) must drop it.  So its
-    unsafe cells, φ and array views equal those of a fresh field over the
-    same live events.
+    every live, undelivered be-matching event located inside its covered
+    rectangle, and nothing but such events located inside the box of its
+    scanned leaves — a leaf is scanned when coverage first reaches it,
+    later arrivals in the box come in through :meth:`note_event`, every
+    delivery, expiry or extraction goes out through
+    :meth:`note_exclusion`, and whoever stores events *without* telling
+    the field (a mid-life ``bootstrap``) must drop it.  Every cell a
+    construction reads has its radius-neighbourhood covered, so what it
+    reads of the unsafe cells, φ and the projection equals what a fresh
+    field over the same live events would give.
     """
 
     #: retired slots tolerated before :meth:`_compact` (and at least half)
@@ -272,18 +426,19 @@ class LazyBEQField(MatchingEventField):
         grid: Grid,
         tree,
         expression: BooleanExpression,
+        radius: float,
         excluded_ids: Optional[Set[int]] = None,
         holders: Optional[Dict[int, Set[int]]] = None,
         owner: int = 0,
     ) -> None:
-        self.grid = grid
+        super().__init__(grid, radius)
         self._tree = tree
         self._expression = expression
         self._excluded = excluded_ids if excluded_ids is not None else set()
         self._holders = holders
         self._owner = owner
         #: φ per cell, counted on the first :meth:`count_in_cell` (the
-        #: array core reads its view's ``counts`` instead)
+        #: array core reads the projection's ``counts`` instead)
         self._counts: Optional[Dict[Cell, int]] = None
         #: known event locations by slot; a forgotten event's slot keeps
         #: its point (its id becomes None) until :meth:`_compact`
@@ -298,14 +453,17 @@ class LazyBEQField(MatchingEventField):
         #: never asked — a stationary subscriber's — never pays for them)
         self._xs = np.empty(0)
         self._ys = np.empty(0)
-        #: per radius, the cover count of every unsafe cell
-        self._covers: Dict[float, Dict[Cell, int]] = {}
+        #: the cover count of every unsafe cell, counted on the first
+        #: :meth:`_cover_at` (the scalar oracle's questions)
+        self._cover_counts: Optional[Dict[Cell, int]] = None
         self._scanned_leaves: Set[int] = set()
+        #: the bounding box (x_min, y_min, x_max, y_max) of the scanned
+        #: leaves' boundaries, closed; empty before the first scan
+        self._box = (math.inf, math.inf, -math.inf, -math.inf)
         # Covered cell rectangle (i_min, j_min, i_max, j_max), inclusive.
         self._covered: Optional[Tuple[int, int, int, int]] = None
-        self.events_scanned = 0
         self.leaves_scanned = 0
-        self.array_views = {}
+        self._reach = int(radius / min(grid.cell_width, grid.cell_height)) + 2
 
     # ------------------------------------------------------------------
     # Coverage
@@ -349,6 +507,12 @@ class LazyBEQField(MatchingEventField):
                 self._scanned_leaves.add(leaf.cell_id)
                 self.leaves_scanned += 1
                 self.events_scanned += len(leaf.events)
+                edges = leaf.boundary
+                x_lo, y_lo, x_hi, y_hi = self._box
+                self._box = (
+                    min(x_lo, edges.x_min), min(y_lo, edges.y_min),
+                    max(x_hi, edges.x_max), max(y_hi, edges.y_max),
+                )
                 for event in leaf.be_match(self._expression, self._excluded):
                     if event.event_id not in self._position:
                         self._admit(event.event_id, event.location)
@@ -373,8 +537,8 @@ class LazyBEQField(MatchingEventField):
         self._points.append(location)
         self._ids.append(event_id)
         self._count(location, 1)
-        for view in self.array_views.values():
-            view.admitted.append(location)
+        if self.cover is not None:
+            self._admitted_points.append(location)
         holders = self._holders
         if holders is not None:
             held = holders.get(event_id)
@@ -392,15 +556,15 @@ class LazyBEQField(MatchingEventField):
         self._ids[slot] = None
         self._retired_slots += 1
         self._count(location, -1)
-        for view in self.array_views.values():
-            view.excluded.append(location)
+        if self.cover is not None:
+            self._excluded_points.append(location)
         if self._holders is not None:
             self._unhold(self._holders, event_id)
         return True
 
     def _count(self, location: Point, step: int) -> None:
-        """Add ``step`` to φ and to every cover count the scalar path has
-        asked for (a count that reaches 0 leaves its dict)."""
+        """Add ``step`` to φ and to the cover counts, once the scalar path
+        has asked for them (a count that reaches 0 leaves its dict)."""
         counts = self._counts
         if counts is not None:
             cell = self.grid.cell_of(location)
@@ -409,8 +573,8 @@ class LazyBEQField(MatchingEventField):
                 counts[cell] = count
             else:
                 del counts[cell]
-        for radius, cover in self._covers.items():
-            cover_point(self.grid, location, radius, cover, step)
+        if self._cover_counts is not None:
+            cover_point(self.grid, location, self.radius, self._cover_counts, step)
 
     def _unhold(self, holders: Dict[int, Set[int]], event_id: int) -> None:
         held = holders.get(event_id)
@@ -420,7 +584,7 @@ class LazyBEQField(MatchingEventField):
                 del holders[event_id]
 
     def _compact(self) -> None:
-        """Drop the forgotten slots (array views keep their own state)."""
+        """Drop the forgotten slots (the projection keeps its own state)."""
         ids = self._ids
         live = [k for k, event_id in enumerate(ids) if event_id is not None]
         prefix = self._xs.size
@@ -435,23 +599,17 @@ class LazyBEQField(MatchingEventField):
         self._position = {event_id: k for k, event_id in enumerate(self._ids)}
         self._retired_slots = 0
 
-    def _reach(self, radius: float) -> int:
-        return int(radius / min(self.grid.cell_width, self.grid.cell_height)) + 2
-
-    def _ensure_neighbourhood(self, cell: Cell, radius: float) -> None:
-        reach = self._reach(radius)
-        self._cover(cell[0] - reach, cell[1] - reach, cell[0] + reach, cell[1] + reach)
-
     # ------------------------------------------------------------------
     # Reuse across constructions (the server's repair mode)
     # ------------------------------------------------------------------
     def note_event(self, event_id: int, location: Point) -> None:
-        """Admit a freshly published be-matching event without a leaf scan.
-
-        Safe whether or not the event's leaf is inside the covered
-        rectangle: the id dedup in :meth:`_cover` prevents a double count
-        when the leaf is scanned later.
-        """
+        """Admit a freshly published be-matching event without a leaf
+        scan, when it lies in the box of the scanned leaves (see the class
+        docstring); the id dedup in :meth:`_cover` prevents a double count
+        when its leaf is scanned later."""
+        x_lo, y_lo, x_hi, y_hi = self._box
+        if not (x_lo <= location.x <= x_hi and y_lo <= location.y <= y_hi):
+            return
         if event_id in self._excluded or event_id in self._position:
             return
         self._admit(event_id, location)
@@ -491,23 +649,23 @@ class LazyBEQField(MatchingEventField):
         self._cover(cell[0], cell[1], cell[0], cell[1])
         return counts.get(cell, 0)
 
-    def _cover_at(self, radius: float) -> Dict[Cell, int]:
-        """The cover counts at ``radius``; the first query with a radius
-        counts everything known so far."""
-        cover = self._covers.get(radius)
+    def _cover_at(self) -> Dict[Cell, int]:
+        """The scalar cover counts; the first call counts everything
+        known so far."""
+        cover = self._cover_counts
         if cover is None:
-            cover = self._covers[radius] = {}
+            cover = self._cover_counts = {}
             for point in self.known_points():
-                cover_point(self.grid, point, radius, cover, 1)
+                cover_point(self.grid, point, self.radius, cover, 1)
         return cover
 
-    def is_cell_safe(self, cell: Cell, radius: float) -> bool:
+    def is_cell_safe(self, cell: Cell) -> bool:
         """Safety test; covers the cell's radius-neighbourhood on demand."""
-        cover = self._cover_at(radius)
-        self._ensure_neighbourhood(cell, radius)
+        cover = self._cover_at()
+        self.ensure_cell_neighbourhood(cell)
         return cell not in cover
 
-    def matches_in_circle(self, center: Point, radius: float) -> Optional[List[int]]:
+    def matches_in_circle(self, center: Point) -> Optional[List[int]]:
         """Ids of the known events within ``radius`` (closed) of
         ``center``, or None when the field cannot vouch for the circle.
 
@@ -523,6 +681,7 @@ class LazyBEQField(MatchingEventField):
         """
         if self._covered is None:
             return None
+        radius = self.radius
         cx, cy = center.x, center.y
         i_min, j_min = self.grid.cell_of(Point(cx - radius, cy - radius))
         i_max, j_max = self.grid.cell_of(Point(cx + radius, cy + radius))
@@ -549,10 +708,10 @@ class LazyBEQField(MatchingEventField):
             if ids[k] is not None and center.distance_to(points[k]) <= radius
         ]
 
-    def unsafe_cells(self, radius: float) -> FrozenSet[Cell]:
+    def unsafe_cells(self) -> FrozenSet[Cell]:
         """Full-coverage unsafe set (GM under on-demand matching)."""
         self.all_points()  # full coverage
-        return frozenset(self._cover_at(radius))
+        return frozenset(self._cover_at())
 
     def all_points(self) -> List[Point]:
         """Falls back to a full scan; defeats the purpose, use sparingly."""
@@ -567,9 +726,10 @@ class LazyBEQField(MatchingEventField):
             self._compact()
         return self._points
 
-    def ensure_cell_neighbourhood(self, cell: Cell, radius: float) -> None:
+    def ensure_cell_neighbourhood(self, cell: Cell) -> None:
         """Cover the cell's radius-neighbourhood (no unsafe-set upkeep)."""
-        self._ensure_neighbourhood(cell, radius)
+        reach = self._reach
+        self._cover(cell[0] - reach, cell[1] - reach, cell[0] + reach, cell[1] + reach)
 
     def covered_rows(self) -> Tuple[int, int]:
         """The rows of the covered rectangle (none before any coverage)."""
@@ -577,7 +737,7 @@ class LazyBEQField(MatchingEventField):
             return (0, 0)
         return (self._covered[0], self._covered[2] + 1)
 
-    def covered_window(self, radius: float) -> Tuple[int, int, int, int]:
+    def covered_window(self) -> Tuple[int, int, int, int]:
         """The covered rectangle shrunk by the neighbourhood reach.
 
         :meth:`_cover` clamps a request to the grid, so a covered side
@@ -585,7 +745,7 @@ class LazyBEQField(MatchingEventField):
         """
         if self._covered is None:
             return (0, 0, -1, -1)
-        reach = self._reach(radius)
+        reach = self._reach
         last = self.grid.n - 1
         ci_min, cj_min, ci_max, cj_max = self._covered
         return (

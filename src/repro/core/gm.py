@@ -33,7 +33,7 @@ class GridMethod(SafeRegionStrategy):
         # field collects them by dilating each event's location (through
         # the array dilation kernel for large corpora), so the cost scales
         # with the matching events, not with the grid area.
-        unsafe = request.matching_field.unsafe_cells(radius)
+        unsafe = request.matching_field.unsafe_cells()
 
         safe = SafeRegion(grid, unsafe, complement=True)
         # GM's safe region need not contain the subscriber: if the

@@ -29,13 +29,14 @@ each acceptance changes the state the next decision depends on — moves
 the O(events)-sized work into numpy, and makes each pop pay only for what
 depends on that pop:
 
-* the matching field is projected into a struct-of-arrays
-  :class:`_FieldArrayView` (uint8 per-cell ``cover`` count + per-cell
-  ``counts``) over the band of grid rows its coverage reaches,
-  maintained incrementally with one signed array dilation pass per batch
-  of admitted and forgotten events (one pass per BEQ leaf probe in
-  on-demand mode); the loop reads both through flat ``memoryview``s of
-  those same arrays, at its global flat index minus the band's ``base``;
+* the matching field, built for the request's radius, carries its own
+  struct-of-arrays projection (uint8 per-cell ``cover`` count + per-cell
+  ``counts``, :class:`~repro.core.field.MatchingEventField`) over the
+  band of grid rows its coverage reaches, maintained incrementally with
+  one signed array dilation pass per batch of admitted and forgotten
+  events (one pass per BEQ leaf probe in on-demand mode); the loop reads
+  both through flat ``memoryview``s of those same arrays, at its global
+  flat index minus the band's ``base``;
 * everything a pop needs that is a sum of an x part and a y part is
   tabulated before the loop: the squared per-axis distances to the
   subscriber (per construct, from the grid's edge tables) and the Morton
@@ -80,15 +81,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import Cell, Grid, Point
+from ..geometry import Cell
 from ..geometry.grid import RING
 from .construction import ConstructionRequest, RegionPair, SafeRegionStrategy
 from .cost_model import CostModel
-from .field import MatchingEventField
 from .regions import ImpactRegion, SafeRegion
 
 
@@ -101,165 +101,6 @@ _RING_BITS = tuple((1 << bit, di, dj) for bit, (di, dj) in enumerate(RING))
 #: no Example 2 strips — take the array path (~6.5 us, flat), which
 #: breaks even at about 35 (DESIGN.md §14)
 _SCALAR_STRIP_MAX = 32
-
-
-class _FieldArrayView:
-    """Struct-of-arrays projection of a matching field at one radius, over
-    a band of grid rows.
-
-    The view holds the full-width rows ``row0 <= i < row0 + h`` of the
-    grid: ``cover[i - row0, j]`` counts the known matching events within
-    ``radius`` (closed) of cell ``(i, j)`` — the cell is unsafe iff it is
-    nonzero — and ``counts[i - row0, j]`` is the per-cell event count phi.
-    Flattened, cell ``(i, j)`` sits at ``i * n + j - base`` with ``base =
-    row0 * n``, so Algorithm 1 keeps its global flat indices and offset
-    tables and only subtracts ``base`` when it reads.  ``cover`` is uint8,
-    the size of a boolean mask; a count past 255 is held exactly in
-    ``overflow`` (band flat index -> count) while ``cover`` reads 255.
-
-    After every :meth:`ensure_cell` and :meth:`is_unsafe` the band
-    contains every row of the field's
-    :meth:`~MatchingEventField.covered_rows` — and every cell a
-    construction reads lies in those.  When coverage leaves the band, it
-    grows to twice the larger of the covered rows' height and its own
-    (clamped to the grid) and is projected again from ``known_points()``,
-    so a construct that grows coverage a dozen times re-projects once or
-    twice.  A flat memoryview wraps a negative index silently: a read
-    above the band would return a cell of its last row, never an error.
-
-    The view is projected from ``known_points()`` when it is created;
-    after that the field appends each point it learns to ``admitted``
-    and each point it forgets to ``excluded``, and one signed kernel pass
-    (:meth:`_sync`), clipped to the band, applies both — so a field
-    reused across constructions (repair mode) only pays for what changed
-    since the last sync, and a point admitted and forgotten in between
-    nets to nothing.
-
-    The field holds its views (``field.array_views``) and a view holds
-    no reference back — every method takes the field from the caller —
-    so there is no cycle: the arrays are freed the moment the field is.
-    """
-
-    __slots__ = (
-        "grid", "radius", "row0", "base", "cover", "counts", "overflow",
-        "admitted", "excluded",
-    )
-
-    def __init__(
-        self,
-        grid: Grid,
-        radius: float,
-        points: List[Point],
-        rows: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        self.grid = grid
-        self.radius = radius
-        lo, hi = (0, grid.n) if rows is None else rows
-        self._project(points, lo, hi - lo)
-
-    def _project(self, points: List[Point], row0: int, height: int) -> None:
-        """Start over on rows ``row0 <= i < row0 + height``; ``points``
-        wait in ``admitted`` for the next sync."""
-        n = self.grid.n
-        self.row0 = row0
-        self.base = row0 * n
-        self.cover = np.zeros((height, n), dtype=np.uint8)
-        self.counts = np.zeros((height, n), dtype=np.int32)
-        self.overflow: Dict[int, int] = {}
-        self.admitted: List[Point] = list(points)
-        self.excluded: List[Point] = []
-
-    def flat_views(self) -> Tuple[int, memoryview, memoryview, np.ndarray]:
-        """``(base, cover, counts, counts)``: what Algorithm 1 reads, cell
-        ``k = i * n + j`` at ``k - base`` — two flat memoryviews for
-        scalar reads and the flat ``counts`` array for index arrays."""
-        counts = self.counts.reshape(-1)
-        return self.base, memoryview(self.cover.reshape(-1)), memoryview(counts), counts
-
-    def ensure_cell(self, field: MatchingEventField, cell: Cell) -> bool:
-        """Make the arrays authoritative for ``cell`` and its
-        neighbourhood; True when the band regrew, so views taken by
-        :meth:`flat_views` before are stale."""
-        field.ensure_cell_neighbourhood(cell, self.radius)
-        if self._regrow(field):
-            return True
-        self._sync()
-        return False
-
-    def is_unsafe(self, field: MatchingEventField, cell: Cell) -> bool:
-        """The safety bit of ``cell`` with its neighbourhood covered.
-
-        Admissions only raise counts, so while no exclusion is pending a
-        nonzero count is final and the admissions can wait for the next
-        :meth:`ensure_cell`; a zero count, or any pending exclusion, is
-        decided only after the sync.
-        """
-        field.ensure_cell_neighbourhood(cell, self.radius)
-        if not self._regrow(field):
-            if self.excluded or not self.cover[cell[0] - self.row0, cell[1]]:
-                self._sync()
-        return bool(self.cover[cell[0] - self.row0, cell[1]])
-
-    def _regrow(self, field: MatchingEventField) -> bool:
-        """Grow the band over the field's covered rows if they left it:
-        to twice the larger of their height and its own, clamped to the
-        grid, the slack split around the covered rows; then project and
-        sync it afresh."""
-        lo, hi = field.covered_rows()
-        height = self.cover.shape[0]
-        if lo >= hi or (self.row0 <= lo and hi <= self.row0 + height):
-            return False
-        n = self.grid.n
-        height = min(2 * max(hi - lo, height), n)
-        row0 = min(max(lo - (height - (hi - lo)) // 2, 0), n - height)
-        self._project(field.known_points(), row0, height)
-        self._sync()
-        field.view_regrowths += 1
-        return True
-
-    def _sync(self) -> None:
-        """Apply the points admitted and excluded since the last sync."""
-        admitted, excluded = self.admitted, self.excluded
-        if not admitted and not excluded:
-            return
-        self.admitted, self.excluded = [], []
-        points = admitted + excluded
-        count = len(points)
-        xs = np.fromiter((p.x for p in points), dtype=np.float64, count=count)
-        ys = np.fromiter((p.y for p in points), dtype=np.float64, count=count)
-        steps = np.ones(count, dtype=np.int32)
-        steps[len(admitted):] = -1
-        n = self.grid.n
-        row0, height = self.row0, self.cover.shape[0]
-        cover = self.cover.reshape(-1)
-        overflow = self.overflow
-        first = 0
-        for I, J, keep in self.grid.dilation_hits(
-            xs, ys, self.radius, (row0, row0 + height)
-        ):
-            chunk = steps[first : first + keep.shape[0]]
-            first += keep.shape[0]
-            if not I.size:
-                continue
-            # the net change per touched cell, then the true counts in
-            # int64: a cell that nets to zero is left alone
-            flat = I * n + J
-            lo = int(flat.min())
-            delta = np.bincount(flat - lo, weights=np.repeat(chunk, keep.sum(axis=1)))
-            touched = np.flatnonzero(delta)
-            cells = touched + (lo - self.base)
-            before = cover[cells]
-            true = before + delta[touched].astype(np.int64)
-            if overflow:
-                for k in np.flatnonzero(before == 255).tolist():
-                    true[k] += overflow.pop(int(cells[k]), 255) - 255
-            for k in np.flatnonzero(true > 255).tolist():
-                overflow[int(cells[k])] = int(true[k])
-            cover[cells] = np.minimum(true, 255)
-        ci, cj = self.grid.cells_of_array(xs, ys)
-        ci -= row0
-        inside = (ci >= 0) & (ci < height)
-        np.add.at(self.counts, (ci[inside], cj[inside]), steps[inside])
 
 
 class IncrementalGridMethod(SafeRegionStrategy):
@@ -335,21 +176,16 @@ class IncrementalGridMethod(SafeRegionStrategy):
     # ------------------------------------------------------------------
     def construct(self, request: ConstructionRequest) -> RegionPair:
         """Algorithm 1: grid expansion bounded by the balance ratio."""
-        grid = request.grid
-        radius = request.radius
+        field = request.matching_field
+        grid = field.grid
+        radius = field.radius
         n = grid.n
 
-        field = request.matching_field
-        view = field.array_views.get(radius)
-        if view is None or view.grid is not grid:
-            view = field.array_views[radius] = _FieldArrayView(
-                grid, radius, field.known_points(), field.covered_rows()
-            )
         start = grid.cell_of(request.location)
         # An unsafe start cell is the loop's single pop: nothing accepted,
         # nothing pushed.  Decide it before any frontier state is built
         # (with ``max_cells`` 0 the loop pops nothing at all, not even it).
-        if (self.max_cells is None or self.max_cells > 0) and view.is_unsafe(field, start):
+        if (self.max_cells is None or self.max_cells > 0) and field.is_unsafe(start):
             return RegionPair(
                 safe=SafeRegion(grid, frozenset()),
                 impact=ImpactRegion(grid, frozenset()),
@@ -391,8 +227,8 @@ class IncrementalGridMethod(SafeRegionStrategy):
         accepted = bytearray(n * n)
         in_impact = bytearray(n * n)
         impact_array = np.frombuffer(in_impact, dtype=bool)
-        # live views of the band _sync updates in place, cell k at k - base
-        base, unsafe, counts, counts_array = view.flat_views()
+        # live views of the field's band, updated in place, cell k at k - base
+        base, unsafe, counts, counts_array = field.flat_views()
 
         start_dist = grid.min_distance_point_cell(request.location, start)
         start_index = start[0] * n + start[1]
@@ -436,9 +272,9 @@ class IncrementalGridMethod(SafeRegionStrategy):
             if visit_order is not None:
                 visit_order.append((i, j))
             if not (win_i0 <= i <= win_i1 and win_j0 <= j <= win_j1):
-                if view.ensure_cell(field, (i, j)):
-                    base, unsafe, counts, counts_array = view.flat_views()
-                win_i0, win_j0, win_i1, win_j1 = field.covered_window(radius)
+                if field.ensure_cell((i, j)):
+                    base, unsafe, counts, counts_array = field.flat_views()
+                win_i0, win_j0, win_i1, win_j1 = field.covered_window()
             if unsafe[k - base]:
                 continue  # B[c'] is false: the cell stays outside (line 10)
 

@@ -71,7 +71,7 @@ class VoronoiMethod(SafeRegionStrategy):
                 break
             cell = queue.popleft()
             cells_examined += 1
-            if not field.is_cell_safe(cell, request.radius):
+            if not field.is_cell_safe(cell):
                 continue
             if cell != start and not dominated(cell):
                 continue

@@ -178,7 +178,7 @@ def build_server(config: ExperimentConfig, journal=None):
             event_index=BEQTree(space, emax=config.emax),
             subscription_index=SubscriptionIndex(generator.frequency_hint()),
         )
-    server.configure_tracing(True, config.slow_span_seconds)
+    server.configure_tracing(config.slow_span_seconds)
     return server
 
 

@@ -20,8 +20,7 @@ one instrument for time:
   ``render_prometheus()`` text exporter in the Prometheus exposition
   format.
 
-Overhead discipline: a disabled tracer hands out one shared no-op span
-(two attribute loads per stage), and an enabled span costs two
+Overhead discipline: the tracer is always on, and a span costs two
 ``perf_counter()`` calls plus one histogram insert.
 """
 
@@ -222,21 +221,6 @@ class Span:
             self._tracer._on_slow(self.stage, elapsed)
 
 
-class _NoopSpan:
-    """The disabled tracer's shared span: enter/exit do nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
 class SpanTracer:
     """Hands out spans and owns the per-stage latency histograms.
 
@@ -245,8 +229,6 @@ class SpanTracer:
         with tracer.span("match"):
             matches = list(index.match_event(event))
 
-    With ``enabled=False`` every call returns one shared no-op object,
-    so dormant instrumentation costs a dict hit and two empty methods.
     A ``slow_threshold`` (seconds) turns the tracer into a live
     profiler: any span at or above it is reported through
     ``slow_handler`` (default: a ``logging`` warning) the moment it
@@ -256,11 +238,9 @@ class SpanTracer:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         slow_threshold: Optional[float] = None,
         slow_handler: Optional[Callable[[str, float], None]] = None,
     ) -> None:
-        self.enabled = enabled
         self.slow_threshold = slow_threshold
         self.slow_handler = slow_handler
         #: stage name -> histogram; populated lazily as stages first run
@@ -268,8 +248,6 @@ class SpanTracer:
 
     def span(self, stage: str):
         """A fresh context manager timing one occurrence of ``stage``."""
-        if not self.enabled:
-            return _NOOP_SPAN
         histogram = self.histograms.get(stage)
         if histogram is None:
             histogram = self.histograms[stage] = LatencyHistogram()
@@ -306,13 +284,9 @@ class MetricsRegistry:
     serves it as frame type 13; the CLI and benchmarks print it.
     """
 
-    def __init__(
-        self,
-        stats: Optional[CommunicationStats] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> None:
+    def __init__(self, stats: Optional[CommunicationStats] = None) -> None:
         self.stats = stats if stats is not None else CommunicationStats()
-        self.tracer = tracer if tracer is not None else SpanTracer()
+        self.tracer = SpanTracer()
         #: readings that are no :class:`CommunicationStats` field because
         #: only some deployments have them (a process fleet's pipe bytes)
         self.gauges: Dict[str, float] = {}
@@ -333,7 +307,6 @@ class MetricsRegistry:
         scalar sum.
         """
         merged = MetricsRegistry(self.stats.merged_with(other.stats))
-        merged.tracer.enabled = self.tracer.enabled or other.tracer.enabled
         for stage in sorted(set(self.tracer.histograms) | set(other.tracer.histograms)):
             left = self.tracer.histograms.get(stage)
             right = other.tracer.histograms.get(stage)

@@ -406,7 +406,7 @@ class ElapsServer:
         when that is the event index's to say (circle not covered, or
         several events whose order the tree defines).  The field is exact:
         every id it returns is live and undelivered."""
-        known = field.matches_in_circle(location, record.subscription.radius)
+        known = field.matches_in_circle(location)
         if known is None or len(known) > 1:
             return None
         self.metrics.corpus_matches_from_field += 1
@@ -529,7 +529,7 @@ class ElapsServer:
                 ):
                     # Outside the impact region: the safe region stays
                     # valid (Definition 2) and no communication happens.
-                    # A cached matching field must still learn the event
+                    # A cached matching field is still offered the event
                     # — its scanned leaves are never revisited.
                     if field is not None:
                         field.note_event(event.event_id, event.location)
@@ -921,10 +921,9 @@ class ElapsServer:
         """The full observability view (counters + span histograms)."""
         return self.registry
 
-    def configure_tracing(self, enabled: bool, slow_threshold: Optional[float]) -> None:
-        """Turn the span tracer on or off and set the duration (seconds)
-        at or above which a span is logged as slow; ``None`` logs none."""
-        self.tracer.enabled = enabled
+    def configure_tracing(self, slow_threshold: Optional[float]) -> None:
+        """Set the duration (seconds) at or above which a span is logged
+        as slow; ``None`` logs none."""
         self.tracer.slow_threshold = slow_threshold
 
     def corpus_matches(self, expression) -> List[Event]:
@@ -953,6 +952,7 @@ class ElapsServer:
                     self.grid,
                     self.event_index,
                     record.subscription.expression,
+                    record.subscription.radius,
                     excluded_ids=record.delivered,
                     holders=self._field_holders if self.repair else None,
                     owner=record.subscription.sub_id,
@@ -969,7 +969,9 @@ class ElapsServer:
             if event.event_id not in record.delivered
         ]
         self.metrics.events_scanned += len(self.event_index)
-        return StaticMatchingField(self.grid, [event.location for event in events])
+        return StaticMatchingField(
+            self.grid, [event.location for event in events], record.subscription.radius
+        )
 
     def _construct(self, record: SubscriberRecord, now: int) -> None:
         started = time.perf_counter()
@@ -992,8 +994,6 @@ class ElapsServer:
         request = ConstructionRequest(
             location=record.location,
             velocity=direction,
-            radius=record.subscription.radius,
-            grid=self.grid,
             matching_field=field,
             stats=self.system_stats(now),
         )

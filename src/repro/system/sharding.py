@@ -1058,11 +1058,10 @@ class ShardedElapsServer:
         merged.gauges.update(self.executor.gauges())
         return merged
 
-    def configure_tracing(self, enabled: bool, slow_threshold: Optional[float]) -> None:
-        """Set the span tracer of the coordinator and of every shard."""
-        self.tracer.enabled = enabled
+    def configure_tracing(self, slow_threshold: Optional[float]) -> None:
+        """Set the slow-span threshold of the coordinator and of every shard."""
         self.tracer.slow_threshold = slow_threshold
-        self._run_all("configure_tracing", enabled, slow_threshold)
+        self._run_all("configure_tracing", slow_threshold)
 
     def corpus_matches(self, expression) -> List[Event]:
         """Every live be-matching event, across all shards' corpora."""

@@ -178,7 +178,7 @@ class ScalarIGM(IGM):
             cells_examined += 1
             if visit_order is not None:
                 visit_order.append(cell)
-            if not field.is_cell_safe(cell, radius):
+            if not field.is_cell_safe(cell):
                 continue  # B[c'] is false: the cell stays outside (line 10)
 
             unvisited_adjacent = [

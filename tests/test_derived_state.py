@@ -6,9 +6,9 @@ it measures under ``-s`` — CI's array-core-vs-scalar-oracle lane runs the
 file that way — so a regression shows as a number in the log, not only
 as a red test:
 
-* a matching field's array views are held by the field alone, with no
-  reference back: dropping the field frees them at once, cyclic
-  collector or not (*views alive*);
+* a matching field's arrays are held by the field alone: dropping the
+  field frees them at once, cyclic collector or not (*projected fields
+  alive*);
 * a resubscribe starts a fresh :class:`SubscriberRecord`: nothing built
   for the old radius or expression is shipped again (*unsafe cells
   held*);
@@ -17,8 +17,8 @@ as a red test:
 * per-radius tables belong to the :class:`Disk` they are computed from,
   one per distinct offset set however many float radii arrive (*table
   sets per 1,000 radii*);
-* a retained field's array view holds the band of grid rows its coverage
-  reaches, not the whole grid (*view bytes per subscriber*).
+* a retained field's array projection holds the band of grid rows its
+  coverage reaches, not the whole grid (*view bytes per subscriber*).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.core import IDGM, IGM, GridMethod, LazyBEQField
-from repro.core.igm import _FieldArrayView
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
@@ -74,34 +73,33 @@ def scattered_sales(rng, count, first_id=1):
 
 
 class TestViewsDieWithTheirField:
-    """Test (i).  At the parent the strategy's ``WeakKeyDictionary`` held
-    values that referenced their own keys: N of N fields stayed alive."""
+    """Test (i).  When the strategy kept the projections in a
+    ``WeakKeyDictionary``, its values referenced their own keys: N of N
+    fields stayed alive."""
 
     CYCLES = 60
 
     def alive(self):
-        """Live ``(fields, views)`` in the process, found by type."""
-        objects = gc.get_objects()
-        return (
-            sum(isinstance(o, LazyBEQField) for o in objects),
-            sum(isinstance(o, _FieldArrayView) for o in objects),
-        )
+        """Live ``(fields, fields with projected arrays)`` in the
+        process, found by type."""
+        fields = [o for o in gc.get_objects() if isinstance(o, LazyBEQField)]
+        return len(fields), sum(field.cover is not None for field in fields)
 
     def without_the_collector(self, drive):
         """Run ``drive`` with the cyclic collector off and return the
-        fields and views it left alive, plus its field weakrefs still
+        fields and projected fields it left alive, plus its field weakrefs still
         live — only reference counts may free anything."""
         gc.collect()
         gc.disable()
         try:
-            fields_before, views_before = self.alive()
+            fields_before, projected_before = self.alive()
             refs = drive()
-            fields_after, views_after = self.alive()
+            fields_after, projected_after = self.alive()
         finally:
             gc.enable()
         return (
             fields_after - fields_before,
-            views_after - views_before,
+            projected_after - projected_before,
             sum(ref() is not None for ref in refs),
         )
 
@@ -123,22 +121,22 @@ class TestViewsDieWithTheirField:
                 at = Point(rng.uniform(1_000, 9_000), rng.uniform(1_000, 9_000))
                 server.subscribe(sub, at, STILL, cycle)
                 field = server.subscribers[sub.sub_id].lazy_field
-                assert field.array_views  # the construction projected it
+                assert field.cover is not None  # the construction projected it
                 refs.append(weakref.ref(field))
                 server.unsubscribe(sub.sub_id)
             return refs
 
-        fields, views, live_refs = self.without_the_collector(drive)
+        fields, projected, live_refs = self.without_the_collector(drive)
         print(
-            f"\nviews alive after {self.CYCLES} subscribe/unsubscribe cycles "
-            f"(1 live subscriber, gc off): {views} new, fields {fields} new, "
-            f"weakrefs live {live_refs}"
+            f"\nprojected fields alive after {self.CYCLES} subscribe/unsubscribe "
+            f"cycles (1 live subscriber, gc off): {projected} new, fields "
+            f"{fields} new, weakrefs live {live_refs}"
         )
-        assert (fields, views, live_refs) == (0, 0, 0)
-        # the subscriber that stayed keeps exactly its own field and view,
+        assert (fields, projected, live_refs) == (0, 0, 0)
+        # the subscriber that stayed keeps exactly its own projected field,
         # and only it is left in the event id -> holders map
         kept = server.subscribers[1].lazy_field
-        assert list(kept.array_views) == [1_200.0]
+        assert kept.radius == 1_200.0 and kept.cover is not None
         assert server._field_holders
         assert set().union(*server._field_holders.values()) == {1}
 
@@ -332,9 +330,8 @@ class TestViewsHoldTheRowsTheirCoverageReaches:
         for tick in range(1, 11):
             server.publish_batch(sales(10_000 * tick, 64), tick)
         held = sum(
-            view.cover.nbytes + view.counts.nbytes
+            record.lazy_field.cover.nbytes + record.lazy_field.counts.nbytes
             for record in server.subscribers.values()
-            for view in record.lazy_field.array_views.values()
         )
         dense = grid.n * grid.n * (np.dtype(np.uint8).itemsize + np.dtype(np.int32).itemsize)
         per_subscriber = held / subscribers

@@ -200,8 +200,8 @@ class TestDnfInTheServer:
         events = random_events(random.Random(5), SPACE, 200)
         tree.insert_all(events)
         dnf = make_dnf()
-        field = LazyBEQField(grid, tree, dnf)
+        field = LazyBEQField(grid, tree, dnf, 900.0)
         matching = [e.location for e in events if dnf.matches(e.attributes)]
-        static = StaticMatchingField(grid, matching)
+        static = StaticMatchingField(grid, matching, 900.0)
         for cell in list(grid.all_cells())[::9]:
-            assert field.is_cell_safe(cell, 900.0) == static.is_cell_safe(cell, 900.0)
+            assert field.is_cell_safe(cell) == static.is_cell_safe(cell)

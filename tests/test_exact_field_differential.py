@@ -3,21 +3,23 @@
 A :class:`~repro.core.field.LazyBEQField` that lives across constructions
 (the server's repair mode) learns events by leaf scans and ``note_event``
 and forgets them by ``note_exclusion(s)`` — a delivery, an expiry, a band
-extraction.  Whatever the interleaving, its state must equal a fresh
-field's over the events it still knows: the same cover counts (so the
-same unsafe cells) at every radius, the same φ, and array views equal to
-a dense view projected afresh, on the rows of their band — the uint8
-cover counts past 255 included.  What it knows is checked by brute force
-too: no delivered, dead or unmatched event, and every live undelivered
-match inside the covered rectangle.  Between operations the array core
-and the scalar oracle construct over the field and must agree byte for
-byte.
+extraction.  A field serves one radius, so the same operations drive
+one field per radius.  Whatever the interleaving, a field's state must
+equal a fresh field's over the events it still knows: the same cover
+counts (so the same unsafe cells), the same φ, and an array projection
+equal to a dense one (a static field's, whose band is the whole grid) on
+the rows of its band — the uint8 cover counts past 255 included.  What it
+knows is checked by brute force too: no delivered, dead or unmatched
+event, nothing outside the box of its scanned leaves, and every live
+undelivered match inside the covered rectangle.  Between operations the
+array core and the scalar oracle construct over each field and must
+agree byte for byte.
 
-A view holds a band of grid rows that must contain every covered row
-after a construct, regrow on whichever side coverage leaves it, and never
-be read outside: the last is checked with bounds-checked stand-ins for
-the flat views Algorithm 1 reads, since a memoryview wraps a negative
-index silently.
+A projection holds a band of grid rows that must contain every covered
+row after a construct, regrow on whichever side coverage leaves it, and
+never be read outside: the last is checked with bounds-checked stand-ins
+for the flat views Algorithm 1 reads, since a memoryview wraps a
+negative index silently.
 
 Carries the ``differential`` marker; ``DIFFERENTIAL_EXAMPLES`` scales the
 example budget like the other differential suites.
@@ -36,8 +38,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import IGM
 from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import SystemStats
-from repro.core.field import LazyBEQField
-from repro.core.igm import _FieldArrayView
+from repro.core.field import LazyBEQField, MatchingEventField, StaticMatchingField
 from repro.expressions import BooleanExpression, Event, Operator, Predicate
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
@@ -57,70 +58,75 @@ OPERATIONS = (
 )
 
 
-def true_cover(view):
-    """The view's cover counts with the overflowed cells resolved."""
-    cover = view.cover.astype(np.int64).reshape(-1)
-    for cell, count in view.overflow.items():
+def true_cover(field):
+    """The projection's cover counts with the overflowed cells resolved."""
+    cover = field.cover.astype(np.int64).reshape(-1)
+    for cell, count in field.overflow.items():
         cover[cell] = count
     return cover
 
 
-def assert_equals_a_fresh_field(field, events, radii):
-    """Cover counts, φ and array views equal a fresh field's over the
-    events ``field`` still knows."""
-    fresh = LazyBEQField(field.grid, BEQTree(SPACE), EXPRESSION)
+def assert_equals_a_fresh_field(field, events):
+    """Cover counts, φ and the array projection equal a fresh field's
+    over the events ``field`` still knows."""
+    fresh = LazyBEQField(field.grid, BEQTree(SPACE), EXPRESSION, field.radius)
     for event_id in sorted(field._position):
-        fresh.note_event(event_id, events[event_id].location)
+        fresh._admit(event_id, events[event_id].location)
     if field._counts is not None:  # counted since the first φ question
         phi = {}
         for point in fresh.known_points():
             cell = field.grid.cell_of(point)
             phi[cell] = phi.get(cell, 0) + 1
         assert field._counts == phi
-    for radius in radii:
-        assert field._cover_at(radius) == fresh._cover_at(radius)
+    assert field._cover_at() == fresh._cover_at()
+    if field.cover is None:  # never projected
+        return
     n = field.grid.n
-    for radius, view in field.array_views.items():
-        view._sync()
-        # a fresh dense projection, restricted to the view's band of rows
-        dense = _FieldArrayView(field.grid, radius, fresh.known_points())
-        dense._sync()
-        first, size = view.base, view.cover.size
-        band = slice(view.row0, view.row0 + view.cover.shape[0])
-        assert np.array_equal(true_cover(view), true_cover(dense)[first : first + size])
-        assert view.overflow == {
-            cell - first: count
-            for cell, count in dense.overflow.items()
-            if first <= cell < first + size
-        }
-        assert np.array_equal(view.counts, dense.counts[band])
-        scalar = np.zeros(n * n, dtype=np.int64)
-        for (i, j), count in fresh._cover_at(radius).items():
-            scalar[i * n + j] = count
-        assert np.array_equal(true_cover(dense), scalar)
+    field._sync()
+    # a fresh dense projection, restricted to the field's band of rows
+    dense = StaticMatchingField(field.grid, fresh.known_points(), field.radius)
+    dense.flat_views()
+    dense._sync()
+    first, size = field.base, field.cover.size
+    band = slice(field.row0, field.row0 + field.cover.shape[0])
+    assert np.array_equal(true_cover(field), true_cover(dense)[first : first + size])
+    assert field.overflow == {
+        cell - first: count
+        for cell, count in dense.overflow.items()
+        if first <= cell < first + size
+    }
+    assert np.array_equal(field.counts, dense.counts[band])
+    scalar = np.zeros(n * n, dtype=np.int64)
+    for (i, j), count in fresh._cover_at().items():
+        scalar[i * n + j] = count
+    assert np.array_equal(true_cover(dense), scalar)
 
 
-def assert_the_band_holds_the_covered_rows(field, radius):
-    """After a construct at ``radius``, its view's band contains every row
-    of the covered rectangle.  (A view at another radius catches up when
-    it is next asked about a cell.)"""
-    view = field.array_views[radius]
+def assert_the_band_holds_the_covered_rows(field):
+    """After a construct, the field's band contains every row of the
+    covered rectangle."""
     i_min, _, i_max, _ = field._covered
-    assert view.row0 <= i_min and i_max < view.row0 + view.cover.shape[0]
+    assert field.row0 <= i_min and i_max < field.row0 + field.cover.shape[0]
 
 
 def assert_knows_exactly_the_live_matches(field, tree_events, delivered):
     """Brute force over the corpus: the field's known events are live,
-    undelivered matches, and it knows every such event in its covered
-    rectangle."""
+    undelivered matches inside the box of its scanned leaves, the box
+    holds the covered rectangle, and the field knows every such event in
+    that rectangle."""
     grid = field.grid
+    x_lo, y_lo, x_hi, y_hi = field._box
     for event_id in field._position:
         event = tree_events.get(event_id)
         assert event is not None and event_id not in delivered
         assert EXPRESSION.matches(event.attributes)
+        assert x_lo <= event.location.x <= x_hi and y_lo <= event.location.y <= y_hi
     if field._covered is None:
         return
     i_min, j_min, i_max, j_max = field._covered
+    low, high = grid.cell_rect((i_min, j_min)), grid.cell_rect((i_max, j_max))
+    assert x_lo <= low.x_min and y_lo <= low.y_min
+    assert high.x_max <= x_hi and high.y_max <= y_hi
     for event_id, event in tree_events.items():
         i, j = grid.cell_of(event.location)
         if (
@@ -161,69 +167,85 @@ def test_any_interleaving_leaves_the_field_equal_to_a_fresh_one(
 
     for _ in range(60):
         new_event(anywhere())
-    field = LazyBEQField(
-        grid, tree, EXPRESSION, excluded_ids=delivered, holders={}, owner=7
-    )
+    # one field per radius, each with its owner in one shared holders map
+    holders = {}
+    fields = [
+        LazyBEQField(
+            grid, tree, EXPRESSION, radius, excluded_ids=delivered, holders=holders,
+            owner=owner,
+        )
+        for owner, radius in enumerate(radii)
+    ]
     if eager_compaction:
-        field.COMPACT_MIN = 0
+        for field in fields:
+            field.COMPACT_MIN = 0
     stats = SystemStats(event_rate=2.0, total_events=100)
 
     def matched_known():
-        return [e for e in field._position if e in live]
+        return sorted({e for field in fields for e in field._position if e in live})
 
-    def construct_at(location, radius):
+    def construct_at(field, location):
         request = ConstructionRequest(
-            location=location, velocity=Point(10.0, 5.0),
-            radius=radius, grid=grid, matching_field=field, stats=stats,
+            location=location, velocity=Point(10.0, 5.0), matching_field=field, stats=stats,
         )
         core = IGM(max_cells=120, record_visits=True).construct(request)
-        assert_the_band_holds_the_covered_rows(field, radius)
+        assert_the_band_holds_the_covered_rows(field)
         oracle = ScalarIGM(max_cells=120, record_visits=True).construct(request)
         assert_pairs_identical(oracle, core)
+
+    def note(event):
+        for field in fields:
+            field.note_event(event.event_id, event.location)
 
     for operation in operations:
         if operation == "publish":
             event = new_event(anywhere())
             if EXPRESSION.matches(event.attributes):
-                field.note_event(event.event_id, event.location)
+                note(event)
         elif operation == "cluster":
             # a dense burst: cover counts past 255 at the smaller radius
             centre = anywhere()
             for _ in range(rng.randint(150, 300)):
-                event = new_event(Point(
+                note(new_event(Point(
                     min(max(centre.x + rng.gauss(0, 60), 0.0), 9_999.0),
                     min(max(centre.y + rng.gauss(0, 60), 0.0), 9_999.0),
-                ), a0=0)
-                field.note_event(event.event_id, event.location)
+                ), a0=0))
         elif operation == "expire":
             doomed = rng.sample(sorted(live), min(len(live), rng.randint(1, 120)))
             for event_id in doomed:
                 tree.delete(live.pop(event_id))
-            field.note_exclusions(doomed)
+            for field in fields:
+                field.note_exclusions(doomed)
         elif operation == "deliver":
             known = matched_known()
             for event_id in rng.sample(known, min(len(known), rng.randint(1, 3))):
                 delivered.add(event_id)
-                field.note_exclusion(event_id)
+                for field in fields:
+                    field.note_exclusion(event_id)
         elif operation == "cover":
             cell = (rng.randrange(grid.n), rng.randrange(grid.n))
-            field.ensure_cell_neighbourhood(cell, rng.choice(radii))
+            rng.choice(fields).ensure_cell_neighbourhood(cell)
         elif operation == "construct":
-            construct_at(anywhere(), rng.choice(radii))
+            construct_at(rng.choice(fields), anywhere())
         elif operation == "walk":
             # coverage swept along i, towards the grid's first or last
-            # row: the bands regrow on the side they are walked towards
+            # row: the band regrows on the side it is walked towards
             x, y = rng.uniform(0, 10_000), rng.uniform(0, 10_000)
             step = rng.choice((-1, 1)) * rng.uniform(600, 1_500)
-            radius = rng.choice(radii)
+            field = rng.choice(fields)
             for _ in range(rng.randint(2, 5)):
-                construct_at(Point(min(max(x, 0.0), 9_999.0), y), radius)
+                construct_at(field, Point(min(max(x, 0.0), 9_999.0), y))
                 x += step
         else:
-            field.known_points()  # compacts the forgotten slots
-        assert_knows_exactly_the_live_matches(field, live, delivered)
-        assert_equals_a_fresh_field(field, events, radii)
-        assert field._holders == {event_id: {7} for event_id in field._position}
+            for field in fields:
+                field.known_points()  # compacts the forgotten slots
+        for field in fields:
+            assert_knows_exactly_the_live_matches(field, live, delivered)
+            assert_equals_a_fresh_field(field, events)
+        assert holders == {
+            event_id: {owner for owner, field in enumerate(fields) if event_id in field._position}
+            for event_id in set().union(*(field._position for field in fields))
+        }
 
 
 class BandReads:
@@ -253,24 +275,25 @@ class BandReads:
 @contextlib.contextmanager
 def reads_checked_against_the_band():
     """Hand Algorithm 1 :class:`BandReads` in place of the band views it
-    reads; yields the ``(view, [cover, counts, counts array])`` handed
+    reads; yields the ``(field, [cover, counts, counts array])`` handed
     out, in order."""
     handed = []
-    flat_views = _FieldArrayView.flat_views
+    flat_views = MatchingEventField.flat_views
 
-    def checked(view):
-        base, *flats = flat_views(view)
+    def checked(field):
+        base, *flats = flat_views(field)
         reads = [BandReads(flat) for flat in flats]
-        handed.append((view, reads))
+        handed.append((field, reads))
         return (base, *reads)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_FieldArrayView, "flat_views", checked)
+        patch.setattr(MatchingEventField, "flat_views", checked)
         yield handed
 
 
-def twin_fields(seed, n=30, count=80):
-    """An ``n x n`` grid and two lazy fields over one seeded corpus."""
+def twin_fields(seed, radius, n=30, count=80):
+    """An ``n x n`` grid and two lazy fields at ``radius`` over one
+    seeded corpus."""
     rng = random.Random(seed)
     tree = BEQTree(SPACE, emax=8)
     corners = (Point(0.0, 0.0), Point(10_000.0, 10_000.0))
@@ -283,18 +306,17 @@ def twin_fields(seed, n=30, count=80):
             tree.insert(Event(event_id, {"a0": rng.randint(0, 4)}, location))
             event_id += 1
     grid = Grid(n, SPACE)
-    return grid, [LazyBEQField(grid, tree, EXPRESSION) for _ in range(2)]
+    return grid, [LazyBEQField(grid, tree, EXPRESSION, radius) for _ in range(2)]
 
 
-def construct_twins(grid, fields, location, radius, max_cells=40):
+def construct_twins(fields, location, max_cells=40):
     """The array core over ``fields[1]``, the scalar oracle over
     ``fields[0]``: byte-identical pairs, scans and leaf counts."""
     stats = SystemStats(event_rate=2.0, total_events=100)
     pairs = [
         strategy(max_cells=max_cells, record_visits=True).construct(
             ConstructionRequest(
-                location=location, velocity=Point(10.0, 5.0), radius=radius,
-                grid=grid, matching_field=field, stats=stats,
+                location=location, velocity=Point(10.0, 5.0), matching_field=field, stats=stats,
             )
         )
         for strategy, field in zip((ScalarIGM, IGM), fields)
@@ -302,7 +324,7 @@ def construct_twins(grid, fields, location, radius, max_cells=40):
     assert_pairs_identical(*pairs)
     assert fields[0].events_scanned == fields[1].events_scanned
     assert fields[0].leaves_scanned == fields[1].leaves_scanned
-    assert_the_band_holds_the_covered_rows(fields[1], radius)
+    assert_the_band_holds_the_covered_rows(fields[1])
     return pairs[1]
 
 
@@ -313,9 +335,9 @@ def test_a_walk_regrows_the_band_on_both_sides(seed, upwards_first):
     and then to the other: its band grows past its first row and past its
     last, and every construct on the way equals the scalar oracle's.  On
     a grid fine enough that one construct covers a fifth of its rows."""
-    grid, fields = twin_fields(seed, n=80)
     rng = random.Random(seed)
     radius = rng.uniform(300, 900)
+    grid, fields = twin_fields(seed, radius, n=80)
     y = rng.uniform(1_000, 9_000)
     sweeps = [range(5_000, 10_000, 700), range(9_900, 0, -700)]
     if not upwards_first:
@@ -323,9 +345,8 @@ def test_a_walk_regrows_the_band_on_both_sides(seed, upwards_first):
     bands = []
     for sweep in sweeps:
         for x in sweep:
-            construct_twins(grid, fields, Point(float(x), y), radius)
-            view = fields[1].array_views[radius]
-            bands.append((view.row0, view.row0 + view.cover.shape[0]))
+            construct_twins(fields, Point(float(x), y))
+            bands.append((fields[1].row0, fields[1].row0 + fields[1].cover.shape[0]))
     lowered = any(b[0] < a[0] for a, b in zip(bands, bands[1:]))
     raised = any(b[1] > a[1] for a, b in zip(bands, bands[1:]))
     assert lowered and raised
@@ -342,9 +363,9 @@ def test_no_read_lands_outside_the_band(seed, retained):
     first or last index: a ``base`` off by one cell or one row reads
     outside the band there (and, inside a band with slack, a neighbour
     of the right cell, which the scalar oracle catches)."""
-    grid, fields = twin_fields(seed)
     rng = random.Random(seed)
     radius = rng.uniform(300, 1_500)
+    _, fields = twin_fields(seed, radius)
     low, high = Point(1.0, 1.0), Point(9_999.0, 9_999.0)
     locations = [low, high] + [
         Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)) for _ in range(4)
@@ -353,9 +374,9 @@ def test_no_read_lands_outside_the_band(seed, retained):
     with reads_checked_against_the_band() as handed:
         for location in locations:
             if not retained:
-                grid, fields = twin_fields(seed)
+                _, fields = twin_fields(seed, radius)
             first = len(handed)
-            construct_twins(grid, fields, location, radius, max_cells=rng.choice([1, 40]))
+            construct_twins(fields, location, max_cells=rng.choice([1, 40]))
             covers = [reads[0] for _, reads in handed[first:]]
             if location == low:  # cell (0, 0): the first pop, and safe
                 assert any(cover.lowest == 0 for cover in covers)

@@ -41,66 +41,66 @@ def world():
 class TestStaticField:
     def test_counts(self, world):
         grid, _, _, matching = world
-        field = StaticMatchingField(grid, matching)
+        field = StaticMatchingField(grid, matching, RADIUS)
         for cell in grid.all_cells():
             expected = sum(1 for p in matching if grid.cell_of(p) == cell)
             assert field.count_in_cell(cell) == expected
 
     def test_safety_matches_brute_force(self, world):
         grid, _, _, matching = world
-        field = StaticMatchingField(grid, matching)
+        field = StaticMatchingField(grid, matching, RADIUS)
         for cell in list(grid.all_cells())[::17]:
             rect = grid.cell_rect(cell)
             expected = all(rect.min_distance_to_point(p) > RADIUS for p in matching)
-            assert field.is_cell_safe(cell, RADIUS) == expected
+            assert field.is_cell_safe(cell) == expected
 
     def test_unsafe_cells_complement_of_safe(self, world):
         grid, _, _, matching = world
-        field = StaticMatchingField(grid, matching)
-        unsafe = field.unsafe_cells(RADIUS)
+        field = StaticMatchingField(grid, matching, RADIUS)
+        unsafe = field.unsafe_cells()
         for cell in list(grid.all_cells())[::13]:
-            assert (cell in unsafe) == (not field.is_cell_safe(cell, RADIUS))
+            assert (cell in unsafe) == (not field.is_cell_safe(cell))
 
     def test_all_points(self, world):
         grid, _, _, matching = world
-        field = StaticMatchingField(grid, matching)
+        field = StaticMatchingField(grid, matching, RADIUS)
         assert sorted(map(repr, field.all_points())) == sorted(map(repr, matching))
 
 
 class TestLazyField:
     def test_agrees_with_static_on_safety_and_counts(self, world):
         grid, tree, expression, matching = world
-        static = StaticMatchingField(grid, matching)
-        lazy = LazyBEQField(grid, tree, expression)
+        static = StaticMatchingField(grid, matching, RADIUS)
+        lazy = LazyBEQField(grid, tree, expression, RADIUS)
         for cell in list(grid.all_cells())[::11]:
-            assert lazy.is_cell_safe(cell, RADIUS) == static.is_cell_safe(cell, RADIUS)
+            assert lazy.is_cell_safe(cell) == static.is_cell_safe(cell)
             assert lazy.count_in_cell(cell) == static.count_in_cell(cell)
 
     def test_all_points_equals_static(self, world):
         grid, tree, expression, matching = world
-        lazy = LazyBEQField(grid, tree, expression)
+        lazy = LazyBEQField(grid, tree, expression, RADIUS)
         assert sorted(map(repr, lazy.all_points())) == sorted(
-            map(repr, StaticMatchingField(grid, matching).all_points())
+            map(repr, StaticMatchingField(grid, matching, RADIUS).all_points())
         )
 
     def test_excluded_ids_are_invisible(self, world):
         grid, tree, expression, _ = world
         all_ids = {e.event_id for e in tree.be_match(expression)}
         excluded = set(list(all_ids)[: len(all_ids) // 2])
-        lazy = LazyBEQField(grid, tree, expression, excluded_ids=excluded)
+        lazy = LazyBEQField(grid, tree, expression, RADIUS, excluded_ids=excluded)
         assert len(lazy.all_points()) == len(all_ids) - len(excluded)
 
     def test_local_queries_do_not_scan_everything(self, world):
         grid, tree, expression, _ = world
-        lazy = LazyBEQField(grid, tree, expression)
-        lazy.is_cell_safe((20, 20), RADIUS)
+        lazy = LazyBEQField(grid, tree, expression, RADIUS)
+        lazy.is_cell_safe((20, 20))
         assert lazy.events_scanned < len(tree)
 
     def test_leaves_scanned_at_most_once(self, world):
         grid, tree, expression, _ = world
-        lazy = LazyBEQField(grid, tree, expression)
+        lazy = LazyBEQField(grid, tree, expression, RADIUS)
         for cell in [(20, 20), (21, 20), (20, 21), (22, 22)]:
-            lazy.is_cell_safe(cell, RADIUS)
+            lazy.is_cell_safe(cell)
         total_leaves = sum(1 for _ in tree.leaves())
         assert lazy.leaves_scanned <= total_leaves
 
@@ -114,24 +114,22 @@ class TestCoveredWindow:
         grid, tree, expression, _ = world
         rng = random.Random(seed)
         radius = rng.choice([0.0, 300.0, 1_200.0])
-        field = LazyBEQField(grid, tree, expression)
-        assert field.covered_window(radius) == (0, 0, -1, -1)  # nothing covered yet
+        field = LazyBEQField(grid, tree, expression, radius)
+        assert field.covered_window() == (0, 0, -1, -1)  # nothing covered yet
         for _ in range(4):
-            field.ensure_cell_neighbourhood(
-                (rng.randrange(grid.n), rng.randrange(grid.n)), radius
-            )
-            i_min, j_min, i_max, j_max = field.covered_window(radius)
+            field.ensure_cell_neighbourhood((rng.randrange(grid.n), rng.randrange(grid.n)))
+            i_min, j_min, i_max, j_max = field.covered_window()
             for cell in grid.all_cells():
-                probe = LazyBEQField(grid, tree, expression)
+                probe = LazyBEQField(grid, tree, expression, radius)
                 probe._covered = field._covered
-                probe.ensure_cell_neighbourhood(cell, radius)
+                probe.ensure_cell_neighbourhood(cell)
                 inside = i_min <= cell[0] <= i_max and j_min <= cell[1] <= j_max
                 assert (probe._covered == field._covered) == inside, cell
 
     def test_a_materialised_field_covers_the_grid(self, world):
         grid, _, _, matching = world
         last = grid.n - 1
-        assert StaticMatchingField(grid, matching).covered_window(RADIUS) == (0, 0, last, last)
+        assert StaticMatchingField(grid, matching, RADIUS).covered_window() == (0, 0, last, last)
 
 
 class TestConstructionEquivalence:
@@ -140,14 +138,12 @@ class TestConstructionEquivalence:
         stats = SystemStats(event_rate=3.0, total_events=300)
         results = []
         for field in (
-            StaticMatchingField(grid, matching),
-            LazyBEQField(grid, tree, expression),
+            StaticMatchingField(grid, matching, RADIUS),
+            LazyBEQField(grid, tree, expression, RADIUS),
         ):
             request = ConstructionRequest(
                 location=Point(5000, 5000),
                 velocity=Point(50, 20),
-                radius=RADIUS,
-                grid=grid,
                 matching_field=field,
                 stats=stats,
             )
@@ -229,8 +225,8 @@ class TestStripWalk:
             for _ in range(rng.randint(0, min(30, len(live) - 20))):
                 tree.delete(live.pop())
             excluded = {e.event_id for e in rng.sample(live, len(live) // 4)}
-            strips = LazyBEQField(grid, tree, expression, excluded_ids=set(excluded))
-            full = FullWalkField(grid, tree, expression, excluded_ids=set(excluded))
+            strips = LazyBEQField(grid, tree, expression, RADIUS, excluded_ids=set(excluded))
+            full = FullWalkField(grid, tree, expression, RADIUS, excluded_ids=set(excluded))
             # a random walk of queries, the way a frontier wanders
             i, j = rng.randrange(40), rng.randrange(40)
             for _ in range(rng.randint(5, 60)):
@@ -240,11 +236,11 @@ class TestStripWalk:
                 answers = []
                 for field in (strips, full):
                     if query == "safe":
-                        answers.append(field.is_cell_safe((i, j), RADIUS))
+                        answers.append(field.is_cell_safe((i, j)))
                     elif query == "count":
                         answers.append(field.count_in_cell((i, j)))
                     else:
-                        answers.append(field.ensure_cell_neighbourhood((i, j), RADIUS))
+                        answers.append(field.ensure_cell_neighbourhood((i, j)))
                 assert answers[0] == answers[1]
                 assert self.observed(strips) == self.observed(full)
             # and whole constructions, array core and scalar oracle
@@ -252,12 +248,10 @@ class TestStripWalk:
                 location = Point(rng.uniform(0, 9_999), rng.uniform(0, 9_999))
                 pairs = []
                 for cls in (LazyBEQField, FullWalkField):
-                    field = cls(grid, tree, expression, excluded_ids=set(excluded))
+                    field = cls(grid, tree, expression, RADIUS, excluded_ids=set(excluded))
                     request = ConstructionRequest(
                         location=location,
                         velocity=Point(50, 20),
-                        radius=RADIUS,
-                        grid=grid,
                         matching_field=field,
                         stats=stats,
                     )

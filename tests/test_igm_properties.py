@@ -67,9 +67,7 @@ def random_request(seed: int, density: int = 1, event_count: int = None):
     return ConstructionRequest(
         location=location,
         velocity=velocity,
-        radius=radius,
-        grid=GRID,
-        matching_field=StaticMatchingField(GRID, points * density),
+        matching_field=StaticMatchingField(GRID, points * density, radius),
         stats=stats,
     )
 
@@ -98,7 +96,7 @@ def test_impact_is_exact_dilation_of_safe(seed, strategy_name):
 def test_safe_region_avoids_unsafe_cells_and_anchors_at_subscriber(seed, strategy_name):
     request = random_request(seed)
     pair = INCREMENTAL[strategy_name](max_cells=400).construct(request)
-    unsafe = request.matching_field.unsafe_cells(request.radius)
+    unsafe = request.matching_field.unsafe_cells()
     assert not (pair.safe.cells & unsafe)
     if not pair.safe.is_empty():
         assert pair.safe.covers_cell(GRID.cell_of(request.location))
@@ -201,9 +199,7 @@ def test_mean_area_shrinks_with_density(strategy_name):
             request = ConstructionRequest(
                 location=location,
                 velocity=velocity,
-                radius=radius,
-                grid=GRID,
-                matching_field=StaticMatchingField(GRID, base * density),
+                matching_field=StaticMatchingField(GRID, base * density, radius),
                 stats=SystemStats(event_rate=2.0, total_events=1000),
             )
             strategy = INCREMENTAL[strategy_name](max_cells=400)

@@ -158,16 +158,6 @@ class TestSpanTracer:
         first.__exit__(None, None, None)
         assert tracer.histograms["drain"].count == 2
 
-    def test_disabled_tracer_records_nothing(self):
-        tracer = SpanTracer(enabled=False)
-        with tracer.span("match"):
-            pass
-        assert tracer.histograms == {}
-
-    def test_disabled_tracer_shares_one_noop_span(self):
-        tracer = SpanTracer(enabled=False)
-        assert tracer.span("a") is tracer.span("b")
-
     def test_slow_handler_fires_at_threshold_only(self):
         reported = []
         tracer = SpanTracer(
@@ -225,12 +215,6 @@ class TestMetricsRegistry:
             )
         ]
         assert merged.tracer.histograms["match"].counts == expected
-
-    def test_merge_ors_the_enabled_flag(self):
-        left = MetricsRegistry()
-        left.tracer.enabled = False
-        right = MetricsRegistry()
-        assert left.merged_with(right).tracer.enabled is True
 
 
 class TestPrometheusExport:

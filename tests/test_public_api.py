@@ -198,6 +198,26 @@ class TestConfigurationSurface:
             assert {name for name in vars(scalar) if not name.startswith("_")} == {"construct"}
         assert not {ScalarIGM, ScalarIDGM} & set(STRATEGIES.values())
 
+    def test_a_matching_field_serves_one_radius(self):
+        import dataclasses
+        import inspect
+
+        import repro.core.igm
+        from repro.core import ConstructionRequest, LazyBEQField, StaticMatchingField
+        from repro.core.field import MatchingEventField
+
+        # the field holds its own array projection: no view object
+        assert not hasattr(repro.core.igm, "_FieldArrayView")
+        # the radius is the field's, fixed when it is built
+        for cls in (MatchingEventField, StaticMatchingField, LazyBEQField):
+            for name, member in vars(cls).items():
+                if callable(member) and name != "__init__":
+                    assert "radius" not in inspect.signature(member).parameters, name
+        # a request names no grid or radius beside its field's
+        assert [field.name for field in dataclasses.fields(ConstructionRequest)] == [
+            "location", "velocity", "matching_field", "stats",
+        ]
+
     def test_a_fleet_takes_a_strategy_or_a_zero_argument_factory(self):
         from repro.core import IGM
         from repro.geometry import Grid, Rect

@@ -165,12 +165,10 @@ class TestConstructedRegionLemmas:
     """Lemmas 1 and 4 on regions produced by an actual construction."""
 
     def _construct(self, small_grid, events, at=Point(3000, 3000)):
-        field = StaticMatchingField(small_grid, events)
+        field = StaticMatchingField(small_grid, events, RADIUS)
         request = ConstructionRequest(
             location=at,
             velocity=Point(40, 10),
-            radius=RADIUS,
-            grid=small_grid,
             matching_field=field,
             stats=SystemStats(event_rate=1.0, total_events=200),
         )

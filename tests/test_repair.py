@@ -313,6 +313,29 @@ class TestFieldReuse:
                 > sub.radius
             )
 
+    def test_a_retained_field_notes_only_arrivals_in_its_scanned_box(self):
+        """An arrival outside the bounding box of the leaves a field has
+        scanned lies in a leaf it never scanned, which coverage growth
+        scans when it gets there: the field does not note it, and no
+        exclusion is ever routed to it for that event."""
+        server = make_server(IGM(max_cells=60), repair=True)
+        rng = random.Random(11)
+        server.bootstrap([
+            sale(k, rng.uniform(0, 10_000), rng.uniform(0, 10_000)) for k in range(1, 400)
+        ])
+        sub = make_sub(radius=300.0)
+        server.subscribe(sub, Point(1_500, 1_500), Point(0, 0), now=0)
+        field = server.subscribers[sub.sub_id].lazy_field
+        known = set(field._position)
+        far = [
+            sale(1_000 + k, rng.uniform(8_500, 9_900), rng.uniform(8_500, 9_900))
+            for k in range(50)
+        ]
+        for event in far:
+            server.publish(event, now=1)
+        assert set(field._position) == known
+        assert not {event.event_id for event in far} & set(server._field_holders)
+
     def test_an_exclusion_undilates_the_retained_field(self):
         """An expired event leaves the retained field without a trace:
         the same field lives on, and its next construction builds what a
@@ -326,8 +349,7 @@ class TestFieldReuse:
         server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
         record = server.subscribers[sub.sub_id]
         field = record.lazy_field
-        view = field.array_views[sub.radius]
-        assert doomed.event_id in field._position and view.cover.any()
+        assert doomed.event_id in field._position and field.cover.any()
         # 1.6 km off (r = 1.5 km) but 1.35 km from the subscriber's cell
         assert record.safe.is_empty()
         server.expire_due_events(now=5)
@@ -336,7 +358,7 @@ class TestFieldReuse:
         assert server.metrics.field_exclusions == 1
         _, region = server.report_location(sub.sub_id, Point(5_000, 5_000), Point(20, 0), 6)
         assert record.lazy_field is field
-        assert not view.cover.any() and not view.counts.any() and not view.overflow
+        assert not field.cover.any() and not field.counts.any() and not field.overflow
         fresh = make_server()
         fresh.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=6)
         assert not region.is_empty()
@@ -626,7 +648,7 @@ def cross_check_corpus_matches(server):
             record.subscription, location, exclude=record.delivered
         )
         if field is not None:
-            known = field.matches_in_circle(location, record.subscription.radius)
+            known = field.matches_in_circle(location)
             if known is not None:
                 assert sorted(known) == sorted(event.event_id for event in expected)
         notifications = inner(record, location, now, field=field)

@@ -549,7 +549,7 @@ class TestCommandNamespace:
             server.rebuild_all(4)
             server.system_stats(now=4)
             server.snapshot()
-            server.configure_tracing(True, None)
+            server.configure_tracing(None)
             assert server.merged_metrics().notifications >= 2
             assert server.merged_registry().tracer.histogram("publish").count == 1
             assert len(list(server.corpus_matches(make_sub().expression))) == 2

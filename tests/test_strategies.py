@@ -29,9 +29,7 @@ def request_for(grid, events, *, at=Point(5000, 5000), velocity=Point(40, 15),
     return ConstructionRequest(
         location=at,
         velocity=velocity,
-        radius=radius,
-        grid=grid,
-        matching_field=StaticMatchingField(grid, events),
+        matching_field=StaticMatchingField(grid, events, radius),
         stats=SystemStats(event_rate=rate, total_events=total),
     )
 

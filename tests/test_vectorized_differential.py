@@ -104,9 +104,7 @@ def static_request(seed: int, radius=None, event_count=None) -> ConstructionRequ
     return ConstructionRequest(
         location=Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)),
         velocity=Point(rng.uniform(-40, 40), rng.uniform(-40, 40)),
-        radius=radius,
-        grid=GRID,
-        matching_field=StaticMatchingField(GRID, points),
+        matching_field=StaticMatchingField(GRID, points, radius),
         stats=SystemStats(event_rate=rng.uniform(0.5, 8), total_events=200),
     )
 
@@ -157,7 +155,7 @@ def test_the_figure_runner_counts_the_same_over_the_scalar_oracle(family, mode, 
     server's strategy swapped for the scalar oracle: every counter of the
     result but the wall clock is the same, in both matching modes and with
     repair off and on.  ``view_regrowths`` counts the array core's own
-    work: the oracle reads no array view, so it counts none, and the core
+    work: the oracle reads no array projection, so it counts none, and the core
     counts them only where a lazy field's coverage grows."""
     config = ExperimentConfig(
         strategy=family, matching_mode=mode, repair=repair, seed=5,
@@ -241,12 +239,10 @@ def test_lazy_beq_field_pairs_and_scan_counters_are_identical(seed, family, emax
     def build(strategy_cls):
         tree = BEQTree(SPACE, emax=emax)
         tree.insert_all(events)
-        field = LazyBEQField(grid, tree, expression)
+        field = LazyBEQField(grid, tree, expression, radius)
         request = ConstructionRequest(
             location=location,
             velocity=velocity,
-            radius=radius,
-            grid=grid,
             matching_field=field,
             stats=stats,
         )
@@ -310,12 +306,11 @@ def test_border_cells_and_degenerate_stats_are_byte_identical(
         if lazy:
             tree = BEQTree(SPACE, emax=16)
             tree.insert_all(events)
-            field = LazyBEQField(grid, tree, expression)
+            field = LazyBEQField(grid, tree, expression, radius)
         else:
-            field = StaticMatchingField(grid, points)
+            field = StaticMatchingField(grid, points, radius)
         request = ConstructionRequest(
-            location=location, velocity=velocity, radius=radius,
-            grid=grid, matching_field=field, stats=stats,
+            location=location, velocity=velocity, matching_field=field, stats=stats,
         )
         strategy = strategy_cls(max_cells=rng.choice([None, 90, 300]), record_visits=True)
         return strategy.construct(request), field
@@ -340,8 +335,8 @@ def test_one_expansion_runs_the_interior_and_the_border_path(family, corner):
 
     def request():
         return ConstructionRequest(
-            location=Point(*corner), velocity=Point(0.0, 0.0), radius=600.0,
-            grid=grid, matching_field=StaticMatchingField(grid, []),
+            location=Point(*corner), velocity=Point(0.0, 0.0),
+            matching_field=StaticMatchingField(grid, [], 600.0),
             stats=SystemStats(event_rate=0.0, total_events=0),
         )
 
@@ -377,13 +372,12 @@ def test_covered_pops_skip_the_field_and_scan_identically(seed, family, border):
     def build(strategy_cls):
         tree = BEQTree(SPACE, emax=16)
         tree.insert_all(events)
-        field = LazyBEQField(grid, tree, expression)
+        field = LazyBEQField(grid, tree, expression, radius)
         calls = []
         ensure = field.ensure_cell_neighbourhood
-        field.ensure_cell_neighbourhood = lambda cell, r: (calls.append(cell), ensure(cell, r))
+        field.ensure_cell_neighbourhood = lambda cell: (calls.append(cell), ensure(cell))
         request = ConstructionRequest(
-            location=location, velocity=Point(20.0, -5.0), radius=radius,
-            grid=grid, matching_field=field, stats=stats,
+            location=location, velocity=Point(20.0, -5.0), matching_field=field, stats=stats,
         )
         pair = strategy_cls(max_cells=300, record_visits=True).construct(request)
         return pair, field, calls
@@ -406,13 +400,14 @@ def test_a_large_expansion_calls_the_field_for_few_of_its_pops():
     events = random_events(rng, SPACE, 150)
     tree = BEQTree(SPACE, emax=16)
     tree.insert_all(events)
-    field = LazyBEQField(grid, tree, BooleanExpression([Predicate("a0", Operator.EQ, 99)]))
+    field = LazyBEQField(
+        grid, tree, BooleanExpression([Predicate("a0", Operator.EQ, 99)]), 800.0
+    )
     calls = []
     ensure = field.ensure_cell_neighbourhood
-    field.ensure_cell_neighbourhood = lambda cell, r: (calls.append(cell), ensure(cell, r))
+    field.ensure_cell_neighbourhood = lambda cell: (calls.append(cell), ensure(cell))
     pair = IGM(max_cells=400).construct(ConstructionRequest(
-        location=Point(5_000.0, 5_000.0), velocity=Point(20.0, 0.0), radius=800.0,
-        grid=grid, matching_field=field,
+        location=Point(5_000.0, 5_000.0), velocity=Point(20.0, 0.0), matching_field=field,
         stats=SystemStats(event_rate=2.0, total_events=150),
     ))
     assert pair.cells_examined >= 400
@@ -424,7 +419,7 @@ def test_a_large_expansion_calls_the_field_for_few_of_its_pops():
 def test_field_reuse_across_constructions_stays_identical(seed, family):
     """Repair-mode shape: one field serves several constructions.
 
-    The array core keeps a cursor-backed array view per field;
+    A field carries its own array projection;
     reusing the *same* field (and strategy instance) for a second
     construction from a different location must stay identical to the
     scalar oracle doing the same — this is the incremental ``_sync`` path.
@@ -444,15 +439,13 @@ def test_field_reuse_across_constructions_stays_identical(seed, family):
     scalar_cls, vector_cls = FAMILIES[family]
     scalar = scalar_cls(max_cells=150, record_visits=True)
     vector = vector_cls(max_cells=150, record_visits=True)
-    scalar_field = StaticMatchingField(GRID, points)
-    vector_field = StaticMatchingField(GRID, points)
+    scalar_field = StaticMatchingField(GRID, points, radius)
+    vector_field = StaticMatchingField(GRID, points, radius)
     for location in locations:
         def request(field):
             return ConstructionRequest(
                 location=location,
                 velocity=velocity,
-                radius=radius,
-                grid=GRID,
                 matching_field=field,
                 stats=stats,
             )
@@ -476,9 +469,7 @@ def test_lemma1_empty_region_degenerate_case(family):
     request_for = lambda: ConstructionRequest(  # noqa: E731 - two fresh fields
         location=location,
         velocity=Point(10.0, 0.0),
-        radius=1_000.0,
-        grid=GRID,
-        matching_field=StaticMatchingField(GRID, [location]),  # event on top of us
+        matching_field=StaticMatchingField(GRID, [location], 1_000.0),  # event on top of us
         stats=SystemStats(event_rate=2.0, total_events=10),
     )
     scalar_pair = scalar_cls(record_visits=True).construct(request_for())
@@ -521,12 +512,10 @@ def test_unsafe_start_cell_over_a_lazy_field_is_the_scalar_single_pop(
     def build(strategy_cls):
         tree = BEQTree(SPACE, emax=16)
         tree.insert_all(events)
-        field = LazyBEQField(grid, tree, expression)
+        field = LazyBEQField(grid, tree, expression, radius)
         request = ConstructionRequest(
             location=location,
             velocity=velocity,
-            radius=radius,
-            grid=grid,
             matching_field=field,
             stats=SystemStats(event_rate=2.0, total_events=len(events)),
         )
@@ -567,7 +556,7 @@ def test_array_view_sync_may_lag_behind_an_unsafe_start_cell(seed, family):
         sides.append(
             (
                 strategy_cls(max_cells=150, record_visits=True),
-                LazyBEQField(grid, tree, expression),
+                LazyBEQField(grid, tree, expression, radius),
             )
         )
 
@@ -577,8 +566,6 @@ def test_array_view_sync_may_lag_behind_an_unsafe_start_cell(seed, family):
                 ConstructionRequest(
                     location=location,
                     velocity=Point(15.0, -5.0),
-                    radius=radius,
-                    grid=grid,
                     matching_field=field,
                     stats=stats,
                 )
@@ -596,20 +583,21 @@ def test_array_view_sync_may_lag_behind_an_unsafe_start_cell(seed, family):
         # degenerate at home: the first syncs (the bit is clear), the
         # later ones find it set and leave the noted points unsynced
         assert construct_both(home).safe.is_empty()
+        # inside the box of the scanned leaves, where a field notes arrivals
+        x_lo, y_lo, x_hi, y_hi = sides[1][1]._box
         for _ in range(rng.randint(1, 6)):
-            point = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
+            point = Point(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
             for _, field in sides:
                 field.note_event(next_id, point)
             next_id += 1
     _, vector_field = sides[1]
-    view = vector_field.array_views[radius]
-    assert view.admitted  # the lag is real
+    assert vector_field._admitted_points  # the lag is real
     away = Point(
         min(max(home.x - 2.5 * radius, 100.0), 9_900.0),
         min(max(home.y + rng.uniform(-1_000, 1_000), 100.0), 9_900.0),
     )
     construct_both(away)
-    assert not view.admitted
+    assert not vector_field._admitted_points
 
 
 @DIFF_SETTINGS
@@ -645,9 +633,7 @@ def test_candidate_offset_tables_with_and_without_interior_cells(
         return ConstructionRequest(
             location=location,
             velocity=velocity,
-            radius=radius,
-            grid=grid,
-            matching_field=StaticMatchingField(grid, points),
+            matching_field=StaticMatchingField(grid, points, radius),
             stats=stats,
         )
 
@@ -725,9 +711,7 @@ def test_tiebreak_visits_equal_score_cells_in_morton_order():
     request_for = lambda: ConstructionRequest(  # noqa: E731
         location=center,
         velocity=Point(0.0, 0.0),
-        radius=500.0,
-        grid=grid,
-        matching_field=StaticMatchingField(grid, []),
+        matching_field=StaticMatchingField(grid, [], 500.0),
         stats=SystemStats(event_rate=2.0, total_events=100),
     )
     scalar_pair = ScalarIGM(max_cells=9, record_visits=True).construct(request_for())
@@ -772,9 +756,7 @@ def test_visit_order_is_independent_of_corpus_ordering(seed, family):
         request = ConstructionRequest(
             location=location,
             velocity=Point(0.0, 0.0),
-            radius=radius,
-            grid=GRID,
-            matching_field=StaticMatchingField(GRID, corpus),
+            matching_field=StaticMatchingField(GRID, corpus, radius),
             stats=stats,
         )
         return strategy_cls(max_cells=80, record_visits=True).construct(request)
