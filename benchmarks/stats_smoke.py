@@ -56,9 +56,9 @@ def _check_prometheus(text: str, counters: dict, stages: dict) -> None:
     duplicates = {i for i in identities if identities.count(i) > 1}
     assert not duplicates, f"duplicate samples: {sorted(duplicates)}"
     # every counter field surfaces under its canonical metric name
-    # (high-water marks and bytes_measured render as gauges, no _total)
+    # (high-water marks render as gauges, no _total)
     for name in counters:
-        if name == "bytes_measured" or name.endswith("_high_water"):
+        if name.endswith("_high_water"):
             metric = f"elaps_{name}"
         else:
             metric = f"elaps_{name}_total"

@@ -15,7 +15,7 @@ from repro.system import run_experiment
 def _run():
     rows = []
     for strategy in ("VM", "iGM", "idGM"):
-        result = run_experiment(DEFAULTS.with_(strategy=strategy, measure_bytes=True))
+        result = run_experiment(DEFAULTS.with_(strategy=strategy))
         stats = result.stats
         rows.append(
             {

@@ -79,7 +79,7 @@ def main() -> None:
     server = ElapsServer(
         Grid(100, SPACE),
         IGM(max_cells=1_200),
-        ServerConfig(initial_rate=3.0, measure_bytes=True),
+        ServerConfig(initial_rate=3.0),
         event_index=BEQTree(SPACE, emax=128),
         transport=CallbackTransport(
             locate=lambda sub_id: (

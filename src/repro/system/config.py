@@ -92,7 +92,7 @@ class ServerConfig:
     Being frozen (and hashable but for the optional callable) it can be
     shared verbatim across the workers of a sharded deployment — the
     coordinator hands the *same* config to every shard, so a fleet can
-    never be built half-repairing or half-measuring.
+    never be built half-repairing.
     """
 
     #: how a construction finds the subscriber's matching events, one of
@@ -105,8 +105,6 @@ class ServerConfig:
     #: replace the live cost-model inputs with a fixed schedule (tests
     #: and the Figure 10 oracle variants)
     stats_override: Optional[Callable[[int], "SystemStats"]] = None
-    #: account wire bytes for every message that would cross the network
-    measure_bytes: bool = False
     #: ablation switch: with False, every be-matching arrival pings the
     #: subscriber, as if the impact-region concept did not exist
     use_impact_region: bool = True

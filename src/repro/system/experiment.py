@@ -74,7 +74,6 @@ class ExperimentConfig:
     matching_mode: Optional[str] = None  # None: matching_mode_for(strategy)
     max_cells: Optional[int] = 2500  # safe-region cap (deviation, DESIGN.md)
     seed: int = 7
-    measure_bytes: bool = False
     alpha: Optional[float] = None  # idGM direction weight override
     beta: Optional[float] = None  # termination threshold override (Fig 9)
     rate_schedule: Optional[Callable[[int], float]] = None  # dynamic f (Fig 10a)
@@ -143,7 +142,6 @@ def build_server(config: ExperimentConfig, journal=None):
     server_config = ServerConfig(
         matching_mode=config.resolved_matching_mode,
         initial_rate=config.event_rate,
-        measure_bytes=config.measure_bytes,
         use_impact_region=config.use_impact_region,
         repair=config.repair,
         journal=journal,

@@ -10,7 +10,8 @@ subscriber, split into the two types of Section 3.3:
   answers with either a notification or a new safe region.
 
 The secondary metrics cover Appendix B (bytes shipped per safe region,
-raw vs compressed) and Appendix D.3 (server computation cost of safe-
+raw vs compressed, and the wire bytes of every message, which every
+server counts) and Appendix D.3 (server computation cost of safe-
 region construction, plus the work counters of the matching machinery).
 """
 
@@ -30,15 +31,12 @@ class CommunicationStats:
     constructions: int = 0
     cells_examined: int = 0
     events_scanned: int = 0
+    #: WAH-compressed and raw bytes of every shipped safe region
+    #: (Appendix B)
     safe_region_bytes: int = 0
     raw_region_bytes: int = 0
-    #: True once the owning server was configured with byte measurement
-    #: (``measure_bytes=True``).  Byte measurement is OFF by default —
-    #: the wire counters below then stay 0 by design, and this flag lets
-    #: a report distinguish "measured zero bytes" from "never measured".
-    bytes_measured: bool = False
-    #: full wire-protocol bytes (frames included), split by direction;
-    #: populated only when byte measurement is enabled
+    #: full wire-protocol bytes (frames included), split by direction:
+    #: the length of every frame that crosses, or would cross, the network
     wire_bytes_up: int = 0
     wire_bytes_down: int = 0
     server_seconds: float = 0.0
@@ -137,8 +135,7 @@ class CommunicationStats:
     #: type-II hits where the repair budget forced a full reconstruction
     #: (region empty, too many cells carved away, or balance drift)
     repair_fallbacks: int = 0
-    #: compressed bytes of the removed-cell bitmaps shipped as deltas;
-    #: populated only when byte measurement is enabled
+    #: compressed bytes of the removed-cell bitmaps shipped as deltas
     delta_region_bytes: int = 0
     # ------------------------------------------------------------------
     # Location-update traffic: which share of the type-I work is the
@@ -209,7 +206,7 @@ class CommunicationStats:
         }
 
     def as_dict(self) -> Dict[str, float]:
-        """Every counter (and the ``bytes_measured`` flag) by field name.
+        """Every counter by field name.
 
         The machine-readable form benchmarks and reports consume; new
         counters join automatically, so a report can never silently miss
@@ -224,15 +221,12 @@ class CommunicationStats:
     def merged_with(self, other: "CommunicationStats") -> "CommunicationStats":
         """Field-wise sum with another accumulator (inputs untouched).
 
-        Counters add; the ``bytes_measured`` flag ORs (a merged report
-        contains measured bytes if either side measured them); the
-        high-water gauges in :data:`MAX_MERGED` take the max.
+        Counters add; the high-water gauges in :data:`MAX_MERGED` take
+        the max.
         """
         merged = CommunicationStats()
         for f in fields(CommunicationStats):
-            if f.name == "bytes_measured":
-                merged.bytes_measured = self.bytes_measured or other.bytes_measured
-            elif f.name in self.MAX_MERGED:
+            if f.name in self.MAX_MERGED:
                 setattr(
                     merged, f.name, max(getattr(self, f.name), getattr(other, f.name))
                 )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from time import perf_counter
 
@@ -230,19 +230,12 @@ class SpanTracer:
             matches = list(index.match_event(event))
 
     A ``slow_threshold`` (seconds) turns the tracer into a live
-    profiler: any span at or above it is reported through
-    ``slow_handler`` (default: a ``logging`` warning) the moment it
-    closes.
+    profiler: any span at or above it is logged as a warning the moment
+    it closes.
     """
 
-    def __init__(
-        self,
-        *,
-        slow_threshold: Optional[float] = None,
-        slow_handler: Optional[Callable[[str, float], None]] = None,
-    ) -> None:
+    def __init__(self, *, slow_threshold: Optional[float] = None) -> None:
         self.slow_threshold = slow_threshold
-        self.slow_handler = slow_handler
         #: stage name -> histogram; populated lazily as stages first run
         self.histograms: Dict[str, LatencyHistogram] = {}
 
@@ -258,11 +251,8 @@ class SpanTracer:
         return self.histograms.setdefault(stage, LatencyHistogram())
 
     def _on_slow(self, stage: str, elapsed: float) -> None:
-        if self.slow_handler is not None:
-            self.slow_handler(stage, elapsed)
-        else:
-            logger.warning("slow span: %s took %.6fs (threshold %.6fs)",
-                           stage, elapsed, self.slow_threshold)
+        logger.warning("slow span: %s took %.6fs (threshold %.6fs)",
+                       stage, elapsed, self.slow_threshold)
 
     def summaries(self) -> Dict[str, Dict[str, float]]:
         """Per-stage scalar digests, stages sorted by name."""
@@ -358,8 +348,8 @@ def render_prometheus(
     """Counters, histograms and gauges as Prometheus text exposition format.
 
     Counter fields become ``<prefix>_<name>_total`` counters (the
-    ``bytes_measured`` flag and the ``*_high_water`` queue-depth marks
-    become gauges, ``server_seconds`` keeps its unit in the name); every
+    ``*_high_water`` queue-depth marks become gauges, ``server_seconds``
+    keeps its unit in the name); every
     span stage becomes one labelled
     series of the single ``<prefix>_stage_duration_seconds`` histogram
     family, with the cumulative ``le`` buckets the format requires; every
@@ -368,12 +358,6 @@ def render_prometheus(
     lines: List[str] = []
     for name in sorted(counters):
         value = counters[name]
-        if name == "bytes_measured":
-            metric = f"{prefix}_bytes_measured"
-            lines.append(f"# HELP {metric} Whether wire-byte measurement was on.")
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_format_value(value)}")
-            continue
         if name.endswith("_high_water"):
             # queue-depth high-water marks are level gauges, not
             # monotone accumulators; a _total suffix would invite rate()

@@ -553,7 +553,7 @@ class StatsSnapshot(_Message):
     Two sections travel:
 
     * ``counters`` — every :class:`~repro.system.metrics.CommunicationStats`
-      field by name (the ``bytes_measured`` flag as 0/1);
+      field by name;
     * ``spans`` — per pipeline stage, the fixed-bucket latency histogram
       as ``(stage, bucket counts, exact seconds sum)``; bucket bounds
       are the protocol constant

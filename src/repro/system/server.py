@@ -72,6 +72,7 @@ from .observability import MetricsRegistry
 from .protocol import (
     LocationPing,
     LocationReport,
+    ResyncMessage,
     message_bytes,
     notification_bytes,
     region_delta_for,
@@ -192,19 +193,9 @@ class ElapsServer:
             else SubscriptionIndex()
         )
         self.impact_index = ImpactRegionIndex()
-        self.matching_mode = config.matching_mode
+        #: the rate estimator's window and the repair budget: constants
+        #: no configuration sets, assignable for tests (DESIGN.md §12)
         self.rate_window = RATE_WINDOW
-        self.initial_rate = config.initial_rate
-        self.stats_override = config.stats_override
-        self.measure_bytes = config.measure_bytes
-        #: ablation switch: with False, *every* be-matching arrival pings
-        #: the subscriber, as if the impact region concept did not exist
-        self.use_impact_region = config.use_impact_region
-        #: repair mode: an out-of-radius type-II event carves its dilation
-        #: out of the cached safe region (shipping only the removed cells)
-        #: instead of re-running the construction strategy.  Off by
-        #: default; the always-rebuild behaviour is the paper's.
-        self.repair = config.repair
         self.repair_budget = RepairBudget()
         #: the one client-facing seam: region/delta shipping and the
         #: location ping all go through here (None = headless server)
@@ -212,7 +203,6 @@ class ElapsServer:
 
         self.subscribers: Dict[int, SubscriberRecord] = {}
         self.metrics = CommunicationStats()
-        self.metrics.bytes_measured = config.measure_bytes
         #: the unified observability surface: the counters above plus the
         #: per-stage latency histograms fed by the span tracer.  The
         #: tracer is shared with the TCP layer (frame read/decode/
@@ -291,16 +281,18 @@ class ElapsServer:
 
     def _estimated_rate(self, now: int) -> float:
         self._prune_arrivals(now)
-        if self.initial_rate is not None and (
+        initial_rate = self.config.initial_rate
+        if initial_rate is not None and (
             self._started_at is None or now - self._started_at < self.rate_window
         ):
-            return self.initial_rate
+            return initial_rate
         return len(self._arrival_times) / self.rate_window
 
     def system_stats(self, now: int) -> SystemStats:
         """The cost-model inputs at time ``now`` (Equations 5-6)."""
-        if self.stats_override is not None:
-            return self.stats_override(now)
+        stats_override = self.config.stats_override
+        if stats_override is not None:
+            return stats_override(now)
         return SystemStats(
             event_rate=self._estimated_rate(now),
             total_events=len(self.event_index),
@@ -344,11 +336,10 @@ class ElapsServer:
         self.subscribers[subscription.sub_id] = record
         self.subscription_index.insert(subscription)
         notifications = self._deliver_corpus_matches(record, location, now)
-        if self.measure_bytes:
-            self.metrics.wire_bytes_up += message_bytes(
-                subscribe_message_for(subscription, location, velocity)
-            )
-            self._account_notification_bytes(notifications)
+        self.metrics.wire_bytes_up += message_bytes(
+            subscribe_message_for(subscription, location, velocity)
+        )
+        self._account_notification_bytes(notifications)
         self._construct(record, now)
         self._maybe_snapshot()
         return notifications, record.safe
@@ -496,8 +487,9 @@ class ElapsServer:
             self._track_event(event)
         self._note_arrivals(now, len(events))
         event_cells = [self.grid.cell_of(event.location) for event in events]
+        use_impact_region = self.config.use_impact_region
         covering: Dict = {}
-        if self.use_impact_region:
+        if use_impact_region:
             covering = self.impact_index.match_batch(event_cells)
         notifications: List[Notification] = []
         pinged: Set[int] = set()
@@ -524,7 +516,7 @@ class ElapsServer:
                 if record is None or event.event_id in record.delivered:
                     continue
                 field = record.lazy_field
-                if self.use_impact_region and (
+                if use_impact_region and (
                     subscription.sub_id not in covering[event_cell]
                 ):
                     # Outside the impact region: the safe region stays
@@ -539,15 +531,14 @@ class ElapsServer:
                     pinged.add(subscription.sub_id)
                     self.metrics.event_arrival_rounds += 1
                     self._refresh_location(record)
-                    if self.measure_bytes:
-                        self.metrics.wire_bytes_down += message_bytes(
-                            LocationPing(subscription.sub_id)
+                    self.metrics.wire_bytes_down += message_bytes(
+                        LocationPing(subscription.sub_id)
+                    )
+                    self.metrics.wire_bytes_up += message_bytes(
+                        LocationReport(
+                            subscription.sub_id, record.location, record.velocity
                         )
-                        self.metrics.wire_bytes_up += message_bytes(
-                            LocationReport(
-                                subscription.sub_id, record.location, record.velocity
-                            )
-                        )
+                    )
                 distance = record.location.distance_to(event.location)
                 if distance <= subscription.radius:
                     record.delivered.add(event.event_id)
@@ -564,12 +555,12 @@ class ElapsServer:
                     pending_repair.setdefault(subscription.sub_id, []).append(
                         event.location
                     )
-        if self.measure_bytes:
-            self._account_notification_bytes(notifications)
+        self._account_notification_bytes(notifications)
+        repair = self.config.repair
         for sub_id, record in needs_construct.items():
-            if self.repair and self._repair(record, pending_repair[sub_id]):
+            if repair and self._repair(record, pending_repair[sub_id]):
                 continue
-            if self.repair:
+            if repair:
                 self.metrics.repair_fallbacks += 1
             self._construct(record, now)
         self.metrics.batches += 1
@@ -699,11 +690,10 @@ class ElapsServer:
         notifications = self._deliver_corpus_matches(
             record, location, now, field=record.lazy_field
         )
-        if self.measure_bytes:
-            self.metrics.wire_bytes_up += message_bytes(
-                LocationReport(sub_id, location, velocity)
-            )
-            self._account_notification_bytes(notifications)
+        self.metrics.wire_bytes_up += message_bytes(
+            LocationReport(sub_id, location, velocity)
+        )
+        self._account_notification_bytes(notifications)
         self._construct(record, now)
         return notifications, record.safe
 
@@ -742,8 +732,10 @@ class ElapsServer:
         record.delivered = set(received)
         notifications = self._deliver_corpus_matches(record, location, now)
         self.metrics.redeliveries += len(notifications)
-        if self.measure_bytes:
-            self._account_notification_bytes(notifications)
+        self.metrics.wire_bytes_up += message_bytes(
+            ResyncMessage(sub_id, location, velocity, received)
+        )
+        self._account_notification_bytes(notifications)
         self._construct(record, now)
         self._maybe_snapshot()
         return notifications, record.safe
@@ -867,10 +859,7 @@ class ElapsServer:
             # Tolerate counters from other builds: restore what exists.
             if not hasattr(self.metrics, name):
                 continue
-            current = getattr(self.metrics, name)
-            if isinstance(current, bool):
-                setattr(self.metrics, name, bool(value))
-            elif isinstance(current, float):
+            if isinstance(getattr(self.metrics, name), float):
                 setattr(self.metrics, name, float(value))
             else:
                 setattr(self.metrics, name, int(value))
@@ -945,19 +934,20 @@ class ElapsServer:
             record.location, record.velocity = answer
 
     def _matching_field(self, record: SubscriberRecord):
-        if self.matching_mode == "ondemand":
+        if self.config.matching_mode == "ondemand":
             field = record.lazy_field
             if field is None:
+                repair = self.config.repair
                 field = LazyBEQField(
                     self.grid,
                     self.event_index,
                     record.subscription.expression,
                     record.subscription.radius,
                     excluded_ids=record.delivered,
-                    holders=self._field_holders if self.repair else None,
+                    holders=self._field_holders if repair else None,
                     owner=record.subscription.sub_id,
                 )
-                if self.repair:
+                if repair:
                     record.lazy_field = field
             return field
         # Full mode: materialise every be-matching event upfront (the
@@ -1025,7 +1015,7 @@ class ElapsServer:
             max_cells = getattr(self.strategy, "max_cells", None)
             if max_cells is not None and pair.safe.area_cells() >= max_cells:
                 self.metrics.capped_constructions += 1
-        if self.repair:
+        if self.config.repair:
             record.repair = RepairState(
                 pair=pair,
                 cells_at_build=pair.safe.area_cells(),
@@ -1040,11 +1030,10 @@ class ElapsServer:
     def _ship_region(self, record: SubscriberRecord) -> None:
         """Account and push one full safe region to its client."""
         with self.tracer.span("ship"):
-            if self.measure_bytes:
-                push = region_push_for(record.subscription.sub_id, record.safe)
-                self.metrics.safe_region_bytes += push.bitmap.compressed_bytes()
-                self.metrics.raw_region_bytes += push.bitmap.raw_bytes()
-                self.metrics.wire_bytes_down += message_bytes(push)
+            push = region_push_for(record.subscription.sub_id, record.safe)
+            self.metrics.safe_region_bytes += push.bitmap.compressed_bytes()
+            self.metrics.raw_region_bytes += push.bitmap.raw_bytes()
+            self.metrics.wire_bytes_down += message_bytes(push)
             if self.transport is not None:
                 self.transport.ship_region(record.subscription.sub_id, record.safe)
 
@@ -1115,9 +1104,8 @@ class ElapsServer:
             return
         with self.tracer.span("ship"):
             sub_id = record.subscription.sub_id
-            if self.measure_bytes:
-                delta = region_delta_for(sub_id, self.grid, removed)
-                self.metrics.delta_region_bytes += delta.bitmap.compressed_bytes()
-                self.metrics.wire_bytes_down += message_bytes(delta)
+            delta = region_delta_for(sub_id, self.grid, removed)
+            self.metrics.delta_region_bytes += delta.bitmap.compressed_bytes()
+            self.metrics.wire_bytes_down += message_bytes(delta)
             if self.transport is not None:
                 self.transport.ship_delta(sub_id, removed, record.safe)

@@ -287,7 +287,6 @@ class ShardedElapsServer:
         #: per-worker activity lives in each shard's own metrics and is
         #: folded in by :meth:`merged_metrics`
         self.metrics = CommunicationStats()
-        self.metrics.bytes_measured = self.config.measure_bytes
         self.registry = MetricsRegistry(self.metrics)
         self.tracer = self.registry.tracer
         self._dirty: Dict[int, _Dirty] = {}

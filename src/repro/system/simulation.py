@@ -51,6 +51,13 @@ class SimulationTransport(Transport):
         """The client side of the safe-region push (Figure 6)."""
         self._simulation.clients[sub_id].receive_region(region)
 
+    def ship_delta(self, sub_id: int, removed, region: SafeRegion) -> None:
+        """The client side of a repair: carve the removed cells out of the
+        held region, or install the full one when none is held."""
+        client = self._simulation.clients[sub_id]
+        if not client.apply_region_delta(removed):
+            client.receive_region(region)
+
 
 @dataclass
 class SimulationResult:

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import IGM
+from repro.core import IGM, RepairBudget
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
@@ -50,22 +50,23 @@ def sale(event_id, x, y):
 # ----------------------------------------------------------------------
 class TestServerConfig:
     def test_defaults_round_trip_onto_the_server(self):
+        """The server keeps its config and reads every knob from it: no
+        attribute mirrors a field, so a knob has one name."""
         config = ServerConfig(
             matching_mode="full",
             initial_rate=3.0,
-            measure_bytes=True,
             use_impact_region=False,
             repair=True,
         )
         server = make_server(config)
         assert server.config is config
-        assert server.matching_mode == "full"
+        assert server.system_stats(0).event_rate == 3.0
+        for field in dataclasses.fields(ServerConfig):
+            if field.name != "journal":  # server.journal is the opened Journal
+                assert field.name not in vars(server), field.name
+        # the two assignable test seams are constants, not config fields
         assert server.rate_window == RATE_WINDOW
-        assert server.initial_rate == 3.0
-        assert server.measure_bytes is True
-        assert server.metrics.bytes_measured is True
-        assert server.use_impact_region is False
-        assert server.repair is True
+        assert server.repair_budget == RepairBudget()
 
     def test_frozen(self):
         config = ServerConfig()

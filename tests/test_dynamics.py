@@ -69,7 +69,7 @@ class TestOracle:
 
 class TestWireBytes:
     def test_byte_accounting_in_simulation(self):
-        result = run_experiment(SMALL.with_(measure_bytes=True, event_rate=8.0))
+        result = run_experiment(SMALL.with_(event_rate=8.0))
         stats = result.stats
         assert stats.wire_bytes_down > 0
         # every construction ships a safe region, so downstream carries at
@@ -78,14 +78,9 @@ class TestWireBytes:
         # compressed never exceeds raw
         assert stats.safe_region_bytes <= stats.raw_region_bytes
 
-    def test_bytes_disabled_by_default(self):
-        result = run_experiment(SMALL)
-        assert result.stats.wire_bytes_up == 0
-        assert result.stats.wire_bytes_down == 0
-
     def test_gm_complement_regions_ship_compact(self):
         result = run_experiment(
-            SMALL.with_(strategy="GM", matching_mode="full", measure_bytes=True)
+            SMALL.with_(strategy="GM", matching_mode="full")
         )
         stats = result.stats
         # GM's regions cover almost the whole grid; shipping the excluded

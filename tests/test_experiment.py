@@ -47,10 +47,10 @@ class TestBuildStrategy:
         server = build_server(config)
         workers = getattr(server, "shard_servers", [server])
         assert len(workers) == shards
-        assert {worker.matching_mode for worker in workers} == {matching_mode_for(strategy)}
+        assert {worker.config.matching_mode for worker in workers} == {matching_mode_for(strategy)}
         assert config.resolved_matching_mode == matching_mode_for(strategy)
         explicit = build_server(config.with_(matching_mode="ondemand"))
-        assert {w.matching_mode for w in getattr(explicit, "shard_servers", [explicit])} == {
+        assert {w.config.matching_mode for w in getattr(explicit, "shard_servers", [explicit])} == {
             "ondemand"
         }
 

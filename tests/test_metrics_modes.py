@@ -1,12 +1,10 @@
-"""CommunicationStats byte-measurement modes and report completeness.
+"""CommunicationStats byte accounting and report completeness.
 
-Byte measurement is OFF by default (``measure_bytes=False``): the wire
-counters stay 0 *by design*, and ``bytes_measured`` records which case a
-report is looking at — "measured zero" and "never measured" must not be
-confusable.  Both modes are exercised against a real workload, and the
-dataclass-driven ``as_dict``/``merged_with`` are held to covering every
-counter, so a newly added field (like the batch counters) can never be
-silently dropped from reports or merges again.
+Every server counts the bytes of every frame it builds, in both
+directions; there is no switch.  The accounting is exercised against a
+real workload, and the dataclass-driven ``as_dict``/``merged_with`` are
+held to covering every counter, so a newly added field (like the batch
+counters) can never be silently dropped from reports or merges again.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from repro.index import BEQTree
 from repro.system import ServerConfig, CommunicationStats, ElapsServer
 from repro.system.protocol import (
     LocationPing,
+    ResyncMessage,
     encode_message,
     message_bytes,
     notification_for,
@@ -29,12 +28,10 @@ from repro.system.protocol import (
 SPACE = Rect(0, 0, 10_000, 10_000)
 
 
-def run_workload(measure_bytes: bool, repair: bool = False) -> ElapsServer:
+def run_workload(config: ServerConfig = ServerConfig(initial_rate=1.0)) -> ElapsServer:
     server = ElapsServer(
-        Grid(40, SPACE),
-        IGM(max_cells=400),
-        ServerConfig(initial_rate=1.0, measure_bytes=measure_bytes, repair=repair),
-        event_index=BEQTree(SPACE, emax=32))
+        Grid(40, SPACE), IGM(max_cells=400), config, event_index=BEQTree(SPACE, emax=32)
+    )
     sub = Subscription(
         1,
         BooleanExpression([Predicate("topic", Operator.EQ, "sale")]),
@@ -56,25 +53,35 @@ def run_workload(measure_bytes: bool, repair: bool = False) -> ElapsServer:
     return server
 
 
-class TestModes:
-    def test_default_mode_measures_nothing_and_says_so(self):
-        metrics = run_workload(measure_bytes=False).metrics
-        assert metrics.bytes_measured is False
-        assert metrics.wire_bytes_up == 0
-        assert metrics.wire_bytes_down == 0
-        assert metrics.safe_region_bytes == 0
-        assert metrics.raw_region_bytes == 0
-        # the workload itself still happened
-        assert metrics.notifications > 0
-        assert metrics.batches == 3  # two single publishes + one burst
+REPAIRING = ServerConfig(initial_rate=1.0, repair=True)
 
+
+class TestModes:
     def test_measured_mode_accounts_every_direction(self):
-        metrics = run_workload(measure_bytes=True).metrics
-        assert metrics.bytes_measured is True
+        """Measured is the only mode: a default-config server counts
+        every direction."""
+        metrics = run_workload(ServerConfig()).metrics
         assert metrics.wire_bytes_up > 0      # subscribe + reports
         assert metrics.wire_bytes_down > 0    # pushes + notifications
         assert metrics.safe_region_bytes > 0  # compressed region payloads
         assert metrics.raw_region_bytes >= metrics.safe_region_bytes
+        assert metrics.notifications > 0
+        assert metrics.batches == 3  # two single publishes + one burst
+
+    def test_a_resync_counts_the_frame_the_client_sent(self):
+        server = run_workload()
+        up, down = server.metrics.wire_bytes_up, server.metrics.wire_bytes_down
+        location, velocity = Point(5_400, 5_000), Point(20, 0)
+        received = tuple(range(1_000, 2_000))
+        notifications, region = server.resync(1, location, velocity, received, now=5)
+        frame = message_bytes(ResyncMessage(1, location, velocity, received))
+        assert frame > 8 * len(received)
+        assert server.metrics.wire_bytes_up - up == frame
+        # down: the redelivered notifications and the fresh region, as before
+        assert server.metrics.wire_bytes_down - down == sum(
+            len(encode_message(notification_for(n.sub_id, n.event, n.seq)))
+            for n in notifications
+        ) + message_bytes(region_push_for(1, region))
 
     def test_a_notification_counts_as_the_frame_that_carries_it(self):
         """One encode per event, not one per recipient — and still the
@@ -82,7 +89,7 @@ class TestModes:
         server = ElapsServer(
             Grid(40, SPACE),
             IGM(max_cells=400),
-            ServerConfig(initial_rate=1.0, measure_bytes=True),
+            ServerConfig(initial_rate=1.0),
             event_index=BEQTree(SPACE, emax=32))
         for sub_id in (1, 2, 3):
             sub = Subscription(
@@ -125,30 +132,6 @@ class TestModes:
             region_push_for(4, region)
         )
 
-    def test_both_modes_agree_on_communication_rounds(self):
-        """Measurement is observational: it never changes behaviour."""
-        off = run_workload(measure_bytes=False).metrics.as_dict()
-        on = run_workload(measure_bytes=True).metrics.as_dict()
-        byte_fields = {
-            "bytes_measured",
-            "wire_bytes_up",
-            "wire_bytes_down",
-            "safe_region_bytes",
-            "raw_region_bytes",
-            "delta_region_bytes",
-            "server_seconds",
-        }
-        for name, value in off.items():
-            if name not in byte_fields:
-                assert on[name] == value, name
-
-    def test_measurement_is_observational_under_repair_too(self):
-        off = run_workload(measure_bytes=False, repair=True).metrics
-        on = run_workload(measure_bytes=True, repair=True).metrics
-        assert off.repairs == on.repairs
-        assert off.repair_fallbacks == on.repair_fallbacks
-        assert off.total_rounds == on.total_rounds
-        assert off.delta_region_bytes == 0  # off by design when unmeasured
 
 
 class TestReportCompleteness:
@@ -157,7 +140,7 @@ class TestReportCompleteness:
         assert set(stats.as_dict()) == {f.name for f in fields(CommunicationStats)}
 
     def test_as_dict_includes_batch_counters(self):
-        report = run_workload(measure_bytes=False).metrics.as_dict()
+        report = run_workload().metrics.as_dict()
         for key in ("batches", "batch_events", "leaf_probes_saved", "cache_hits"):
             assert key in report
         # every pass through the pipeline counts, single publishes included
@@ -171,7 +154,7 @@ class TestReportCompleteness:
         this pins the three repair counters by name so a rename or an
         accidental property-isation (properties are not fields) shows up.
         """
-        report = run_workload(measure_bytes=True, repair=True).metrics.as_dict()
+        report = run_workload(REPAIRING).metrics.as_dict()
         for key in ("repairs", "repair_fallbacks", "delta_region_bytes"):
             assert key in report
         # the workload's out-of-radius type-II hit was repaired, not rebuilt
@@ -181,13 +164,13 @@ class TestReportCompleteness:
     def test_per_subscriber_includes_repairs_and_batches(self):
         """A repair-mode run must be distinguishable from rebuild-mode
         when only the per-subscriber view is reported."""
-        metrics = run_workload(measure_bytes=False, repair=True).metrics
+        metrics = run_workload(REPAIRING).metrics
         per = metrics.per_subscriber(1)
         assert per["repairs"] == metrics.repairs >= 1
         assert per["batches"] == metrics.batches == 3
 
     def test_per_subscriber_divides_by_population(self):
-        metrics = run_workload(measure_bytes=False).metrics
+        metrics = run_workload().metrics
         per = metrics.per_subscriber(4)
         assert per["notifications"] == metrics.notifications / 4
         assert per["batches"] == metrics.batches / 4
@@ -214,15 +197,12 @@ class TestReportCompleteness:
         assert a.merged_with(b).write_timeouts == 5
         assert a.as_dict()["write_timeouts"] == 2
 
-    def test_merge_sums_every_counter_and_ors_the_flag(self):
-        a = run_workload(measure_bytes=False).metrics
-        b = run_workload(measure_bytes=True).metrics
+    def test_merge_sums_every_counter(self):
+        a = run_workload().metrics
+        b = run_workload(REPAIRING).metrics
         merged = a.merged_with(b)
-        assert merged.bytes_measured is True
         for f in fields(CommunicationStats):
-            if f.name == "bytes_measured":
-                continue
             assert getattr(merged, f.name) == getattr(a, f.name) + getattr(b, f.name), f.name
         # inputs untouched
-        assert a.bytes_measured is False
         assert a.batches == 3
+        assert a.repairs == 0

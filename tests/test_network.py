@@ -566,7 +566,7 @@ class TestRegionShip:
             server = ElapsServer(
                 Grid(40, SPACE),
                 IGM(max_cells=400),
-                ServerConfig(initial_rate=1.0, measure_bytes=True),
+                ServerConfig(initial_rate=1.0),
                 event_index=BEQTree(SPACE, emax=32),
             )
             tcp = ElapsTCPServer(server, port=0, timestamp_seconds=0.05)

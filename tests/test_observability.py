@@ -158,22 +158,20 @@ class TestSpanTracer:
         first.__exit__(None, None, None)
         assert tracer.histograms["drain"].count == 2
 
-    def test_slow_handler_fires_at_threshold_only(self):
-        reported = []
-        tracer = SpanTracer(
-            slow_threshold=0.01,
-            slow_handler=lambda stage, elapsed: reported.append((stage, elapsed)),
-        )
-        with tracer.span("fast"):
-            pass
-        assert reported == []
-        span = tracer.span("slow")
-        span.__enter__()
-        span._started -= 0.05  # age the span past the threshold
-        span.__exit__(None, None, None)
-        assert len(reported) == 1
-        assert reported[0][0] == "slow"
-        assert reported[0][1] >= 0.01
+    def test_slow_handler_fires_at_threshold_only(self, caplog):
+        tracer = SpanTracer(slow_threshold=0.01)
+        with caplog.at_level(logging.WARNING, "repro.system.observability"):
+            with tracer.span("fast"):
+                pass
+            assert caplog.records == []
+            span = tracer.span("slow")
+            span.__enter__()
+            span._started -= 0.05  # age the span past the threshold
+            span.__exit__(None, None, None)
+        assert len(caplog.records) == 1
+        stage, elapsed, threshold = caplog.records[0].args
+        assert stage == "slow"
+        assert elapsed >= threshold == 0.01
 
     def test_default_slow_handler_logs_a_warning(self, caplog):
         tracer = SpanTracer(slow_threshold=0.01)
@@ -230,7 +228,7 @@ class TestPrometheusExport:
         _, text = self._exposition()
         assert "elaps_notifications_total 12" in text
         assert "# TYPE elaps_notifications_total counter" in text
-        assert "# TYPE elaps_bytes_measured gauge" in text
+        assert "bytes_measured" not in text
 
     def test_high_water_fields_exported_as_gauges(self):
         registry = MetricsRegistry()
@@ -258,7 +256,7 @@ class TestPrometheusExport:
     def test_every_counter_field_present(self):
         registry, text = self._exposition()
         for name in registry.stats.as_dict():
-            if name == "bytes_measured" or name.endswith("_high_water"):
+            if name.endswith("_high_water"):
                 metric = f"elaps_{name}"  # gauges: no _total suffix
             else:
                 metric = f"elaps_{name}_total"

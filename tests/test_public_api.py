@@ -95,8 +95,15 @@ class TestConfigurationSurface:
 
         assert self.field_names(ServerConfig) == {
             "matching_mode", "initial_rate", "stats_override",
-            "measure_bytes", "use_impact_region", "repair", "journal",
+            "use_impact_region", "repair", "journal",
         }
+
+    def test_byte_accounting_has_no_flag(self):
+        """Every server counts wire bytes (the config field sets above
+        hold no switch), so no flag says whether it did."""
+        from repro.system import CommunicationStats
+
+        assert "bytes_measured" not in self.field_names(CommunicationStats)
 
     def test_network_config_fields(self):
         from repro.system import NetworkConfig
@@ -114,7 +121,7 @@ class TestConfigurationSurface:
             "strategy", "dataset", "movement", "event_rate", "speed", "radius",
             "initial_events", "subscription_size", "subscribers", "timestamps",
             "grid_n", "emax", "event_ttl", "matching_mode", "max_cells", "seed",
-            "measure_bytes", "alpha", "beta", "rate_schedule", "speed_schedule",
+            "alpha", "beta", "rate_schedule", "speed_schedule",
             "oracle_rebuild", "use_impact_region", "incremental_impact",
             "repair", "slow_span_seconds", "shards", "shard_executor",
             "rebalance",

@@ -176,7 +176,7 @@ class TestRepairPath:
         """A dilation that misses the region entirely moves zero bytes."""
         from repro.system.protocol import LocationPing, LocationReport, message_bytes
 
-        server, sub = self.repair_server(measure_bytes=True)
+        server, sub = self.repair_server()
         shipped = []
         server.transport = CallbackTransport(
             ship_region=lambda sub_id, region: shipped.append(region))
@@ -229,7 +229,7 @@ class TestRepairPath:
 
         def drive(repair):
             rng = random.Random(43)
-            server = make_server(repair=repair, measure_bytes=True)
+            server = make_server(repair=repair)
             positions = {}
             for sub_id in range(1, 9):
                 positions[sub_id] = Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000))
@@ -253,7 +253,7 @@ class TestRepairPath:
 
     def test_repair_off_by_default(self):
         server = make_server()
-        assert server.repair is False
+        assert server.config.repair is False
         sub = make_sub()
         server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=0)
         server.transport = CallbackTransport(

@@ -245,7 +245,7 @@ class TestDegenerateRegion:
 
 class TestBytesAccounting:
     def test_measure_bytes_accumulates(self):
-        server = make_server(measure_bytes=True)
+        server = make_server()
         server.subscribe(make_sub(), Point(5000, 5000), Point(50, 0))
         assert server.metrics.safe_region_bytes > 0
         assert server.metrics.raw_region_bytes > 0

@@ -108,3 +108,37 @@ class TestCostModelResponses:
         igm = run_experiment(config.with_(strategy="iGM"))
         gm = run_experiment(config.with_(strategy="GM", matching_mode="full"))
         assert igm.stats.total_rounds < gm.stats.total_rounds
+
+
+class TestRepairDeltas:
+    """Under ``repair=True`` a repair reaches the in-process client as the
+    removed cells, which it carves out of the region it holds."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_clients_apply_deltas_and_hold_the_servers_region(self, shards):
+        simulation = build_simulation(
+            SMALL.with_(repair=True, event_rate=20.0, timestamps=40, shards=shards)
+        )
+        applied = []
+        for client in simulation.clients.values():
+            def recording(removed, apply=client.apply_region_delta):
+                applied.append(apply(removed))
+                return applied[-1]
+
+            client.apply_region_delta = recording
+        server = simulation.server
+        expire = server.expire_due_events
+
+        def expire_then_compare(now):
+            # the last call of every tick: each client now holds exactly
+            # the region the server last built or repaired for it
+            retired = expire(now)
+            for sub_id, client in simulation.clients.items():
+                assert client.safe_region == server.subscribers[sub_id].safe, (now, sub_id)
+            return retired
+
+        server.expire_due_events = expire_then_compare
+        stats = simulation.run(40).stats
+        assert stats.repairs > 0
+        assert True in applied
+        assert simulation.verify_no_missed_notifications() == []
