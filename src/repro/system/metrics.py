@@ -17,8 +17,10 @@ region construction, plus the work counters of the matching machinery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict
+
+from .protocol import message_bytes, notification_bytes, region_delta_for, region_push_for
 
 
 @dataclass
@@ -217,6 +219,47 @@ class CommunicationStats:
     #: gauge-like fields: a merge takes the max of the two sides (a
     #: fleet's high-water mark is its deepest queue, not their sum)
     MAX_MERGED = frozenset({"send_queue_high_water", "ingress_queue_high_water"})
+
+    #: the bytes a client's own wire carries: a fleet counts them once,
+    #: at its coordinator, because its shards' frames never reach a client
+    CLIENT_WIRE = (
+        "safe_region_bytes",
+        "raw_region_bytes",
+        "wire_bytes_up",
+        "wire_bytes_down",
+        "delta_region_bytes",
+    )
+
+    def with_client_wire_of(self, other: "CommunicationStats") -> "CommunicationStats":
+        """A copy whose :data:`CLIENT_WIRE` fields are ``other``'s."""
+        return replace(self, **{name: getattr(other, name) for name in self.CLIENT_WIRE})
+
+    def count_notifications(self, notifications) -> None:
+        """Count the frames delivering ``notifications``.
+
+        Every recipient's frame of one event is the same length, and a
+        publish returns its notifications event by event: one encode per
+        run, counted at the length of the frame that is sent.
+        """
+        event, size = None, 0
+        for notification in notifications:
+            if notification.event is not event:
+                event = notification.event
+                size = notification_bytes(event)
+            self.wire_bytes_down += size
+
+    def count_region_push(self, sub_id: int, region) -> None:
+        """Count one full safe-region push to ``sub_id``."""
+        push = region_push_for(sub_id, region)
+        self.safe_region_bytes += push.bitmap.compressed_bytes()
+        self.raw_region_bytes += push.bitmap.raw_bytes()
+        self.wire_bytes_down += message_bytes(push)
+
+    def count_region_delta(self, sub_id: int, grid, removed) -> None:
+        """Count one repair's removed-cell delta to ``sub_id``."""
+        delta = region_delta_for(sub_id, grid, removed)
+        self.delta_region_bytes += delta.bitmap.compressed_bytes()
+        self.wire_bytes_down += message_bytes(delta)
 
     def merged_with(self, other: "CommunicationStats") -> "CommunicationStats":
         """Field-wise sum with another accumulator (inputs untouched).

@@ -74,9 +74,6 @@ from .protocol import (
     LocationReport,
     ResyncMessage,
     message_bytes,
-    notification_bytes,
-    region_delta_for,
-    region_push_for,
     subscribe_message_for,
 )
 
@@ -339,7 +336,7 @@ class ElapsServer:
         self.metrics.wire_bytes_up += message_bytes(
             subscribe_message_for(subscription, location, velocity)
         )
-        self._account_notification_bytes(notifications)
+        self.metrics.count_notifications(notifications)
         self._construct(record, now)
         self._maybe_snapshot()
         return notifications, record.safe
@@ -402,17 +399,6 @@ class ElapsServer:
             return None
         self.metrics.corpus_matches_from_field += 1
         return [self._events_by_id[event_id] for event_id in known]
-
-    def _account_notification_bytes(self, notifications: List[Notification]) -> None:
-        # every recipient's frame of one event is the same length, and a
-        # publish returns its notifications event by event: one encode
-        # per run, counted at the length of the frame that is sent
-        event, size = None, 0
-        for notification in notifications:
-            if notification.event is not event:
-                event = notification.event
-                size = notification_bytes(event)
-            self.metrics.wire_bytes_down += size
 
     def unsubscribe(self, sub_id: int) -> None:
         """Drop a subscriber from every index (subscription expiration)."""
@@ -555,7 +541,7 @@ class ElapsServer:
                     pending_repair.setdefault(subscription.sub_id, []).append(
                         event.location
                     )
-        self._account_notification_bytes(notifications)
+        self.metrics.count_notifications(notifications)
         repair = self.config.repair
         for sub_id, record in needs_construct.items():
             if repair and self._repair(record, pending_repair[sub_id]):
@@ -693,7 +679,7 @@ class ElapsServer:
         self.metrics.wire_bytes_up += message_bytes(
             LocationReport(sub_id, location, velocity)
         )
-        self._account_notification_bytes(notifications)
+        self.metrics.count_notifications(notifications)
         self._construct(record, now)
         return notifications, record.safe
 
@@ -735,7 +721,7 @@ class ElapsServer:
         self.metrics.wire_bytes_up += message_bytes(
             ResyncMessage(sub_id, location, velocity, received)
         )
-        self._account_notification_bytes(notifications)
+        self.metrics.count_notifications(notifications)
         self._construct(record, now)
         self._maybe_snapshot()
         return notifications, record.safe
@@ -1030,10 +1016,7 @@ class ElapsServer:
     def _ship_region(self, record: SubscriberRecord) -> None:
         """Account and push one full safe region to its client."""
         with self.tracer.span("ship"):
-            push = region_push_for(record.subscription.sub_id, record.safe)
-            self.metrics.safe_region_bytes += push.bitmap.compressed_bytes()
-            self.metrics.raw_region_bytes += push.bitmap.raw_bytes()
-            self.metrics.wire_bytes_down += message_bytes(push)
+            self.metrics.count_region_push(record.subscription.sub_id, record.safe)
             if self.transport is not None:
                 self.transport.ship_region(record.subscription.sub_id, record.safe)
 
@@ -1104,8 +1087,6 @@ class ElapsServer:
             return
         with self.tracer.span("ship"):
             sub_id = record.subscription.sub_id
-            delta = region_delta_for(sub_id, self.grid, removed)
-            self.metrics.delta_region_bytes += delta.bitmap.compressed_bytes()
-            self.metrics.wire_bytes_down += message_bytes(delta)
+            self.metrics.count_region_delta(sub_id, self.grid, removed)
             if self.transport is not None:
                 self.transport.ship_delta(sub_id, removed, record.safe)

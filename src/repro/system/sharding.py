@@ -84,6 +84,13 @@ from .config import RebalancePolicy, ServerConfig, Transport
 from .executors import Command, SerialExecutor, ShardExecutor
 from .metrics import CommunicationStats
 from .observability import MetricsRegistry
+from .protocol import (
+    LocationPing,
+    LocationReport,
+    ResyncMessage,
+    message_bytes,
+    subscribe_message_for,
+)
 from .server import ElapsServer, Notification
 
 __all__ = [
@@ -283,9 +290,12 @@ class ShardedElapsServer:
         self._shard_by_column = self._column_map(self.specs)
 
         self.subscribers: Dict[int, ShardedSubscriberRecord] = {}
-        #: coordinator-level counters: client-facing region pushes; the
-        #: per-worker activity lives in each shard's own metrics and is
-        #: folded in by :meth:`merged_metrics`
+        #: coordinator-level counters: the client's wire, one frame per
+        #: frame a client sends or receives (the subscribe, report and
+        #: resync up, the pings a shard asks for, the deduplicated
+        #: notifications and the intersected region down); the per-worker
+        #: activity lives in each shard's own metrics and is folded in by
+        #: :meth:`merged_metrics`
         self.metrics = CommunicationStats()
         self.registry = MetricsRegistry(self.metrics)
         self.tracer = self.registry.tracer
@@ -437,14 +447,19 @@ class ShardedElapsServer:
             dirty.removed.update(shipped[0])
 
     def _locate_subscriber(self, sub_id: int) -> Optional[Tuple[Point, Point]]:
+        """A shard's location ping: one ping down the client's wire and
+        one report up, whichever shard asked."""
         transport = self.transport
-        if transport is None:
-            return None
-        answer = transport.locate(sub_id)
+        answer = transport.locate(sub_id) if transport is not None else None
+        record = self.subscribers.get(sub_id)
+        if record is None:
+            return answer
         if answer is not None:
-            record = self.subscribers.get(sub_id)
-            if record is not None:
-                record.location, record.velocity = answer
+            record.location, record.velocity = answer
+        self.metrics.wire_bytes_down += message_bytes(LocationPing(sub_id))
+        self.metrics.wire_bytes_up += message_bytes(
+            LocationReport(sub_id, record.location, record.velocity)
+        )
         return answer
 
     # ------------------------------------------------------------------
@@ -475,6 +490,7 @@ class ShardedElapsServer:
             record.delivered.add(notification.event.event_id)
             record.next_seq += 1
             fresh.append(dataclasses.replace(notification, seq=record.next_seq))
+        self.metrics.count_notifications(fresh)
         return fresh
 
     def _rehome(
@@ -583,16 +599,20 @@ class ShardedElapsServer:
                         accumulator = shipped.setdefault(sub_id, set())
                         accumulator.update(actually_removed)
                 self._rehome(record, now, notifications)
-        if self.transport is None:
-            return
+        transport = self.transport
         for sub_id, what in shipped.items():
             record = self.subscribers.get(sub_id)
             if record is None or record.safe is None:
                 continue
             if what == "full":
-                self.transport.ship_region(sub_id, record.safe)
+                self.metrics.count_region_push(sub_id, record.safe)
+                if transport is not None:
+                    transport.ship_region(sub_id, record.safe)
             elif what:
-                self.transport.ship_delta(sub_id, frozenset(what), record.safe)
+                removed = frozenset(what)
+                self.metrics.count_region_delta(sub_id, self.grid, removed)
+                if transport is not None:
+                    transport.ship_delta(sub_id, removed, record.safe)
 
     # ------------------------------------------------------------------
     # Public surface (mirrors ElapsServer)
@@ -629,6 +649,9 @@ class ShardedElapsServer:
         # shards that gain members during a rebalance.
         self.subscribers.pop(subscription.sub_id, None)
         self.subscribers[subscription.sub_id] = record
+        self.metrics.wire_bytes_up += message_bytes(
+            subscribe_message_for(subscription, location, velocity)
+        )
         notifications: List[Notification] = []
         if existing is not None and existing.homes:
             # Resubscribe: refresh the record on every shard that already
@@ -699,6 +722,9 @@ class ShardedElapsServer:
         record = self.subscribers[sub_id]
         record.location = location
         record.velocity = velocity
+        self.metrics.wire_bytes_up += message_bytes(
+            LocationReport(sub_id, location, velocity)
+        )
         notifications: List[Notification] = []
         self._run_absorbing(
             record.homes,
@@ -719,9 +745,13 @@ class ShardedElapsServer:
     ) -> Tuple[List[Notification], SafeRegion]:
         """Reconcile a reconnecting client against every home."""
         record = self.subscribers[sub_id]
+        received = tuple(received)
         record.location = location
         record.velocity = velocity
         record.delivered = set(received)
+        self.metrics.wire_bytes_up += message_bytes(
+            ResyncMessage(sub_id, location, velocity, received)
+        )
         notifications: List[Notification] = []
         self._run_absorbing(
             record.homes,
@@ -1042,18 +1072,23 @@ class ShardedElapsServer:
     # Aggregate views (shared surface with ElapsServer)
     # ------------------------------------------------------------------
     def merged_metrics(self) -> CommunicationStats:
-        """Coordinator counters plus every worker's, field-wise."""
+        """Every worker's counters, field-wise, with the client's wire
+        bytes as the coordinator counted them (a worker's own frames are
+        fleet-internal)."""
         merged = self.metrics
         for stats in self._run_all("merged_metrics"):
             merged = merged.merged_with(stats)
-        return merged
+        return merged.with_client_wire_of(self.metrics)
 
     def merged_registry(self) -> MetricsRegistry:
         """Coordinator registry plus every worker's (histograms
-        bucket-wise), and the executor's pipe counters as gauges."""
+        bucket-wise, wire bytes the coordinator's as in
+        :meth:`merged_metrics`), and the executor's pipe counters as
+        gauges."""
         merged = self.registry
         for registry in self._run_all("merged_registry"):
             merged = merged.merged_with(registry)
+        merged.stats = merged.stats.with_client_wire_of(self.metrics)
         merged.gauges.update(self.executor.gauges())
         return merged
 

@@ -11,6 +11,7 @@ arrival.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Callable, List, Optional
 
 from .motion import Trajectory, walk_polyline
@@ -48,8 +49,9 @@ class SyntheticTrajectoryGenerator:
         """One walker's trajectory over ``timestamps`` steps."""
         rng = random.Random(f"{self.seed}-walker-{walker_id}")
         node = self.network.random_node(rng)
-        positions = [self.network.position_of(node)]
-        while len(positions) < timestamps:
+        start = self.network.position_of(node)
+        xs, ys = array("d", [start.x]), array("d", [start.y])
+        while len(xs) < timestamps:
             destination = self.network.random_node(rng)
             if destination == node:
                 continue
@@ -61,19 +63,19 @@ class SyntheticTrajectoryGenerator:
             )
             steps: List[float] = []
             travelled = 0.0
-            while travelled < leg_length and len(positions) + len(steps) < timestamps:
-                step = self._speed_at(len(positions) + len(steps) - 1)
+            while travelled < leg_length and len(xs) + len(steps) < timestamps:
+                step = self._speed_at(len(xs) + len(steps) - 1)
                 if step <= 0.0:
                     steps.append(0.0)
                     continue
                 steps.append(step)
                 travelled += step
             if not steps:
-                steps = [self._speed_at(len(positions) - 1)]
-            leg = walk_polyline(waypoints, steps)
-            positions.extend(leg[1:])
+                steps = [self._speed_at(len(xs) - 1)]
+            walk_polyline(waypoints, steps, xs, ys)
             node = destination
-        return Trajectory(positions[:timestamps])
+        del xs[timestamps:], ys[timestamps:]
+        return Trajectory(xs, ys)
 
     def trajectories(self, count: int, timestamps: int) -> List[Trajectory]:
         """One trajectory per walker id 0..count-1."""

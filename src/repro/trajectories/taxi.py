@@ -17,9 +17,9 @@ to predict.  The simulator reproduces both:
 from __future__ import annotations
 
 import random
+from array import array
 from typing import List
 
-from ..geometry import Point
 from .motion import Trajectory, walk_polyline
 from .road import RoadNetwork
 
@@ -49,8 +49,9 @@ class TaxiTrajectoryGenerator:
         """One taxi's trajectory over ``timestamps`` steps."""
         rng = random.Random(f"{self.seed}-taxi-{taxi_id}")
         node = self.network.random_node(rng)
-        positions: List[Point] = [self.network.position_of(node)]
-        while len(positions) < timestamps:
+        start = self.network.position_of(node)
+        xs, ys = array("d", [start.x]), array("d", [start.y])
+        while len(xs) < timestamps:
             destination = self.network.random_node(rng)
             if destination == node:
                 continue
@@ -64,20 +65,22 @@ class TaxiTrajectoryGenerator:
             # and occasional full stops.
             steps: List[float] = []
             travelled = 0.0
-            while travelled < leg_length and len(positions) + len(steps) < timestamps:
+            while travelled < leg_length and len(xs) + len(steps) < timestamps:
                 if rng.random() < self.stop_probability:
                     steps.append(0.0)
                     continue
                 speed = self.base_speed * mean_congestion * rng.uniform(0.5, 1.5)
                 steps.append(speed)
                 travelled += speed
-            leg = walk_polyline(waypoints, steps)
-            positions.extend(leg[1:])
-            # Dwell at the destination: passenger exchange.
+            walk_polyline(waypoints, steps, xs, ys)
+            # Dwell at the destination (passenger exchange): the last
+            # coordinate pair, repeated.
             dwell = rng.randint(0, self.max_dwell)
-            positions.extend([positions[-1]] * dwell)
+            xs.extend([xs[-1]] * dwell)
+            ys.extend([ys[-1]] * dwell)
             node = destination
-        return Trajectory(positions[:timestamps])
+        del xs[timestamps:], ys[timestamps:]
+        return Trajectory(xs, ys)
 
     def trajectories(self, count: int, timestamps: int) -> List[Trajectory]:
         """One trajectory per taxi id 0..count-1."""

@@ -11,18 +11,24 @@ from __future__ import annotations
 
 from dataclasses import fields
 
+import pytest
+
 from repro.core import IGM
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
-from repro.system import ServerConfig, CommunicationStats, ElapsServer
+from repro.system import ServerConfig, CommunicationStats, ElapsServer, Transport
+from repro.system.experiment import ExperimentConfig, build_simulation
 from repro.system.protocol import (
     LocationPing,
+    LocationReport,
     ResyncMessage,
     encode_message,
     message_bytes,
     notification_for,
+    region_delta_for,
     region_push_for,
+    subscribe_message_for,
 )
 
 SPACE = Rect(0, 0, 10_000, 10_000)
@@ -132,6 +138,95 @@ class TestModes:
             region_push_for(4, region)
         )
 
+
+class ClientWire:
+    """A server wrapper that sizes every frame a client sends or receives:
+    the operations the simulation calls, the notifications they return,
+    and the pushes and pings that come back through the transport the
+    simulation installs."""
+
+    def __init__(self, server) -> None:
+        self.server = server
+        self.up = self.down = self.region = self.delta = 0
+
+    def __getattr__(self, name):
+        return getattr(self.server, name)
+
+    @property
+    def transport(self):
+        return self.server.transport
+
+    @transport.setter
+    def transport(self, inner) -> None:
+        self.server.transport = RecordingTransport(self, inner)
+
+    def _received(self, notifications):
+        self.down += sum(
+            len(encode_message(notification_for(n.sub_id, n.event, n.seq)))
+            for n in notifications
+        )
+        return notifications
+
+    def subscribe(self, subscription, location, velocity, now=0):
+        self.up += message_bytes(subscribe_message_for(subscription, location, velocity))
+        notifications, region = self.server.subscribe(subscription, location, velocity, now)
+        return self._received(notifications), region
+
+    def report_location(self, sub_id, location, velocity, now):
+        self.up += message_bytes(LocationReport(sub_id, location, velocity))
+        notifications, region = self.server.report_location(sub_id, location, velocity, now)
+        return self._received(notifications), region
+
+    def publish(self, event, now):
+        return self._received(self.server.publish(event, now))
+
+
+class RecordingTransport(Transport):
+    """The simulation's transport, sizing each frame it carries."""
+
+    def __init__(self, wire: ClientWire, inner: Transport) -> None:
+        self.wire = wire
+        self.inner = inner
+
+    def locate(self, sub_id):
+        answer = self.inner.locate(sub_id)
+        self.wire.down += message_bytes(LocationPing(sub_id))
+        self.wire.up += message_bytes(LocationReport(sub_id, *answer))
+        return answer
+
+    def ship_region(self, sub_id, region):
+        push = region_push_for(sub_id, region)
+        self.wire.down += message_bytes(push)
+        self.wire.region += push.bitmap.compressed_bytes()
+        self.inner.ship_region(sub_id, region)
+
+    def ship_delta(self, sub_id, removed, region):
+        delta = region_delta_for(sub_id, region.grid, removed)
+        self.wire.down += message_bytes(delta)
+        self.wire.delta += delta.bitmap.compressed_bytes()
+        self.inner.ship_delta(sub_id, removed, region)
+
+
+class TestFleetWire:
+    @pytest.mark.parametrize("repair", [False, True], ids=["rebuild", "repair"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_byte_counts_are_the_frames_the_clients_saw(self, shards, repair):
+        """A fleet counts its clients' wire once, at the coordinator: the
+        one subscribe / report frame up (not one per home shard), the
+        deduplicated notifications and the intersected region down (not
+        each shard's own band region)."""
+        config = ExperimentConfig(
+            initial_events=2500, subscribers=6, timestamps=50, event_rate=4.0,
+            grid_n=80, max_cells=1200, shards=shards, repair=repair,
+        )
+        simulation = build_simulation(config, wrap_server=ClientWire)
+        stats = simulation.run(config.timestamps).stats
+        wire = simulation.server
+        assert stats.total_rounds > 0 and wire.region > 0
+        assert stats.wire_bytes_up == wire.up
+        assert stats.wire_bytes_down == wire.down
+        assert stats.safe_region_bytes == wire.region
+        assert stats.delta_region_bytes == wire.delta
 
 
 class TestReportCompleteness:

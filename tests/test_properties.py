@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap import WAHBitmap
 from repro.core import CostModel, SystemStats
 from repro.geometry import Grid, Point, Rect, deinterleave, interleave
-from repro.trajectories import walk_polyline
+from repro.trajectories import Trajectory, walk_polyline
 
 SPACE = Rect(0, 0, 10_000, 10_000)
+
+
+def walked(waypoints, steps):
+    """One Point per position of a walker starting at the first waypoint."""
+    xs, ys = array("d", [waypoints[0].x]), array("d", [waypoints[0].y])
+    walk_polyline(waypoints, steps, xs, ys)
+    trajectory = Trajectory(xs, ys)
+    return [trajectory.position_at(t) for t in range(len(trajectory))]
 
 points = st.builds(
     Point,
@@ -27,7 +36,7 @@ class TestPolylineProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_walker_never_overshoots_per_step(self, waypoints, steps):
-        positions = walk_polyline(waypoints, steps)
+        positions = walked(waypoints, steps)
         for k, step in enumerate(steps):
             moved = positions[k].distance_to(positions[k + 1])
             assert moved <= step + 1e-6
@@ -38,7 +47,7 @@ class TestPolylineProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_walker_stays_on_or_before_polyline_end(self, waypoints, steps):
-        positions = walk_polyline(waypoints, steps)
+        positions = walked(waypoints, steps)
         total_length = sum(
             waypoints[i].distance_to(waypoints[i + 1]) for i in range(len(waypoints) - 1)
         )
@@ -52,7 +61,7 @@ class TestPolylineProperties:
     def test_straight_line_distance_conservation(self, steps):
         """On a long straight segment every step is spent exactly."""
         waypoints = [Point(0, 0), Point(1e9, 0)]
-        positions = walk_polyline(waypoints, steps)
+        positions = walked(waypoints, steps)
         assert math.isclose(positions[-1].x, sum(steps), rel_tol=1e-9, abs_tol=1e-4)
 
 
