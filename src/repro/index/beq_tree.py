@@ -28,8 +28,10 @@ expansion actually touches, so the rest of the space is never scanned
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Dict,
@@ -46,7 +48,7 @@ from ..expressions.dnf import clauses_of
 from ..geometry import Circle, Point, Rect
 from ..geometry.zorder import interleave
 from .base import EventIndex
-from .inverted import AttributeLists, SortedTupleList
+from .inverted import AttributeLists
 
 #: per-leaf clause-cache entries beyond this are assumed pathological
 #: (an adversarial vocabulary) and the cache is dropped wholesale
@@ -114,6 +116,57 @@ def circle_rect_boundary_intersections(circle: Circle, rect: Rect) -> List[Point
     return points
 
 
+class SpatialList:
+    """A leaf's iDistance list ``L<G, y>``: event ids sorted by their
+    distance to the reference point, as two parallel lists.
+
+    Distances are plain floats, nearly all distinct, so equal keys buy
+    nothing here: a write bisects and shifts, and a range query is one
+    slice of the ids.
+    """
+
+    __slots__ = ("distances", "ids")
+
+    def __init__(self) -> None:
+        self.distances: List[float] = []
+        self.ids: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Tuple[float, int]]:
+        return zip(self.distances, self.ids)
+
+    def insert(self, distance: float, event_id: int) -> None:
+        """Insert after every entry at an equal distance."""
+        index = bisect.bisect_right(self.distances, distance)
+        self.distances.insert(index, distance)
+        self.ids.insert(index, event_id)
+
+    def delete(self, distance: float, event_id: int) -> None:
+        """Remove the entry; ``ValueError`` if it is absent."""
+        index = bisect.bisect_left(self.distances, distance)
+        hi = bisect.bisect_right(self.distances, distance, lo=index)
+        index = self.ids.index(event_id, index, hi)
+        del self.distances[index]
+        del self.ids[index]
+
+    @classmethod
+    def of(cls, entries: Iterable[Tuple[float, int]]) -> "SpatialList":
+        """The list inserting ``(distance, id)`` entries one by one would
+        leave, sorted once (stably, so equal distances keep their order)."""
+        spatial = cls()
+        for distance, event_id in sorted(entries, key=itemgetter(0)):
+            spatial.distances.append(distance)
+            spatial.ids.append(event_id)
+        return spatial
+
+    def ids_within(self, d_min: float, d_max: float) -> List[int]:
+        """Ids at a distance in ``[d_min, d_max]`` (``d_max`` may be inf)."""
+        lo = bisect.bisect_left(self.distances, d_min)
+        return self.ids[lo : bisect.bisect_right(self.distances, d_max, lo=lo)]
+
+
 class LeafCell:
     """One leaf partition ``G`` with its second-layer structures."""
 
@@ -129,7 +182,7 @@ class LeafCell:
         self.boundary = boundary
         self.reference = boundary.center  # the reference point sigma
         self.lists = AttributeLists()
-        self.spatial = SortedTupleList()
+        self.spatial = SpatialList()
         self.events: Dict[int, Event] = {}
         self.counters = counters if counters is not None else CacheCounters()
         # clause -> event ids be-matching it in this cell; any event churn
@@ -147,12 +200,16 @@ class LeafCell:
         self.lists.insert_tuples(event.attributes.items(), event.event_id)
         self.spatial.insert(self.reference.distance_to(event.location), event.event_id)
 
-    def remove(self, event: Event) -> None:
-        """Remove one event from the cell's three structures."""
+    def remove(self, event_id: int) -> None:
+        """Remove one stored event from the cell's three structures.
+
+        The tuples and distance deleted are the stored event's own, so a
+        caller's copy carrying other attributes cannot leave any behind.
+        """
         self._clause_cache.clear()
-        del self.events[event.event_id]
-        self.lists.delete_tuples(event.attributes.items(), event.event_id)
-        self.spatial.delete(self.reference.distance_to(event.location), event.event_id)
+        event = self.events.pop(event_id)
+        self.lists.delete_tuples(event.attributes.items(), event_id)
+        self.spatial.delete(self.reference.distance_to(event.location), event_id)
 
     def clause_match_ids(self, clause: BooleanExpression) -> FrozenSet[int]:
         """Ids of this cell's events be-matching one conjunctive clause.
@@ -314,16 +371,31 @@ class BEQTree(EventIndex):
         return node.children[index]
 
     def _split(self, node: _Node, depth: int) -> None:
-        """Partition a full leaf into four child cells (Appendix C)."""
-        events = list(node.cell.events.values())
+        """Partition a full leaf into four child cells (Appendix C).
+
+        The children are filled in bulk, in the full leaf's event order:
+        its postings are handed out key by key and each child's distances
+        sorted once, which leaves every child as adding its events one by
+        one would, without re-keying a tuple or bisecting per entry.
+        """
+        full = node.cell
         node.cell = None
         node.children = [
             _Node(quad, self._new_leaf(quad)) for quad in node.boundary.quadrants()
         ]
-        for event in events:
-            self._child_for(node, event.location).cell.add(event)
+        home: Dict[int, AttributeLists] = {}
+        for event_id, event in full.events.items():
+            cell = self._child_for(node, event.location).cell
+            cell.events[event_id] = event
+            home[event_id] = cell.lists
+        full.lists.partition(home)
         for child in node.children:
-            if len(child.cell) > self.emax and depth + 1 < self.max_depth:
+            cell = child.cell
+            cell.spatial = SpatialList.of(
+                (cell.reference.distance_to(event.location), event_id)
+                for event_id, event in cell.events.items()
+            )
+            if len(cell) > self.emax and depth + 1 < self.max_depth:
                 self._split(child, depth + 1)
 
     def delete(self, event: Event) -> None:
@@ -335,7 +407,7 @@ class BEQTree(EventIndex):
             node = self._child_for(node, event.location)
         if event.event_id not in node.cell.events:
             raise KeyError(f"event {event.event_id} is not in the index")
-        node.cell.remove(event)
+        node.cell.remove(event.event_id)
         self._event_ids.discard(event.event_id)
         self._size -= 1
         # Merge empty sibling leaves back into the parent (Appendix C).
@@ -400,25 +472,30 @@ class BEQTree(EventIndex):
         """Structure counts backing Appendix C's memory-cost analysis.
 
         ``tuple_entries`` is |T| (one entry per event tuple in the
-        second-layer lists) and ``spatial_entries`` equals the event count
-        (one iDistance entry each); the total space is O(|T|), linear in
-        the stored tuples.
+        second-layer lists), ``postings`` the number of distinct
+        (leaf, attribute, value) postings those entries share, and
+        ``spatial_entries`` equals the event count (one iDistance entry
+        each); the total space is O(|T|), linear in the stored tuples.
         """
         leaves = 0
         tuple_entries = 0
+        postings = 0
         spatial_entries = 0
         attribute_lists = 0
         for leaf in self.leaves():
             leaves += 1
             spatial_entries += len(leaf.spatial)
             attribute_lists += len(leaf.lists)
-            tuple_entries += sum(len(lst) for lst in leaf.lists.lists.values())
+            for lst in leaf.lists.lists.values():
+                tuple_entries += len(lst)
+                postings += lst.posting_count()
         return {
             "events": self._size,
             "leaves": leaves,
             "depth": self.depth(),
             "attribute_lists": attribute_lists,
             "tuple_entries": tuple_entries,
+            "postings": postings,
             "spatial_entries": spatial_entries,
         }
 
@@ -485,11 +562,7 @@ class BEQTree(EventIndex):
                 d_max = y + r  # tangent / degenerate overlap: safe fallback
         # Lines 17-20: scan the interval and verify the exact distance.
         matched: List[Event] = []
-        if math.isinf(d_max):
-            entries = leaf.spatial.iter_value_from(d_min)
-        else:
-            entries = leaf.spatial.iter_value_range(d_min, d_max)
-        for _, event_id in entries:
+        for event_id in leaf.spatial.ids_within(d_min, d_max):
             if event_id not in matched_ids:
                 continue
             event = leaf.events[event_id]

@@ -20,18 +20,32 @@ exactly as before), and across groups it is well-defined instead of a
 the publish path.  Range scans are bounded to the probe value's group,
 because values from different groups never satisfy a ``<``/``>``
 constraint (see :meth:`Predicate.matches`).
+
+A list is stored as its sorted *distinct* keys, each with one *posting*:
+an insertion-ordered ``payload -> value`` dict.  An insert or delete is
+a dict operation that bisects only when a key appears or disappears,
+and a range scan chains the postings of the keys in range in C.  The
+runs are short: attributes are vocabulary keywords, so a BEQ-Tree
+leaf's list for one of them holds a few entries a key (2.8 on
+``commute_sim``'s corpus, 3.3 on ``event_storm``'s, 5.0 on a
+Foursquare-like one; ``BEQTree.memory_stats()`` counts both).
+Visiting the keys in order and each posting in insertion order is
+exactly the order of a flat list kept sorted by key with
+``bisect_right`` inserts, the layout this one replaced.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from collections import defaultdict
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Tuple, TypeVar
 
 from ..expressions import Operator, Predicate, operand_key
 
 Payload = TypeVar("Payload")
+
+_ABSENT = object()
 
 
 def _group_of(key: Tuple[str, object]) -> Tuple[str]:
@@ -42,50 +56,71 @@ def _group_of(key: Tuple[str, object]) -> Tuple[str]:
 class SortedTupleList:
     """A list of ``(value, payload)`` entries kept sorted by value.
 
-    Payloads are event identifiers (or local slots).  Duplicate values are
-    allowed; delete removes one matching ``(value, payload)`` entry.
+    Payloads are event identifiers (or local slots).  Entries with
+    key-equal values (``1``, ``1.0`` and ``True`` share one key) share
+    one posting and keep their insertion order.  A payload is held at
+    most once under one key: inserting it again under a key-equal value
+    raises ``ValueError`` (an event carries one value per attribute, so
+    no index in this package does).  Delete removes the payload from
+    its value's posting.
 
     A value unequal to itself (NaN) has no place in the order: it
     satisfies no ``=``, ``<`` or ``[]`` constraint (see
     :meth:`Predicate.matches`), and as a key it would mislead every
-    bisect over the entries beside it.  Such entries are kept apart,
-    reached only by the full scans of ``!=`` and ``not in`` and by an
-    ``in`` set holding that very object, and deleted by payload, since
-    equality never finds them.  The same holds for a self-unequal
-    *operand*: ``= nan``, ``<= nan`` or ``[nan, 5]`` selects nothing,
-    and a NaN member of an ``in`` set matches no ordered entry.
+    bisect over the keys beside it.  Such entries are kept apart in
+    insertion order, with their multiplicity (equality never identifies
+    two of them), reached only by the full scans of ``!=`` and
+    ``not in`` and by an ``in`` set holding that very object, and
+    deleted by payload.  The same holds for a self-unequal *operand*:
+    ``= nan``, ``<= nan`` or ``[nan, 5]`` selects nothing, and a NaN
+    member of an ``in`` set matches no ordered entry.
     """
 
-    __slots__ = ("_values", "_payloads", "_keys", "_unordered")
+    __slots__ = ("_keys", "_postings", "_unordered")
 
     def __init__(self) -> None:
-        self._values: List = []
-        self._payloads: List = []
-        # operand_key(value) per entry: the list the bisects run over,
-        # so mixed-type values stay totally ordered.
+        # the distinct operand keys, sorted: the list the bisects run over
         self._keys: List[Tuple[str, object]] = []
+        # operand key -> its posting (payload -> value, insertion order)
+        self._postings: Dict[Tuple[str, object], Dict] = {}
         # (value, payload) entries whose value is unequal to itself
         self._unordered: List[Tuple[object, object]] = []
 
     def __len__(self) -> int:
-        return len(self._values) + len(self._unordered)
+        return sum(map(len, self._postings.values())) + len(self._unordered)
+
+    def __bool__(self) -> bool:
+        return bool(self._keys or self._unordered)
 
     def __iter__(self) -> Iterator[Tuple[object, object]]:
-        return itertools.chain(zip(self._values, self._payloads), self._unordered)
+        ordered = (
+            (value, payload)
+            for posting in map(self._postings.__getitem__, self._keys)
+            for payload, value in posting.items()
+        )
+        return itertools.chain(ordered, self._unordered)
+
+    def posting_count(self) -> int:
+        """The number of distinct keys, one posting each."""
+        return len(self._keys)
 
     def insert(self, value, payload) -> None:
-        """Insert keeping the key order (O(log n) search, O(n) shift)."""
+        """Insert keeping the key order (a dict write; a bisect for a new key)."""
         if value != value:
             self._unordered.append((value, payload))
             return
         key = operand_key(value)
-        index = bisect.bisect_right(self._keys, key)
-        self._keys.insert(index, key)
-        self._values.insert(index, value)
-        self._payloads.insert(index, payload)
+        posting = self._postings.get(key)
+        if posting is None:
+            self._postings[key] = {payload: value}
+            bisect.insort(self._keys, key)
+        elif payload in posting:
+            raise ValueError(f"payload {payload!r} is already held under {value!r}")
+        else:
+            posting[payload] = value
 
     def delete(self, value, payload) -> bool:
-        """Remove one ``(value, payload)`` entry; False if absent."""
+        """Remove the ``(value, payload)`` entry; False if absent."""
         if value != value:
             for index, (_, stored) in enumerate(self._unordered):
                 if stored == payload:
@@ -93,18 +128,16 @@ class SortedTupleList:
                     return True
             return False
         key = operand_key(value)
-        index = bisect.bisect_left(self._keys, key)
-        while index < len(self._keys) and self._keys[index] == key:
-            if self._values[index] == value and self._payloads[index] == payload:
-                del self._keys[index]
-                del self._values[index]
-                del self._payloads[index]
-                return True
-            index += 1
-        return False
+        posting = self._postings.get(key)
+        if posting is None or posting.pop(payload, _ABSENT) is _ABSENT:
+            return False
+        if not posting:
+            del self._postings[key]
+            del self._keys[bisect.bisect_left(self._keys, key)]
+        return True
 
     def _group_bounds(self, group: str) -> Tuple[int, int]:
-        """The half-open index range holding the group's entries."""
+        """The half-open key-index range holding the group's keys."""
         # (group,) sorts before every (group, value) and the projected
         # bisect finds the end of the group's run.
         lo = bisect.bisect_left(self._keys, (group,))
@@ -115,7 +148,8 @@ class SortedTupleList:
     # Range scans per operator
     # ------------------------------------------------------------------
     def range_for(self, predicate: Predicate) -> Tuple[int, int]:
-        """The half-open index range selected by a contiguous predicate.
+        """The half-open range of distinct keys selected by a contiguous
+        predicate.
 
         Only valid for ``=, <, <=, >, >=, []`` — the operators whose
         satisfying values form one contiguous run in the sorted order.
@@ -152,54 +186,34 @@ class SortedTupleList:
         raise ValueError(f"operator {op.value!r} does not select a contiguous range")
 
     def iter_matching(self, predicate: Predicate) -> Iterator:
-        """Payloads of all entries whose value satisfies ``predicate``."""
+        """Payloads of all entries whose value satisfies ``predicate``,
+        in list order."""
         op = predicate.operator
         if op in (Operator.NE, Operator.NOT_IN):
             # Full scan minus the excluded values; the paper notes these
             # operators visit all entries except the operand's.
-            for value, payload in self:
-                if predicate.matches(value):
-                    yield payload
-            return
+            return (payload for value, payload in self if predicate.matches(value))
         if op is Operator.IN:
             # Each entry must be yielded at most once per predicate —
             # duplicate members (a raw ``(3, 3)`` operand) or key-equal
-            # members with overlapping runs would double-increment the
-            # counting algorithm and fake a full |s| count.  Deduplicate
-            # and clamp each run past the previous one.  A self-unequal
-            # member has no run; set membership can still hold for an
+            # members (``1`` / ``True`` / ``1.0``) would double-increment
+            # the counting algorithm and fake a full |s| count, so the
+            # members collapse to their distinct keys.  A self-unequal
+            # member has no key; set membership can still hold for an
             # unordered entry (the very same NaN object).
-            last_hi = 0
-            members = {member for member in predicate.operand if member == member}
-            for member in sorted(members, key=operand_key):
-                member_key = operand_key(member)
-                lo = bisect.bisect_left(self._keys, member_key)
-                hi = bisect.bisect_right(self._keys, member_key)
-                if hi <= last_hi:
-                    continue
-                yield from self._payloads[max(lo, last_hi) : hi]
-                last_hi = hi
-            for value, payload in self._unordered:
-                if predicate.matches(value):
-                    yield payload
-            return
+            keys = {operand_key(member) for member in predicate.operand if member == member}
+            ordered = itertools.chain.from_iterable(
+                [self._postings[key] for key in sorted(keys) if key in self._postings]
+            )
+            if not self._unordered:
+                return ordered
+            return itertools.chain(
+                ordered,
+                (payload for value, payload in self._unordered if predicate.matches(value)),
+            )
         lo, hi = self.range_for(predicate)
-        yield from self._payloads[lo:hi]
-
-    def iter_value_range(self, low, high) -> Iterator[Tuple[object, object]]:
-        """``(value, payload)`` entries with ``low <= value <= high``."""
-        lo = bisect.bisect_left(self._keys, operand_key(low))
-        hi = bisect.bisect_right(self._keys, operand_key(high))
-        return iter(list(zip(self._values[lo:hi], self._payloads[lo:hi])))
-
-    def iter_value_from(self, low) -> Iterator[Tuple[object, object]]:
-        """``(value, payload)`` entries with ``value >= low``."""
-        lo = bisect.bisect_left(self._keys, operand_key(low))
-        return iter(list(zip(self._values[lo:], self._payloads[lo:])))
-
-    def values(self) -> List:
-        """The values in order, self-unequal ones last (a copy)."""
-        return [value for value, _ in self]
+        postings = map(self._postings.__getitem__, self._keys[lo:hi])
+        return itertools.chain.from_iterable(postings)
 
 
 class AttributeLists:
@@ -216,44 +230,77 @@ class AttributeLists:
     def __len__(self) -> int:
         return len(self.lists)
 
-    def list_for(self, attribute: str) -> SortedTupleList:
-        """The attribute's list, created on first use."""
-        existing = self.lists.get(attribute)
-        if existing is None:
-            existing = SortedTupleList()
-            self.lists[attribute] = existing
-        return existing
-
     def insert_tuples(self, attributes: Iterable[Tuple[str, object]], payload) -> None:
-        """Index one item's attribute-value tuples under ``payload``."""
+        """Index one item's attribute-value tuples under ``payload``; a
+        list is created on first use."""
+        lists = self.lists
         for attribute, value in attributes:
-            self.list_for(attribute).insert(value, payload)
+            lst = lists.get(attribute)
+            if lst is None:
+                lst = lists[attribute] = SortedTupleList()
+            lst.insert(value, payload)
 
     def delete_tuples(self, attributes: Iterable[Tuple[str, object]], payload) -> None:
         """Remove one item's tuples; empty lists are pruned."""
+        lists = self.lists
         for attribute, value in attributes:
-            lst = self.lists.get(attribute)
+            lst = lists.get(attribute)
             if lst is not None:
                 lst.delete(value, payload)
                 if not lst:
-                    del self.lists[attribute]
+                    del lists[attribute]
+
+    def partition(self, home: Dict[object, "AttributeLists"]) -> None:
+        """Hand every entry to the bundle ``home[payload]``; each target
+        must start without the attributes it receives.
+
+        A list's postings are walked key by key in order, each in
+        insertion order, so a target's keys arrive sorted (an append, no
+        bisect, no key recomputed) and each of its postings keeps this
+        list's order, which is the order inserting its entries one by one
+        would leave.  This list is left as it was.
+        """
+        for attribute, source in self.lists.items():
+            # target bundle -> its list for this attribute
+            parts: Dict[AttributeLists, SortedTupleList] = {}
+            postings = source._postings
+            for key in source._keys:
+                for payload, value in postings[key].items():
+                    bundle = home[payload]
+                    part = parts.get(bundle)
+                    if part is None:
+                        part = parts[bundle] = bundle.lists[attribute] = SortedTupleList()
+                    posting = part._postings.get(key)
+                    if posting is None:
+                        posting = part._postings[key] = {}
+                        part._keys.append(key)
+                    posting[payload] = value
+            for value, payload in source._unordered:
+                bundle = home[payload]
+                part = parts.get(bundle)
+                if part is None:
+                    part = parts[bundle] = bundle.lists[attribute] = SortedTupleList()
+                part._unordered.append((value, payload))
 
     def count_matches(self, predicates: Iterable[Predicate]) -> Dict:
-        """The counting algorithm: payload -> number of satisfied predicates.
+        """The counting algorithm: payload -> number of satisfied predicates,
+        in the order of each payload's first increment.
 
         Returns an empty dict as soon as one predicate's attribute is
         missing — no event here can reach the full count then.
         """
-        counters: Dict = defaultdict(int)
         predicates = list(predicates)
+        lists = self.lists
         for predicate in predicates:
-            if predicate.attribute not in self.lists:
+            if predicate.attribute not in lists:
                 return {}
-        for predicate in predicates:
-            lst = self.lists[predicate.attribute]
-            for payload in lst.iter_matching(predicate):
-                counters[payload] += 1
-        return counters
+        # one C counting pass over every predicate's matching payloads
+        return Counter(
+            itertools.chain.from_iterable(
+                lists[predicate.attribute].iter_matching(predicate)
+                for predicate in predicates
+            )
+        )
 
     def matching_payloads(self, predicates: Iterable[Predicate]) -> List:
         """Payloads satisfying *all* predicates (full counter value)."""

@@ -11,6 +11,7 @@ import pytest
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Circle, Point, Rect
 from repro.index import BEQTree, circle_rect_boundary_intersections
+from repro.index.beq_tree import LeafCell, SpatialList
 
 from conftest import random_events
 
@@ -78,6 +79,36 @@ class TestTreeStructure:
         with pytest.raises(ValueError):
             tree.insert(Event(1, {"a": 1}, Point(-5, 0)))
 
+    def test_a_split_leaves_each_child_as_adding_its_events_would(self):
+        # A split hands the full leaf's postings out in bulk; every child
+        # must hold the lists and spatial order of a cell fed its events
+        # one by one.  Aliased values (1 / True / 1.0), NaN, shared
+        # locations and deletes between the splits all take part.
+        rng = random.Random(11)
+        nan = float("nan")
+        corners = [Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)) for _ in range(40)]
+        tree = BEQTree(SPACE, emax=8)
+        live = []
+        for event_id in range(300):
+            attributes = {
+                f"a{rng.randrange(4)}": rng.choice([1, True, 1.0, 2, 2.5, "x", nan])
+                for _ in range(rng.randint(1, 4))
+            }
+            event = Event(event_id, attributes, rng.choice(corners))
+            tree.insert(event)
+            live.append(event)
+            if rng.random() < 0.3:
+                tree.delete(live.pop(rng.randrange(len(live))))
+        assert tree.depth() > 2
+        for leaf in tree.leaves():
+            fresh = LeafCell(leaf.cell_id, leaf.boundary)
+            for event in leaf.events.values():
+                fresh.add(event)
+            assert {a: list(lst) for a, lst in leaf.lists.lists.items()} == {
+                a: list(lst) for a, lst in fresh.lists.lists.items()
+            }
+            assert list(leaf.spatial) == list(fresh.spatial)
+
     def test_max_depth_bounds_colocation(self):
         tree = BEQTree(SPACE, emax=2, max_depth=5)
         # 20 events at the same location would split forever without the cap.
@@ -87,17 +118,52 @@ class TestTreeStructure:
         assert len(tree) == 20
 
 
+class TestDeleteUsesTheStoredEvent:
+    def test_a_copy_with_other_attributes_leaves_no_ghost_tuples(self):
+        # delete() is handed a same-id, same-location copy whose tuples
+        # differ: the stored event's tuples must go, not the copy's.
+        tree = BEQTree(SPACE, emax=4)
+        at = Point(100.0, 200.0)
+        tree.insert(Event(1, {"a": 1}, at))
+        tree.insert(Event(2, {"a": 1}, Point(300.0, 400.0)))
+        tree.delete(Event(1, {"b": 2}, at))
+        expr = BooleanExpression([Predicate("a", Operator.EQ, 1)])
+        assert [e.event_id for e in tree.be_match(expr)] == [2]
+        assert tree.memory_stats()["tuple_entries"] == 1
+
+
 class TestSpatialList:
     def test_spatial_list_sorted_by_reference_distance(self):
         tree = BEQTree(SPACE, emax=64)
         events = random_events(random.Random(3), SPACE, 50)
         tree.insert_all(events)
         for leaf in tree.leaves():
-            values = leaf.spatial.values()
+            values = leaf.spatial.distances
             assert values == sorted(values)
             for distance, event_id in leaf.spatial:
                 actual = leaf.reference.distance_to(leaf.events[event_id].location)
                 assert math.isclose(distance, actual)
+
+    def test_ids_within_a_closed_interval(self):
+        spatial = SpatialList()
+        for event_id, distance in enumerate((5.0, 1.0, 4.0, 2.0, 3.0)):
+            spatial.insert(distance, event_id)
+        assert spatial.ids_within(2.0, 4.0) == [3, 4, 2]
+
+    def test_ids_from_a_distance_on(self):
+        spatial = SpatialList()
+        for event_id, distance in enumerate((1.0, 2.0, 3.0)):
+            spatial.insert(distance, event_id)
+        assert spatial.ids_within(2.0, math.inf) == [1, 2]
+
+    def test_equal_distances_keep_insertion_order_and_delete_by_id(self):
+        spatial = SpatialList()
+        for event_id in (7, 3, 9):
+            spatial.insert(1.5, event_id)
+        spatial.delete(1.5, 3)
+        assert list(spatial) == [(1.5, 7), (1.5, 9)]
+        with pytest.raises(ValueError):
+            spatial.delete(1.5, 3)
 
 
 class TestOnDemandMatching:
@@ -172,6 +238,16 @@ class TestMemoryStats:
         assert stats["tuple_entries"] == sum(len(e) for e in events)
         assert stats["leaves"] >= 1
         assert stats["depth"] == tree.depth()
+
+    def test_postings_count_distinct_values_per_leaf_and_attribute(self):
+        tree = BEQTree(SPACE, emax=64)
+        for event_id, attributes in enumerate(
+            ({"a": 1, "b": 1}, {"a": 1}, {"a": 2}, {"a": True, "b": 1.0})
+        ):
+            tree.insert(Event(event_id, attributes, Point(10.0 * event_id, 5.0)))
+        stats = tree.memory_stats()
+        # a: {1, True} share one key, {2}; b: {1, 1.0} share one key
+        assert (stats["tuple_entries"], stats["postings"]) == (6, 3)
 
     def test_stats_shrink_after_deletion(self):
         tree = BEQTree(SPACE, emax=8)

@@ -54,18 +54,6 @@ class TestSortedTupleList:
         with pytest.raises(ValueError):
             lst.range_for(Predicate("x", Operator.NE, 3))
 
-    def test_iter_value_range(self):
-        lst = SortedTupleList()
-        for v in (1, 2, 3, 4, 5):
-            lst.insert(v, str(v))
-        assert [p for _, p in lst.iter_value_range(2, 4)] == ["2", "3", "4"]
-
-    def test_iter_value_from(self):
-        lst = SortedTupleList()
-        for v in (1, 2, 3):
-            lst.insert(v, str(v))
-        assert [p for _, p in lst.iter_value_from(2)] == ["2", "3"]
-
     @given(
         values=st.lists(st.integers(min_value=0, max_value=50), max_size=60),
         operand=st.integers(min_value=0, max_value=50),
