@@ -46,7 +46,6 @@ from typing import (
 from ..expressions import BooleanExpression, Event, Subscription
 from ..expressions.dnf import clauses_of
 from ..geometry import Circle, Point, Rect
-from ..geometry.zorder import interleave
 from .base import EventIndex
 from .inverted import AttributeLists
 
@@ -56,27 +55,21 @@ _CLAUSE_CACHE_LIMIT = 128
 
 
 class CacheCounters:
-    """Shared work counters for the batched fast path.
-
-    One instance is threaded through every leaf of a tree so the server
-    can account amortisation globally:
-
-    * ``hits`` / ``misses`` — per-leaf clause-cache outcomes (a hit skips
-      the counting algorithm's inverted-list probes entirely);
-    * ``probes_saved`` — tree descents a batched insert avoided
-      compared to the equivalent one-at-a-time inserts.
+    """The clause-cache counters, shared by every leaf of a tree so the
+    server can account the cache globally: ``hits`` / ``misses`` are the
+    per-leaf clause-cache outcomes (a hit skips the counting algorithm's
+    inverted-list probes entirely).
     """
 
-    __slots__ = ("hits", "misses", "probes_saved")
+    __slots__ = ("hits", "misses")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.probes_saved = 0
 
-    def snapshot(self) -> Tuple[int, int, int]:
-        """The counter triple, for delta accounting."""
-        return (self.hits, self.misses, self.probes_saved)
+    def snapshot(self) -> Tuple[int, int]:
+        """The counter pair, for delta accounting."""
+        return (self.hits, self.misses)
 
 
 def circle_rect_boundary_intersections(circle: Circle, rect: Rect) -> List[Point]:
@@ -272,7 +265,7 @@ class BEQTree(EventIndex):
         self.boundary = boundary
         self.emax = emax
         self.max_depth = max_depth
-        #: shared work counters for the batched fast path (all leaves)
+        #: the clause-cache counters every leaf shares
         self.counters = CacheCounters()
         self._cell_ids = itertools.count()
         self._root = _Node(boundary, self._new_leaf(boundary))
@@ -289,29 +282,15 @@ class BEQTree(EventIndex):
     # Updates (Appendix C)
     # ------------------------------------------------------------------
     def insert(self, event: Event) -> None:
-        """Insert an event; splits the leaf past ``emax`` (Appendix C)."""
-        if not self.boundary.contains_point(event.location):
-            raise ValueError(
-                f"event {event.event_id} at {event.location} is outside {self.boundary}"
-            )
-        if event.event_id in self._event_ids:
-            raise ValueError(f"duplicate event id {event.event_id}")
-        self._event_ids.add(event.event_id)
-        node, depth = self._descend(event.location)
-        node.cell.add(event)
-        self._size += 1
-        if len(node.cell) > self.emax and depth < self.max_depth:
-            self._split(node, depth)
+        """Insert one event: a batch of one."""
+        self.insert_batch((event,))
 
-    def insert_batch(self, events: Iterable[Event]) -> int:
-        """Insert a batch, z-ordered so consecutive events share a leaf.
+    def insert_batch(self, events: Iterable[Event]) -> None:
+        """Insert events in the order given (Appendix C): descend to each
+        event's leaf, add it, and split the leaf past ``emax``.
 
-        The batch is validated upfront (bounds and duplicate ids, within
-        the batch included), then inserted in Morton order of the event
-        locations: spatially adjacent events land consecutively, so the
-        quadtree descent from the root is skipped whenever an event falls
-        into the leaf the previous event just used.  Returns the number
-        of descents saved (also accumulated in ``counters.probes_saved``).
+        The batch is validated upfront — bounds and duplicate ids, within
+        the batch included — so a rejected batch inserts nothing.
         """
         batch = list(events)
         fresh_ids: set = set()
@@ -323,38 +302,13 @@ class BEQTree(EventIndex):
             if event.event_id in self._event_ids or event.event_id in fresh_ids:
                 raise ValueError(f"duplicate event id {event.event_id}")
             fresh_ids.add(event.event_id)
-        last: Optional[_Node] = None
-        last_depth = 0
-        saved = 0
-        for event in sorted(batch, key=lambda e: self._zcode(e.location)):
-            if (
-                last is not None
-                and last.is_leaf
-                and last.boundary.contains_point(event.location)
-            ):
-                node, depth = last, last_depth
-                saved += 1
-            else:
-                node, depth = self._descend(event.location)
-            self._event_ids.add(event.event_id)
+        self._event_ids |= fresh_ids
+        self._size += len(batch)
+        for event in batch:
+            node, depth = self._descend(event.location)
             node.cell.add(event)
-            self._size += 1
             if len(node.cell) > self.emax and depth < self.max_depth:
                 self._split(node, depth)
-                last = None
-            else:
-                last, last_depth = node, depth
-        self.counters.probes_saved += saved
-        return saved
-
-    def _zcode(self, location: Point) -> int:
-        """Morton code of a location quantised to 16 bits per axis."""
-        b = self.boundary
-        width = b.x_max - b.x_min
-        height = b.y_max - b.y_min
-        qx = int((location.x - b.x_min) / width * 65535) if width > 0 else 0
-        qy = int((location.y - b.y_min) / height * 65535) if height > 0 else 0
-        return interleave(min(max(qx, 0), 65535), min(max(qy, 0), 65535))
 
     def _descend(self, location: Point):
         node, depth = self._root, 1

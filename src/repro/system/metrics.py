@@ -43,17 +43,14 @@ class CommunicationStats:
     wire_bytes_down: int = 0
     server_seconds: float = 0.0
     # ------------------------------------------------------------------
-    # Batched fast-path counters (publish_batch and the index caches it
-    # drives; the single-event path leaves them all at 0).
+    # Publish-pipeline counters (publish_batch, of which a single publish
+    # is a batch of one, and the index caches it drives).
     # ------------------------------------------------------------------
     #: publish_batch invocations
     batches: int = 0
     #: events that arrived inside a batch (so ``batch_events / batches``
     #: is the realised mean batch size)
     batch_events: int = 0
-    #: quadtree descents and leaf visits the batched walks skipped
-    #: compared to the equivalent one-at-a-time calls
-    leaf_probes_saved: int = 0
     #: per-leaf clause-cache and per-cell covering-cache hits during
     #: batched processing (each hit skips an inverted-list counting run
     #: or a complement-table scan)
@@ -145,7 +142,8 @@ class CommunicationStats:
     # ------------------------------------------------------------------
     #: location updates whose corpus match was answered by the
     #: subscriber's retained matching field, without the event index
-    #: (``repair=True`` only); a share of ``location_update_rounds``
+    #: (``repair=True`` only); a share of ``location_update_rounds`` (a
+    #: fleet's shards each count their own answers to one report)
     corpus_matches_from_field: int = 0
     #: events un-dilated from a retained matching field — a delivery,
     #: expiry or extraction of an event the field knew, counted once per
@@ -220,14 +218,17 @@ class CommunicationStats:
     #: fleet's high-water mark is its deepest queue, not their sum)
     MAX_MERGED = frozenset({"send_queue_high_water", "ingress_queue_high_water"})
 
-    #: the bytes a client's own wire carries: a fleet counts them once,
-    #: at its coordinator, because its shards' frames never reach a client
+    #: what a client's own wire carries, its frames' bytes and its
+    #: location reports: a fleet counts them once, at its coordinator,
+    #: because its shards' frames never reach a client (a report to a
+    #: subscriber homed on K shards is one round, not K)
     CLIENT_WIRE = (
         "safe_region_bytes",
         "raw_region_bytes",
         "wire_bytes_up",
         "wire_bytes_down",
         "delta_region_bytes",
+        "location_update_rounds",
     )
 
     def with_client_wire_of(self, other: "CommunicationStats") -> "CommunicationStats":

@@ -195,8 +195,9 @@ class ElapsServer:
         self.rate_window = RATE_WINDOW
         self.repair_budget = RepairBudget()
         #: the one client-facing seam: region/delta shipping and the
-        #: location ping all go through here (None = headless server)
-        self.transport: Optional[Transport] = transport
+        #: location ping all go through here (the base class, a null
+        #: transport, by default)
+        self.transport = transport if transport is not None else Transport()
 
         self.subscribers: Dict[int, SubscriberRecord] = {}
         self.metrics = CommunicationStats()
@@ -237,16 +238,7 @@ class ElapsServer:
         """Load the initial event database without arrival processing."""
         events = list(events)
         self._journal_append("bootstrap", (events,))
-        stored = 0
-        for event in events:
-            if event.event_id in self._events_by_id:
-                # Idempotent, as in publish_batch: a re-run load (partial-
-                # fleet replay) skips events this corpus already holds.
-                self.metrics.duplicate_publishes += 1
-                continue
-            self._store_event(event)
-            stored += 1
-        if stored:
+        if self._store_events(events):
             # Stored without arrival processing, so no retained matching
             # field heard of them, and a scanned leaf is never revisited:
             # a mid-life load (a band move's hand-over) retires them all.
@@ -254,14 +246,25 @@ class ElapsServer:
                 record.drop_field()
         self._maybe_snapshot()
 
-    def _store_event(self, event: Event) -> None:
-        self.event_index.insert(event)
-        self._track_event(event)
+    def _store_events(self, events: List[Event]) -> List[Event]:
+        """Add the events this corpus does not hold yet to the event index
+        and the expiry heap, in order; returns them.
 
-    def _track_event(self, event: Event) -> None:
-        self._events_by_id[event.event_id] = event
-        if event.expires_at is not None:
-            heapq.heappush(self._expiry_heap, (event.expires_at, event.event_id))
+        Idempotent: a producer retry, a re-run load or a partially
+        surviving fleet re-running an operation another band lost re-sends
+        events the corpus already holds, and those are dropped and counted
+        in ``duplicate_publishes`` (duplicates *within* the fresh
+        remainder are a caller bug, rejected atomically by
+        :meth:`BEQTree.insert_batch`).
+        """
+        fresh = [e for e in events if e.event_id not in self._events_by_id]
+        self.metrics.duplicate_publishes += len(events) - len(fresh)
+        self.event_index.insert_batch(fresh)
+        for event in fresh:
+            self._events_by_id[event.event_id] = event
+            if event.expires_at is not None:
+                heapq.heappush(self._expiry_heap, (event.expires_at, event.event_id))
+        return fresh
 
     # ------------------------------------------------------------------
     # Statistics (the cost-model inputs)
@@ -427,8 +430,8 @@ class ElapsServer:
         Delivers exactly the notifications that processing the events one
         at a time (in order) would deliver, but amortises the work:
 
-        * the events enter the BEQ-Tree via :meth:`BEQTree.insert_batch`
-          (z-ordered, consecutive events reuse the previous leaf);
+        * the events enter the BEQ-Tree in one :meth:`BEQTree.insert_batch`
+          call, validated for the whole burst before any is stored;
         * impact-region coverage is resolved once per distinct grid cell
           through :meth:`ImpactRegionIndex.match_batch`;
         * each subscriber is pinged at most once per batch (its location
@@ -454,23 +457,14 @@ class ElapsServer:
         return notifications
 
     def _publish_batch(self, events: List[Event], now: int) -> List[Notification]:
-        # Idempotent re-publish: a producer retry — or a partially
-        # surviving fleet re-running an operation another band lost —
-        # re-sends events this corpus already holds.  The original arrival
-        # already offered them to every eligible subscriber (later
-        # subscribers match them from the corpus), so they are dropped
-        # (duplicates *within* the fresh remainder are still a caller
-        # bug, rejected atomically by insert_batch).
-        fresh = [e for e in events if e.event_id not in self._events_by_id]
-        self.metrics.duplicate_publishes += len(events) - len(fresh)
-        events = fresh
+        # A re-published event was already offered to every eligible
+        # subscriber by its original arrival (later subscribers match it
+        # from the corpus), so only the fresh ones are processed.
+        events = self._store_events(events)
         if not events:
             return []
-        hits_before, _, probes_before = self.event_index.counters.snapshot()
+        hits_before, _ = self.event_index.counters.snapshot()
         covering_hits_before = self.impact_index.cache_hits
-        self.event_index.insert_batch(events)
-        for event in events:
-            self._track_event(event)
         self._note_arrivals(now, len(events))
         event_cells = [self.grid.cell_of(event.location) for event in events]
         use_impact_region = self.config.use_impact_region
@@ -551,8 +545,7 @@ class ElapsServer:
             self._construct(record, now)
         self.metrics.batches += 1
         self.metrics.batch_events += len(events)
-        hits_after, _, probes_after = self.event_index.counters.snapshot()
-        self.metrics.leaf_probes_saved += probes_after - probes_before
+        hits_after, _ = self.event_index.counters.snapshot()
         self.metrics.cache_hits += (hits_after - hits_before) + (
             self.impact_index.cache_hits - covering_hits_before
         )
@@ -837,8 +830,7 @@ class ElapsServer:
         return applied
 
     def _restore_snapshot(self, image: ServerSnapshot) -> None:
-        for event in image.events:
-            self._store_event(event)
+        self._store_events(image.events)
         self._arrival_times = deque(image.arrival_times)
         self._started_at = image.started_at
         for name, value in image.counters.items():
@@ -913,8 +905,6 @@ class ElapsServer:
     # Region construction
     # ------------------------------------------------------------------
     def _refresh_location(self, record: SubscriberRecord) -> None:
-        if self.transport is None:
-            return
         answer = self.transport.locate(record.subscription.sub_id)
         if answer is not None:
             record.location, record.velocity = answer
@@ -1017,8 +1007,7 @@ class ElapsServer:
         """Account and push one full safe region to its client."""
         with self.tracer.span("ship"):
             self.metrics.count_region_push(record.subscription.sub_id, record.safe)
-            if self.transport is not None:
-                self.transport.ship_region(record.subscription.sub_id, record.safe)
+            self.transport.ship_region(record.subscription.sub_id, record.safe)
 
     # ------------------------------------------------------------------
     # Incremental repair (the repair=True alternative to _construct)
@@ -1088,5 +1077,4 @@ class ElapsServer:
         with self.tracer.span("ship"):
             sub_id = record.subscription.sub_id
             self.metrics.count_region_delta(sub_id, self.grid, removed)
-            if self.transport is not None:
-                self.transport.ship_delta(sub_id, removed, record.safe)
+            self.transport.ship_delta(sub_id, removed, record.safe)

@@ -232,7 +232,7 @@ class ShardedElapsServer:
         # "is None", not "or": an executor wrapper may define __len__
         self.executor = executor if executor is not None else SerialExecutor()
         #: the client-facing seam, exactly as on a single server
-        self.transport: Optional[Transport] = transport
+        self.transport = transport if transport is not None else Transport()
         #: boundary-move policy; ``None`` keeps the bands static
         self.rebalance_policy = rebalance
 
@@ -293,7 +293,8 @@ class ShardedElapsServer:
         #: coordinator-level counters: the client's wire, one frame per
         #: frame a client sends or receives (the subscribe, report and
         #: resync up, the pings a shard asks for, the deduplicated
-        #: notifications and the intersected region down); the per-worker
+        #: notifications and the intersected region down), and one
+        #: location-update round per client report; the per-worker
         #: activity lives in each shard's own metrics and is folded in by
         #: :meth:`merged_metrics`
         self.metrics = CommunicationStats()
@@ -449,8 +450,7 @@ class ShardedElapsServer:
     def _locate_subscriber(self, sub_id: int) -> Optional[Tuple[Point, Point]]:
         """A shard's location ping: one ping down the client's wire and
         one report up, whichever shard asked."""
-        transport = self.transport
-        answer = transport.locate(sub_id) if transport is not None else None
+        answer = self.transport.locate(sub_id)
         record = self.subscribers.get(sub_id)
         if record is None:
             return answer
@@ -606,13 +606,11 @@ class ShardedElapsServer:
                 continue
             if what == "full":
                 self.metrics.count_region_push(sub_id, record.safe)
-                if transport is not None:
-                    transport.ship_region(sub_id, record.safe)
+                transport.ship_region(sub_id, record.safe)
             elif what:
                 removed = frozenset(what)
                 self.metrics.count_region_delta(sub_id, self.grid, removed)
-                if transport is not None:
-                    transport.ship_delta(sub_id, removed, record.safe)
+                transport.ship_delta(sub_id, removed, record.safe)
 
     # ------------------------------------------------------------------
     # Public surface (mirrors ElapsServer)
@@ -722,6 +720,7 @@ class ShardedElapsServer:
         record = self.subscribers[sub_id]
         record.location = location
         record.velocity = velocity
+        self.metrics.location_update_rounds += 1
         self.metrics.wire_bytes_up += message_bytes(
             LocationReport(sub_id, location, velocity)
         )
@@ -1073,8 +1072,8 @@ class ShardedElapsServer:
     # ------------------------------------------------------------------
     def merged_metrics(self) -> CommunicationStats:
         """Every worker's counters, field-wise, with the client's wire
-        bytes as the coordinator counted them (a worker's own frames are
-        fleet-internal)."""
+        bytes and location reports as the coordinator counted them (a
+        worker's own frames are fleet-internal)."""
         merged = self.metrics
         for stats in self._run_all("merged_metrics"):
             merged = merged.merged_with(stats)
@@ -1082,8 +1081,8 @@ class ShardedElapsServer:
 
     def merged_registry(self) -> MetricsRegistry:
         """Coordinator registry plus every worker's (histograms
-        bucket-wise, wire bytes the coordinator's as in
-        :meth:`merged_metrics`), and the executor's pipe counters as
+        bucket-wise, wire bytes and location reports the coordinator's as
+        in :meth:`merged_metrics`), and the executor's pipe counters as
         gauges."""
         merged = self.registry
         for registry in self._run_all("merged_registry"):

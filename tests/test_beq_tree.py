@@ -109,6 +109,42 @@ class TestTreeStructure:
             }
             assert list(leaf.spatial) == list(fresh.spatial)
 
+    def test_a_batch_leaves_the_tree_as_one_by_one_inserts_would(self):
+        # Events enter in the caller's order, batched or not.  Events share
+        # locations, and the second batch splits the root mid-way.
+        rng = random.Random(23)
+        spots = [Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)) for _ in range(20)]
+        events = [
+            Event(
+                event_id,
+                {f"a{rng.randrange(3)}": rng.choice([1, 2, "x"]) for _ in range(3)},
+                rng.choice(spots),
+            )
+            for event_id in range(60)
+        ]
+
+        def layout(tree):
+            return [
+                (
+                    leaf.cell_id,
+                    leaf.boundary,
+                    list(leaf.events),
+                    [(a, list(lst)) for a, lst in leaf.lists.lists.items()],
+                    list(leaf.spatial),
+                )
+                for leaf in tree.leaves()
+            ]
+
+        one_by_one = BEQTree(SPACE, emax=8)
+        for event in events:
+            one_by_one.insert(event)
+        batched = BEQTree(SPACE, emax=8)
+        batched.insert_batch(events[:6])
+        assert batched.depth() == 1
+        batched.insert_batch(events[6:])
+        assert batched.depth() > 2
+        assert layout(batched) == layout(one_by_one)
+
     def test_max_depth_bounds_colocation(self):
         tree = BEQTree(SPACE, emax=2, max_depth=5)
         # 20 events at the same location would split forever without the cap.

@@ -147,7 +147,7 @@ class ClientWire:
 
     def __init__(self, server) -> None:
         self.server = server
-        self.up = self.down = self.region = self.delta = 0
+        self.up = self.down = self.region = self.delta = self.reports = 0
 
     def __getattr__(self, name):
         return getattr(self.server, name)
@@ -173,6 +173,7 @@ class ClientWire:
         return self._received(notifications), region
 
     def report_location(self, sub_id, location, velocity, now):
+        self.reports += 1
         self.up += message_bytes(LocationReport(sub_id, location, velocity))
         notifications, region = self.server.report_location(sub_id, location, velocity, now)
         return self._received(notifications), region
@@ -229,6 +230,21 @@ class TestFleetWire:
         assert stats.delta_region_bytes == wire.delta
 
 
+class TestFleetRounds:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_a_report_is_one_location_update_round(self, shards):
+        """A report to a subscriber homed on several shards is still one
+        round: the coordinator counts it, not each home."""
+        config = ExperimentConfig(
+            initial_events=2500, subscribers=10, timestamps=50, grid_n=80,
+            max_cells=1200, shards=shards, repair=True,
+        )
+        simulation = build_simulation(config, wrap_server=ClientWire)
+        stats = simulation.run(config.timestamps).stats
+        assert simulation.server.reports > 0
+        assert stats.location_update_rounds == simulation.server.reports
+
+
 class TestReportCompleteness:
     def test_as_dict_covers_every_field(self):
         stats = CommunicationStats()
@@ -236,7 +252,7 @@ class TestReportCompleteness:
 
     def test_as_dict_includes_batch_counters(self):
         report = run_workload().metrics.as_dict()
-        for key in ("batches", "batch_events", "leaf_probes_saved", "cache_hits"):
+        for key in ("batches", "batch_events", "cache_hits"):
             assert key in report
         # every pass through the pipeline counts, single publishes included
         assert report["batches"] == 3
