@@ -15,7 +15,7 @@ This is a standard 32-bit WAH codec (Wu, Otoo, Shoshani, TODS 2006):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,29 @@ def _encode_runs(runs: Iterable[Sequence[int]]) -> List[int]:
         else:
             words.extend([literal] * repeat)
     return words
+
+
+def _fold_groups(occupied: Iterable[Tuple[int, int]], groups: int) -> List[int]:
+    """WAH words for a bitmap of ``groups`` 31-bit groups whose occupied
+    groups are the ``(group, literal)`` pairs, in ascending group order.
+
+    The gaps between occupied groups (and after the last) are zero runs
+    sized from the group numbers, and adjacent all-ones groups (no gap
+    between them) share one run.
+    """
+    runs: List[List[int]] = []
+    next_group = 0  # first group not yet covered
+    for group, literal in occupied:
+        if group > next_group:
+            runs.append([0, group - next_group])
+        if literal == _ALL_ONES and runs and runs[-1][0] == _ALL_ONES:
+            runs[-1][1] += 1
+        else:
+            runs.append([literal, 1])
+        next_group = group + 1
+    if groups > next_group:
+        runs.append([0, groups - next_group])
+    return _encode_runs(runs)
 
 
 class WAHBitmap:
@@ -83,53 +106,37 @@ class WAHBitmap:
         for position in sorted_positions:
             group, bit = divmod(position, _GROUP_BITS)
             occupied[group] = occupied.get(group, 0) | (1 << bit)
-        # (literal, repeat) runs covering every group: the gaps between
-        # occupied groups are zero runs sized from the group numbers, and
-        # adjacent all-ones groups (no gap between them) share one run.
-        runs: List[List[int]] = []
-        next_group = 0  # first group not yet covered
-        for group, literal in occupied.items():
-            if group > next_group:
-                runs.append([0, group - next_group])
-            if literal == _ALL_ONES and runs and runs[-1][0] == _ALL_ONES:
-                runs[-1][1] += 1
-            else:
-                runs.append([literal, 1])
-            next_group = group + 1
-        if groups > next_group:
-            runs.append([0, groups - next_group])
-        return cls(length, _encode_runs(runs))
+        return cls(length, _fold_groups(occupied.items(), groups))
 
     @classmethod
     def from_positions_array(cls, positions: "np.ndarray", length: int) -> "WAHBitmap":
-        """Array kernel for :meth:`from_positions`: identical words.
+        """Array form of :meth:`from_positions`: identical words."""
+        return cls.from_sorted_array(np.unique(np.asarray(positions, dtype=np.int64)), length)
 
-        Group literals are materialised with one vectorized scatter-OR and
-        then run-length encoded over the (few) value changes.  A literal can
-        only equal the all-ones pattern when its group is complete — the
-        final partial group never has bits at or past ``length`` — so the
-        scalar encoder's ``group_full`` guard is implied and the two
-        encoders emit word-for-word identical output on every input.
+    @classmethod
+    def from_sorted_array(cls, positions: "np.ndarray", length: int) -> "WAHBitmap":
+        """Compress the bitmap with 1-bits at ``positions``, an ascending
+        int64 array of distinct positions (a region's Morton codes).
+
+        O(set bits), like :meth:`from_positions`, and word for word the
+        same: each occupied group's literal is one ``bitwise_or.reduceat``
+        over the bits that land in it, and only the occupied groups reach
+        Python, folded into runs by the scalar encoder's own fold.
         """
-        positions = np.unique(np.asarray(positions, dtype=np.int64))
-        if positions.size and (positions[0] < 0 or positions[-1] >= length):
+        size = positions.size
+        if size and (positions[0] < 0 or positions[-1] >= length):
             raise ValueError("bit position out of range")
         groups = (length + _GROUP_BITS - 1) // _GROUP_BITS
-        if groups == 0:
-            return cls(length, [])
-        literals = np.zeros(groups, dtype=np.int64)
-        np.bitwise_or.at(
-            literals,
-            positions // _GROUP_BITS,
-            np.int64(1) << (positions % _GROUP_BITS),
-        )
-        starts = np.flatnonzero(np.diff(literals)) + 1
-        bounds = [0, *starts.tolist(), groups]
+        if not size:
+            return cls(length, _fold_groups((), groups))
+        group_of, bit_of = np.divmod(positions, _GROUP_BITS)
+        first = np.empty(size, dtype=bool)
+        first[0] = True
+        np.not_equal(group_of[1:], group_of[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        literals = np.bitwise_or.reduceat(np.left_shift(1, bit_of), starts)
         return cls(
-            length,
-            _encode_runs(
-                (int(literals[lo]), hi - lo) for lo, hi in zip(bounds, bounds[1:])
-            ),
+            length, _fold_groups(zip(group_of[starts].tolist(), literals.tolist()), groups)
         )
 
     @classmethod
@@ -144,22 +151,30 @@ class WAHBitmap:
     # ------------------------------------------------------------------
     def positions(self) -> List[int]:
         """The 0-based positions of all 1-bits."""
-        result: List[int] = []
-        base = 0
-        for word in self.words:
-            if word & _FILL_FLAG:
-                count = word & _MAX_RUN
-                if word & _FILL_BIT:
-                    result.extend(range(base, base + count * _GROUP_BITS))
-                base += count * _GROUP_BITS
-            else:
-                bits = word
-                while bits:
-                    low = bits & -bits
-                    result.append(base + low.bit_length() - 1)
-                    bits ^= low
-                base += _GROUP_BITS
-        return [p for p in result if p < self.length]
+        return self.positions_array().tolist()
+
+    def positions_array(self) -> "np.ndarray":
+        """The 0-based positions of all 1-bits, ascending, as an int64
+        array: one pass over the words, no Python step per bit (a client
+        reads a pushed region's Morton codes straight from here)."""
+        if all(word & _FILL_FLAG and not word & _FILL_BIT for word in self.words):
+            # zero fills only (an empty region): no array work at all
+            return np.empty(0, dtype=np.int64)
+        words = np.array(self.words, dtype=np.int64)
+        fill = (words & _FILL_FLAG) != 0
+        span = np.where(fill, words & _MAX_RUN, 1)  # groups per word
+        first_group = np.cumsum(span) - span
+        literal = ~fill
+        rows, bits = np.nonzero(
+            (words[literal, None] >> np.arange(_GROUP_BITS)) & 1
+        )
+        found = [first_group[literal][rows] * _GROUP_BITS + bits]
+        for word in np.flatnonzero(fill & ((words & _FILL_BIT) != 0)).tolist():
+            start = int(first_group[word]) * _GROUP_BITS
+            stop = min(start + int(span[word]) * _GROUP_BITS, self.length)
+            found.append(np.arange(start, stop, dtype=np.int64))
+        positions = np.sort(np.concatenate(found)) if len(found) > 1 else found[0]
+        return positions[positions < self.length]
 
     def _group_runs(self) -> Iterable[tuple]:
         """The bitmap as ``(literal, repeat)`` runs of 31-bit groups.

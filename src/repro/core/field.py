@@ -44,7 +44,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..expressions import BooleanExpression
-from ..geometry import Cell, Grid, Point, Rect
+from ..geometry import Cell, Grid, Point, Rect, cells_of_codes
 
 # Below this many (points x offsets) products the per-point scalar dilation
 # (~2 us an offset) beats the array kernel's fixed overhead (~50 us).
@@ -68,24 +68,25 @@ def dilate_point(grid: Grid, point: Point, radius: float, into: Set[Cell]) -> No
             into.add(candidate)
 
 
-def dilate_points(grid: Grid, points: List[Point], radius: float) -> Set[Cell]:
-    """The cells within ``radius`` (closed) of any of ``points``: the fold
-    of :func:`dilate_point`, or — from :data:`_POINTS_ARRAY_CUTOVER`
-    (points x offsets) up — the same set from one pass of the array
-    kernel (:meth:`Grid.dilation_hits`), its hits' flat indices made
-    unique (ascending, so row-major) and split back into cells."""
+def dilate_points(grid: Grid, points: List[Point], radius: float) -> np.ndarray:
+    """The sorted Morton codes of the cells within ``radius`` (closed) of
+    any of ``points`` — the repair carve: the fold of :func:`dilate_point`,
+    or — from :data:`_POINTS_ARRAY_CUTOVER` (points x offsets) up — the
+    same cells from one pass of the array kernel
+    (:meth:`Grid.dilation_hits`), their flat indices made unique."""
     count = len(points)
     if count * len(grid.disk(radius, inclusive=True).offsets) >= _POINTS_ARRAY_CUTOVER:
         xs = np.fromiter((p.x for p in points), dtype=np.float64, count=count)
         ys = np.fromiter((p.y for p in points), dtype=np.float64, count=count)
         hits = [I * grid.n + J for I, J, _ in grid.dilation_hits(xs, ys, radius)]
         if not hits:
-            return set()
-        return set(grid.cells_of_flat(np.unique(np.concatenate(hits))))
+            return np.empty(0, dtype=np.int64)
+        return grid.codes_of_flat(np.unique(np.concatenate(hits)))
     cells: Set[Cell] = set()
     for point in points:
         dilate_point(grid, point, radius, cells)
-    return cells
+    morton_x, morton_y = grid.axes.morton_x, grid.axes.morton_y
+    return np.array(sorted(morton_x[i] | morton_y[j] for (i, j) in cells), dtype=np.int64)
 
 
 def cover_point(
@@ -349,7 +350,9 @@ class StaticMatchingField(MatchingEventField):
     def unsafe_cells(self) -> FrozenSet[Cell]:
         """All cells within the radius of some matching event (cached)."""
         if self._unsafe is None:
-            self._unsafe = frozenset(dilate_points(self.grid, self._points, self.radius))
+            self._unsafe = frozenset(
+                cells_of_codes(dilate_points(self.grid, self._points, self.radius))
+            )
         return self._unsafe
 
     def is_cell_safe(self, cell: Cell) -> bool:

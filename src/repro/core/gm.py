@@ -35,7 +35,7 @@ class GridMethod(SafeRegionStrategy):
         # with the matching events, not with the grid area.
         unsafe = request.matching_field.unsafe_cells()
 
-        safe = SafeRegion(grid, unsafe, complement=True)
+        safe = SafeRegion.of(grid, unsafe, complement=True)
         # GM's safe region need not contain the subscriber: if the
         # subscriber's own cell is unsafe the region is simply not valid
         # for him and the client reports every timestamp, exactly like an

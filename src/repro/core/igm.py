@@ -187,8 +187,8 @@ class IncrementalGridMethod(SafeRegionStrategy):
         # (with ``max_cells`` 0 the loop pops nothing at all, not even it).
         if (self.max_cells is None or self.max_cells > 0) and field.is_unsafe(start):
             return RegionPair(
-                safe=SafeRegion(grid, frozenset()),
-                impact=ImpactRegion(grid, frozenset()),
+                safe=SafeRegion.empty(grid),
+                impact=ImpactRegion.empty(grid),
                 cells_examined=1,
                 matching_in_impact=0,
                 visit_order=(start,) if self.record_visits else None,
@@ -256,7 +256,7 @@ class IncrementalGridMethod(SafeRegionStrategy):
         win_i0, win_j0, win_i1, win_j1 = 0, 0, -1, -1
 
         heappop, heappush, sqrt = heapq.heappop, heapq.heappush, math.sqrt
-        region: List[Cell] = []
+        region: List[int] = []  # accepted cells' flat indices
         matching_in_impact = 0
         cells_examined = 0
         last_accepted_bm: Optional[float] = None
@@ -332,7 +332,7 @@ class IncrementalGridMethod(SafeRegionStrategy):
             if bm <= beta:
                 last_accepted_bm = bm
                 accepted[k] = 1
-                region.append((i, j))
+                region.append(k)
                 if fresh is None:
                     impact_array[new_idx] = True
                 else:
@@ -355,10 +355,9 @@ class IncrementalGridMethod(SafeRegionStrategy):
             elif bm > beta and first_rejected_bm is None:
                 first_rejected_bm = bm
 
-        impact = frozenset(grid.cells_of_flat(np.flatnonzero(impact_array)))
         return RegionPair(
-            safe=SafeRegion(grid, frozenset(region)),
-            impact=ImpactRegion(grid, impact),
+            safe=SafeRegion(grid, grid.codes_of_flat(np.array(region, dtype=np.int64))),
+            impact=ImpactRegion(grid, grid.codes_of_flat(np.flatnonzero(impact_array))),
             cells_examined=cells_examined,
             last_accepted_bm=last_accepted_bm,
             first_rejected_bm=first_rejected_bm,

@@ -11,62 +11,110 @@ paper's guarantees conservative:
   event outside the impact cells provably cannot invalidate the safe
   region (Definition 2 is over-approximated, never under-approximated).
 
+A region stores its cells as their Morton codes (Appendix B's z-order
+ids), ascending, in one int64 array: the bit positions its WAH bitmap
+sets on the wire, and what membership, repair and the fleet's
+intersection work on (binary search and sorted-array set operations).
+The ``(i, j)`` form is for the scalar oracle and the tests, through
+:func:`~repro.geometry.zorder.codes_of_cells` and :meth:`GridRegion.of`.
+
 GM's safe region is usually "everything except a few cells", so regions
-support a complement representation: the stored cell set is then the
+support a complement representation: the stored codes are then the
 *excluded* cells.  The WAH bitmap codec (Appendix B) handles both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 from scipy import ndimage
 
 from ..bitmap import WAHBitmap
-from ..geometry import Cell, Grid, Point, interleave
-from ..geometry.zorder import interleave_array
+from ..geometry import Cell, Grid, Point, cells_of_codes, codes_of_cells
+from ..geometry.zorder import deinterleave_array, interleave_array, sorted_membership
 
-# Measured end to end on 128² and 256² bitmaps (DESIGN.md §14): the scalar
-# path costs ~1 us per cell (Morton code + O(set bits) WAH encode), the
-# array path ~55 us fixed + ~0.3 us per cell.  They cross at 80-96 cells;
-# identical words either side.
-_BITMAP_ARRAY_CUTOVER = 96
+_NO_CODES = np.empty(0, dtype=np.int64)
+_NO_CODES.flags.writeable = False
 
 
-@dataclass(frozen=True)
+def _frozen(codes: np.ndarray) -> np.ndarray:
+    """``codes`` as a read-only int64 array (no copy when it already is)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    codes.flags.writeable = False
+    return codes
+
+
+@dataclass(frozen=True, eq=False)
 class GridRegion:
-    """An immutable set of grid cells, optionally stored as a complement."""
+    """An immutable set of grid cells, optionally stored as a complement.
+
+    ``codes`` is the ascending, distinct int64 array of the stored cells'
+    Morton codes (the member cells, or the excluded ones when
+    ``complement``); the constructor takes it as given.  Two regions are
+    equal when grid, representation and codes are.
+    """
 
     grid: Grid
-    cells: FrozenSet[Cell]
+    codes: np.ndarray
     complement: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codes", _frozen(self.codes))
 
     @classmethod
     def of(cls, grid: Grid, cells: Iterable[Cell], complement: bool = False) -> "GridRegion":
-        """Region over the given cells (or their complement)."""
-        return cls(grid, frozenset(cells), complement)
+        """Region over the given ``(i, j)`` cells (or their complement)."""
+        return cls(grid, codes_of_cells(cells), complement)
 
     @classmethod
     def empty(cls, grid: Grid) -> "GridRegion":
         """The empty region."""
-        return cls(grid, frozenset(), complement=False)
+        return cls(grid, _NO_CODES, complement=False)
 
     @classmethod
     def whole_space(cls, grid: Grid) -> "GridRegion":
         """The region covering every cell of the grid."""
-        return cls(grid, frozenset(), complement=True)
+        return cls(grid, _NO_CODES, complement=True)
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The stored cells as their Morton codes (hashable ints), so two
+        regions' member sets compare as ``frozenset(region.cells)``."""
+        return self.codes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.grid == other.grid
+            and self.complement == other.complement
+            and np.array_equal(self.codes, other.codes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.grid, self.complement, self.codes.tobytes()))
+
+    def covers_code(self, code: int) -> bool:
+        """Membership of the in-bounds cell whose Morton code is ``code``:
+        one binary search."""
+        codes = self.codes
+        at = codes.searchsorted(code)
+        if at < codes.size and codes[at] == code:
+            return not self.complement
+        return self.complement
 
     def covers_cell(self, cell: Cell) -> bool:
         """Membership test at cell granularity."""
-        if self.complement:
-            return self.grid.in_bounds(cell) and cell not in self.cells
-        return cell in self.cells
+        if not self.grid.in_bounds(cell):
+            return False
+        axes = self.grid.axes
+        return self.covers_code(axes.morton_x[cell[0]] | axes.morton_y[cell[1]])
 
     def contains_point(self, p: Point) -> bool:
         """Membership test for a point (via its containing cell)."""
-        return self.covers_cell(self.grid.cell_of(p))
+        return self.covers_code(self.grid.code_of(p))
 
     def is_empty(self) -> bool:
         """True when no cell is covered."""
@@ -75,36 +123,45 @@ class GridRegion:
     def area_cells(self) -> int:
         """The number of covered cells."""
         total = self.grid.n * self.grid.n
-        return total - len(self.cells) if self.complement else len(self.cells)
+        return total - self.codes.size if self.complement else self.codes.size
 
     def iter_cells(self) -> Iterator[Cell]:
-        """All member cells; materialises the complement when needed."""
+        """All member cells as ``(i, j)``; materialises the complement
+        when needed."""
         if not self.complement:
-            yield from self.cells
+            yield from cells_of_codes(self.codes)
             return
+        excluded = set(cells_of_codes(self.codes))
         for cell in self.grid.all_cells():
-            if cell not in self.cells:
+            if cell not in excluded:
                 yield cell
 
     # ------------------------------------------------------------------
     # Repair (carving cells out of a region)
     # ------------------------------------------------------------------
-    def subtract(self, cells: Iterable[Cell]) -> Tuple["GridRegion", FrozenSet[Cell]]:
-        """Remove cells from the region; returns ``(smaller, removed)``.
+    def subtract(self, codes: np.ndarray) -> Tuple["GridRegion", np.ndarray]:
+        """Remove the cells with the given Morton codes (ascending,
+        distinct, of in-bounds cells) from the region; returns
+        ``(smaller, removed)``.
 
-        ``removed`` is the subset of ``cells`` the region actually covered
-        — the membership delta a server ships to the client holding this
-        region.  Representation is preserved: a complement region grows
-        its excluded set, a direct region shrinks its cell set, and the
-        result keeps the caller's class (so ``SafeRegion.subtract`` yields
-        a ``SafeRegion``).  Removing nothing returns ``self`` unchanged.
+        ``removed`` is the ascending code array of the cells the region
+        actually covered — the membership delta a server ships to the
+        client holding this region.  Representation is preserved: a
+        complement region grows its excluded codes, a direct region
+        shrinks its own, and the result keeps the caller's class (so
+        ``SafeRegion.subtract`` yields a ``SafeRegion``).  Removing
+        nothing returns ``self`` unchanged.
         """
-        removed = frozenset(cell for cell in cells if self.covers_cell(cell))
-        if not removed:
+        asked = np.asarray(codes, dtype=np.int64)
+        stored = sorted_membership(self.codes, asked)
+        removed = asked[stored != self.complement]
+        if not removed.size:
             return self, removed
         if self.complement:
-            return type(self)(self.grid, self.cells | removed, True), removed
-        return type(self)(self.grid, self.cells - removed, False), removed
+            kept = np.union1d(self.codes, removed)
+        else:
+            kept = self.codes[~sorted_membership(removed, self.codes)]
+        return type(self)(self.grid, kept, self.complement), removed
 
     # ------------------------------------------------------------------
     # Intersection (merging per-shard regions)
@@ -117,21 +174,25 @@ class GridRegion:
         *all* events is the intersection of the per-shard regions
         (Definition 1 is a conjunction over events).  Complement forms
         combine without materialising: two complements intersect by
-        uniting their excluded sets; a mixed pair subtracts the
-        complement's excluded cells from the direct side.  The result
-        keeps the caller's class (so ``SafeRegion ∩ SafeRegion`` is a
+        uniting their excluded codes; a mixed pair drops the complement's
+        excluded codes from the direct side.  The result keeps the
+        caller's class (so ``SafeRegion ∩ SafeRegion`` is a
         ``SafeRegion``).
         """
         mine, theirs = self.grid, other.grid
         if mine is not theirs and (mine.n, mine.space) != (theirs.n, theirs.space):
             raise ValueError("cannot intersect regions over different grids")
         if self.complement and other.complement:
-            return type(self)(self.grid, self.cells | other.cells, True)
+            return type(self)(self.grid, np.union1d(self.codes, other.codes), True)
         if self.complement:
-            return type(self)(self.grid, other.cells - self.cells, False)
-        if other.complement:
-            return type(self)(self.grid, self.cells - other.cells, False)
-        return type(self)(self.grid, self.cells & other.cells, False)
+            direct, excluded = other.codes, self.codes
+            kept = direct[~sorted_membership(excluded, direct)]
+        elif other.complement:
+            direct, excluded = self.codes, other.codes
+            kept = direct[~sorted_membership(excluded, direct)]
+        else:
+            kept = np.intersect1d(self.codes, other.codes, assume_unique=True)
+        return type(self)(self.grid, kept, False)
 
     # ------------------------------------------------------------------
     # Wire encoding (Appendix B)
@@ -139,12 +200,13 @@ class GridRegion:
     def to_bitmap(self) -> WAHBitmap:
         """The z-ordered WAH bitmap a server would ship to the client.
 
-        Cells are laid out by Morton code so that spatially close cells get
-        adjacent bit positions, which is what makes the run-length encoding
-        effective (Appendix B).  A complement region encodes its *stored*
-        (excluded) cells — the complement flag travels beside the bitmap in
-        the wire protocol, so the client inverts the membership test rather
-        than the server shipping a nearly-all-ones bitmap.
+        The bit positions are the stored Morton codes, so spatially close
+        cells get adjacent bit positions, which is what makes the
+        run-length encoding effective (Appendix B).  A complement region
+        encodes its *stored* (excluded) cells — the complement flag
+        travels beside the bitmap in the wire protocol, so the client
+        inverts the membership test rather than the server shipping a
+        nearly-all-ones bitmap.
 
         Encoded once per region: the region and the bitmap are both
         immutable, and one ship asks twice (the byte counters, then the
@@ -153,24 +215,22 @@ class GridRegion:
         bitmap = self.__dict__.get("_bitmap")
         if bitmap is None:
             side = 1 << max(self.grid.n - 1, 1).bit_length()
-            length = side * side
-            if len(self.cells) >= _BITMAP_ARRAY_CUTOVER:
-                pairs = np.array(tuple(self.cells), dtype=np.int64).reshape(-1, 2)
-                codes = interleave_array(pairs[:, 0], pairs[:, 1]).astype(np.int64)
-                bitmap = WAHBitmap.from_positions_array(codes, length)
-            else:
-                positions = (interleave(i, j) for (i, j) in self.cells)
-                bitmap = WAHBitmap.from_positions(positions, length)
+            bitmap = WAHBitmap.from_sorted_array(self.codes, side * side)
             # not a field: stays out of ==, hash and repr
             self.__dict__["_bitmap"] = bitmap
         return bitmap
 
     def __getstate__(self):
         # ... and out of pickles and copies: across a fleet worker's pipe a
-        # region is this state with its grid by identity (DESIGN.md §15)
-        state = dict(self.__dict__)
-        state.pop("_bitmap", None)
-        return state
+        # region is its grid by identity, its flag and its codes as bytes
+        # (DESIGN.md §15)
+        return (self.grid, self.codes.tobytes(), self.complement)
+
+    def __setstate__(self, state) -> None:
+        grid, codes, complement = state
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "codes", np.frombuffer(codes, dtype=np.int64))
+        object.__setattr__(self, "complement", complement)
 
     def encoded_bytes(self) -> int:
         """Bytes on the wire when shipping this region to a client."""
@@ -185,7 +245,7 @@ class ImpactRegion(GridRegion):
     """Definition 2 rendered on the grid; stays on the server."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionDelta:
     """The cells a repair removed from a subscriber's safe region.
 
@@ -193,21 +253,19 @@ class RegionDelta:
     the event corpus, Definition 1), so the server never needs to ship
     additions: the whole region update is "these cells left your region".
     A delta is representation-agnostic — the client subtracts the removed
-    cells from whatever region it holds (direct or complement), via
-    :meth:`GridRegion.subtract`.
+    codes (ascending, as :meth:`GridRegion.subtract` returns them) from
+    whatever region it holds (direct or complement).
     """
 
     grid: Grid
-    removed: FrozenSet[Cell]
+    removed: np.ndarray
 
-    @classmethod
-    def of(cls, grid: Grid, removed: Iterable[Cell]) -> "RegionDelta":
-        """A delta over the given removed cells."""
-        return cls(grid, frozenset(removed))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "removed", _frozen(self.removed))
 
     def is_empty(self) -> bool:
         """True when the repair removed nothing (nothing to ship)."""
-        return not self.removed
+        return not self.removed.size
 
     def apply_to(self, region: GridRegion) -> GridRegion:
         """The region after this delta: membership minus the removed cells."""
@@ -245,11 +303,9 @@ def impact_from_safe(safe: SafeRegion, radius: float) -> ImpactRegion:
     grid = safe.grid
     if safe.complement:
         mask = np.ones((grid.n, grid.n), dtype=bool)
-        for (i, j) in safe.cells:
-            mask[i, j] = False
+        mask[deinterleave_array(safe.codes)] = False
         dilated = ndimage.binary_dilation(mask, structure=_structuring_element(grid, radius))
-        excluded = frozenset(
-            (int(i), int(j)) for i, j in zip(*np.nonzero(~dilated))
-        )
+        excluded_i, excluded_j = np.nonzero(~dilated)
+        excluded = np.sort(interleave_array(excluded_i, excluded_j).astype(np.int64))
         return ImpactRegion(grid, excluded, complement=True)
-    return ImpactRegion(grid, frozenset(grid.dilate(safe.cells, radius)), complement=False)
+    return ImpactRegion(grid, grid.dilate_codes(safe.codes, radius), complement=False)

@@ -81,7 +81,7 @@ class VoronoiMethod(SafeRegionStrategy):
                     seen.add(neighbor)
                     queue.append(neighbor)
 
-        safe = SafeRegion(grid, frozenset(region))
+        safe = SafeRegion.of(grid, region)
         return RegionPair(
             safe=safe,
             impact=impact_from_safe(safe, request.radius),

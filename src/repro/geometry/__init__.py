@@ -4,7 +4,7 @@ from .circle import Circle
 from .grid import Cell, Grid
 from .point import ORIGIN, Point
 from .rect import Rect
-from .zorder import deinterleave, interleave
+from .zorder import cells_of_codes, codes_of_cells, deinterleave, interleave
 
 __all__ = [
     "Cell",
@@ -13,6 +13,8 @@ __all__ = [
     "ORIGIN",
     "Point",
     "Rect",
+    "cells_of_codes",
+    "codes_of_cells",
     "deinterleave",
     "interleave",
 ]

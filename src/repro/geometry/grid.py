@@ -31,17 +31,13 @@ import numpy as np
 from .circle import Circle
 from .point import Point
 from .rect import Rect
-from .zorder import interleave
+from .zorder import deinterleave_array, interleave
 
 Cell = Tuple[int, int]
 
 # Cap on the size of (points x offsets) intermediates in the array kernels;
 # larger inputs are processed in chunks of roughly this many elements.
 _ARRAY_CHUNK = 1 << 18
-
-# Below this many (cells x offsets) products the scalar dilation loop beats
-# the numpy kernel's fixed overhead.
-_DILATE_ARRAY_CUTOVER = 4096
 
 #: the 8 neighbour directions, in the order of :attr:`Disk.strips`'s keys;
 #: bit ``k`` of a :class:`StripCandidates` key stands for ``RING[k]``
@@ -175,13 +171,17 @@ class GridAxes:
       :meth:`Grid.cell_center` forms them;
     * ``morton_x[i] | morton_y[j] == interleave(i, j)``: the Morton code
       as two per-axis bit spreads (its bits of i and of j are disjoint),
-      not an ``n x n`` table.
+      not an ``n x n`` table; ``morton_x_array`` / ``morton_y_array`` are
+      the same spreads as int64 arrays, for whole index arrays at once.
 
     Each entry is computed by Python float arithmetic, so every table
     value is bit-identical to what the scalar methods compute per call.
     """
 
-    __slots__ = ("x_lo", "x_hi", "y_lo", "y_hi", "x_mid", "y_mid", "morton_x", "morton_y")
+    __slots__ = (
+        "x_lo", "x_hi", "y_lo", "y_hi", "x_mid", "y_mid",
+        "morton_x", "morton_y", "morton_x_array", "morton_y_array",
+    )
 
     def __init__(self, grid: "Grid") -> None:
         n = grid.n
@@ -195,6 +195,8 @@ class GridAxes:
         self.y_mid = np.array([y0 + (j + 0.5) * ch for j in range(n)], dtype=np.float64)
         self.morton_x = tuple(interleave(i, 0) for i in range(n))
         self.morton_y = tuple(interleave(0, j) for j in range(n))
+        self.morton_x_array = np.array(self.morton_x, dtype=np.int64)
+        self.morton_y_array = np.array(self.morton_y, dtype=np.int64)
 
 
 class Grid:
@@ -251,10 +253,21 @@ class Grid:
         np.clip(j, 0, self.n - 1, out=j)
         return i, j
 
-    def cells_of_flat(self, flat: np.ndarray) -> Iterator[Cell]:
-        """The cells ``(i, j)`` of flat indices ``i * n + j``, in order."""
+    def code_of(self, p: Point) -> int:
+        """The Morton code of the cell containing ``p`` (clamped as
+        :meth:`cell_of` clamps): what a region's membership test reads."""
+        i, j = self.cell_of(p)
+        axes = self.axes
+        return axes.morton_x[i] | axes.morton_y[j]
+
+    def codes_of_flat(self, flat: np.ndarray) -> np.ndarray:
+        """The Morton codes of flat indices ``i * n + j``, sorted (distinct
+        indices give distinct codes)."""
         ii, jj = np.divmod(flat, self.n)
-        return zip(ii.tolist(), jj.tolist())
+        axes = self.axes
+        codes = axes.morton_x_array[ii] | axes.morton_y_array[jj]
+        codes.sort()
+        return codes
 
     def in_bounds(self, cell: Cell) -> bool:
         """True when the cell index lies inside the grid."""
@@ -412,11 +425,9 @@ class Grid:
             yield I[keep], J[keep], keep
 
     def dilate(self, cells: FrozenSet[Cell] | set, radius: float) -> set:
-        """All in-bounds cells within ``radius`` of the given cell set."""
+        """All in-bounds cells within ``radius`` of the given cell set
+        (the cell-at-a-time reference for :meth:`dilate_codes`)."""
         offsets = self.disk(radius).offsets
-        if len(cells) * len(offsets) >= _DILATE_ARRAY_CUTOVER:
-            seeds = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
-            return self._dilate_array(seeds, radius)
         result = set()
         for (i, j) in cells:
             for (di, dj) in offsets:
@@ -425,21 +436,26 @@ class Grid:
                     result.add(candidate)
         return result
 
-    def _dilate_array(self, seeds: np.ndarray, radius: float) -> set:
-        """Array form of :meth:`dilate`: the kept candidates' flat indices,
-        made unique (ascending, so row-major) and split back into cells."""
-        off_i, off_j = self.disk(radius).arrays
-        if seeds.size == 0 or off_i.size == 0:
-            return set()
+    def dilate_codes(
+        self, codes: np.ndarray, radius: float, inclusive: bool = False
+    ) -> np.ndarray:
+        """The sorted Morton codes of every in-bounds cell within
+        ``radius`` of the cells whose codes are given (at exactly
+        ``radius`` too when ``inclusive``): :meth:`dilate` over code
+        arrays, one bounds-filtered offset pass per chunk of seeds."""
+        off_i, off_j = self.disk(radius, inclusive=inclusive).arrays
+        if codes.size == 0 or off_i.size == 0:
+            return np.empty(0, dtype=np.int64)
+        seed_i, seed_j = deinterleave_array(codes)
         n = self.n
         hits = []
         step = max(1, _ARRAY_CHUNK // off_i.size)
-        for lo in range(0, len(seeds), step):
-            I = (seeds[lo : lo + step, 0][:, None] + off_i[None, :]).ravel()
-            J = (seeds[lo : lo + step, 1][:, None] + off_j[None, :]).ravel()
+        for lo in range(0, seed_i.size, step):
+            I = (seed_i[lo : lo + step, None] + off_i[None, :]).ravel()
+            J = (seed_j[lo : lo + step, None] + off_j[None, :]).ravel()
             keep = (I >= 0) & (I < n) & (J >= 0) & (J < n)
             hits.append(I[keep] * n + J[keep])
-        return set(self.cells_of_flat(np.unique(np.concatenate(hits))))
+        return self.codes_of_flat(np.unique(np.concatenate(hits)))
 
     def cells_within_radius(
         self, cell: Cell, radius: float, inclusive: bool = False

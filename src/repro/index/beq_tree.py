@@ -40,6 +40,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -285,16 +286,12 @@ class BEQTree(EventIndex):
         """Insert one event: a batch of one."""
         self.insert_batch((event,))
 
-    def insert_batch(self, events: Iterable[Event]) -> None:
-        """Insert events in the order given (Appendix C): descend to each
-        event's leaf, add it, and split the leaf past ``emax``.
-
-        The batch is validated upfront — bounds and duplicate ids, within
-        the batch included — so a rejected batch inserts nothing.
-        """
-        batch = list(events)
+    def validate_batch(self, events: Sequence[Event]) -> None:
+        """Refuse, with ``ValueError``, a batch :meth:`insert_batch` would
+        refuse: an event outside the boundary, an id the tree holds, or an
+        id repeated within the batch.  Checks only; stores nothing."""
         fresh_ids: set = set()
-        for event in batch:
+        for event in events:
             if not self.boundary.contains_point(event.location):
                 raise ValueError(
                     f"event {event.event_id} at {event.location} is outside {self.boundary}"
@@ -302,7 +299,19 @@ class BEQTree(EventIndex):
             if event.event_id in self._event_ids or event.event_id in fresh_ids:
                 raise ValueError(f"duplicate event id {event.event_id}")
             fresh_ids.add(event.event_id)
-        self._event_ids |= fresh_ids
+
+    def insert_batch(self, events: Iterable[Event], validated: bool = False) -> None:
+        """Insert events in the order given (Appendix C): descend to each
+        event's leaf, add it, and split the leaf past ``emax``.
+
+        The batch is validated upfront (:meth:`validate_batch`; skipped
+        when the caller already did, ``validated``), so a rejected batch
+        inserts nothing.
+        """
+        batch = list(events)
+        if not validated:
+            self.validate_batch(batch)
+        self._event_ids.update(event.event_id for event in batch)
         self._size += len(batch)
         for event in batch:
             node, depth = self._descend(event.location)

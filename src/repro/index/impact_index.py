@@ -1,10 +1,11 @@
 """The impact-region index (Section 5).
 
 Safe regions travel to the clients; the matching *impact regions* stay on
-the server, stored in an inverted index keyed by grid-cell id.  When a new
-event arrives, the server looks up the event's cell and obtains exactly
-the subscribers whose impact region covers that cell — the subscribers
-whose safe region the event may invalidate (Definition 2).
+the server, stored in an inverted index keyed by grid-cell id (the
+cell's Morton code).  When a new event arrives, the server looks up the
+event's cell and obtains exactly the subscribers whose impact region
+covers that cell — the subscribers whose safe region the event may
+invalidate (Definition 2).
 
 GM produces impact regions covering almost the whole space, stored in
 complement form.  Materialising those into the per-cell inverted index
@@ -15,31 +16,52 @@ arriving matching event hits (nearly) every subscriber.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+import heapq
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..geometry import Cell
+import numpy as np
+
+from ..geometry.zorder import sorted_membership
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.regions import ImpactRegion
 
+_NO_CODES = np.empty(0, dtype=np.int64)
+_NO_CODES.flags.writeable = False
+
 
 class ImpactRegionIndex:
-    """Inverted index: grid cell -> subscribers whose impact region covers it."""
+    """Inverted index: grid cell -> subscribers whose impact region covers it.
+
+    A cell is addressed by its Morton code (``Grid.code_of``), as regions
+    store it, and its posting is one Python int: a bitmask over
+    subscriber *slots* (small integers handed out on a subscriber's first
+    install and reused after its removal).  An int holds no references,
+    so the postings are invisible to the cyclic collector, and ~150
+    subscribers' bits cost a few dozen bytes where a ``set`` cost ~700.
+    Each directly-stored subscriber keeps its region's code array, so an
+    install diffs two sorted arrays.
+    """
 
     #: covering-cache entries beyond this are dropped wholesale (bounds
     #: the memory of a server fed events from a huge, sparse grid)
     CACHE_LIMIT = 1 << 16
 
     def __init__(self) -> None:
-        self._by_cell: Dict[Cell, Set[int]] = defaultdict(set)
-        self._by_subscriber: Dict[int, FrozenSet[Cell]] = {}
+        self._by_cell: Dict[int, int] = {}
+        self._by_subscriber: Dict[int, np.ndarray] = {}
         self._complement: Dict[int, "ImpactRegion"] = {}
+        #: sub_id -> slot, and slot -> sub_id (None when free)
+        self._slot_of: Dict[int, int] = {}
+        self._sub_at: List[Optional[int]] = []
+        #: free slots, lowest first, so masks stay as short as the
+        #: population allows
+        self._free: List[int] = []
         # cell -> subscribers covering it, memoised for the batched event
         # path; any subscription churn (replace/remove) invalidates it
         # wholesale, since a complement region can change the answer for
         # every cell at once
-        self._covering_cache: Dict[Cell, FrozenSet[int]] = {}
+        self._covering_cache: Dict[int, FrozenSet[int]] = {}
         #: batched lookups answered from the covering cache
         self.cache_hits = 0
 
@@ -52,8 +74,9 @@ class ImpactRegionIndex:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def replace(self, sub_id: int, impact_cells: Iterable[Cell]) -> None:
-        """Install (or overwrite) a subscriber's impact region as a cell set.
+    def replace(self, sub_id: int, codes: np.ndarray) -> None:
+        """Install (or overwrite) a subscriber's impact region as the
+        ascending array of its cells' Morton codes.
 
         Only the symmetric difference against the stored region touches
         the inverted index: consecutive regions of one moving subscriber
@@ -61,12 +84,22 @@ class ImpactRegionIndex:
         """
         self._covering_cache.clear()
         self._complement.pop(sub_id, None)
-        cells = frozenset(impact_cells)
-        old = self._by_subscriber.get(sub_id, frozenset())
-        self._by_subscriber[sub_id] = cells
-        self._unpost(sub_id, old - cells)
-        for cell in cells - old:
-            self._by_cell[cell].add(sub_id)
+        slot = self._slot_of.get(sub_id)
+        if slot is None:
+            if self._free:
+                slot = heapq.heappop(self._free)
+                self._sub_at[slot] = sub_id
+            else:
+                slot = len(self._sub_at)
+                self._sub_at.append(sub_id)
+            self._slot_of[sub_id] = slot
+        bit = 1 << slot
+        old = self._by_subscriber.get(sub_id, _NO_CODES)
+        self._by_subscriber[sub_id] = codes
+        self._unpost(bit, old[~sorted_membership(codes, old)].tolist())
+        by_cell = self._by_cell
+        for code in codes[~sorted_membership(old, codes)].tolist():
+            by_cell[code] = by_cell.get(code, 0) | bit
 
     def replace_region(self, sub_id: int, region: "ImpactRegion") -> None:
         """Install an :class:`ImpactRegion`, honouring complement storage."""
@@ -74,80 +107,92 @@ class ImpactRegionIndex:
             self.remove(sub_id)
             self._complement[sub_id] = region
         else:
-            self.replace(sub_id, region.cells)
+            self.replace(sub_id, region.codes)
 
     def remove(self, sub_id: int) -> None:
         """Drop a subscriber's impact region; no-op if absent."""
         self._covering_cache.clear()
         self._complement.pop(sub_id, None)
-        self._unpost(sub_id, self._by_subscriber.pop(sub_id, ()))
+        slot = self._slot_of.pop(sub_id, None)
+        if slot is None:
+            return
+        self._unpost(1 << slot, self._by_subscriber.pop(sub_id).tolist())
+        self._sub_at[slot] = None
+        heapq.heappush(self._free, slot)
 
-    def _unpost(self, sub_id: int, cells: Iterable[Cell]) -> None:
-        """Drop ``sub_id`` from the given cells' postings, leaving no
-        empty bucket behind."""
-        for cell in cells:
-            bucket = self._by_cell[cell]
-            bucket.discard(sub_id)
-            if not bucket:
-                del self._by_cell[cell]
+    def _unpost(self, bit: int, codes: Iterable[int]) -> None:
+        """Clear ``bit`` in the given cells' postings, leaving no empty
+        posting behind."""
+        by_cell = self._by_cell
+        for code in codes:
+            rest = by_cell[code] ^ bit
+            if rest:
+                by_cell[code] = rest
+            else:
+                del by_cell[code]
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def region_of(self, sub_id: int) -> Optional[Tuple[bool, FrozenSet[Cell]]]:
-        """The stored region as ``(complement, cells)``; None when the
+    def region_of(self, sub_id: int) -> Optional[Tuple[bool, np.ndarray]]:
+        """The stored region as ``(complement, codes)``; None when the
         subscriber has no installed region.  Used by snapshots — the
-        cells are the exact durable representation either storage form
+        codes are the exact durable representation either storage form
         round-trips through."""
         region = self._complement.get(sub_id)
         if region is not None:
-            return True, frozenset(region.cells)
-        cells = self._by_subscriber.get(sub_id)
-        if cells is None:
+            return True, region.codes
+        codes = self._by_subscriber.get(sub_id)
+        if codes is None:
             return None
-        return False, cells
+        return False, codes
 
-    def covers(self, sub_id: int, cell: Cell) -> bool:
-        """Does this subscriber's impact region cover ``cell``?"""
+    def covers(self, sub_id: int, code: int) -> bool:
+        """Does this subscriber's impact region cover the cell ``code``?"""
         region = self._complement.get(sub_id)
         if region is not None:
-            return region.covers_cell(cell)
-        return sub_id in self._by_cell.get(cell, ())
+            return region.covers_code(code)
+        slot = self._slot_of.get(sub_id)
+        return slot is not None and bool(self._by_cell.get(code, 0) >> slot & 1)
 
-    def subscribers_covering(self, cell: Cell) -> FrozenSet[int]:
-        """All subscribers whose impact region covers ``cell``."""
-        direct = self._by_cell.get(cell, set())
-        via_complement = {
-            sub_id
-            for sub_id, region in self._complement.items()
-            if region.covers_cell(cell)
-        }
-        return frozenset(direct | via_complement)
+    def subscribers_covering(self, code: int) -> FrozenSet[int]:
+        """All subscribers whose impact region covers the cell ``code``."""
+        covering = set()
+        mask = self._by_cell.get(code, 0)
+        sub_at = self._sub_at
+        while mask:
+            low = mask & -mask
+            covering.add(sub_at[low.bit_length() - 1])
+            mask ^= low
+        for sub_id, region in self._complement.items():
+            if region.covers_code(code):
+                covering.add(sub_id)
+        return frozenset(covering)
 
-    def match_batch(self, cells: Iterable[Cell]) -> Dict[Cell, FrozenSet[int]]:
+    def match_batch(self, codes: Iterable[int]) -> Dict[int, FrozenSet[int]]:
         """Covering subscribers for every distinct cell of a batch.
 
-        ``sub_id in result[cell]`` is equivalent to
-        ``self.covers(sub_id, cell)``, but a burst of events landing in
+        ``sub_id in result[code]`` is equivalent to
+        ``self.covers(sub_id, code)``, but a burst of events landing in
         the same cells pays the complement-table scan once per distinct
         cell, and the memo persists across batches until the next
         subscription churn.
         """
-        result: Dict[Cell, FrozenSet[int]] = {}
-        for cell in cells:
-            if cell in result:
+        result: Dict[int, FrozenSet[int]] = {}
+        for code in codes:
+            if code in result:
                 continue
-            covering = self._covering_cache.get(cell)
+            covering = self._covering_cache.get(code)
             if covering is not None:
                 self.cache_hits += 1
             else:
-                covering = self.subscribers_covering(cell)
+                covering = self.subscribers_covering(code)
                 if len(self._covering_cache) >= self.CACHE_LIMIT:
                     self._covering_cache.clear()
-                self._covering_cache[cell] = covering
-            result[cell] = covering
+                self._covering_cache[code] = covering
+            result[code] = covering
         return result
 
-    def cells_of(self, sub_id: int) -> FrozenSet[Cell]:
-        """The stored impact cells of a directly-stored subscriber."""
-        return self._by_subscriber.get(sub_id, frozenset())
+    def cells_of(self, sub_id: int) -> np.ndarray:
+        """The stored impact codes of a directly-stored subscriber."""
+        return self._by_subscriber.get(sub_id, _NO_CODES)

@@ -86,7 +86,8 @@ class MobileClient:
         self.safe_region = region
 
     def apply_region_delta(self, removed_cells) -> bool:
-        """Shrink the held region by a server repair's removed cells.
+        """Shrink the held region by a server repair's removed cells (their
+        Morton codes, as ``cells_from_delta`` decodes them).
 
         The delta counterpart of :meth:`receive_region`: the server
         carved cells out of the region this client holds and shipped

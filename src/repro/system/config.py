@@ -22,11 +22,13 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from ..geometry import Cell, Point
+from ..geometry import Point
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from ..core import SafeRegion, SystemStats
     from .journal import JournalSpec
 
@@ -320,9 +322,10 @@ class Transport:
         """Push one full safe region to the subscriber's client."""
 
     def ship_delta(
-        self, sub_id: int, removed: FrozenSet[Cell], region: "SafeRegion"
+        self, sub_id: int, removed: "np.ndarray", region: "SafeRegion"
     ) -> None:
-        """Push a repair: the cells carved out of the held region.
+        """Push a repair: the cells carved out of the held region (their
+        ascending Morton codes).
 
         ``region`` is the post-repair safe region, so a transport that
         cannot frame deltas inherits this default and ships the full
@@ -353,7 +356,7 @@ class CallbackTransport(Transport):
         *,
         ship_region: Optional[Callable[[int, "SafeRegion"], None]] = None,
         ship_delta: Optional[
-            Callable[[int, FrozenSet[Cell], "SafeRegion"], None]
+            Callable[[int, "np.ndarray", "SafeRegion"], None]
         ] = None,
         locate: Optional[Callable[[int], Tuple[Point, Point]]] = None,
     ) -> None:
@@ -367,7 +370,7 @@ class CallbackTransport(Transport):
             self._ship_region(sub_id, region)
 
     def ship_delta(
-        self, sub_id: int, removed: FrozenSet[Cell], region: "SafeRegion"
+        self, sub_id: int, removed: "np.ndarray", region: "SafeRegion"
     ) -> None:
         """Forward the delta, or fall back to a full region push."""
         if self._ship_delta is not None:

@@ -36,10 +36,12 @@ import multiprocessing.connection
 import pickle
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core import SafeRegion
-from ..geometry import Cell, Grid, Point
+from ..geometry import Grid, Point
 from .config import Transport
 from .server import ElapsServer
 
@@ -117,7 +119,7 @@ class _ShardTransport(Transport):
         self._shipments.append(("region", sub_id, region))
 
     def ship_delta(
-        self, sub_id: int, removed: FrozenSet[Cell], region: SafeRegion
+        self, sub_id: int, removed: np.ndarray, region: SafeRegion
     ) -> None:
         """Buffer a delta ship for the next reply."""
         self._shipments.append(("delta", sub_id, removed, region))

@@ -67,8 +67,11 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..expressions import Event, Subscription
 from ..geometry import Point
+from ..geometry.zorder import deinterleave_array, interleave_array
 from .protocol import (
     _encode_array,
     _encode_pairs,
@@ -343,7 +346,8 @@ def _decode_record(payload: bytes) -> JournalRecord:
 @dataclass
 class SubscriberSnapshot:
     """Per-subscriber durable state.  Cached safe/impact regions are
-    stored as ``(complement, cells)`` pairs; derived artefacts (lazy
+    stored as ``(complement, codes)`` pairs, ``codes`` the ascending
+    Morton codes a region holds; derived artefacts (lazy
     matching fields, repair drift bookkeeping) are deliberately *not*
     snapshotted — see DESIGN.md §13's recovery invariants."""
 
@@ -352,8 +356,8 @@ class SubscriberSnapshot:
     velocity: Point
     delivered: FrozenSet[int]
     next_seq: int = 0
-    safe: Optional[Tuple[bool, FrozenSet[Tuple[int, int]]]] = None
-    impact: Optional[Tuple[bool, FrozenSet[Tuple[int, int]]]] = None
+    safe: Optional[Tuple[bool, np.ndarray]] = None
+    impact: Optional[Tuple[bool, np.ndarray]] = None
 
 
 @dataclass
@@ -372,23 +376,28 @@ _PRESENT = struct.Struct(">B")
 _REGION = struct.Struct(">BI")  # complement, cell count
 
 
-def _encode_region(region: Optional[Tuple[bool, FrozenSet[Tuple[int, int]]]]) -> bytes:
+def _encode_region(region: Optional[Tuple[bool, np.ndarray]]) -> bytes:
+    # the cells travel as (i, j) pairs in (i, j) order, as they always have
     if region is None:
         return b"\x00"
-    complement, cells = region
-    flat = [index for cell in sorted(cells) for index in cell]
-    return struct.pack(f">BBI{len(flat)}I", 1, int(complement), len(cells), *flat)
+    complement, codes = region
+    i, j = deinterleave_array(codes)
+    order = np.lexsort((j, i))
+    pairs = np.column_stack((i[order], j[order])).astype(">u4")
+    return _PRESENT.pack(1) + _REGION.pack(int(complement), codes.size) + pairs.tobytes()
 
 
-def _read_region(
-    reader: _Reader,
-) -> Optional[Tuple[bool, FrozenSet[Tuple[int, int]]]]:
+def _read_region(reader: _Reader) -> Optional[Tuple[bool, np.ndarray]]:
     (present,) = reader.unpack(_PRESENT)
     if not present:
         return None
     complement, count = reader.unpack(_REGION)
-    flat = reader.array("I", 2 * count)
-    return bool(complement), frozenset(zip(flat[0::2], flat[1::2]))
+    flat = np.array(reader.array("I", 2 * count), dtype=np.int64)
+    if flat.size and flat.max() >= 1 << 31:
+        raise ValueError("a region cell lies past any grid's Morton space")
+    codes = interleave_array(flat[0::2], flat[1::2]).astype(np.int64)
+    codes.sort()
+    return bool(complement), codes
 
 
 _SNAPSHOT_HEAD = struct.Struct(">Qq")  # last seq, started at (-1 = never)

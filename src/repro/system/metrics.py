@@ -218,10 +218,11 @@ class CommunicationStats:
     #: fleet's high-water mark is its deepest queue, not their sum)
     MAX_MERGED = frozenset({"send_queue_high_water", "ingress_queue_high_water"})
 
-    #: what a client's own wire carries, its frames' bytes and its
-    #: location reports: a fleet counts them once, at its coordinator,
-    #: because its shards' frames never reach a client (a report to a
-    #: subscriber homed on K shards is one round, not K)
+    #: what a client's own wire carries, its frames' bytes, its location
+    #: reports and the resyncs, resubscribes and redeliveries it asks
+    #: for: a fleet counts them once, at its coordinator, because its
+    #: shards' frames never reach a client (a report to, or a resync of,
+    #: a subscriber homed on K shards is one, not K)
     CLIENT_WIRE = (
         "safe_region_bytes",
         "raw_region_bytes",
@@ -229,6 +230,9 @@ class CommunicationStats:
         "wire_bytes_down",
         "delta_region_bytes",
         "location_update_rounds",
+        "resyncs",
+        "resubscribes",
+        "redeliveries",
     )
 
     def with_client_wire_of(self, other: "CommunicationStats") -> "CommunicationStats":

@@ -835,44 +835,42 @@ def region_push_for(sub_id: int, safe_region) -> SafeRegionPush:
 
 
 def region_delta_for(sub_id: int, grid, removed_cells) -> SafeRegionDelta:
-    """The wire message shipping a repair's removed cells to its client."""
+    """The wire message shipping a repair's removed cells (their ascending
+    Morton codes, as ``GridRegion.subtract`` returns them) to its client."""
     from ..core import RegionDelta
 
     return SafeRegionDelta(
-        sub_id, grid.n, RegionDelta.of(grid, removed_cells).to_bitmap()
+        sub_id, grid.n, RegionDelta(grid, removed_cells).to_bitmap()
     )
 
 
 def cells_from_delta(delta: SafeRegionDelta, grid):
-    """The removed-cell set of a :class:`SafeRegionDelta`.
+    """The removed cells of a :class:`SafeRegionDelta`, as their ascending
+    Morton codes (the bitmap's set positions).
 
     Inverse of :func:`region_delta_for`; the client subtracts the result
     from the safe region it holds (``GridRegion.subtract``).  ``grid``
     must match the server's grid, as with :func:`region_from_push`.
     """
-    from ..geometry.zorder import deinterleave
-
     if delta.grid_n != grid.n:
         raise ValueError(
             f"grid mismatch: delta encodes n={delta.grid_n}, client has n={grid.n}"
         )
-    return frozenset(deinterleave(code) for code in delta.bitmap.positions())
+    return delta.bitmap.positions_array()
 
 
 def region_from_push(push: SafeRegionPush, grid):
     """Reconstruct the client-side :class:`~repro.core.SafeRegion`.
 
     Inverse of :func:`region_push_for`: bit positions are Morton codes
-    (see ``GridRegion.to_bitmap``), so each set position deinterleaves
-    back to a grid cell.  ``grid`` must match the server's grid — the
-    push carries ``grid_n`` so a client can verify before decoding.
+    (see ``GridRegion.to_bitmap``), ascending, which is what a region
+    holds.  ``grid`` must match the server's grid — the push carries
+    ``grid_n`` so a client can verify before decoding.
     """
     from ..core import SafeRegion
-    from ..geometry.zorder import deinterleave
 
     if push.grid_n != grid.n:
         raise ValueError(
             f"grid mismatch: push encodes n={push.grid_n}, client has n={grid.n}"
         )
-    cells = frozenset(deinterleave(code) for code in push.bitmap.positions())
-    return SafeRegion(grid, cells, push.complement)
+    return SafeRegion(grid, push.bitmap.positions_array(), push.complement)

@@ -41,6 +41,8 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..core import (
     ConstructionRequest,
     ImpactRegion,
@@ -237,8 +239,11 @@ class ElapsServer:
     def bootstrap(self, events) -> None:
         """Load the initial event database without arrival processing."""
         events = list(events)
+        # validated before it is journaled: a refused load leaves no record
+        # for recover() to fail on
+        fresh = self._fresh_events(events)
         self._journal_append("bootstrap", (events,))
-        if self._store_events(events):
+        if self._store_events(events, fresh):
             # Stored without arrival processing, so no retained matching
             # field heard of them, and a scanned leaf is never revisited:
             # a mid-life load (a band move's hand-over) retires them all.
@@ -246,20 +251,31 @@ class ElapsServer:
                 record.drop_field()
         self._maybe_snapshot()
 
-    def _store_events(self, events: List[Event]) -> List[Event]:
-        """Add the events this corpus does not hold yet to the event index
-        and the expiry heap, in order; returns them.
+    def _fresh_events(self, events: List[Event]) -> List[Event]:
+        """The events this corpus does not hold yet, in order, validated as
+        one batch (:meth:`BEQTree.validate_batch`: bounds, and ids repeated
+        within them), so a refused batch raises before anything moves."""
+        fresh = [e for e in events if e.event_id not in self._events_by_id]
+        self.event_index.validate_batch(fresh)
+        return fresh
+
+    def _store_events(
+        self, events: List[Event], fresh: Optional[List[Event]] = None
+    ) -> List[Event]:
+        """Add the events this corpus does not hold yet (``fresh``, when
+        the caller already took them through :meth:`_fresh_events`) to the
+        event index and the expiry heap, in order; returns them.
 
         Idempotent: a producer retry, a re-run load or a partially
         surviving fleet re-running an operation another band lost re-sends
         events the corpus already holds, and those are dropped and counted
         in ``duplicate_publishes`` (duplicates *within* the fresh
-        remainder are a caller bug, rejected atomically by
-        :meth:`BEQTree.insert_batch`).
+        remainder are a caller bug, rejected atomically).
         """
-        fresh = [e for e in events if e.event_id not in self._events_by_id]
+        if fresh is None:
+            fresh = self._fresh_events(events)
         self.metrics.duplicate_publishes += len(events) - len(fresh)
-        self.event_index.insert_batch(fresh)
+        self.event_index.insert_batch(fresh, validated=True)
         for event in fresh:
             self._events_by_id[event.event_id] = event
             if event.expires_at is not None:
@@ -466,11 +482,11 @@ class ElapsServer:
         hits_before, _ = self.event_index.counters.snapshot()
         covering_hits_before = self.impact_index.cache_hits
         self._note_arrivals(now, len(events))
-        event_cells = [self.grid.cell_of(event.location) for event in events]
+        event_codes = [self.grid.code_of(event.location) for event in events]
         use_impact_region = self.config.use_impact_region
         covering: Dict = {}
         if use_impact_region:
-            covering = self.impact_index.match_batch(event_cells)
+            covering = self.impact_index.match_batch(event_codes)
         notifications: List[Notification] = []
         pinged: Set[int] = set()
         #: insertion-ordered; one deferred construction per subscriber
@@ -490,14 +506,14 @@ class ElapsServer:
                 self.metrics, name,
                 getattr(self.metrics, name) + getattr(index, name, 0) - before,
             )
-        for event, event_cell, matched in zip(events, event_cells, matched_per_event):
+        for event, event_code, matched in zip(events, event_codes, matched_per_event):
             for subscription in matched:
                 record = self.subscribers.get(subscription.sub_id)
                 if record is None or event.event_id in record.delivered:
                     continue
                 field = record.lazy_field
                 if use_impact_region and (
-                    subscription.sub_id not in covering[event_cell]
+                    subscription.sub_id not in covering[event_code]
                 ):
                     # Outside the impact region: the safe region stays
                     # valid (Definition 2) and no communication happens.
@@ -781,7 +797,7 @@ class ElapsServer:
                 next_seq=record.next_seq,
                 safe=(
                     None if record.safe is None
-                    else (record.safe.complement, frozenset(record.safe.cells))
+                    else (record.safe.complement, record.safe.codes)
                 ),
                 impact=self.impact_index.region_of(sub_id),
             )
@@ -850,15 +866,14 @@ class ElapsServer:
             )
             record.next_seq = sub.next_seq
             if sub.safe is not None:
-                complement, cells = sub.safe
-                record.safe = SafeRegion(self.grid, frozenset(cells), complement)
+                complement, codes = sub.safe
+                record.safe = SafeRegion(self.grid, codes, complement)
             self.subscribers[sub.subscription.sub_id] = record
             self.subscription_index.insert(sub.subscription)
             if sub.impact is not None:
-                complement, cells = sub.impact
+                complement, codes = sub.impact
                 self.impact_index.replace_region(
-                    sub.subscription.sub_id,
-                    ImpactRegion(self.grid, frozenset(cells), complement),
+                    sub.subscription.sub_id, ImpactRegion(self.grid, codes, complement)
                 )
         # Recovery invariant (DESIGN.md §13): a restored record starts
         # with nothing derived — no retained field, no repair drift
@@ -974,15 +989,12 @@ class ElapsServer:
             self.metrics.degenerate_constructions += 1
             cell = self.grid.cell_of(record.location)
             if cell != record.degenerate_cell:
-                cells = set(
-                    self.grid.cells_within_radius(
-                        cell, record.subscription.radius, inclusive=True
-                    )
+                own = self.grid.code_of(record.location)
+                codes = self.grid.dilate_codes(
+                    np.array([own]), record.subscription.radius, inclusive=True
                 )
-                cells.add(cell)
-                self.impact_index.replace_region(
-                    record.subscription.sub_id,
-                    ImpactRegion(self.grid, frozenset(cells)),
+                self.impact_index.replace(
+                    record.subscription.sub_id, np.union1d(codes, [own])
                 )
                 record.degenerate_cell = cell
         else:
@@ -1062,17 +1074,17 @@ class ElapsServer:
         self._ship_repaired(record, removed)
         return True
 
-    def _ship_repaired(self, record: SubscriberRecord, removed: FrozenSet[Cell]) -> None:
+    def _ship_repaired(self, record: SubscriberRecord, removed: np.ndarray) -> None:
         """Ship a repair to the client: the removed cells, or nothing.
 
         An empty removal means the dilations missed the region entirely —
         the client's copy is already exact, so no bytes move (the cheapest
         round of all).  Otherwise the transport's ``ship_delta`` gets the
-        removed-cell set (framed as a ``SafeRegionDelta`` by the TCP
+        removed codes (framed as a ``SafeRegionDelta`` by the TCP
         layer); the base :class:`~repro.system.config.Transport` degrades
         it to a full region push for transports that predate deltas.
         """
-        if not removed:
+        if not removed.size:
             return
         with self.tracer.span("ship"):
             sub_id = record.subscription.sub_id

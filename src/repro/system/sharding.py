@@ -77,9 +77,11 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from ..core import SafeRegion, SafeRegionStrategy, SystemStats
 from ..expressions import Event, Subscription
-from ..geometry import Cell, Grid, Point, Rect
+from ..geometry import Grid, Point, Rect, deinterleave
 from .config import RebalancePolicy, ServerConfig, Transport
 from .executors import Command, SerialExecutor, ShardExecutor
 from .metrics import CommunicationStats
@@ -92,6 +94,9 @@ from .protocol import (
     subscribe_message_for,
 )
 from .server import ElapsServer, Notification
+
+#: the bits of a Morton code that carry a cell's column ``i``
+_X_BITS = 0x5555555555555555
 
 __all__ = [
     "RebalancePolicy",
@@ -195,8 +200,9 @@ class _Dirty:
     #: a shard shipped a *full* region — the held intersection must be
     #: recomputed and re-shipped in full
     full: bool = False
-    #: cells repairs carved out (delta path; ignored once ``full`` is set)
-    removed: Set[Cell] = dataclass_field(default_factory=set)
+    #: the code arrays repairs carved out (delta path; ignored once
+    #: ``full`` is set)
+    removed: List[np.ndarray] = dataclass_field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -424,9 +430,12 @@ class ShardedElapsServer:
         if held is not None and not held.is_empty():
             if held.complement:
                 return set(range(self.shards))
-            columns = [i for (i, _) in held.cells]
+            # a code's x bits order its cells by column (the spread keeps
+            # the order of i), so the extreme columns are two reductions
+            x_bits = held.codes & _X_BITS
             homes |= self._shards_in_columns(
-                min(columns) - reach, max(columns) + reach
+                deinterleave(int(x_bits.min()))[0] - reach,
+                deinterleave(int(x_bits.max()))[0] + reach,
             )
         return homes
 
@@ -445,7 +454,7 @@ class ShardedElapsServer:
         if kind == "region":
             dirty.full = True
         else:
-            dirty.removed.update(shipped[0])
+            dirty.removed.append(shipped[0])
 
     def _locate_subscriber(self, sub_id: int) -> Optional[Tuple[Point, Point]]:
         """A shard's location ping: one ping down the client's wire and
@@ -593,11 +602,10 @@ class ShardedElapsServer:
                     shipped[sub_id] = "full"
                 else:
                     record.safe, actually_removed = record.safe.subtract(
-                        change.removed
+                        np.unique(np.concatenate(change.removed))
                     )
-                    if shipped.get(sub_id) != "full":
-                        accumulator = shipped.setdefault(sub_id, set())
-                        accumulator.update(actually_removed)
+                    if shipped.get(sub_id) != "full" and actually_removed.size:
+                        shipped.setdefault(sub_id, []).append(actually_removed)
                 self._rehome(record, now, notifications)
         transport = self.transport
         for sub_id, what in shipped.items():
@@ -608,7 +616,7 @@ class ShardedElapsServer:
                 self.metrics.count_region_push(sub_id, record.safe)
                 transport.ship_region(sub_id, record.safe)
             elif what:
-                removed = frozenset(what)
+                removed = np.unique(np.concatenate(what))
                 self.metrics.count_region_delta(sub_id, self.grid, removed)
                 transport.ship_delta(sub_id, removed, record.safe)
 
@@ -647,6 +655,8 @@ class ShardedElapsServer:
         # shards that gain members during a rebalance.
         self.subscribers.pop(subscription.sub_id, None)
         self.subscribers[subscription.sub_id] = record
+        if existing is not None:
+            self.metrics.resubscribes += 1
         self.metrics.wire_bytes_up += message_bytes(
             subscribe_message_for(subscription, location, velocity)
         )
@@ -748,6 +758,7 @@ class ShardedElapsServer:
         record.location = location
         record.velocity = velocity
         record.delivered = set(received)
+        self.metrics.resyncs += 1
         self.metrics.wire_bytes_up += message_bytes(
             ResyncMessage(sub_id, location, velocity, received)
         )
@@ -759,6 +770,7 @@ class ShardedElapsServer:
             notifications,
         )
         self._settle(now, notifications)
+        self.metrics.redeliveries += len(notifications)
         return notifications, record.safe
 
     def expire_due_events(self, now: int) -> int:
@@ -1058,10 +1070,8 @@ class ShardedElapsServer:
                 record.homes.add(shard_id)
                 record.delivered |= sub.delivered
                 if sub.safe is not None:
-                    complement, cells = sub.safe
-                    record.shard_regions[shard_id] = SafeRegion(
-                        self.grid, frozenset(cells), complement
-                    )
+                    complement, codes = sub.safe
+                    record.shard_regions[shard_id] = SafeRegion(self.grid, codes, complement)
         for record in self.subscribers.values():
             record.next_seq = len(record.delivered)
             self._recompute_held(record)

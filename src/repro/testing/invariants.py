@@ -13,6 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..geometry import Cell
+from ..geometry.zorder import deinterleave_array
 
 
 def _live_events(server):
@@ -130,9 +131,8 @@ def impact_coverage_violations(server) -> List[Tuple[int, Cell]]:
             installed = np.zeros((n, n), dtype=bool)
             stored = shard.impact_index.region_of(sub_id)
             if stored is not None:
-                complement, cells = stored
-                if cells:
-                    installed[tuple(np.array(list(cells)).T)] = True
+                complement, codes = stored
+                installed[deinterleave_array(codes)] = True
                 if complement:
                     installed = ~installed
             for i, j in zip(*np.nonzero(required & ~installed)):

@@ -242,10 +242,10 @@ class ScalarIGM(IGM):
                         ),
                     )
 
-        safe = SafeRegion(grid, frozenset(region))
+        safe = SafeRegion.of(grid, region)
         return RegionPair(
             safe=safe,
-            impact=ImpactRegion(grid, frozenset(impact)),
+            impact=ImpactRegion.of(grid, impact),
             cells_examined=cells_examined,
             last_accepted_bm=last_accepted_bm,
             first_rejected_bm=first_rejected_bm,

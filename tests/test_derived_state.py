@@ -18,13 +18,17 @@ as a red test:
   one per distinct offset set however many float radii arrive (*table
   sets per 1,000 radii*);
 * a retained field's array projection holds the band of grid rows its
-  coverage reaches, not the whole grid (*view bytes per subscriber*).
+  coverage reaches, not the whole grid (*view bytes per subscriber*);
+* a region is its Morton codes, in memory as on the wire (*region bytes
+  per subscriber*, *impact-index bytes per subscriber*, *GC-tracked
+  objects*).
 """
 
 from __future__ import annotations
 
 import gc
 import random
+import sys
 import weakref
 
 import numpy as np
@@ -233,7 +237,10 @@ class TestResubscribeStartsAFreshRecord:
         assert not unsafe
         assert not impact_coverage_violations(server)
         assert shipped["resubscribed"] == shipped["fresh"]
-        assert server.impact_index.region_of(1) == fresh.impact_index.region_of(1)
+        complement, codes = server.impact_index.region_of(1)
+        fresh_complement, fresh_codes = fresh.impact_index.region_of(1)
+        assert complement == fresh_complement
+        assert codes.tolist() == fresh_codes.tolist()
 
 
 class TestAMidLifeLoadReachesEveryMatchingMode:
@@ -344,3 +351,52 @@ class TestViewsHoldTheRowsTheirCoverageReaches:
         )
         assert server.metrics.view_regrowths > 0
         assert per_subscriber <= dense / 8
+
+
+def _deep_bytes(container) -> int:
+    """``sys.getsizeof`` of a dict and of every key and value in it (a
+    value's own members too when it is a set)."""
+    total = sys.getsizeof(container)
+    for key, value in container.items():
+        total += sys.getsizeof(key) + sys.getsizeof(value)
+        if isinstance(value, (set, frozenset)):
+            total += sum(map(sys.getsizeof, value))
+    return total
+
+
+class TestARegionIsItsCodes:
+    """Test (vi).  A held region is one ascending int64 array of Morton
+    codes, and the impact index posts those codes: no ``(i, j)`` tuple
+    per cell, no frozenset per region."""
+
+    def test_a_commute_set_up_holds_code_arrays(self):
+        from bench import inputs, serving
+
+        world = inputs.world()
+        subscribers = 150
+        gc.collect()
+        tracked_before = len(gc.get_objects())
+        server = serving.single_server(world, 120, 500, 20.0)
+        server.bootstrap(inputs.staggered_corpus(world, 3501, 6_000, 300))
+        routes = inputs.commuter_routes(inputs.WORLD_SEED, subscribers, 2, 60.0)
+        subscriptions = inputs.subscriptions(
+            world, inputs.WORLD_SEED, subscribers, (2_000.0, 2_000.0)
+        )
+        for subscription, route in zip(subscriptions, routes):
+            server.subscribe(subscription, route.position_at(0), route.velocity_at(0), 0)
+        gc.collect()
+        tracked = len(gc.get_objects()) - tracked_before
+        records = server.subscribers.values()
+        assert all(record.safe.codes.dtype == np.int64 for record in records)
+        cells = sum(record.safe.area_cells() for record in records)
+        region_bytes = sum(record.safe.codes.nbytes for record in records)
+        index = server.impact_index
+        index_bytes = _deep_bytes(index._by_cell) + _deep_bytes(index._by_subscriber)
+        print(
+            f"\ncommute_sim-shaped set-up ({subscribers} subscribers, Grid(120), "
+            f"seed 3501): region bytes per subscriber "
+            f"{region_bytes / subscribers:,.0f} ({cells / subscribers:,.0f} cells), "
+            f"impact-index bytes per subscriber {index_bytes / subscribers:,.0f}, "
+            f"GC-tracked objects the set-up left {tracked:,}"
+        )
+        assert region_bytes == 8 * cells

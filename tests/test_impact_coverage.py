@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import IGM, ImpactRegion
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Grid, Point, Rect
+from repro.geometry import Grid, Point, Rect, cells_of_codes
 from repro.index import BEQTree
 from repro.system import ElapsServer, ExperimentConfig, ServerConfig, build_simulation
 from repro.testing import impact_coverage_violations, spurious_standing_rounds
@@ -45,11 +45,10 @@ class TestTheCheckSeesAShortfall:
         record = server.subscribers[1]
         assert not record.safe.is_empty()
         assert impact_coverage_violations(server) == []
-        _, cells = server.impact_index.region_of(1)
-        dropped = min(record.safe.cells)  # a held cell is within r of itself
-        server.impact_index.replace_region(
-            1, ImpactRegion(server.grid, frozenset(cells - {dropped}))
-        )
+        _, codes = server.impact_index.region_of(1)
+        dropped = min(record.safe.iter_cells())  # a held cell is within r of itself
+        kept = set(cells_of_codes(codes)) - {dropped}
+        server.impact_index.replace_region(1, ImpactRegion.of(server.grid, kept))
         assert impact_coverage_violations(server) == [(1, dropped)]
 
     def test_an_empty_region_is_checked_against_the_closed_disk(self):
@@ -60,7 +59,7 @@ class TestTheCheckSeesAShortfall:
         assert record.safe.is_empty() and record.degenerate_cell is not None
         assert impact_coverage_violations(server) == []
         server.impact_index.replace_region(
-            1, ImpactRegion(server.grid, frozenset({record.degenerate_cell}))
+            1, ImpactRegion.of(server.grid, [record.degenerate_cell])
         )
         violations = impact_coverage_violations(server)
         assert violations and all(sub_id == 1 for sub_id, _ in violations)

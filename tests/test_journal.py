@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import IGM
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Grid, Point, Rect
+from repro.geometry import Grid, Point, Rect, cells_of_codes, codes_of_cells
 from repro.index import BEQTree
 from repro.system import ElapsServer, SerialExecutor, ServerConfig
 from repro.system.journal import (
@@ -191,8 +191,8 @@ class TestSnapshots:
                     velocity=Point(1.0, -1.0),
                     delivered=frozenset({1, 2}),
                     next_seq=2,
-                    safe=(False, frozenset({(1, 2), (3, 4)})),
-                    impact=(True, frozenset({(0, 0)})),
+                    safe=(False, codes_of_cells([(1, 2), (3, 4)])),
+                    impact=(True, codes_of_cells([(0, 0)])),
                 ),
                 SubscriberSnapshot(
                     subscription=make_sub(9, radius=800.0),
@@ -218,8 +218,10 @@ class TestSnapshots:
         assert first.subscription == make_sub(7)
         assert first.delivered == frozenset({1, 2})
         assert first.next_seq == 2
-        assert first.safe == (False, frozenset({(1, 2), (3, 4)}))
-        assert first.impact == (True, frozenset({(0, 0)}))
+        complement, codes = first.safe
+        assert not complement and cells_of_codes(codes) == [(1, 2), (3, 4)]
+        complement, codes = first.impact
+        assert complement and cells_of_codes(codes) == [(0, 0)]
         assert second.safe is None and second.impact is None
         # bytes_measured travelled through the int-only scalar codec
         assert decoded.counters["bytes_measured"] == 1
@@ -423,6 +425,30 @@ class TestServerRecovery:
         assert [n.event.event_id for n in notifications] == [10]
         revived.close()
 
+
+    def test_a_refused_bootstrap_journals_nothing(self, tmp_path):
+        """A bootstrap the event index refuses (an event outside the space,
+        an id repeated within the load) raises before its record is
+        appended, so the journal still recovers and later records replay."""
+        server = make_server(tmp_path)
+        server.bootstrap([sale_event(1, 5100, 5000)])
+        with pytest.raises(ValueError):
+            server.bootstrap([sale_event(2, 200, 200), sale_event(3, -5, 10)])
+        with pytest.raises(ValueError):
+            server.bootstrap([sale_event(4, 300, 300), sale_event(4, 400, 400)])
+        assert sorted(server._events_by_id) == [1]  # and nothing was stored
+        server.subscribe(make_sub(7), Point(5000, 5000), Point(0, 0), now=0)
+        server.publish(sale_event(10, 5050, 5000), now=1)
+        assert [r.method for r in server.journal.records()] == [
+            "bootstrap", "subscribe", "publish_batch",
+        ]
+        server.close()
+
+        revived = make_server(tmp_path)
+        assert revived.recover() == 3
+        assert sorted(revived._events_by_id) == [1, 10]
+        assert revived.delivered_ids(7) == {1, 10}
+        revived.close()
 
     def test_duplicate_publishes_are_counted_dropped_and_replayed(self, tmp_path):
         """At-least-once producers and partial-fleet replays re-send

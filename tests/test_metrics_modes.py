@@ -17,7 +17,13 @@ from repro.core import IGM
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
 from repro.geometry import Grid, Point, Rect
 from repro.index import BEQTree
-from repro.system import ServerConfig, CommunicationStats, ElapsServer, Transport
+from repro.system import (
+    CommunicationStats,
+    ElapsServer,
+    ServerConfig,
+    ShardedElapsServer,
+    Transport,
+)
 from repro.system.experiment import ExperimentConfig, build_simulation
 from repro.system.protocol import (
     LocationPing,
@@ -243,6 +249,33 @@ class TestFleetRounds:
         stats = simulation.run(config.timestamps).stats
         assert simulation.server.reports > 0
         assert stats.location_update_rounds == simulation.server.reports
+
+
+class TestFleetClientOperations:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_resync_and_a_resubscribe_count_once(self, shards):
+        """A subscriber homed on both bands reads one resync and one
+        resubscribe, and the redeliveries its client received, as a
+        single server counts them: the coordinator owns the counters."""
+        fleet = ShardedElapsServer(
+            Grid(40, SPACE), IGM(max_cells=400), ServerConfig(initial_rate=1.0),
+            shards=shards, event_index_factory=lambda: BEQTree(SPACE, emax=32),
+        )
+        sub = Subscription(
+            1, BooleanExpression([Predicate("topic", Operator.EQ, "sale")]), radius=1_500.0
+        )
+        edge, still = Point(5_000, 5_000), Point(0, 0)  # the bands meet at x = 5,000
+        fleet.bootstrap([
+            Event(1, {"topic": "sale"}, Point(4_900, 5_000)),
+            Event(2, {"topic": "sale"}, Point(5_100, 5_000)),
+        ])
+        fleet.subscribe(sub, edge, still, now=0)
+        assert len(fleet.subscribers[1].homes) == shards
+        fleet.resync(1, edge, still, [], now=1)
+        fleet.subscribe(sub, edge, still, now=2)
+        stats = fleet.merged_metrics()
+        assert (stats.resyncs, stats.resubscribes, stats.redeliveries) == (1, 1, 2)
+        fleet.close()
 
 
 class TestReportCompleteness:

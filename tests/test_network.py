@@ -277,9 +277,9 @@ class TestRegionDeltaWire:
             assert message.sub_id == 1
             removed = cells_from_delta(message, tcp.server.grid)
             record = tcp.server.subscribers[1]
-            assert removed
+            assert removed.size
             # the wire delta is exactly the set the server carved out
-            assert removed.isdisjoint(set(record.safe.iter_cells()))
+            assert set(removed.tolist()).isdisjoint(record.safe.codes.tolist())
             assert tcp.server.metrics.repairs == 1
             assert tcp.server.metrics.constructions == 1  # subscribe only
             await subscriber.close()
@@ -553,7 +553,7 @@ class TestRegionShip:
         """The byte counters and the frame used to run the WAH encoder
         once each; the region remembers its bitmap now."""
         encodes = []
-        for name in ("from_positions", "from_positions_array"):
+        for name in ("from_positions", "from_positions_array", "from_sorted_array"):
             original = getattr(WAHBitmap, name).__func__
 
             def counting(cls, *args, _original=original, **kwargs):

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import IGM, ImpactRegion, SafeRegion
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Grid, Point, Rect
+from repro.geometry import Grid, Point, Rect, codes_of_cells
 from repro.index import BEQTree
 from repro.system import (
     CallbackTransport,
@@ -64,12 +64,12 @@ class MisbehavingServer(ElapsServer):
 
     def ship_then_fail(self, sub_id, cells):
         """Ship a region the way a construction does, then raise."""
-        self.transport.ship_region(sub_id, SafeRegion(self.grid, frozenset(cells)))
+        self.transport.ship_region(sub_id, SafeRegion.of(self.grid, cells))
         raise LookupError("after the ship")
 
     def foreign_region(self):
         """A region over a grid that is not this shard's."""
-        return [], SafeRegion(Grid(4, SPACE), frozenset({(1, 1)}))
+        return [], SafeRegion.of(Grid(4, SPACE), [(1, 1)])
 
 
 def misbehaving_fleet(make, grid):
@@ -206,7 +206,7 @@ class TestProcessPlumbing:
             assert "ship_then_fail" in info.value._remote_traceback
             region = fleet.subscribers[7].shard_regions[0]
             assert region.grid is grid
-            assert region == SafeRegion(grid, frozenset(cells))
+            assert region == SafeRegion.of(grid, cells)
             assert fleet._dirty[7].full
 
     @pytest.mark.parametrize("make", [SerialExecutor, ProcessExecutor])
@@ -330,7 +330,7 @@ class TestSerialProcessEquality:
                 sorted(record.delivered),
                 record.next_seq,
                 record.safe.complement,
-                sorted(record.safe.cells),
+                record.safe.codes.tolist(),
             )
             for sub_id, record in server.subscribers.items()
         }
@@ -487,8 +487,8 @@ _cells = st.frozensets(
     st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20
 )
 _regions = st.one_of(
-    st.builds(SafeRegion, st.just(SEAM_GRID), _cells, st.booleans()),
-    st.builds(ImpactRegion, st.just(SEAM_GRID), _cells, st.booleans()),
+    st.builds(SafeRegion.of, st.just(SEAM_GRID), _cells, st.booleans()),
+    st.builds(ImpactRegion.of, st.just(SEAM_GRID), _cells, st.booleans()),
     st.just(SafeRegion.empty(SEAM_GRID)),
     st.just(SafeRegion.whole_space(SEAM_GRID)),
 )
@@ -510,7 +510,7 @@ _notifications = st.lists(
 _shipments = st.lists(
     st.one_of(
         st.tuples(st.just("region"), st.integers(1, 50), _regions),
-        st.tuples(st.just("delta"), st.integers(1, 50), _cells, _regions),
+        st.tuples(st.just("delta"), st.integers(1, 50), _cells.map(codes_of_cells), _regions),
     ),
     max_size=4,
 )
@@ -533,8 +533,13 @@ class TestNoGridCrossesAPipe:
         reply = ("done", (notifications, region), shipped)
         seam = _ReplySeam(SEAM_GRID)
         copy = seam.loads(seam.dumps(reply))
-        assert copy == reply
-        _, (_, copied_region), copied_shipped = copy
+        _, (copied_notifications, copied_region), copied_shipped = copy
+        assert copied_notifications == notifications and copied_region == region
+        for item, copied in zip(shipped, copied_shipped):
+            assert copied[:2] == item[:2] and copied[-1] == item[-1]
+            if item[0] == "delta":
+                assert copied[2].tolist() == item[2].tolist()
+        assert len(copied_shipped) == len(shipped)
         for original, landed in [(region, copied_region)] + [
             (item[-1], copied[-1]) for item, copied in zip(shipped, copied_shipped)
         ]:

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bitmap import WAHBitmap
 from repro.expressions import BooleanExpression, DnfExpression, Operator, Predicate
-from repro.geometry import Point
+from repro.geometry import Point, cells_of_codes, codes_of_cells
 from repro.system.protocol import (
     LocationPing,
     LocationReport,
@@ -120,16 +120,16 @@ class TestMessageFraming:
         from repro.geometry import Grid, Rect
 
         grid = Grid(40, Rect(0, 0, 10_000, 10_000))
-        removed = frozenset({(3, 7), (3, 8), (4, 7), (39, 39)})
-        delta = region_delta_for(7, grid, removed)
+        removed = {(3, 7), (3, 8), (4, 7), (39, 39)}
+        delta = region_delta_for(7, grid, codes_of_cells(removed))
         assert decode_message(encode_message(delta)) == delta
-        assert cells_from_delta(delta, grid) == removed
+        assert set(cells_of_codes(cells_from_delta(delta, grid))) == removed
 
     def test_region_delta_rejects_grid_mismatch(self):
         from repro.geometry import Grid, Rect
 
         grid = Grid(40, Rect(0, 0, 10_000, 10_000))
-        delta = region_delta_for(7, grid, {(1, 1)})
+        delta = region_delta_for(7, grid, codes_of_cells([(1, 1)]))
         with pytest.raises(ValueError):
             cells_from_delta(delta, Grid(80, Rect(0, 0, 10_000, 10_000)))
 
@@ -140,10 +140,10 @@ class TestMessageFraming:
         from repro.system.protocol import region_push_for
 
         grid = Grid(40, Rect(0, 0, 10_000, 10_000))
-        region = SafeRegion(
-            grid, frozenset((i, j) for i in range(10, 30) for j in range(10, 30))
+        region = SafeRegion.of(
+            grid, ((i, j) for i in range(10, 30) for j in range(10, 30))
         )
-        delta = region_delta_for(7, grid, {(10, 10), (10, 11)})
+        delta = region_delta_for(7, grid, codes_of_cells([(10, 10), (10, 11)]))
         assert message_bytes(delta) < message_bytes(region_push_for(7, region))
 
     def test_safe_region_push_dominated_by_bitmap(self):

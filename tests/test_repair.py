@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import IGM, RegionDelta, RepairBudget, SafeRegion
 from repro.core.field import dilate_point
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Grid, Point, Rect
+from repro.geometry import Grid, Point, Rect, cells_of_codes, codes_of_cells
 from repro.index import BEQTree
 from repro.system import CallbackTransport, ServerConfig, ElapsServer
 from repro.testing import ScalarIGM
@@ -122,15 +122,15 @@ class TestRepairPath:
         # the repaired region is exactly the old one minus the dilation
         unsafe = set()
         dilate_point(server.grid, event.location, sub.radius, unsafe)
-        assert record.safe.cells == before.cells - unsafe
-        assert record.safe.cells < before.cells  # something was carved
+        assert set(record.safe.iter_cells()) == set(before.iter_cells()) - unsafe
+        assert set(record.safe.iter_cells()) < set(before.iter_cells())  # carved
 
     def test_repaired_region_excludes_every_cell_near_the_event(self):
         server, sub = self.repair_server()
         record = server.subscribers[sub.sub_id]
         event = sale(10, 7_600, 5_000)
         server.publish(event, now=1)
-        for cell in record.safe.cells:
+        for cell in record.safe.iter_cells():
             distance = server.grid.cell_rect(cell).min_distance_to_point(event.location)
             assert distance > sub.radius
 
@@ -142,8 +142,8 @@ class TestRepairPath:
         # and it still covers the (shrunken) safe region's dilation: the
         # repaired region is a subset of the built one, so the covering
         # property is inherited — spot-check every live cell is covered
-        for cell in server.subscribers[sub.sub_id].safe.cells:
-            assert cell in installed
+        live = server.subscribers[sub.sub_id].safe.codes
+        assert set(live.tolist()) <= set(installed.tolist())
 
     def test_repair_ships_through_the_region_sink_without_a_delta_sink(self):
         server, sub = self.repair_server()
@@ -166,10 +166,10 @@ class TestRepairPath:
         assert pushes == []
         assert len(deltas) == 1
         # client-side application reproduces the server's repaired region
-        applied = RegionDelta.of(server.grid, deltas[0]).apply_to(before)
-        assert applied.cells == record.safe.cells
+        applied = RegionDelta(server.grid, deltas[0]).apply_to(before)
+        assert applied == record.safe
         # and the WAH identity holds bitmap-for-bitmap
-        delta_bitmap = RegionDelta.of(server.grid, deltas[0]).to_bitmap()
+        delta_bitmap = RegionDelta(server.grid, deltas[0]).to_bitmap()
         assert before.to_bitmap().difference(delta_bitmap) == record.safe.to_bitmap()
 
     def test_miss_ships_nothing(self):
@@ -220,7 +220,7 @@ class TestRepairPath:
         for event in burst:
             unsafe = set()
             dilate_point(server.grid, event.location, sub.radius, unsafe)
-            assert not (record.safe.cells & unsafe)
+            assert not (set(record.safe.iter_cells()) & unsafe)
 
     def test_the_same_stream_delivers_the_same_pairs_in_fewer_bytes_down(self):
         """What the repair-vs-rebuild series asserted before it timed
@@ -307,7 +307,7 @@ class TestFieldReuse:
             sub.sub_id, Point(1_600, 1_600), Point(20, 0), now=2
         )
         assert notifications == []  # still out of radius
-        for cell in region.cells:
+        for cell in region.iter_cells():
             assert (
                 server.grid.cell_rect(cell).min_distance_to_point(far.location)
                 > sub.radius
@@ -362,7 +362,7 @@ class TestFieldReuse:
         fresh = make_server()
         fresh.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=6)
         assert not region.is_empty()
-        assert region.cells == fresh.subscribers[sub.sub_id].safe.cells
+        assert region.codes.tolist() == fresh.subscribers[sub.sub_id].safe.codes.tolist()
 
     def test_expiry_reaches_only_the_fields_that_know_the_event(self):
         server = make_server(repair=True)
@@ -431,7 +431,7 @@ class TestFieldReuse:
         # and a post-resync carve works against the fresh region
         before = record.safe
         server.publish(sale(11, 7_600, 5_000), now=3)
-        assert record.safe.cells < before.cells
+        assert set(record.safe.iter_cells()) < set(before.iter_cells())
 
 
 class TestRecoveryNeverRestoresDerivedState:
@@ -499,7 +499,8 @@ class TestDegenerateConstruction:
             server.grid.cells_within_radius(cell, sub.radius, inclusive=True)
         )
         expected.add(cell)
-        assert server.impact_index._by_subscriber[sub.sub_id] == frozenset(expected)
+        installed = server.impact_index._by_subscriber[sub.sub_id]
+        assert set(cells_of_codes(installed)) == expected
 
     def test_degenerate_impact_still_catches_deliverable_events(self):
         server, sub, _ = self.degenerate_server()
@@ -551,7 +552,7 @@ class TestDegenerateImpactMemo:
 
     def dilation_of(self, server, sub, cell):
         cells = set(server.grid.cells_within_radius(cell, sub.radius, inclusive=True))
-        return frozenset(cells | {cell})
+        return codes_of_cells(cells | {cell}).tolist()
 
     def test_same_cell_installs_nothing(self):
         server, sub, calls = self.spied_server()
@@ -572,7 +573,8 @@ class TestDegenerateImpactMemo:
         _, region = server.report_location(sub.sub_id, Point(5_300, 5_000), Point(20, 0), now=1)
         assert region.is_empty()
         assert "replace" in calls
-        assert server.impact_index.cells_of(sub.sub_id) == self.dilation_of(server, sub, (21, 20))
+        installed = server.impact_index.cells_of(sub.sub_id)
+        assert installed.tolist() == self.dilation_of(server, sub, (21, 20))
         assert server.subscribers[sub.sub_id].degenerate_cell == (21, 20)
 
     def test_degenerate_normal_degenerate_reinstalls(self):
@@ -582,27 +584,26 @@ class TestDegenerateImpactMemo:
         _, region = server.report_location(sub.sub_id, Point(1_000, 1_000), Point(20, 0), now=1)
         record = server.subscribers[sub.sub_id]
         assert not region.is_empty() and record.degenerate_cell is None
-        assert server.impact_index.cells_of(sub.sub_id) != degenerate
+        assert server.impact_index.cells_of(sub.sub_id).tolist() != degenerate.tolist()
         # ... and back in the old cell the dilation is installed again,
         # although it is the cell the last degenerate install was for
         del calls[:]
         _, region = server.report_location(sub.sub_id, Point(5_000, 5_000), Point(20, 0), now=2)
         assert region.is_empty()
         assert "replace" in calls
-        assert server.impact_index.cells_of(sub.sub_id) == degenerate
+        assert server.impact_index.cells_of(sub.sub_id).tolist() == degenerate.tolist()
 
     def test_unsubscribe_and_resubscribe_start_clean(self):
         server, sub, calls = self.spied_server()
         server.unsubscribe(sub.sub_id)
-        assert server.impact_index.cells_of(sub.sub_id) == frozenset()
+        assert server.impact_index.cells_of(sub.sub_id).size == 0
         for _ in range(2):  # a fresh subscribe, then a resubscribe
             del calls[:]
             _, region = server.subscribe(sub, Point(5_000, 5_000), Point(20, 0), now=1)
             assert region.is_empty()
             assert "replace" in calls
-            assert server.impact_index.cells_of(sub.sub_id) == self.dilation_of(
-                server, sub, (20, 20)
-            )
+            installed = server.impact_index.cells_of(sub.sub_id)
+            assert installed.tolist() == self.dilation_of(server, sub, (20, 20))
 
     def test_a_restored_snapshot_starts_clean(self, tmp_path):
         from repro.system.journal import JournalSpec
@@ -622,11 +623,11 @@ class TestDegenerateImpactMemo:
         record = revived.subscribers[sub.sub_id]
         assert record.degenerate_cell is None
         installed = revived.impact_index.cells_of(sub.sub_id)
-        assert installed == self.dilation_of(revived, sub, (20, 20))
+        assert installed.tolist() == self.dilation_of(revived, sub, (20, 20))
         _, region = revived.report_location(sub.sub_id, Point(5_100, 5_100), Point(20, 0), now=1)
         assert region.is_empty()
         assert record.degenerate_cell == (20, 20)
-        assert revived.impact_index.cells_of(sub.sub_id) == installed
+        assert revived.impact_index.cells_of(sub.sub_id).tolist() == installed.tolist()
         revived.close()
 
 
@@ -717,7 +718,7 @@ class TestRetainedFieldIsTheLocationUpdateMatcher:
         ids, from_field = self.report(server, sub, Point(5_000, 5_000))
         assert ids == [2] and not from_field
         safe = server.subscribers[sub.sub_id].safe
-        for cell in safe.cells:
+        for cell in safe.iter_cells():
             assert (
                 server.grid.cell_rect(cell).min_distance_to_point(outside.location)
                 > sub.radius

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import IGM, GridMethod
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Grid, Point, Rect
+from repro.geometry import Grid, Point, Rect, interleave
 from repro.index import BEQTree
 from repro.system import ServerConfig, ElapsServer
 
@@ -240,7 +240,7 @@ class TestDegenerateRegion:
         if not region.is_empty():
             pytest.skip("grid resolution kept the cell safe")
         for cell in server.grid.cells_intersecting_circle(sub.notification_region(at)):
-            assert server.impact_index.covers(sub.sub_id, cell)
+            assert server.impact_index.covers(sub.sub_id, interleave(*cell))
 
 
 class TestBytesAccounting:

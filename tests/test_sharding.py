@@ -210,7 +210,7 @@ class TestHoming:
             shard_region = record.shard_regions[shard_id]
             merged = held.intersected_with(shard_region)
             # intersecting the held region with any contributor is a no-op
-            assert merged.cells == held.cells
+            assert merged.codes.tolist() == held.codes.tolist()
             assert merged.complement == held.complement
 
     def test_unsubscribe_clears_every_home(self):
@@ -705,6 +705,28 @@ class TestRebalance:
         # lands on the shard that owns column 13 now, and is delivered
         notes = revived.publish(sale(3, 3_400, 5_000, arrived_at=4), now=4)
         assert [n.event.event_id for n in notes] == [3]
+        revived.close()
+
+
+    def test_a_band_refusing_a_hand_over_bootstrap_still_recovers(self, tmp_path):
+        """A rebalance hands a band its new events as one ``bootstrap``
+        command; a band that refuses the batch journals nothing, so the
+        fleet recovers and replays what came after."""
+        config = ServerConfig(initial_rate=2.0, journal=JournalSpec(str(tmp_path)))
+        server = make_sharded(2, config=config)
+        sub = make_sub(radius=3_000.0)
+        server.subscribe(sub, Point(3_500, 5_000), Point(0, 0), now=0)
+        with pytest.raises(ValueError):
+            server._run({0: ("bootstrap", ([sale(1, 3_300, 5_000), sale(2, -5, 10)],))})
+        server.publish(sale(3, 3_400, 5_000), now=1)
+        expected = server.delivered_ids(sub.sub_id)
+        assert expected == frozenset({3})
+        server.close()
+
+        revived = make_sharded(2, config=config)
+        revived.recover()
+        assert revived.delivered_ids(sub.sub_id) == expected
+        assert sum(len(band._events_by_id) for band in revived.shard_servers) == 1
         revived.close()
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import IGM
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Grid, Point, Rect
+from repro.geometry import Grid, Point, Rect, codes_of_cells, interleave
 from repro.index import BEQTree, ImpactRegionIndex
 from repro.system import CallbackTransport, ServerConfig, ElapsServer
 
@@ -100,7 +100,7 @@ class ImpactIndexMachine(RuleBasedStateMachine):
         ),
     )
     def replace(self, sub_id, cells):
-        self.index.replace(sub_id, cells)
+        self.index.replace(sub_id, codes_of_cells(cells))
         self.model[sub_id] = frozenset(cells)
 
     @rule(sub_id=st.integers(min_value=0, max_value=8))
@@ -112,11 +112,11 @@ class ImpactIndexMachine(RuleBasedStateMachine):
     def lookups_agree_with_model(self):
         for i in range(6):
             for j in range(6):
-                cell = (i, j)
+                cell, code = (i, j), interleave(i, j)
                 expected = {s for s, cells in self.model.items() if cell in cells}
-                assert set(self.index.subscribers_covering(cell)) == expected
+                assert set(self.index.subscribers_covering(code)) == expected
                 for sub_id in range(9):
-                    assert self.index.covers(sub_id, cell) == (
+                    assert self.index.covers(sub_id, code) == (
                         sub_id in self.model and cell in self.model[sub_id]
                     )
 

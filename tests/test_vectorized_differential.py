@@ -39,7 +39,7 @@ from repro.core.construction import ConstructionRequest
 from repro.core.cost_model import SystemStats
 from repro.core.field import LazyBEQField, StaticMatchingField, dilate_point, dilate_points
 from repro.expressions import BooleanExpression, Event, Operator, Predicate, Subscription
-from repro.geometry import Grid, Point, Rect
+from repro.geometry import Grid, Point, Rect, cells_of_codes, codes_of_cells
 from repro.geometry.grid import RING
 from repro.geometry.zorder import interleave, interleave_array
 from repro.index import BEQTree
@@ -73,8 +73,8 @@ def _float_bytes(value):
 
 def assert_pairs_identical(scalar, vectorized):
     """Every RegionPair field equal — floats to the bit, order included."""
-    assert scalar.safe.cells == vectorized.safe.cells
-    assert scalar.impact.cells == vectorized.impact.cells
+    assert scalar.safe == vectorized.safe
+    assert scalar.impact == vectorized.impact
     assert scalar.cells_examined == vectorized.cells_examined
     assert _float_bytes(scalar.last_accepted_bm) == _float_bytes(
         vectorized.last_accepted_bm
@@ -693,7 +693,7 @@ def test_empty_corpus_covers_space_identically():
     vector_pair = IGM(record_visits=True).construct(
         static_request(3, radius=500.0, event_count=0)
     )
-    assert len(scalar_pair.safe.cells) == GRID.n * GRID.n
+    assert scalar_pair.safe.area_cells() == GRID.n * GRID.n
     assert_pairs_identical(scalar_pair, vector_pair)
 
 
@@ -809,21 +809,22 @@ def test_dilate_points_array_path_equals_folded_dilate_point(seed, count, near_e
     expected = set()
     for p in points:
         dilate_point(grid, p, radius, expected)
-    assert dilate_points_through_the_array_path(grid, points, radius) == expected
-    # the cell set a repair carves, through whichever path its footprint picks
-    assert dilate_points(grid, points, radius) == expected
+    assert dilate_points_through_the_array_path(grid, points, radius).tolist() == (
+        codes_of_cells(expected).tolist()
+    )
+    # the codes a repair carves, through whichever path its footprint picks
+    assert dilate_points(grid, points, radius).tolist() == codes_of_cells(expected).tolist()
 
 
 @DIFF_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), out_of_bounds=st.booleans())
 def test_grid_dilate_array_and_scalar_paths_agree(seed, out_of_bounds):
-    """``Grid.dilate`` through both implementations on the same cell set.
+    """``Grid.dilate`` (a cell at a time) and ``Grid.dilate_codes`` (the
+    array kernel over Morton codes) on the same in-bounds cell set.
 
-    Out-of-bounds seed cells (legal input: callers may dilate hypothetical
-    cells) are clipped into the grid the same way by both.
+    Out-of-bounds seed cells (legal input to ``dilate``: callers may
+    dilate hypothetical cells) are clipped into the grid.
     """
-    import repro.geometry.grid as grid_module
-
     rng = random.Random(seed)
     grid = Grid(30, SPACE)
     lo, hi = (-5, 34) if out_of_bounds else (0, 29)
@@ -832,15 +833,11 @@ def test_grid_dilate_array_and_scalar_paths_agree(seed, out_of_bounds):
         for _ in range(rng.randint(0, 50))
     }
     radius = rng.choice([0.0, rng.uniform(1, 400), rng.uniform(600, 2000)])
-    saved = grid_module._DILATE_ARRAY_CUTOVER
-    try:
-        grid_module._DILATE_ARRAY_CUTOVER = 1
-        forced_array = grid.dilate(cells, radius)
-        grid_module._DILATE_ARRAY_CUTOVER = 1 << 60
-        forced_scalar = grid.dilate(cells, radius)
-    finally:
-        grid_module._DILATE_ARRAY_CUTOVER = saved
-    assert forced_array == forced_scalar
+    dilated = grid.dilate(cells, radius)
+    assert all(grid.in_bounds(cell) for cell in dilated)
+    inside = {cell for cell in cells if grid.in_bounds(cell)}
+    codes = grid.dilate_codes(codes_of_cells(inside), radius)
+    assert codes.tolist() == codes_of_cells(grid.dilate(inside, radius)).tolist()
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "array"])
@@ -852,7 +849,7 @@ class TestDilationEdgeCases:
             cells = set()
             dilate_point(grid, point, radius, cells)
             return cells
-        return dilate_points_through_the_array_path(grid, [point], radius)
+        return set(cells_of_codes(dilate_points_through_the_array_path(grid, [point], radius)))
 
     def test_radius_straddling_the_space_boundary(self, kernel):
         """A point one cell from the edge with a radius reaching past it:
